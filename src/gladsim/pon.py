@@ -22,6 +22,7 @@ propagation term.  `max_span_meeting_deadline` exploits that directly.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -53,6 +54,11 @@ DOWNSTREAM = "downstream"
 
 # Hard cap on background packets per simulated leg.
 MAX_EVENTS = 50_000_000
+
+# Background arrivals drawn per chunk.  The downstream FIFO holds one chunk
+# plus the busy period still open at the end of the chunk before, so its
+# memory does not grow with the horizon.
+CHUNK_EVENTS = 1 << 18
 
 # Fraction of loops discarded as simulation warm-up before summarizing.
 WARMUP_FRACTION = 0.1
@@ -175,12 +181,18 @@ def kingman_wait(rho: float, ca2: float, cs2: float, mean_service_us: float) -> 
     return rho / (1.0 - rho) * (ca2 + cs2) / 2.0 * mean_service_us
 
 
-def fifo_waits(arrival_times, service_times) -> np.ndarray:
+def fifo_waits(arrival_times, service_times, origin: float = 0.0) -> np.ndarray:
     """Waiting times in a work-conserving single-server FIFO queue.
 
     Solves the Lindley recursion W[i+1] = max(0, W[i] + S[i] - A[i]) in closed
     form via the reflection identity W[i] = V[i] - min(V[0..i]) with
-    V[i] = sum(S[j] - A[j] for j < i), which vectorizes.
+    V[i] = origin + sum(S[j] - A[j] for j < i), which vectorizes.
+
+    `origin` continues a longer arrival sequence whose arrival at index 0
+    finds the server idle: passing V of the longer sequence at that arrival
+    makes the sequential sum, and so every returned wait, bit-identical to
+    solving the longer sequence whole.  The waits do not depend on it
+    otherwise; the first wait is always 0.
     """
     a = np.asarray(arrival_times, dtype=float)
     s = np.asarray(service_times, dtype=float)
@@ -188,10 +200,15 @@ def fifo_waits(arrival_times, service_times) -> np.ndarray:
         raise ParameterError("arrival and service arrays must have equal length")
     if a.size == 0:
         return np.empty(0)
-    if np.any(np.diff(a) < 0.0):
+    gaps = np.diff(a)
+    if np.any(gaps < 0.0):
         raise ParameterError("arrival times must be non-decreasing")
-    v = np.concatenate(([0.0], np.cumsum(s[:-1] - np.diff(a))))
-    return v - np.minimum.accumulate(v)
+    v = np.empty(a.size)
+    v[0] = origin
+    np.subtract(s[:-1], gaps, out=v[1:])
+    np.cumsum(v, out=v)
+    v -= np.minimum.accumulate(v)
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -204,25 +221,65 @@ def _spawn_rngs(seed: int, n: int) -> list[np.random.Generator]:
             for s in np.random.SeedSequence(seed).spawn(n)]
 
 
-def _poisson_arrivals(rng: np.random.Generator, rate_per_us: float,
-                      horizon_us: float) -> np.ndarray:
-    """Arrival instants of a Poisson process on [0, horizon_us]."""
+@dataclass
+class _PoissonDraw:
+    """Where the draw of one Poisson process on [0, horizon_us] stands.
+
+    Gaps are drawn in groups: the expected event count plus 5% and 64 first,
+    then extensions of a tenth of that while the last instant falls short of
+    the horizon.  A group's instants are the running sum of its gaps plus the
+    last instant of the group before, so drawing a group in chunks leaves
+    every instant's bits as drawing it whole would.
+    """
+
+    rng: np.random.Generator
+    scale_us: float              # mean gap
+    horizon_us: float
+    extension: int               # gaps per extension group
+    left: int                    # gaps of the current group still to draw
+    drawn: int                   # gaps in the groups begun so far
+    base_us: float = 0.0         # last instant of the group before
+    partial_us: float = 0.0      # running sum of the current group's gaps
+    done: bool = False
+
+
+def _poisson_arrivals(draw: _PoissonDraw) -> np.ndarray:
+    """The next at most CHUNK_EVENTS arrival instants of a draw, up to its horizon."""
+    if draw.left == 0:
+        draw.base_us += draw.partial_us
+        draw.partial_us = 0.0
+        draw.left = draw.extension
+        draw.drawn += draw.extension
+        if draw.drawn > MAX_EVENTS:
+            raise ResourceLimitError("background process exceeded the event cap")
+    times = draw.rng.exponential(draw.scale_us, size=min(CHUNK_EVENTS, draw.left))
+    times[0] += draw.partial_us
+    np.cumsum(times, out=times)
+    draw.partial_us = float(times[-1])
+    draw.left -= times.size
+    if draw.base_us:
+        times += draw.base_us
+    last = times[-1]
+    # Instants equal to the horizon still count, so a group ending exactly on
+    # it is not extended but one with more gaps to draw goes on.
+    draw.done = last > draw.horizon_us or (draw.left == 0 and last >= draw.horizon_us)
+    return times[:np.searchsorted(times, draw.horizon_us, side="right")]
+
+
+def _background(rng: np.random.Generator, rate_per_us: float, horizon_us: float):
+    """Arrival instants of a Poisson process on [0, horizon_us], in chunks."""
     if rate_per_us <= 0.0:
-        return np.empty(0)
+        return
     expected = rate_per_us * horizon_us
     if expected > MAX_EVENTS:
         raise ResourceLimitError(
             f"background process needs ~{expected:.0f} events (cap {MAX_EVENTS})"
         )
     n_est = int(expected * 1.05) + 64
-    times = np.cumsum(rng.exponential(1.0 / rate_per_us, size=n_est))
-    while times.size == 0 or times[-1] < horizon_us:
-        extra = np.cumsum(rng.exponential(1.0 / rate_per_us, size=max(64, n_est // 10)))
-        base = times[-1] if times.size else 0.0
-        times = np.concatenate([times, base + extra])
-        if times.size > MAX_EVENTS:
-            raise ResourceLimitError("background process exceeded the event cap")
-    return times[times <= horizon_us]
+    draw = _PoissonDraw(rng, 1.0 / rate_per_us, horizon_us,
+                        extension=max(64, n_est // 10), left=n_est, drawn=n_est)
+    while not draw.done:
+        yield _poisson_arrivals(draw)
 
 
 def _gated_grants(arrived_bytes_per_cycle: np.ndarray, cap_bytes: float) -> np.ndarray:
@@ -248,40 +305,81 @@ def _downstream_leg(config: PonConfig, load: LoadPoint, probe_times: np.ndarray,
 
     Background: Poisson arrivals of `background_packet_bytes` packets sized so
     the offered load equals rho of the downstream rate.  A probe arriving at t
-    waits for the workload present at t, then serializes itself.
+    waits for the workload present at t, then serializes itself.  Probe times
+    are non-decreasing.
+
+    The background streams through the FIFO in chunks.  Each chunk is solved
+    from the last arrival before it that found the server idle, where the
+    queue holds no memory of the past, and the waits up to the chunk's own
+    last idle arrival are final: they answer the probes that fall among them
+    and are dropped.  Peak memory therefore does not grow with the horizon.
     """
     rate = config.downstream_rate_bps
     bg_service = transmission_time(config.background_packet_bytes, rate)
     horizon = float(probe_times[-1]) + 10.0 * bg_service if probe_times.size else 0.0
     lam = load.rho * rate / (config.background_packet_bytes * 8.0) * 1e-6  # pkts/us
 
-    if lam > 0.0:
-        bg_times = _poisson_arrivals(rng, lam, horizon)
-    else:
-        bg_times = np.empty(0)
+    queueing = np.zeros(probe_times.size)
+    answered = 0                 # probes before this index have their queueing
+    n_background = 0
+    first_arrival = last_arrival = 0.0
+    wait_sum = gap_square_sum = 0.0
+    # Arrivals from the last one found idle on, their waits, and V at that
+    # arrival (see fifo_waits).
+    tail, tail_waits, origin = np.empty(0), np.empty(0), 0.0
+    # None marks the end of the background, after which the tail is final.
+    for chunk in itertools.chain(_background(rng, lam, horizon), [None]):
+        if chunk is None:
+            arrivals, waits, final = tail, tail_waits, tail.size
+        else:
+            arrivals = np.concatenate((tail, chunk))
+            waits = fifo_waits(arrivals, np.full(arrivals.size, bg_service), origin)
+            idle = np.flatnonzero(waits[1:] == 0.0)
+            final = int(idle[-1]) + 1 if idle.size else 0
+        if final == 0:
+            tail, tail_waits = arrivals, waits
+            continue
 
-    if bg_times.size:
-        services = np.full(bg_times.size, bg_service)
-        waits = fifo_waits(bg_times, services)
-        departures = bg_times + waits + bg_service
-        idx = np.searchsorted(bg_times, probe_times, side="right") - 1
-        queueing = np.where(
-            idx >= 0,
-            np.maximum(0.0, departures[np.clip(idx, 0, None)] - probe_times),
-            0.0,
-        )
-        gaps = np.diff(bg_times)
-        ca2 = float(np.var(gaps) / np.mean(gaps) ** 2) if gaps.size > 1 else 0.0
+        if n_background == 0:
+            first_arrival = float(arrivals[0])
+            answered = int(np.searchsorted(probe_times, first_arrival, side="left"))
+        # Probes up to the next chunk's first arrival wait behind one of these.
+        carried = final < arrivals.size
+        stop = (int(np.searchsorted(probe_times, arrivals[final], side="left"))
+                if carried else probe_times.size)
+        probes = probe_times[answered:stop]
+        idx = np.searchsorted(arrivals[:final], probes, side="right") - 1
+        departures = arrivals[idx] + waits[idx] + bg_service
+        queueing[answered:stop] = np.maximum(0.0, departures - probes)
+        answered = stop
+
+        n_background += final
+        last_arrival = float(arrivals[final - 1])
+        wait_sum += float(waits[:final].sum())
+        gaps = np.diff(arrivals[:final + 1])
+        gap_square_sum += float(np.einsum("i,i->", gaps, gaps))  # no BLAS threads
+        if carried:
+            # V at the next chunk's first arrival continues the sequential sum.
+            steps = np.subtract(bg_service, gaps, out=gaps)
+            steps[0] += origin
+            origin = float(np.cumsum(steps, out=steps)[-1])
+        tail, tail_waits = arrivals[final:], waits[final:]
+
+    if n_background:
+        n_gaps = n_background - 1
+        ca2 = 0.0
+        if n_gaps > 1:
+            mean_gap = (last_arrival - first_arrival) / n_gaps
+            ca2 = max(0.0, gap_square_sum / n_gaps / mean_gap ** 2 - 1.0)
         stats = {
-            "mean_queue_wait_us": float(waits.mean()),
+            "mean_queue_wait_us": wait_sum / n_background,
             "ca2": ca2,
             "cs2": 0.0,  # deterministic background service
             "mean_service_us": bg_service,
             "utilization": lam * bg_service,
-            "n_background": int(bg_times.size),
+            "n_background": n_background,
         }
     else:
-        queueing = np.zeros(probe_times.size)
         stats = {
             "mean_queue_wait_us": 0.0,
             "ca2": 0.0,
@@ -337,7 +435,7 @@ def _upstream_leg(config: PonConfig, load: LoadPoint, probe_times: np.ndarray,
         preceding_arrivals = np.zeros((0, n_cycles))
 
     # Tagged ONU's own background needs exact arrival instants.
-    bg_times = _poisson_arrivals(rng, lam_onu, horizon) if lam_onu > 0 else np.empty(0)
+    bg_times = np.concatenate([np.empty(0), *_background(rng, lam_onu, horizon)])
     arrived = np.zeros(n_cycles)
     if bg_times.size:
         cycles_of = np.minimum((bg_times / cycle).astype(int), n_cycles - 1)

@@ -1,9 +1,14 @@
 """Tests for the XG-PON latency model: DES engines, Kingman, round trips."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gladsim.errors import ParameterError, SaturationError
+from gladsim import pon
+from gladsim.errors import ParameterError, ResourceLimitError, SaturationError
 from gladsim.pon import (
     DOWNSTREAM,
     UPSTREAM,
@@ -85,19 +90,21 @@ class TestKingman:
         assert waits.mean() == pytest.approx(analytical, rel=0.2)
 
 
+def _lindley_loop(arrivals, services):
+    """The textbook sequential recursion W[i+1] = max(0, W[i] + S[i] - A[i])."""
+    waits = [0.0]
+    for i in range(1, len(arrivals)):
+        waits.append(max(0.0, waits[-1] + services[i - 1] - (arrivals[i] - arrivals[i - 1])))
+    return np.array(waits)
+
+
 class TestFifoWaits:
     def test_matches_direct_lindley_recursion(self):
-        # Independent oracle: the textbook sequential recursion.
         rng = np.random.Generator(np.random.PCG64(3))
         arrivals = np.cumsum(rng.exponential(2.0, size=500))
         services = rng.uniform(0.5, 2.5, size=500)
-        expected = np.empty(500)
-        w = 0.0
-        expected[0] = 0.0
-        for i in range(1, 500):
-            w = max(0.0, w + services[i - 1] - (arrivals[i] - arrivals[i - 1]))
-            expected[i] = w
-        np.testing.assert_allclose(fifo_waits(arrivals, services), expected, atol=1e-9)
+        np.testing.assert_allclose(fifo_waits(arrivals, services),
+                                   _lindley_loop(arrivals, services), atol=1e-9)
 
     def test_no_contention_when_sparse(self):
         arrivals = np.arange(10) * 100.0
@@ -107,6 +114,151 @@ class TestFifoWaits:
     def test_rejects_unsorted_arrivals(self):
         with pytest.raises(ParameterError):
             fifo_waits(np.array([1.0, 0.5]), np.array([1.0, 1.0]))
+
+
+# Gaps include exact zeros so that arrivals tie.
+_queue_jobs = st.lists(
+    st.tuples(st.one_of(st.just(0.0), st.floats(0.0, 10.0)), st.floats(0.01, 10.0)),
+    min_size=1, max_size=60,
+)
+
+
+class TestFifoWaitsProperties:
+    @settings(deadline=None)
+    @given(jobs=_queue_jobs, origin=st.one_of(st.just(0.0), st.floats(-1e6, 1e6)))
+    def test_matches_lindley_loop(self, jobs, origin):
+        gaps, services = (np.array(column) for column in zip(*jobs))
+        arrivals = np.cumsum(gaps)
+        waits = fifo_waits(arrivals, services, origin)
+        scale = abs(origin) + services.sum() + arrivals[-1] + 1.0
+        np.testing.assert_allclose(waits, _lindley_loop(arrivals, services),
+                                   rtol=0.0, atol=1e-12 * scale)
+        assert waits[0] == 0.0 and np.all(waits >= 0.0)
+
+    @settings(deadline=None)
+    @given(jobs=_queue_jobs)
+    def test_continuing_at_an_idle_arrival_is_bit_identical(self, jobs):
+        gaps, services = (np.array(column) for column in zip(*jobs))
+        arrivals = np.cumsum(gaps)
+        whole = fifo_waits(arrivals, services)
+        v = np.concatenate(([0.0], np.cumsum(services[:-1] - np.diff(arrivals))))
+        for k in np.flatnonzero(whole == 0.0):
+            part = fifo_waits(arrivals[k:], services[k:], origin=v[k])
+            assert np.array_equal(part, whole[k:])
+
+
+class TestGatedGrants:
+    @settings(deadline=None)
+    @given(arrived=st.lists(st.floats(0.0, 1e4), min_size=1, max_size=60),
+           cap=st.floats(1.0, 5e3))
+    def test_matches_backlog_loop(self, arrived, cap):
+        # Q[0] = 0, Q[k+1] = max(Q[k] - cap, 0) + A[k]; cycle k grants min(Q[k], cap).
+        backlog, expected = 0.0, []
+        for a in arrived:
+            expected.append(min(backlog, cap))
+            backlog = max(backlog - cap, 0.0) + a
+        grants = pon._gated_grants(np.array(arrived), cap)
+        scale = sum(arrived) + cap * len(arrived)
+        np.testing.assert_allclose(grants, expected, rtol=0.0, atol=1e-12 * scale)
+
+
+def _whole_array_arrivals(rng, rate_per_us, horizon_us):
+    """The background drawn whole: n_est gaps, then extensions of n_est // 10."""
+    n_est = int(rate_per_us * horizon_us * 1.05) + 64
+    times = np.cumsum(rng.exponential(1.0 / rate_per_us, size=n_est))
+    while times[-1] < horizon_us:
+        extra = np.cumsum(rng.exponential(1.0 / rate_per_us, size=max(64, n_est // 10)))
+        times = np.concatenate([times, times[-1] + extra])
+    return times[times <= horizon_us]
+
+
+def _whole_array_downstream(config, load, probe_times, rng):
+    """Reference downstream leg: one draw and one reflection over all arrivals."""
+    rate = config.downstream_rate_bps
+    service = transmission_time(config.background_packet_bytes, rate)
+    horizon = float(probe_times[-1]) + 10.0 * service
+    lam = load.rho * rate / (config.background_packet_bytes * 8.0) * 1e-6
+    times = _whole_array_arrivals(rng, lam, horizon) if lam > 0.0 else np.empty(0)
+    if not times.size:
+        return np.zeros(probe_times.size), times, np.empty(0)
+    v = np.concatenate(([0.0], np.cumsum(np.full(times.size - 1, service) - np.diff(times))))
+    waits = v - np.minimum.accumulate(v)
+    departures = times + waits + service
+    idx = np.searchsorted(times, probe_times, side="right") - 1
+    queueing = np.where(
+        idx >= 0, np.maximum(0.0, departures[np.clip(idx, 0, None)] - probe_times), 0.0)
+    return queueing, times, waits
+
+
+class _HalfGaps:
+    """A generator whose gaps are half the asked mean, so the first group of a
+    draw falls short of its horizon and extension groups are needed."""
+
+    def __init__(self, seed):
+        self._rng = np.random.Generator(np.random.PCG64(seed))
+
+    def exponential(self, scale, size):
+        return 0.5 * self._rng.exponential(scale, size=size)
+
+
+class TestStreamedBackground:
+    # Per rho, a seed whose background ends before the last probe, so the
+    # last probes follow every background arrival.
+    SEEDS = {0.0: 11, 0.5: 11, 0.9: 11986}
+
+    @pytest.mark.parametrize("chunk", [1, 7, 1000, pon.CHUNK_EVENTS])
+    @pytest.mark.parametrize("rho", [0.0, 0.5, 0.9])
+    def test_downstream_leg_matches_whole_array(self, monkeypatch, chunk, rho):
+        cfg, load, seed = PonConfig(), LoadPoint(rho), self.SEEDS[rho]
+        probes = np.linspace(0.0, 2000.0, 201)
+        _, times, _ = _whole_array_downstream(cfg, load, probes, pon._spawn_rngs(seed, 1)[0])
+        if times.size:
+            assert probes[0] < times[0] and times[-1] < probes[-1]
+            # A probe on every arrival instant, chunk cuts included; the last
+            # probe, and so the draw, stays.
+            probes = np.sort(np.concatenate((probes, times)))
+        expected, times, waits = _whole_array_downstream(
+            cfg, load, probes, pon._spawn_rngs(seed, 1)[0])
+
+        monkeypatch.setattr(pon, "CHUNK_EVENTS", chunk)
+        leg = pon._downstream_leg(cfg, load, probes, pon._spawn_rngs(seed, 1)[0])
+        assert np.array_equal(leg["queueing"], expected)
+        stats = leg["stats"]
+        assert stats["n_background"] == times.size
+        if times.size > 2:
+            gaps = np.diff(times)
+            assert stats["mean_queue_wait_us"] == pytest.approx(waits.mean(), rel=1e-12)
+            assert stats["ca2"] == pytest.approx(np.var(gaps) / np.mean(gaps) ** 2, rel=1e-12)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 1000, pon.CHUNK_EVENTS])
+    def test_chunked_draw_matches_whole_draw(self, monkeypatch, chunk):
+        monkeypatch.setattr(pon, "CHUNK_EVENTS", chunk)
+        chunks = list(pon._background(_HalfGaps(4), 0.9, 2000.0))
+        assert all(c.size <= chunk for c in chunks)
+        expected = _whole_array_arrivals(_HalfGaps(4), 0.9, 2000.0)
+        assert np.array_equal(np.concatenate(chunks), expected)
+
+    def test_event_cap(self, monkeypatch):
+        rng = pon._spawn_rngs(1, 1)[0]
+        with pytest.raises(ResourceLimitError):
+            next(pon._background(rng, 1.0, pon.MAX_EVENTS + 1.0))
+        # Extensions count towards the cap too.
+        monkeypatch.setattr(pon, "MAX_EVENTS", 3000)
+        with pytest.raises(ResourceLimitError):
+            list(pon._background(_HalfGaps(4), 1.0, 2000.0))
+
+    @pytest.mark.parametrize("n_loops", [5_000, 20_000])
+    def test_downstream_memory_is_flat_in_loops(self, n_loops):
+        probes = generate_stream(CONTROL_TRAFFIC_DEFAULT, n_loops * 1000.0, 3).timestamps
+        tracemalloc.start()
+        try:
+            pon._downstream_leg(PonConfig(), LoadPoint(0.9), probes, pon._spawn_rngs(3, 1)[0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # A whole-array leg holds several arrays of ~0.9 events per us of horizon:
+        # about 200 MiB at 5k loops and 800 MiB at 20k.
+        assert peak < 64 * 2**20
 
 
 class TestSimulatePon:
