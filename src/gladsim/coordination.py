@@ -8,15 +8,14 @@ weighted averaging.  Onboarding a new machine either starts the forecaster
 from zero (cold) or warm-starts it from the best matching aggregated profile
 (glad mode), falling back to cold when nothing matches.
 
-The registry is a serialized actor: every mutation takes its lock, applies in
-a total order and bumps the version.  Local AI state is plain data owned by
-the caller; onboarding never touches the forecasters of existing machines.
+Every registry mutation bumps its version.  Local AI state is plain data
+owned by the caller; onboarding never touches the forecasters of existing
+machines.
 """
 
 from __future__ import annotations
 
 import json
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +31,8 @@ from .haptic import (
     HapticSample,
     ObjectKind,
     ObjectProfile,
-    estimate_tau,
+    _amplitude_matrix,
+    _forecast,
     profiling_trace,
     run_forecaster,
 )
@@ -131,12 +131,11 @@ class ProfileRecord:
 
 
 class GlobalRegistry:
-    """Cloud-side profile store; all mutations are serialized and versioned."""
+    """Cloud-side profile store; every mutation bumps the version."""
 
     def __init__(self):
         self._records: dict[Descriptor, list[ProfileRecord]] = {}
         self._version = 0
-        self._lock = threading.Lock()
 
     @property
     def version(self) -> int:
@@ -155,28 +154,26 @@ class GlobalRegistry:
         return [r for recs in self._records.values() for r in recs]
 
     def add_record(self, record: ProfileRecord) -> int:
-        with self._lock:
-            self._records.setdefault(record.descriptor, []).append(record)
-            self._version += 1
-            return self._version
+        self._records.setdefault(record.descriptor, []).append(record)
+        self._version += 1
+        return self._version
 
     def aggregate(self) -> int:
         """Collapse each descriptor's records into one count-weighted mean."""
-        with self._lock:
-            for descriptor, records in self._records.items():
-                if len(records) <= 1:
-                    continue
-                counts = np.array([r.sample_count for r in records], dtype=float)
-                estimates = np.array([r.profile_estimate for r in records])
-                merged = ProfileRecord(
-                    descriptor=descriptor,
-                    profile_estimate=counts @ estimates / counts.sum(),
-                    sample_count=int(counts.sum()),
-                    source_local_ai="global",
-                )
-                self._records[descriptor] = [merged]
-            self._version += 1
-            return self._version
+        for descriptor, records in self._records.items():
+            if len(records) <= 1:
+                continue
+            counts = np.array([r.sample_count for r in records], dtype=float)
+            estimates = np.array([r.profile_estimate for r in records])
+            merged = ProfileRecord(
+                descriptor=descriptor,
+                profile_estimate=counts @ estimates / counts.sum(),
+                sample_count=int(counts.sum()),
+                source_local_ai="global",
+            )
+            self._records[descriptor] = [merged]
+        self._version += 1
+        return self._version
 
     def snapshot(self) -> dict:
         """JSON-ready dump of the registry contents."""
@@ -365,19 +362,14 @@ def onboard_machine(local: LocalAiState, profile: ObjectProfile,
         if record is not None:
             initial = record.profile_estimate
 
-    hits = run_forecaster(trace, alpha, epsilon, initial_estimate=initial)
+    x = _amplitude_matrix(trace)
+    hits = run_forecaster(x, alpha, epsilon, initial_estimate=initial)
     iterations, converged = iterations_to_target(hits, accuracy_target, window)
-
-    # Re-run the recursion to obtain the final state for the machine slot.
-    estimate = initial.copy()
-    for sample in trace:
-        estimate = (1.0 - alpha) * estimate + alpha * sample.amplitude
+    _, estimate = _forecast(x, alpha, epsilon, initial)
     state = ForecasterState(
         profile_estimate=np.clip(estimate, 0.0, 1.0),
         alpha_local=alpha,
         updates_seen=len(trace),
-        tau=estimate_tau(trace),
-        machines_served=local.machine_count + 1,
     )
     machine_id = machine_id or f"{local.local_id}-m{local.machine_count}"
     local.add(MachineSlot(machine_id=machine_id, forecaster=state, profile=profile))
@@ -436,6 +428,7 @@ def run_savings_sweep(total_machines: int, kind_pool_size: int, seed: int, *,
                       window: int = DEFAULT_WINDOW,
                       alpha: float = DEFAULT_ONBOARDING_ALPHA,
                       epsilon: float = DEFAULT_EPSILON,
+                      min_updates: int = DEFAULT_MIN_UPLOAD_UPDATES,
                       policy: MatchingPolicy = DEFAULT_POLICY
                       ) -> list[tuple[int, float]]:
     """Sequential onboarding study: mean training time saved vs machines present.
@@ -443,8 +436,9 @@ def run_savings_sweep(total_machines: int, kind_pool_size: int, seed: int, *,
     Machines draw objects from a finite profile pool and are onboarded one at
     a time across the Local AIs.  Each onboarding runs both modes on the same
     trace (cold on a scratch twin, glad on the real Local AI), uploads the
-    trained profile and re-aggregates the registry.  Returns the running mean
-    of saved_pct after each machine.
+    trained profile (`NotReadyError` when `trace_samples < min_updates`) and
+    re-aggregates the registry.  Returns the running mean of saved_pct after
+    each machine.
     """
     if total_machines < 2:
         raise ParameterError(f"total_machines must be >= 2, got {total_machines}")
@@ -473,8 +467,7 @@ def run_savings_sweep(total_machines: int, kind_pool_size: int, seed: int, *,
         saved.append(training_time_saved(cold.iterations, warm.iterations))
 
         upload_profile(office, f"machine-{m}", registry,
-                       min_updates=min(DEFAULT_MIN_UPLOAD_UPDATES, trace_samples),
-                       policy=policy)
+                       min_updates=min_updates, policy=policy)
         aggregate_global(registry)
         curve.append((m + 1, float(np.mean(saved))))
     return curve

@@ -282,33 +282,33 @@ def _accuracy_decay_curve(config: ScenarioConfig, mode: str, seed: int) -> list[
 
     The first machine starts converged; new machines join every `add_every`
     iterations, initialized per `mode`.  Each present machine contributes one
-    forecast per iteration, so a cold joiner's early misses dent the pooled
-    window until it converges.
+    forecast per iteration, pooled in machine order, so a cold joiner's early
+    misses dent the pooled window until it converges.  The cold curve drops
+    at the first addition; at later ones it need not, because the previous
+    joiner's misses may leave the window as fast as the new joiner's enter.
     """
     glad_cfg = config.glad
     policy = glad_cfg.policy()
-    alpha = glad_cfg.onboarding_alpha
-    epsilon = glad_cfg.epsilon
-    window = glad_cfg.window
+    add_every = glad_cfg.add_every
+    machines = glad_cfg.additions + 1
 
-    total_iters = glad_cfg.add_every * (glad_cfg.additions + 1)
+    total_iters = add_every * machines
     pool = coordination.make_profile_pool(glad_cfg.kind_pool_size)
-    seeds = np.random.SeedSequence(seed).generate_state(glad_cfg.additions + 1)
+    seeds = np.random.SeedSequence(seed).generate_state(machines)
 
     registry = coordination.GlobalRegistry()
 
-    traces = []
-    estimates = []
-    for m in range(glad_cfg.additions + 1):
+    # hits[t, m] is machine m's forecast at iteration t; it has joined when present[t, m].
+    hits = np.zeros((total_iters, machines), dtype=bool)
+    present = np.zeros((total_iters, machines), dtype=bool)
+    for m in range(machines):
         profile = pool[m % glad_cfg.kind_pool_size]
-        trace = haptic.profiling_trace(profile, total_iters, int(seeds[m]))
-        signature = np.array([s.amplitude for s in trace]).mean(axis=0)
-        traces.append(trace)
+        x = haptic._amplitude_matrix(haptic.profiling_trace(profile, total_iters, int(seeds[m])))
         if m == 0:
-            estimates.append(np.clip(signature, 0.0, 1.0))  # converged head start
+            estimate = np.clip(x.mean(axis=0), 0.0, 1.0)  # converged head start
             registry.add_record(coordination.ProfileRecord(
                 descriptor=coordination.descriptor_of(profile, policy),
-                profile_estimate=np.clip(signature, 0.0, 1.0),
+                profile_estimate=estimate,
                 sample_count=glad_cfg.profiling_samples,
                 source_local_ai="co-0",
             ))
@@ -316,25 +316,23 @@ def _accuracy_decay_curve(config: ScenarioConfig, mode: str, seed: int) -> list[
             record, _ = coordination.match_profile(
                 registry, coordination.descriptor_of(profile, policy), policy=policy
             )
-            estimates.append(record.profile_estimate.copy() if record is not None
-                             else np.zeros(haptic.N_FINGERS))
+            estimate = (record.profile_estimate if record is not None
+                        else np.zeros(haptic.N_FINGERS))
         else:
-            estimates.append(np.zeros(haptic.N_FINGERS))
+            estimate = np.zeros(haptic.N_FINGERS)
+        start = m * add_every
+        hits[start:, m], _ = haptic._forecast(
+            x[:total_iters - start], glad_cfg.onboarding_alpha, glad_cfg.epsilon, estimate
+        )
+        present[start:, m] = True
 
-    pooled_hits: list[bool] = []
-    rows = []
-    consumed = [0] * len(traces)
-    for t in range(total_iters):
-        present = 1 + min(glad_cfg.additions, t // glad_cfg.add_every)
-        for m in range(present):
-            obs = traces[m][consumed[m]].amplitude
-            consumed[m] += 1
-            error = float(np.max(np.abs(estimates[m] - obs)))
-            pooled_hits.append(error <= epsilon)
-            estimates[m] = (1.0 - alpha) * estimates[m] + alpha * obs
-        recent = pooled_hits[-window:]
-        rows.append((t + 1, mode, present, float(np.mean(recent))))
-    return rows
+    cums = np.concatenate(([0], np.cumsum(hits[present])))
+    n_present = present.sum(axis=1)
+    pooled = np.cumsum(n_present)
+    oldest = np.maximum(pooled - glad_cfg.window, 0)
+    windowed = (cums[pooled] - cums[oldest]) / (pooled - oldest)
+    return [(t + 1, mode, n, acc)
+            for t, (n, acc) in enumerate(zip(n_present.tolist(), windowed.tolist()))]
 
 
 def _alpha_study(config: ScenarioConfig, seed: int) -> list[tuple]:
@@ -380,6 +378,7 @@ def run_onboarding_study(config: ScenarioConfig) -> Report:
         window=config.glad.window,
         alpha=config.glad.onboarding_alpha,
         epsilon=config.glad.epsilon,
+        min_updates=config.glad.min_updates_for_upload,
         policy=config.glad.policy(),
     )
 

@@ -158,8 +158,6 @@ class ForecasterState:
     profile_estimate: np.ndarray
     alpha_local: float
     updates_seen: int = 0
-    tau: float = 0.0
-    machines_served: int = 1
 
     def __post_init__(self):
         est = _vector(self.profile_estimate, N_FINGERS, "profile_estimate")
@@ -168,8 +166,6 @@ class ForecasterState:
             raise ParameterError(f"alpha_local must lie in (0, 1], got {self.alpha_local}")
         if self.updates_seen < 0:
             raise ParameterError("updates_seen must be >= 0")
-        if not (-1.0 <= self.tau <= 1.0):
-            raise ParameterError(f"tau must lie in [-1, 1], got {self.tau}")
 
 
 # ---------------------------------------------------------------------------
@@ -433,25 +429,33 @@ def forecast_feedback(state: ForecasterState, control: ControlSample,
                         amplitude=np.clip(state.profile_estimate, 0.0, 1.0))
 
 
+def _hits(forecasts: np.ndarray, actuals: np.ndarray, epsilon: float) -> np.ndarray:
+    """Per-row hit flags: the max-norm forecast error is at most `epsilon`."""
+    return np.max(np.abs(forecasts - actuals), axis=1) <= epsilon
+
+
+def _forecast(x: np.ndarray, alpha: float, epsilon: float,
+              estimate: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Forecast-then-update over an (n, 5) amplitude matrix: (hits, final estimate)."""
+    forecasts = np.empty_like(x)
+    for i, observed in enumerate(x):
+        forecasts[i] = estimate
+        estimate = (1.0 - alpha) * estimate + alpha * observed
+    return _hits(forecasts, x, epsilon), estimate
+
+
 def run_forecaster(trace, alpha: float, epsilon: float,
                    initial_estimate=None) -> np.ndarray:
     """Forecast-then-update over a haptic trace; returns the per-step hit flags.
 
-    A step is a hit when the max-norm error between the forecast (the current
-    estimate) and the observed amplitude is at most `epsilon`.
+    `trace` is samples or an (n, 5) amplitude matrix.  A step is a hit when the
+    max-norm error of its forecast (the current estimate) is at most `epsilon`.
     """
     if epsilon <= 0:
         raise ParameterError(f"epsilon must be > 0, got {epsilon}")
-    state = ForecasterState(
-        profile_estimate=(np.zeros(N_FINGERS) if initial_estimate is None
-                          else np.asarray(initial_estimate, dtype=float)),
-        alpha_local=alpha,
-    )
-    hits = np.empty(len(trace), dtype=bool)
-    for i, observed in enumerate(trace):
-        error = float(np.max(np.abs(state.profile_estimate - observed.amplitude)))
-        hits[i] = error <= epsilon
-        state = forecaster_update(state, observed)
+    initial = np.zeros(N_FINGERS) if initial_estimate is None else initial_estimate
+    state = ForecasterState(profile_estimate=initial, alpha_local=alpha)
+    hits, _ = _forecast(_amplitude_matrix(trace), alpha, epsilon, state.profile_estimate)
     return hits
 
 
@@ -459,7 +463,7 @@ def _amplitude_matrix(samples) -> np.ndarray:
     if isinstance(samples, np.ndarray):
         arr = np.asarray(samples, dtype=float)
         return arr.reshape(arr.shape[0], -1)
-    return np.array([s.amplitude for s in samples], dtype=float)
+    return np.array([s.amplitude for s in samples], dtype=float).reshape(-1, N_FINGERS)
 
 
 def cumulative_accuracy_series(forecasts, actuals, epsilon: float) -> np.ndarray:
@@ -472,7 +476,7 @@ def cumulative_accuracy_series(forecasts, actuals, epsilon: float) -> np.ndarray
         raise ParameterError(f"sequences are not aligned: {f.shape} vs {a.shape}")
     if f.shape[0] == 0:
         raise ParameterError("sequences must be nonempty")
-    hits = np.max(np.abs(f - a), axis=1) <= epsilon
+    hits = _hits(f, a, epsilon)
     return np.cumsum(hits) / np.arange(1, hits.size + 1)
 
 
@@ -505,9 +509,10 @@ def optimize_alpha(trace, alpha_grid, epsilon: float = 0.05) -> float:
         raise ParameterError("alpha_grid values must lie in (0, 1]")
     if len(trace) < 100:
         raise InsufficientDataError(f"need >= 100 touch samples, got {len(trace)}")
+    x = _amplitude_matrix(trace)
     best_alpha, best_acc = grid[0], -1.0
     for alpha in grid:
-        acc = float(run_forecaster(trace, alpha, epsilon).mean())
+        acc = float(run_forecaster(x, alpha, epsilon).mean())
         if acc > best_acc:
             best_alpha, best_acc = alpha, acc
     return best_alpha

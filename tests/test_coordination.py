@@ -319,6 +319,11 @@ class TestSavings:
         curve = run_savings_sweep(4, 30, seed=42, trace_samples=2000)
         assert all(s == 0.0 for _, s in curve)
 
+    def test_min_updates_gates_uploads(self):
+        run_savings_sweep(2, 1, seed=7, trace_samples=600, min_updates=600)
+        with pytest.raises(NotReadyError):
+            run_savings_sweep(2, 1, seed=7, trace_samples=600, min_updates=601)
+
     def test_deterministic(self):
         a = run_savings_sweep(3, 1, seed=7, trace_samples=1500)
         b = run_savings_sweep(3, 1, seed=7, trace_samples=1500)

@@ -5,13 +5,15 @@ import json
 import numpy as np
 import pytest
 
-from gladsim.errors import ConfigError, ParameterError
+from gladsim import coordination, haptic
+from gladsim.errors import ConfigError, NotReadyError, ParameterError
 from gladsim.experiments import (
     NO_AI,
     WITH_AI,
     GladParams,
     Report,
     ScenarioConfig,
+    _accuracy_decay_curve,
     export_records_csv,
     export_report,
     export_stream_csv,
@@ -145,6 +147,84 @@ class TestOnboardingStudy:
         for m, tau, alpha in rows:
             assert alpha in grid
             assert -1.0 <= tau <= 1.0
+
+    def test_min_updates_above_profiling_samples_rejected(self):
+        glad = GladParams(total_machines=2, add_every=150, additions=1,
+                          profiling_samples=600, min_updates_for_upload=601,
+                          machines_grid=(1,))
+        with pytest.raises(NotReadyError):
+            run_onboarding_study(_small_scenario(glad=glad))
+
+
+def _pooled_list_curve(config, mode, seed):
+    """The accuracy-decay curve as a per-iteration loop over a pooled hit list."""
+    glad_cfg = config.glad
+    policy = glad_cfg.policy()
+    alpha = glad_cfg.onboarding_alpha
+    epsilon = glad_cfg.epsilon
+    window = glad_cfg.window
+
+    total_iters = glad_cfg.add_every * (glad_cfg.additions + 1)
+    pool = coordination.make_profile_pool(glad_cfg.kind_pool_size)
+    seeds = np.random.SeedSequence(seed).generate_state(glad_cfg.additions + 1)
+
+    registry = coordination.GlobalRegistry()
+
+    traces = []
+    estimates = []
+    for m in range(glad_cfg.additions + 1):
+        profile = pool[m % glad_cfg.kind_pool_size]
+        trace = haptic.profiling_trace(profile, total_iters, int(seeds[m]))
+        signature = np.array([s.amplitude for s in trace]).mean(axis=0)
+        traces.append(trace)
+        if m == 0:
+            estimates.append(np.clip(signature, 0.0, 1.0))
+            registry.add_record(coordination.ProfileRecord(
+                descriptor=coordination.descriptor_of(profile, policy),
+                profile_estimate=np.clip(signature, 0.0, 1.0),
+                sample_count=glad_cfg.profiling_samples,
+                source_local_ai="co-0",
+            ))
+        elif mode == coordination.GLAD:
+            record, _ = coordination.match_profile(
+                registry, coordination.descriptor_of(profile, policy), policy=policy
+            )
+            estimates.append(record.profile_estimate.copy() if record is not None
+                             else np.zeros(haptic.N_FINGERS))
+        else:
+            estimates.append(np.zeros(haptic.N_FINGERS))
+
+    pooled_hits = []
+    rows = []
+    consumed = [0] * len(traces)
+    for t in range(total_iters):
+        present = 1 + min(glad_cfg.additions, t // glad_cfg.add_every)
+        for m in range(present):
+            obs = traces[m][consumed[m]].amplitude
+            consumed[m] += 1
+            error = float(np.max(np.abs(estimates[m] - obs)))
+            pooled_hits.append(error <= epsilon)
+            estimates[m] = (1.0 - alpha) * estimates[m] + alpha * obs
+        recent = pooled_hits[-window:]
+        rows.append((t + 1, mode, present, float(np.mean(recent))))
+    return rows
+
+
+class TestAccuracyDecayCurve:
+    # Pooled lengths: 150 with no additions, 1500 with three additions.
+    @pytest.mark.parametrize("glad", [
+        GladParams(additions=0, add_every=150, window=100),
+        GladParams(additions=0, add_every=150, window=400),
+        GladParams(additions=3, add_every=150, window=200),
+        GladParams(additions=3, add_every=150, window=2000),
+        GladParams(additions=3, add_every=150, window=200, kind_pool_size=2),
+    ], ids=["none-short", "none-long", "three-short", "three-long", "three-pool2"])
+    @pytest.mark.parametrize("mode", [coordination.COLD, coordination.GLAD])
+    def test_matches_pooled_list_loop(self, glad, mode):
+        config = ScenarioConfig(glad=glad)
+        rows = _accuracy_decay_curve(config, mode, seed=5)
+        assert rows == _pooled_list_curve(config, mode, seed=5)
+        assert len(rows) == glad.add_every * (glad.additions + 1)
 
 
 class TestExport:

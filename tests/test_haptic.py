@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gladsim.errors import (
     DegenerateDataError,
@@ -13,6 +16,7 @@ from gladsim.haptic import (
     ForecasterState,
     HapticSample,
     ObjectKind,
+    _forecast,
     cumulative_accuracy,
     cumulative_accuracy_series,
     estimate_tau,
@@ -180,6 +184,41 @@ class TestForecaster:
     def test_alpha_out_of_range(self):
         with pytest.raises(ParameterError):
             ForecasterState(profile_estimate=np.zeros(5), alpha_local=0.0)
+
+
+def _step_loop(trace, alpha, epsilon, initial):
+    """Forecast-then-update with one `forecaster_update` call per sample."""
+    state = ForecasterState(profile_estimate=initial, alpha_local=alpha)
+    hits = []
+    for observed in trace:
+        hits.append(np.max(np.abs(state.profile_estimate - observed.amplitude)) <= epsilon)
+        state = forecaster_update(state, observed)
+    return np.array(hits, dtype=bool), state.profile_estimate
+
+
+_unit_floats = st.floats(0.0, 1.0)
+
+
+class TestForecastCore:
+    @settings(deadline=None)
+    @given(x=arrays(np.float64, st.tuples(st.integers(1, 300), st.just(5)),
+                    elements=_unit_floats),
+           alpha=st.floats(0.0, 1.0, exclude_min=True),
+           epsilon=st.floats(0.0, 2.0, exclude_min=True),
+           initial=arrays(np.float64, 5, elements=_unit_floats))
+    def test_matches_step_loop(self, x, alpha, epsilon, initial):
+        trace = [HapticSample(t_us=float(i), amplitude=row) for i, row in enumerate(x)]
+        expected_hits, expected_final = _step_loop(trace, alpha, epsilon, initial)
+        assert np.array_equal(run_forecaster(trace, alpha, epsilon, initial), expected_hits)
+        assert np.array_equal(run_forecaster(x, alpha, epsilon, initial), expected_hits)
+        hits, final = _forecast(x, alpha, epsilon, initial)
+        assert np.array_equal(hits, expected_hits)
+        assert np.array_equal(final, expected_final)
+
+    def test_empty_trace(self):
+        assert run_forecaster([], 0.5, 0.05).shape == (0,)
+        _, final = _forecast(np.empty((0, 5)), 0.5, 0.05, np.full(5, 0.3))
+        np.testing.assert_array_equal(final, np.full(5, 0.3))
 
 
 @pytest.fixture(scope="module")
