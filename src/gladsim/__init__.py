@@ -18,7 +18,6 @@ from .coordination import (
     MatchingPolicy,
     OnboardResult,
     ProfileRecord,
-    SavingsRecord,
     aggregate_global,
     descriptor_of,
     match_profile,
@@ -54,7 +53,6 @@ from .haptic import (
     TouchClassifier,
     cumulative_accuracy,
     estimate_tau,
-    forecast_feedback,
     forecaster_update,
     generate_session,
     label_touch,
@@ -62,7 +60,6 @@ from .haptic import (
     train_classifier,
 )
 from .pon import (
-    LatencyRecord,
     LatencySummary,
     LoadPoint,
     PonConfig,

@@ -15,7 +15,6 @@ machines.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,7 +44,6 @@ __all__ = [
     "MachineSlot",
     "LocalAiState",
     "OnboardResult",
-    "SavingsRecord",
     "descriptor_of",
     "similarity",
     "upload_profile",
@@ -144,9 +142,6 @@ class GlobalRegistry:
     def __len__(self) -> int:
         return sum(len(v) for v in self._records.values())
 
-    def descriptors(self) -> list[Descriptor]:
-        return list(self._records.keys())
-
     def records_for(self, descriptor: Descriptor) -> tuple[ProfileRecord, ...]:
         return tuple(self._records.get(descriptor, ()))
 
@@ -174,40 +169,6 @@ class GlobalRegistry:
             self._records[descriptor] = [merged]
         self._version += 1
         return self._version
-
-    def snapshot(self) -> dict:
-        """JSON-ready dump of the registry contents."""
-        return {
-            "version": self._version,
-            "records": [
-                {
-                    "kind": r.descriptor[0],
-                    "stiffness_band": r.descriptor[1],
-                    "texture_band": r.descriptor[2],
-                    "profile_estimate": [float(v) for v in r.profile_estimate],
-                    "sample_count": r.sample_count,
-                    "source_local_ai": r.source_local_ai,
-                }
-                for r in self.all_records()
-            ],
-        }
-
-    def dump_json(self) -> str:
-        return json.dumps(self.snapshot(), sort_keys=True, indent=2) + "\n"
-
-    @classmethod
-    def from_snapshot(cls, snapshot: dict) -> "GlobalRegistry":
-        registry = cls()
-        for entry in snapshot["records"]:
-            descriptor = (entry["kind"], entry["stiffness_band"], entry["texture_band"])
-            registry.add_record(ProfileRecord(
-                descriptor=descriptor,
-                profile_estimate=np.asarray(entry["profile_estimate"], dtype=float),
-                sample_count=int(entry["sample_count"]),
-                source_local_ai=entry["source_local_ai"],
-            ))
-        registry._version = int(snapshot["version"])
-        return registry
 
 
 @dataclass
@@ -295,23 +256,6 @@ class OnboardResult:
     iterations: int
     converged: bool
     match_similarity: float
-
-
-@dataclass(frozen=True)
-class SavingsRecord:
-    """Paired cold/warm onboarding outcome for one machine."""
-
-    machine_id: str
-    t_cold: int
-    t_warm: int
-    saved_pct: float
-
-    def __post_init__(self):
-        if self.t_cold <= 0:
-            raise ParameterError("t_cold must be > 0")
-        expected = 100.0 * (1.0 - self.t_warm / self.t_cold)
-        if abs(self.saved_pct - expected) > 1e-9:
-            raise ParameterError("saved_pct inconsistent with t_cold/t_warm")
 
 
 def iterations_to_target(hits: np.ndarray, target: float, window: int) -> tuple[int, bool]:

@@ -12,7 +12,6 @@ grid concurrently.  Assembly is deterministic regardless of completion order.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import os
@@ -24,7 +23,7 @@ import numpy as np
 
 from . import coordination, haptic, pon
 from .errors import ConfigError, ParameterError, SaturationError
-from .traffic import ArrivalStream, GpdParams
+from .traffic import GpdParams
 
 __all__ = [
     "GladParams",
@@ -36,8 +35,6 @@ __all__ = [
     "run_latency_sweep",
     "run_onboarding_study",
     "export_report",
-    "export_stream_csv",
-    "export_records_csv",
 ]
 
 ARTIFACT_VERSION = "0.1.0"
@@ -464,83 +461,3 @@ def export_report(report: Report, directory, formats=("csv",)) -> list[Path]:
     _write_atomic(manifest_path, json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     written.append(manifest_path)
     return sorted(written)
-
-
-def export_stream_csv(stream: ArrivalStream, path) -> Path:
-    """Dump an arrival stream as a one-column `timestamp_us` CSV."""
-    path = Path(path)
-    lines = ["timestamp_us"]
-    lines.extend(repr(float(t)) for t in stream.timestamps)
-    _write_atomic(path, "\n".join(lines) + "\n")
-    return path
-
-
-def export_records_csv(records, path) -> Path:
-    """Dump per-message latency records with their component breakdown."""
-    path = Path(path)
-    columns = ("message_id", "direction", "wireless_us", "queueing_us",
-               "dba_wait_us", "transmission_us", "propagation_us",
-               "processing_us", "total_us")
-    lines = [",".join(columns)]
-    for r in records:
-        lines.append(",".join(_format_cell(v) for v in (
-            r.message_id, r.direction, r.wireless_us, r.queueing_us,
-            r.dba_wait_us, r.transmission_us, r.propagation_us,
-            r.processing_us, r.total_us,
-        )))
-    _write_atomic(path, "\n".join(lines) + "\n")
-    return path
-
-
-_CONTROL_COLUMNS = ("t_us", "px", "py", "pz", "ox", "oy", "oz",
-                    "f1", "f2", "f3", "f4", "f5")
-_HAPTIC_COLUMNS = ("t_us", "a1", "a2", "a3", "a4", "a5")
-
-
-def export_control_csv(samples, path) -> Path:
-    """Dump control samples as `t_us,px,py,pz,ox,oy,oz,f1..f5` rows."""
-    path = Path(path)
-    lines = [",".join(_CONTROL_COLUMNS)]
-    for s in samples:
-        values = [s.t_us, *s.hand_pos, *s.hand_orient, *s.finger_pressure]
-        lines.append(",".join(repr(float(v)) for v in values))
-    _write_atomic(path, "\n".join(lines) + "\n")
-    return path
-
-
-def import_control_csv(path) -> list:
-    """Read control samples written by `export_control_csv`."""
-    rows = _read_csv(Path(path), _CONTROL_COLUMNS)
-    return [
-        haptic.ControlSample(t_us=r[0], hand_pos=r[1:4], hand_orient=r[4:7],
-                             finger_pressure=r[7:12])
-        for r in rows
-    ]
-
-
-def export_haptic_csv(samples, path) -> Path:
-    """Dump haptic samples as `t_us,a1..a5` rows."""
-    path = Path(path)
-    lines = [",".join(_HAPTIC_COLUMNS)]
-    for s in samples:
-        values = [s.t_us, *s.amplitude]
-        lines.append(",".join(repr(float(v)) for v in values))
-    _write_atomic(path, "\n".join(lines) + "\n")
-    return path
-
-
-def import_haptic_csv(path) -> list:
-    """Read haptic samples written by `export_haptic_csv`."""
-    rows = _read_csv(Path(path), _HAPTIC_COLUMNS)
-    return [haptic.HapticSample(t_us=r[0], amplitude=r[1:6]) for r in rows]
-
-
-def _read_csv(path: Path, expected_columns: tuple[str, ...]) -> list[np.ndarray]:
-    with open(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != expected_columns:
-            raise ParameterError(
-                f"{path} does not carry the columns {','.join(expected_columns)}"
-            )
-        return [np.asarray([float(cell) for cell in row]) for row in reader if row]

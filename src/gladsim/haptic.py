@@ -41,7 +41,6 @@ __all__ = [
     "label_touch",
     "train_classifier",
     "forecaster_update",
-    "forecast_feedback",
     "run_forecaster",
     "cumulative_accuracy",
     "cumulative_accuracy_series",
@@ -368,9 +367,6 @@ class TouchClassifier:
     def predict(self, X: np.ndarray) -> np.ndarray:
         return self.decision_function(X) > 0.0
 
-    def classify(self, sample: ControlSample) -> bool:
-        return bool(self.predict(_features([sample]))[0])
-
 
 def train_classifier(dataset, train_fraction: float,
                      seed: int = 0) -> tuple[TouchClassifier, float]:
@@ -418,17 +414,6 @@ def forecaster_update(state: ForecasterState, observed: HapticSample) -> Forecas
                    updates_seen=state.updates_seen + 1)
 
 
-def forecast_feedback(state: ForecasterState, control: ControlSample,
-                      classifier: TouchClassifier) -> HapticSample | None:
-    """Forecast feedback for a control sample, or None when no touch is predicted."""
-    if classifier.weights is None:
-        raise ParameterError("classifier must be trained before forecasting")
-    if not classifier.classify(control):
-        return None
-    return HapticSample(t_us=control.t_us,
-                        amplitude=np.clip(state.profile_estimate, 0.0, 1.0))
-
-
 def _hits(forecasts: np.ndarray, actuals: np.ndarray, epsilon: float) -> np.ndarray:
     """Per-row hit flags: the max-norm forecast error is at most `epsilon`."""
     return np.max(np.abs(forecasts - actuals), axis=1) <= epsilon
@@ -438,9 +423,10 @@ def _forecast(x: np.ndarray, alpha: float, epsilon: float,
               estimate: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Forecast-then-update over an (n, 5) amplitude matrix: (hits, final estimate)."""
     forecasts = np.empty_like(x)
-    for i, observed in enumerate(x):
+    keep, step = 1.0 - alpha, alpha * x
+    for i in range(x.shape[0]):
         forecasts[i] = estimate
-        estimate = (1.0 - alpha) * estimate + alpha * observed
+        estimate = keep * estimate + step[i]
     return _hits(forecasts, x, epsilon), estimate
 
 

@@ -34,7 +34,6 @@ from .traffic import CONTROL_TRAFFIC_DEFAULT, ArrivalStream, GpdParams, generate
 __all__ = [
     "PonConfig",
     "LoadPoint",
-    "LatencyRecord",
     "LatencySummary",
     "UPSTREAM",
     "DOWNSTREAM",
@@ -110,32 +109,6 @@ class LoadPoint:
             raise ParameterError(f"rho must be finite and >= 0, got {self.rho}")
         if self.rho >= 1.0:
             raise SaturationError(f"offered load rho={self.rho} saturates the line")
-
-
-@dataclass(frozen=True)
-class LatencyRecord:
-    """Per-message delay breakdown; total is the exact sum of the components."""
-
-    message_id: int
-    direction: str
-    wireless_us: float
-    queueing_us: float
-    dba_wait_us: float
-    transmission_us: float
-    propagation_us: float
-    processing_us: float
-    total_us: float
-
-    @classmethod
-    def build(cls, message_id, direction, wireless, queueing, dba_wait,
-              transmission, propagation, processing) -> "LatencyRecord":
-        total = wireless + queueing + dba_wait + transmission + propagation + processing
-        return cls(message_id, direction, wireless, queueing, dba_wait,
-                   transmission, propagation, processing, total)
-
-    def component_sum(self) -> float:
-        return (self.wireless_us + self.queueing_us + self.dba_wait_us
-                + self.transmission_us + self.propagation_us + self.processing_us)
 
 
 @dataclass(frozen=True)
@@ -504,27 +477,17 @@ def _leg(config: PonConfig, load: LoadPoint, direction: str,
 
 
 def simulate_pon(config: PonConfig, load: LoadPoint, direction: str,
-                 h2m_stream: ArrivalStream, seed: int) -> list[LatencyRecord]:
-    """Packet-level delay records for each tagged message in one direction."""
+                 h2m_stream: ArrivalStream, seed: int) -> dict:
+    """Packet-level delay components of each tagged message in one direction.
+
+    Returns the leg's columns: `queueing` and `dba_wait` hold one entry per
+    message (us); `transmission`, `wireless` and `propagation` are the
+    per-message constants (us); `stats` describes the background.
+    """
     if len(h2m_stream) == 0:
         raise ParameterError("h2m_stream must contain at least one arrival")
     rng = _spawn_rngs(seed, 1)[0]
-    leg = _leg(config, load, direction, h2m_stream.timestamps, rng)
-    tx = leg["transmission"]
-    records = [
-        LatencyRecord.build(
-            message_id=i,
-            direction=direction,
-            wireless=leg["wireless"],
-            queueing=float(leg["queueing"][i]),
-            dba_wait=float(leg["dba_wait"][i]),
-            transmission=tx,
-            propagation=leg["propagation"],
-            processing=0.0,
-        )
-        for i in range(len(h2m_stream))
-    ]
-    return records
+    return _leg(config, load, direction, h2m_stream.timestamps, rng)
 
 
 def queueing_cross_check(config: PonConfig, load: LoadPoint, seed: int,
@@ -641,23 +604,20 @@ def _bisect_max_span(base_mean_us: float, fiber_legs: int, per_km_us: float,
                      deadline_us: float) -> float:
     """Largest span on the 0.5 km grid of [0, 100] whose mean meets the deadline.
 
-    The mean is linear in span, so bisection over the grid is exact.
+    The mean is linear in span, so the crossing has a closed form; stepping
+    from it with the exact comparison snaps it to the grid wherever rounding
+    put it a step off.
     """
-    def mean_at(span_km: float) -> float:
-        return base_mean_us + fiber_legs * span_km * per_km_us
+    def fits(steps: int) -> bool:  # span = steps * 0.5 km
+        return base_mean_us + fiber_legs * (steps * 0.5) * per_km_us <= deadline_us
 
-    lo_steps, hi_steps = 0, 200  # span = steps * 0.5 km
-    if mean_at(0.0) > deadline_us:
-        return 0.0
-    if mean_at(hi_steps * 0.5) <= deadline_us:
-        return 100.0
-    while hi_steps - lo_steps > 1:
-        mid = (lo_steps + hi_steps) // 2
-        if mean_at(mid * 0.5) <= deadline_us:
-            lo_steps = mid
-        else:
-            hi_steps = mid
-    return lo_steps * 0.5
+    ratio = (deadline_us - base_mean_us) / (fiber_legs * per_km_us * 0.5)
+    steps = int(min(max(ratio, 0.0), 200.0))
+    while steps > 0 and not fits(steps):
+        steps -= 1
+    while steps < 200 and fits(steps + 1):
+        steps += 1
+    return steps * 0.5
 
 
 def max_span_meeting_deadline(config: PonConfig, load: LoadPoint,
@@ -666,7 +626,7 @@ def max_span_meeting_deadline(config: PonConfig, load: LoadPoint,
                               traffic: GpdParams | None = None) -> float:
     """Largest span (km) whose mean round trip meets the deadline.
 
-    Bisection over [0, 100] km at 0.5 km resolution.  Returns 0.0 when the
+    Searches [0, 100] km at 0.5 km resolution.  Returns 0.0 when the
     deadline cannot be met even back-to-back.
     """
     if deadline_us <= 0:

@@ -23,7 +23,6 @@ __all__ = [
     "GpdParams",
     "ArrivalStream",
     "CONTROL_TRAFFIC_DEFAULT",
-    "HAPTIC_TRAFFIC_DEFAULT",
     "sample_gpd",
     "gpd_cdf",
     "gpd_mean",
@@ -34,6 +33,10 @@ __all__ = [
 ]
 
 MIN_FIT_SAMPLES = 50
+
+# Shapes below the smallest normal double take the exponential branch: the
+# general formulas divide by the shape and would lose every significant bit.
+_EXPONENTIAL_SHAPE = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -61,7 +64,6 @@ class GpdParams:
 # source measurements publish no parameter values, so these are config-exposed
 # stand-ins, not measured constants.
 CONTROL_TRAFFIC_DEFAULT = GpdParams(shape=0.1, scale=900.0, location=0.0)
-HAPTIC_TRAFFIC_DEFAULT = GpdParams(shape=0.1, scale=900.0, location=0.0)
 
 
 def sample_gpd(params: GpdParams, uniform):
@@ -75,7 +77,7 @@ def sample_gpd(params: GpdParams, uniform):
         raise ParameterError("uniform must lie in [0, 1)")
     # log1p keeps the quantile accurate near u=0 and continuous as shape -> 0.
     log_sf = np.log1p(-u)
-    if params.shape == 0.0:
+    if abs(params.shape) < _EXPONENTIAL_SHAPE:
         q = params.location - params.scale * log_sf
     else:
         q = params.location + params.scale * np.expm1(-params.shape * log_sf) / params.shape
@@ -88,13 +90,15 @@ def gpd_cdf(params: GpdParams, x):
     """CDF of the generalized Pareto law at `x` (scalar or array)."""
     z = (np.asarray(x, dtype=float) - params.location) / params.scale
     z = np.clip(z, 0.0, None)
-    if params.shape == 0.0:
+    if abs(params.shape) < _EXPONENTIAL_SHAPE:
         cdf = -np.expm1(-z)
     else:
-        # For shape < 0 the support ends at -scale/shape; clipping the base at
-        # zero pins the CDF to 1 beyond it.
-        base = np.clip(1.0 + params.shape * z, 0.0, None)
-        cdf = 1.0 - np.power(base, -1.0 / params.shape)
+        # 1 - (1 + shape*z)^(-1/shape) through log1p/expm1, which stay accurate
+        # as shape -> 0.  For shape < 0 the support ends at -scale/shape;
+        # clipping shape*z at -1 makes log1p -inf there, pinning the CDF to 1.
+        with np.errstate(divide="ignore"):
+            log_base = np.log1p(np.maximum(params.shape * z, -1.0))
+        cdf = -np.expm1(-log_base / params.shape)
     if np.ndim(x) == 0:
         return float(cdf)
     return cdf

@@ -14,15 +14,11 @@ from gladsim.experiments import (
     Report,
     ScenarioConfig,
     _accuracy_decay_curve,
-    export_records_csv,
     export_report,
-    export_stream_csv,
     run_latency_sweep,
     run_onboarding_study,
     scenario_hash,
 )
-from gladsim.pon import DOWNSTREAM, LoadPoint, PonConfig, simulate_pon
-from gladsim.traffic import CONTROL_TRAFFIC_DEFAULT, generate_stream
 
 
 def _small_scenario(**overrides):
@@ -260,63 +256,6 @@ class TestExport:
     def test_unknown_format_rejected(self, latency_report, tmp_path):
         with pytest.raises(ParameterError):
             export_report(latency_report, tmp_path, formats=("yaml",))
-
-    def test_stream_csv(self, tmp_path):
-        stream = generate_stream(CONTROL_TRAFFIC_DEFAULT, 5e4, seed=3)
-        path = export_stream_csv(stream, tmp_path / "stream.csv")
-        lines = path.read_text().splitlines()
-        assert lines[0] == "timestamp_us"
-        assert len(lines) == len(stream) + 1
-        assert float(lines[1]) == stream.timestamps[0]
-
-    def test_records_csv(self, tmp_path):
-        stream = generate_stream(CONTROL_TRAFFIC_DEFAULT, 5e4, seed=3)
-        records = simulate_pon(PonConfig(), LoadPoint(0.3), DOWNSTREAM, stream, seed=1)
-        path = export_records_csv(records, tmp_path / "records.csv")
-        lines = path.read_text().splitlines()
-        assert lines[0].split(",") == [
-            "message_id", "direction", "wireless_us", "queueing_us", "dba_wait_us",
-            "transmission_us", "propagation_us", "processing_us", "total_us",
-        ]
-        assert len(lines) == len(records) + 1
-        first = lines[1].split(",")
-        assert first[1] == DOWNSTREAM
-        # total column equals the component sum of the record
-        assert float(first[-1]) == pytest.approx(records[0].total_us)
-
-    def test_trace_csv_round_trip(self, tmp_path):
-        from gladsim.experiments import (
-            export_control_csv,
-            export_haptic_csv,
-            import_control_csv,
-            import_haptic_csv,
-        )
-        from gladsim.haptic import ObjectKind, generate_session, standard_profile
-
-        profile = standard_profile(ObjectKind.RUBBER_BALL)
-        controls, haptics = generate_session(
-            profile, 1.5e6, CONTROL_TRAFFIC_DEFAULT, seed=6)
-        assert haptics, "session never touched the object"
-        c_path = export_control_csv(controls, tmp_path / "control.csv")
-        h_path = export_haptic_csv(haptics, tmp_path / "haptic.csv")
-        assert c_path.read_text().splitlines()[0] == \
-            "t_us,px,py,pz,ox,oy,oz,f1,f2,f3,f4,f5"
-        assert h_path.read_text().splitlines()[0] == "t_us,a1,a2,a3,a4,a5"
-
-        controls2 = import_control_csv(c_path)
-        haptics2 = import_haptic_csv(h_path)
-        assert len(controls2) == len(controls)
-        assert len(haptics2) == len(haptics)
-        np.testing.assert_array_equal(controls2[3].hand_pos, controls[3].hand_pos)
-        np.testing.assert_array_equal(haptics2[-1].amplitude, haptics[-1].amplitude)
-
-    def test_trace_csv_rejects_wrong_schema(self, tmp_path):
-        from gladsim.experiments import import_haptic_csv
-
-        bad = tmp_path / "bad.csv"
-        bad.write_text("time,a1\n0.0,0.5\n")
-        with pytest.raises(ParameterError):
-            import_haptic_csv(bad)
 
     def test_thread_env_var_keeps_results_identical(self, latency_report, monkeypatch):
         monkeypatch.setenv("GLADSIM_THREADS", "4")

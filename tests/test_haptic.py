@@ -20,7 +20,6 @@ from gladsim.haptic import (
     cumulative_accuracy,
     cumulative_accuracy_series,
     estimate_tau,
-    forecast_feedback,
     forecaster_update,
     generate_session,
     label_touch,
@@ -185,6 +184,13 @@ class TestForecaster:
         with pytest.raises(ParameterError):
             ForecasterState(profile_estimate=np.zeros(5), alpha_local=0.0)
 
+    def test_profiling_forecasts_converge(self):
+        # Over a 4000-sample profiling trace, >= 90% of post-convergence
+        # forecasts fall within the 0.05 tolerance of the observed feedback.
+        trace = profiling_trace(BALL, 4000, seed=21)
+        hits = run_forecaster(trace, alpha=0.005, epsilon=0.05)
+        assert hits[1000:].mean() >= 0.9
+
 
 def _step_loop(trace, alpha, epsilon, initial):
     """Forecast-then-update with one `forecaster_update` call per sample."""
@@ -219,47 +225,6 @@ class TestForecastCore:
         assert run_forecaster([], 0.5, 0.05).shape == (0,)
         _, final = _forecast(np.empty((0, 5)), 0.5, 0.05, np.full(5, 0.3))
         np.testing.assert_array_equal(final, np.full(5, 0.3))
-
-
-@pytest.fixture(scope="module")
-def trained():
-    controls, _ = _session(duration_us=4e6, seed=15)
-    data = [(c, label_touch(c, BALL)) for c in controls]
-    clf, _ = train_classifier(data, 0.7, seed=3)
-    return clf, controls
-
-
-class TestForecastFeedback:
-    def test_touch_emits_estimate_exactly(self, trained):
-        clf, controls = trained
-        state = ForecasterState(profile_estimate=np.full(5, 0.37), alpha_local=0.5)
-        touched = next(c for c in controls if clf.classify(c))
-        out = forecast_feedback(state, touched, clf)
-        assert out is not None
-        np.testing.assert_array_equal(out.amplitude, state.profile_estimate)
-        assert out.t_us == touched.t_us
-
-    def test_no_touch_emits_none(self, trained):
-        clf, controls = trained
-        state = ForecasterState(profile_estimate=np.zeros(5), alpha_local=0.5)
-        clear = next(c for c in controls if not clf.classify(c))
-        assert forecast_feedback(state, clear, clf) is None
-
-    def test_untrained_classifier_rejected(self):
-        from gladsim.haptic import TouchClassifier
-
-        state = ForecasterState(profile_estimate=np.zeros(5), alpha_local=0.5)
-        sample = ControlSample(t_us=0.0, hand_pos=np.zeros(3),
-                               hand_orient=np.zeros(3), finger_pressure=np.zeros(5))
-        with pytest.raises(ParameterError):
-            forecast_feedback(state, sample, TouchClassifier())
-
-    def test_profiling_forecasts_converge(self):
-        # Over a 4000-sample profiling trace, >= 90% of post-convergence
-        # forecasts fall within the 0.05 tolerance of the observed feedback.
-        trace = profiling_trace(BALL, 4000, seed=21)
-        hits = run_forecaster(trace, alpha=0.005, epsilon=0.05)
-        assert hits[1000:].mean() >= 0.9
 
 
 class TestCumulativeAccuracy:

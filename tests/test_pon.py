@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gladsim import pon
@@ -12,7 +12,6 @@ from gladsim.errors import ParameterError, ResourceLimitError, SaturationError
 from gladsim.pon import (
     DOWNSTREAM,
     UPSTREAM,
-    LatencyRecord,
     LoadPoint,
     PonConfig,
     fifo_waits,
@@ -264,49 +263,54 @@ class TestStreamedBackground:
 class TestSimulatePon:
     def test_zero_load_upstream_component_bounds(self):
         cfg = PonConfig(span_km=20.0)
-        records = simulate_pon(cfg, LoadPoint(0.0), UPSTREAM, _stream(), seed=42)
-        tx = transmission_time(cfg.packet_bytes, cfg.upstream_rate_bps)
-        for r in records:
-            assert r.wireless_us == 50.0
-            assert r.queueing_us == 0.0
-            assert 0.0 <= r.dba_wait_us <= cfg.dba_cycle_us
-            assert r.transmission_us == pytest.approx(tx)
-            assert r.propagation_us == 100.0
-            assert r.processing_us == 0.0
-            assert r.total_us == r.component_sum()
+        stream = _stream()
+        leg = simulate_pon(cfg, LoadPoint(0.0), UPSTREAM, stream, seed=42)
+        assert leg["wireless"] == 50.0
+        assert leg["transmission"] == pytest.approx(
+            transmission_time(cfg.packet_bytes, cfg.upstream_rate_bps))
+        assert leg["propagation"] == 100.0
+        assert leg["queueing"].shape == leg["dba_wait"].shape == (len(stream),)
+        assert np.all(leg["queueing"] == 0.0)
+        assert np.all((leg["dba_wait"] >= 0.0) & (leg["dba_wait"] <= cfg.dba_cycle_us))
 
     def test_zero_load_downstream(self):
         cfg = PonConfig(span_km=20.0)
-        records = simulate_pon(cfg, LoadPoint(0.0), DOWNSTREAM, _stream(), seed=42)
-        for r in records:
-            assert r.queueing_us == 0.0
-            assert r.dba_wait_us == 0.0
-            assert r.total_us == pytest.approx(
-                50.0 + 100.0 + transmission_time(cfg.packet_bytes, cfg.downstream_rate_bps)
-            )
+        stream = _stream()
+        leg = simulate_pon(cfg, LoadPoint(0.0), DOWNSTREAM, stream, seed=42)
+        assert leg["queueing"].shape == leg["dba_wait"].shape == (len(stream),)
+        assert np.all(leg["queueing"] == 0.0)
+        assert np.all(leg["dba_wait"] == 0.0)
+        assert leg["wireless"] + leg["propagation"] + leg["transmission"] == pytest.approx(
+            50.0 + 100.0 + transmission_time(cfg.packet_bytes, cfg.downstream_rate_bps)
+        )
 
     def test_deterministic(self):
         cfg = PonConfig()
         a = simulate_pon(cfg, LoadPoint(0.6), UPSTREAM, _stream(), seed=7)
         b = simulate_pon(cfg, LoadPoint(0.6), UPSTREAM, _stream(), seed=7)
-        assert a == b
+        assert a.keys() == b.keys()
+        for key in ("queueing", "dba_wait"):
+            assert np.array_equal(a[key], b[key])
+        for key in ("transmission", "wireless", "propagation", "stats"):
+            assert a[key] == b[key]
 
     @pytest.mark.parametrize("direction", [UPSTREAM, DOWNSTREAM])
     @pytest.mark.parametrize("rho", [0.0, 0.4, 0.8])
     def test_component_additivity(self, direction, rho):
         cfg = PonConfig(span_km=12.5)
-        records = simulate_pon(cfg, LoadPoint(rho), direction, _stream(1e5, 9), seed=3)
-        for r in records:
-            assert r.total_us == r.component_sum()
-            assert min(r.wireless_us, r.queueing_us, r.dba_wait_us,
-                       r.transmission_us, r.propagation_us, r.processing_us) >= 0.0
+        stream = _stream(1e5, 9)
+        leg = simulate_pon(cfg, LoadPoint(rho), direction, stream, seed=3)
+        for key in ("queueing", "dba_wait"):
+            assert leg[key].shape == (len(stream),)
+            assert np.all(leg[key] >= 0.0)
+        for key in ("transmission", "wireless", "propagation"):
+            assert leg[key] >= 0.0
 
     def test_dba_wait_bounded_at_any_load(self):
         cfg = PonConfig()
         for rho in (0.0, 0.5, 0.9):
-            records = simulate_pon(cfg, LoadPoint(rho), UPSTREAM, _stream(1e5, 2), seed=4)
-            for r in records:
-                assert 0.0 <= r.dba_wait_us <= cfg.dba_cycle_us
+            dba = simulate_pon(cfg, LoadPoint(rho), UPSTREAM, _stream(1e5, 2), seed=4)["dba_wait"]
+            assert np.all((dba >= 0.0) & (dba <= cfg.dba_cycle_us))
 
     def test_empty_stream_rejected(self):
         empty = generate_stream(GpdParams(0.1, 10.0, 100.0), 50.0, seed=1)
@@ -316,6 +320,21 @@ class TestSimulatePon:
     def test_bad_direction(self):
         with pytest.raises(ParameterError):
             simulate_pon(PonConfig(), LoadPoint(0.0), "sideways", _stream(), seed=1)
+
+    @settings(deadline=None, max_examples=40)
+    @given(seed=st.integers(0, 2**32 - 1),
+           horizon=st.floats(2e3, 2e5),
+           cycle=st.floats(10.0, 1000.0))
+    def test_zero_load_upstream_oracle(self, seed, horizon, cycle):
+        # With nothing queued, a message reports at the next cycle boundary
+        # after it reaches the ONU (one wireless hop after generation).
+        cfg = PonConfig(dba_cycle_us=cycle)
+        stream = _stream(horizon, seed)
+        assume(len(stream) > 0)
+        leg = simulate_pon(cfg, LoadPoint(0.0), UPSTREAM, stream, seed=seed)
+        t = stream.timestamps + cfg.wireless_hop_us
+        assert np.all(leg["queueing"] == 0.0)
+        assert np.array_equal(leg["dba_wait"], cycle * (np.floor(t / cycle) + 1.0) - t)
 
     def test_saturated_load_rejected(self):
         with pytest.raises(SaturationError):
@@ -370,7 +389,46 @@ class TestRoundTrips:
         assert a == b
 
 
+def _bisect_reference(base_mean_us, fiber_legs, per_km_us, deadline_us):
+    """The bisection over the 0.5 km grid of [0, 100] km that the closed form replaced."""
+    def mean_at(span_km):
+        return base_mean_us + fiber_legs * span_km * per_km_us
+
+    lo_steps, hi_steps = 0, 200
+    if mean_at(0.0) > deadline_us:
+        return 0.0
+    if mean_at(hi_steps * 0.5) <= deadline_us:
+        return 100.0
+    while hi_steps - lo_steps > 1:
+        mid = (lo_steps + hi_steps) // 2
+        if mean_at(mid * 0.5) <= deadline_us:
+            lo_steps = mid
+        else:
+            hi_steps = mid
+    return lo_steps * 0.5
+
+
+@st.composite
+def _crossing_inputs(draw):
+    """Bases on a grid boundary, one ulp either side of it, or anywhere."""
+    legs = draw(st.sampled_from([2, 4]))
+    per_km = draw(st.one_of(st.sampled_from([5.0, 4.9, 0.1]), st.floats(1e-3, 50.0)))
+    deadline = draw(st.one_of(st.just(1000.0), st.floats(1.0, 1e5)))
+    steps = draw(st.integers(-5, 205))
+    base = deadline - legs * (steps * 0.5) * per_km
+    base = draw(st.sampled_from([base, np.nextafter(base, -np.inf), np.nextafter(base, np.inf),
+                                 draw(st.floats(-1e4, 2e5))]))
+    return float(base), legs, per_km, deadline
+
+
 class TestMaxSpan:
+    @settings(max_examples=500, deadline=None)
+    @given(_crossing_inputs())
+    @example((1000.0 - 4 * 13.5 * 5.0, 4, 5.0, 1000.0))
+    @example((float(np.nextafter(1000.0 - 2 * 77.0 * 4.9, np.inf)), 2, 4.9, 1000.0))
+    def test_closed_form_equals_bisection(self, inputs):
+        assert pon._bisect_max_span(*inputs) == _bisect_reference(*inputs)
+
     def test_trivially_feasible_hits_search_bound(self):
         cfg = PonConfig()
         assert max_span_meeting_deadline(cfg, LoadPoint(0.0), 1e6, False, seed=1,
@@ -400,10 +458,6 @@ class TestMaxSpan:
 
 
 class TestRecordInvariants:
-    def test_build_total_is_exact_sum(self):
-        r = LatencyRecord.build(0, UPSTREAM, 50.0, 1.25, 60.0, 0.41, 100.0, 0.0)
-        assert r.total_us == 50.0 + 1.25 + 60.0 + 0.41 + 100.0 + 0.0
-
     def test_config_validation(self):
         with pytest.raises(ParameterError):
             PonConfig(split_ratio=0)

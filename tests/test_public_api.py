@@ -1,0 +1,60 @@
+"""The public surface agrees with itself and with the README's library table.
+
+A deleted name must leave no `__all__` entry, no package re-export and no
+README row behind.
+"""
+
+import ast
+import importlib
+import re
+from pathlib import Path
+
+import gladsim
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "gladsim"
+
+
+def _modules():
+    return [importlib.import_module(f"gladsim.{path.stem}")
+            for path in sorted(PACKAGE.glob("*.py")) if path.stem != "__init__"]
+
+
+def _library_table():
+    """(module, names) per row of the README's library table."""
+    section = (ROOT / "README.md").read_text().split("## Library layout", 1)[1]
+    rows = []
+    for line in section.splitlines():
+        match = re.fullmatch(r"\| `(gladsim\.\w+)` \| (.*) \|", line.strip())
+        if match:
+            rows.append((match.group(1), re.findall(r"`(\w+)`", match.group(2))))
+    return rows
+
+
+def test_every_all_entry_exists():
+    missing = [f"{module.__name__}.{name}" for module in _modules()
+               for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+    assert missing == []
+
+
+def test_package_reexports_resolve():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    reexports = [(node.module, alias.name) for node in tree.body
+                 if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert reexports
+    for module_name, name in reexports:
+        module = importlib.import_module(f"gladsim.{module_name}")
+        assert getattr(gladsim, name) is getattr(module, name), name
+        # A module that declares its public names must declare this one.
+        assert name in getattr(module, "__all__", (name,)), f"{module_name}.{name}"
+
+
+def test_readme_library_table_names_exist():
+    rows = _library_table()
+    assert {module for module, _ in rows} >= {
+        "gladsim.traffic", "gladsim.pon", "gladsim.haptic",
+        "gladsim.coordination", "gladsim.experiments",
+    }
+    missing = [f"{module}.{name}" for module, names in rows for name in names
+               if not hasattr(importlib.import_module(module), name)]
+    assert missing == []

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gladsim.errors import (
     DegenerateDataError,
@@ -106,6 +108,19 @@ class TestSampleGpd:
     def test_uniform_out_of_range(self, u):
         with pytest.raises(ParameterError):
             sample_gpd(GpdParams(0.1, 1.0, 0.0), u)
+
+
+class TestGpdInverse:
+    @settings(deadline=None)
+    @given(shape=st.one_of(st.just(0.0), st.floats(-0.9, 0.9)),
+           scale=st.floats(0.01, 1e4),
+           location=st.floats(0.0, 1e3),
+           u=st.floats(0.0, 1.0, exclude_max=True))
+    @example(shape=1.5e-105, scale=1.0, location=0.0, u=0.5)
+    @example(shape=-5e-324, scale=1.0, location=0.0, u=0.5)
+    def test_cdf_inverts_sampler(self, shape, scale, location, u):
+        params = GpdParams(shape, scale, location)
+        assert gpd_cdf(params, sample_gpd(params, u)) == pytest.approx(u, abs=1e-9)
 
 
 class TestGenerateStream:
