@@ -48,10 +48,10 @@ from .haptic import (
     ControlSample,
     ForecasterState,
     HapticSample,
+    HapticTrace,
     ObjectKind,
     ObjectProfile,
     TouchClassifier,
-    cumulative_accuracy,
     estimate_tau,
     forecaster_update,
     generate_session,

@@ -15,6 +15,7 @@ machines.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +29,7 @@ from .haptic import (
     N_FINGERS,
     ForecasterState,
     HapticSample,
+    HapticTrace,
     ObjectKind,
     ObjectProfile,
     _amplitude_matrix,
@@ -279,7 +281,7 @@ def iterations_to_target(hits: np.ndarray, target: float, window: int) -> tuple[
 
 def onboard_machine(local: LocalAiState, profile: ObjectProfile,
                     registry: GlobalRegistry, mode: str, accuracy_target: float,
-                    trace: list[HapticSample], *,
+                    trace: HapticTrace | Sequence[HapticSample], *,
                     machine_id: str | None = None,
                     alpha: float = DEFAULT_ONBOARDING_ALPHA,
                     epsilon: float = DEFAULT_EPSILON,
@@ -287,8 +289,9 @@ def onboard_machine(local: LocalAiState, profile: ObjectProfile,
                     policy: MatchingPolicy = DEFAULT_POLICY) -> OnboardResult:
     """Train a new machine's forecaster over `trace` and record convergence.
 
-    Cold mode starts from a zero estimate; glad mode warm-starts from the
-    best matching global profile and falls back to cold when none matches.
+    `trace` is a `HapticTrace` or any sequence of `HapticSample`s.  Cold
+    mode starts from a zero estimate; glad mode warm-starts from the best
+    matching global profile and falls back to cold when none matches.
     Forecasters of machines already served are left untouched.
     """
     if mode not in (COLD, GLAD):

@@ -300,7 +300,7 @@ def _accuracy_decay_curve(config: ScenarioConfig, mode: str, seed: int) -> list[
     present = np.zeros((total_iters, machines), dtype=bool)
     for m in range(machines):
         profile = pool[m % glad_cfg.kind_pool_size]
-        x = haptic._amplitude_matrix(haptic.profiling_trace(profile, total_iters, int(seeds[m])))
+        x = haptic.profiling_trace(profile, total_iters, int(seeds[m])).amplitude
         if m == 0:
             estimate = np.clip(x.mean(axis=0), 0.0, 1.0)  # converged head start
             registry.add_record(coordination.ProfileRecord(

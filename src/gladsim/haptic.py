@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
+from itertools import accumulate
 
 import numpy as np
 
@@ -31,6 +33,7 @@ __all__ = [
     "ObjectKind",
     "ControlSample",
     "HapticSample",
+    "HapticTrace",
     "ObjectProfile",
     "ForecasterState",
     "TouchClassifier",
@@ -42,8 +45,6 @@ __all__ = [
     "train_classifier",
     "forecaster_update",
     "run_forecaster",
-    "cumulative_accuracy",
-    "cumulative_accuracy_series",
     "estimate_tau",
     "optimize_alpha",
 ]
@@ -109,6 +110,40 @@ class HapticSample:
         object.__setattr__(self, "amplitude", amp)
 
 
+@dataclass(frozen=True, eq=False)
+class HapticTrace(Sequence):
+    """Feedback samples as columns: times (n,) and per-finger amplitudes (n, 5).
+
+    Validated once on construction.  An integer index returns that row as a
+    `HapticSample`; a slice returns a `HapticTrace`.
+    """
+
+    t_us: np.ndarray
+    amplitude: np.ndarray
+
+    def __post_init__(self):
+        t = np.asarray(self.t_us, dtype=float)
+        amp = np.asarray(self.amplitude, dtype=float)
+        if amp.ndim != 2 or amp.shape[1] != N_FINGERS:
+            raise ParameterError(f"amplitude must be (n, {N_FINGERS}), got shape {amp.shape}")
+        if t.shape != (amp.shape[0],):
+            raise ParameterError(f"t_us must be ({amp.shape[0]},), got shape {t.shape}")
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(amp))):
+            raise ParameterError("trace must be finite")
+        if np.any(amp < 0.0) or np.any(amp > 1.0):
+            raise ParameterError("amplitudes must lie in [0, 1]")
+        object.__setattr__(self, "t_us", t)
+        object.__setattr__(self, "amplitude", amp)
+
+    def __len__(self) -> int:
+        return self.t_us.shape[0]
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return HapticTrace(t_us=self.t_us[index], amplitude=self.amplitude[index])
+        return HapticSample(t_us=float(self.t_us[index]), amplitude=self.amplitude[index])
+
+
 @dataclass(frozen=True)
 class ObjectProfile:
     """Geometry and feedback signature of one virtual object."""
@@ -172,6 +207,19 @@ class ForecasterState:
 # ---------------------------------------------------------------------------
 
 
+def _feedback(profile: ObjectProfile, dist: np.ndarray, t_us: np.ndarray) -> np.ndarray:
+    """The feedback law over rows: (n,) distances and times -> (n, 5) amplitudes."""
+    rel = dist / profile.extent_cm
+    base = profile.stiffness * (1.0 - rel)
+    phases = np.arange(N_FINGERS) * (math.pi / N_FINGERS)
+    ripple = TEXTURE_DEPTH * rel[:, None] * np.sin(
+        2.0 * math.pi * profile.texture_freq_hz * t_us[:, None] * 1e-6 + phases
+    )
+    amp = np.clip(base[:, None] * (1.0 + ripple), 0.0, 1.0)
+    amp[dist > profile.extent_cm] = 0.0
+    return amp
+
+
 def touch_amplitude(profile: ObjectProfile, hand_pos, t_us: float) -> np.ndarray:
     """Feedback amplitude vector for a hand at `hand_pos`; zeros when clear.
 
@@ -179,27 +227,30 @@ def touch_amplitude(profile: ObjectProfile, hand_pos, t_us: float) -> np.ndarray
     the stiffness on every finger; it falls linearly to zero at the extent.
     """
     pos = _vector(hand_pos, 3, "hand_pos")
-    dist = float(np.linalg.norm(pos - profile.center))
-    if dist > profile.extent_cm:
-        return np.zeros(N_FINGERS)
-    rel = dist / profile.extent_cm
-    base = profile.stiffness * (1.0 - rel)
-    phases = np.arange(N_FINGERS) * (math.pi / N_FINGERS)
-    ripple = TEXTURE_DEPTH * rel * np.sin(
-        2.0 * math.pi * profile.texture_freq_hz * t_us * 1e-6 + phases
-    )
-    return np.clip(base * (1.0 + ripple), 0.0, 1.0)
+    # The 1-D norm: on general 3-D positions `norm(axis=1)` can differ from it
+    # in the last bit, which would change `generate_session`'s amplitudes.
+    dist = np.linalg.norm(pos - profile.center)
+    return _feedback(profile, np.array([dist]), np.array([t_us], dtype=float))[0]
+
+
+def _first_order(c: float, u: np.ndarray, y0) -> np.ndarray:
+    """y[0] = y0, y[k+1] = c * y[k] + u[k], per column of `u`: the n + 1 values of y.
+
+    Python floats round the product and the sum separately, as the numpy
+    operations on each element do, so the result is the same to the bit.
+    """
+    c = float(c)
+    cols = u if u.ndim == 2 else u[:, None]
+    starts = np.broadcast_to(np.asarray(y0, dtype=float), cols.shape[1:]).tolist()
+    y = np.array([list(accumulate(col, lambda e, s: c * e + s, initial=start))
+                  for col, start in zip(cols.T.tolist(), starts)]).T
+    return y if u.ndim == 2 else y[:, 0]
 
 
 def _smooth_noise(rng: np.random.Generator, n: int, persistence: float = 0.98) -> np.ndarray:
     """AR(1)-filtered white noise with unit-ish scale."""
     shocks = rng.normal(0.0, math.sqrt(1.0 - persistence**2), size=n)
-    out = np.empty(n)
-    acc = 0.0
-    for i in range(n):
-        acc = persistence * acc + shocks[i]
-        out[i] = acc
-    return out
+    return _first_order(persistence, shocks, 0.0)[1:]
 
 
 def generate_session(profile: ObjectProfile, duration_us: float,
@@ -273,7 +324,7 @@ def profiling_trace(profile: ObjectProfile, n_samples: int, seed: int, *,
                     hold_fraction: float = 0.06, wobble: float = 0.012,
                     wobble_persistence: float = 0.995,
                     noise_std: float = 0.0,
-                    sample_period_us: float = 1000.0) -> list[HapticSample]:
+                    sample_period_us: float = 1000.0) -> HapticTrace:
     """Feedback trace of a steady grasp, for forecaster profiling.
 
     The hand holds near the object center (at `hold_fraction` of the extent)
@@ -289,16 +340,14 @@ def profiling_trace(profile: ObjectProfile, n_samples: int, seed: int, *,
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0x9A9))))
     drift = _smooth_noise(rng, n_samples, persistence=wobble_persistence)
     rel = np.clip(hold_fraction + wobble * drift, 0.0, 0.95)
-    direction = np.array([1.0, 0.0, 0.0])
-    samples = []
-    for i in range(n_samples):
-        t = i * sample_period_us
-        pos = profile.center + direction * (rel[i] * profile.extent_cm)
-        amp = touch_amplitude(profile, pos, t)
-        if noise_std > 0.0:
-            amp = np.clip(amp + rng.normal(0.0, noise_std, size=N_FINGERS), 0.0, 1.0)
-        samples.append(HapticSample(t_us=t, amplitude=amp))
-    return samples
+    t = np.arange(n_samples) * sample_period_us
+    # Positions lie on one axis through the center, where the row norm equals
+    # `touch_amplitude`'s 1-D norm exactly.
+    pos = profile.center + np.array([1.0, 0.0, 0.0]) * (rel * profile.extent_cm)[:, None]
+    amp = _feedback(profile, np.linalg.norm(pos - profile.center, axis=1), t)
+    if noise_std > 0.0:
+        amp = np.clip(amp + rng.normal(0.0, noise_std, size=(n_samples, N_FINGERS)), 0.0, 1.0)
+    return HapticTrace(t_us=t, amplitude=amp)
 
 
 # ---------------------------------------------------------------------------
@@ -422,12 +471,8 @@ def _hits(forecasts: np.ndarray, actuals: np.ndarray, epsilon: float) -> np.ndar
 def _forecast(x: np.ndarray, alpha: float, epsilon: float,
               estimate: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Forecast-then-update over an (n, 5) amplitude matrix: (hits, final estimate)."""
-    forecasts = np.empty_like(x)
-    keep, step = 1.0 - alpha, alpha * x
-    for i in range(x.shape[0]):
-        forecasts[i] = estimate
-        estimate = keep * estimate + step[i]
-    return _hits(forecasts, x, epsilon), estimate
+    y = _first_order(1.0 - alpha, alpha * x, estimate)
+    return _hits(y[:-1], x, epsilon), y[-1]
 
 
 def run_forecaster(trace, alpha: float, epsilon: float,
@@ -446,29 +491,12 @@ def run_forecaster(trace, alpha: float, epsilon: float,
 
 
 def _amplitude_matrix(samples) -> np.ndarray:
+    if isinstance(samples, HapticTrace):
+        return samples.amplitude
     if isinstance(samples, np.ndarray):
         arr = np.asarray(samples, dtype=float)
         return arr.reshape(arr.shape[0], -1)
     return np.array([s.amplitude for s in samples], dtype=float).reshape(-1, N_FINGERS)
-
-
-def cumulative_accuracy_series(forecasts, actuals, epsilon: float) -> np.ndarray:
-    """Running fraction of aligned pairs whose max-norm error is <= epsilon."""
-    if epsilon <= 0:
-        raise ParameterError(f"epsilon must be > 0, got {epsilon}")
-    f = _amplitude_matrix(forecasts)
-    a = _amplitude_matrix(actuals)
-    if f.shape != a.shape:
-        raise ParameterError(f"sequences are not aligned: {f.shape} vs {a.shape}")
-    if f.shape[0] == 0:
-        raise ParameterError("sequences must be nonempty")
-    hits = _hits(f, a, epsilon)
-    return np.cumsum(hits) / np.arange(1, hits.size + 1)
-
-
-def cumulative_accuracy(forecasts, actuals, epsilon: float) -> float:
-    """Final cumulative accuracy over the whole aligned sequence."""
-    return float(cumulative_accuracy_series(forecasts, actuals, epsilon)[-1])
 
 
 def estimate_tau(haptic_trace) -> float:

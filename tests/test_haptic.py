@@ -1,8 +1,10 @@
 """Tests for session synthesis, touch classification and forecasting."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -15,10 +17,12 @@ from gladsim.haptic import (
     ControlSample,
     ForecasterState,
     HapticSample,
+    HapticTrace,
     ObjectKind,
+    ObjectProfile,
+    _amplitude_matrix,
     _forecast,
-    cumulative_accuracy,
-    cumulative_accuracy_series,
+    _smooth_noise,
     estimate_tau,
     forecaster_update,
     generate_session,
@@ -206,7 +210,6 @@ _unit_floats = st.floats(0.0, 1.0)
 
 
 class TestForecastCore:
-    @settings(deadline=None)
     @given(x=arrays(np.float64, st.tuples(st.integers(1, 300), st.just(5)),
                     elements=_unit_floats),
            alpha=st.floats(0.0, 1.0, exclude_min=True),
@@ -227,45 +230,148 @@ class TestForecastCore:
         np.testing.assert_array_equal(final, np.full(5, 0.3))
 
 
-class TestCumulativeAccuracy:
-    def test_identical_sequences(self):
-        trace = profiling_trace(BALL, 120, seed=1)
-        assert cumulative_accuracy(trace, trace, 0.05) == 1.0
+def _touch_amplitude_loop(profile, pos, t_us):
+    """The feedback law for one hand position, as written before it took rows."""
+    dist = float(np.linalg.norm(pos - profile.center))
+    if dist > profile.extent_cm:
+        return np.zeros(5)
+    rel = dist / profile.extent_cm
+    base = profile.stiffness * (1.0 - rel)
+    phases = np.arange(5) * (math.pi / 5)
+    ripple = 0.3 * rel * np.sin(2.0 * math.pi * profile.texture_freq_hz * t_us * 1e-6 + phases)
+    return np.clip(base * (1.0 + ripple), 0.0, 1.0)
 
-    def test_all_misses(self):
-        a = np.zeros((50, 5))
-        b = np.full((50, 5), 0.5)
-        assert cumulative_accuracy(a, b, 0.05) == 0.0
 
-    def test_half_within_tolerance(self):
-        a = np.zeros((10, 5))
-        b = np.zeros((10, 5))
-        b[5:] = 1.0
-        assert cumulative_accuracy(a, b, 0.05) == 0.5
+def _smooth_noise_loop(rng, n, persistence=0.98):
+    shocks = rng.normal(0.0, math.sqrt(1.0 - persistence**2), size=n)
+    out = np.empty(n)
+    acc = 0.0
+    for i in range(n):
+        acc = persistence * acc + shocks[i]
+        out[i] = acc
+    return out
 
-    def test_series_is_running_fraction(self):
-        a = np.zeros((4, 5))
-        b = np.zeros((4, 5))
-        b[1] = 1.0
-        np.testing.assert_allclose(
-            cumulative_accuracy_series(a, b, 0.05), [1.0, 0.5, 2 / 3, 0.75]
-        )
 
-    def test_appending_hit_preserves_perfect_accuracy(self):
-        a = np.zeros((30, 5))
-        b = a + 0.04
-        assert cumulative_accuracy(a, b, 0.05) == 1.0
-        a2 = np.vstack([a, np.full((1, 5), 0.5)])
-        b2 = np.vstack([b, np.full((1, 5), 0.5)])
-        assert cumulative_accuracy(a2, b2, 0.05) == 1.0
+def _profiling_trace_loop(profile, n_samples, seed, *, hold_fraction=0.06, wobble=0.012,
+                          wobble_persistence=0.995, noise_std=0.0, sample_period_us=1000.0):
+    """`profiling_trace` one sample at a time: (t_us, amplitude matrix)."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0x9A9))))
+    drift = _smooth_noise_loop(rng, n_samples, persistence=wobble_persistence)
+    rel = np.clip(hold_fraction + wobble * drift, 0.0, 0.95)
+    direction = np.array([1.0, 0.0, 0.0])
+    times, rows = [], []
+    for i in range(n_samples):
+        t = i * sample_period_us
+        pos = profile.center + direction * (rel[i] * profile.extent_cm)
+        amp = _touch_amplitude_loop(profile, pos, t)
+        if noise_std > 0.0:
+            amp = np.clip(amp + rng.normal(0.0, noise_std, size=5), 0.0, 1.0)
+        times.append(t)
+        rows.append(amp)
+    return np.array(times), np.array(rows)
 
-    def test_misaligned_rejected(self):
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+_seeds = st.integers(0, 2**32 - 1)
+
+
+@st.composite
+def _profiles(draw):
+    return ObjectProfile(
+        object_id="drawn",
+        kind=draw(st.sampled_from(ObjectKind)),
+        center=draw(arrays(np.float64, 3, elements=st.floats(-50.0, 50.0))),
+        extent_cm=draw(st.floats(0.1, 20.0)),
+        stiffness=draw(st.floats(0.0, 1.0, exclude_min=True)),
+        texture_freq_hz=draw(st.floats(0.0, 500.0)),
+    )
+
+
+class TestVectorizedTrace:
+    @given(profile=_profiles(), seed=_seeds, n_samples=st.integers(1, 400),
+           hold_fraction=st.floats(0.0, 1.0), wobble=st.floats(0.0, 0.5),
+           wobble_persistence=st.floats(0.0, 0.999),
+           noise_std=st.one_of(st.just(0.0), st.floats(1e-4, 0.3)),
+           sample_period_us=st.floats(1.0, 1e4))
+    def test_matches_sample_loop(self, profile, seed, n_samples, hold_fraction, wobble,
+                                 wobble_persistence, noise_std, sample_period_us):
+        kwargs = dict(hold_fraction=hold_fraction, wobble=wobble,
+                      wobble_persistence=wobble_persistence, noise_std=noise_std,
+                      sample_period_us=sample_period_us)
+        trace = profiling_trace(profile, n_samples, seed, **kwargs)
+        t_us, amplitude = _profiling_trace_loop(profile, n_samples, seed, **kwargs)
+        assert _same_bits(trace.t_us, t_us)
+        assert _same_bits(trace.amplitude, amplitude)
+
+    @given(profile=_profiles(),
+           offset=arrays(np.float64, 3, elements=st.floats(-25.0, 25.0)),
+           t_us=st.floats(0.0, 1e8))
+    def test_touch_amplitude_matches_scalar_law(self, profile, offset, t_us):
+        pos = profile.center + offset
+        assert _same_bits(touch_amplitude(profile, pos, t_us),
+                          _touch_amplitude_loop(profile, pos, t_us))
+
+    @given(seed=_seeds, n=st.integers(1, 500), persistence=st.floats(0.0, 0.999))
+    def test_smooth_noise_matches_loop(self, seed, n, persistence):
+        out = _smooth_noise(np.random.Generator(np.random.PCG64(seed)), n, persistence)
+        expected = _smooth_noise_loop(np.random.Generator(np.random.PCG64(seed)), n, persistence)
+        assert _same_bits(out, expected)
+
+
+class TestHapticTrace:
+    T = np.arange(4) * 10.0
+    AMP = np.linspace(0.0, 1.0, 20).reshape(4, 5)
+
+    def _trace(self):
+        return HapticTrace(t_us=self.T, amplitude=self.AMP)
+
+    def test_len(self):
+        assert len(self._trace()) == 4
+
+    @pytest.mark.parametrize("index", [0, 2, 3, -1, -4])
+    def test_integer_index_is_the_row(self, index):
+        sample = self._trace()[index]
+        assert isinstance(sample, HapticSample)
+        assert sample.t_us == self.T[index]
+        np.testing.assert_array_equal(sample.amplitude, self.AMP[index])
+
+    @pytest.mark.parametrize("index", [4, -5])
+    def test_index_past_the_end(self, index):
+        with pytest.raises(IndexError):
+            self._trace()[index]
+
+    def test_iteration_stops_at_the_end(self):
+        samples = list(self._trace())
+        assert len(samples) == 4
+        np.testing.assert_array_equal([s.amplitude for s in samples], self.AMP)
+
+    @pytest.mark.parametrize("step", [1, 2, 3, 5])
+    def test_stepped_slice_is_a_trace(self, step):
+        sub = self._trace()[::step]
+        assert isinstance(sub, HapticTrace)
+        np.testing.assert_array_equal(sub.t_us, self.T[::step])
+        np.testing.assert_array_equal(sub.amplitude, self.AMP[::step])
+
+    def test_amplitude_matrix_is_not_copied(self):
+        trace = self._trace()
+        assert _amplitude_matrix(trace) is trace.amplitude
+
+    @pytest.mark.parametrize("t_us, amplitude", [
+        (np.zeros(4), np.zeros((4, 4))),
+        (np.zeros(5), np.zeros(5)),
+        (np.zeros(3), np.zeros((4, 5))),
+        (np.zeros(4), np.full((4, 5), np.nan)),
+        (np.array([0.0, np.nan, 2.0, 3.0]), np.zeros((4, 5))),
+        (np.zeros(4), np.full((4, 5), -0.1)),
+        (np.zeros(4), np.full((4, 5), 1.1)),
+    ])
+    def test_rejects_bad_columns(self, t_us, amplitude):
         with pytest.raises(ParameterError):
-            cumulative_accuracy(np.zeros((3, 5)), np.zeros((4, 5)), 0.05)
-
-    def test_bad_epsilon(self):
-        with pytest.raises(ParameterError):
-            cumulative_accuracy(np.zeros((3, 5)), np.zeros((3, 5)), 0.0)
+            HapticTrace(t_us=t_us, amplitude=amplitude)
 
 
 class TestEstimateTau:

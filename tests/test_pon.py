@@ -123,7 +123,6 @@ _queue_jobs = st.lists(
 
 
 class TestFifoWaitsProperties:
-    @settings(deadline=None)
     @given(jobs=_queue_jobs, origin=st.one_of(st.just(0.0), st.floats(-1e6, 1e6)))
     def test_matches_lindley_loop(self, jobs, origin):
         gaps, services = (np.array(column) for column in zip(*jobs))
@@ -134,7 +133,6 @@ class TestFifoWaitsProperties:
                                    rtol=0.0, atol=1e-12 * scale)
         assert waits[0] == 0.0 and np.all(waits >= 0.0)
 
-    @settings(deadline=None)
     @given(jobs=_queue_jobs)
     def test_continuing_at_an_idle_arrival_is_bit_identical(self, jobs):
         gaps, services = (np.array(column) for column in zip(*jobs))
@@ -147,7 +145,6 @@ class TestFifoWaitsProperties:
 
 
 class TestGatedGrants:
-    @settings(deadline=None)
     @given(arrived=st.lists(st.floats(0.0, 1e4), min_size=1, max_size=60),
            cap=st.floats(1.0, 5e3))
     def test_matches_backlog_loop(self, arrived, cap):
@@ -321,7 +318,7 @@ class TestSimulatePon:
         with pytest.raises(ParameterError):
             simulate_pon(PonConfig(), LoadPoint(0.0), "sideways", _stream(), seed=1)
 
-    @settings(deadline=None, max_examples=40)
+    @settings(max_examples=40)
     @given(seed=st.integers(0, 2**32 - 1),
            horizon=st.floats(2e3, 2e5),
            cycle=st.floats(10.0, 1000.0))
@@ -422,7 +419,7 @@ def _crossing_inputs(draw):
 
 
 class TestMaxSpan:
-    @settings(max_examples=500, deadline=None)
+    @settings(max_examples=500)
     @given(_crossing_inputs())
     @example((1000.0 - 4 * 13.5 * 5.0, 4, 5.0, 1000.0))
     @example((float(np.nextafter(1000.0 - 2 * 77.0 * 4.9, np.inf)), 2, 4.9, 1000.0))

@@ -6,6 +6,7 @@ README row behind.
 
 import ast
 import importlib
+import importlib.util
 import re
 from pathlib import Path
 
@@ -57,4 +58,18 @@ def test_readme_library_table_names_exist():
     }
     missing = [f"{module}.{name}" for module, names in rows for name in names
                if not hasattr(importlib.import_module(module), name)]
+    assert missing == []
+
+
+def test_benchmark_trace_targets_resolve():
+    # The benchmark wraps these functions by name; a rename must fail here,
+    # not only as `trace.missing` in a benchmark run.
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.TARGETS
+    missing = [f"{module}.{name}" for _, module, name, _ in tracing.TARGETS
+               if not (module.startswith("gladsim.")
+                       and callable(getattr(importlib.import_module(module), name, None)))]
     assert missing == []

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import example, given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from gladsim.errors import (
@@ -111,7 +111,6 @@ class TestSampleGpd:
 
 
 class TestGpdInverse:
-    @settings(deadline=None)
     @given(shape=st.one_of(st.just(0.0), st.floats(-0.9, 0.9)),
            scale=st.floats(0.01, 1e4),
            location=st.floats(0.0, 1e3),
