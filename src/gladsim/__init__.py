@@ -14,11 +14,9 @@ __version__ = "0.1.0"
 
 from .coordination import (
     GlobalRegistry,
-    LocalAiState,
     MatchingPolicy,
     OnboardResult,
     ProfileRecord,
-    aggregate_global,
     descriptor_of,
     match_profile,
     onboard_machine,
@@ -45,15 +43,13 @@ from .experiments import (
     run_onboarding_study,
 )
 from .haptic import (
-    ControlSample,
-    ForecasterState,
+    ControlTrace,
     HapticSample,
     HapticTrace,
     ObjectKind,
     ObjectProfile,
     TouchClassifier,
     estimate_tau,
-    forecaster_update,
     generate_session,
     label_touch,
     optimize_alpha,

@@ -8,15 +8,14 @@ weighted averaging.  Onboarding a new machine either starts the forecaster
 from zero (cold) or warm-starts it from the best matching aggregated profile
 (glad mode), falling back to cold when nothing matches.
 
-Every registry mutation bumps its version.  Local AI state is plain data
-owned by the caller; onboarding never touches the forecasters of existing
-machines.
+Every registry mutation bumps its version.  Onboarding only reads the
+registry: its result carries the trained estimate, which the caller uploads.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +26,6 @@ from .errors import (
 )
 from .haptic import (
     N_FINGERS,
-    ForecasterState,
     HapticSample,
     HapticTrace,
     ObjectKind,
@@ -43,13 +41,10 @@ __all__ = [
     "MatchingPolicy",
     "ProfileRecord",
     "GlobalRegistry",
-    "MachineSlot",
-    "LocalAiState",
     "OnboardResult",
     "descriptor_of",
     "similarity",
     "upload_profile",
-    "aggregate_global",
     "match_profile",
     "onboard_machine",
     "training_time_saved",
@@ -157,6 +152,8 @@ class GlobalRegistry:
 
     def aggregate(self) -> int:
         """Collapse each descriptor's records into one count-weighted mean."""
+        if not self._records:
+            raise ParameterError("registry is empty; nothing to aggregate")
         for descriptor, records in self._records.items():
             if len(records) <= 1:
                 continue
@@ -171,63 +168,6 @@ class GlobalRegistry:
             self._records[descriptor] = [merged]
         self._version += 1
         return self._version
-
-
-@dataclass
-class MachineSlot:
-    machine_id: str
-    forecaster: ForecasterState
-    profile: ObjectProfile
-
-
-@dataclass
-class LocalAiState:
-    """One central office's AI: its identity and the machines it serves."""
-
-    local_id: str
-    machines: list[MachineSlot] = field(default_factory=list)
-
-    @property
-    def machine_count(self) -> int:
-        return len(self.machines)
-
-    def slot(self, machine_id: str) -> MachineSlot:
-        for slot in self.machines:
-            if slot.machine_id == machine_id:
-                return slot
-        raise ParameterError(f"unknown machine {machine_id!r} at {self.local_id!r}")
-
-    def add(self, slot: MachineSlot) -> None:
-        if any(s.machine_id == slot.machine_id for s in self.machines):
-            raise ParameterError(f"duplicate machine id {slot.machine_id!r}")
-        self.machines.append(slot)
-
-
-def upload_profile(local: LocalAiState, machine_id: str, registry: GlobalRegistry, *,
-                   min_updates: int = DEFAULT_MIN_UPLOAD_UPDATES,
-                   policy: MatchingPolicy = DEFAULT_POLICY) -> int:
-    """Publish one machine's trained profile; returns the new registry version."""
-    slot = local.slot(machine_id)
-    if slot.forecaster.updates_seen < min_updates:
-        raise NotReadyError(
-            f"profile for {machine_id!r} has {slot.forecaster.updates_seen} updates, "
-            f"needs >= {min_updates}"
-        )
-    record = ProfileRecord(
-        descriptor=descriptor_of(slot.profile, policy),
-        profile_estimate=np.clip(slot.forecaster.profile_estimate, 0.0, 1.0),
-        sample_count=slot.forecaster.updates_seen,
-        source_local_ai=local.local_id,
-    )
-    return registry.add_record(record)
-
-
-def aggregate_global(registry: GlobalRegistry) -> GlobalRegistry:
-    """Aggregate every descriptor's uploads into one record each."""
-    if len(registry) == 0:
-        raise ParameterError("registry is empty; nothing to aggregate")
-    registry.aggregate()
-    return registry
 
 
 def match_profile(registry: GlobalRegistry, descriptor: Descriptor, *,
@@ -249,15 +189,55 @@ def match_profile(registry: GlobalRegistry, descriptor: Descriptor, *,
     return None, best_sim
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OnboardResult:
-    """Iterations a fresh machine needed to reach the accuracy target."""
+    """Iterations a fresh machine needed to reach the accuracy target, and
+    the profile it learned: the final estimate clipped to [0, 1] and the
+    number of updates behind it."""
 
-    machine_id: str
     mode: str
     iterations: int
     converged: bool
     match_similarity: float
+    profile_estimate: np.ndarray
+    updates: int
+
+
+def upload_profile(registry: GlobalRegistry, profile: ObjectProfile,
+                   result: OnboardResult, *, source: str,
+                   min_updates: int = DEFAULT_MIN_UPLOAD_UPDATES,
+                   policy: MatchingPolicy = DEFAULT_POLICY) -> int:
+    """Publish one machine's trained profile; returns the new registry version.
+
+    `source` names the uploading Local AI.
+    """
+    if result.updates < min_updates:
+        raise NotReadyError(
+            f"profile has {result.updates} updates, needs >= {min_updates}"
+        )
+    record = ProfileRecord(
+        descriptor=descriptor_of(profile, policy),
+        profile_estimate=result.profile_estimate,
+        sample_count=result.updates,
+        source_local_ai=source,
+    )
+    return registry.add_record(record)
+
+
+def _warm_start(registry: GlobalRegistry, profile: ObjectProfile, mode: str,
+                policy: MatchingPolicy) -> tuple[np.ndarray, float]:
+    """Initial estimate of a new machine, and the best match similarity.
+
+    Glad mode starts from the best matching record's estimate; cold mode,
+    and glad mode without a match, start from zeros.
+    """
+    if mode == GLAD:
+        record, match_sim = match_profile(registry, descriptor_of(profile, policy),
+                                          policy=policy)
+        if record is not None:
+            return record.profile_estimate, match_sim
+        return np.zeros(N_FINGERS), match_sim
+    return np.zeros(N_FINGERS), 0.0
 
 
 def iterations_to_target(hits: np.ndarray, target: float, window: int) -> tuple[int, bool]:
@@ -279,10 +259,9 @@ def iterations_to_target(hits: np.ndarray, target: float, window: int) -> tuple[
     return int(hits.size), False
 
 
-def onboard_machine(local: LocalAiState, profile: ObjectProfile,
-                    registry: GlobalRegistry, mode: str, accuracy_target: float,
+def onboard_machine(profile: ObjectProfile, registry: GlobalRegistry, mode: str,
+                    accuracy_target: float,
                     trace: HapticTrace | Sequence[HapticSample], *,
-                    machine_id: str | None = None,
                     alpha: float = DEFAULT_ONBOARDING_ALPHA,
                     epsilon: float = DEFAULT_EPSILON,
                     window: int = DEFAULT_WINDOW,
@@ -292,7 +271,6 @@ def onboard_machine(local: LocalAiState, profile: ObjectProfile,
     `trace` is a `HapticTrace` or any sequence of `HapticSample`s.  Cold
     mode starts from a zero estimate; glad mode warm-starts from the best
     matching global profile and falls back to cold when none matches.
-    Forecasters of machines already served are left untouched.
     """
     if mode not in (COLD, GLAD):
         raise ParameterError(f"mode must be '{COLD}' or '{GLAD}', got {mode!r}")
@@ -301,31 +279,18 @@ def onboard_machine(local: LocalAiState, profile: ObjectProfile,
             f"onboarding needs >= 500 touch samples, got {len(trace)}"
         )
 
-    initial = np.zeros(N_FINGERS)
-    match_sim = 0.0
-    if mode == GLAD:
-        record, match_sim = match_profile(registry, descriptor_of(profile, policy),
-                                          policy=policy)
-        if record is not None:
-            initial = record.profile_estimate
-
+    initial, match_sim = _warm_start(registry, profile, mode, policy)
     x = _amplitude_matrix(trace)
     hits = run_forecaster(x, alpha, epsilon, initial_estimate=initial)
     iterations, converged = iterations_to_target(hits, accuracy_target, window)
     _, estimate = _forecast(x, alpha, epsilon, initial)
-    state = ForecasterState(
-        profile_estimate=np.clip(estimate, 0.0, 1.0),
-        alpha_local=alpha,
-        updates_seen=len(trace),
-    )
-    machine_id = machine_id or f"{local.local_id}-m{local.machine_count}"
-    local.add(MachineSlot(machine_id=machine_id, forecaster=state, profile=profile))
     return OnboardResult(
-        machine_id=machine_id,
         mode=mode,
         iterations=iterations,
         converged=converged,
         match_similarity=match_sim,
+        profile_estimate=np.clip(estimate, 0.0, 1.0),
+        updates=len(trace),
     )
 
 
@@ -381,16 +346,16 @@ def run_savings_sweep(total_machines: int, kind_pool_size: int, seed: int, *,
     """Sequential onboarding study: mean training time saved vs machines present.
 
     Machines draw objects from a finite profile pool and are onboarded one at
-    a time across the Local AIs.  Each onboarding runs both modes on the same
-    trace (cold on a scratch twin, glad on the real Local AI), uploads the
-    trained profile (`NotReadyError` when `trace_samples < min_updates`) and
-    re-aggregates the registry.  Returns the running mean of saved_pct after
-    each machine.
+    a time, round-robin across the Local AIs.  Each onboarding runs both modes
+    on the same trace, uploads the glad machine's profile (`NotReadyError`
+    when `trace_samples < min_updates`) and re-aggregates the registry.
+    Returns the running mean of saved_pct after each machine.
     """
     if total_machines < 2:
         raise ParameterError(f"total_machines must be >= 2, got {total_machines}")
+    if local_ais < 1:
+        raise ParameterError(f"local_ais must be >= 1, got {local_ais}")
     pool = make_profile_pool(kind_pool_size)
-    offices = [LocalAiState(local_id=f"co-{i}") for i in range(max(1, local_ais))]
     registry = GlobalRegistry()
     seeds = np.random.SeedSequence(seed).generate_state(total_machines)
 
@@ -398,23 +363,16 @@ def run_savings_sweep(total_machines: int, kind_pool_size: int, seed: int, *,
     curve: list[tuple[int, float]] = []
     for m in range(total_machines):
         profile = pool[m % kind_pool_size]
-        office = offices[m % len(offices)]
         trace = profiling_trace(profile, trace_samples, int(seeds[m]))
 
-        cold = onboard_machine(
-            LocalAiState(local_id="baseline"), profile, registry, COLD,
-            accuracy_target, trace, alpha=alpha, epsilon=epsilon,
-            window=window, policy=policy,
-        )
-        warm = onboard_machine(
-            office, profile, registry, GLAD, accuracy_target, trace,
-            machine_id=f"machine-{m}", alpha=alpha, epsilon=epsilon,
-            window=window, policy=policy,
-        )
+        cold = onboard_machine(profile, registry, COLD, accuracy_target, trace,
+                               alpha=alpha, epsilon=epsilon, window=window, policy=policy)
+        warm = onboard_machine(profile, registry, GLAD, accuracy_target, trace,
+                               alpha=alpha, epsilon=epsilon, window=window, policy=policy)
         saved.append(training_time_saved(cold.iterations, warm.iterations))
 
-        upload_profile(office, f"machine-{m}", registry,
+        upload_profile(registry, profile, warm, source=f"co-{m % local_ais}",
                        min_updates=min_updates, policy=policy)
-        aggregate_global(registry)
+        registry.aggregate()
         curve.append((m + 1, float(np.mean(saved))))
     return curve

@@ -201,6 +201,9 @@ def run_latency_sweep(config: ScenarioConfig) -> Report:
             for job, res in zip(jobs, pool_exec.map(evaluate, jobs)):
                 results[job] = res
     else:
+        # On the calling thread: a lone worker thread allocates from its own
+        # glibc malloc arena, which raised the default sweep's peak RSS by
+        # about 7% on Linux.
         for job in jobs:
             results[job] = evaluate(job)
 
@@ -309,14 +312,8 @@ def _accuracy_decay_curve(config: ScenarioConfig, mode: str, seed: int) -> list[
                 sample_count=glad_cfg.profiling_samples,
                 source_local_ai="co-0",
             ))
-        elif mode == coordination.GLAD:
-            record, _ = coordination.match_profile(
-                registry, coordination.descriptor_of(profile, policy), policy=policy
-            )
-            estimate = (record.profile_estimate if record is not None
-                        else np.zeros(haptic.N_FINGERS))
         else:
-            estimate = np.zeros(haptic.N_FINGERS)
+            estimate, _ = coordination._warm_start(registry, profile, mode, policy)
         start = m * add_every
         hits[start:, m], _ = haptic._forecast(
             x[:total_iters - start], glad_cfg.onboarding_alpha, glad_cfg.epsilon, estimate

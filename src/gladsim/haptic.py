@@ -8,8 +8,9 @@ sinusoid whose depth vanishes at the object center, clamped to [0, 1].
 
 The forecaster is the constant-step-size recency-weighted estimator
     estimate <- estimate + alpha * (observed - estimate)
-applied elementwise to the five-finger amplitude vector.  States are values;
-updates return new states, so callers can parallelize across machines.
+applied elementwise to the five-finger amplitude vector, over a whole trace
+at once.  Sessions and traces are columns, validated once, not one object
+per sample.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import enum
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
@@ -31,19 +32,16 @@ from .traffic import GpdParams, generate_stream
 
 __all__ = [
     "ObjectKind",
-    "ControlSample",
+    "ControlTrace",
     "HapticSample",
     "HapticTrace",
     "ObjectProfile",
-    "ForecasterState",
     "TouchClassifier",
     "standard_profile",
-    "touch_amplitude",
     "generate_session",
     "profiling_trace",
     "label_touch",
     "train_classifier",
-    "forecaster_update",
     "run_forecaster",
     "estimate_tau",
     "optimize_alpha",
@@ -61,6 +59,10 @@ TEXTURE_DEPTH = 0.3
 # Hand approach/retreat period for free-motion sessions, in microseconds.
 TRAJECTORY_PERIOD_US = 1.0e6
 
+# Full-batch gradient descent of the touch classifier: epochs and step size.
+CLASSIFIER_EPOCHS = 500
+CLASSIFIER_STEP = 0.1
+
 
 class ObjectKind(enum.Enum):
     RUBBER_BALL = "rubber_ball"
@@ -76,24 +78,6 @@ def _vector(value, size: int, name: str) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ParameterError(f"{name} must be finite")
     return arr
-
-
-@dataclass(frozen=True)
-class ControlSample:
-    """One glove snapshot: time, hand pose and per-finger pressure."""
-
-    t_us: float
-    hand_pos: np.ndarray
-    hand_orient: np.ndarray
-    finger_pressure: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "hand_pos", _vector(self.hand_pos, 3, "hand_pos"))
-        object.__setattr__(self, "hand_orient", _vector(self.hand_orient, 3, "hand_orient"))
-        pressure = _vector(self.finger_pressure, N_FINGERS, "finger_pressure")
-        if np.any(pressure < 0.0) or np.any(pressure > 1.0):
-            raise ParameterError("finger pressures must lie in [0, 1]")
-        object.__setattr__(self, "finger_pressure", pressure)
 
 
 @dataclass(frozen=True)
@@ -144,6 +128,41 @@ class HapticTrace(Sequence):
         return HapticSample(t_us=float(self.t_us[index]), amplitude=self.amplitude[index])
 
 
+@dataclass(frozen=True, eq=False)
+class ControlTrace:
+    """Glove snapshots as columns: times (n,), hand positions (n, 3), hand
+    orientations (n, 3) and per-finger pressures (n, 5).
+
+    Validated once on construction: shapes, finite values, pressures in [0, 1].
+    """
+
+    t_us: np.ndarray
+    hand_pos: np.ndarray
+    hand_orient: np.ndarray
+    finger_pressure: np.ndarray
+
+    def __post_init__(self):
+        t = np.asarray(self.t_us, dtype=float)
+        if t.ndim != 1:
+            raise ParameterError(f"t_us must be (n,), got shape {t.shape}")
+        object.__setattr__(self, "t_us", t)
+        for name, width in (("hand_pos", 3), ("hand_orient", 3),
+                            ("finger_pressure", N_FINGERS)):
+            col = np.asarray(getattr(self, name), dtype=float)
+            if col.shape != (t.shape[0], width):
+                raise ParameterError(f"{name} must be ({t.shape[0]}, {width}), "
+                                     f"got shape {col.shape}")
+            object.__setattr__(self, name, col)
+        if not all(np.all(np.isfinite(col)) for col in
+                   (self.t_us, self.hand_pos, self.hand_orient, self.finger_pressure)):
+            raise ParameterError("trace must be finite")
+        if np.any(self.finger_pressure < 0.0) or np.any(self.finger_pressure > 1.0):
+            raise ParameterError("finger pressures must lie in [0, 1]")
+
+    def __len__(self) -> int:
+        return self.t_us.shape[0]
+
+
 @dataclass(frozen=True)
 class ObjectProfile:
     """Geometry and feedback signature of one virtual object."""
@@ -185,30 +204,18 @@ def standard_profile(kind: ObjectKind, object_id: str | None = None) -> ObjectPr
     )
 
 
-@dataclass(frozen=True)
-class ForecasterState:
-    """Recency-weighted feedback estimate for one machine/robot."""
-
-    profile_estimate: np.ndarray
-    alpha_local: float
-    updates_seen: int = 0
-
-    def __post_init__(self):
-        est = _vector(self.profile_estimate, N_FINGERS, "profile_estimate")
-        object.__setattr__(self, "profile_estimate", est)
-        if not (0.0 < self.alpha_local <= 1.0):
-            raise ParameterError(f"alpha_local must lie in (0, 1], got {self.alpha_local}")
-        if self.updates_seen < 0:
-            raise ParameterError("updates_seen must be >= 0")
-
-
 # ---------------------------------------------------------------------------
 # Session synthesis
 # ---------------------------------------------------------------------------
 
 
 def _feedback(profile: ObjectProfile, dist: np.ndarray, t_us: np.ndarray) -> np.ndarray:
-    """The feedback law over rows: (n,) distances and times -> (n, 5) amplitudes."""
+    """The feedback law over rows: (n,) distances and times -> (n, 5) amplitudes.
+
+    At the center the modulation factor is exactly 1, so the amplitude equals
+    the stiffness on every finger; it falls linearly to zero at the extent
+    and is zero beyond it.
+    """
     rel = dist / profile.extent_cm
     base = profile.stiffness * (1.0 - rel)
     phases = np.arange(N_FINGERS) * (math.pi / N_FINGERS)
@@ -218,19 +225,6 @@ def _feedback(profile: ObjectProfile, dist: np.ndarray, t_us: np.ndarray) -> np.
     amp = np.clip(base[:, None] * (1.0 + ripple), 0.0, 1.0)
     amp[dist > profile.extent_cm] = 0.0
     return amp
-
-
-def touch_amplitude(profile: ObjectProfile, hand_pos, t_us: float) -> np.ndarray:
-    """Feedback amplitude vector for a hand at `hand_pos`; zeros when clear.
-
-    At the center the modulation factor is exactly 1, so the amplitude equals
-    the stiffness on every finger; it falls linearly to zero at the extent.
-    """
-    pos = _vector(hand_pos, 3, "hand_pos")
-    # The 1-D norm: on general 3-D positions `norm(axis=1)` can differ from it
-    # in the last bit, which would change `generate_session`'s amplitudes.
-    dist = np.linalg.norm(pos - profile.center)
-    return _feedback(profile, np.array([dist]), np.array([t_us], dtype=float))[0]
 
 
 def _first_order(c: float, u: np.ndarray, y0) -> np.ndarray:
@@ -255,7 +249,7 @@ def _smooth_noise(rng: np.random.Generator, n: int, persistence: float = 0.98) -
 
 def generate_session(profile: ObjectProfile, duration_us: float,
                      control_params: GpdParams, seed: int,
-                     pin_at=None) -> tuple[list[ControlSample], list[HapticSample]]:
+                     pin_at=None) -> tuple[ControlTrace, HapticTrace]:
     """Synthesize one interaction session.
 
     The hand repeatedly approaches and retreats from the object along a
@@ -270,9 +264,6 @@ def generate_session(profile: ObjectProfile, duration_us: float,
     times = stream.timestamps
     n = times.size
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0xC0FFEE))))
-
-    if n == 0:
-        return [], []
 
     if pin_at is not None:
         positions = np.tile(_vector(pin_at, 3, "pin_at"), (n, 1))
@@ -299,25 +290,14 @@ def generate_session(profile: ObjectProfile, duration_us: float,
 
     distances = np.linalg.norm(positions - profile.center, axis=1)
     touching = distances <= profile.extent_cm
+    amplitude = _feedback(profile, distances[touching], times[touching])
 
     pressure_noise = rng.random((n, N_FINGERS))
-    controls: list[ControlSample] = []
-    haptics: list[HapticSample] = []
-    for i in range(n):
-        t = float(times[i])
-        if touching[i]:
-            amp = touch_amplitude(profile, positions[i], t)
-            pressure = np.clip(amp * (0.7 + 0.3 * pressure_noise[i]), 0.0, 1.0)
-            haptics.append(HapticSample(t_us=t, amplitude=amp))
-        else:
-            pressure = 0.05 * pressure_noise[i]
-        controls.append(ControlSample(
-            t_us=t,
-            hand_pos=positions[i],
-            hand_orient=orientations[i],
-            finger_pressure=pressure,
-        ))
-    return controls, haptics
+    pressure = 0.05 * pressure_noise
+    pressure[touching] = np.clip(amplitude * (0.7 + 0.3 * pressure_noise[touching]), 0.0, 1.0)
+    controls = ControlTrace(t_us=times, hand_pos=positions, hand_orient=orientations,
+                            finger_pressure=pressure)
+    return controls, HapticTrace(t_us=times[touching], amplitude=amplitude)
 
 
 def profiling_trace(profile: ObjectProfile, n_samples: int, seed: int, *,
@@ -342,7 +322,7 @@ def profiling_trace(profile: ObjectProfile, n_samples: int, seed: int, *,
     rel = np.clip(hold_fraction + wobble * drift, 0.0, 0.95)
     t = np.arange(n_samples) * sample_period_us
     # Positions lie on one axis through the center, where the row norm equals
-    # `touch_amplitude`'s 1-D norm exactly.
+    # the 1-D norm of each position exactly.
     pos = profile.center + np.array([1.0, 0.0, 0.0]) * (rel * profile.extent_cm)[:, None]
     amp = _feedback(profile, np.linalg.norm(pos - profile.center, axis=1), t)
     if noise_std > 0.0:
@@ -355,32 +335,29 @@ def profiling_trace(profile: ObjectProfile, n_samples: int, seed: int, *,
 # ---------------------------------------------------------------------------
 
 
-def label_touch(sample: ControlSample, profile: ObjectProfile) -> bool:
-    """Geometric touch oracle: hand within the object extent (closed ball)."""
-    dist = float(np.linalg.norm(sample.hand_pos - profile.center))
-    return dist <= profile.extent_cm
+def label_touch(controls: ControlTrace, profile: ObjectProfile) -> np.ndarray:
+    """Geometric touch oracle per row: hand within the object extent (closed ball)."""
+    return np.linalg.norm(controls.hand_pos - profile.center, axis=1) <= profile.extent_cm
 
 
-def _features(samples) -> np.ndarray:
-    rows = np.empty((len(samples), 12))
-    for i, s in enumerate(samples):
-        rows[i, 0:3] = s.hand_pos
-        rows[i, 3:6] = s.hand_orient
-        rows[i, 6:11] = s.finger_pressure
-        rows[i, 11] = np.linalg.norm(s.hand_pos - PRESUMED_ORIGIN)
-    return rows
+def _features(controls: ControlTrace) -> np.ndarray:
+    return np.column_stack([
+        controls.hand_pos,
+        controls.hand_orient,
+        controls.finger_pressure,
+        np.linalg.norm(controls.hand_pos - PRESUMED_ORIGIN, axis=1),
+    ])
 
 
 class TouchClassifier:
     """Linear logistic discriminant over glove features.
 
-    Trained by full-batch gradient descent on the logistic loss (fixed epoch
-    count and step size, features standardized), so fits are deterministic.
+    Trained by full-batch gradient descent on the logistic loss
+    (`CLASSIFIER_EPOCHS` steps of `CLASSIFIER_STEP`, features standardized),
+    so fits are deterministic.
     """
 
-    def __init__(self, epochs: int = 500, step: float = 0.1):
-        self.epochs = epochs
-        self.step = step
+    def __init__(self):
         self.weights: np.ndarray | None = None
         self.bias: float = 0.0
         self._mu: np.ndarray | None = None
@@ -397,12 +374,12 @@ class TouchClassifier:
         n = Z.shape[0]
         w = np.zeros(Z.shape[1])
         b = 0.0
-        for _ in range(self.epochs):
+        for _ in range(CLASSIFIER_EPOCHS):
             margin = Z @ w + b
             prob = 1.0 / (1.0 + np.exp(-margin))
             err = prob - y
-            w -= self.step * (Z.T @ err) / n
-            b -= self.step * float(err.mean())
+            w -= CLASSIFIER_STEP * (Z.T @ err) / n
+            b -= CLASSIFIER_STEP * float(err.mean())
         self.weights = w
         self.bias = b
         return self
@@ -417,25 +394,27 @@ class TouchClassifier:
         return self.decision_function(X) > 0.0
 
 
-def train_classifier(dataset, train_fraction: float,
+def train_classifier(controls: ControlTrace, labels, train_fraction: float,
                      seed: int = 0) -> tuple[TouchClassifier, float]:
     """Train the touch/no-touch discriminator on labeled control samples.
 
-    `dataset` is a sequence of (ControlSample, bool) pairs.  The split is a
+    `labels` holds one touch flag per row of `controls`.  The split is a
     seeded shuffle; the returned accuracy is measured on the held-out part.
     """
     if not (0.0 < train_fraction < 1.0):
         raise ParameterError(f"train_fraction must lie in (0, 1), got {train_fraction}")
-    if len(dataset) < 100:
-        raise InsufficientDataError(f"need >= 100 labeled samples, got {len(dataset)}")
-    samples = [s for s, _ in dataset]
-    labels = np.array([bool(l) for _, l in dataset])
+    n = len(controls)
+    labels = np.asarray(labels, dtype=bool)
+    if labels.shape != (n,):
+        raise ParameterError(f"labels must be ({n},), got shape {labels.shape}")
+    if n < 100:
+        raise InsufficientDataError(f"need >= 100 labeled samples, got {n}")
     if labels.all() or not labels.any():
         raise DegenerateDataError("dataset contains a single class")
 
-    X = _features(samples)
-    order = np.random.Generator(np.random.PCG64(seed)).permutation(len(dataset))
-    n_train = int(len(dataset) * train_fraction)
+    X = _features(controls)
+    order = np.random.Generator(np.random.PCG64(seed)).permutation(n)
+    n_train = int(n * train_fraction)
     train_idx, valid_idx = order[:n_train], order[n_train:]
     if labels[train_idx].all() or not labels[train_idx].any():
         raise DegenerateDataError("training split contains a single class")
@@ -449,18 +428,6 @@ def train_classifier(dataset, train_fraction: float,
 # ---------------------------------------------------------------------------
 # Forecasting
 # ---------------------------------------------------------------------------
-
-
-def forecaster_update(state: ForecasterState, observed: HapticSample) -> ForecasterState:
-    """One recency-weighted update toward the observed amplitude vector.
-
-    Computed as the convex combination (1-a)*estimate + a*observed so that
-    alpha = 1 replaces the estimate exactly.
-    """
-    a = state.alpha_local
-    estimate = (1.0 - a) * state.profile_estimate + a * observed.amplitude
-    return replace(state, profile_estimate=estimate,
-                   updates_seen=state.updates_seen + 1)
 
 
 def _hits(forecasts: np.ndarray, actuals: np.ndarray, epsilon: float) -> np.ndarray:
@@ -481,12 +448,15 @@ def run_forecaster(trace, alpha: float, epsilon: float,
 
     `trace` is samples or an (n, 5) amplitude matrix.  A step is a hit when the
     max-norm error of its forecast (the current estimate) is at most `epsilon`.
+    The estimate starts at `initial_estimate` (zeros by default).
     """
     if epsilon <= 0:
         raise ParameterError(f"epsilon must be > 0, got {epsilon}")
-    initial = np.zeros(N_FINGERS) if initial_estimate is None else initial_estimate
-    state = ForecasterState(profile_estimate=initial, alpha_local=alpha)
-    hits, _ = _forecast(_amplitude_matrix(trace), alpha, epsilon, state.profile_estimate)
+    if not (0.0 < alpha <= 1.0):
+        raise ParameterError(f"alpha must lie in (0, 1], got {alpha}")
+    initial = (np.zeros(N_FINGERS) if initial_estimate is None
+               else _vector(initial_estimate, N_FINGERS, "initial_estimate"))
+    hits, _ = _forecast(_amplitude_matrix(trace), alpha, epsilon, initial)
     return hits
 
 

@@ -79,32 +79,25 @@ def _check_ai_dominance() -> None:
 
 
 def _check_forecaster() -> None:
-    state = haptic.ForecasterState(profile_estimate=np.zeros(5), alpha_local=0.5)
-    target = haptic.HapticSample(t_us=0.0, amplitude=np.full(5, 1.0))
-    errs = []
-    for _ in range(5):
-        errs.append(float(np.max(np.abs(state.profile_estimate - target.amplitude))))
-        state = haptic.forecaster_update(state, target)
+    target = np.ones((5, 5))
+    finals = [haptic._forecast(target[:k], 0.5, 1.0, np.zeros(5))[1] for k in range(5)]
+    errs = [float(np.max(np.abs(final - 1.0))) for final in finals]
     ratios = [errs[i + 1] / errs[i] for i in range(4)]
     assert all(abs(r - 0.5) < 1e-12 for r in ratios), "contraction factor wrong"
-    assert np.all(state.profile_estimate <= 1.0), "estimate escaped [0,1]"
+    assert np.all(finals[-1] <= 1.0), "estimate escaped [0,1]"
 
 
 def _check_onboarding_pair() -> None:
     profile = haptic.standard_profile(haptic.ObjectKind.RUBBER_BALL)
     registry = coordination.GlobalRegistry()
-    office = coordination.LocalAiState("co-0")
     trace0 = haptic.profiling_trace(profile, 2000, 77)
-    coordination.onboard_machine(office, profile, registry, "cold", 0.95, trace0,
-                                 machine_id="m0")
-    coordination.upload_profile(office, "m0", registry)
-    coordination.aggregate_global(registry)
+    donor = coordination.onboard_machine(profile, registry, "cold", 0.95, trace0)
+    coordination.upload_profile(registry, profile, donor, source="co-0")
+    registry.aggregate()
 
     trace = haptic.profiling_trace(profile, 2000, 78)
-    cold = coordination.onboard_machine(
-        coordination.LocalAiState("a"), profile, registry, "cold", 0.95, trace)
-    warm = coordination.onboard_machine(
-        coordination.LocalAiState("b"), profile, registry, "glad", 0.95, trace)
+    cold = coordination.onboard_machine(profile, registry, "cold", 0.95, trace)
+    warm = coordination.onboard_machine(profile, registry, "glad", 0.95, trace)
     assert warm.iterations <= cold.iterations, "warm start slower than cold"
 
 

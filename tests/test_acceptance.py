@@ -153,21 +153,17 @@ def test_criterion_7_training_time_saved_calibration():
         saved = []
         for seed in range(30):
             registry = coordination.GlobalRegistry()
-            donor = coordination.LocalAiState("donor")
             donor_trace = haptic.profiling_trace(profile, 4000, 10_000 + seed)
-            coordination.onboard_machine(donor, profile, registry,
-                                         coordination.COLD, 0.95, donor_trace,
-                                         machine_id="m0")
-            coordination.upload_profile(donor, "m0", registry)
-            coordination.aggregate_global(registry)
+            donor = coordination.onboard_machine(profile, registry, coordination.COLD,
+                                                 0.95, donor_trace)
+            coordination.upload_profile(registry, profile, donor, source="donor")
+            registry.aggregate()
 
             trace = haptic.profiling_trace(profile, 4000, seed)
             cold = coordination.onboard_machine(
-                coordination.LocalAiState("a"), profile, registry,
-                coordination.COLD, 0.95, trace)
+                profile, registry, coordination.COLD, 0.95, trace)
             warm = coordination.onboard_machine(
-                coordination.LocalAiState("b"), profile, registry,
-                coordination.GLAD, 0.95, trace)
+                profile, registry, coordination.GLAD, 0.95, trace)
             assert warm.match_similarity == 1.0
             assert warm.iterations <= cold.iterations
             saved.append(coordination.training_time_saved(
@@ -222,6 +218,6 @@ def test_criterion_9_classifier_validation_accuracy():
         controls, _ = haptic.generate_session(
             profile, 12e6, traffic.CONTROL_TRAFFIC_DEFAULT, seed=42)
         assert 11_000 <= len(controls) <= 13_000
-        dataset = [(c, haptic.label_touch(c, profile)) for c in controls]
-        _, accuracy = haptic.train_classifier(dataset, 0.7, seed=7)
+        labels = haptic.label_touch(controls, profile)
+        _, accuracy = haptic.train_classifier(controls, labels, 0.7, seed=7)
         assert accuracy >= 0.95, f"accuracy {accuracy:.4f}"

@@ -1,7 +1,5 @@
 """Tests for the global registry, profile matching and onboarding protocol."""
 
-import pickle
-
 import numpy as np
 import pytest
 
@@ -9,11 +7,9 @@ from gladsim.coordination import (
     COLD,
     GLAD,
     GlobalRegistry,
-    LocalAiState,
-    MachineSlot,
     MatchingPolicy,
+    OnboardResult,
     ProfileRecord,
-    aggregate_global,
     descriptor_of,
     iterations_to_target,
     make_profile_pool,
@@ -26,9 +22,9 @@ from gladsim.coordination import (
 )
 from gladsim.errors import NotReadyError, ParameterError
 from gladsim.haptic import (
-    ForecasterState,
     ObjectKind,
     ObjectProfile,
+    _forecast,
     profiling_trace,
     standard_profile,
 )
@@ -73,41 +69,52 @@ class TestDescriptorSimilarity:
         assert descriptor_of(_custom(0.05))[1] == 0
 
 
-class TestRegistry:
-    def _local_with_machine(self, updates=500):
-        local = LocalAiState("co-1")
-        state = ForecasterState(profile_estimate=np.full(5, 0.4),
-                                alpha_local=0.1, updates_seen=updates)
-        local.add(MachineSlot("m0", state, BALL))
-        return local
+def _trained(updates=500):
+    return OnboardResult(mode=COLD, iterations=300, converged=True, match_similarity=0.0,
+                         profile_estimate=np.full(5, 0.4), updates=updates)
 
+
+class TestRegistry:
     def test_upload_appends_and_bumps_version(self):
         registry = GlobalRegistry()
-        local = self._local_with_machine()
-        version = upload_profile(local, "m0", registry)
+        version = upload_profile(registry, BALL, _trained(), source="co-1")
         assert version == 1
         assert registry.version == 1
-        assert len(registry.records_for(descriptor_of(BALL))) == 1
+        (record,) = registry.records_for(descriptor_of(BALL))
+        np.testing.assert_array_equal(record.profile_estimate, np.full(5, 0.4))
+        assert record.sample_count == 500
+        assert record.source_local_ai == "co-1"
 
     def test_upload_undertrained_rejected(self):
         registry = GlobalRegistry()
-        local = self._local_with_machine(updates=0)
         with pytest.raises(NotReadyError):
-            upload_profile(local, "m0", registry)
-        assert registry.version == 0
+            upload_profile(registry, BALL, _trained(updates=0), source="co-1")
+        upload_profile(registry, BALL, _trained(updates=99), source="co-1", min_updates=99)
+        with pytest.raises(NotReadyError):
+            upload_profile(registry, BALL, _trained(updates=99), source="co-1",
+                           min_updates=100)
+        assert registry.version == 1
 
     def test_two_uploads_same_descriptor_both_retained(self):
         registry = GlobalRegistry()
-        local = self._local_with_machine()
-        upload_profile(local, "m0", registry)
-        upload_profile(local, "m0", registry)
+        upload_profile(registry, BALL, _trained(), source="co-1")
+        upload_profile(registry, BALL, _trained(), source="co-1")
         assert len(registry.records_for(descriptor_of(BALL))) == 2
         assert registry.version == 2
+
+    def test_upload_of_onboarded_machine(self):
+        registry = GlobalRegistry()
+        trace = profiling_trace(BALL, 800, seed=31)
+        result = onboard_machine(BALL, registry, COLD, 0.95, trace)
+        upload_profile(registry, BALL, result, source="co-2")
+        (record,) = registry.records_for(descriptor_of(BALL))
+        np.testing.assert_array_equal(record.profile_estimate, result.profile_estimate)
+        assert record.sample_count == 800
 
     def test_aggregate_single_record_identity(self):
         registry = GlobalRegistry()
         registry.add_record(_record(0.4, 120))
-        aggregate_global(registry)
+        registry.aggregate()
         (rec,) = registry.records_for(descriptor_of(BALL))
         np.testing.assert_array_equal(rec.profile_estimate, np.full(5, 0.4))
         assert rec.sample_count == 120
@@ -117,7 +124,7 @@ class TestRegistry:
         registry = GlobalRegistry()
         registry.add_record(_record(0.2, 100))
         registry.add_record(_record(0.6, 300))
-        aggregate_global(registry)
+        registry.aggregate()
         (rec,) = registry.records_for(descriptor_of(BALL))
         np.testing.assert_allclose(rec.profile_estimate, 0.5)
         assert rec.sample_count == 400
@@ -126,7 +133,7 @@ class TestRegistry:
         registry = GlobalRegistry()
         registry.add_record(_record(0.1, 50))
         registry.add_record(_record(0.7, 50))
-        aggregate_global(registry)
+        registry.aggregate()
         (rec,) = registry.records_for(descriptor_of(BALL))
         np.testing.assert_allclose(rec.profile_estimate, 0.4)
 
@@ -143,7 +150,7 @@ class TestRegistry:
                 sample_count=int(cnt),
                 source_local_ai="co-x",
             ))
-        aggregate_global(registry)
+        registry.aggregate()
         (rec,) = registry.records_for(descriptor_of(BALL))
         assert rec.sample_count == int(counts.sum())
         assert np.all(rec.profile_estimate >= estimates.min(axis=0) - 1e-12)
@@ -151,7 +158,7 @@ class TestRegistry:
 
     def test_aggregate_empty_registry_rejected(self):
         with pytest.raises(ParameterError):
-            aggregate_global(GlobalRegistry())
+            GlobalRegistry().aggregate()
 
     def test_version_strictly_increases(self):
         registry = GlobalRegistry()
@@ -160,7 +167,7 @@ class TestRegistry:
         versions.append(registry.version)
         registry.add_record(_record(0.5, 20))
         versions.append(registry.version)
-        aggregate_global(registry)
+        registry.aggregate()
         versions.append(registry.version)
         assert versions == sorted(set(versions))
 
@@ -201,8 +208,7 @@ class TestOnboarding:
     def test_converged_warm_start_hits_window_floor(self):
         registry = self._registry_with_signature(BALL)
         trace = profiling_trace(BALL, 2000, seed=17)
-        result = onboard_machine(LocalAiState("co"), BALL, registry, GLAD,
-                                 0.95, trace)
+        result = onboard_machine(BALL, registry, GLAD, 0.95, trace)
         assert result.converged
         assert result.iterations == 200  # the sliding-window length
         assert result.match_similarity == 1.0
@@ -210,59 +216,54 @@ class TestOnboarding:
     def test_cold_slower_than_warm(self):
         registry = self._registry_with_signature(BALL)
         trace = profiling_trace(BALL, 3000, seed=18)
-        warm = onboard_machine(LocalAiState("a"), BALL, registry, GLAD, 0.95, trace)
-        cold = onboard_machine(LocalAiState("b"), BALL, registry, COLD, 0.95, trace)
+        warm = onboard_machine(BALL, registry, GLAD, 0.95, trace)
+        cold = onboard_machine(BALL, registry, COLD, 0.95, trace)
         assert cold.iterations > warm.iterations
 
     def test_glad_without_match_equals_cold_exactly(self):
         empty = GlobalRegistry()
         trace = profiling_trace(BALL, 2500, seed=19)
-        glad = onboard_machine(LocalAiState("a"), BALL, empty, GLAD, 0.95, trace)
-        cold = onboard_machine(LocalAiState("b"), BALL, empty, COLD, 0.95, trace)
+        glad = onboard_machine(BALL, empty, GLAD, 0.95, trace)
+        cold = onboard_machine(BALL, empty, COLD, 0.95, trace)
         assert glad.iterations == cold.iterations
         assert glad.match_similarity == 0.0
+        np.testing.assert_array_equal(glad.profile_estimate, cold.profile_estimate)
+
+    def test_final_estimate_is_the_clipped_forecast(self):
+        registry = self._registry_with_signature(BALL)
+        trace = profiling_trace(BALL, 1200, seed=24)
+        (record,) = registry.all_records()
+        result = onboard_machine(BALL, registry, GLAD, 0.95, trace, alpha=0.01)
+        _, estimate = _forecast(trace.amplitude, 0.01, 0.05, record.profile_estimate)
+        np.testing.assert_array_equal(result.profile_estimate, np.clip(estimate, 0.0, 1.0))
+        assert result.updates == len(trace)
+
+    def test_onboarding_leaves_registry_untouched(self):
+        registry = self._registry_with_signature(BALL)
+        (before,) = registry.all_records()
+        estimate = before.profile_estimate.copy()
+        onboard_machine(BALL, registry, GLAD, 0.95, profiling_trace(BALL, 1200, seed=23))
+        assert registry.version == 1
+        (after,) = registry.all_records()
+        assert after is before
+        np.testing.assert_array_equal(after.profile_estimate, estimate)
 
     def test_unreachable_target_flagged(self):
         empty = GlobalRegistry()
         trace = profiling_trace(BALL, 600, seed=20)
-        result = onboard_machine(LocalAiState("a"), BALL, empty, COLD,
-                                 0.99, trace, alpha=0.001)
+        result = onboard_machine(BALL, empty, COLD, 0.99, trace, alpha=0.001)
         assert not result.converged
         assert result.iterations == len(trace)
 
-    def test_existing_machines_untouched(self):
-        registry = self._registry_with_signature(BALL)
-        local = LocalAiState("co")
-        onboard_machine(local, BALL, registry, COLD, 0.95,
-                        profiling_trace(BALL, 1200, seed=21), machine_id="m0")
-        onboard_machine(local, BALL, registry, GLAD, 0.95,
-                        profiling_trace(BALL, 1200, seed=22), machine_id="m1")
-        frozen = pickle.dumps([local.slot("m0").forecaster,
-                               local.slot("m1").forecaster])
-        onboard_machine(local, BALL, registry, GLAD, 0.95,
-                        profiling_trace(BALL, 1200, seed=23), machine_id="m2")
-        assert pickle.dumps([local.slot("m0").forecaster,
-                             local.slot("m1").forecaster]) == frozen
-        assert local.machine_count == 3
-
     def test_short_trace_rejected(self):
         with pytest.raises(Exception):
-            onboard_machine(LocalAiState("a"), BALL, GlobalRegistry(), COLD,
-                            0.95, profiling_trace(BALL, 400, seed=1))
+            onboard_machine(BALL, GlobalRegistry(), COLD, 0.95,
+                            profiling_trace(BALL, 400, seed=1))
 
     def test_bad_mode(self):
         with pytest.raises(ParameterError):
-            onboard_machine(LocalAiState("a"), BALL, GlobalRegistry(), "warmish",
-                            0.95, profiling_trace(BALL, 600, seed=1))
-
-    def test_duplicate_machine_id_rejected(self):
-        local = LocalAiState("co")
-        trace = profiling_trace(BALL, 600, seed=2)
-        onboard_machine(local, BALL, GlobalRegistry(), COLD, 0.95, trace,
-                        machine_id="m0")
-        with pytest.raises(ParameterError):
-            onboard_machine(local, BALL, GlobalRegistry(), COLD, 0.95, trace,
-                            machine_id="m0")
+            onboard_machine(BALL, GlobalRegistry(), "warmish", 0.95,
+                            profiling_trace(BALL, 600, seed=1))
 
 
 class TestIterationsToTarget:
@@ -309,6 +310,11 @@ class TestSavings:
         run_savings_sweep(2, 1, seed=7, trace_samples=600, min_updates=600)
         with pytest.raises(NotReadyError):
             run_savings_sweep(2, 1, seed=7, trace_samples=600, min_updates=601)
+
+    @pytest.mark.parametrize("local_ais", [0, -2])
+    def test_local_ais_must_be_positive(self, local_ais):
+        with pytest.raises(ParameterError):
+            run_savings_sweep(2, 1, seed=7, trace_samples=600, local_ais=local_ais)
 
     def test_deterministic(self):
         a = run_savings_sweep(3, 1, seed=7, trace_samples=1500)

@@ -14,27 +14,25 @@ from gladsim.errors import (
     ParameterError,
 )
 from gladsim.haptic import (
-    ControlSample,
-    ForecasterState,
+    ControlTrace,
     HapticSample,
     HapticTrace,
     ObjectKind,
     ObjectProfile,
     _amplitude_matrix,
+    _feedback,
     _forecast,
     _smooth_noise,
     estimate_tau,
-    forecaster_update,
     generate_session,
     label_touch,
     optimize_alpha,
     profiling_trace,
     run_forecaster,
     standard_profile,
-    touch_amplitude,
     train_classifier,
 )
-from gladsim.traffic import CONTROL_TRAFFIC_DEFAULT
+from gladsim.traffic import CONTROL_TRAFFIC_DEFAULT, generate_stream
 
 
 BALL = standard_profile(ObjectKind.RUBBER_BALL)
@@ -44,17 +42,25 @@ def _session(duration_us=2e6, seed=3, profile=BALL, **kwargs):
     return generate_session(profile, duration_us, CONTROL_TRAFFIC_DEFAULT, seed, **kwargs)
 
 
+def _controls(hand_pos):
+    """Control columns at the given hand positions, everything else zero."""
+    hand_pos = np.asarray(hand_pos, dtype=float)
+    n = hand_pos.shape[0]
+    return ControlTrace(t_us=np.arange(n, dtype=float), hand_pos=hand_pos,
+                        hand_orient=np.zeros((n, 3)), finger_pressure=np.zeros((n, 5)))
+
+
 class TestSessionSynthesis:
     def test_pinned_at_center_amplitude_equals_stiffness(self):
         controls, haptics = _session(pin_at=BALL.center)
         assert len(haptics) == len(controls)
-        for h in haptics:
-            np.testing.assert_array_equal(h.amplitude, np.full(5, BALL.stiffness))
+        np.testing.assert_array_equal(haptics.amplitude,
+                                      np.full((len(haptics), 5), BALL.stiffness))
 
     def test_pinned_outside_extent_no_feedback(self):
         far = BALL.center + np.array([BALL.extent_cm + 1.0, 0.0, 0.0])
         _, haptics = _session(pin_at=far)
-        assert haptics == []
+        assert len(haptics) == 0
 
     def test_twelve_second_session_sample_count(self):
         # ~1 kHz traffic for 12 s gives ~12000 control snapshots.
@@ -63,130 +69,230 @@ class TestSessionSynthesis:
         assert 0.2 < len(haptics) / len(controls) < 0.8
 
     def test_amplitudes_within_unit_range_and_zero_only_outside(self):
-        controls, haptics = _session(seed=11)
-        for h in haptics:
-            assert np.all(h.amplitude >= 0.0) and np.all(h.amplitude <= 1.0)
+        _, haptics = _session(seed=11)
+        assert np.all(haptics.amplitude >= 0.0) and np.all(haptics.amplitude <= 1.0)
 
     def test_deterministic(self):
         c1, h1 = _session(seed=9)
         c2, h2 = _session(seed=9)
         assert len(c1) == len(c2) and len(h1) == len(h2)
-        np.testing.assert_array_equal(c1[50].hand_pos, c2[50].hand_pos)
-        np.testing.assert_array_equal(h1[-1].amplitude, h2[-1].amplitude)
+        np.testing.assert_array_equal(c1.hand_pos[50], c2.hand_pos[50])
+        np.testing.assert_array_equal(h1.amplitude[-1], h2.amplitude[-1])
 
     def test_timestamps_strictly_ordered(self):
         controls, _ = _session(seed=13)
-        times = np.array([c.t_us for c in controls])
-        assert np.all(np.diff(times) >= 0.0)
+        assert np.all(np.diff(controls.t_us) >= 0.0)
 
     def test_duration_must_be_positive(self):
         with pytest.raises(ParameterError):
             generate_session(BALL, 0.0, CONTROL_TRAFFIC_DEFAULT, 1)
 
+    @pytest.mark.parametrize("pin_at", [None, BALL.center])
+    def test_session_without_arrivals_is_empty(self, pin_at):
+        # No control arrival within 1 us of ~1 kHz traffic.
+        controls, haptics = _session(duration_us=1.0, pin_at=pin_at)
+        assert len(controls) == len(haptics) == 0
+        assert controls.hand_pos.shape == (0, 3) and haptics.amplitude.shape == (0, 5)
+
     def test_touch_amplitude_boundary_is_zero(self):
         edge = BALL.center + np.array([BALL.extent_cm, 0.0, 0.0])
-        np.testing.assert_array_equal(touch_amplitude(BALL, edge, 0.0), np.zeros(5))
+        controls, haptics = _session(pin_at=edge)
+        assert len(haptics) == len(controls) > 0
+        np.testing.assert_array_equal(haptics.amplitude, np.zeros((len(haptics), 5)))
+
+
+def _session_loop(profile, duration_us, control_params, seed, pin_at=None):
+    """`generate_session` one control sample at a time, as it was written
+    before it returned columns.
+
+    Returns the control columns, the touching mask and the haptic columns.
+    """
+    times = generate_stream(control_params, duration_us, seed).timestamps
+    n = times.size
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0xC0FFEE))))
+    if pin_at is not None:
+        positions = np.tile(np.asarray(pin_at, dtype=float), (n, 1))
+    else:
+        phase = 2.0 * math.pi * times / 1.0e6
+        radius = profile.extent_cm * (
+            1.05 + 1.15 * np.cos(phase) + 0.08 * _smooth_noise_loop(rng, n)
+        )
+        radius = np.clip(radius, 0.0, None)
+        azimuth = 2.0 * math.pi * times / 3.0e6
+        polar = math.pi / 3.0 + 0.2 * _smooth_noise_loop(rng, n)
+        direction = np.stack([np.sin(polar) * np.cos(azimuth),
+                              np.sin(polar) * np.sin(azimuth),
+                              np.cos(polar)], axis=1)
+        positions = profile.center + direction * radius[:, None]
+    orientations = 0.5 * np.stack([_smooth_noise_loop(rng, n) for _ in range(3)], axis=1)
+    touching = np.linalg.norm(positions - profile.center, axis=1) <= profile.extent_cm
+
+    pressure_noise = rng.random((n, 5))
+    pressures, haptic_times, amplitudes = [], [], []
+    for i in range(n):
+        t = float(times[i])
+        if touching[i]:
+            amp = _touch_amplitude_loop(profile, positions[i], t)
+            pressures.append(np.clip(amp * (0.7 + 0.3 * pressure_noise[i]), 0.0, 1.0))
+            haptic_times.append(t)
+            amplitudes.append(amp)
+        else:
+            pressures.append(0.05 * pressure_noise[i])
+    return (times, positions, orientations, np.array(pressures).reshape(n, 5), touching,
+            np.array(haptic_times), np.array(amplitudes).reshape(-1, 5))
+
+
+OFF_CENTER = ObjectProfile("off", ObjectKind.CUSTOM, np.array([3.0, -2.0, 1.5]),
+                           4.0, 0.9, 120.0)
+
+
+class TestSessionColumns:
+    @pytest.mark.parametrize("profile, seed, pin_at", [
+        (BALL, 1, None),
+        (BALL, 42, None),
+        (OFF_CENTER, 7, None),
+        (OFF_CENTER, 8, None),
+        (BALL, 3, BALL.center),
+        (BALL, 4, BALL.center + np.array([2.0, -1.5, 3.0])),
+        (OFF_CENTER, 5, OFF_CENTER.center + np.array([4.0, 0.0, 0.0])),
+        (BALL, 6, BALL.center + np.array([0.0, 9.0, 0.0])),
+    ], ids=["ball-1", "ball-42", "off-center-7", "off-center-8", "pin-center",
+            "pin-inside", "pin-boundary", "pin-outside"])
+    def test_matches_sample_loop(self, profile, seed, pin_at):
+        # The loop took each touching row's distance from the 1-D norm, which
+        # can differ from the row norm in the last bit; so can what follows.
+        controls, haptics = generate_session(profile, 3e6, CONTROL_TRAFFIC_DEFAULT, seed,
+                                             pin_at=pin_at)
+        t_us, pos, orient, pressure, touching, haptic_t, amplitude = _session_loop(
+            profile, 3e6, CONTROL_TRAFFIC_DEFAULT, seed, pin_at=pin_at)
+        assert _same_bits(controls.t_us, t_us)
+        assert _same_bits(controls.hand_pos, pos)
+        assert _same_bits(controls.hand_orient, orient)
+        assert np.array_equal(label_touch(controls, profile), touching)
+        assert _same_bits(haptics.t_us, haptic_t)
+        np.testing.assert_allclose(haptics.amplitude, amplitude, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(controls.finger_pressure, pressure, rtol=0.0, atol=1e-15)
+
+
+class TestControlTrace:
+    def test_len(self):
+        assert len(_controls(np.zeros((7, 3)))) == 7
+
+    @pytest.mark.parametrize("column, value", [
+        ("t_us", np.zeros((4, 1))),
+        ("hand_pos", np.zeros((4, 2))),
+        ("hand_orient", np.zeros((3, 3))),
+        ("finger_pressure", np.zeros(4)),
+        ("t_us", np.array([0.0, np.inf, 2.0, 3.0])),
+        ("hand_pos", np.full((4, 3), np.nan)),
+        ("hand_orient", np.full((4, 3), np.nan)),
+        ("finger_pressure", np.full((4, 5), -0.1)),
+        ("finger_pressure", np.full((4, 5), 1.1)),
+    ])
+    def test_rejects_bad_columns(self, column, value):
+        columns = dict(t_us=np.zeros(4), hand_pos=np.zeros((4, 3)),
+                       hand_orient=np.zeros((4, 3)), finger_pressure=np.zeros((4, 5)))
+        columns[column] = value
+        with pytest.raises(ParameterError):
+            ControlTrace(**columns)
 
 
 class TestLabelTouch:
-    def _sample_at(self, pos):
-        return ControlSample(t_us=0.0, hand_pos=pos, hand_orient=np.zeros(3),
-                             finger_pressure=np.zeros(5))
-
     def test_center_is_touch(self):
-        assert label_touch(self._sample_at(BALL.center), BALL)
+        assert label_touch(_controls([BALL.center]), BALL).tolist() == [True]
 
     def test_boundary_is_touch(self):
         pos = BALL.center + np.array([BALL.extent_cm, 0.0, 0.0])
-        assert label_touch(self._sample_at(pos), BALL)
+        assert label_touch(_controls([pos]), BALL).tolist() == [True]
 
     def test_just_outside_is_not(self):
         pos = BALL.center + np.array([BALL.extent_cm + 1e-6, 0.0, 0.0])
-        assert not label_touch(self._sample_at(pos), BALL)
+        assert label_touch(_controls([pos]), BALL).tolist() == [False]
 
 
 class TestClassifier:
     def _dataset(self, seed=5, duration=12e6):
         controls, _ = _session(duration_us=duration, seed=seed)
-        return [(c, label_touch(c, BALL)) for c in controls]
+        return controls, label_touch(controls, BALL)
 
     def test_validation_accuracy_on_synthetic_dataset(self):
-        clf, accuracy = train_classifier(self._dataset(), 0.7, seed=1)
+        clf, accuracy = train_classifier(*self._dataset(), 0.7, seed=1)
         assert accuracy >= 0.95
 
     def test_deterministic_fit(self):
-        data = self._dataset(seed=8, duration=3e6)
-        clf1, acc1 = train_classifier(data, 0.7, seed=2)
-        clf2, acc2 = train_classifier(data, 0.7, seed=2)
+        controls, labels = self._dataset(seed=8, duration=3e6)
+        clf1, acc1 = train_classifier(controls, labels, 0.7, seed=2)
+        clf2, acc2 = train_classifier(controls, labels, 0.7, seed=2)
         assert acc1 == acc2
         np.testing.assert_array_equal(clf1.weights, clf2.weights)
 
     def test_single_class_rejected(self):
-        sample = ControlSample(t_us=0.0, hand_pos=np.zeros(3),
-                               hand_orient=np.zeros(3), finger_pressure=np.zeros(5))
-        data = [(sample, True)] * 200
+        controls = _controls(np.zeros((200, 3)))
         with pytest.raises(DegenerateDataError):
-            train_classifier(data, 0.7, seed=1)
+            train_classifier(controls, np.ones(200, dtype=bool), 0.7, seed=1)
 
     def test_small_dataset_rejected(self):
-        data = self._dataset(seed=8, duration=3e6)[:99]
+        labels = np.arange(99) % 2 == 0
         with pytest.raises(InsufficientDataError):
-            train_classifier(data, 0.7, seed=1)
+            train_classifier(_controls(np.zeros((99, 3))), labels, 0.7, seed=1)
 
     def test_bad_fraction(self):
         with pytest.raises(ParameterError):
-            train_classifier(self._dataset(seed=8, duration=3e6), 1.0, seed=1)
+            train_classifier(*self._dataset(seed=8, duration=3e6), 1.0, seed=1)
+
+    def test_one_label_per_row(self):
+        controls, labels = self._dataset(seed=8, duration=3e6)
+        with pytest.raises(ParameterError):
+            train_classifier(controls, labels[:-1], 0.7, seed=1)
+
+
+def _final(x, alpha, initial):
+    return _forecast(np.asarray(x, dtype=float).reshape(-1, 5), alpha, 1.0, initial)[1]
 
 
 class TestForecaster:
     def test_full_replacement_at_alpha_one(self):
-        state = ForecasterState(profile_estimate=np.full(5, 0.2), alpha_local=1.0)
-        observed = HapticSample(t_us=0.0, amplitude=np.full(5, 0.9))
-        updated = forecaster_update(state, observed)
-        np.testing.assert_array_equal(updated.profile_estimate, observed.amplitude)
-        assert updated.updates_seen == 1
+        observed = np.full(5, 0.9)
+        final = _final([observed], 1.0, np.full(5, 0.2))
+        np.testing.assert_array_equal(final, observed)
 
     def test_recurrence_example_half_alpha(self):
         # 0 -> 0.5 -> 0.75 -> 0.875 under alpha = 0.5 toward 1.0
-        state = ForecasterState(profile_estimate=np.zeros(5), alpha_local=0.5)
-        observed = HapticSample(t_us=0.0, amplitude=np.ones(5))
-        seen = []
-        for _ in range(3):
-            state = forecaster_update(state, observed)
-            seen.append(float(state.profile_estimate[0]))
+        seen = [float(_final(np.ones((k, 5)), 0.5, np.zeros(5))[0]) for k in (1, 2, 3)]
         assert seen == [0.5, 0.75, 0.875]
 
     def test_near_zero_alpha_is_near_identity(self):
-        state = ForecasterState(profile_estimate=np.full(5, 0.4), alpha_local=1e-9)
-        observed = HapticSample(t_us=0.0, amplitude=np.ones(5))
-        updated = forecaster_update(state, observed)
-        np.testing.assert_allclose(updated.profile_estimate, 0.4, atol=1e-8)
+        final = _final(np.ones((1, 5)), 1e-9, np.full(5, 0.4))
+        np.testing.assert_allclose(final, 0.4, atol=1e-8)
 
     @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
     def test_geometric_contraction(self, alpha):
         target = np.full(5, 0.8)
-        state = ForecasterState(profile_estimate=np.zeros(5), alpha_local=alpha)
-        observed = HapticSample(t_us=0.0, amplitude=target)
-        prev_gap = np.linalg.norm(state.profile_estimate - target)
-        for _ in range(6):
-            state = forecaster_update(state, observed)
-            gap = np.linalg.norm(state.profile_estimate - target)
+        prev_gap = np.linalg.norm(target)
+        for k in range(1, 7):
+            gap = np.linalg.norm(_final(np.tile(target, (k, 1)), alpha, np.zeros(5)) - target)
             assert gap == pytest.approx(prev_gap * (1.0 - alpha), rel=1e-12)
             prev_gap = gap
 
     @pytest.mark.parametrize("seed", range(4))
     def test_estimate_stays_in_unit_box(self, seed):
         rng = np.random.Generator(np.random.PCG64(seed))
-        state = ForecasterState(profile_estimate=rng.random(5), alpha_local=0.3)
-        for _ in range(200):
-            obs = HapticSample(t_us=0.0, amplitude=rng.random(5))
-            state = forecaster_update(state, obs)
-            assert np.all(state.profile_estimate >= 0.0)
-            assert np.all(state.profile_estimate <= 1.0)
+        initial = rng.random(5)
+        x = rng.random((200, 5))
+        for k in range(1, 201):
+            final = _final(x[:k], 0.3, initial)
+            assert np.all(final >= 0.0)
+            assert np.all(final <= 1.0)
 
     def test_alpha_out_of_range(self):
+        for alpha in (0.0, -0.1, 1.5):
+            with pytest.raises(ParameterError):
+                run_forecaster(np.zeros((3, 5)), alpha, 0.05)
+
+    @pytest.mark.parametrize("initial", [np.zeros(4), np.full(5, np.nan), np.zeros((5, 1))])
+    def test_initial_estimate_must_be_a_finite_five_vector(self, initial):
         with pytest.raises(ParameterError):
-            ForecasterState(profile_estimate=np.zeros(5), alpha_local=0.0)
+            run_forecaster(np.zeros((3, 5)), 0.5, 0.05, initial_estimate=initial)
 
     def test_profiling_forecasts_converge(self):
         # Over a 4000-sample profiling trace, >= 90% of post-convergence
@@ -196,14 +302,14 @@ class TestForecaster:
         assert hits[1000:].mean() >= 0.9
 
 
-def _step_loop(trace, alpha, epsilon, initial):
-    """Forecast-then-update with one `forecaster_update` call per sample."""
-    state = ForecasterState(profile_estimate=initial, alpha_local=alpha)
+def _step_loop(x, alpha, epsilon, initial):
+    """Forecast-then-update one row at a time."""
+    estimate = np.asarray(initial, dtype=float)
     hits = []
-    for observed in trace:
-        hits.append(np.max(np.abs(state.profile_estimate - observed.amplitude)) <= epsilon)
-        state = forecaster_update(state, observed)
-    return np.array(hits, dtype=bool), state.profile_estimate
+    for row in x:
+        hits.append(np.max(np.abs(estimate - row)) <= epsilon)
+        estimate = (1.0 - alpha) * estimate + alpha * row
+    return np.array(hits, dtype=bool), estimate
 
 
 _unit_floats = st.floats(0.0, 1.0)
@@ -217,7 +323,7 @@ class TestForecastCore:
            initial=arrays(np.float64, 5, elements=_unit_floats))
     def test_matches_step_loop(self, x, alpha, epsilon, initial):
         trace = [HapticSample(t_us=float(i), amplitude=row) for i, row in enumerate(x)]
-        expected_hits, expected_final = _step_loop(trace, alpha, epsilon, initial)
+        expected_hits, expected_final = _step_loop(x, alpha, epsilon, initial)
         assert np.array_equal(run_forecaster(trace, alpha, epsilon, initial), expected_hits)
         assert np.array_equal(run_forecaster(x, alpha, epsilon, initial), expected_hits)
         hits, final = _forecast(x, alpha, epsilon, initial)
@@ -310,9 +416,10 @@ class TestVectorizedTrace:
     @given(profile=_profiles(),
            offset=arrays(np.float64, 3, elements=st.floats(-25.0, 25.0)),
            t_us=st.floats(0.0, 1e8))
-    def test_touch_amplitude_matches_scalar_law(self, profile, offset, t_us):
+    def test_feedback_matches_scalar_law(self, profile, offset, t_us):
         pos = profile.center + offset
-        assert _same_bits(touch_amplitude(profile, pos, t_us),
+        dist = np.linalg.norm(pos - profile.center)
+        assert _same_bits(_feedback(profile, np.array([dist]), np.array([t_us]))[0],
                           _touch_amplitude_loop(profile, pos, t_us))
 
     @given(seed=_seeds, n=st.integers(1, 500), persistence=st.floats(0.0, 0.999))
