@@ -64,6 +64,26 @@ class GladParams:
     additions: int = 3
     machines_grid: tuple[int, ...] = (1, 2, 4, 8)
 
+    def __post_init__(self):
+        for name in ("window", "total_machines", "local_ais", "profiling_samples", "add_every"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.additions < 0:
+            raise ConfigError(f"additions must be >= 0, got {self.additions}")
+        if not self.epsilon > 0:
+            raise ConfigError(f"epsilon must be > 0, got {self.epsilon}")
+        for name in ("onboarding_alpha", "accuracy_target"):
+            if not 0.0 < getattr(self, name) <= 1.0:
+                raise ConfigError(f"{name} must lie in (0, 1], got {getattr(self, name)}")
+        if not self.alpha_grid or not all(0.0 < a <= 1.0 for a in self.alpha_grid):
+            raise ConfigError(f"alpha_grid must be nonempty in (0, 1], got {self.alpha_grid}")
+        if not self.machines_grid or min(self.machines_grid) < 1:
+            raise ConfigError(f"machines_grid must be nonempty and >= 1, got {self.machines_grid}")
+        try:
+            self.policy()
+        except ParameterError as exc:
+            raise ConfigError(f"quant_bands, texture_freq_max_hz or match_threshold: {exc}") from exc
+
     def policy(self) -> coordination.MatchingPolicy:
         return coordination.MatchingPolicy(
             bands=self.quant_bands,

@@ -54,9 +54,10 @@ DOWNSTREAM = "downstream"
 # Hard cap on background packets per simulated leg.
 MAX_EVENTS = 50_000_000
 
-# Background arrivals drawn per chunk.  The downstream FIFO holds one chunk
-# plus the busy period still open at the end of the chunk before, so its
-# memory does not grow with the horizon.
+# Background arrivals drawn per chunk, and DBA cycles solved per chunk.  The
+# downstream FIFO holds one chunk plus the busy period still open at the end
+# of the chunk before, and the upstream grant solvers one chunk of cycles, so
+# their temporaries do not grow with the horizon.
 CHUNK_EVENTS = 1 << 18
 
 # Fraction of loops discarded as simulation warm-up before summarizing.
@@ -173,12 +174,13 @@ def fifo_waits(arrival_times, service_times, origin: float = 0.0) -> np.ndarray:
         raise ParameterError("arrival and service arrays must have equal length")
     if a.size == 0:
         return np.empty(0)
-    gaps = np.diff(a)
-    if np.any(gaps < 0.0):
-        raise ParameterError("arrival times must be non-decreasing")
     v = np.empty(a.size)
     v[0] = origin
-    np.subtract(s[:-1], gaps, out=v[1:])
+    # S[j] - A[j] with A[j] = a[j+1] - a[j] is exactly (a[j] - a[j+1]) + S[j].
+    np.subtract(a[:-1], a[1:], out=v[1:])
+    if np.any(v[1:] > 0.0):
+        raise ParameterError("arrival times must be non-decreasing")
+    v[1:] += s[:-1]
     np.cumsum(v, out=v)
     v -= np.minimum.accumulate(v)
     return v
@@ -255,21 +257,67 @@ def _background(rng: np.random.Generator, rate_per_us: float, horizon_us: float)
         yield _poisson_arrivals(draw)
 
 
-def _gated_grants(arrived_bytes_per_cycle: np.ndarray, cap_bytes: float) -> np.ndarray:
+@dataclass
+class _GrantState:
+    """Where one ONU's grant recursion stands after the cycles solved so far.
+
+    `u` is the running sum of (A[k-1] - cap) at the next cycle and `u_min` its
+    minimum so far (see _gated_grants).  Like fifo_waits' origin, carrying the
+    sequential sum and the exact minimum across a cut leaves every grant's
+    bits as solving the cycles whole would.
+    """
+
+    last_arrived: float = 0.0    # bytes arrived in the last cycle solved
+    u: float = 0.0
+    u_min: float = 0.0
+
+
+def _gated_grants(arrived_bytes_per_cycle: np.ndarray, cap_bytes: float,
+                  state: _GrantState | None = None) -> np.ndarray:
     """Per-cycle granted bytes of one ONU under gated, capped service.
 
     Bytes arriving during cycle k are first reported at boundary k+1.  The
     reported backlog follows Q[k+1] = max(Q[k] - cap, 0) + A[k], a
     Lindley-type recursion solved in closed form by reflection.
+
+    `state`, when given, continues the recursion from the cycles solved
+    before these and is advanced past them.
     """
-    a = arrived_bytes_per_cycle
+    a = np.asarray(arrived_bytes_per_cycle, dtype=float)
+    state = _GrantState() if state is None else state
     n = a.size
-    prev_arrivals = np.concatenate(([0.0], a[:-1]))       # A[k-1] at index k
+    if n == 0:
+        return np.empty(0)
+    prev_arrivals = np.empty(n)                           # A[k-1] at index k
+    prev_arrivals[0] = state.last_arrived
+    prev_arrivals[1:] = a[:-1]
     # s[k] = Q[k] - A[k-1] obeys s[k+1] = max(s[k] + A[k-1] - cap, 0).
-    u = np.concatenate(([0.0], np.cumsum(prev_arrivals - cap_bytes)))
-    s = u - np.minimum.accumulate(u)
-    reported = s[:n] + prev_arrivals                      # Q[k]
-    return np.minimum(reported, cap_bytes)
+    u = np.empty(n + 1)
+    u[0] = state.u
+    np.subtract(prev_arrivals, cap_bytes, out=u[1:])
+    np.cumsum(u, out=u)
+    low = np.minimum.accumulate(u)
+    np.minimum(low, state.u_min, out=low)
+    state.last_arrived, state.u, state.u_min = float(a[-1]), float(u[-1]), float(low[-1])
+    s = np.subtract(u, low, out=u)[:n]
+    reported = np.add(s, prev_arrivals, out=prev_arrivals)  # Q[k]
+    return np.minimum(reported, cap_bytes, out=reported)
+
+
+def _last_idle(waits: np.ndarray) -> int:
+    """Index of the last arrival after the first that found the server idle, or 0.
+
+    Scans back from the end in blocks that double, so the usual short search
+    allocates nothing of the chunk's size.
+    """
+    stop, width = waits.size, 256
+    while stop > 1:
+        start = max(1, stop - width)
+        idle = np.flatnonzero(waits[start:stop] == 0.0)
+        if idle.size:
+            return start + int(idle[-1])
+        stop, width = start, 2 * width
+    return 0
 
 
 def _downstream_leg(config: PonConfig, load: LoadPoint, probe_times: np.ndarray,
@@ -298,17 +346,26 @@ def _downstream_leg(config: PonConfig, load: LoadPoint, probe_times: np.ndarray,
     first_arrival = last_arrival = 0.0
     wait_sum = gap_square_sum = 0.0
     # Arrivals from the last one found idle on, their waits, and V at that
-    # arrival (see fifo_waits).
-    tail, tail_waits, origin = np.empty(0), np.empty(0), 0.0
+    # arrival (see fifo_waits).  The tail is kept at the front of `buffer`,
+    # which the next chunk's arrivals are appended to.
+    buffer = np.empty(0)
+    tail, tail_waits, origin = buffer, np.empty(0), 0.0
     # None marks the end of the background, after which the tail is final.
     for chunk in itertools.chain(_background(rng, lam, horizon), [None]):
         if chunk is None:
             arrivals, waits, final = tail, tail_waits, tail.size
         else:
-            arrivals = np.concatenate((tail, chunk))
-            waits = fifo_waits(arrivals, np.full(arrivals.size, bg_service), origin)
-            idle = np.flatnonzero(waits[1:] == 0.0)
-            final = int(idle[-1]) + 1 if idle.size else 0
+            size = tail.size + chunk.size
+            if size > buffer.size:
+                grown = np.empty(size + size // 4)
+                grown[:tail.size] = tail
+                buffer = grown
+            else:
+                buffer[:tail.size] = tail
+            buffer[tail.size:size] = chunk
+            arrivals = buffer[:size]
+            waits = fifo_waits(arrivals, np.broadcast_to(bg_service, arrivals.shape), origin)
+            final = _last_idle(waits)
         if final == 0:
             tail, tail_waits = arrivals, waits
             continue
@@ -370,6 +427,24 @@ def _downstream_leg(config: PonConfig, load: LoadPoint, probe_times: np.ndarray,
     }
 
 
+def _schedule(grants: np.ndarray, cum_grants: np.ndarray, cap_bytes: float,
+              state: _GrantState, granted_before: float) -> float:
+    """Solve one ONU's grants in place, in cycle chunks, with their running sum.
+
+    `grants` holds the bytes arrived per cycle on entry and the granted bytes
+    on return; `cum_grants` receives the running sum continued from
+    `granted_before`, which is returned advanced past these cycles.
+    """
+    for start in range(0, grants.size, CHUNK_EVENTS):
+        part = grants[start:start + CHUNK_EVENTS]
+        part[:] = _gated_grants(part, cap_bytes, state)
+        run = cum_grants[start:start + CHUNK_EVENTS]
+        run[:] = part
+        run[0] += granted_before
+        granted_before = float(np.cumsum(run, out=run)[-1])
+    return granted_before
+
+
 def _upstream_leg(config: PonConfig, load: LoadPoint, probe_times: np.ndarray,
                   rng: np.random.Generator) -> dict:
     """Probe delays through the gated round-robin upstream grant cycle.
@@ -378,7 +453,11 @@ def _upstream_leg(config: PonConfig, load: LoadPoint, probe_times: np.ndarray,
     of split_ratio // 2 other ONUs precede its own window inside each cycle.
     A probe reports at the first cycle boundary after arrival, waits for the
     background bytes ahead of it in its ONU queue to be granted, then
-    transmits inside its ONU's window.
+    transmits inside its ONU's window.  Probe times are non-decreasing.
+
+    Every ONU's grants are solved in cycle chunks from a carried state, and
+    the tagged ONU's background is consumed chunk by chunk, so the leg holds
+    a few per-cycle and per-probe columns plus one chunk's temporaries.
     """
     cycle = config.dba_cycle_us
     n_onus = config.split_ratio
@@ -400,64 +479,80 @@ def _upstream_leg(config: PonConfig, load: LoadPoint, probe_times: np.ndarray,
 
     # ONUs granted before the tagged one only matter through their granted
     # bytes per cycle, which set the tagged window's offset in each cycle.
-    if preceding and per_onu_cycle_mean > 0.0:
-        preceding_arrivals = rng.poisson(
-            per_onu_cycle_mean, size=(preceding, n_cycles)
-        ).astype(float) * bg_bytes
-    else:
-        preceding_arrivals = np.zeros((0, n_cycles))
+    # Each ONU's arrivals are drawn in cycle chunks, in the row-major order of
+    # one (preceding, n_cycles) draw, and its grants are added in ONU order.
+    offset_bytes = np.zeros(n_cycles)
+    preceding_states = []
+    for _ in range(preceding if per_onu_cycle_mean > 0.0 else 0):
+        state = _GrantState()
+        for start in range(0, n_cycles, CHUNK_EVENTS):
+            size = min(CHUNK_EVENTS, n_cycles - start)
+            arrived = rng.poisson(per_onu_cycle_mean, size=size) * float(bg_bytes)
+            offset_bytes[start:start + size] += _gated_grants(arrived, cap, state)
+        preceding_states.append(state)
 
-    # Tagged ONU's own background needs exact arrival instants.
-    bg_times = np.concatenate([np.empty(0), *_background(rng, lam_onu, horizon)])
-    arrived = np.zeros(n_cycles)
-    if bg_times.size:
-        cycles_of = np.minimum((bg_times / cycle).astype(int), n_cycles - 1)
-        arrived = np.bincount(cycles_of, minlength=n_cycles).astype(float) * bg_bytes
+    # Tagged ONU's own background needs exact arrival instants: they are
+    # binned into per-cycle arrivals, and each probe counts the packets that
+    # arrived at or before it.
+    grants = np.zeros(n_cycles)                  # arrived packets, then granted bytes
+    ahead_bytes = np.empty(probe_times.size)
+    n_background = answered = 0
+    for chunk in _background(rng, lam_onu, horizon):
+        if not chunk.size:
+            continue
+        # Probes before this chunk's last arrival precede every later chunk.
+        stop = int(np.searchsorted(probe_times, chunk[-1], side="left"))
+        ahead_bytes[answered:stop] = n_background + np.searchsorted(
+            chunk, probe_times[answered:stop], side="right")
+        answered = stop
+        cycles_of = np.minimum((chunk / cycle).astype(int), n_cycles - 1)
+        first = int(cycles_of[0])
+        counts = np.bincount(cycles_of - first)
+        grants[first:first + counts.size] += counts
+        n_background += chunk.size
+    ahead_bytes[answered:] = n_background
+    ahead_bytes *= float(bg_bytes)
+    grants *= bg_bytes
 
-    bg_total = float(bg_times.size) * bg_bytes
-    grants = _gated_grants(arrived, cap)
-    cum_grants = np.cumsum(grants)
+    bg_total = float(n_background) * bg_bytes
+    tagged = _GrantState()
+    cum_grants = np.empty(n_cycles)
+    granted = _schedule(grants, cum_grants, cap, tagged, 0.0)
     # Extend with empty cycles until every queued byte has been granted, so
     # probe lookups never run off the end of the schedule.  No new arrivals
     # are drawn; traffic simply stops at the horizon and the queues drain.
-    while bg_total > 0 and cum_grants[-1] < bg_total:
-        extra = max(16, int(math.ceil((bg_total - cum_grants[-1]) / cap)) + 16)
+    while bg_total > 0 and granted < bg_total:
+        extra = max(16, int(math.ceil((bg_total - granted) / cap)) + 16)
+        more_grants, more_cum = np.zeros(extra), np.empty(extra)
+        granted = _schedule(more_grants, more_cum, cap, tagged, granted)
+        more_offset = np.zeros(extra)
+        for state in preceding_states:
+            more_offset += _gated_grants(np.zeros(extra), cap, state)
+        grants = np.concatenate((grants, more_grants))
+        cum_grants = np.concatenate((cum_grants, more_cum))
+        offset_bytes = np.concatenate((offset_bytes, more_offset))
         n_cycles += extra
-        arrived = np.concatenate([arrived, np.zeros(extra)])
-        preceding_arrivals = np.concatenate(
-            [preceding_arrivals, np.zeros((preceding_arrivals.shape[0], extra))], axis=1
-        )
-        grants = _gated_grants(arrived, cap)
-        cum_grants = np.cumsum(grants)
-
-    offset_bytes = np.zeros(n_cycles)
-    for row in preceding_arrivals:
-        offset_bytes += _gated_grants(row, cap)
 
     byte_rate_us = rate * 1e-6 / 8.0                      # bytes per us
-    window_start = cycle * np.arange(n_cycles) + offset_bytes / byte_rate_us
-    cum_before = cum_grants - grants
-
     report_cycle = (probe_times / cycle).astype(int) + 1
-    ahead_bytes = np.searchsorted(bg_times, probe_times, side="right") * float(bg_bytes)
-    drained_at = np.searchsorted(cum_grants, ahead_bytes, side="left")
-    grant_cycle = np.maximum(drained_at, report_cycle)
+    grant_cycle = np.searchsorted(cum_grants, ahead_bytes, side="left")
+    np.maximum(grant_cycle, report_cycle, out=grant_cycle)
     if np.any(grant_cycle >= n_cycles):
         raise ResourceLimitError("grant schedule shorter than probe horizon")
-    position = np.maximum(0.0, ahead_bytes - cum_before[grant_cycle])
-    tx_start = window_start[grant_cycle] + position / byte_rate_us
-
-    dba_wait = report_cycle * cycle - probe_times
-    queueing = tx_start - report_cycle * cycle
+    # The window start and the bytes granted before it, at the grant cycles.
+    cum_before = cum_grants[grant_cycle] - grants[grant_cycle]
+    window_start = cycle * grant_cycle + offset_bytes[grant_cycle] / byte_rate_us
+    position = np.maximum(0.0, ahead_bytes - cum_before)
+    report_at = report_cycle * cycle
 
     return {
-        "queueing": queueing,
-        "dba_wait": dba_wait,
+        "queueing": window_start + position / byte_rate_us - report_at,
+        "dba_wait": report_at - probe_times,
         "transmission": transmission_time(config.packet_bytes, rate),
         "stats": {
             "utilization": load.rho,
             "mean_service_us": transmission_time(bg_bytes, rate),
-            "n_background": int(bg_times.size),
+            "n_background": n_background,
         },
     }
 

@@ -90,6 +90,21 @@ class TestCli:
         assert code == 1
         assert "span_mk" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value", [
+        ("window", "0"), ("total_machines", "0"), ("local_ais", "0"),
+        ("profiling_samples", "0"), ("add_every", "0"), ("quant_bands", "0"),
+        ("quant_bands", "1"), ("texture_freq_max_hz", "0"), ("match_threshold", "1.5"),
+        ("additions", "-1"), ("epsilon", "0"), ("onboarding_alpha", "1.5"),
+        ("accuracy_target", "0"), ("alpha_grid", "0.5, 1.2"), ("alpha_grid", ""),
+        ("machines_grid", ""), ("machines_grid", "0, 2"),
+    ])
+    def test_invalid_glad_value_exits_one(self, tmp_path, capsys, key, value):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"[glad]\n{key} = {value}\n")
+        code = main(["onboarding", "--config", str(bad), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert key in capsys.readouterr().err
+
     def test_latency_sweep_end_to_end(self, config_file, tmp_path, capsys):
         out_dir = tmp_path / "report"
         code = main(["latency-sweep", "--config", str(config_file),

@@ -1,5 +1,6 @@
 """Tests for the XG-PON latency model: DES engines, Kingman, round trips."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -157,6 +158,25 @@ class TestGatedGrants:
         scale = sum(arrived) + cap * len(arrived)
         np.testing.assert_allclose(grants, expected, rtol=0.0, atol=1e-12 * scale)
 
+    @given(arrived=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e4)), min_size=1, max_size=60),
+           cap=st.floats(1.0, 5e3), cut=st.integers(0, 60))
+    def test_continuing_from_carried_state_is_bit_identical(self, arrived, cap, cut):
+        arrived = np.array(arrived)
+        whole = pon._gated_grants(arrived, cap)
+        assert np.array_equal(whole, _whole_array_grants(arrived, cap))
+        state = pon._GrantState()
+        first = pon._gated_grants(arrived[:cut], cap, state)
+        rest = pon._gated_grants(arrived[cut:], cap, state)
+        assert np.array_equal(np.concatenate((first, rest)), whole)
+
+
+def _whole_array_grants(arrived, cap):
+    """The gated grant recursion solved by one reflection over every cycle."""
+    prev_arrivals = np.concatenate(([0.0], arrived[:-1]))
+    u = np.concatenate(([0.0], np.cumsum(prev_arrivals - cap)))
+    s = u - np.minimum.accumulate(u)
+    return np.minimum(s[:arrived.size] + prev_arrivals, cap)
+
 
 def _whole_array_arrivals(rng, rate_per_us, horizon_us):
     """The background drawn whole: n_est gaps, then extensions of n_est // 10."""
@@ -184,6 +204,62 @@ def _whole_array_downstream(config, load, probe_times, rng):
     queueing = np.where(
         idx >= 0, np.maximum(0.0, departures[np.clip(idx, 0, None)] - probe_times), 0.0)
     return queueing, times, waits
+
+
+def _whole_array_upstream(config, load, probe_times, rng):
+    """Reference upstream leg: every ONU's arrivals and grants held for all cycles.
+
+    Returns the queueing and DBA wait columns, the tagged ONU's background
+    instants and the number of empty cycles added to drain its queue.
+    """
+    cycle = config.dba_cycle_us
+    rate = config.upstream_rate_bps
+    bg_bytes = config.background_packet_bytes
+    cap = rate * cycle * 1e-6 / 8.0 / config.split_ratio
+    preceding = config.split_ratio // 2
+    horizon = float(probe_times[-1])
+    n_cycles = int(math.ceil(horizon / cycle)) + 8
+    lam_onu = load.rho * rate / (bg_bytes * 8.0) * 1e-6 / config.split_ratio
+    per_onu_cycle_mean = lam_onu * cycle
+
+    if preceding and per_onu_cycle_mean > 0.0:
+        preceding_arrivals = rng.poisson(
+            per_onu_cycle_mean, size=(preceding, n_cycles)).astype(float) * bg_bytes
+    else:
+        preceding_arrivals = np.zeros((0, n_cycles))
+    bg_times = _whole_array_arrivals(rng, lam_onu, horizon) if lam_onu > 0.0 else np.empty(0)
+    arrived = np.zeros(n_cycles)
+    if bg_times.size:
+        cycles_of = np.minimum((bg_times / cycle).astype(int), n_cycles - 1)
+        arrived = np.bincount(cycles_of, minlength=n_cycles).astype(float) * bg_bytes
+
+    bg_total = float(bg_times.size) * bg_bytes
+    grants = _whole_array_grants(arrived, cap)
+    cum_grants = np.cumsum(grants)
+    extended = 0
+    while bg_total > 0 and cum_grants[-1] < bg_total:
+        extra = max(16, int(math.ceil((bg_total - cum_grants[-1]) / cap)) + 16)
+        extended += extra
+        arrived = np.concatenate([arrived, np.zeros(extra)])
+        preceding_arrivals = np.concatenate(
+            [preceding_arrivals, np.zeros((preceding_arrivals.shape[0], extra))], axis=1)
+        grants = _whole_array_grants(arrived, cap)
+        cum_grants = np.cumsum(grants)
+    offset_bytes = np.zeros(arrived.size)
+    for row in preceding_arrivals:
+        offset_bytes += _whole_array_grants(row, cap)
+
+    byte_rate_us = rate * 1e-6 / 8.0
+    window_start = cycle * np.arange(arrived.size) + offset_bytes / byte_rate_us
+    cum_before = cum_grants - grants
+    report_cycle = (probe_times / cycle).astype(int) + 1
+    ahead_bytes = np.searchsorted(bg_times, probe_times, side="right") * float(bg_bytes)
+    drained_at = np.searchsorted(cum_grants, ahead_bytes, side="left")
+    grant_cycle = np.maximum(drained_at, report_cycle)
+    position = np.maximum(0.0, ahead_bytes - cum_before[grant_cycle])
+    tx_start = window_start[grant_cycle] + position / byte_rate_us
+    return (tx_start - report_cycle * cycle, report_cycle * cycle - probe_times,
+            bg_times, extended)
 
 
 class _HalfGaps:
@@ -253,8 +329,50 @@ class TestStreamedBackground:
         finally:
             tracemalloc.stop()
         # A whole-array leg holds several arrays of ~0.9 events per us of horizon:
-        # about 200 MiB at 5k loops and 800 MiB at 20k.
-        assert peak < 64 * 2**20
+        # about 200 MiB at 5k loops and 800 MiB at 20k.  The streamed leg peaks
+        # at 12.7 MiB; fresh chunk temporaries (the concatenated arrivals and
+        # the filled services) took it to 18.5 MiB.
+        assert peak < 16 * 2**20
+
+
+class TestStreamedUpstream:
+    # Per rho, a seed; at rho 0.9 the tagged ONU's queue outlasts the eight
+    # spare cycles, so the schedule is extended with empty cycles.
+    SEEDS = {0.0: 11, 0.5: 11, 0.9: 203}
+
+    @pytest.mark.parametrize("chunk", [1, 7, 1000, pon.CHUNK_EVENTS])
+    @pytest.mark.parametrize("rho", [0.0, 0.5, 0.9])
+    def test_upstream_leg_matches_whole_array(self, monkeypatch, chunk, rho):
+        cfg, load, seed = PonConfig(), LoadPoint(rho), self.SEEDS[rho]
+        probes = np.linspace(0.0, 2000.0, 201)
+        _, _, times, _ = _whole_array_upstream(cfg, load, probes, pon._spawn_rngs(seed, 1)[0])
+        # Probes on every cycle boundary and every background arrival instant,
+        # chunk cuts included; the last probe, and so the draw, stays.
+        probes = np.sort(np.concatenate((probes, np.arange(0.0, 2000.0, cfg.dba_cycle_us), times)))
+        queueing, dba_wait, times, extended = _whole_array_upstream(
+            cfg, load, probes, pon._spawn_rngs(seed, 1)[0])
+        assert (extended > 0) == (rho == 0.9)
+
+        monkeypatch.setattr(pon, "CHUNK_EVENTS", chunk)
+        leg = pon._upstream_leg(cfg, load, probes, pon._spawn_rngs(seed, 1)[0])
+        assert np.array_equal(leg["queueing"], queueing)
+        assert np.array_equal(leg["dba_wait"], dba_wait)
+        assert leg["stats"]["n_background"] == times.size
+
+    @pytest.mark.parametrize("n_loops", [30_000, 100_000])
+    def test_upstream_memory_is_flat_in_loops(self, n_loops):
+        probes = generate_stream(CONTROL_TRAFFIC_DEFAULT, n_loops * 1000.0, 3).timestamps
+        tracemalloc.start()
+        try:
+            pon._upstream_leg(PonConfig(), LoadPoint(0.9), probes, pon._spawn_rngs(3, 1)[0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Holding every ONU's draws and grants for all cycles took 37.6 MiB at
+        # 30k loops and 125.8 MiB at 100k.  Streamed, the leg holds one cycle
+        # chunk's temporaries plus three per-cycle columns (6.1 MiB each at
+        # 100k loops): 16.3 and 27.6 MiB.
+        assert peak < {30_000: 20, 100_000: 34}[n_loops] * 2**20
 
 
 class TestSimulatePon:
