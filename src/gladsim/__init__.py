@@ -13,6 +13,7 @@ Subpackages map to the testbed's concerns:
 __version__ = "0.1.0"
 
 from .coordination import (
+    GladParams,
     GlobalRegistry,
     MatchingPolicy,
     OnboardResult,
@@ -35,7 +36,6 @@ from .errors import (
     SaturationError,
 )
 from .experiments import (
-    GladParams,
     Report,
     ScenarioConfig,
     export_report,

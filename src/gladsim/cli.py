@@ -31,11 +31,18 @@ from .experiments import (
     run_latency_sweep,
     run_onboarding_study,
 )
-from .traffic import fit_gpd, ks_test
+from .traffic import MAX_SIGNIFICANCE, fit_gpd, ks_test
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_RUNTIME = 2
+
+
+def _significance(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value <= MAX_SIGNIFICANCE:
+        raise argparse.ArgumentTypeError(f"must lie in (0, {MAX_SIGNIFICANCE}], got {text}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -59,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     fit = sub.add_parser("traffic-fit", help="fit a GPD to a CSV of inter-arrival times")
     fit.add_argument("--input", required=True, help="CSV with one inter-arrival (us) per row")
-    fit.add_argument("--significance", type=float, default=0.05,
+    fit.add_argument("--significance", type=_significance, default=0.05,
                      help="KS significance level (default 0.05)")
 
     val = sub.add_parser("validate", help="run the fast invariant suite")

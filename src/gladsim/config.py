@@ -29,10 +29,11 @@ import configparser
 from dataclasses import replace
 from pathlib import Path
 
+from .coordination import GladParams
 from .errors import ConfigError
-from .experiments import GladParams, ScenarioConfig
+from .experiments import ScenarioConfig
 from .pon import PonConfig
-from .traffic import GpdParams
+from .traffic import CONTROL_TRAFFIC_DEFAULT
 
 __all__ = ["load_scenario", "default_scenario_text"]
 
@@ -142,8 +143,8 @@ def load_scenario(path) -> ScenarioConfig:
 
     try:
         pon_cfg = replace(PonConfig(), **_collect(parser, "pon"))
-        control = replace(GpdParams(0.1, 900.0, 0.0), **_collect(parser, "traffic.control"))
-        haptic_p = replace(GpdParams(0.1, 900.0, 0.0), **_collect(parser, "traffic.haptic"))
+        control = replace(CONTROL_TRAFFIC_DEFAULT, **_collect(parser, "traffic.control"))
+        haptic_p = replace(CONTROL_TRAFFIC_DEFAULT, **_collect(parser, "traffic.haptic"))
         glad = replace(GladParams(), **_collect(parser, "glad"))
         grid = _collect(parser, "grid")
         return ScenarioConfig(
@@ -164,8 +165,8 @@ def default_scenario_text() -> str:
     lines = ["# gladsim scenario file; every key is optional and overrides a default\n"]
     defaults = {
         "pon": PonConfig(),
-        "traffic.control": GpdParams(0.1, 900.0, 0.0),
-        "traffic.haptic": GpdParams(0.1, 900.0, 0.0),
+        "traffic.control": CONTROL_TRAFFIC_DEFAULT,
+        "traffic.haptic": CONTROL_TRAFFIC_DEFAULT,
         "grid": ScenarioConfig(),
         "glad": GladParams(),
     }

@@ -14,23 +14,21 @@ registry: its result carries the trained estimate, which the caller uploads.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
+    ConfigError,
     InsufficientDataError,
     NotReadyError,
     ParameterError,
 )
 from .haptic import (
     N_FINGERS,
-    HapticSample,
     HapticTrace,
     ObjectKind,
     ObjectProfile,
-    _amplitude_matrix,
     _forecast,
     profiling_trace,
     run_forecaster,
@@ -38,6 +36,7 @@ from .haptic import (
 
 __all__ = [
     "Descriptor",
+    "GladParams",
     "MatchingPolicy",
     "ProfileRecord",
     "GlobalRegistry",
@@ -57,21 +56,24 @@ Descriptor = tuple[str, int, int]
 COLD = "cold"
 GLAD = "glad"
 
-DEFAULT_ONBOARDING_ALPHA = 0.0055
-DEFAULT_ACCURACY_TARGET = 0.95
-DEFAULT_WINDOW = 200
-DEFAULT_EPSILON = 0.05
-DEFAULT_MIN_UPLOAD_UPDATES = 200
-DEFAULT_PROFILING_SAMPLES = 4000
+# Fewest profiling samples a machine is onboarded from.
+MIN_ONBOARDING_SAMPLES = 500
+
+# Profile pool levels, >= 3 quantization bands apart.  Stiffness stays well
+# above the forecast tolerance so cold starts are never trivially converged.
+_POOL_KINDS = (ObjectKind.RUBBER_BALL, ObjectKind.WOODEN_CUBE, ObjectKind.CIRCULAR_CUBE)
+_POOL_STIFFNESS = (0.95, 0.65, 0.35)           # bands 9, 6, 3
+_POOL_TEXTURE_HZ = (10.0, 85.0, 160.0, 235.0)  # bands 0, 3, 6, 9
+POOL_CAPACITY = len(_POOL_KINDS) * len(_POOL_STIFFNESS) * len(_POOL_TEXTURE_HZ)
 
 
 @dataclass(frozen=True)
 class MatchingPolicy:
     """Quantization and acceptance rules for descriptor matching."""
 
-    bands: int = 10
-    texture_freq_max_hz: float = 250.0
-    threshold: float = 0.8
+    bands: int
+    texture_freq_max_hz: float
+    threshold: float
 
     def __post_init__(self):
         if self.bands < 2:
@@ -82,7 +84,65 @@ class MatchingPolicy:
             raise ParameterError(f"threshold must lie in (0, 1], got {self.threshold}")
 
 
-DEFAULT_POLICY = MatchingPolicy()
+@dataclass(frozen=True)
+class GladParams:
+    """Learning-side knobs of the onboarding and forecasting studies.
+
+    The one home of their defaults and ranges: a value accepted here is one
+    the study runners accept, so a bad scenario fails at load.
+    """
+
+    accuracy_target: float = 0.95
+    window: int = 200
+    epsilon: float = 0.05
+    onboarding_alpha: float = 0.0055
+    alpha_grid: tuple[float, ...] = tuple(round(0.05 * k, 2) for k in range(1, 21))
+    kind_pool_size: int = 1
+    total_machines: int = 8
+    local_ais: int = 2
+    profiling_samples: int = 4000
+    min_updates_for_upload: int = 200
+    match_threshold: float = 0.8
+    quant_bands: int = 10
+    texture_freq_max_hz: float = 250.0
+    add_every: int = 600
+    additions: int = 3
+    machines_grid: tuple[int, ...] = (1, 2, 4, 8)
+
+    def __post_init__(self):
+        minimums = {"window": 1, "total_machines": 2, "local_ais": 1, "add_every": 1,
+                    "additions": 0, "profiling_samples": MIN_ONBOARDING_SAMPLES}
+        for name, low in minimums.items():
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        if not 1 <= self.kind_pool_size <= POOL_CAPACITY:
+            raise ConfigError(f"kind_pool_size must lie in [1, {POOL_CAPACITY}], "
+                              f"got {self.kind_pool_size}")
+        if not self.epsilon > 0:
+            raise ConfigError(f"epsilon must be > 0, got {self.epsilon}")
+        if not 0.0 < self.onboarding_alpha <= 1.0:
+            raise ConfigError(f"onboarding_alpha must lie in (0, 1], got {self.onboarding_alpha}")
+        if not 0.0 < self.accuracy_target < 1.0:
+            raise ConfigError(f"accuracy_target must lie in (0, 1), got {self.accuracy_target}")
+        if not self.alpha_grid or not all(0.0 < a <= 1.0 for a in self.alpha_grid):
+            raise ConfigError(f"alpha_grid must be nonempty in (0, 1], got {self.alpha_grid}")
+        if not self.machines_grid or min(self.machines_grid) < 1:
+            raise ConfigError(f"machines_grid must be nonempty and >= 1, got {self.machines_grid}")
+        try:
+            self.policy()
+        except ParameterError as exc:
+            raise ConfigError(
+                f"quant_bands, texture_freq_max_hz or match_threshold: {exc}") from exc
+
+    def policy(self) -> MatchingPolicy:
+        return MatchingPolicy(
+            bands=self.quant_bands,
+            texture_freq_max_hz=self.texture_freq_max_hz,
+            threshold=self.match_threshold,
+        )
+
+
+DEFAULT_POLICY = GladParams().policy()
 
 
 def descriptor_of(profile: ObjectProfile,
@@ -205,7 +265,7 @@ class OnboardResult:
 
 def upload_profile(registry: GlobalRegistry, profile: ObjectProfile,
                    result: OnboardResult, *, source: str,
-                   min_updates: int = DEFAULT_MIN_UPLOAD_UPDATES,
+                   min_updates: int = GladParams.min_updates_for_upload,
                    policy: MatchingPolicy = DEFAULT_POLICY) -> int:
     """Publish one machine's trained profile; returns the new registry version.
 
@@ -261,29 +321,27 @@ def iterations_to_target(hits: np.ndarray, target: float, window: int) -> tuple[
 
 def onboard_machine(profile: ObjectProfile, registry: GlobalRegistry, mode: str,
                     accuracy_target: float,
-                    trace: HapticTrace | Sequence[HapticSample], *,
-                    alpha: float = DEFAULT_ONBOARDING_ALPHA,
-                    epsilon: float = DEFAULT_EPSILON,
-                    window: int = DEFAULT_WINDOW,
+                    trace: HapticTrace, *,
+                    alpha: float = GladParams.onboarding_alpha,
+                    epsilon: float = GladParams.epsilon,
+                    window: int = GladParams.window,
                     policy: MatchingPolicy = DEFAULT_POLICY) -> OnboardResult:
     """Train a new machine's forecaster over `trace` and record convergence.
 
-    `trace` is a `HapticTrace` or any sequence of `HapticSample`s.  Cold
-    mode starts from a zero estimate; glad mode warm-starts from the best
-    matching global profile and falls back to cold when none matches.
+    Cold mode starts from a zero estimate; glad mode warm-starts from the
+    best matching global profile and falls back to cold when none matches.
     """
     if mode not in (COLD, GLAD):
         raise ParameterError(f"mode must be '{COLD}' or '{GLAD}', got {mode!r}")
-    if len(trace) < 500:
+    if len(trace) < MIN_ONBOARDING_SAMPLES:
         raise InsufficientDataError(
-            f"onboarding needs >= 500 touch samples, got {len(trace)}"
+            f"onboarding needs >= {MIN_ONBOARDING_SAMPLES} touch samples, got {len(trace)}"
         )
 
     initial, match_sim = _warm_start(registry, profile, mode, policy)
-    x = _amplitude_matrix(trace)
-    hits = run_forecaster(x, alpha, epsilon, initial_estimate=initial)
+    hits = run_forecaster(trace, alpha, epsilon, initial_estimate=initial)
     iterations, converged = iterations_to_target(hits, accuracy_target, window)
-    _, estimate = _forecast(x, alpha, epsilon, initial)
+    _, estimate = _forecast(trace.amplitude, alpha, epsilon, initial)
     return OnboardResult(
         mode=mode,
         iterations=iterations,
@@ -307,21 +365,14 @@ def make_profile_pool(size: int) -> list[ObjectProfile]:
     Kinds and quantization bands are spread so any two pool entries fall
     below the default matching threshold.
     """
-    if size < 1:
-        raise ParameterError(f"pool size must be >= 1, got {size}")
-    kinds = (ObjectKind.RUBBER_BALL, ObjectKind.WOODEN_CUBE, ObjectKind.CIRCULAR_CUBE)
-    # Stiffness stays well above the forecast tolerance so cold starts are
-    # never trivially converged; levels sit >= 3 quantization bands apart.
-    stiffness_levels = (0.95, 0.65, 0.35)           # bands 9, 6, 3
-    texture_levels = (10.0, 85.0, 160.0, 235.0)     # bands 0, 3, 6, 9
-    capacity = len(kinds) * len(stiffness_levels) * len(texture_levels)
-    if size > capacity:
-        raise ParameterError(f"pool size must be <= {capacity}, got {size}")
+    if not 1 <= size <= POOL_CAPACITY:
+        raise ParameterError(f"pool size must lie in [1, {POOL_CAPACITY}], got {size}")
+    kinds, stiffness, texture = _POOL_KINDS, _POOL_STIFFNESS, _POOL_TEXTURE_HZ
     pool = []
     for i in range(size):
         kind = kinds[i % len(kinds)]
-        s = stiffness_levels[(i // len(kinds)) % len(stiffness_levels)]
-        t = texture_levels[(i // (len(kinds) * len(stiffness_levels))) % len(texture_levels)]
+        s = stiffness[(i // len(kinds)) % len(stiffness)]
+        t = texture[(i // (len(kinds) * len(stiffness))) % len(texture)]
         pool.append(ObjectProfile(
             object_id=f"pool-{i}",
             kind=kind,
@@ -333,46 +384,34 @@ def make_profile_pool(size: int) -> list[ObjectProfile]:
     return pool
 
 
-def run_savings_sweep(total_machines: int, kind_pool_size: int, seed: int, *,
-                      local_ais: int = 2,
-                      trace_samples: int = DEFAULT_PROFILING_SAMPLES,
-                      accuracy_target: float = DEFAULT_ACCURACY_TARGET,
-                      window: int = DEFAULT_WINDOW,
-                      alpha: float = DEFAULT_ONBOARDING_ALPHA,
-                      epsilon: float = DEFAULT_EPSILON,
-                      min_updates: int = DEFAULT_MIN_UPLOAD_UPDATES,
-                      policy: MatchingPolicy = DEFAULT_POLICY
-                      ) -> list[tuple[int, float]]:
+def run_savings_sweep(glad: GladParams, seed: int) -> list[tuple[int, float]]:
     """Sequential onboarding study: mean training time saved vs machines present.
 
     Machines draw objects from a finite profile pool and are onboarded one at
     a time, round-robin across the Local AIs.  Each onboarding runs both modes
     on the same trace, uploads the glad machine's profile (`NotReadyError`
-    when `trace_samples < min_updates`) and re-aggregates the registry.
-    Returns the running mean of saved_pct after each machine.
+    when `profiling_samples < min_updates_for_upload`) and re-aggregates the
+    registry.  Returns the running mean of saved_pct after each machine.
     """
-    if total_machines < 2:
-        raise ParameterError(f"total_machines must be >= 2, got {total_machines}")
-    if local_ais < 1:
-        raise ParameterError(f"local_ais must be >= 1, got {local_ais}")
-    pool = make_profile_pool(kind_pool_size)
+    pool = make_profile_pool(glad.kind_pool_size)
+    policy = glad.policy()
     registry = GlobalRegistry()
-    seeds = np.random.SeedSequence(seed).generate_state(total_machines)
+    seeds = np.random.SeedSequence(seed).generate_state(glad.total_machines)
 
     saved: list[float] = []
     curve: list[tuple[int, float]] = []
-    for m in range(total_machines):
-        profile = pool[m % kind_pool_size]
-        trace = profiling_trace(profile, trace_samples, int(seeds[m]))
+    for m in range(glad.total_machines):
+        profile = pool[m % glad.kind_pool_size]
+        trace = profiling_trace(profile, glad.profiling_samples, int(seeds[m]))
 
-        cold = onboard_machine(profile, registry, COLD, accuracy_target, trace,
-                               alpha=alpha, epsilon=epsilon, window=window, policy=policy)
-        warm = onboard_machine(profile, registry, GLAD, accuracy_target, trace,
-                               alpha=alpha, epsilon=epsilon, window=window, policy=policy)
+        cold, warm = [onboard_machine(profile, registry, mode, glad.accuracy_target, trace,
+                                      alpha=glad.onboarding_alpha, epsilon=glad.epsilon,
+                                      window=glad.window, policy=policy)
+                      for mode in (COLD, GLAD)]
         saved.append(training_time_saved(cold.iterations, warm.iterations))
 
-        upload_profile(registry, profile, warm, source=f"co-{m % local_ais}",
-                       min_updates=min_updates, policy=policy)
+        upload_profile(registry, profile, warm, source=f"co-{m % glad.local_ais}",
+                       min_updates=glad.min_updates_for_upload, policy=policy)
         registry.aggregate()
         curve.append((m + 1, float(np.mean(saved))))
     return curve

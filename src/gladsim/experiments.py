@@ -22,8 +22,9 @@ from pathlib import Path
 import numpy as np
 
 from . import coordination, haptic, pon
+from .coordination import GladParams
 from .errors import ConfigError, ParameterError, SaturationError
-from .traffic import GpdParams
+from .traffic import CONTROL_TRAFFIC_DEFAULT, GpdParams
 
 __all__ = [
     "GladParams",
@@ -44,55 +45,6 @@ WITH_AI = "with_ai"
 
 
 @dataclass(frozen=True)
-class GladParams:
-    """Learning-side knobs of the onboarding and forecasting studies."""
-
-    accuracy_target: float = 0.95
-    window: int = 200
-    epsilon: float = 0.05
-    onboarding_alpha: float = coordination.DEFAULT_ONBOARDING_ALPHA
-    alpha_grid: tuple[float, ...] = tuple(round(0.05 * k, 2) for k in range(1, 21))
-    kind_pool_size: int = 1
-    total_machines: int = 8
-    local_ais: int = 2
-    profiling_samples: int = 4000
-    min_updates_for_upload: int = 200
-    match_threshold: float = 0.8
-    quant_bands: int = 10
-    texture_freq_max_hz: float = 250.0
-    add_every: int = 600
-    additions: int = 3
-    machines_grid: tuple[int, ...] = (1, 2, 4, 8)
-
-    def __post_init__(self):
-        for name in ("window", "total_machines", "local_ais", "profiling_samples", "add_every"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.additions < 0:
-            raise ConfigError(f"additions must be >= 0, got {self.additions}")
-        if not self.epsilon > 0:
-            raise ConfigError(f"epsilon must be > 0, got {self.epsilon}")
-        for name in ("onboarding_alpha", "accuracy_target"):
-            if not 0.0 < getattr(self, name) <= 1.0:
-                raise ConfigError(f"{name} must lie in (0, 1], got {getattr(self, name)}")
-        if not self.alpha_grid or not all(0.0 < a <= 1.0 for a in self.alpha_grid):
-            raise ConfigError(f"alpha_grid must be nonempty in (0, 1], got {self.alpha_grid}")
-        if not self.machines_grid or min(self.machines_grid) < 1:
-            raise ConfigError(f"machines_grid must be nonempty and >= 1, got {self.machines_grid}")
-        try:
-            self.policy()
-        except ParameterError as exc:
-            raise ConfigError(f"quant_bands, texture_freq_max_hz or match_threshold: {exc}") from exc
-
-    def policy(self) -> coordination.MatchingPolicy:
-        return coordination.MatchingPolicy(
-            bands=self.quant_bands,
-            texture_freq_max_hz=self.texture_freq_max_hz,
-            threshold=self.match_threshold,
-        )
-
-
-@dataclass(frozen=True)
 class ScenarioConfig:
     """Everything a runner needs; hashes into the report provenance."""
 
@@ -100,25 +52,25 @@ class ScenarioConfig:
     load_grid: tuple[float, ...] = tuple(round(0.1 * k, 1) for k in range(1, 10))
     span_grid_km: tuple[float, ...] = (5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0)
     seeds: tuple[int, ...] = tuple(range(1, 11))
-    control_traffic: GpdParams = field(default_factory=lambda: GpdParams(0.1, 900.0, 0.0))
-    haptic_traffic: GpdParams = field(default_factory=lambda: GpdParams(0.1, 900.0, 0.0))
+    control_traffic: GpdParams = CONTROL_TRAFFIC_DEFAULT
+    haptic_traffic: GpdParams = CONTROL_TRAFFIC_DEFAULT
     glad: GladParams = field(default_factory=GladParams)
     n_loops: int = 10_000
     deadline_us: float = 1000.0
 
     def __post_init__(self):
-        if not self.load_grid:
-            raise ConfigError("load_grid must be nonempty")
-        if not self.span_grid_km:
-            raise ConfigError("span_grid_km must be nonempty")
-        if not self.seeds:
-            raise ConfigError("seeds must be nonempty")
-        for rho in self.load_grid:
-            if rho < 0:
-                raise ConfigError(f"load {rho} is negative")
-        for span in self.span_grid_km:
-            if span < 0:
-                raise ConfigError(f"span {span} is negative")
+        for name in ("load_grid", "span_grid_km", "seeds"):
+            values = getattr(self, name)
+            if not values:
+                raise ConfigError(f"{name} must be nonempty")
+            if min(values) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {values}")
+            if len(set(values)) != len(values):
+                raise ConfigError(f"{name} must not repeat a value, got {values}")
+        shape = self.control_traffic.shape
+        if shape >= 1.0:
+            # The mean inter-arrival, which sets the sweep's horizon, is undefined.
+            raise ConfigError(f"control_traffic shape must be < 1, got {shape}")
         if self.n_loops < 10:
             raise ConfigError(f"n_loops must be >= 10, got {self.n_loops}")
         if self.deadline_us <= 0:
@@ -384,17 +336,7 @@ def run_onboarding_study(config: ScenarioConfig) -> Report:
     for mode in (coordination.COLD, coordination.GLAD):
         accuracy_rows.extend(_accuracy_decay_curve(config, mode, seed))
 
-    savings_curve = coordination.run_savings_sweep(
-        config.glad.total_machines, config.glad.kind_pool_size, seed,
-        local_ais=config.glad.local_ais,
-        trace_samples=config.glad.profiling_samples,
-        accuracy_target=config.glad.accuracy_target,
-        window=config.glad.window,
-        alpha=config.glad.onboarding_alpha,
-        epsilon=config.glad.epsilon,
-        min_updates=config.glad.min_updates_for_upload,
-        policy=config.glad.policy(),
-    )
+    savings_curve = coordination.run_savings_sweep(config.glad, seed)
 
     alpha_rows = _alpha_study(config, seed)
 

@@ -442,13 +442,13 @@ def _forecast(x: np.ndarray, alpha: float, epsilon: float,
     return _hits(y[:-1], x, epsilon), y[-1]
 
 
-def run_forecaster(trace, alpha: float, epsilon: float,
+def run_forecaster(trace: HapticTrace, alpha: float, epsilon: float,
                    initial_estimate=None) -> np.ndarray:
     """Forecast-then-update over a haptic trace; returns the per-step hit flags.
 
-    `trace` is samples or an (n, 5) amplitude matrix.  A step is a hit when the
-    max-norm error of its forecast (the current estimate) is at most `epsilon`.
-    The estimate starts at `initial_estimate` (zeros by default).
+    A step is a hit when the max-norm error of its forecast (the current
+    estimate) is at most `epsilon`.  The estimate starts at
+    `initial_estimate` (zeros by default).
     """
     if epsilon <= 0:
         raise ParameterError(f"epsilon must be > 0, got {epsilon}")
@@ -456,22 +456,13 @@ def run_forecaster(trace, alpha: float, epsilon: float,
         raise ParameterError(f"alpha must lie in (0, 1], got {alpha}")
     initial = (np.zeros(N_FINGERS) if initial_estimate is None
                else _vector(initial_estimate, N_FINGERS, "initial_estimate"))
-    hits, _ = _forecast(_amplitude_matrix(trace), alpha, epsilon, initial)
+    hits, _ = _forecast(trace.amplitude, alpha, epsilon, initial)
     return hits
 
 
-def _amplitude_matrix(samples) -> np.ndarray:
-    if isinstance(samples, HapticTrace):
-        return samples.amplitude
-    if isinstance(samples, np.ndarray):
-        arr = np.asarray(samples, dtype=float)
-        return arr.reshape(arr.shape[0], -1)
-    return np.array([s.amplitude for s in samples], dtype=float).reshape(-1, N_FINGERS)
-
-
-def estimate_tau(haptic_trace) -> float:
+def estimate_tau(haptic_trace: HapticTrace) -> float:
     """Lag-1 Pearson autocorrelation of the mean-amplitude sequence."""
-    x = _amplitude_matrix(haptic_trace).mean(axis=1)
+    x = haptic_trace.amplitude.mean(axis=1)
     if x.size < 3:
         raise InsufficientDataError(f"need >= 3 samples, got {x.size}")
     if np.ptp(x) == 0.0:
@@ -480,7 +471,7 @@ def estimate_tau(haptic_trace) -> float:
     return float(np.clip(r, -1.0, 1.0))
 
 
-def optimize_alpha(trace, alpha_grid, epsilon: float = 0.05) -> float:
+def optimize_alpha(trace: HapticTrace, alpha_grid, epsilon: float = 0.05) -> float:
     """Grid value maximizing the final cumulative forecast accuracy.
 
     Each candidate runs a fresh zero-initialized forecaster over the trace.
@@ -493,10 +484,9 @@ def optimize_alpha(trace, alpha_grid, epsilon: float = 0.05) -> float:
         raise ParameterError("alpha_grid values must lie in (0, 1]")
     if len(trace) < 100:
         raise InsufficientDataError(f"need >= 100 touch samples, got {len(trace)}")
-    x = _amplitude_matrix(trace)
     best_alpha, best_acc = grid[0], -1.0
     for alpha in grid:
-        acc = float(run_forecaster(x, alpha, epsilon).mean())
+        acc = float(run_forecaster(trace, alpha, epsilon).mean())
         if acc > best_acc:
             best_alpha, best_acc = alpha, acc
     return best_alpha

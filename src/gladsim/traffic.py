@@ -65,6 +65,9 @@ class GpdParams:
 # stand-ins, not measured constants.
 CONTROL_TRAFFIC_DEFAULT = GpdParams(shape=0.1, scale=900.0, location=0.0)
 
+# Largest significance level `ks_test` accepts.
+MAX_SIGNIFICANCE = 0.5
+
 
 def sample_gpd(params: GpdParams, uniform):
     """Inverse-CDF transform of `uniform` in [0, 1) under `params`.
@@ -217,8 +220,9 @@ def ks_test(inter_arrivals, params: GpdParams, significance: float) -> tuple[flo
     were fitted from the same data the test is conservative; that bias is
     accepted and documented.
     """
-    if not (0.0 < significance <= 0.5):
-        raise ParameterError(f"significance must lie in (0, 0.5], got {significance}")
+    if not (0.0 < significance <= MAX_SIGNIFICANCE):
+        raise ParameterError(
+            f"significance must lie in (0, {MAX_SIGNIFICANCE}], got {significance}")
     x = np.sort(np.asarray(inter_arrivals, dtype=float).ravel())
     n = x.size
     if n < MIN_FIT_SAMPLES:

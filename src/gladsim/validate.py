@@ -27,7 +27,7 @@ def _check_gpd_sampler() -> None:
 
 
 def _check_stream_determinism() -> None:
-    p = traffic.GpdParams(0.1, 900.0, 0.0)
+    p = traffic.CONTROL_TRAFFIC_DEFAULT
     a = traffic.generate_stream(p, 1e5, 13)
     b = traffic.generate_stream(p, 1e5, 13)
     assert np.array_equal(a.timestamps, b.timestamps), "stream not reproducible"
@@ -43,7 +43,7 @@ def _check_fit_round_trip() -> None:
 
 
 def _check_ks_self() -> None:
-    p = traffic.GpdParams(0.1, 900.0, 0.0)
+    p = traffic.CONTROL_TRAFFIC_DEFAULT
     passes = 0
     for seed in range(20):
         stream = traffic.generate_stream(p, 3e6, seed)

@@ -171,7 +171,7 @@ def test_criterion_7_training_time_saved_calibration():
         mean_saved = float(np.mean(saved))
         assert 62.0 <= mean_saved <= 82.0, f"mean saved {mean_saved:.1f}%"
 
-        curve = coordination.run_savings_sweep(8, 1, seed=1)
+        curve = coordination.run_savings_sweep(GladParams(), seed=1)
         values = [s for _, s in curve]
         assert all(b >= a - 1e-9 for a, b in zip(values, values[1:]))
 

@@ -1,11 +1,18 @@
 """Tests for the command line and scenario-file parsing."""
 
+import configparser
+import dataclasses
+
 import numpy as np
 import pytest
 
+from gladsim import config as gconfig
 from gladsim.cli import main
 from gladsim.config import default_scenario_text, load_scenario
+from gladsim.coordination import MIN_ONBOARDING_SAMPLES, POOL_CAPACITY, GladParams
 from gladsim.errors import ConfigError
+from gladsim.experiments import ScenarioConfig
+from gladsim.pon import PonConfig
 from gladsim.traffic import GpdParams, generate_stream
 
 SMALL_CONFIG = """
@@ -65,6 +72,27 @@ class TestConfigFile:
         with pytest.raises(ConfigError):
             load_scenario(tmp_path / "nope.cfg")
 
+    def test_schema_maps_every_field_once(self):
+        # Each scenario field has exactly one key, and each key one field: a
+        # field added without a key, or a key left on a deleted field, fails.
+        nested = {"pon", "control_traffic", "haptic_traffic", "glad"}
+        sources = {
+            "pon": PonConfig,
+            "traffic.control": GpdParams,
+            "traffic.haptic": GpdParams,
+            "grid": ScenarioConfig,
+            "glad": GladParams,
+        }
+        assert set(gconfig._SCHEMA) == set(sources)
+        dump = configparser.ConfigParser()
+        dump.read_string(default_scenario_text())
+        for section, cls in sources.items():
+            fields = {f.name for f in dataclasses.fields(cls)} - (
+                nested if cls is ScenarioConfig else set())
+            targets = [attr for attr, _ in gconfig._SCHEMA[section].values()]
+            assert sorted(targets) == sorted(fields), section
+            assert set(dump[section]) == set(gconfig._SCHEMA[section]), section
+
     def test_default_dump_parses_back(self, tmp_path):
         path = tmp_path / "default.cfg"
         path.write_text(default_scenario_text())
@@ -97,6 +125,9 @@ class TestCli:
         ("additions", "-1"), ("epsilon", "0"), ("onboarding_alpha", "1.5"),
         ("accuracy_target", "0"), ("alpha_grid", "0.5, 1.2"), ("alpha_grid", ""),
         ("machines_grid", ""), ("machines_grid", "0, 2"),
+        ("accuracy_target", "1.0"), ("total_machines", "1"), ("kind_pool_size", "0"),
+        ("kind_pool_size", str(POOL_CAPACITY + 1)),
+        ("profiling_samples", str(MIN_ONBOARDING_SAMPLES - 1)),
     ])
     def test_invalid_glad_value_exits_one(self, tmp_path, capsys, key, value):
         bad = tmp_path / "bad.cfg"
@@ -104,6 +135,47 @@ class TestCli:
         code = main(["onboarding", "--config", str(bad), "--out", str(tmp_path / "out")])
         assert code == 1
         assert key in capsys.readouterr().err
+
+    # (section, key, value, field the error names)
+    @pytest.mark.parametrize("section,key,value,field", [
+        ("grid", "seeds", "-1", "seeds"), ("grid", "seeds", "1, 2, 1", "seeds"),
+        ("grid", "loads", "0.5, 0.5", "load_grid"),
+        ("grid", "spans_km", "10, 20, 10", "span_grid_km"),
+        ("traffic.control", "shape", "1", "shape"), ("traffic.control", "shape", "1.5", "shape"),
+    ])
+    @pytest.mark.parametrize("command", ["latency-sweep", "onboarding"])
+    def test_invalid_scenario_value_exits_one(self, tmp_path, capsys, command,
+                                              section, key, value, field):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"[{section}]\n{key} = {value}\n")
+        code = main([command, "--config", str(bad), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_seed_option_exits_one(self, tmp_path, capsys):
+        code = main(["latency-sweep", "--out", str(tmp_path / "out"), "--seed", "-3"])
+        assert code == 1
+        assert "seeds" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("glad", "accuracy_target", repr(float(np.nextafter(1.0, 0.0)))),
+        ("glad", "total_machines", "2"),
+        ("glad", "kind_pool_size", "1"),
+        ("glad", "kind_pool_size", str(POOL_CAPACITY)),
+        ("glad", "profiling_samples", str(MIN_ONBOARDING_SAMPLES)),
+        ("grid", "seeds", "0"),
+    ])
+    def test_first_accepted_value_runs(self, tmp_path, section, key, value):
+        tiny = {"grid": {"loads": "0.5", "spans_km": "20", "seeds": "1", "n_loops": "100"},
+                "glad": {"total_machines": "3", "profiling_samples": "600", "add_every": "60",
+                         "additions": "1", "alpha_grid": "0.05, 0.3", "machines_grid": "1, 2"}}
+        tiny[section][key] = value
+        path = tmp_path / "edge.cfg"
+        path.write_text("".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                                for name, keys in tiny.items()))
+        for command in ("latency-sweep", "onboarding"):
+            assert main([command, "--config", str(path), "--out", str(tmp_path / command)]) == 0
 
     def test_latency_sweep_end_to_end(self, config_file, tmp_path, capsys):
         out_dir = tmp_path / "report"
@@ -144,6 +216,14 @@ class TestCli:
 
     def test_traffic_fit_missing_file(self, tmp_path, capsys):
         assert main(["traffic-fit", "--input", str(tmp_path / "none.csv")]) == 1
+
+    @pytest.mark.parametrize("significance", ["0.7", "0", "-1", "nan", "x"])
+    def test_traffic_fit_bad_significance_exits_one(self, tmp_path, capsys, significance):
+        csv = tmp_path / "gaps.csv"
+        csv.write_text("\n".join(["1000.0"] * 100) + "\n")
+        code = main(["traffic-fit", "--input", str(csv), "--significance", significance])
+        assert code == 1
+        assert "significance" in capsys.readouterr().err
 
     def test_validate_dump_config(self, capsys):
         assert main(["validate", "--dump-config"]) == 0

@@ -6,8 +6,9 @@ import pytest
 from gladsim.coordination import (
     COLD,
     GLAD,
+    POOL_CAPACITY,
+    GladParams,
     GlobalRegistry,
-    MatchingPolicy,
     OnboardResult,
     ProfileRecord,
     descriptor_of,
@@ -20,7 +21,7 @@ from gladsim.coordination import (
     training_time_saved,
     upload_profile,
 )
-from gladsim.errors import NotReadyError, ParameterError
+from gladsim.errors import ConfigError, NotReadyError, ParameterError
 from gladsim.haptic import (
     ObjectKind,
     ObjectProfile,
@@ -285,6 +286,10 @@ class TestIterationsToTarget:
         assert iters == 200
 
 
+def _small(**overrides):
+    return GladParams(**{"total_machines": 2, "profiling_samples": 600, **overrides})
+
+
 class TestSavings:
     def test_training_time_saved_examples(self):
         assert training_time_saved(1000, 280) == pytest.approx(72.0)
@@ -294,7 +299,7 @@ class TestSavings:
             training_time_saved(0, 0)
 
     def test_single_kind_pool_curve(self):
-        curve = run_savings_sweep(5, 1, seed=42, trace_samples=2500)
+        curve = run_savings_sweep(GladParams(total_machines=5, profiling_samples=2500), seed=42)
         machines = [m for m, _ in curve]
         savings = [s for _, s in curve]
         assert machines == [1, 2, 3, 4, 5]
@@ -303,33 +308,35 @@ class TestSavings:
         assert savings[-1] > 40.0
 
     def test_oversized_pool_no_matches(self):
-        curve = run_savings_sweep(4, 30, seed=42, trace_samples=2000)
+        glad = GladParams(total_machines=4, kind_pool_size=30, profiling_samples=2000)
+        curve = run_savings_sweep(glad, seed=42)
         assert all(s == 0.0 for _, s in curve)
 
     def test_min_updates_gates_uploads(self):
-        run_savings_sweep(2, 1, seed=7, trace_samples=600, min_updates=600)
+        run_savings_sweep(_small(min_updates_for_upload=600), seed=7)
         with pytest.raises(NotReadyError):
-            run_savings_sweep(2, 1, seed=7, trace_samples=600, min_updates=601)
+            run_savings_sweep(_small(min_updates_for_upload=601), seed=7)
 
     @pytest.mark.parametrize("local_ais", [0, -2])
     def test_local_ais_must_be_positive(self, local_ais):
-        with pytest.raises(ParameterError):
-            run_savings_sweep(2, 1, seed=7, trace_samples=600, local_ais=local_ais)
+        with pytest.raises(ConfigError):
+            _small(local_ais=local_ais)
 
     def test_deterministic(self):
-        a = run_savings_sweep(3, 1, seed=7, trace_samples=1500)
-        b = run_savings_sweep(3, 1, seed=7, trace_samples=1500)
-        assert a == b
+        glad = GladParams(total_machines=3, profiling_samples=1500)
+        assert run_savings_sweep(glad, seed=7) == run_savings_sweep(glad, seed=7)
 
     def test_pool_profiles_mutually_unmatchable(self):
         pool = make_profile_pool(12)
-        threshold = MatchingPolicy().threshold
+        threshold = GladParams().match_threshold
         for i, a in enumerate(pool):
             for b in pool[i + 1:]:
                 assert similarity(descriptor_of(a), descriptor_of(b)) < threshold
 
     def test_pool_size_validation(self):
-        with pytest.raises(ParameterError):
-            make_profile_pool(0)
-        with pytest.raises(ParameterError):
-            run_savings_sweep(1, 1, seed=1)
+        assert len({descriptor_of(p) for p in make_profile_pool(POOL_CAPACITY)}) == POOL_CAPACITY
+        for size in (0, POOL_CAPACITY + 1):
+            with pytest.raises(ParameterError):
+                make_profile_pool(size)
+        with pytest.raises(ConfigError):
+            _small(total_machines=1)

@@ -7,6 +7,7 @@ import pytest
 
 from gladsim import coordination, haptic
 from gladsim.errors import ConfigError, NotReadyError, ParameterError
+from gladsim.traffic import GpdParams
 from gladsim.experiments import (
     NO_AI,
     WITH_AI,
@@ -57,6 +58,11 @@ class TestScenarioConfig:
         dict(load_grid=(-0.1,)),
         dict(n_loops=5),
         dict(deadline_us=0.0),
+        dict(seeds=(-1,)),
+        dict(seeds=(1, 2, 1)),
+        dict(load_grid=(0.5, 0.5)),
+        dict(span_grid_km=(10.0, 20.0, 10.0)),
+        dict(control_traffic=GpdParams(1.0, 900.0, 0.0)),
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ConfigError):

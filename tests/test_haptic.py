@@ -19,7 +19,6 @@ from gladsim.haptic import (
     HapticTrace,
     ObjectKind,
     ObjectProfile,
-    _amplitude_matrix,
     _feedback,
     _forecast,
     _smooth_noise,
@@ -40,6 +39,12 @@ BALL = standard_profile(ObjectKind.RUBBER_BALL)
 
 def _session(duration_us=2e6, seed=3, profile=BALL, **kwargs):
     return generate_session(profile, duration_us, CONTROL_TRAFFIC_DEFAULT, seed, **kwargs)
+
+
+def _trace(amplitude):
+    """A haptic trace of the given (n, 5) amplitudes, one sample per microsecond."""
+    amplitude = np.asarray(amplitude, dtype=float)
+    return HapticTrace(t_us=np.arange(amplitude.shape[0], dtype=float), amplitude=amplitude)
 
 
 def _controls(hand_pos):
@@ -287,12 +292,12 @@ class TestForecaster:
     def test_alpha_out_of_range(self):
         for alpha in (0.0, -0.1, 1.5):
             with pytest.raises(ParameterError):
-                run_forecaster(np.zeros((3, 5)), alpha, 0.05)
+                run_forecaster(_trace(np.zeros((3, 5))), alpha, 0.05)
 
     @pytest.mark.parametrize("initial", [np.zeros(4), np.full(5, np.nan), np.zeros((5, 1))])
     def test_initial_estimate_must_be_a_finite_five_vector(self, initial):
         with pytest.raises(ParameterError):
-            run_forecaster(np.zeros((3, 5)), 0.5, 0.05, initial_estimate=initial)
+            run_forecaster(_trace(np.zeros((3, 5))), 0.5, 0.05, initial_estimate=initial)
 
     def test_profiling_forecasts_converge(self):
         # Over a 4000-sample profiling trace, >= 90% of post-convergence
@@ -322,16 +327,14 @@ class TestForecastCore:
            epsilon=st.floats(0.0, 2.0, exclude_min=True),
            initial=arrays(np.float64, 5, elements=_unit_floats))
     def test_matches_step_loop(self, x, alpha, epsilon, initial):
-        trace = [HapticSample(t_us=float(i), amplitude=row) for i, row in enumerate(x)]
         expected_hits, expected_final = _step_loop(x, alpha, epsilon, initial)
-        assert np.array_equal(run_forecaster(trace, alpha, epsilon, initial), expected_hits)
-        assert np.array_equal(run_forecaster(x, alpha, epsilon, initial), expected_hits)
+        assert np.array_equal(run_forecaster(_trace(x), alpha, epsilon, initial), expected_hits)
         hits, final = _forecast(x, alpha, epsilon, initial)
         assert np.array_equal(hits, expected_hits)
         assert np.array_equal(final, expected_final)
 
     def test_empty_trace(self):
-        assert run_forecaster([], 0.5, 0.05).shape == (0,)
+        assert run_forecaster(_trace(np.empty((0, 5))), 0.5, 0.05).shape == (0,)
         _, final = _forecast(np.empty((0, 5)), 0.5, 0.05, np.full(5, 0.3))
         np.testing.assert_array_equal(final, np.full(5, 0.3))
 
@@ -463,10 +466,6 @@ class TestHapticTrace:
         np.testing.assert_array_equal(sub.t_us, self.T[::step])
         np.testing.assert_array_equal(sub.amplitude, self.AMP[::step])
 
-    def test_amplitude_matrix_is_not_copied(self):
-        trace = self._trace()
-        assert _amplitude_matrix(trace) is trace.amplitude
-
     @pytest.mark.parametrize("t_us, amplitude", [
         (np.zeros(4), np.zeros((4, 4))),
         (np.zeros(5), np.zeros(5)),
@@ -483,29 +482,28 @@ class TestHapticTrace:
 
 class TestEstimateTau:
     def test_constant_trace_degenerate(self):
-        trace = [HapticSample(t_us=i, amplitude=np.full(5, 0.3)) for i in range(10)]
         with pytest.raises(DegenerateDataError):
-            estimate_tau(trace)
+            estimate_tau(_trace(np.full((10, 5), 0.3)))
 
     def test_alternating_is_near_minus_one(self):
         amp = np.zeros((400, 5))
         amp[1::2] = 1.0
-        tau = estimate_tau(amp)
+        tau = estimate_tau(_trace(amp))
         assert tau == pytest.approx(-1.0, abs=0.02)
 
     def test_dense_sinusoid_is_strongly_positive(self):
         t = np.arange(2000)
         x = 0.5 + 0.4 * np.sin(2 * np.pi * t / 500.0)
         amp = np.tile(x[:, None], (1, 5))
-        assert estimate_tau(amp) > 0.9
+        assert estimate_tau(_trace(amp)) > 0.9
 
     def test_too_short(self):
         with pytest.raises(InsufficientDataError):
-            estimate_tau(np.zeros((2, 5)))
+            estimate_tau(_trace(np.zeros((2, 5))))
 
     def test_within_bounds_on_noise(self):
         rng = np.random.Generator(np.random.PCG64(2))
-        tau = estimate_tau(rng.random((500, 5)))
+        tau = estimate_tau(_trace(rng.random((500, 5))))
         assert -1.0 <= tau <= 1.0
 
 
@@ -525,8 +523,7 @@ class TestOptimizeAlpha:
 
     def test_tie_breaks_toward_smaller_alpha(self):
         # A constant trace within tolerance of zero makes every alpha perfect.
-        amp = np.full(5, 0.04)
-        trace = [HapticSample(t_us=float(i), amplitude=amp) for i in range(150)]
+        trace = _trace(np.full((150, 5), 0.04))
         assert optimize_alpha(trace, [1.0, 0.9]) == 0.9
 
     def test_requires_enough_samples(self):
