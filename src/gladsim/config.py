@@ -26,6 +26,7 @@ errors so a typo cannot silently skew a calibrated run.  Example:
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -39,7 +40,10 @@ __all__ = ["load_scenario", "default_scenario_text"]
 
 
 def _float(text: str) -> float:
-    return float(text)
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
 
 
 def _int(text: str) -> int:
@@ -47,7 +51,7 @@ def _int(text: str) -> int:
 
 
 def _floats(text: str) -> tuple[float, ...]:
-    return tuple(float(v.strip()) for v in text.split(",") if v.strip())
+    return tuple(_float(v.strip()) for v in text.split(",") if v.strip())
 
 
 def _ints(text: str) -> tuple[int, ...]:

@@ -115,6 +115,9 @@ class GladParams:
         for name, low in minimums.items():
             if getattr(self, name) < low:
                 raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        if self.min_updates_for_upload > self.profiling_samples:
+            raise ConfigError(f"min_updates_for_upload must be <= profiling_samples "
+                              f"({self.profiling_samples}), got {self.min_updates_for_upload}")
         if not 1 <= self.kind_pool_size <= POOL_CAPACITY:
             raise ConfigError(f"kind_pool_size must lie in [1, {POOL_CAPACITY}], "
                               f"got {self.kind_pool_size}")
@@ -389,9 +392,10 @@ def run_savings_sweep(glad: GladParams, seed: int) -> list[tuple[int, float]]:
 
     Machines draw objects from a finite profile pool and are onboarded one at
     a time, round-robin across the Local AIs.  Each onboarding runs both modes
-    on the same trace, uploads the glad machine's profile (`NotReadyError`
-    when `profiling_samples < min_updates_for_upload`) and re-aggregates the
-    registry.  Returns the running mean of saved_pct after each machine.
+    on the same trace, uploads the glad machine's profile (its
+    `profiling_samples` updates meet `min_updates_for_upload`, which
+    `GladParams` checks) and re-aggregates the registry.  Returns the running
+    mean of saved_pct after each machine.
     """
     pool = make_profile_pool(glad.kind_pool_size)
     policy = glad.policy()

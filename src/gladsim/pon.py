@@ -22,7 +22,6 @@ propagation term.  `max_span_meeting_deadline` exploits that directly.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -155,34 +154,52 @@ def kingman_wait(rho: float, ca2: float, cs2: float, mean_service_us: float) -> 
     return rho / (1.0 - rho) * (ca2 + cs2) / 2.0 * mean_service_us
 
 
-def fifo_waits(arrival_times, service_times, origin: float = 0.0) -> np.ndarray:
+def fifo_waits(arrival_times, service_times, origin: float = 0.0, *,
+               out: np.ndarray | None = None) -> np.ndarray:
     """Waiting times in a work-conserving single-server FIFO queue.
 
     Solves the Lindley recursion W[i+1] = max(0, W[i] + S[i] - A[i]) in closed
-    form via the reflection identity W[i] = V[i] - min(V[0..i]) with
-    V[i] = origin + sum(S[j] - A[j] for j < i), which vectorizes.
+    form via the reflection identity W[i] = V[i] - M[i] with
+    V[i] = origin + sum(S[j] - A[j] for j < i) and M[i] = min(V[0..i]),
+    which vectorizes.
 
     `origin` continues a longer arrival sequence whose arrival at index 0
     finds the server idle: passing V of the longer sequence at that arrival
     makes the sequential sum, and so every returned wait, bit-identical to
     solving the longer sequence whole.  The waits do not depend on it
-    otherwise; the first wait is always 0.
+    otherwise; the first wait is always 0.  Where W[k] == 0, V[k] == M[k]
+    exactly, so M[k] is the origin that continues the sequence from k.
+
+    `out`, when given, is float work memory of shape (2, m) with m at least
+    the number of arrivals n, whatever it holds: the waits are written to
+    `out[0, :n]` and returned as that view, and M to `out[1, :n]`.  Without
+    it both are fresh arrays.  Either way the waits are bit-identical.
     """
     a = np.asarray(arrival_times, dtype=float)
     s = np.asarray(service_times, dtype=float)
     if a.shape != s.shape:
         raise ParameterError("arrival and service arrays must have equal length")
-    if a.size == 0:
+    n = a.size
+    if n == 0:
         return np.empty(0)
-    v = np.empty(a.size)
+    if out is None:
+        v, low = np.empty(n), np.empty(n)
+    elif out.dtype != float or out.ndim != 2 or out.shape[0] != 2 or out.shape[1] < n:
+        raise ParameterError(f"out must be a float (2, >= {n}) array, got {out.dtype} {out.shape}")
+    else:
+        v, low = out[0, :n], out[1, :n]
     v[0] = origin
     # S[j] - A[j] with A[j] = a[j+1] - a[j] is exactly (a[j] - a[j+1]) + S[j].
     np.subtract(a[:-1], a[1:], out=v[1:])
-    if np.any(v[1:] > 0.0):
-        raise ParameterError("arrival times must be non-decreasing")
+    # One reduction; a NaN arrival makes the maximum NaN and fails it too.
+    if n > 1 and not v[1:].max() <= 0.0:
+        raise ParameterError("arrival times must be non-decreasing and not NaN")
     v[1:] += s[:-1]
     np.cumsum(v, out=v)
-    v -= np.minimum.accumulate(v)
+    # fmin runs faster than minimum here and differs from it only where V is
+    # NaN, and there the wait is NaN either way.
+    np.fmin.accumulate(v, out=low)
+    v -= low
     return v
 
 
@@ -217,9 +234,35 @@ class _PoissonDraw:
     partial_us: float = 0.0      # running sum of the current group's gaps
     done: bool = False
 
+    def next_size(self) -> int:
+        """Gaps the next `_poisson_arrivals` call draws."""
+        return min(CHUNK_EVENTS, self.left or self.extension)
 
-def _poisson_arrivals(draw: _PoissonDraw) -> np.ndarray:
-    """The next at most CHUNK_EVENTS arrival instants of a draw, up to its horizon."""
+
+def _poisson_draw(rng: np.random.Generator, rate_per_us: float,
+                  horizon_us: float) -> _PoissonDraw:
+    """A draw of a Poisson process on [0, horizon_us]; done from the start at rate 0."""
+    if rate_per_us <= 0.0:
+        return _PoissonDraw(rng, math.inf, horizon_us, extension=0, left=0, drawn=0, done=True)
+    expected = rate_per_us * horizon_us
+    if expected > MAX_EVENTS:
+        raise ResourceLimitError(
+            f"background process needs ~{expected:.0f} events (cap {MAX_EVENTS})"
+        )
+    n_est = int(expected * 1.05) + 64
+    return _PoissonDraw(rng, 1.0 / rate_per_us, horizon_us,
+                        extension=max(64, n_est // 10), left=n_est, drawn=n_est)
+
+
+def _poisson_arrivals(draw: _PoissonDraw, out: np.ndarray | None = None) -> np.ndarray:
+    """The next at most CHUNK_EVENTS arrival instants of a draw, up to its horizon.
+
+    They are drawn into the front of `out` when given, which needs room for
+    `draw.next_size()` of them, and into a fresh array otherwise.  Filling
+    standard exponentials and scaling them gives the bits and the generator
+    state of `rng.exponential(scale_us, size)`.
+    """
+    size = draw.next_size()
     if draw.left == 0:
         draw.base_us += draw.partial_us
         draw.partial_us = 0.0
@@ -227,7 +270,9 @@ def _poisson_arrivals(draw: _PoissonDraw) -> np.ndarray:
         draw.drawn += draw.extension
         if draw.drawn > MAX_EVENTS:
             raise ResourceLimitError("background process exceeded the event cap")
-    times = draw.rng.exponential(draw.scale_us, size=min(CHUNK_EVENTS, draw.left))
+    times = np.empty(size) if out is None else out[:size]
+    draw.rng.standard_exponential(out=times)
+    times *= draw.scale_us
     times[0] += draw.partial_us
     np.cumsum(times, out=times)
     draw.partial_us = float(times[-1])
@@ -242,17 +287,8 @@ def _poisson_arrivals(draw: _PoissonDraw) -> np.ndarray:
 
 
 def _background(rng: np.random.Generator, rate_per_us: float, horizon_us: float):
-    """Arrival instants of a Poisson process on [0, horizon_us], in chunks."""
-    if rate_per_us <= 0.0:
-        return
-    expected = rate_per_us * horizon_us
-    if expected > MAX_EVENTS:
-        raise ResourceLimitError(
-            f"background process needs ~{expected:.0f} events (cap {MAX_EVENTS})"
-        )
-    n_est = int(expected * 1.05) + 64
-    draw = _PoissonDraw(rng, 1.0 / rate_per_us, horizon_us,
-                        extension=max(64, n_est // 10), left=n_est, drawn=n_est)
+    """Arrival instants of a Poisson process on [0, horizon_us], in fresh chunks."""
+    draw = _poisson_draw(rng, rate_per_us, horizon_us)
     while not draw.done:
         yield _poisson_arrivals(draw)
 
@@ -321,7 +357,7 @@ def _last_idle(waits: np.ndarray) -> int:
 
 
 def _downstream_leg(config: PonConfig, load: LoadPoint, probe_times: np.ndarray,
-                    rng: np.random.Generator) -> dict:
+                    rng: np.random.Generator, stats: bool = True) -> dict:
     """Probe delays through the OLT downstream FIFO.
 
     Background: Poisson arrivals of `background_packet_bytes` packets sized so
@@ -333,7 +369,11 @@ def _downstream_leg(config: PonConfig, load: LoadPoint, probe_times: np.ndarray,
     from the last arrival before it that found the server idle, where the
     queue holds no memory of the past, and the waits up to the chunk's own
     last idle arrival are final: they answer the probes that fall among them
-    and are dropped.  Peak memory therefore does not grow with the horizon.
+    and are dropped.  Every chunk is drawn into, and solved in, buffers the
+    leg reuses, so peak memory does not grow with the horizon.
+
+    `stats` adds the background's mean wait and gap ca² under "stats"; they
+    cost two more passes over every arrival.
     """
     rate = config.downstream_rate_bps
     bg_service = transmission_time(config.background_packet_bytes, rate)
@@ -345,30 +385,30 @@ def _downstream_leg(config: PonConfig, load: LoadPoint, probe_times: np.ndarray,
     n_background = 0
     first_arrival = last_arrival = 0.0
     wait_sum = gap_square_sum = 0.0
-    # Arrivals from the last one found idle on, their waits, and V at that
-    # arrival (see fifo_waits).  The tail is kept at the front of `buffer`,
-    # which the next chunk's arrivals are appended to.
-    buffer = np.empty(0)
-    tail, tail_waits, origin = buffer, np.empty(0), 0.0
-    # None marks the end of the background, after which the tail is final.
-    for chunk in itertools.chain(_background(rng, lam, horizon), [None]):
-        if chunk is None:
-            arrivals, waits, final = tail, tail_waits, tail.size
+    draw = _poisson_draw(rng, lam, horizon)
+    # The arrivals from the last one found idle on (the tail) sit at the front
+    # of `buffer`, and each chunk is drawn in behind them.  `work` is
+    # fifo_waits' memory: the waits, then V's running minimum, whose value at
+    # the last idle arrival is the origin the next chunk continues from.
+    buffer, work = np.empty(0), np.empty((2, 0))
+    tail, tail_waits, origin = 0, work[0], 0.0
+    while tail or not draw.done:
+        if draw.done:
+            # The background has ended, so the whole tail is final.
+            arrivals, waits, final = buffer[:tail], tail_waits, tail
         else:
-            size = tail.size + chunk.size
-            if size > buffer.size:
-                grown = np.empty(size + size // 4)
-                grown[:tail.size] = tail
-                buffer = grown
-            else:
-                buffer[:tail.size] = tail
-            buffer[tail.size:size] = chunk
+            need = tail + draw.next_size()
+            if need > buffer.size:
+                grown = np.empty(need + need // 4)
+                grown[:tail] = buffer[:tail]
+                buffer, work = grown, np.empty((2, grown.size))
+            size = tail + _poisson_arrivals(draw, buffer[tail:]).size
             arrivals = buffer[:size]
-            waits = fifo_waits(arrivals, np.broadcast_to(bg_service, arrivals.shape), origin)
+            waits = fifo_waits(arrivals, np.broadcast_to(bg_service, size), origin, out=work)
             final = _last_idle(waits)
-        if final == 0:
-            tail, tail_waits = arrivals, waits
-            continue
+            if final == 0:
+                tail, tail_waits = size, waits
+                continue
 
         if n_background == 0:
             first_arrival = float(arrivals[0])
@@ -385,46 +425,39 @@ def _downstream_leg(config: PonConfig, load: LoadPoint, probe_times: np.ndarray,
 
         n_background += final
         last_arrival = float(arrivals[final - 1])
-        wait_sum += float(waits[:final].sum())
-        gaps = np.diff(arrivals[:final + 1])
-        gap_square_sum += float(np.einsum("i,i->", gaps, gaps))  # no BLAS threads
         if carried:
-            # V at the next chunk's first arrival continues the sequential sum.
-            steps = np.subtract(bg_service, gaps, out=gaps)
-            steps[0] += origin
-            origin = float(np.cumsum(steps, out=steps)[-1])
-        tail, tail_waits = arrivals[final:], waits[final:]
+            origin = float(work[1, final])
+        if stats:
+            wait_sum += float(waits[:final].sum())
+            # The gaps up to the next chunk's first arrival, in M's row.
+            n_gaps = min(final + 1, arrivals.size) - 1
+            gaps = np.subtract(arrivals[1:n_gaps + 1], arrivals[:n_gaps], out=work[1, :n_gaps])
+            gap_square_sum += float(np.einsum("i,i->", gaps, gaps))  # no BLAS threads
+        tail = arrivals.size - final
+        buffer[:tail] = arrivals[final:]
+        tail_waits = waits[final:]
 
-    if n_background:
-        n_gaps = n_background - 1
-        ca2 = 0.0
-        if n_gaps > 1:
-            mean_gap = (last_arrival - first_arrival) / n_gaps
-            ca2 = max(0.0, gap_square_sum / n_gaps / mean_gap ** 2 - 1.0)
-        stats = {
-            "mean_queue_wait_us": wait_sum / n_background,
-            "ca2": ca2,
-            "cs2": 0.0,  # deterministic background service
-            "mean_service_us": bg_service,
-            "utilization": lam * bg_service,
-            "n_background": n_background,
-        }
-    else:
-        stats = {
-            "mean_queue_wait_us": 0.0,
-            "ca2": 0.0,
-            "cs2": 0.0,
-            "mean_service_us": bg_service,
-            "utilization": 0.0,
-            "n_background": 0,
-        }
-
-    return {
+    out = {
         "queueing": queueing,
         "dba_wait": np.zeros(probe_times.size),
         "transmission": transmission_time(config.packet_bytes, rate),
-        "stats": stats,
     }
+    if not stats:
+        return out
+    n_gaps = n_background - 1
+    ca2 = 0.0
+    if n_gaps > 1:
+        mean_gap = (last_arrival - first_arrival) / n_gaps
+        ca2 = max(0.0, gap_square_sum / n_gaps / mean_gap ** 2 - 1.0)
+    out["stats"] = {
+        "mean_queue_wait_us": wait_sum / n_background if n_background else 0.0,
+        "ca2": ca2,
+        "cs2": 0.0,  # deterministic background service
+        "mean_service_us": bg_service,
+        "utilization": lam * bg_service if n_background else 0.0,
+        "n_background": n_background,
+    }
+    return out
 
 
 def _schedule(grants: np.ndarray, cum_grants: np.ndarray, cap_bytes: float,
@@ -558,12 +591,13 @@ def _upstream_leg(config: PonConfig, load: LoadPoint, probe_times: np.ndarray,
 
 
 def _leg(config: PonConfig, load: LoadPoint, direction: str,
-         probe_times: np.ndarray, rng: np.random.Generator) -> dict:
+         probe_times: np.ndarray, rng: np.random.Generator, stats: bool = True) -> dict:
+    """One leg's columns; `stats=False` skips the downstream background's statistics."""
     if direction == UPSTREAM:
         # Probes reach the ONU queue one wireless hop after generation.
         out = _upstream_leg(config, load, probe_times + config.wireless_hop_us, rng)
     elif direction == DOWNSTREAM:
-        out = _downstream_leg(config, load, probe_times, rng)
+        out = _downstream_leg(config, load, probe_times, rng, stats)
     else:
         raise ParameterError(f"direction must be '{UPSTREAM}' or '{DOWNSTREAM}'")
     out["wireless"] = config.wireless_hop_us
@@ -648,7 +682,7 @@ def _round_trip_base(config: PonConfig, load: LoadPoint, seed: int,
 
     totals = np.zeros(n_loops)
     for direction, rng_idx in leg_plan:
-        leg = _leg(config, load, direction, probes, rngs[rng_idx])
+        leg = _leg(config, load, direction, probes, rngs[rng_idx], stats=False)
         totals += (leg["queueing"] + leg["dba_wait"]
                    + leg["transmission"] + leg["wireless"])
     if with_ai:

@@ -128,6 +128,7 @@ class TestCli:
         ("accuracy_target", "1.0"), ("total_machines", "1"), ("kind_pool_size", "0"),
         ("kind_pool_size", str(POOL_CAPACITY + 1)),
         ("profiling_samples", str(MIN_ONBOARDING_SAMPLES - 1)),
+        ("min_updates_for_upload", str(GladParams.profiling_samples + 1)),
     ])
     def test_invalid_glad_value_exits_one(self, tmp_path, capsys, key, value):
         bad = tmp_path / "bad.cfg"
@@ -151,6 +152,21 @@ class TestCli:
         code = main([command, "--config", str(bad), "--out", str(tmp_path / "out")])
         assert code == 1
         assert field in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("glad", "texture_freq_max_hz", "nan"), ("grid", "loads", "nan"),
+        ("grid", "loads", "0.5, inf"), ("grid", "deadline_us", "nan"),
+        ("pon", "span_km", "nan"), ("pon", "span_km", "inf"), ("pon", "span_km", "-inf"),
+    ])
+    @pytest.mark.parametrize("command", ["latency-sweep", "onboarding"])
+    def test_non_finite_value_exits_one(self, tmp_path, capsys, command, section, key, value):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"[{section}]\n{key} = {value}\n")
+        code = main([command, "--config", str(bad), "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
     def test_negative_seed_option_exits_one(self, tmp_path, capsys):

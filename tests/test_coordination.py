@@ -313,9 +313,11 @@ class TestSavings:
         assert all(s == 0.0 for _, s in curve)
 
     def test_min_updates_gates_uploads(self):
+        # A gate no profile of the sweep can meet is rejected with the params;
+        # upload_profile's own gate is tested in TestRegistry.
         run_savings_sweep(_small(min_updates_for_upload=600), seed=7)
-        with pytest.raises(NotReadyError):
-            run_savings_sweep(_small(min_updates_for_upload=601), seed=7)
+        with pytest.raises(ConfigError, match="min_updates_for_upload"):
+            _small(min_updates_for_upload=601)
 
     @pytest.mark.parametrize("local_ais", [0, -2])
     def test_local_ais_must_be_positive(self, local_ais):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gladsim import coordination, haptic
-from gladsim.errors import ConfigError, NotReadyError, ParameterError
+from gladsim.errors import ConfigError, ParameterError
 from gladsim.traffic import GpdParams
 from gladsim.experiments import (
     NO_AI,
@@ -151,11 +151,12 @@ class TestOnboardingStudy:
             assert -1.0 <= tau <= 1.0
 
     def test_min_updates_above_profiling_samples_rejected(self):
-        glad = GladParams(total_machines=2, add_every=150, additions=1,
-                          profiling_samples=600, min_updates_for_upload=601,
-                          machines_grid=(1,))
-        with pytest.raises(NotReadyError):
-            run_onboarding_study(_small_scenario(glad=glad))
+        with pytest.raises(ConfigError, match="min_updates_for_upload"):
+            GladParams(total_machines=2, add_every=150, additions=1,
+                       profiling_samples=600, min_updates_for_upload=601,
+                       machines_grid=(1,))
+        equal = GladParams(profiling_samples=600, min_updates_for_upload=600)
+        assert equal.min_updates_for_upload == equal.profiling_samples
 
 
 def _pooled_list_curve(config, mode, seed):

@@ -115,6 +115,19 @@ class TestFifoWaits:
         with pytest.raises(ParameterError):
             fifo_waits(np.array([1.0, 0.5]), np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize("arrivals", [[np.nan, 1.0], [0.0, np.nan, 2.0], [0.0, 1.0, np.nan]])
+    def test_rejects_nan_arrivals(self, arrivals):
+        with pytest.raises(ParameterError):
+            fifo_waits(np.array(arrivals), np.ones(len(arrivals)))
+
+    def test_single_arrival_waits_nothing(self):
+        assert fifo_waits(np.array([5.0]), np.array([1.0]), origin=3.0).tolist() == [0.0]
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 5), (5,), (1, 5)])
+    def test_rejects_short_work_memory(self, shape):
+        with pytest.raises(ParameterError):
+            fifo_waits(np.arange(3.0), np.ones(3), out=np.empty(shape))
+
 
 # Gaps include exact zeros so that arrivals tie.
 _queue_jobs = st.lists(
@@ -133,6 +146,25 @@ class TestFifoWaitsProperties:
         np.testing.assert_allclose(waits, _lindley_loop(arrivals, services),
                                    rtol=0.0, atol=1e-12 * scale)
         assert waits[0] == 0.0 and np.all(waits >= 0.0)
+
+    @given(jobs=_queue_jobs, origin=st.one_of(st.just(0.0), st.floats(-1e6, 1e6)),
+           extra=st.integers(0, 5), stale=st.sampled_from([0.0, -1.0, 1e300, np.nan, np.inf]))
+    def test_work_memory_is_bit_identical(self, jobs, origin, extra, stale):
+        gaps, services = (np.array(column) for column in zip(*jobs))
+        arrivals = np.cumsum(gaps)
+        n = arrivals.size
+        work = np.full((2, n + extra), stale)
+        waits = fifo_waits(arrivals, services, origin, out=work)
+        assert np.shares_memory(waits, work[0]) and waits.size == n
+        assert np.array_equal(waits, fifo_waits(arrivals, services, origin))
+        # The second row is the running minimum M of V, so at every idle
+        # arrival it is the V that continues the sequence from there.
+        v = np.cumsum(np.concatenate(([origin], services[:-1] - np.diff(arrivals))))
+        assert np.array_equal(work[1, :n], np.minimum.accumulate(v))
+        idle = np.flatnonzero(waits == 0.0)
+        assert np.array_equal(work[1, idle], v[idle])
+        if extra:
+            assert np.array_equal(work[:, n:], np.full((2, extra), stale), equal_nan=True)
 
     @given(jobs=_queue_jobs)
     def test_continuing_at_an_idle_arrival_is_bit_identical(self, jobs):
@@ -272,6 +304,11 @@ class _HalfGaps:
     def exponential(self, scale, size):
         return 0.5 * self._rng.exponential(scale, size=size)
 
+    def standard_exponential(self, out):
+        self._rng.standard_exponential(out=out)
+        out *= 0.5
+        return out
+
 
 class TestStreamedBackground:
     # Per rho, a seed whose background ends before the last probe, so the
@@ -295,6 +332,8 @@ class TestStreamedBackground:
         monkeypatch.setattr(pon, "CHUNK_EVENTS", chunk)
         leg = pon._downstream_leg(cfg, load, probes, pon._spawn_rngs(seed, 1)[0])
         assert np.array_equal(leg["queueing"], expected)
+        bare = pon._downstream_leg(cfg, load, probes, pon._spawn_rngs(seed, 1)[0], stats=False)
+        assert np.array_equal(bare["queueing"], expected) and "stats" not in bare
         stats = leg["stats"]
         assert stats["n_background"] == times.size
         if times.size > 2:
@@ -309,6 +348,21 @@ class TestStreamedBackground:
         assert all(c.size <= chunk for c in chunks)
         expected = _whole_array_arrivals(_HalfGaps(4), 0.9, 2000.0)
         assert np.array_equal(np.concatenate(chunks), expected)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_draw_into_buffer_matches_exponential(self, monkeypatch, seed):
+        monkeypatch.setattr(pon, "CHUNK_EVENTS", 1000)
+        rng, reference = pon._spawn_rngs(seed, 1)[0], pon._spawn_rngs(seed, 1)[0]
+        draw = pon._poisson_draw(rng, 0.9, 5000.0)
+        buffer, chunks = np.full(1300, np.nan), []
+        while not draw.done:
+            chunk = pon._poisson_arrivals(draw, buffer[300:])
+            assert np.shares_memory(chunk, buffer)
+            chunks.append(chunk.copy())
+        expected = _whole_array_arrivals(reference, 0.9, 5000.0)
+        assert np.array_equal(np.concatenate(chunks), expected)
+        assert rng.bit_generator.state == reference.bit_generator.state
+        assert np.array_equal(rng.exponential(2.0, 3), reference.exponential(2.0, 3))
 
     def test_event_cap(self, monkeypatch):
         rng = pon._spawn_rngs(1, 1)[0]
@@ -330,9 +384,23 @@ class TestStreamedBackground:
             tracemalloc.stop()
         # A whole-array leg holds several arrays of ~0.9 events per us of horizon:
         # about 200 MiB at 5k loops and 800 MiB at 20k.  The streamed leg peaks
-        # at 12.7 MiB; fresh chunk temporaries (the concatenated arrivals and
-        # the filled services) took it to 18.5 MiB.
-        assert peak < 16 * 2**20
+        # at 7.8 MiB: one arrivals buffer and fifo_waits' two rows of work
+        # memory, each 1.25 chunks long.  With fresh chunk temporaries (the
+        # draw, the waits, the running minimum and the gaps) it took 12.7 MiB,
+        # and 18.5 MiB with the concatenated arrivals and filled services too.
+        assert peak < 10 * 2**20
+
+    @pytest.mark.parametrize("n_loops", [5_000, 20_000])
+    def test_statistics_free_leg_memory_is_flat_in_loops(self, n_loops):
+        probes = generate_stream(CONTROL_TRAFFIC_DEFAULT, n_loops * 1000.0, 3).timestamps
+        tracemalloc.start()
+        try:
+            pon._downstream_leg(PonConfig(), LoadPoint(0.9), probes, pon._spawn_rngs(3, 1)[0],
+                                stats=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
 
 
 class TestStreamedUpstream:

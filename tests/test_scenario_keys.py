@@ -52,7 +52,7 @@ PERTURBATIONS = {
     ("glad", "total_machines"): ("3", {}),
     ("glad", "local_ais"): ("3", {}),
     ("glad", "profiling_samples"): ("600", {}),
-    # Above profiling_samples: the first upload raises NotReadyError.
+    # Above profiling_samples: GladParams rejects it at load.
     ("glad", "min_updates_for_upload"): ("501", {}),
     ("glad", "match_threshold"): ("0.6", POOL4),
     ("glad", "quant_bands"): ("5", POOL4),
