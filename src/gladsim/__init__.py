@@ -56,14 +56,11 @@ from .haptic import (
     train_classifier,
 )
 from .pon import (
-    LatencySummary,
     LoadPoint,
     PonConfig,
     kingman_wait,
-    max_span_meeting_deadline,
     propagation_delay,
-    round_trip_no_ai,
-    round_trip_with_ai,
+    round_trips,
     simulate_pon,
     transmission_time,
 )

@@ -14,6 +14,7 @@ complete, so an aborted run never leaves truncated tables behind.
 from __future__ import annotations
 
 import argparse
+import math
 import shutil
 import sys
 import tempfile
@@ -111,11 +112,15 @@ def _read_inter_arrivals(path: Path) -> np.ndarray:
             if not cell:
                 continue
             try:
-                values.append(float(cell))
+                value = float(cell)
             except ValueError:
                 if line_no == 1:
                     continue  # header row
                 raise ConfigError(f"non-numeric value at line {line_no}: {cell!r}")
+            if not 0.0 <= value < math.inf:
+                raise ConfigError(
+                    f"inter-arrival at line {line_no} must be finite and >= 0, got {cell!r}")
+            values.append(value)
     return np.asarray(values)
 
 

@@ -24,6 +24,7 @@ import numpy as np
 from . import coordination, haptic, pon
 from .coordination import GladParams
 from .errors import ConfigError, ParameterError, SaturationError
+from .pon import NO_AI, WITH_AI
 from .traffic import CONTROL_TRAFFIC_DEFAULT, GpdParams
 
 __all__ = [
@@ -39,9 +40,6 @@ __all__ = [
 ]
 
 ARTIFACT_VERSION = "0.1.0"
-
-NO_AI = "no_ai"
-WITH_AI = "with_ai"
 
 
 @dataclass(frozen=True)
@@ -138,15 +136,8 @@ def _thread_count() -> int:
 
 def _base_components(config: ScenarioConfig, rho: float, seed: int) -> dict:
     """Span-independent loop totals for both modes at one (load, seed) point."""
-    load = pon.LoadPoint(rho)
-    out = {}
-    for mode, with_ai in ((NO_AI, False), (WITH_AI, True)):
-        base, legs = pon._round_trip_base(
-            config.pon, load, seed, config.n_loops, config.control_traffic, with_ai
-        )
-        start = int(base.size * pon.WARMUP_FRACTION)
-        out[mode] = (base[start:], legs)
-    return out
+    return pon.round_trips(config.pon, pon.LoadPoint(rho), seed,
+                           n_loops=config.n_loops, traffic=config.control_traffic)
 
 
 def run_latency_sweep(config: ScenarioConfig) -> Report:
@@ -385,11 +376,11 @@ def export_report(report: Report, directory, formats=("csv",)) -> list[Path]:
     Table files are named `<scenario>__<table>.<format>`.  Files are written
     atomically (temp + rename) so a crash never leaves a truncated table.
     """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     for fmt in formats:
         if fmt not in ("csv", "json"):
             raise ParameterError(f"unsupported format {fmt!r}")
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
 
     written = []
     for name in sorted(report.tables):

@@ -17,7 +17,8 @@ four traversals of a closed loop compose independently.
 Queueing, grant and transmission delays do not depend on the fiber span in
 this model (ranging offsets are out of scope), so round-trip statistics for
 any span derive from one set of direction simulations plus the span's
-propagation term.  `max_span_meeting_deadline` exploits that directly.
+propagation term.  `round_trips` therefore returns span-free loop totals
+with each mode's fiber leg count, and a span adds legs x span x per-km delay.
 """
 
 from __future__ import annotations
@@ -33,22 +34,25 @@ from .traffic import CONTROL_TRAFFIC_DEFAULT, ArrivalStream, GpdParams, generate
 __all__ = [
     "PonConfig",
     "LoadPoint",
-    "LatencySummary",
     "UPSTREAM",
     "DOWNSTREAM",
+    "NO_AI",
+    "WITH_AI",
     "propagation_delay",
     "transmission_time",
     "kingman_wait",
     "fifo_waits",
     "simulate_pon",
     "queueing_cross_check",
-    "round_trip_no_ai",
-    "round_trip_with_ai",
-    "max_span_meeting_deadline",
+    "round_trips",
 ]
 
 UPSTREAM = "upstream"
 DOWNSTREAM = "downstream"
+
+# Loop modes: the machine in the loop, or the edge AI answering in its place.
+NO_AI = "no_ai"
+WITH_AI = "with_ai"
 
 # Hard cap on background packets per simulated leg.
 MAX_EVENTS = 50_000_000
@@ -59,7 +63,7 @@ MAX_EVENTS = 50_000_000
 # their temporaries do not grow with the horizon.
 CHUNK_EVENTS = 1 << 18
 
-# Fraction of loops discarded as simulation warm-up before summarizing.
+# Fraction of loops `round_trips` discards as simulation warm-up.
 WARMUP_FRACTION = 0.1
 
 
@@ -109,16 +113,6 @@ class LoadPoint:
             raise ParameterError(f"rho must be finite and >= 0, got {self.rho}")
         if self.rho >= 1.0:
             raise SaturationError(f"offered load rho={self.rho} saturates the line")
-
-
-@dataclass(frozen=True)
-class LatencySummary:
-    """Round-trip statistics over the simulated loops (after warm-up)."""
-
-    mean_us: float
-    p95_us: float
-    p99_us: float
-    n_loops: int
 
 
 def propagation_delay(distance_km: float, per_km_us: float) -> float:
@@ -690,43 +684,29 @@ def _round_trip_base(config: PonConfig, load: LoadPoint, seed: int,
     return totals, len(leg_plan)
 
 
-def _summarize(totals: np.ndarray) -> LatencySummary:
-    start = int(totals.size * WARMUP_FRACTION)
-    body = totals[start:]
-    return LatencySummary(
-        mean_us=float(body.mean()),
-        p95_us=float(np.percentile(body, 95)),
-        p99_us=float(np.percentile(body, 99)),
-        n_loops=int(body.size),
-    )
+def round_trips(config: PonConfig, load: LoadPoint, seed: int, *,
+                n_loops: int = 10_000,
+                traffic: GpdParams | None = None) -> dict[str, tuple[np.ndarray, int]]:
+    """Per-loop round-trip totals of both loop modes, after warm-up.
 
+    Returns `{NO_AI: (totals, 4), WITH_AI: (totals, 2)}`: each mode's
+    per-loop totals in us, without fiber propagation, and its number of fiber
+    traversals.  At a span of d km a loop takes totals + legs * d * per-km
+    delay, so `config.span_km` does not enter.  The first WARMUP_FRACTION of
+    the `n_loops` loops is dropped.
 
-def round_trip_no_ai(config: PonConfig, load: LoadPoint, seed: int, *,
-                     n_loops: int = 10_000,
-                     traffic: GpdParams | None = None) -> LatencySummary:
-    """Closed-loop latency with the machine in the loop.
-
-    Four traversals per loop: control upstream and downstream to the machine,
-    feedback upstream and downstream back to the operator, with a wireless
-    hop at each of the four air crossings.
+    * NO_AI: the machine in the loop.  Control upstream and downstream to the
+      machine, then feedback upstream and downstream back to the operator,
+      with a wireless hop at each of the four air crossings.
+    * WITH_AI: edge forecasting short-circuits the machine.  Control upstream
+      to the central office, forecast inference, and the forecast feedback
+      downstream to the operator: two wireless hops plus the inference time.
     """
-    base, legs = _round_trip_base(config, load, seed, n_loops, traffic, with_ai=False)
-    prop = propagation_delay(config.span_km, config.fiber_delay_us_per_km)
-    return _summarize(base + legs * prop)
-
-
-def round_trip_with_ai(config: PonConfig, load: LoadPoint, seed: int, *,
-                       n_loops: int = 10_000,
-                       traffic: GpdParams | None = None) -> LatencySummary:
-    """Closed-loop latency with edge forecasting short-circuiting the machine.
-
-    The loop is control upstream to the CO, forecast inference, and the
-    forecast feedback downstream to the operator: two fiber traversals, two
-    wireless hops, plus the inference time.
-    """
-    base, legs = _round_trip_base(config, load, seed, n_loops, traffic, with_ai=True)
-    prop = propagation_delay(config.span_km, config.fiber_delay_us_per_km)
-    return _summarize(base + legs * prop)
+    out = {}
+    for mode, with_ai in ((NO_AI, False), (WITH_AI, True)):
+        base, legs = _round_trip_base(config, load, seed, n_loops, traffic, with_ai)
+        out[mode] = (base[int(base.size * WARMUP_FRACTION):], legs)
+    return out
 
 
 def _bisect_max_span(base_mean_us: float, fiber_legs: int, per_km_us: float,
@@ -747,20 +727,3 @@ def _bisect_max_span(base_mean_us: float, fiber_legs: int, per_km_us: float,
     while steps < 200 and fits(steps + 1):
         steps += 1
     return steps * 0.5
-
-
-def max_span_meeting_deadline(config: PonConfig, load: LoadPoint,
-                              deadline_us: float, with_ai: bool, *,
-                              seed: int = 0, n_loops: int = 10_000,
-                              traffic: GpdParams | None = None) -> float:
-    """Largest span (km) whose mean round trip meets the deadline.
-
-    Searches [0, 100] km at 0.5 km resolution.  Returns 0.0 when the
-    deadline cannot be met even back-to-back.
-    """
-    if deadline_us <= 0:
-        raise ParameterError(f"deadline must be > 0, got {deadline_us}")
-    base, legs = _round_trip_base(config, load, seed, n_loops, traffic, with_ai)
-    start = int(base.size * WARMUP_FRACTION)
-    base_mean = float(base[start:].mean())
-    return _bisect_max_span(base_mean, legs, config.fiber_delay_us_per_km, deadline_us)

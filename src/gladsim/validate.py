@@ -71,11 +71,13 @@ def _check_zero_load_bounds() -> None:
 
 
 def _check_ai_dominance() -> None:
-    cfg = pon.PonConfig(span_km=20.0)
+    cfg = pon.PonConfig()
+    prop = pon.propagation_delay(20.0, cfg.fiber_delay_us_per_km)
     for rho in (0.2, 0.8):
-        slow = pon.round_trip_no_ai(cfg, pon.LoadPoint(rho), 3, n_loops=2000)
-        fast = pon.round_trip_with_ai(cfg, pon.LoadPoint(rho), 3, n_loops=2000)
-        assert fast.mean_us < slow.mean_us, f"no dominance at rho={rho}"
+        loops = pon.round_trips(cfg, pon.LoadPoint(rho), 3, n_loops=2000)
+        slow, fast = (float(base.mean()) + legs * prop
+                      for base, legs in (loops[pon.NO_AI], loops[pon.WITH_AI]))
+        assert fast < slow, f"no dominance at rho={rho}"
 
 
 def _check_forecaster() -> None:
@@ -102,10 +104,11 @@ def _check_onboarding_pair() -> None:
 
 
 def _check_determinism() -> None:
-    cfg = pon.PonConfig(span_km=10.0)
-    a = pon.round_trip_no_ai(cfg, pon.LoadPoint(0.4), 11, n_loops=1000)
-    b = pon.round_trip_no_ai(cfg, pon.LoadPoint(0.4), 11, n_loops=1000)
-    assert a == b, "round trip not deterministic"
+    a, b = (pon.round_trips(pon.PonConfig(), pon.LoadPoint(0.4), 11, n_loops=1000)
+            for _ in range(2))
+    for mode in (pon.NO_AI, pon.WITH_AI):
+        assert np.array_equal(a[mode][0], b[mode][0]), f"{mode} round trip not deterministic"
+        assert a[mode][1] == b[mode][1], f"{mode} fiber legs differ"
 
 
 _CHECKS = [

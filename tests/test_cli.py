@@ -233,6 +233,14 @@ class TestCli:
     def test_traffic_fit_missing_file(self, tmp_path, capsys):
         assert main(["traffic-fit", "--input", str(tmp_path / "none.csv")]) == 1
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "-5", "-0.5"])
+    def test_traffic_fit_bad_value_exits_one(self, tmp_path, capsys, cell):
+        csv = tmp_path / "gaps.csv"
+        csv.write_text("inter_arrival_us\n" + "1000.0\n" * 50 + f"{cell}\n" + "1000.0\n" * 50)
+        assert main(["traffic-fit", "--input", str(csv)]) == 1
+        err = capsys.readouterr().err
+        assert "line 52" in err and repr(cell) in err and "Traceback" not in err
+
     @pytest.mark.parametrize("significance", ["0.7", "0", "-1", "nan", "x"])
     def test_traffic_fit_bad_significance_exits_one(self, tmp_path, capsys, significance):
         csv = tmp_path / "gaps.csv"
@@ -244,3 +252,9 @@ class TestCli:
     def test_validate_dump_config(self, capsys):
         assert main(["validate", "--dump-config"]) == 0
         assert "[pon]" in capsys.readouterr().out
+
+    def test_validate_suite_passes(self, capsys):
+        assert main(["validate"]) == 0
+        out = capsys.readouterr().out
+        assert "FAIL" not in out
+        assert out.splitlines()[-1] == "10/10 checks passed"

@@ -9,8 +9,6 @@ from gladsim import coordination, haptic
 from gladsim.errors import ConfigError, ParameterError
 from gladsim.traffic import GpdParams
 from gladsim.experiments import (
-    NO_AI,
-    WITH_AI,
     GladParams,
     Report,
     ScenarioConfig,
@@ -20,6 +18,7 @@ from gladsim.experiments import (
     run_onboarding_study,
     scenario_hash,
 )
+from gladsim.pon import NO_AI, WITH_AI
 
 
 def _small_scenario(**overrides):
@@ -261,8 +260,10 @@ class TestExport:
         assert payload["columns"][0] == "span_km"
 
     def test_unknown_format_rejected(self, latency_report, tmp_path):
+        target = tmp_path / "report"
         with pytest.raises(ParameterError):
-            export_report(latency_report, tmp_path, formats=("yaml",))
+            export_report(latency_report, target, formats=("yaml",))
+        assert not target.exists()
 
     def test_thread_env_var_keeps_results_identical(self, latency_report, monkeypatch):
         monkeypatch.setenv("GLADSIM_THREADS", "4")

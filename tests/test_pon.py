@@ -10,18 +10,19 @@ from hypothesis import strategies as st
 
 from gladsim import pon
 from gladsim.errors import ParameterError, ResourceLimitError, SaturationError
+from gladsim.experiments import ScenarioConfig, run_latency_sweep
 from gladsim.pon import (
     DOWNSTREAM,
+    NO_AI,
     UPSTREAM,
+    WITH_AI,
     LoadPoint,
     PonConfig,
     fifo_waits,
     kingman_wait,
-    max_span_meeting_deadline,
     propagation_delay,
     queueing_cross_check,
-    round_trip_no_ai,
-    round_trip_with_ai,
+    round_trips,
     simulate_pon,
     transmission_time,
 )
@@ -528,48 +529,64 @@ class TestSimulatePon:
         assert out["relative_gap"] <= 0.2
 
 
+def _loop_totals(cfg, rho, seed, n_loops):
+    """Each mode's per-loop totals at the span of `cfg`."""
+    prop = propagation_delay(cfg.span_km, cfg.fiber_delay_us_per_km)
+    return {mode: base + legs * prop
+            for mode, (base, legs) in round_trips(cfg, LoadPoint(rho), seed,
+                                                  n_loops=n_loops).items()}
+
+
 class TestRoundTrips:
+    def test_modes_leg_counts_and_warm_up(self):
+        loops = round_trips(PonConfig(), LoadPoint(0.0), seed=2, n_loops=2000)
+        assert list(loops) == [NO_AI, WITH_AI]
+        assert [legs for _, legs in loops.values()] == [4, 2]
+        assert all(base.shape == (1800,) for base, _ in loops.values())
+        # The span does not enter the totals.
+        again = round_trips(PonConfig(span_km=35.0), LoadPoint(0.0), seed=2, n_loops=2000)
+        assert all(np.array_equal(loops[mode][0], again[mode][0]) for mode in loops)
+
     def test_zero_load_no_ai_decomposition(self):
         """At rho=0 the loop is 4 propagation + 4 wireless + 2 DBA waits + tx."""
         cfg = PonConfig(span_km=20.0)
-        summary = round_trip_no_ai(cfg, LoadPoint(0.0), seed=2, n_loops=2000)
+        totals = _loop_totals(cfg, 0.0, seed=2, n_loops=2000)[NO_AI]
         tx = 2 * transmission_time(cfg.packet_bytes, cfg.upstream_rate_bps) \
             + 2 * transmission_time(cfg.packet_bytes, cfg.downstream_rate_bps)
         floor = 4 * 100.0 + 4 * 50.0 + tx
         ceiling = floor + 2 * cfg.dba_cycle_us
-        assert floor < summary.mean_us < ceiling
-        assert summary.p99_us <= ceiling
+        assert floor < totals.mean() < ceiling
+        assert np.percentile(totals, 99) <= ceiling
         assert ceiling < 1000.0
 
     def test_zero_load_with_ai_decomposition(self):
         """At rho=0 the AI loop is 2 propagation + 2 wireless + 1 DBA + inference."""
         cfg = PonConfig(span_km=30.0)
-        summary = round_trip_with_ai(cfg, LoadPoint(0.0), seed=2, n_loops=2000)
+        totals = _loop_totals(cfg, 0.0, seed=2, n_loops=2000)[WITH_AI]
         tx = transmission_time(cfg.packet_bytes, cfg.upstream_rate_bps) \
             + transmission_time(cfg.packet_bytes, cfg.downstream_rate_bps)
         floor = 2 * 150.0 + 2 * 50.0 + tx + cfg.ai_inference_us
-        assert floor < summary.mean_us < floor + cfg.dba_cycle_us
+        assert floor < totals.mean() < floor + cfg.dba_cycle_us
 
     @pytest.mark.parametrize("rho", [0.0, 0.5, 0.9])
     def test_with_ai_dominates(self, rho):
-        cfg = PonConfig(span_km=20.0)
-        slow = round_trip_no_ai(cfg, LoadPoint(rho), seed=6, n_loops=2000)
-        fast = round_trip_with_ai(cfg, LoadPoint(rho), seed=6, n_loops=2000)
-        assert fast.mean_us < slow.mean_us
+        totals = _loop_totals(PonConfig(span_km=20.0), rho, seed=6, n_loops=2000)
+        assert totals[WITH_AI].mean() < totals[NO_AI].mean()
 
     def test_mean_monotone_in_load(self):
         cfg = PonConfig(span_km=20.0)
         means = [
-            round_trip_no_ai(cfg, LoadPoint(rho), seed=8, n_loops=3000).mean_us
+            _loop_totals(cfg, rho, seed=8, n_loops=3000)[NO_AI].mean()
             for rho in (0.1, 0.3, 0.5, 0.7, 0.9)
         ]
         assert all(b >= a for a, b in zip(means, means[1:]))
 
     def test_deterministic_summary(self):
-        cfg = PonConfig(span_km=15.0)
-        a = round_trip_no_ai(cfg, LoadPoint(0.6), seed=4, n_loops=1500)
-        b = round_trip_no_ai(cfg, LoadPoint(0.6), seed=4, n_loops=1500)
-        assert a == b
+        a = round_trips(PonConfig(), LoadPoint(0.6), seed=4, n_loops=1500)
+        b = round_trips(PonConfig(), LoadPoint(0.6), seed=4, n_loops=1500)
+        assert a.keys() == b.keys()
+        for mode in a:
+            assert np.array_equal(a[mode][0], b[mode][0]) and a[mode][1] == b[mode][1]
 
 
 def _bisect_reference(base_mean_us, fiber_legs, per_km_us, deadline_us):
@@ -612,32 +629,32 @@ class TestMaxSpan:
     def test_closed_form_equals_bisection(self, inputs):
         assert pon._bisect_max_span(*inputs) == _bisect_reference(*inputs)
 
+    @staticmethod
+    def _sweep(rho, seed, n_loops, deadline_us, spans=(20.0,)):
+        return run_latency_sweep(ScenarioConfig(
+            load_grid=(rho,), span_grid_km=spans, seeds=(seed,),
+            n_loops=n_loops, deadline_us=deadline_us)).tables
+
+    @staticmethod
+    def _crossings(tables):
+        return {row[1]: row[2] for row in tables["deadline_crossing"].rows}
+
     def test_trivially_feasible_hits_search_bound(self):
-        cfg = PonConfig()
-        assert max_span_meeting_deadline(cfg, LoadPoint(0.0), 1e6, False, seed=1,
-                                         n_loops=500) == 100.0
+        crossings = self._crossings(self._sweep(0.0, 1, 500, 1e6))
+        assert crossings == {NO_AI: 100.0, WITH_AI: 100.0}
 
     def test_result_is_boundary_on_half_km_grid(self):
-        cfg = PonConfig()
-        load = LoadPoint(0.5)
-        span = max_span_meeting_deadline(cfg, load, 900.0, False, seed=3, n_loops=1500)
-        assert span % 0.5 == 0.0
-        at_span = round_trip_no_ai(
-            PonConfig(span_km=span), load, seed=3, n_loops=1500).mean_us
-        assert at_span <= 900.0
-        if span < 100.0:
-            beyond = round_trip_no_ai(
-                PonConfig(span_km=span + 0.5), load, seed=3, n_loops=1500).mean_us
-            assert beyond > 900.0
+        span = self._crossings(self._sweep(0.5, 3, 1500, 900.0))[NO_AI]
+        assert span % 0.5 == 0.0 and span < 100.0
+        # The latency table's no-AI means at the crossing and one step beyond.
+        tables = self._sweep(0.5, 3, 1500, 900.0, spans=(span, span + 0.5))
+        means = {row[0]: row[3] for row in tables["latency"].rows if row[2] == NO_AI}
+        assert means[span] <= 900.0
+        assert means[span + 0.5] > 900.0
 
     def test_infeasible_returns_zero(self):
-        cfg = PonConfig()
-        assert max_span_meeting_deadline(cfg, LoadPoint(0.0), 150.0, False, seed=1,
-                                         n_loops=500) == 0.0
-
-    def test_bad_deadline(self):
-        with pytest.raises(ParameterError):
-            max_span_meeting_deadline(PonConfig(), LoadPoint(0.1), 0.0, True)
+        crossings = self._crossings(self._sweep(0.0, 1, 500, 150.0))
+        assert crossings == {NO_AI: 0.0, WITH_AI: 0.0}
 
 
 class TestRecordInvariants:
