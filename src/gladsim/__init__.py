@@ -15,7 +15,6 @@ __version__ = "0.1.0"
 from .coordination import (
     GladParams,
     GlobalRegistry,
-    MatchingPolicy,
     OnboardResult,
     ProfileRecord,
     descriptor_of,

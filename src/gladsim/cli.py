@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .config import default_scenario_text, load_scenario
-from .errors import ConfigError, GladsimError
+from .errors import ConfigError, DegenerateDataError, GladsimError, InsufficientDataError
 from .experiments import (
     ScenarioConfig,
     export_report,
@@ -85,9 +85,12 @@ def _load_config(args) -> ScenarioConfig:
 
 def _run_report_command(args, runner) -> int:
     config = _load_config(args)
-    report = runner(config)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out_dir}: {exc.strerror}") from exc
+    report = runner(config)
     # Stage next to the target so the final moves are atomic renames.
     staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=out_dir))
     try:
@@ -103,10 +106,12 @@ def _run_report_command(args, runner) -> int:
 
 
 def _read_inter_arrivals(path: Path) -> np.ndarray:
-    if not path.exists():
-        raise ConfigError(f"input file not found: {path}")
     values = []
-    with open(path) as fh:
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot read input file {path}: {exc.strerror}") from exc
+    with fh:
         for line_no, line in enumerate(fh, start=1):
             cell = line.strip().split(",")[0]
             if not cell:
@@ -126,7 +131,10 @@ def _read_inter_arrivals(path: Path) -> np.ndarray:
 
 def _traffic_fit(args) -> int:
     data = _read_inter_arrivals(Path(args.input))
-    params = fit_gpd(data)
+    try:
+        params = fit_gpd(data)
+    except (InsufficientDataError, DegenerateDataError) as exc:
+        raise ConfigError(f"cannot fit {args.input}: {exc}") from exc
     statistic, passed = ks_test(data, params, args.significance)
     print(f"samples: {data.size}")
     print(f"shape:    {params.shape:.6f}")

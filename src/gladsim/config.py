@@ -1,7 +1,8 @@
 """Scenario files: a strict INI schema over the runner defaults.
 
-Every key overrides one scenario field; unknown sections or keys are hard
-errors so a typo cannot silently skew a calibrated run.  Example:
+Every key overrides one scenario field and is named after it, except
+`scale_us`, `location_us`, `loads` and `spans_km`; unknown sections or keys
+are hard errors so a typo cannot silently skew a calibrated run.  Example:
 
     [pon]
     span_km = 20
@@ -27,14 +28,15 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
+from typing import get_type_hints
 
 from .coordination import GladParams
 from .errors import ConfigError
 from .experiments import ScenarioConfig
 from .pon import PonConfig
-from .traffic import CONTROL_TRAFFIC_DEFAULT
+from .traffic import CONTROL_TRAFFIC_DEFAULT, GpdParams
 
 __all__ = ["load_scenario", "default_scenario_text"]
 
@@ -46,10 +48,6 @@ def _float(text: str) -> float:
     return value
 
 
-def _int(text: str) -> int:
-    return int(text)
-
-
 def _floats(text: str) -> tuple[float, ...]:
     return tuple(_float(v.strip()) for v in text.split(",") if v.strip())
 
@@ -58,55 +56,31 @@ def _ints(text: str) -> tuple[int, ...]:
     return tuple(int(v.strip()) for v in text.split(",") if v.strip())
 
 
+# field annotation -> parser of its value
+_PARSERS = {float: _float, int: int, tuple[float, ...]: _floats, tuple[int, ...]: _ints}
+
+# Fields whose key is not the field name.
+_KEYS = {"scale": "scale_us", "location": "location_us",
+         "load_grid": "loads", "span_grid_km": "spans_km"}
+
+# The ScenarioConfig fields of [grid]; its other fields are the nested sections.
+_GRID = ("load_grid", "span_grid_km", "seeds", "n_loops", "deadline_us")
+
+
+def _keys(cls, names=None) -> dict:
+    """key -> (field, parser) for the fields of `cls` in `names` (all by default)."""
+    hints = get_type_hints(cls)
+    return {_KEYS.get(f.name, f.name): (f.name, _PARSERS[hints[f.name]])
+            for f in fields(cls) if names is None or f.name in names}
+
+
 # section -> key -> (target dataclass attribute, parser)
 _SCHEMA = {
-    "pon": {
-        "downstream_rate_bps": ("downstream_rate_bps", _float),
-        "upstream_rate_bps": ("upstream_rate_bps", _float),
-        "split_ratio": ("split_ratio", _int),
-        "span_km": ("span_km", _float),
-        "fiber_delay_us_per_km": ("fiber_delay_us_per_km", _float),
-        "dba_cycle_us": ("dba_cycle_us", _float),
-        "wireless_hop_us": ("wireless_hop_us", _float),
-        "ai_inference_us": ("ai_inference_us", _float),
-        "packet_bytes": ("packet_bytes", _int),
-        "background_packet_bytes": ("background_packet_bytes", _int),
-    },
-    "traffic.control": {
-        "shape": ("shape", _float),
-        "scale_us": ("scale", _float),
-        "location_us": ("location", _float),
-    },
-    "traffic.haptic": {
-        "shape": ("shape", _float),
-        "scale_us": ("scale", _float),
-        "location_us": ("location", _float),
-    },
-    "grid": {
-        "loads": ("load_grid", _floats),
-        "spans_km": ("span_grid_km", _floats),
-        "seeds": ("seeds", _ints),
-        "n_loops": ("n_loops", _int),
-        "deadline_us": ("deadline_us", _float),
-    },
-    "glad": {
-        "accuracy_target": ("accuracy_target", _float),
-        "window": ("window", _int),
-        "epsilon": ("epsilon", _float),
-        "onboarding_alpha": ("onboarding_alpha", _float),
-        "alpha_grid": ("alpha_grid", _floats),
-        "kind_pool_size": ("kind_pool_size", _int),
-        "total_machines": ("total_machines", _int),
-        "local_ais": ("local_ais", _int),
-        "profiling_samples": ("profiling_samples", _int),
-        "min_updates_for_upload": ("min_updates_for_upload", _int),
-        "match_threshold": ("match_threshold", _float),
-        "quant_bands": ("quant_bands", _int),
-        "texture_freq_max_hz": ("texture_freq_max_hz", _float),
-        "add_every": ("add_every", _int),
-        "additions": ("additions", _int),
-        "machines_grid": ("machines_grid", _ints),
-    },
+    "pon": _keys(PonConfig),
+    "traffic.control": _keys(GpdParams),
+    "traffic.haptic": _keys(GpdParams),
+    "grid": _keys(ScenarioConfig, _GRID),
+    "glad": _keys(GladParams),
 }
 
 
@@ -132,12 +106,12 @@ def _collect(parser: configparser.ConfigParser, section: str) -> dict:
 def load_scenario(path) -> ScenarioConfig:
     """Parse a scenario file into a fully-validated ScenarioConfig."""
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
     parser = configparser.ConfigParser()
     try:
         with open(path) as fh:
             parser.read_file(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
 

@@ -37,7 +37,6 @@ from .haptic import (
 __all__ = [
     "Descriptor",
     "GladParams",
-    "MatchingPolicy",
     "ProfileRecord",
     "GlobalRegistry",
     "OnboardResult",
@@ -68,23 +67,6 @@ POOL_CAPACITY = len(_POOL_KINDS) * len(_POOL_STIFFNESS) * len(_POOL_TEXTURE_HZ)
 
 
 @dataclass(frozen=True)
-class MatchingPolicy:
-    """Quantization and acceptance rules for descriptor matching."""
-
-    bands: int
-    texture_freq_max_hz: float
-    threshold: float
-
-    def __post_init__(self):
-        if self.bands < 2:
-            raise ParameterError(f"bands must be >= 2, got {self.bands}")
-        if self.texture_freq_max_hz <= 0:
-            raise ParameterError("texture_freq_max_hz must be > 0")
-        if not (0.0 < self.threshold <= 1.0):
-            raise ParameterError(f"threshold must lie in (0, 1], got {self.threshold}")
-
-
-@dataclass(frozen=True)
 class GladParams:
     """Learning-side knobs of the onboarding and forecasting studies.
 
@@ -111,7 +93,8 @@ class GladParams:
 
     def __post_init__(self):
         minimums = {"window": 1, "total_machines": 2, "local_ais": 1, "add_every": 1,
-                    "additions": 0, "profiling_samples": MIN_ONBOARDING_SAMPLES}
+                    "additions": 0, "quant_bands": 2,
+                    "profiling_samples": MIN_ONBOARDING_SAMPLES}
         for name, low in minimums.items():
             if getattr(self, name) < low:
                 raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
@@ -121,50 +104,34 @@ class GladParams:
         if not 1 <= self.kind_pool_size <= POOL_CAPACITY:
             raise ConfigError(f"kind_pool_size must lie in [1, {POOL_CAPACITY}], "
                               f"got {self.kind_pool_size}")
-        if not self.epsilon > 0:
-            raise ConfigError(f"epsilon must be > 0, got {self.epsilon}")
+        for name in ("epsilon", "texture_freq_max_hz"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
         if not 0.0 < self.onboarding_alpha <= 1.0:
             raise ConfigError(f"onboarding_alpha must lie in (0, 1], got {self.onboarding_alpha}")
+        if not 0.0 < self.match_threshold <= 1.0:
+            raise ConfigError(f"match_threshold must lie in (0, 1], got {self.match_threshold}")
         if not 0.0 < self.accuracy_target < 1.0:
             raise ConfigError(f"accuracy_target must lie in (0, 1), got {self.accuracy_target}")
         if not self.alpha_grid or not all(0.0 < a <= 1.0 for a in self.alpha_grid):
             raise ConfigError(f"alpha_grid must be nonempty in (0, 1], got {self.alpha_grid}")
         if not self.machines_grid or min(self.machines_grid) < 1:
             raise ConfigError(f"machines_grid must be nonempty and >= 1, got {self.machines_grid}")
-        try:
-            self.policy()
-        except ParameterError as exc:
-            raise ConfigError(
-                f"quant_bands, texture_freq_max_hz or match_threshold: {exc}") from exc
-
-    def policy(self) -> MatchingPolicy:
-        return MatchingPolicy(
-            bands=self.quant_bands,
-            texture_freq_max_hz=self.texture_freq_max_hz,
-            threshold=self.match_threshold,
-        )
 
 
-DEFAULT_POLICY = GladParams().policy()
-
-
-def descriptor_of(profile: ObjectProfile,
-                  policy: MatchingPolicy = DEFAULT_POLICY) -> Descriptor:
+def descriptor_of(profile: ObjectProfile, glad: GladParams = GladParams()) -> Descriptor:
     """Quantized object signature: (kind, stiffness band, texture band)."""
-    s_band = min(policy.bands - 1, int(profile.stiffness * policy.bands))
-    t_band = min(
-        policy.bands - 1,
-        int(profile.texture_freq_hz / policy.texture_freq_max_hz * policy.bands),
-    )
+    bands = glad.quant_bands
+    s_band = min(bands - 1, int(profile.stiffness * bands))
+    t_band = min(bands - 1, int(profile.texture_freq_hz / glad.texture_freq_max_hz * bands))
     return (profile.kind.value, s_band, t_band)
 
 
-def similarity(a: Descriptor, b: Descriptor,
-               policy: MatchingPolicy = DEFAULT_POLICY) -> float:
+def similarity(a: Descriptor, b: Descriptor, glad: GladParams = GladParams()) -> float:
     """1 minus the normalized band distance; 0 for different kinds."""
     if a[0] != b[0]:
         return 0.0
-    dist = max(abs(a[1] - b[1]), abs(a[2] - b[2])) / policy.bands
+    dist = max(abs(a[1] - b[1]), abs(a[2] - b[2])) / glad.quant_bands
     return max(0.0, 1.0 - dist)
 
 
@@ -234,8 +201,7 @@ class GlobalRegistry:
 
 
 def match_profile(registry: GlobalRegistry, descriptor: Descriptor, *,
-                  policy: MatchingPolicy = DEFAULT_POLICY
-                  ) -> tuple[ProfileRecord | None, float]:
+                  glad: GladParams = GladParams()) -> tuple[ProfileRecord | None, float]:
     """Best same-kind record by signature similarity, if it clears the threshold.
 
     Returns (record, similarity) on a match and (None, best similarity found)
@@ -244,10 +210,10 @@ def match_profile(registry: GlobalRegistry, descriptor: Descriptor, *,
     best: ProfileRecord | None = None
     best_sim = 0.0
     for record in registry.all_records():
-        sim = similarity(descriptor, record.descriptor, policy)
+        sim = similarity(descriptor, record.descriptor, glad)
         if sim > best_sim:
             best, best_sim = record, sim
-    if best is not None and best_sim >= policy.threshold:
+    if best is not None and best_sim >= glad.match_threshold:
         return best, best_sim
     return None, best_sim
 
@@ -268,18 +234,17 @@ class OnboardResult:
 
 def upload_profile(registry: GlobalRegistry, profile: ObjectProfile,
                    result: OnboardResult, *, source: str,
-                   min_updates: int = GladParams.min_updates_for_upload,
-                   policy: MatchingPolicy = DEFAULT_POLICY) -> int:
+                   glad: GladParams = GladParams()) -> int:
     """Publish one machine's trained profile; returns the new registry version.
 
     `source` names the uploading Local AI.
     """
-    if result.updates < min_updates:
+    if result.updates < glad.min_updates_for_upload:
         raise NotReadyError(
-            f"profile has {result.updates} updates, needs >= {min_updates}"
+            f"profile has {result.updates} updates, needs >= {glad.min_updates_for_upload}"
         )
     record = ProfileRecord(
-        descriptor=descriptor_of(profile, policy),
+        descriptor=descriptor_of(profile, glad),
         profile_estimate=result.profile_estimate,
         sample_count=result.updates,
         source_local_ai=source,
@@ -288,15 +253,14 @@ def upload_profile(registry: GlobalRegistry, profile: ObjectProfile,
 
 
 def _warm_start(registry: GlobalRegistry, profile: ObjectProfile, mode: str,
-                policy: MatchingPolicy) -> tuple[np.ndarray, float]:
+                glad: GladParams) -> tuple[np.ndarray, float]:
     """Initial estimate of a new machine, and the best match similarity.
 
     Glad mode starts from the best matching record's estimate; cold mode,
     and glad mode without a match, start from zeros.
     """
     if mode == GLAD:
-        record, match_sim = match_profile(registry, descriptor_of(profile, policy),
-                                          policy=policy)
+        record, match_sim = match_profile(registry, descriptor_of(profile, glad), glad=glad)
         if record is not None:
             return record.profile_estimate, match_sim
         return np.zeros(N_FINGERS), match_sim
@@ -323,16 +287,13 @@ def iterations_to_target(hits: np.ndarray, target: float, window: int) -> tuple[
 
 
 def onboard_machine(profile: ObjectProfile, registry: GlobalRegistry, mode: str,
-                    accuracy_target: float,
-                    trace: HapticTrace, *,
-                    alpha: float = GladParams.onboarding_alpha,
-                    epsilon: float = GladParams.epsilon,
-                    window: int = GladParams.window,
-                    policy: MatchingPolicy = DEFAULT_POLICY) -> OnboardResult:
+                    trace: HapticTrace, glad: GladParams = GladParams()) -> OnboardResult:
     """Train a new machine's forecaster over `trace` and record convergence.
 
     Cold mode starts from a zero estimate; glad mode warm-starts from the
     best matching global profile and falls back to cold when none matches.
+    The forecaster steps with `glad.onboarding_alpha` and `glad.epsilon`;
+    convergence is `glad.accuracy_target` over a `glad.window` window.
     """
     if mode not in (COLD, GLAD):
         raise ParameterError(f"mode must be '{COLD}' or '{GLAD}', got {mode!r}")
@@ -341,9 +302,10 @@ def onboard_machine(profile: ObjectProfile, registry: GlobalRegistry, mode: str,
             f"onboarding needs >= {MIN_ONBOARDING_SAMPLES} touch samples, got {len(trace)}"
         )
 
-    initial, match_sim = _warm_start(registry, profile, mode, policy)
+    initial, match_sim = _warm_start(registry, profile, mode, glad)
+    alpha, epsilon = glad.onboarding_alpha, glad.epsilon
     hits = run_forecaster(trace, alpha, epsilon, initial_estimate=initial)
-    iterations, converged = iterations_to_target(hits, accuracy_target, window)
+    iterations, converged = iterations_to_target(hits, glad.accuracy_target, glad.window)
     _, estimate = _forecast(trace.amplitude, alpha, epsilon, initial)
     return OnboardResult(
         mode=mode,
@@ -398,7 +360,6 @@ def run_savings_sweep(glad: GladParams, seed: int) -> list[tuple[int, float]]:
     mean of saved_pct after each machine.
     """
     pool = make_profile_pool(glad.kind_pool_size)
-    policy = glad.policy()
     registry = GlobalRegistry()
     seeds = np.random.SeedSequence(seed).generate_state(glad.total_machines)
 
@@ -408,14 +369,11 @@ def run_savings_sweep(glad: GladParams, seed: int) -> list[tuple[int, float]]:
         profile = pool[m % glad.kind_pool_size]
         trace = profiling_trace(profile, glad.profiling_samples, int(seeds[m]))
 
-        cold, warm = [onboard_machine(profile, registry, mode, glad.accuracy_target, trace,
-                                      alpha=glad.onboarding_alpha, epsilon=glad.epsilon,
-                                      window=glad.window, policy=policy)
+        cold, warm = [onboard_machine(profile, registry, mode, trace, glad)
                       for mode in (COLD, GLAD)]
         saved.append(training_time_saved(cold.iterations, warm.iterations))
 
-        upload_profile(registry, profile, warm, source=f"co-{m % glad.local_ais}",
-                       min_updates=glad.min_updates_for_upload, policy=policy)
+        upload_profile(registry, profile, warm, source=f"co-{m % glad.local_ais}", glad=glad)
         registry.aggregate()
         curve.append((m + 1, float(np.mean(saved))))
     return curve

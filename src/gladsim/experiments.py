@@ -251,7 +251,6 @@ def _accuracy_decay_curve(config: ScenarioConfig, mode: str, seed: int) -> list[
     joiner's misses may leave the window as fast as the new joiner's enter.
     """
     glad_cfg = config.glad
-    policy = glad_cfg.policy()
     add_every = glad_cfg.add_every
     machines = glad_cfg.additions + 1
 
@@ -270,13 +269,13 @@ def _accuracy_decay_curve(config: ScenarioConfig, mode: str, seed: int) -> list[
         if m == 0:
             estimate = np.clip(x.mean(axis=0), 0.0, 1.0)  # converged head start
             registry.add_record(coordination.ProfileRecord(
-                descriptor=coordination.descriptor_of(profile, policy),
+                descriptor=coordination.descriptor_of(profile, glad_cfg),
                 profile_estimate=estimate,
                 sample_count=glad_cfg.profiling_samples,
                 source_local_ai="co-0",
             ))
         else:
-            estimate, _ = coordination._warm_start(registry, profile, mode, policy)
+            estimate, _ = coordination._warm_start(registry, profile, mode, glad_cfg)
         start = m * add_every
         hits[start:, m], _ = haptic._forecast(
             x[:total_iters - start], glad_cfg.onboarding_alpha, glad_cfg.epsilon, estimate

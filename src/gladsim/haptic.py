@@ -471,7 +471,7 @@ def estimate_tau(haptic_trace: HapticTrace) -> float:
     return float(np.clip(r, -1.0, 1.0))
 
 
-def optimize_alpha(trace: HapticTrace, alpha_grid, epsilon: float = 0.05) -> float:
+def optimize_alpha(trace: HapticTrace, alpha_grid, epsilon: float) -> float:
     """Grid value maximizing the final cumulative forecast accuracy.
 
     Each candidate runs a fresh zero-initialized forecaster over the trace.

@@ -93,13 +93,13 @@ def _check_onboarding_pair() -> None:
     profile = haptic.standard_profile(haptic.ObjectKind.RUBBER_BALL)
     registry = coordination.GlobalRegistry()
     trace0 = haptic.profiling_trace(profile, 2000, 77)
-    donor = coordination.onboard_machine(profile, registry, "cold", 0.95, trace0)
+    donor = coordination.onboard_machine(profile, registry, "cold", trace0)
     coordination.upload_profile(registry, profile, donor, source="co-0")
     registry.aggregate()
 
     trace = haptic.profiling_trace(profile, 2000, 78)
-    cold = coordination.onboard_machine(profile, registry, "cold", 0.95, trace)
-    warm = coordination.onboard_machine(profile, registry, "glad", 0.95, trace)
+    cold = coordination.onboard_machine(profile, registry, "cold", trace)
+    warm = coordination.onboard_machine(profile, registry, "glad", trace)
     assert warm.iterations <= cold.iterations, "warm start slower than cold"
 
 

@@ -158,15 +158,15 @@ def test_criterion_7_training_time_saved_calibration():
             registry = coordination.GlobalRegistry()
             donor_trace = haptic.profiling_trace(profile, 4000, 10_000 + seed)
             donor = coordination.onboard_machine(profile, registry, coordination.COLD,
-                                                 0.95, donor_trace)
+                                                 donor_trace)
             coordination.upload_profile(registry, profile, donor, source="donor")
             registry.aggregate()
 
             trace = haptic.profiling_trace(profile, 4000, seed)
             cold = coordination.onboard_machine(
-                profile, registry, coordination.COLD, 0.95, trace)
+                profile, registry, coordination.COLD, trace)
             warm = coordination.onboard_machine(
-                profile, registry, coordination.GLAD, 0.95, trace)
+                profile, registry, coordination.GLAD, trace)
             assert warm.match_similarity == 1.0
             assert warm.iterations <= cold.iterations
             saved.append(coordination.training_time_saved(

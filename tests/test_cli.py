@@ -6,6 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from gladsim import cli
 from gladsim import config as gconfig
 from gladsim.cli import main
 from gladsim.config import default_scenario_text, load_scenario
@@ -92,6 +93,22 @@ class TestConfigFile:
             targets = [attr for attr, _ in gconfig._SCHEMA[section].values()]
             assert sorted(targets) == sorted(fields), section
             assert set(dump[section]) == set(gconfig._SCHEMA[section]), section
+
+    def test_scenario_keys_are_pinned(self):
+        # Keys are derived from the dataclass fields, so renaming a field
+        # renames its key; every scenario file written so far would break.
+        assert {section: list(keys) for section, keys in gconfig._SCHEMA.items()} == {
+            "pon": ["downstream_rate_bps", "upstream_rate_bps", "split_ratio", "span_km",
+                    "fiber_delay_us_per_km", "dba_cycle_us", "wireless_hop_us",
+                    "ai_inference_us", "packet_bytes", "background_packet_bytes"],
+            "traffic.control": ["shape", "scale_us", "location_us"],
+            "traffic.haptic": ["shape", "scale_us", "location_us"],
+            "grid": ["loads", "spans_km", "seeds", "n_loops", "deadline_us"],
+            "glad": ["accuracy_target", "window", "epsilon", "onboarding_alpha", "alpha_grid",
+                     "kind_pool_size", "total_machines", "local_ais", "profiling_samples",
+                     "min_updates_for_upload", "match_threshold", "quant_bands",
+                     "texture_freq_max_hz", "add_every", "additions", "machines_grid"],
+        }
 
     def test_default_dump_parses_back(self, tmp_path):
         path = tmp_path / "default.cfg"
@@ -232,6 +249,35 @@ class TestCli:
 
     def test_traffic_fit_missing_file(self, tmp_path, capsys):
         assert main(["traffic-fit", "--input", str(tmp_path / "none.csv")]) == 1
+
+    def test_traffic_fit_input_directory_exits_one(self, tmp_path, capsys):
+        assert main(["traffic-fit", "--input", str(tmp_path)]) == 1
+        assert "cannot read input file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lines", [["5.0"] * 10, ["7.5"] * 100],
+                             ids=["too-few", "constant"])
+    def test_traffic_fit_unfittable_input_exits_one(self, tmp_path, capsys, lines):
+        csv = tmp_path / "gaps.csv"
+        csv.write_text("\n".join(lines) + "\n")
+        assert main(["traffic-fit", "--input", str(csv)]) == 1
+        err = capsys.readouterr().err
+        assert "cannot fit" in err and "Traceback" not in err
+
+    def test_config_directory_exits_one(self, tmp_path, capsys):
+        code = main(["latency-sweep", "--config", str(tmp_path), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "cannot read config file" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_out_naming_a_file_exits_one_before_the_run(self, tmp_path, capsys, monkeypatch):
+        def never(config):
+            raise AssertionError("the runner started")
+
+        monkeypatch.setattr(cli, "run_onboarding_study", never)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main(["onboarding", "--out", str(taken)]) == 1
+        assert "cannot create output directory" in capsys.readouterr().err
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "-5", "-0.5"])
     def test_traffic_fit_bad_value_exits_one(self, tmp_path, capsys, cell):

@@ -90,10 +90,11 @@ class TestRegistry:
         registry = GlobalRegistry()
         with pytest.raises(NotReadyError):
             upload_profile(registry, BALL, _trained(updates=0), source="co-1")
-        upload_profile(registry, BALL, _trained(updates=99), source="co-1", min_updates=99)
+        upload_profile(registry, BALL, _trained(updates=99), source="co-1",
+                       glad=GladParams(min_updates_for_upload=99))
         with pytest.raises(NotReadyError):
             upload_profile(registry, BALL, _trained(updates=99), source="co-1",
-                           min_updates=100)
+                           glad=GladParams(min_updates_for_upload=100))
         assert registry.version == 1
 
     def test_two_uploads_same_descriptor_both_retained(self):
@@ -106,7 +107,7 @@ class TestRegistry:
     def test_upload_of_onboarded_machine(self):
         registry = GlobalRegistry()
         trace = profiling_trace(BALL, 800, seed=31)
-        result = onboard_machine(BALL, registry, COLD, 0.95, trace)
+        result = onboard_machine(BALL, registry, COLD, trace)
         upload_profile(registry, BALL, result, source="co-2")
         (record,) = registry.records_for(descriptor_of(BALL))
         np.testing.assert_array_equal(record.profile_estimate, result.profile_estimate)
@@ -209,7 +210,7 @@ class TestOnboarding:
     def test_converged_warm_start_hits_window_floor(self):
         registry = self._registry_with_signature(BALL)
         trace = profiling_trace(BALL, 2000, seed=17)
-        result = onboard_machine(BALL, registry, GLAD, 0.95, trace)
+        result = onboard_machine(BALL, registry, GLAD, trace)
         assert result.converged
         assert result.iterations == 200  # the sliding-window length
         assert result.match_similarity == 1.0
@@ -217,15 +218,15 @@ class TestOnboarding:
     def test_cold_slower_than_warm(self):
         registry = self._registry_with_signature(BALL)
         trace = profiling_trace(BALL, 3000, seed=18)
-        warm = onboard_machine(BALL, registry, GLAD, 0.95, trace)
-        cold = onboard_machine(BALL, registry, COLD, 0.95, trace)
+        warm = onboard_machine(BALL, registry, GLAD, trace)
+        cold = onboard_machine(BALL, registry, COLD, trace)
         assert cold.iterations > warm.iterations
 
     def test_glad_without_match_equals_cold_exactly(self):
         empty = GlobalRegistry()
         trace = profiling_trace(BALL, 2500, seed=19)
-        glad = onboard_machine(BALL, empty, GLAD, 0.95, trace)
-        cold = onboard_machine(BALL, empty, COLD, 0.95, trace)
+        glad = onboard_machine(BALL, empty, GLAD, trace)
+        cold = onboard_machine(BALL, empty, COLD, trace)
         assert glad.iterations == cold.iterations
         assert glad.match_similarity == 0.0
         np.testing.assert_array_equal(glad.profile_estimate, cold.profile_estimate)
@@ -234,7 +235,7 @@ class TestOnboarding:
         registry = self._registry_with_signature(BALL)
         trace = profiling_trace(BALL, 1200, seed=24)
         (record,) = registry.all_records()
-        result = onboard_machine(BALL, registry, GLAD, 0.95, trace, alpha=0.01)
+        result = onboard_machine(BALL, registry, GLAD, trace, GladParams(onboarding_alpha=0.01))
         _, estimate = _forecast(trace.amplitude, 0.01, 0.05, record.profile_estimate)
         np.testing.assert_array_equal(result.profile_estimate, np.clip(estimate, 0.0, 1.0))
         assert result.updates == len(trace)
@@ -243,7 +244,7 @@ class TestOnboarding:
         registry = self._registry_with_signature(BALL)
         (before,) = registry.all_records()
         estimate = before.profile_estimate.copy()
-        onboard_machine(BALL, registry, GLAD, 0.95, profiling_trace(BALL, 1200, seed=23))
+        onboard_machine(BALL, registry, GLAD, profiling_trace(BALL, 1200, seed=23))
         assert registry.version == 1
         (after,) = registry.all_records()
         assert after is before
@@ -252,19 +253,55 @@ class TestOnboarding:
     def test_unreachable_target_flagged(self):
         empty = GlobalRegistry()
         trace = profiling_trace(BALL, 600, seed=20)
-        result = onboard_machine(BALL, empty, COLD, 0.99, trace, alpha=0.001)
+        result = onboard_machine(BALL, empty, COLD, trace,
+                                 GladParams(accuracy_target=0.99, onboarding_alpha=0.001))
         assert not result.converged
         assert result.iterations == len(trace)
 
     def test_short_trace_rejected(self):
         with pytest.raises(Exception):
-            onboard_machine(BALL, GlobalRegistry(), COLD, 0.95,
-                            profiling_trace(BALL, 400, seed=1))
+            onboard_machine(BALL, GlobalRegistry(), COLD, profiling_trace(BALL, 400, seed=1))
 
     def test_bad_mode(self):
         with pytest.raises(ParameterError):
-            onboard_machine(BALL, GlobalRegistry(), "warmish", 0.95,
-                            profiling_trace(BALL, 600, seed=1))
+            onboard_machine(BALL, GlobalRegistry(), "warmish", profiling_trace(BALL, 600, seed=1))
+
+    @pytest.mark.parametrize("field,value", [
+        ("onboarding_alpha", 0.01), ("epsilon", 0.04), ("window", 100),
+        ("accuracy_target", 0.9), ("min_updates_for_upload", 501), ("quant_bands", 2),
+        ("texture_freq_max_hz", 20.0), ("match_threshold", 0.95),
+    ])
+    def test_glad_field_is_honoured(self, field, value):
+        # A donor one stiffness band and one texture band away matches at the
+        # defaults (similarity 0.9), so every field shows in the warm start.
+        donor, new = _custom(0.45), _custom(0.55, texture=40.0)
+        trace = profiling_trace(new, 2000, seed=5)
+
+        def outcome(glad):
+            registry = GlobalRegistry()
+            try:
+                upload_profile(registry, donor, _trained(), source="co-0", glad=glad)
+            except NotReadyError:
+                return "upload gated"
+            (record,) = registry.all_records()
+            assert record.descriptor == descriptor_of(donor, glad)
+            result = onboard_machine(new, registry, GLAD, trace, glad)
+            return (result.iterations, result.converged, result.match_similarity,
+                    result.profile_estimate.tolist())
+
+        default = outcome(GladParams())
+        assert default[2] == pytest.approx(0.9)
+        assert outcome(GladParams(**{field: value})) != default
+
+
+@pytest.mark.parametrize("field,value", [
+    ("quant_bands", 1), ("texture_freq_max_hz", 0.0),
+    ("match_threshold", 0.0), ("match_threshold", 1.5),
+])
+def test_matching_field_rejected_by_name(field, value):
+    with pytest.raises(ConfigError) as info:
+        GladParams(**{field: value})
+    assert str(info.value).startswith(f"{field} must")
 
 
 class TestIterationsToTarget:

@@ -161,7 +161,6 @@ class TestOnboardingStudy:
 def _pooled_list_curve(config, mode, seed):
     """The accuracy-decay curve as a per-iteration loop over a pooled hit list."""
     glad_cfg = config.glad
-    policy = glad_cfg.policy()
     alpha = glad_cfg.onboarding_alpha
     epsilon = glad_cfg.epsilon
     window = glad_cfg.window
@@ -182,14 +181,14 @@ def _pooled_list_curve(config, mode, seed):
         if m == 0:
             estimates.append(np.clip(signature, 0.0, 1.0))
             registry.add_record(coordination.ProfileRecord(
-                descriptor=coordination.descriptor_of(profile, policy),
+                descriptor=coordination.descriptor_of(profile, glad_cfg),
                 profile_estimate=np.clip(signature, 0.0, 1.0),
                 sample_count=glad_cfg.profiling_samples,
                 source_local_ai="co-0",
             ))
         elif mode == coordination.GLAD:
             record, _ = coordination.match_profile(
-                registry, coordination.descriptor_of(profile, policy), policy=policy
+                registry, coordination.descriptor_of(profile, glad_cfg), glad=glad_cfg
             )
             estimates.append(record.profile_estimate.copy() if record is not None
                              else np.zeros(haptic.N_FINGERS))

@@ -510,13 +510,13 @@ class TestEstimateTau:
 class TestOptimizeAlpha:
     def test_singleton_grid(self):
         trace = profiling_trace(BALL, 300, seed=2)
-        assert optimize_alpha(trace, [0.3]) == 0.3
+        assert optimize_alpha(trace, [0.3], 0.05) == 0.3
 
     def test_returned_alpha_is_grid_argmax(self):
         # Re-evaluating every grid point is the oracle for the argmax.
         trace = profiling_trace(BALL, 600, seed=3, noise_std=0.03)
         grid = [0.05, 0.1, 0.2, 0.4, 0.8]
-        best = optimize_alpha(trace, grid)
+        best = optimize_alpha(trace, grid, 0.05)
         accs = {a: run_forecaster(trace, a, 0.05).mean() for a in grid}
         assert best in grid
         assert accs[best] == max(accs.values())
@@ -524,14 +524,14 @@ class TestOptimizeAlpha:
     def test_tie_breaks_toward_smaller_alpha(self):
         # A constant trace within tolerance of zero makes every alpha perfect.
         trace = _trace(np.full((150, 5), 0.04))
-        assert optimize_alpha(trace, [1.0, 0.9]) == 0.9
+        assert optimize_alpha(trace, [1.0, 0.9], 0.05) == 0.9
 
     def test_requires_enough_samples(self):
         trace = profiling_trace(BALL, 99, seed=1)
         with pytest.raises(InsufficientDataError):
-            optimize_alpha(trace, [0.1])
+            optimize_alpha(trace, [0.1], 0.05)
 
     def test_rejects_out_of_range_grid(self):
         trace = profiling_trace(BALL, 200, seed=1)
         with pytest.raises(ParameterError):
-            optimize_alpha(trace, [0.0, 0.5])
+            optimize_alpha(trace, [0.0, 0.5], 0.05)
