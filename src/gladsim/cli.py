@@ -106,26 +106,28 @@ def _run_report_command(args, runner) -> int:
 
 
 def _read_inter_arrivals(path: Path) -> np.ndarray:
-    values = []
     try:
-        fh = open(path)
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
     except OSError as exc:
         raise ConfigError(f"cannot read input file {path}: {exc.strerror}") from exc
-    with fh:
-        for line_no, line in enumerate(fh, start=1):
-            cell = line.strip().split(",")[0]
-            if not cell:
-                continue
-            try:
-                value = float(cell)
-            except ValueError:
-                if line_no == 1:
-                    continue  # header row
-                raise ConfigError(f"non-numeric value at line {line_no}: {cell!r}")
-            if not 0.0 <= value < math.inf:
-                raise ConfigError(
-                    f"inter-arrival at line {line_no} must be finite and >= 0, got {cell!r}")
-            values.append(value)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"input file {path} is not UTF-8 text: {exc.reason}") from exc
+    values = []
+    for line_no, line in enumerate(lines, start=1):
+        cell = line.strip().split(",")[0]
+        if not cell:
+            continue
+        try:
+            value = float(cell)
+        except ValueError:
+            if line_no == 1:
+                continue  # header row
+            raise ConfigError(f"non-numeric value at line {line_no}: {cell!r}")
+        if not 0.0 <= value < math.inf:
+            raise ConfigError(
+                f"inter-arrival at line {line_no} must be finite and >= 0, got {cell!r}")
+        values.append(value)
     return np.asarray(values)
 
 

@@ -16,7 +16,9 @@ import hashlib
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +34,6 @@ __all__ = [
     "ScenarioConfig",
     "Table",
     "Report",
-    "default_scenario",
     "scenario_hash",
     "run_latency_sweep",
     "run_onboarding_study",
@@ -73,10 +74,6 @@ class ScenarioConfig:
             raise ConfigError(f"n_loops must be >= 10, got {self.n_loops}")
         if self.deadline_us <= 0:
             raise ConfigError(f"deadline_us must be > 0, got {self.deadline_us}")
-
-
-def default_scenario() -> ScenarioConfig:
-    return ScenarioConfig()
 
 
 def _flatten(prefix: str, value, out: dict) -> None:
@@ -134,6 +131,9 @@ def _thread_count() -> int:
 # ---------------------------------------------------------------------------
 
 
+_MODES = (NO_AI, WITH_AI)
+
+
 def _base_components(config: ScenarioConfig, rho: float, seed: int) -> dict:
     """Span-independent loop totals for both modes at one (load, seed) point."""
     return pon.round_trips(config.pon, pon.LoadPoint(rho), seed,
@@ -144,13 +144,15 @@ def run_latency_sweep(config: ScenarioConfig) -> Report:
     """Mean/p95/p99 round trip per (span, load, mode) plus deadline crossings.
 
     Queueing does not depend on the span, so each (load, seed) pair is
-    simulated once per mode and reused across the span grid and the crossing
-    search.  Saturated load points become flagged rows, not failures.
+    simulated once, and a load's seeds are pooled once per mode.  Every span
+    adds its propagation to the pools, and the crossings come from the same
+    points.  Loads are assembled one at a time, so a load's arrays are
+    dropped once the next load's points are in.  Saturated load points
+    become flagged rows, not failures.
     """
     jobs = [(rho, seed) for rho in config.load_grid for seed in config.seeds]
     threads = _thread_count()
-
-    results: dict[tuple[float, int], dict | None] = {}
+    per_km = config.pon.fiber_delay_us_per_km
 
     def evaluate(job):
         rho, seed = job
@@ -159,69 +161,44 @@ def run_latency_sweep(config: ScenarioConfig) -> Report:
         except SaturationError:
             return None
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool_exec:
-            for job, res in zip(jobs, pool_exec.map(evaluate, jobs)):
-                results[job] = res
-    else:
-        # On the calling thread: a lone worker thread allocates from its own
-        # glibc malloc arena, which raised the default sweep's peak RSS by
-        # about 7% on Linux.
-        for job in jobs:
-            results[job] = evaluate(job)
-
-    per_km = config.pon.fiber_delay_us_per_km
-    latency_rows = []
-    dominance_rows = []
-    for span in config.span_grid_km:
-        for rho in config.load_grid:
-            means = {}
-            for mode in (NO_AI, WITH_AI):
-                saturated = any(results[(rho, seed)] is None for seed in config.seeds)
-                if saturated:
-                    latency_rows.append((span, rho, mode, "", "", "", True))
-                    continue
-                totals = np.concatenate([
-                    results[(rho, seed)][mode][0]
-                    + results[(rho, seed)][mode][1] * span * per_km
-                    for seed in config.seeds
-                ])
-                means[mode] = float(totals.mean())
-                latency_rows.append((
-                    span, rho, mode,
-                    float(totals.mean()),
-                    float(np.percentile(totals, 95)),
-                    float(np.percentile(totals, 99)),
-                    False,
-                ))
-            if NO_AI in means and WITH_AI in means:
-                dominance_rows.append(
-                    (span, rho, means[WITH_AI], means[NO_AI],
-                     means[WITH_AI] < means[NO_AI])
-                )
-
+    # Rows per span, so that the latency and dominance tables stay span-major.
+    latency_rows = {span: [] for span in config.span_grid_km}
+    dominance_rows = {span: [] for span in config.span_grid_km}
     crossing_rows = []
-    for rho in config.load_grid:
-        for mode in (NO_AI, WITH_AI):
-            spans = []
-            for seed in config.seeds:
-                res = results[(rho, seed)]
-                if res is None:
-                    spans = None
-                    break
-                base, legs = res[mode]
-                spans.append(pon._bisect_max_span(
-                    float(base.mean()), legs, per_km, config.deadline_us
-                ))
-            if spans is None:
-                crossing_rows.append((rho, mode, "", True))
-            else:
+    # With one thread the points run on the calling thread: a lone worker
+    # thread allocates from its own glibc malloc arena, which raised the
+    # default sweep's peak RSS by 2-3% on Linux.
+    with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as executor:
+        points = map(evaluate, jobs) if executor is None else executor.map(evaluate, jobs)
+        for rho in config.load_grid:
+            results = list(islice(points, len(config.seeds)))
+            if any(res is None for res in results):
+                crossing_rows.extend((rho, mode, "", True) for mode in _MODES)
+                for span, rows in latency_rows.items():
+                    rows.extend((span, rho, mode, "", "", "", True) for mode in _MODES)
+                continue
+            pools = {}
+            for mode in _MODES:
+                legs = results[0][mode][1]
+                spans = [pon._bisect_max_span(float(res[mode][0].mean()), legs, per_km,
+                                              config.deadline_us) for res in results]
                 crossing_rows.append((rho, mode, float(np.mean(spans)), False))
+                pools[mode] = (np.concatenate([res[mode][0] for res in results]), legs)
+            for span in config.span_grid_km:
+                means = {}
+                for mode, (base, legs) in pools.items():
+                    totals = base + legs * span * per_km
+                    means[mode] = float(totals.mean())
+                    p95, p99 = np.percentile(totals, (95, 99))
+                    latency_rows[span].append(
+                        (span, rho, mode, means[mode], float(p95), float(p99), False))
+                dominance_rows[span].append(
+                    (span, rho, means[WITH_AI], means[NO_AI], means[WITH_AI] < means[NO_AI]))
 
     tables = {
         "latency": Table(
             columns=("span_km", "rho", "mode", "mean_us", "p95_us", "p99_us", "saturated"),
-            rows=tuple(latency_rows),
+            rows=tuple(row for rows in latency_rows.values() for row in rows),
         ),
         "deadline_crossing": Table(
             columns=("rho", "mode", "max_span_km", "saturated"),
@@ -229,7 +206,7 @@ def run_latency_sweep(config: ScenarioConfig) -> Report:
         ),
         "ai_dominance": Table(
             columns=("span_km", "rho", "with_ai_mean_us", "no_ai_mean_us", "with_ai_faster"),
-            rows=tuple(dominance_rows),
+            rows=tuple(row for rows in dominance_rows.values() for row in rows),
         ),
     }
     return Report(scenario="latency_sweep", tables=tables, provenance=_provenance(config))

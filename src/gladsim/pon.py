@@ -248,13 +248,13 @@ def _poisson_draw(rng: np.random.Generator, rate_per_us: float,
                         extension=max(64, n_est // 10), left=n_est, drawn=n_est)
 
 
-def _poisson_arrivals(draw: _PoissonDraw, out: np.ndarray | None = None) -> np.ndarray:
+def _poisson_arrivals(draw: _PoissonDraw, out: np.ndarray) -> np.ndarray:
     """The next at most CHUNK_EVENTS arrival instants of a draw, up to its horizon.
 
-    They are drawn into the front of `out` when given, which needs room for
-    `draw.next_size()` of them, and into a fresh array otherwise.  Filling
-    standard exponentials and scaling them gives the bits and the generator
-    state of `rng.exponential(scale_us, size)`.
+    They are drawn into the front of `out`, which needs room for
+    `draw.next_size()` of them; the first call's size is the largest.
+    Filling standard exponentials and scaling them gives the bits and the
+    generator state of `rng.exponential(scale_us, size)`.
     """
     size = draw.next_size()
     if draw.left == 0:
@@ -264,7 +264,7 @@ def _poisson_arrivals(draw: _PoissonDraw, out: np.ndarray | None = None) -> np.n
         draw.drawn += draw.extension
         if draw.drawn > MAX_EVENTS:
             raise ResourceLimitError("background process exceeded the event cap")
-    times = np.empty(size) if out is None else out[:size]
+    times = out[:size]
     draw.rng.standard_exponential(out=times)
     times *= draw.scale_us
     times[0] += draw.partial_us
@@ -278,13 +278,6 @@ def _poisson_arrivals(draw: _PoissonDraw, out: np.ndarray | None = None) -> np.n
     # it is not extended but one with more gaps to draw goes on.
     draw.done = last > draw.horizon_us or (draw.left == 0 and last >= draw.horizon_us)
     return times[:np.searchsorted(times, draw.horizon_us, side="right")]
-
-
-def _background(rng: np.random.Generator, rate_per_us: float, horizon_us: float):
-    """Arrival instants of a Poisson process on [0, horizon_us], in fresh chunks."""
-    draw = _poisson_draw(rng, rate_per_us, horizon_us)
-    while not draw.done:
-        yield _poisson_arrivals(draw)
 
 
 @dataclass
@@ -472,6 +465,36 @@ def _schedule(grants: np.ndarray, cum_grants: np.ndarray, cap_bytes: float,
     return granted_before
 
 
+def _tagged_background(draw: _PoissonDraw, probe_times: np.ndarray, cycle: float,
+                       n_cycles: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Bin the tagged ONU's background into per-cycle packet counts.
+
+    Returns the packets arrived in each cycle, the packets arrived at or
+    before each probe, and the packet count.  The draw goes chunk by chunk
+    into one buffer, which is freed on return, before the grant schedule.
+    """
+    arrived = np.zeros(n_cycles)
+    ahead = np.empty(probe_times.size)
+    n_background = answered = 0
+    buffer = np.empty(draw.next_size())
+    while not draw.done:
+        chunk = _poisson_arrivals(draw, buffer)
+        if not chunk.size:
+            continue
+        # Probes before this chunk's last arrival precede every later chunk.
+        stop = int(np.searchsorted(probe_times, chunk[-1], side="left"))
+        ahead[answered:stop] = n_background + np.searchsorted(
+            chunk, probe_times[answered:stop], side="right")
+        answered = stop
+        cycles_of = np.minimum((chunk / cycle).astype(int), n_cycles - 1)
+        first = int(cycles_of[0])
+        counts = np.bincount(cycles_of - first)
+        arrived[first:first + counts.size] += counts
+        n_background += chunk.size
+    ahead[answered:] = n_background
+    return arrived, ahead, n_background
+
+
 def _upstream_leg(config: PonConfig, load: LoadPoint, probe_times: np.ndarray,
                   rng: np.random.Generator) -> dict:
     """Probe delays through the gated round-robin upstream grant cycle.
@@ -483,8 +506,9 @@ def _upstream_leg(config: PonConfig, load: LoadPoint, probe_times: np.ndarray,
     transmits inside its ONU's window.  Probe times are non-decreasing.
 
     Every ONU's grants are solved in cycle chunks from a carried state, and
-    the tagged ONU's background is consumed chunk by chunk, so the leg holds
-    a few per-cycle and per-probe columns plus one chunk's temporaries.
+    the tagged ONU's background is drawn chunk by chunk into one reused
+    buffer, so the leg holds a few per-cycle and per-probe columns plus one
+    chunk's temporaries.
     """
     cycle = config.dba_cycle_us
     n_onus = config.split_ratio
@@ -518,28 +542,11 @@ def _upstream_leg(config: PonConfig, load: LoadPoint, probe_times: np.ndarray,
             offset_bytes[start:start + size] += _gated_grants(arrived, cap, state)
         preceding_states.append(state)
 
-    # Tagged ONU's own background needs exact arrival instants: they are
-    # binned into per-cycle arrivals, and each probe counts the packets that
-    # arrived at or before it.
-    grants = np.zeros(n_cycles)                  # arrived packets, then granted bytes
-    ahead_bytes = np.empty(probe_times.size)
-    n_background = answered = 0
-    for chunk in _background(rng, lam_onu, horizon):
-        if not chunk.size:
-            continue
-        # Probes before this chunk's last arrival precede every later chunk.
-        stop = int(np.searchsorted(probe_times, chunk[-1], side="left"))
-        ahead_bytes[answered:stop] = n_background + np.searchsorted(
-            chunk, probe_times[answered:stop], side="right")
-        answered = stop
-        cycles_of = np.minimum((chunk / cycle).astype(int), n_cycles - 1)
-        first = int(cycles_of[0])
-        counts = np.bincount(cycles_of - first)
-        grants[first:first + counts.size] += counts
-        n_background += chunk.size
-    ahead_bytes[answered:] = n_background
+    # Tagged ONU's own background needs exact arrival instants.
+    grants, ahead_bytes, n_background = _tagged_background(
+        _poisson_draw(rng, lam_onu, horizon), probe_times, cycle, n_cycles)
     ahead_bytes *= float(bg_bytes)
-    grants *= bg_bytes
+    grants *= bg_bytes                           # arrived bytes, then granted bytes
 
     bg_total = float(n_background) * bg_bytes
     tagged = _GrantState()
@@ -655,26 +662,22 @@ def _probe_stream(traffic: GpdParams, n_loops: int, seed: int) -> np.ndarray:
 
 
 def _round_trip_base(config: PonConfig, load: LoadPoint, seed: int,
-                     n_loops: int, traffic: GpdParams | None,
-                     with_ai: bool) -> tuple[np.ndarray, int]:
+                     probes: np.ndarray, with_ai: bool) -> tuple[np.ndarray, int]:
     """Per-loop totals excluding fiber propagation, plus the fiber leg count.
 
-    The control stream's own seed and the four legs' background seeds derive
-    from `seed`, so both modes share identical leg realizations: the with-AI
-    loop reuses the control upstream and feedback downstream legs of the
-    no-AI loop and simply skips the two machine-side legs.
+    `probes` is the control stream drawn from `seed`, and the four legs'
+    background seeds derive from `seed` too, so both modes share identical
+    leg realizations: the with-AI loop reuses the control upstream and
+    feedback downstream legs of the no-AI loop and simply skips the two
+    machine-side legs.
     """
-    traffic = traffic or CONTROL_TRAFFIC_DEFAULT
-    if n_loops < 10:
-        raise ParameterError(f"need at least 10 loops, got {n_loops}")
-    probes = _probe_stream(traffic, n_loops, seed)
     rngs = _spawn_rngs(seed, 4)
 
     leg_plan = [(UPSTREAM, 0), (DOWNSTREAM, 1), (UPSTREAM, 2), (DOWNSTREAM, 3)]
     if with_ai:
         leg_plan = [(UPSTREAM, 0), (DOWNSTREAM, 3)]
 
-    totals = np.zeros(n_loops)
+    totals = np.zeros(probes.size)
     for direction, rng_idx in leg_plan:
         leg = _leg(config, load, direction, probes, rngs[rng_idx], stats=False)
         totals += (leg["queueing"] + leg["dba_wait"]
@@ -692,8 +695,9 @@ def round_trips(config: PonConfig, load: LoadPoint, seed: int, *,
     Returns `{NO_AI: (totals, 4), WITH_AI: (totals, 2)}`: each mode's
     per-loop totals in us, without fiber propagation, and its number of fiber
     traversals.  At a span of d km a loop takes totals + legs * d * per-km
-    delay, so `config.span_km` does not enter.  The first WARMUP_FRACTION of
-    the `n_loops` loops is dropped.
+    delay, so `config.span_km` does not enter.  Both modes probe the one
+    control stream drawn from `seed`.  The first WARMUP_FRACTION of the
+    `n_loops` loops is dropped.
 
     * NO_AI: the machine in the loop.  Control upstream and downstream to the
       machine, then feedback upstream and downstream back to the operator,
@@ -702,9 +706,12 @@ def round_trips(config: PonConfig, load: LoadPoint, seed: int, *,
       to the central office, forecast inference, and the forecast feedback
       downstream to the operator: two wireless hops plus the inference time.
     """
+    if n_loops < 10:
+        raise ParameterError(f"need at least 10 loops, got {n_loops}")
+    probes = _probe_stream(traffic or CONTROL_TRAFFIC_DEFAULT, n_loops, seed)
     out = {}
     for mode, with_ai in ((NO_AI, False), (WITH_AI, True)):
-        base, legs = _round_trip_base(config, load, seed, n_loops, traffic, with_ai)
+        base, legs = _round_trip_base(config, load, seed, probes, with_ai)
         out[mode] = (base[int(base.size * WARMUP_FRACTION):], legs)
     return out
 

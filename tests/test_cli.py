@@ -34,6 +34,9 @@ additions = 1
 machines_grid = 1, 2
 """
 
+# 200 random bytes that do not decode as UTF-8.
+NOT_UTF8 = np.random.default_rng(7).integers(0, 256, 200, dtype=np.uint8).tobytes()
+
 
 @pytest.fixture()
 def config_file(tmp_path):
@@ -268,6 +271,23 @@ class TestCli:
         assert code == 1
         assert "cannot read config file" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_config_not_utf8_exits_one(self, tmp_path, capsys):
+        bad = tmp_path / "binary.cfg"
+        bad.write_bytes(NOT_UTF8)
+        code = main(["latency-sweep", "--config", str(bad), "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(bad) in err and "not UTF-8" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_traffic_fit_input_not_utf8_exits_one(self, tmp_path, capsys):
+        bad = tmp_path / "binary.csv"
+        bad.write_bytes(NOT_UTF8)
+        assert main(["traffic-fit", "--input", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert str(bad) in captured.err and "not UTF-8" in captured.err
+        assert "Traceback" not in captured.err and not captured.out
 
     def test_out_naming_a_file_exits_one_before_the_run(self, tmp_path, capsys, monkeypatch):
         def never(config):

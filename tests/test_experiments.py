@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from gladsim import coordination, haptic
+from gladsim import coordination, haptic, pon
 from gladsim.errors import ConfigError, ParameterError
 from gladsim.traffic import GpdParams
 from gladsim.experiments import (
@@ -112,6 +112,78 @@ class TestLatencySweep:
     def test_deterministic(self, latency_report):
         again = run_latency_sweep(_small_scenario())
         assert again.tables == latency_report.tables
+
+
+# A saturated load between two unsaturated ones, out of order.
+MIXED_LOADS = (0.9, 1.0, 0.3)
+
+
+def _mixed_scenario(**overrides):
+    return _small_scenario(**{"load_grid": MIXED_LOADS, "n_loops": 300, **overrides})
+
+
+@pytest.fixture(scope="module")
+def mixed_report():
+    return run_latency_sweep(_mixed_scenario())
+
+
+def _rows_at(report, rho):
+    """Each table's rows at load `rho`."""
+    return {name: [row for row in table.rows if rho in row[:2]]
+            for name, table in report.tables.items()}
+
+
+class TestSweepAssembly:
+    def test_saturated_load_is_flagged(self, mixed_report):
+        at = _rows_at(mixed_report, 1.0)
+        assert at["latency"] == [(span, 1.0, mode, "", "", "", True)
+                                 for span in (10.0, 30.0) for mode in (NO_AI, WITH_AI)]
+        assert at["deadline_crossing"] == [(1.0, NO_AI, "", True), (1.0, WITH_AI, "", True)]
+        assert at["ai_dominance"] == []
+
+    def test_row_order(self, mixed_report):
+        tables = mixed_report.tables
+        assert [r[:3] for r in tables["latency"].rows] == [
+            (span, rho, mode) for span in (10.0, 30.0) for rho in MIXED_LOADS
+            for mode in (NO_AI, WITH_AI)]
+        assert [r[:2] for r in tables["deadline_crossing"].rows] == [
+            (rho, mode) for rho in MIXED_LOADS for mode in (NO_AI, WITH_AI)]
+        assert [r[:2] for r in tables["ai_dominance"].rows] == [
+            (span, rho) for span in (10.0, 30.0) for rho in (0.9, 0.3)]
+
+    @pytest.mark.parametrize("rho", [0.9, 0.3])
+    def test_load_rows_equal_a_sweep_of_that_load(self, mixed_report, rho):
+        alone = run_latency_sweep(_mixed_scenario(load_grid=(rho,)))
+        assert _rows_at(mixed_report, rho) == _rows_at(alone, rho)
+
+    @pytest.mark.parametrize("threads", ["2", "4"])
+    def test_threads_give_identical_tables(self, mixed_report, monkeypatch, threads):
+        monkeypatch.setenv("GLADSIM_THREADS", threads)
+        assert run_latency_sweep(_mixed_scenario()).tables == mixed_report.tables
+
+    @pytest.mark.parametrize("rho", [0.9, 0.3])
+    def test_cells_match_the_round_trips(self, mixed_report, rho):
+        config = _mixed_scenario()
+        per_km = config.pon.fiber_delay_us_per_km
+        points = [pon.round_trips(config.pon, pon.LoadPoint(rho), seed,
+                                  n_loops=config.n_loops, traffic=config.control_traffic)
+                  for seed in config.seeds]
+        at = _rows_at(mixed_report, rho)
+        latency = {(r[0], r[2]): r[3:] for r in at["latency"]}
+        crossing = {r[1]: r[2:] for r in at["deadline_crossing"]}
+        for mode in (NO_AI, WITH_AI):
+            legs = points[0][mode][1]
+            for span in config.span_grid_km:
+                totals = np.concatenate([p[mode][0] + legs * span * per_km for p in points])
+                assert latency[(span, mode)] == (
+                    float(totals.mean()), float(np.percentile(totals, 95)),
+                    float(np.percentile(totals, 99)), False)
+            # The largest span on the 0.5 km grid of [0, 100] whose mean fits.
+            spans = [max([0.0] + [k * 0.5 for k in range(201)
+                                  if p[mode][0].mean() + legs * (k * 0.5) * per_km
+                                  <= config.deadline_us])
+                     for p in points]
+            assert crossing[mode] == (float(np.mean(spans)), False)
 
 
 class TestOnboardingStudy:

@@ -311,6 +311,15 @@ class _HalfGaps:
         return out
 
 
+def _drawn_chunks(rng, rate_per_us, horizon_us):
+    """Copies of the chunks `_tagged_background` draws into its one buffer."""
+    draw = pon._poisson_draw(rng, rate_per_us, horizon_us)
+    buffer, chunks = np.empty(draw.next_size()), []
+    while not draw.done:
+        chunks.append(pon._poisson_arrivals(draw, buffer).copy())
+    return chunks
+
+
 class TestStreamedBackground:
     # Per rho, a seed whose background ends before the last probe, so the
     # last probes follow every background arrival.
@@ -345,7 +354,7 @@ class TestStreamedBackground:
     @pytest.mark.parametrize("chunk", [1, 7, 1000, pon.CHUNK_EVENTS])
     def test_chunked_draw_matches_whole_draw(self, monkeypatch, chunk):
         monkeypatch.setattr(pon, "CHUNK_EVENTS", chunk)
-        chunks = list(pon._background(_HalfGaps(4), 0.9, 2000.0))
+        chunks = _drawn_chunks(_HalfGaps(4), 0.9, 2000.0)
         assert all(c.size <= chunk for c in chunks)
         expected = _whole_array_arrivals(_HalfGaps(4), 0.9, 2000.0)
         assert np.array_equal(np.concatenate(chunks), expected)
@@ -368,11 +377,11 @@ class TestStreamedBackground:
     def test_event_cap(self, monkeypatch):
         rng = pon._spawn_rngs(1, 1)[0]
         with pytest.raises(ResourceLimitError):
-            next(pon._background(rng, 1.0, pon.MAX_EVENTS + 1.0))
+            pon._poisson_draw(rng, 1.0, pon.MAX_EVENTS + 1.0)
         # Extensions count towards the cap too.
         monkeypatch.setattr(pon, "MAX_EVENTS", 3000)
         with pytest.raises(ResourceLimitError):
-            list(pon._background(_HalfGaps(4), 1.0, 2000.0))
+            _drawn_chunks(_HalfGaps(4), 1.0, 2000.0)
 
     @pytest.mark.parametrize("n_loops", [5_000, 20_000])
     def test_downstream_memory_is_flat_in_loops(self, n_loops):
