@@ -32,11 +32,8 @@ from dataclasses import fields, replace
 from pathlib import Path
 from typing import get_type_hints
 
-from .coordination import GladParams
 from .errors import ConfigError
 from .experiments import ScenarioConfig
-from .pon import PonConfig
-from .traffic import CONTROL_TRAFFIC_DEFAULT, GpdParams
 
 __all__ = ["load_scenario", "default_scenario_text"]
 
@@ -63,8 +60,10 @@ _PARSERS = {float: _float, int: int, tuple[float, ...]: _floats, tuple[int, ...]
 _KEYS = {"scale": "scale_us", "location": "location_us",
          "load_grid": "loads", "span_grid_km": "spans_km"}
 
-# The ScenarioConfig fields of [grid]; its other fields are the nested sections.
-_GRID = ("load_grid", "span_grid_km", "seeds", "n_loops", "deadline_us")
+# section -> the ScenarioConfig field it overrides; [grid] overrides the
+# ScenarioConfig fields that no other section covers.
+_SECTIONS = {"pon": "pon", "traffic.control": "control_traffic",
+             "traffic.haptic": "haptic_traffic", "grid": None, "glad": "glad"}
 
 
 def _keys(cls, names=None) -> dict:
@@ -74,14 +73,11 @@ def _keys(cls, names=None) -> dict:
             for f in fields(cls) if names is None or f.name in names}
 
 
+_GRID = [f.name for f in fields(ScenarioConfig) if f.name not in _SECTIONS.values()]
+
 # section -> key -> (target dataclass attribute, parser)
-_SCHEMA = {
-    "pon": _keys(PonConfig),
-    "traffic.control": _keys(GpdParams),
-    "traffic.haptic": _keys(GpdParams),
-    "grid": _keys(ScenarioConfig, _GRID),
-    "glad": _keys(GladParams),
-}
+_SCHEMA = {section: _keys(get_type_hints(ScenarioConfig)[name]) if name
+           else _keys(ScenarioConfig, _GRID) for section, name in _SECTIONS.items()}
 
 
 def _collect(parser: configparser.ConfigParser, section: str) -> dict:
@@ -122,18 +118,12 @@ def load_scenario(path) -> ScenarioConfig:
             raise ConfigError(f"unknown section [{section}] in {path}")
 
     try:
-        pon_cfg = replace(PonConfig(), **_collect(parser, "pon"))
-        control = replace(CONTROL_TRAFFIC_DEFAULT, **_collect(parser, "traffic.control"))
-        haptic_p = replace(CONTROL_TRAFFIC_DEFAULT, **_collect(parser, "traffic.haptic"))
-        glad = replace(GladParams(), **_collect(parser, "glad"))
-        grid = _collect(parser, "grid")
-        return ScenarioConfig(
-            pon=pon_cfg,
-            control_traffic=control,
-            haptic_traffic=haptic_p,
-            glad=glad,
-            **grid,
-        )
+        # Each nested section is built, and so checked, before the next is
+        # read, and [grid] last.
+        default = ScenarioConfig()
+        nested = {name: replace(getattr(default, name), **_collect(parser, section))
+                  for section, name in _SECTIONS.items() if name}
+        return replace(default, **nested, **_collect(parser, "grid"))
     except ConfigError:
         raise
     except Exception as exc:  # dataclass validation errors carry the detail
@@ -143,17 +133,11 @@ def load_scenario(path) -> ScenarioConfig:
 def default_scenario_text() -> str:
     """A commented scenario file showing every supported key at its default."""
     lines = ["# gladsim scenario file; every key is optional and overrides a default\n"]
-    defaults = {
-        "pon": PonConfig(),
-        "traffic.control": CONTROL_TRAFFIC_DEFAULT,
-        "traffic.haptic": CONTROL_TRAFFIC_DEFAULT,
-        "grid": ScenarioConfig(),
-        "glad": GladParams(),
-    }
-    for section, schema in _SCHEMA.items():
+    default = ScenarioConfig()
+    for section, name in _SECTIONS.items():
         lines.append(f"[{section}]")
-        source = defaults[section]
-        for key, (attr, _) in schema.items():
+        source = getattr(default, name) if name else default
+        for key, (attr, _) in _SCHEMA[section].items():
             value = getattr(source, attr)
             if isinstance(value, tuple):
                 value = ", ".join(str(v) for v in value)

@@ -447,24 +447,6 @@ def _downstream_leg(config: PonConfig, load: LoadPoint, probe_times: np.ndarray,
     return out
 
 
-def _schedule(grants: np.ndarray, cum_grants: np.ndarray, cap_bytes: float,
-              state: _GrantState, granted_before: float) -> float:
-    """Solve one ONU's grants in place, in cycle chunks, with their running sum.
-
-    `grants` holds the bytes arrived per cycle on entry and the granted bytes
-    on return; `cum_grants` receives the running sum continued from
-    `granted_before`, which is returned advanced past these cycles.
-    """
-    for start in range(0, grants.size, CHUNK_EVENTS):
-        part = grants[start:start + CHUNK_EVENTS]
-        part[:] = _gated_grants(part, cap_bytes, state)
-        run = cum_grants[start:start + CHUNK_EVENTS]
-        run[:] = part
-        run[0] += granted_before
-        granted_before = float(np.cumsum(run, out=run)[-1])
-    return granted_before
-
-
 def _tagged_background(draw: _PoissonDraw, probe_times: np.ndarray, cycle: float,
                        n_cycles: int) -> tuple[np.ndarray, np.ndarray, int]:
     """Bin the tagged ONU's background into per-cycle packet counts.
@@ -548,31 +530,30 @@ def _upstream_leg(config: PonConfig, load: LoadPoint, probe_times: np.ndarray,
     ahead_bytes *= float(bg_bytes)
     grants *= bg_bytes                           # arrived bytes, then granted bytes
 
-    bg_total = float(n_background) * bg_bytes
     tagged = _GrantState()
-    cum_grants = np.empty(n_cycles)
-    granted = _schedule(grants, cum_grants, cap, tagged, 0.0)
-    # Extend with empty cycles until every queued byte has been granted, so
-    # probe lookups never run off the end of the schedule.  No new arrivals
-    # are drawn; traffic simply stops at the horizon and the queues drain.
-    while bg_total > 0 and granted < bg_total:
-        extra = max(16, int(math.ceil((bg_total - granted) / cap)) + 16)
-        more_grants, more_cum = np.zeros(extra), np.empty(extra)
-        granted = _schedule(more_grants, more_cum, cap, tagged, granted)
-        more_offset = np.zeros(extra)
+    for start in range(0, n_cycles, CHUNK_EVENTS):
+        cut = slice(start, start + CHUNK_EVENTS)
+        grants[cut] = _gated_grants(grants[cut], cap, tagged)
+    # Extend with the empty cycles that grant the backlog reported at the last
+    # boundary, Q = u - u_min + A[-1].  No new arrivals are drawn; traffic
+    # simply stops at the horizon and the queues drain.
+    drain = np.zeros(math.ceil((tagged.u - tagged.u_min + tagged.last_arrived) / cap))
+    if drain.size:
+        grants = np.concatenate((grants, _gated_grants(drain, cap, tagged)))
+        offset_bytes = np.concatenate((offset_bytes, drain))
         for state in preceding_states:
-            more_offset += _gated_grants(np.zeros(extra), cap, state)
-        grants = np.concatenate((grants, more_grants))
-        cum_grants = np.concatenate((cum_grants, more_cum))
-        offset_bytes = np.concatenate((offset_bytes, more_offset))
-        n_cycles += extra
+            offset_bytes[n_cycles:] += _gated_grants(drain, cap, state)
+    cum_grants = np.cumsum(grants)
+    # A running sum of grants that are not whole bytes can end a hair short of
+    # the bytes queued; the probes behind every one of them wait for the last
+    # grant.  Every report cycle precedes the schedule's end, so no lookup
+    # runs off it.
+    np.minimum(ahead_bytes, cum_grants[-1], out=ahead_bytes)
 
     byte_rate_us = rate * 1e-6 / 8.0                      # bytes per us
     report_cycle = (probe_times / cycle).astype(int) + 1
     grant_cycle = np.searchsorted(cum_grants, ahead_bytes, side="left")
     np.maximum(grant_cycle, report_cycle, out=grant_cycle)
-    if np.any(grant_cycle >= n_cycles):
-        raise ResourceLimitError("grant schedule shorter than probe horizon")
     # The window start and the bytes granted before it, at the grant cycles.
     cum_before = cum_grants[grant_cycle] - grants[grant_cycle]
     window_start = cycle * grant_cycle + offset_bytes[grant_cycle] / byte_rate_us

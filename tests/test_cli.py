@@ -201,12 +201,14 @@ class TestCli:
         ("glad", "kind_pool_size", str(POOL_CAPACITY)),
         ("glad", "profiling_samples", str(MIN_ONBOARDING_SAMPLES)),
         ("grid", "seeds", "0"),
+        # A grant cap that is not a whole number of bytes (2527.2).
+        ("pon", "dba_cycle_us", "130"),
     ])
     def test_first_accepted_value_runs(self, tmp_path, section, key, value):
         tiny = {"grid": {"loads": "0.5", "spans_km": "20", "seeds": "1", "n_loops": "100"},
                 "glad": {"total_machines": "3", "profiling_samples": "600", "add_every": "60",
                          "additions": "1", "alpha_grid": "0.05, 0.3", "machines_grid": "1, 2"}}
-        tiny[section][key] = value
+        tiny.setdefault(section, {})[key] = value
         path = tmp_path / "edge.cfg"
         path.write_text("".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
                                 for name, keys in tiny.items()))

@@ -203,12 +203,16 @@ class TestGatedGrants:
         assert np.array_equal(np.concatenate((first, rest)), whole)
 
 
+def _whole_array_backlog(arrived, cap):
+    """The backlog Q[k] reported at every boundary k = 0..n, by one reflection."""
+    prev_arrivals = np.concatenate(([0.0], arrived))          # A[k-1] at index k
+    u = np.concatenate(([0.0], np.cumsum(prev_arrivals[:-1] - cap)))
+    return u - np.minimum.accumulate(u) + prev_arrivals
+
+
 def _whole_array_grants(arrived, cap):
     """The gated grant recursion solved by one reflection over every cycle."""
-    prev_arrivals = np.concatenate(([0.0], arrived[:-1]))
-    u = np.concatenate(([0.0], np.cumsum(prev_arrivals - cap)))
-    s = u - np.minimum.accumulate(u)
-    return np.minimum(s[:arrived.size] + prev_arrivals, cap)
+    return np.minimum(_whole_array_backlog(arrived, cap)[:-1], cap)
 
 
 def _whole_array_arrivals(rng, rate_per_us, horizon_us):
@@ -243,7 +247,8 @@ def _whole_array_upstream(config, load, probe_times, rng):
     """Reference upstream leg: every ONU's arrivals and grants held for all cycles.
 
     Returns the queueing and DBA wait columns, the tagged ONU's background
-    instants and the number of empty cycles added to drain its queue.
+    instants, the number of empty cycles added to drain its queue and the
+    bytes granted to it in all.
     """
     cycle = config.dba_cycle_us
     rate = config.upstream_rate_bps
@@ -266,18 +271,14 @@ def _whole_array_upstream(config, load, probe_times, rng):
         cycles_of = np.minimum((bg_times / cycle).astype(int), n_cycles - 1)
         arrived = np.bincount(cycles_of, minlength=n_cycles).astype(float) * bg_bytes
 
-    bg_total = float(bg_times.size) * bg_bytes
+    # One extension with the empty cycles that grant the backlog reported at
+    # the last boundary.
+    extended = math.ceil(_whole_array_backlog(arrived, cap)[-1] / cap)
+    arrived = np.concatenate([arrived, np.zeros(extended)])
+    preceding_arrivals = np.concatenate(
+        [preceding_arrivals, np.zeros((preceding_arrivals.shape[0], extended))], axis=1)
     grants = _whole_array_grants(arrived, cap)
     cum_grants = np.cumsum(grants)
-    extended = 0
-    while bg_total > 0 and cum_grants[-1] < bg_total:
-        extra = max(16, int(math.ceil((bg_total - cum_grants[-1]) / cap)) + 16)
-        extended += extra
-        arrived = np.concatenate([arrived, np.zeros(extra)])
-        preceding_arrivals = np.concatenate(
-            [preceding_arrivals, np.zeros((preceding_arrivals.shape[0], extra))], axis=1)
-        grants = _whole_array_grants(arrived, cap)
-        cum_grants = np.cumsum(grants)
     offset_bytes = np.zeros(arrived.size)
     for row in preceding_arrivals:
         offset_bytes += _whole_array_grants(row, cap)
@@ -286,13 +287,14 @@ def _whole_array_upstream(config, load, probe_times, rng):
     window_start = cycle * np.arange(arrived.size) + offset_bytes / byte_rate_us
     cum_before = cum_grants - grants
     report_cycle = (probe_times / cycle).astype(int) + 1
-    ahead_bytes = np.searchsorted(bg_times, probe_times, side="right") * float(bg_bytes)
+    ahead_bytes = np.minimum(
+        np.searchsorted(bg_times, probe_times, side="right") * float(bg_bytes), cum_grants[-1])
     drained_at = np.searchsorted(cum_grants, ahead_bytes, side="left")
     grant_cycle = np.maximum(drained_at, report_cycle)
     position = np.maximum(0.0, ahead_bytes - cum_before[grant_cycle])
     tx_start = window_start[grant_cycle] + position / byte_rate_us
     return (tx_start - report_cycle * cycle, report_cycle * cycle - probe_times,
-            bg_times, extended)
+            bg_times, extended, cum_grants[-1])
 
 
 class _HalfGaps:
@@ -418,24 +420,52 @@ class TestStreamedUpstream:
     # spare cycles, so the schedule is extended with empty cycles.
     SEEDS = {0.0: 11, 0.5: 11, 0.9: 203}
 
-    @pytest.mark.parametrize("chunk", [1, 7, 1000, pon.CHUNK_EVENTS])
-    @pytest.mark.parametrize("rho", [0.0, 0.5, 0.9])
-    def test_upstream_leg_matches_whole_array(self, monkeypatch, chunk, rho):
-        cfg, load, seed = PonConfig(), LoadPoint(rho), self.SEEDS[rho]
+    @staticmethod
+    def _check_whole_array(monkeypatch, chunk, cfg, load, seed):
+        """Compare the leg with the reference.
+
+        Returns the reference's drain cycles and how far its total grant falls
+        short of the bytes queued.
+        """
         probes = np.linspace(0.0, 2000.0, 201)
-        _, _, times, _ = _whole_array_upstream(cfg, load, probes, pon._spawn_rngs(seed, 1)[0])
+        _, _, times, _, _ = _whole_array_upstream(cfg, load, probes, pon._spawn_rngs(seed, 1)[0])
         # Probes on every cycle boundary and every background arrival instant,
         # chunk cuts included; the last probe, and so the draw, stays.
         probes = np.sort(np.concatenate((probes, np.arange(0.0, 2000.0, cfg.dba_cycle_us), times)))
-        queueing, dba_wait, times, extended = _whole_array_upstream(
+        queueing, dba_wait, times, extended, granted = _whole_array_upstream(
             cfg, load, probes, pon._spawn_rngs(seed, 1)[0])
-        assert (extended > 0) == (rho == 0.9)
 
         monkeypatch.setattr(pon, "CHUNK_EVENTS", chunk)
         leg = pon._upstream_leg(cfg, load, probes, pon._spawn_rngs(seed, 1)[0])
         assert np.array_equal(leg["queueing"], queueing)
         assert np.array_equal(leg["dba_wait"], dba_wait)
         assert leg["stats"]["n_background"] == times.size
+        return extended, times.size * float(cfg.background_packet_bytes) - granted
+
+    @pytest.mark.parametrize("chunk", [1, 7, 1000, pon.CHUNK_EVENTS])
+    @pytest.mark.parametrize("rho", [0.0, 0.5, 0.9])
+    def test_upstream_leg_matches_whole_array(self, monkeypatch, chunk, rho):
+        extended, short = self._check_whole_array(
+            monkeypatch, chunk, PonConfig(), LoadPoint(rho), self.SEEDS[rho])
+        assert (extended > 0) == (rho == 0.9)
+        assert short == 0.0
+
+    # Grant caps that are not whole bytes: 2527.2 at a 130 us cycle, 1302.08
+    # at 1 Gb/s over 12 ONUs.  On these seeds the running sum of the grants
+    # ends a hair short of the bytes queued, so a drain that waited for it to
+    # reach them never ended; at rho 0.8 the queue also outlasts the spare
+    # cycles.
+    @pytest.mark.parametrize("chunk", [1, 7, 1000, pon.CHUNK_EVENTS])
+    @pytest.mark.parametrize("cfg,rho,seed,extends", [
+        (PonConfig(dba_cycle_us=130.0), 0.5, 114, False),
+        (PonConfig(dba_cycle_us=130.0), 0.8, 100, True),
+        (PonConfig(upstream_rate_bps=1e9, split_ratio=12), 0.5, 15, False),
+    ], ids=["cycle130-0.5", "cycle130-0.8", "1Gbps-split12-0.5"])
+    def test_non_integer_cap_matches_whole_array(self, monkeypatch, chunk, cfg, rho, seed,
+                                                 extends):
+        extended, short = self._check_whole_array(monkeypatch, chunk, cfg, LoadPoint(rho), seed)
+        assert (extended > 0) == extends
+        assert short > 0.0
 
     @pytest.mark.parametrize("n_loops", [30_000, 100_000])
     def test_upstream_memory_is_flat_in_loops(self, n_loops):
@@ -449,7 +479,7 @@ class TestStreamedUpstream:
         # Holding every ONU's draws and grants for all cycles took 37.6 MiB at
         # 30k loops and 125.8 MiB at 100k.  Streamed, the leg holds one cycle
         # chunk's temporaries plus three per-cycle columns (6.1 MiB each at
-        # 100k loops): 16.3 and 27.6 MiB.
+        # 100k loops): 13.3 and 25.3 MiB.
         assert peak < {30_000: 20, 100_000: 34}[n_loops] * 2**20
 
 
