@@ -7,17 +7,13 @@ Commands:
     validate        run the fast invariant self-check suite
 
 Exit codes: 0 success, 1 configuration/usage error, 2 runtime error.
-Reports are staged in a temporary directory and moved into place only when
-complete, so an aborted run never leaves truncated tables behind.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import shutil
 import sys
-import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -91,14 +87,7 @@ def _run_report_command(args, runner) -> int:
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out_dir}: {exc.strerror}") from exc
     report = runner(config)
-    # Stage next to the target so the final moves are atomic renames.
-    staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=out_dir))
-    try:
-        files = export_report(report, staging, formats=(args.format,))
-        for f in files:
-            shutil.move(str(f), out_dir / f.name)
-    finally:
-        shutil.rmtree(staging, ignore_errors=True)
+    export_report(report, out_dir, formats=(args.format,))
     for name in sorted(p.name for p in out_dir.iterdir() if not p.name.startswith(".")):
         print(name)
     print(f"report '{report.scenario}' written to {out_dir}")

@@ -15,6 +15,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import shutil
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
@@ -25,7 +27,7 @@ import numpy as np
 
 from . import coordination, haptic, pon
 from .coordination import GladParams
-from .errors import ConfigError, ParameterError, SaturationError
+from .errors import ConfigError, ParameterError, ResourceLimitError, SaturationError
 from .pon import NO_AI, WITH_AI
 from .traffic import CONTROL_TRAFFIC_DEFAULT, GpdParams
 
@@ -74,6 +76,18 @@ class ScenarioConfig:
             raise ConfigError(f"n_loops must be >= 10, got {self.n_loops}")
         if self.deadline_us <= 0:
             raise ConfigError(f"deadline_us must be > 0, got {self.deadline_us}")
+        # The heaviest unsaturated load draws the most background, up to where
+        # the control stream is first drawn; upstream probes come a hop later.
+        unsaturated = [rho for rho in self.load_grid if rho < 1.0]
+        if unsaturated:
+            load = pon.LoadPoint(max(unsaturated))
+            last_probe = pon._probe_horizon(self.control_traffic, self.n_loops)
+            try:
+                pon._check_event_cap(self.pon, load, pon.DOWNSTREAM, last_probe)
+                pon._check_event_cap(self.pon, load, pon.UPSTREAM,
+                                     last_probe + self.pon.wireless_hop_us)
+            except ResourceLimitError as exc:
+                raise ConfigError(f"n_loops = {self.n_loops} at rho = {load.rho}: {exc}") from exc
 
 
 def _flatten(prefix: str, value, out: dict) -> None:
@@ -339,51 +353,42 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def _write_atomic(path: Path, data: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", newline="") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
-
-
 def export_report(report: Report, directory, formats=("csv",)) -> list[Path]:
     """Write one file per table plus a JSON manifest; byte-stable per input.
 
-    Table files are named `<scenario>__<table>.<format>`.  Files are written
-    atomically (temp + rename) so a crash never leaves a truncated table.
+    Table files are named `<scenario>__<table>.<format>`.  Every file is
+    written into a private staging directory inside `directory` and renamed
+    into place only once all are written, so a failed export leaves no new
+    or truncated file and no staging directory behind.
     """
     for fmt in formats:
         if fmt not in ("csv", "json"):
             raise ParameterError(f"unsupported format {fmt!r}")
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
 
-    written = []
+    files = {}  # file name -> text
     for name in sorted(report.tables):
         table = report.tables[name]
+        rows = [[_format_cell(cell) for cell in row] for row in table.rows]
         if "csv" in formats:
-            lines = [",".join(table.columns)]
-            lines.extend(
-                ",".join(_format_cell(cell) for cell in row) for row in table.rows
-            )
-            path = directory / f"{report.scenario}__{name}.csv"
-            _write_atomic(path, "\n".join(lines) + "\n")
-            written.append(path)
+            lines = [",".join(table.columns)] + [",".join(row) for row in rows]
+            files[f"{report.scenario}__{name}.csv"] = "\n".join(lines) + "\n"
         if "json" in formats:
-            payload = {
-                "columns": list(table.columns),
-                "rows": [[_format_cell(c) for c in row] for row in table.rows],
-            }
-            path = directory / f"{report.scenario}__{name}.json"
-            _write_atomic(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
-            written.append(path)
+            payload = {"columns": list(table.columns), "rows": rows}
+            files[f"{report.scenario}__{name}.json"] = json.dumps(
+                payload, sort_keys=True, indent=2) + "\n"
+    manifest = {"scenario": report.scenario, "tables": sorted(report.tables),
+                "provenance": report.provenance}
+    files[f"{report.scenario}__manifest.json"] = json.dumps(
+        manifest, sort_keys=True, indent=2) + "\n"
 
-    manifest = {
-        "scenario": report.scenario,
-        "tables": sorted(report.tables),
-        "provenance": report.provenance,
-    }
-    manifest_path = directory / f"{report.scenario}__manifest.json"
-    _write_atomic(manifest_path, json.dumps(manifest, sort_keys=True, indent=2) + "\n")
-    written.append(manifest_path)
-    return sorted(written)
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=directory))
+    try:
+        for name, text in files.items():
+            (staging / name).write_text(text, newline="")
+        for name in files:
+            os.replace(staging / name, directory / name)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+    return sorted(directory / name for name in files)

@@ -238,12 +238,7 @@ def _poisson_draw(rng: np.random.Generator, rate_per_us: float,
     """A draw of a Poisson process on [0, horizon_us]; done from the start at rate 0."""
     if rate_per_us <= 0.0:
         return _PoissonDraw(rng, math.inf, horizon_us, extension=0, left=0, drawn=0, done=True)
-    expected = rate_per_us * horizon_us
-    if expected > MAX_EVENTS:
-        raise ResourceLimitError(
-            f"background process needs ~{expected:.0f} events (cap {MAX_EVENTS})"
-        )
-    n_est = int(expected * 1.05) + 64
+    n_est = int(rate_per_us * horizon_us * 1.05) + 64
     return _PoissonDraw(rng, 1.0 / rate_per_us, horizon_us,
                         extension=max(64, n_est // 10), left=n_est, drawn=n_est)
 
@@ -278,6 +273,27 @@ def _poisson_arrivals(draw: _PoissonDraw, out: np.ndarray) -> np.ndarray:
     # it is not extended but one with more gaps to draw goes on.
     draw.done = last > draw.horizon_us or (draw.left == 0 and last >= draw.horizon_us)
     return times[:np.searchsorted(times, draw.horizon_us, side="right")]
+
+
+def _check_event_cap(config: PonConfig, load: LoadPoint, direction: str,
+                     last_probe_us: float) -> None:
+    """Raise ResourceLimitError where a leg probed up to `last_probe_us` exceeds MAX_EVENTS.
+
+    Downstream it draws Poisson events up to ten background services later;
+    upstream, one Poisson count per ONU and cycle up to eight cycles later,
+    each counted as at least one event.  Both grow with rho.
+    """
+    bg_bytes = config.background_packet_bytes
+    if direction == DOWNSTREAM:
+        rate = config.downstream_rate_bps
+        horizon = last_probe_us + 10.0 * transmission_time(bg_bytes, rate)
+        events = load.rho * rate / (bg_bytes * 8.0) * 1e-6 * horizon
+    else:
+        cycle, n_onus = config.dba_cycle_us, config.split_ratio
+        per_cycle = load.rho * config.upstream_rate_bps / (bg_bytes * 8.0) * 1e-6 / n_onus * cycle
+        events = (math.ceil(last_probe_us / cycle) + 8) * max(per_cycle, 1.0) * n_onus
+    if events > MAX_EVENTS:
+        raise ResourceLimitError(f"{direction} leg needs ~{events:.0f} events (cap {MAX_EVENTS})")
 
 
 @dataclass
@@ -343,40 +359,18 @@ def _last_idle(waits: np.ndarray) -> int:
     return 0
 
 
-def _downstream_leg(config: PonConfig, load: LoadPoint, probe_times: np.ndarray,
-                    rng: np.random.Generator, stats: bool = True) -> dict:
-    """Probe delays through the OLT downstream FIFO.
+def _fifo_chunks(draw: _PoissonDraw, service_us: float):
+    """Stream a Poisson background through a fixed-service FIFO in settled chunks.
 
-    Background: Poisson arrivals of `background_packet_bytes` packets sized so
-    the offered load equals rho of the downstream rate.  A probe arriving at t
-    waits for the workload present at t, then serializes itself.  Probe times
-    are non-decreasing.
-
-    The background streams through the FIFO in chunks.  Each chunk is solved
-    from the last arrival before it that found the server idle, where the
-    queue holds no memory of the past, and the waits up to the chunk's own
-    last idle arrival are final: they answer the probes that fall among them
-    and are dropped.  Every chunk is drawn into, and solved in, buffers the
-    leg reuses, so peak memory does not grow with the horizon.
-
-    `stats` adds the background's mean wait and gap ca² under "stats"; they
-    cost two more passes over every arrival.
+    Yields `(arrivals, waits, final)`: the waits before `final`, the chunk's
+    last idle arrival, are settled, and the arrivals from it on begin the next
+    chunk, solved from there with V's running minimum as origin (see
+    fifo_waits); at the draw's end they are yielded whole.  So every wait is
+    bit-identical to one whole solve.  All are views of buffers reused for
+    every chunk, so memory does not grow with the horizon, and a consumer may
+    overwrite what lies before `final`.
     """
-    rate = config.downstream_rate_bps
-    bg_service = transmission_time(config.background_packet_bytes, rate)
-    horizon = float(probe_times[-1]) + 10.0 * bg_service if probe_times.size else 0.0
-    lam = load.rho * rate / (config.background_packet_bytes * 8.0) * 1e-6  # pkts/us
-
-    queueing = np.zeros(probe_times.size)
-    answered = 0                 # probes before this index have their queueing
-    n_background = 0
-    first_arrival = last_arrival = 0.0
-    wait_sum = gap_square_sum = 0.0
-    draw = _poisson_draw(rng, lam, horizon)
-    # The arrivals from the last one found idle on (the tail) sit at the front
-    # of `buffer`, and each chunk is drawn in behind them.  `work` is
-    # fifo_waits' memory: the waits, then V's running minimum, whose value at
-    # the last idle arrival is the origin the next chunk continues from.
+    # `work` is fifo_waits' memory: the waits, then V's running minimum.
     buffer, work = np.empty(0), np.empty((2, 0))
     tail, tail_waits, origin = 0, work[0], 0.0
     while tail or not draw.done:
@@ -391,69 +385,62 @@ def _downstream_leg(config: PonConfig, load: LoadPoint, probe_times: np.ndarray,
                 buffer, work = grown, np.empty((2, grown.size))
             size = tail + _poisson_arrivals(draw, buffer[tail:]).size
             arrivals = buffer[:size]
-            waits = fifo_waits(arrivals, np.broadcast_to(bg_service, size), origin, out=work)
+            waits = fifo_waits(arrivals, np.broadcast_to(service_us, size), origin, out=work)
             final = _last_idle(waits)
             if final == 0:
                 tail, tail_waits = size, waits
                 continue
+            origin = float(work[1, final])
+        yield arrivals, waits, final
+        tail = arrivals.size - final
+        buffer[:tail] = arrivals[final:]
+        tail_waits = waits[final:]
 
-        if n_background == 0:
-            first_arrival = float(arrivals[0])
-            answered = int(np.searchsorted(probe_times, first_arrival, side="left"))
+
+def _downstream_leg(config: PonConfig, load: LoadPoint, probe_times: np.ndarray,
+                    rng: np.random.Generator) -> dict:
+    """Probe delays through the OLT downstream FIFO.
+
+    Background: Poisson arrivals of `background_packet_bytes` packets sized so
+    the offered load equals rho of the downstream rate.  A probe arriving at t
+    waits for the workload present at t, then serializes itself.  Probe times
+    are non-decreasing; each falls among the settled arrivals of one chunk.
+    """
+    rate = config.downstream_rate_bps
+    bg_service = transmission_time(config.background_packet_bytes, rate)
+    last_probe = float(probe_times[-1]) if probe_times.size else 0.0
+    _check_event_cap(config, load, DOWNSTREAM, last_probe)
+    lam = load.rho * rate / (config.background_packet_bytes * 8.0) * 1e-6  # pkts/us
+    draw = _poisson_draw(rng, lam, last_probe + 10.0 * bg_service)
+
+    queueing = np.zeros(probe_times.size)
+    answered = -1                # probes before this index have their queueing
+    for arrivals, waits, final in _fifo_chunks(draw, bg_service):
+        if answered < 0:         # those before the first arrival find no queue
+            answered = int(np.searchsorted(probe_times, arrivals[0], side="left"))
         # Probes up to the next chunk's first arrival wait behind one of these.
-        carried = final < arrivals.size
         stop = (int(np.searchsorted(probe_times, arrivals[final], side="left"))
-                if carried else probe_times.size)
+                if final < arrivals.size else probe_times.size)
         probes = probe_times[answered:stop]
         idx = np.searchsorted(arrivals[:final], probes, side="right") - 1
         departures = arrivals[idx] + waits[idx] + bg_service
         queueing[answered:stop] = np.maximum(0.0, departures - probes)
         answered = stop
 
-        n_background += final
-        last_arrival = float(arrivals[final - 1])
-        if carried:
-            origin = float(work[1, final])
-        if stats:
-            wait_sum += float(waits[:final].sum())
-            # The gaps up to the next chunk's first arrival, in M's row.
-            n_gaps = min(final + 1, arrivals.size) - 1
-            gaps = np.subtract(arrivals[1:n_gaps + 1], arrivals[:n_gaps], out=work[1, :n_gaps])
-            gap_square_sum += float(np.einsum("i,i->", gaps, gaps))  # no BLAS threads
-        tail = arrivals.size - final
-        buffer[:tail] = arrivals[final:]
-        tail_waits = waits[final:]
-
-    out = {
+    return {
         "queueing": queueing,
         "dba_wait": np.zeros(probe_times.size),
         "transmission": transmission_time(config.packet_bytes, rate),
     }
-    if not stats:
-        return out
-    n_gaps = n_background - 1
-    ca2 = 0.0
-    if n_gaps > 1:
-        mean_gap = (last_arrival - first_arrival) / n_gaps
-        ca2 = max(0.0, gap_square_sum / n_gaps / mean_gap ** 2 - 1.0)
-    out["stats"] = {
-        "mean_queue_wait_us": wait_sum / n_background if n_background else 0.0,
-        "ca2": ca2,
-        "cs2": 0.0,  # deterministic background service
-        "mean_service_us": bg_service,
-        "utilization": lam * bg_service if n_background else 0.0,
-        "n_background": n_background,
-    }
-    return out
 
 
 def _tagged_background(draw: _PoissonDraw, probe_times: np.ndarray, cycle: float,
-                       n_cycles: int) -> tuple[np.ndarray, np.ndarray, int]:
+                       n_cycles: int) -> tuple[np.ndarray, np.ndarray]:
     """Bin the tagged ONU's background into per-cycle packet counts.
 
-    Returns the packets arrived in each cycle, the packets arrived at or
-    before each probe, and the packet count.  The draw goes chunk by chunk
-    into one buffer, which is freed on return, before the grant schedule.
+    Returns the packets arrived in each cycle and the packets arrived at or
+    before each probe.  The draw goes chunk by chunk into one buffer, which
+    is freed on return, before the grant schedule.
     """
     arrived = np.zeros(n_cycles)
     ahead = np.empty(probe_times.size)
@@ -474,7 +461,7 @@ def _tagged_background(draw: _PoissonDraw, probe_times: np.ndarray, cycle: float
         arrived[first:first + counts.size] += counts
         n_background += chunk.size
     ahead[answered:] = n_background
-    return arrived, ahead, n_background
+    return arrived, ahead
 
 
 def _upstream_leg(config: PonConfig, load: LoadPoint, probe_times: np.ndarray,
@@ -501,14 +488,12 @@ def _upstream_leg(config: PonConfig, load: LoadPoint, probe_times: np.ndarray,
     preceding = n_onus // 2
 
     horizon = float(probe_times[-1]) if probe_times.size else cycle
+    _check_event_cap(config, load, UPSTREAM, horizon)
     n_cycles = int(math.ceil(horizon / cycle)) + 8
 
     lam_total = load.rho * rate / (bg_bytes * 8.0) * 1e-6   # pkts/us, all ONUs
     lam_onu = lam_total / n_onus
     per_onu_cycle_mean = lam_onu * cycle                    # pkts/cycle
-
-    if n_cycles * max(per_onu_cycle_mean, 1.0) * n_onus > MAX_EVENTS:
-        raise ResourceLimitError("upstream background exceeds the event cap")
 
     # ONUs granted before the tagged one only matter through their granted
     # bytes per cycle, which set the tagged window's offset in each cycle.
@@ -525,7 +510,7 @@ def _upstream_leg(config: PonConfig, load: LoadPoint, probe_times: np.ndarray,
         preceding_states.append(state)
 
     # Tagged ONU's own background needs exact arrival instants.
-    grants, ahead_bytes, n_background = _tagged_background(
+    grants, ahead_bytes = _tagged_background(
         _poisson_draw(rng, lam_onu, horizon), probe_times, cycle, n_cycles)
     ahead_bytes *= float(bg_bytes)
     grants *= bg_bytes                           # arrived bytes, then granted bytes
@@ -564,22 +549,17 @@ def _upstream_leg(config: PonConfig, load: LoadPoint, probe_times: np.ndarray,
         "queueing": window_start + position / byte_rate_us - report_at,
         "dba_wait": report_at - probe_times,
         "transmission": transmission_time(config.packet_bytes, rate),
-        "stats": {
-            "utilization": load.rho,
-            "mean_service_us": transmission_time(bg_bytes, rate),
-            "n_background": n_background,
-        },
     }
 
 
 def _leg(config: PonConfig, load: LoadPoint, direction: str,
-         probe_times: np.ndarray, rng: np.random.Generator, stats: bool = True) -> dict:
-    """One leg's columns; `stats=False` skips the downstream background's statistics."""
+         probe_times: np.ndarray, rng: np.random.Generator) -> dict:
+    """One leg's delay columns, with its wireless hop and fiber propagation."""
     if direction == UPSTREAM:
         # Probes reach the ONU queue one wireless hop after generation.
         out = _upstream_leg(config, load, probe_times + config.wireless_hop_us, rng)
     elif direction == DOWNSTREAM:
-        out = _downstream_leg(config, load, probe_times, rng, stats)
+        out = _downstream_leg(config, load, probe_times, rng)
     else:
         raise ParameterError(f"direction must be '{UPSTREAM}' or '{DOWNSTREAM}'")
     out["wireless"] = config.wireless_hop_us
@@ -591,9 +571,8 @@ def simulate_pon(config: PonConfig, load: LoadPoint, direction: str,
                  h2m_stream: ArrivalStream, seed: int) -> dict:
     """Packet-level delay components of each tagged message in one direction.
 
-    Returns the leg's columns: `queueing` and `dba_wait` hold one entry per
-    message (us); `transmission`, `wireless` and `propagation` are the
-    per-message constants (us); `stats` describes the background.
+    Returns the leg's columns in us: `queueing` and `dba_wait` hold one entry
+    per message; `transmission`, `wireless` and `propagation` are constants.
     """
     if len(h2m_stream) == 0:
         raise ParameterError("h2m_stream must contain at least one arrival")
@@ -605,27 +584,42 @@ def queueing_cross_check(config: PonConfig, load: LoadPoint, seed: int,
                          horizon_us: float = 2e6) -> dict:
     """Compare the downstream FIFO's simulated mean wait with Kingman's formula.
 
-    Moments are measured from the simulation's own arrival and service
-    processes, so the comparison validates the queue dynamics rather than the
-    input assumptions.  Returns both values and their relative gap.
+    The background is that of a downstream leg probed up to 0.99 of
+    `horizon_us`.  Its moments are measured from the simulation's own arrival
+    and service processes, so the comparison validates the queue dynamics.
     """
-    rng = _spawn_rngs(seed, 1)[0]
-    probes = np.linspace(horizon_us * 0.01, horizon_us * 0.99, 256)
-    leg = _downstream_leg(config, load, probes, rng)
-    stats = leg["stats"]
-    analytical = kingman_wait(stats["utilization"], stats["ca2"], stats["cs2"],
-                              stats["mean_service_us"])
-    simulated = stats["mean_queue_wait_us"]
+    if not (math.isfinite(horizon_us) and horizon_us > 0.0):
+        raise ParameterError(f"horizon_us must be finite and > 0, got {horizon_us}")
+    _check_event_cap(config, load, DOWNSTREAM, horizon_us * 0.99)
+    rate = config.downstream_rate_bps
+    service = transmission_time(config.background_packet_bytes, rate)
+    lam = load.rho * rate / (config.background_packet_bytes * 8.0) * 1e-6  # pkts/us
+    draw = _poisson_draw(_spawn_rngs(seed, 1)[0], lam, horizon_us * 0.99 + 10.0 * service)
+
+    n = 0
+    first = last = wait_sum = gap_square_sum = 0.0
+    for arrivals, waits, final in _fifo_chunks(draw, service):
+        if n == 0:
+            first = float(arrivals[0])
+        n += final
+        last = float(arrivals[final - 1])
+        wait_sum += float(waits[:final].sum())
+        # The gaps up to the next chunk's first arrival, over the settled waits.
+        n_gaps = min(final + 1, arrivals.size) - 1
+        gaps = np.subtract(arrivals[1:n_gaps + 1], arrivals[:n_gaps], out=waits[:n_gaps])
+        gap_square_sum += float(np.einsum("i,i->", gaps, gaps))  # no BLAS threads
+
+    ca2 = 0.0
+    if n > 2:
+        mean_gap = (last - first) / (n - 1)
+        ca2 = max(0.0, gap_square_sum / (n - 1) / mean_gap ** 2 - 1.0)
+    utilization = lam * service if n else 0.0
+    simulated = wait_sum / n if n else 0.0
+    analytical = kingman_wait(utilization, ca2, 0.0, service)  # deterministic service
     gap = abs(simulated - analytical) / analytical if analytical > 0 else 0.0
-    return {
-        "simulated_mean_wait_us": simulated,
-        "kingman_wait_us": analytical,
-        "relative_gap": gap,
-        "utilization": stats["utilization"],
-        "ca2": stats["ca2"],
-        "cs2": stats["cs2"],
-        "mean_service_us": stats["mean_service_us"],
-    }
+    return {"simulated_mean_wait_us": simulated, "kingman_wait_us": analytical,
+            "relative_gap": gap, "utilization": utilization, "ca2": ca2, "cs2": 0.0,
+            "mean_service_us": service}
 
 
 # ---------------------------------------------------------------------------
@@ -633,8 +627,13 @@ def queueing_cross_check(config: PonConfig, load: LoadPoint, seed: int,
 # ---------------------------------------------------------------------------
 
 
+def _probe_horizon(traffic: GpdParams, n_loops: int) -> float:
+    """Where `_probe_stream` first draws to: 10% past the mean span of n_loops gaps."""
+    return n_loops * gpd_mean(traffic) * 1.1 + 10.0
+
+
 def _probe_stream(traffic: GpdParams, n_loops: int, seed: int) -> np.ndarray:
-    horizon = n_loops * gpd_mean(traffic) * 1.1 + 10.0
+    horizon = _probe_horizon(traffic, n_loops)
     stream = generate_stream(traffic, horizon, seed)
     while len(stream) < n_loops:
         horizon *= 1.5
@@ -660,7 +659,7 @@ def _round_trip_base(config: PonConfig, load: LoadPoint, seed: int,
 
     totals = np.zeros(probes.size)
     for direction, rng_idx in leg_plan:
-        leg = _leg(config, load, direction, probes, rngs[rng_idx], stats=False)
+        leg = _leg(config, load, direction, probes, rngs[rng_idx])
         totals += (leg["queueing"] + leg["dba_wait"]
                    + leg["transmission"] + leg["wireless"])
     if with_ai:

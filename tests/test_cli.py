@@ -215,6 +215,28 @@ class TestCli:
         for command in ("latency-sweep", "onboarding"):
             assert main([command, "--config", str(path), "--out", str(tmp_path / command)]) == 0
 
+    # Each of these needs more than pon.MAX_EVENTS background events at rho 0.9:
+    # the downstream draw of 2-byte packets, or the upstream per-cycle counts of
+    # 0.01 us cycles or of 100000 ONUs.
+    @pytest.mark.parametrize("key,value,leg", [
+        ("background_packet_bytes", "2", "downstream"),
+        ("dba_cycle_us", "0.01", "upstream"),
+        ("split_ratio", "100000", "upstream"),
+    ])
+    def test_over_the_event_budget_exits_one_at_load(self, tmp_path, capsys, monkeypatch,
+                                                      key, value, leg):
+        def never(config):
+            raise AssertionError("the runner started")
+
+        monkeypatch.setattr(cli, "run_latency_sweep", never)
+        bad = tmp_path / "heavy.cfg"
+        bad.write_text(f"[pon]\n{key} = {value}\n[grid]\nloads = 0.1, 0.5, 0.9\nn_loops = 100\n")
+        code = main(["latency-sweep", "--config", str(bad), "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{leg} leg needs" in err and "rho = 0.9" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_latency_sweep_end_to_end(self, config_file, tmp_path, capsys):
         out_dir = tmp_path / "report"
         code = main(["latency-sweep", "--config", str(config_file),

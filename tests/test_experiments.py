@@ -1,6 +1,7 @@
 """Tests for scenario runners and report export."""
 
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from gladsim.experiments import (
     GladParams,
     Report,
     ScenarioConfig,
+    Table,
     _accuracy_decay_curve,
     export_report,
     run_latency_sweep,
@@ -66,6 +68,15 @@ class TestScenarioConfig:
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             ScenarioConfig(**kwargs)
+
+    def test_event_budget_checked_at_load(self):
+        # At rho 0.9 the downstream leg draws ~0.896 events per us up to ten
+        # services past the first probe horizon, n_loops x 1000 us x 1.1 + 10.
+        ScenarioConfig(load_grid=(0.1, 0.9, 1.0), n_loops=50_742)
+        with pytest.raises(ConfigError, match="downstream leg needs"):
+            ScenarioConfig(load_grid=(0.1, 0.9, 1.0), n_loops=50_743)
+        # Only unsaturated loads run legs.
+        ScenarioConfig(load_grid=(1.0, 1.5), n_loops=10**7)
 
     def test_hash_stable_and_sensitive(self):
         a = ScenarioConfig()
@@ -329,6 +340,32 @@ class TestExport:
         assert "latency_sweep__latency.json" in names
         payload = json.loads((tmp_path / "latency_sweep__latency.json").read_text())
         assert payload["columns"][0] == "span_km"
+
+    @pytest.mark.parametrize("failure", ["format", "write"])
+    def test_failed_export_leaves_nothing_behind(self, tmp_path, monkeypatch, failure):
+        class Unprintable:
+            def __str__(self):
+                raise OSError("export failed")
+
+        cell = Unprintable() if failure == "format" else 2
+        tables = {"a": Table(("x",), ((1,),)), "b": Table(("x",), ((cell,),))}
+        target = tmp_path / "report"
+        target.mkdir()
+        (target / "s__manifest.json").write_text("old\n")
+        if failure == "write":
+            write_text, calls = pathlib.Path.write_text, []
+
+            def second_write_fails(path, *args, **kwargs):
+                calls.append(path)
+                if len(calls) == 2:
+                    raise OSError("export failed")
+                return write_text(path, *args, **kwargs)
+
+            monkeypatch.setattr(pathlib.Path, "write_text", second_write_fails)
+        with pytest.raises(OSError, match="export failed"):
+            export_report(Report("s", tables, {}), target)
+        assert [p.name for p in target.iterdir()] == ["s__manifest.json"]
+        assert (target / "s__manifest.json").read_text() == "old\n"
 
     def test_unknown_format_rejected(self, latency_report, tmp_path):
         target = tmp_path / "report"

@@ -344,14 +344,38 @@ class TestStreamedBackground:
         monkeypatch.setattr(pon, "CHUNK_EVENTS", chunk)
         leg = pon._downstream_leg(cfg, load, probes, pon._spawn_rngs(seed, 1)[0])
         assert np.array_equal(leg["queueing"], expected)
-        bare = pon._downstream_leg(cfg, load, probes, pon._spawn_rngs(seed, 1)[0], stats=False)
-        assert np.array_equal(bare["queueing"], expected) and "stats" not in bare
-        stats = leg["stats"]
-        assert stats["n_background"] == times.size
+
+    @pytest.mark.parametrize("chunk", [1, 7, 1000, pon.CHUNK_EVENTS])
+    @pytest.mark.parametrize("rho", [0.0, 0.5, 0.9])
+    def test_cross_check_matches_whole_array(self, monkeypatch, chunk, rho):
+        cfg, load, seed, horizon = PonConfig(), LoadPoint(rho), 11, 2000.0
+        # The cross-check draws the background of a leg probed up to 0.99 of
+        # its horizon.
+        _, times, waits = _whole_array_downstream(
+            cfg, load, np.array([horizon * 0.99]), pon._spawn_rngs(seed, 1)[0])
+        assert (times.size > 1000) == (rho > 0.0)
+
+        settled = []
+        chunks = pon._fifo_chunks
+
+        def counted(draw, service_us):
+            for arrivals, chunk_waits, final in chunks(draw, service_us):
+                settled.append(final)
+                yield arrivals, chunk_waits, final
+
+        monkeypatch.setattr(pon, "CHUNK_EVENTS", chunk)
+        monkeypatch.setattr(pon, "_fifo_chunks", counted)
+        out = queueing_cross_check(cfg, load, seed, horizon_us=horizon)
+        assert sum(settled) == times.size
+        service = transmission_time(cfg.background_packet_bytes, cfg.downstream_rate_bps)
+        assert out["mean_service_us"] == service and out["cs2"] == 0.0
         if times.size > 2:
             gaps = np.diff(times)
-            assert stats["mean_queue_wait_us"] == pytest.approx(waits.mean(), rel=1e-12)
-            assert stats["ca2"] == pytest.approx(np.var(gaps) / np.mean(gaps) ** 2, rel=1e-12)
+            assert out["simulated_mean_wait_us"] == pytest.approx(waits.mean(), rel=1e-12)
+            assert out["ca2"] == pytest.approx(np.var(gaps) / np.mean(gaps) ** 2, rel=1e-12)
+            assert out["utilization"] == pytest.approx(rho, rel=1e-12)
+        else:
+            assert out["simulated_mean_wait_us"] == out["ca2"] == out["utilization"] == 0.0
 
     @pytest.mark.parametrize("chunk", [1, 7, 1000, pon.CHUNK_EVENTS])
     def test_chunked_draw_matches_whole_draw(self, monkeypatch, chunk):
@@ -377,9 +401,19 @@ class TestStreamedBackground:
         assert np.array_equal(rng.exponential(2.0, 3), reference.exponential(2.0, 3))
 
     def test_event_cap(self, monkeypatch):
+        cfg, load = PonConfig(), LoadPoint(0.9)
+        # About 0.9 events per us: the cap is checked before anything is drawn.
+        probes = np.array([0.0, 1.2 * pon.MAX_EVENTS])
         rng = pon._spawn_rngs(1, 1)[0]
-        with pytest.raises(ResourceLimitError):
-            pon._poisson_draw(rng, 1.0, pon.MAX_EVENTS + 1.0)
+        state = rng.bit_generator.state
+        with pytest.raises(ResourceLimitError, match="downstream"):
+            pon._downstream_leg(cfg, load, probes, rng)
+        with pytest.raises(ResourceLimitError, match="downstream"):
+            queueing_cross_check(cfg, load, 1, horizon_us=1.2 * pon.MAX_EVENTS)
+        # 16 ONUs x 10M cycles of 0.01 us, each counted as at least one event.
+        with pytest.raises(ResourceLimitError, match="upstream"):
+            pon._upstream_leg(PonConfig(dba_cycle_us=0.01), load, np.array([0.0, 1e5]), rng)
+        assert rng.bit_generator.state == state
         # Extensions count towards the cap too.
         monkeypatch.setattr(pon, "MAX_EVENTS", 3000)
         with pytest.raises(ResourceLimitError):
@@ -402,17 +436,16 @@ class TestStreamedBackground:
         # and 18.5 MiB with the concatenated arrivals and filled services too.
         assert peak < 10 * 2**20
 
-    @pytest.mark.parametrize("n_loops", [5_000, 20_000])
-    def test_statistics_free_leg_memory_is_flat_in_loops(self, n_loops):
-        probes = generate_stream(CONTROL_TRAFFIC_DEFAULT, n_loops * 1000.0, 3).timestamps
+    def test_cross_check_memory_is_flat(self):
         tracemalloc.start()
         try:
-            pon._downstream_leg(PonConfig(), LoadPoint(0.9), probes, pon._spawn_rngs(3, 1)[0],
-                                stats=False)
+            queueing_cross_check(PonConfig(), LoadPoint(0.9), 1, horizon_us=2e7)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 10 * 2**20
+        # About 18M events, streamed through the leg's buffers (8.18 MiB), with
+        # the gaps in the settled waits; a fresh np.diff per chunk took 12.18.
+        assert peak <= 8.19 * 2**20
 
 
 class TestStreamedUpstream:
@@ -439,7 +472,6 @@ class TestStreamedUpstream:
         leg = pon._upstream_leg(cfg, load, probes, pon._spawn_rngs(seed, 1)[0])
         assert np.array_equal(leg["queueing"], queueing)
         assert np.array_equal(leg["dba_wait"], dba_wait)
-        assert leg["stats"]["n_background"] == times.size
         return extended, times.size * float(cfg.background_packet_bytes) - granted
 
     @pytest.mark.parametrize("chunk", [1, 7, 1000, pon.CHUNK_EVENTS])
@@ -514,7 +546,7 @@ class TestSimulatePon:
         assert a.keys() == b.keys()
         for key in ("queueing", "dba_wait"):
             assert np.array_equal(a[key], b[key])
-        for key in ("transmission", "wireless", "propagation", "stats"):
+        for key in ("transmission", "wireless", "propagation"):
             assert a[key] == b[key]
 
     @pytest.mark.parametrize("direction", [UPSTREAM, DOWNSTREAM])
@@ -566,6 +598,11 @@ class TestSimulatePon:
     def test_downstream_mean_queueing_matches_kingman(self):
         out = queueing_cross_check(PonConfig(), LoadPoint(0.5), seed=1)
         assert out["relative_gap"] <= 0.2
+
+    @pytest.mark.parametrize("horizon", [-1e9, -1.0, 0.0, np.nan, np.inf, -np.inf])
+    def test_cross_check_rejects_bad_horizon(self, horizon):
+        with pytest.raises(ParameterError, match="horizon_us"):
+            queueing_cross_check(PonConfig(), LoadPoint(0.5), seed=1, horizon_us=horizon)
 
 
 def _loop_totals(cfg, rho, seed, n_loops):
