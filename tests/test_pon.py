@@ -436,6 +436,22 @@ class TestStreamedBackground:
         # and 18.5 MiB with the concatenated arrivals and filled services too.
         assert peak < 10 * 2**20
 
+    @pytest.mark.parametrize("n_loops", [5_000, 20_000])
+    def test_statistics_free_leg_memory_is_flat_in_loops(self, n_loops):
+        # The sweep's path: the downstream leg through _leg carries only its
+        # delay columns (the background statistics live in the cross-check)
+        # and holds no more than the bare leg.
+        probes = generate_stream(CONTROL_TRAFFIC_DEFAULT, n_loops * 1000.0, 3).timestamps
+        tracemalloc.start()
+        try:
+            leg = pon._leg(PonConfig(), LoadPoint(0.9), DOWNSTREAM, probes,
+                           pon._spawn_rngs(3, 1)[0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert set(leg) == {"queueing", "dba_wait", "transmission", "wireless", "propagation"}
+        assert peak < 10 * 2**20
+
     def test_cross_check_memory_is_flat(self):
         tracemalloc.start()
         try:
