@@ -60,8 +60,10 @@ MAX_EVENTS = 50_000_000
 # Background arrivals drawn per chunk, and DBA cycles solved per chunk.  The
 # downstream FIFO holds one chunk plus the busy period still open at the end
 # of the chunk before, and the upstream grant solvers one chunk of cycles, so
-# their temporaries do not grow with the horizon.
-CHUNK_EVENTS = 1 << 18
+# their temporaries do not grow with the horizon.  At 1 << 16 a chunk's
+# arrivals and Lindley sum (1.25 x 512 KiB each) fit together in a 2 MiB
+# per-core L2 cache.
+CHUNK_EVENTS = 1 << 16
 
 # Fraction of loops `round_trips` discards as simulation warm-up.
 WARMUP_FRACTION = 0.1
@@ -148,21 +150,43 @@ def kingman_wait(rho: float, ca2: float, cs2: float, mean_service_us: float) -> 
     return rho / (1.0 - rho) * (ca2 + cs2) / 2.0 * mean_service_us
 
 
+def _lindley_sum(a: np.ndarray, s: np.ndarray, origin: float, out: np.ndarray) -> np.ndarray:
+    """Lindley's running sum V of arrivals `a` with services `s`, in `out[:n]`.
+
+    V[0] = origin and V[i] = origin + sum(S[j] - A[j] for j < i), with
+    A[j] = a[j+1] - a[j] the gaps.  By Lindley's reflection the waits are
+    W = V - M, with M[i] = min(V[0..i]) the running minimum, and W[k] == 0
+    exactly where V[k] == M[k].  Raises ParameterError for arrivals that
+    decrease or are NaN.
+    """
+    n = a.size
+    v = out[:n]
+    if n:
+        v[0] = origin
+        # S[j] - A[j] is exactly (a[j] - a[j+1]) + S[j].
+        np.subtract(a[:-1], a[1:], out=v[1:])
+        # One reduction; a NaN arrival makes the maximum NaN and fails it too.
+        if n > 1 and not v[1:].max() <= 0.0:
+            raise ParameterError("arrival times must be non-decreasing and not NaN")
+        v[1:] += s[:-1]
+        np.cumsum(v, out=v)
+    return v
+
+
 def fifo_waits(arrival_times, service_times, origin: float = 0.0, *,
                out: np.ndarray | None = None) -> np.ndarray:
     """Waiting times in a work-conserving single-server FIFO queue.
 
     Solves the Lindley recursion W[i+1] = max(0, W[i] + S[i] - A[i]) in closed
-    form via the reflection identity W[i] = V[i] - M[i] with
-    V[i] = origin + sum(S[j] - A[j] for j < i) and M[i] = min(V[0..i]),
-    which vectorizes.
+    form as W = V - M, from Lindley's running sum V and its running minimum M
+    (see _lindley_sum), which vectorizes.
 
     `origin` continues a longer arrival sequence whose arrival at index 0
     finds the server idle: passing V of the longer sequence at that arrival
     makes the sequential sum, and so every returned wait, bit-identical to
     solving the longer sequence whole.  The waits do not depend on it
     otherwise; the first wait is always 0.  Where W[k] == 0, V[k] == M[k]
-    exactly, so M[k] is the origin that continues the sequence from k.
+    exactly, so V[k] is the origin that continues the sequence from k.
 
     `out`, when given, is float work memory of shape (2, m) with m at least
     the number of arrivals n, whatever it holds: the waits are written to
@@ -182,14 +206,7 @@ def fifo_waits(arrival_times, service_times, origin: float = 0.0, *,
         raise ParameterError(f"out must be a float (2, >= {n}) array, got {out.dtype} {out.shape}")
     else:
         v, low = out[0, :n], out[1, :n]
-    v[0] = origin
-    # S[j] - A[j] with A[j] = a[j+1] - a[j] is exactly (a[j] - a[j+1]) + S[j].
-    np.subtract(a[:-1], a[1:], out=v[1:])
-    # One reduction; a NaN arrival makes the maximum NaN and fails it too.
-    if n > 1 and not v[1:].max() <= 0.0:
-        raise ParameterError("arrival times must be non-decreasing and not NaN")
-    v[1:] += s[:-1]
-    np.cumsum(v, out=v)
+    _lindley_sum(a, s, origin, v)
     # fmin runs faster than minimum here and differs from it only where V is
     # NaN, and there the wait is NaN either way.
     np.fmin.accumulate(v, out=low)
@@ -335,7 +352,7 @@ def _gated_grants(arrived_bytes_per_cycle: np.ndarray, cap_bytes: float,
     u[0] = state.u
     np.subtract(prev_arrivals, cap_bytes, out=u[1:])
     np.cumsum(u, out=u)
-    low = np.minimum.accumulate(u)
+    low = np.fmin.accumulate(u)
     np.minimum(low, state.u_min, out=low)
     state.last_arrived, state.u, state.u_min = float(a[-1]), float(u[-1]), float(low[-1])
     s = np.subtract(u, low, out=u)[:n]
@@ -343,40 +360,73 @@ def _gated_grants(arrived_bytes_per_cycle: np.ndarray, cap_bytes: float,
     return np.minimum(reported, cap_bytes, out=reported)
 
 
-def _last_idle(waits: np.ndarray) -> int:
-    """Index of the last arrival after the first that found the server idle, or 0.
+def _last_idle(v: np.ndarray) -> int:
+    """Index of the last arrival after the first that finds the server idle, or 0.
 
-    Scans back from the end in blocks that double, so the usual short search
-    allocates nothing of the chunk's size.
+    `v` is a Lindley sum (see _lindley_sum).  Arrival k >= 1 finds the server
+    idle where V[k] is at most every V before it, so the last such arrival is
+    the last one where V reaches min(V[1:]), provided that minimum is at most
+    V[0].  One min reduction finds the minimum, and a scan back from the end
+    in blocks that double finds where V reaches it; V drifts downwards below
+    saturation, so the scan is usually short and allocates nothing of the
+    chunk's size.
     """
-    stop, width = waits.size, 256
-    while stop > 1:
+    if v.size < 2:
+        return 0
+    low = v[1:].min()
+    if not low <= v[0]:
+        return 0
+    stop, width = v.size, 256
+    while True:
         start = max(1, stop - width)
-        idle = np.flatnonzero(waits[start:stop] == 0.0)
+        idle = np.flatnonzero(v[start:stop] == low)
         if idle.size:
             return start + int(idle[-1])
         stop, width = start, 2 * width
-    return 0
+
+
+def _waits_at(v: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """The waits V[idx] - M[idx] of a Lindley sum at non-decreasing indices `idx`.
+
+    M, V's running minimum, is needed at the distinct indices only: the
+    minima of V over the segments that end at each of them, then a running
+    minimum over those few.  So V is read once up to the last index and
+    never accumulated, and since min is exact, every wait is bit-identical to
+    fifo_waits'.  Indices that repeat share one value of M.
+    """
+    if not idx.size:
+        return np.empty(0)
+    new = np.empty(idx.size, dtype=bool)     # where idx takes a new value
+    new[0] = True
+    np.not_equal(idx[1:], idx[:-1], out=new[1:])
+    ends = idx[new]
+    low = np.fmin.reduceat(v[:ends[-1] + 1], np.concatenate(([0], ends[:-1] + 1)))
+    np.fmin.accumulate(low, out=low)
+    return v[idx] - low[np.cumsum(new) - 1]
 
 
 def _fifo_chunks(draw: _PoissonDraw, service_us: float):
     """Stream a Poisson background through a fixed-service FIFO in settled chunks.
 
-    Yields `(arrivals, waits, final)`: the waits before `final`, the chunk's
-    last idle arrival, are settled, and the arrivals from it on begin the next
-    chunk, solved from there with V's running minimum as origin (see
-    fifo_waits); at the draw's end they are yielded whole.  So every wait is
-    bit-identical to one whole solve.  All are views of buffers reused for
-    every chunk, so memory does not grow with the horizon, and a consumer may
-    overwrite what lies before `final`.
+    Yields `(arrivals, v, spare, final)`.  `v` is the chunk's Lindley sum
+    (see _lindley_sum) from an origin where its first arrival finds the
+    server idle, so the waits are V less its running minimum, which is left
+    to the consumer to take where it needs it.  `final` is the chunk's last
+    idle arrival: the arrivals before it are settled, and those from it on
+    begin the next chunk, whose origin is V[final]; at the draw's end they
+    are yielded whole.  So every wait is bit-identical to one whole solve.
+    `spare` is a row of work memory as long as the chunk, free for the
+    consumer.  All are views of buffers reused for every chunk, so memory
+    does not grow with the horizon, and a consumer may overwrite what lies
+    before `final` and all of `spare`.
     """
-    # `work` is fifo_waits' memory: the waits, then V's running minimum.
+    # `work` rows: the Lindley sum, then the consumer's spare row.
     buffer, work = np.empty(0), np.empty((2, 0))
-    tail, tail_waits, origin = 0, work[0], 0.0
+    tail, tail_v, origin = 0, work[0], 0.0
     while tail or not draw.done:
         if draw.done:
             # The background has ended, so the whole tail is final.
-            arrivals, waits, final = buffer[:tail], tail_waits, tail
+            arrivals, v, final = buffer[:tail], tail_v, tail
         else:
             need = tail + draw.next_size()
             if need > buffer.size:
@@ -385,16 +435,16 @@ def _fifo_chunks(draw: _PoissonDraw, service_us: float):
                 buffer, work = grown, np.empty((2, grown.size))
             size = tail + _poisson_arrivals(draw, buffer[tail:]).size
             arrivals = buffer[:size]
-            waits = fifo_waits(arrivals, np.broadcast_to(service_us, size), origin, out=work)
-            final = _last_idle(waits)
+            v = _lindley_sum(arrivals, np.broadcast_to(service_us, size), origin, work[0])
+            final = _last_idle(v)
             if final == 0:
-                tail, tail_waits = size, waits
+                tail, tail_v = size, v
                 continue
-            origin = float(work[1, final])
-        yield arrivals, waits, final
+            origin = float(v[final])
+        yield arrivals, v, work[1, :arrivals.size], final
         tail = arrivals.size - final
         buffer[:tail] = arrivals[final:]
-        tail_waits = waits[final:]
+        tail_v = v[final:]
 
 
 def _downstream_leg(config: PonConfig, load: LoadPoint, probe_times: np.ndarray,
@@ -404,7 +454,9 @@ def _downstream_leg(config: PonConfig, load: LoadPoint, probe_times: np.ndarray,
     Background: Poisson arrivals of `background_packet_bytes` packets sized so
     the offered load equals rho of the downstream rate.  A probe arriving at t
     waits for the workload present at t, then serializes itself.  Probe times
-    are non-decreasing; each falls among the settled arrivals of one chunk.
+    are non-decreasing; each falls among the settled arrivals of one chunk,
+    and only the waits of the arrivals just before probes are taken from the
+    chunk's Lindley sum (see _waits_at).
     """
     rate = config.downstream_rate_bps
     bg_service = transmission_time(config.background_packet_bytes, rate)
@@ -415,7 +467,7 @@ def _downstream_leg(config: PonConfig, load: LoadPoint, probe_times: np.ndarray,
 
     queueing = np.zeros(probe_times.size)
     answered = -1                # probes before this index have their queueing
-    for arrivals, waits, final in _fifo_chunks(draw, bg_service):
+    for arrivals, v, _, final in _fifo_chunks(draw, bg_service):
         if answered < 0:         # those before the first arrival find no queue
             answered = int(np.searchsorted(probe_times, arrivals[0], side="left"))
         # Probes up to the next chunk's first arrival wait behind one of these.
@@ -423,7 +475,7 @@ def _downstream_leg(config: PonConfig, load: LoadPoint, probe_times: np.ndarray,
                 if final < arrivals.size else probe_times.size)
         probes = probe_times[answered:stop]
         idx = np.searchsorted(arrivals[:final], probes, side="right") - 1
-        departures = arrivals[idx] + waits[idx] + bg_service
+        departures = arrivals[idx] + _waits_at(v, idx) + bg_service
         queueing[answered:stop] = np.maximum(0.0, departures - probes)
         answered = stop
 
@@ -587,26 +639,32 @@ def queueing_cross_check(config: PonConfig, load: LoadPoint, seed: int,
     The background is that of a downstream leg probed up to 0.99 of
     `horizon_us`.  Its moments are measured from the simulation's own arrival
     and service processes, so the comparison validates the queue dynamics.
+    `horizon_us` must span at least 1000 background services (about 1 ms at
+    the defaults).
     """
-    if not (math.isfinite(horizon_us) and horizon_us > 0.0):
-        raise ParameterError(f"horizon_us must be finite and > 0, got {horizon_us}")
-    _check_event_cap(config, load, DOWNSTREAM, horizon_us * 0.99)
     rate = config.downstream_rate_bps
     service = transmission_time(config.background_packet_bytes, rate)
+    # Shorter horizons draw a handful of events, whose mean wait says nothing.
+    if not (math.isfinite(horizon_us) and horizon_us >= 1000.0 * service):
+        raise ParameterError(f"horizon_us must be finite and at least 1000 background "
+                             f"services ({1000.0 * service:g} us), got {horizon_us}")
+    _check_event_cap(config, load, DOWNSTREAM, horizon_us * 0.99)
     lam = load.rho * rate / (config.background_packet_bytes * 8.0) * 1e-6  # pkts/us
     draw = _poisson_draw(_spawn_rngs(seed, 1)[0], lam, horizon_us * 0.99 + 10.0 * service)
 
     n = 0
     first = last = wait_sum = gap_square_sum = 0.0
-    for arrivals, waits, final in _fifo_chunks(draw, service):
+    for arrivals, v, spare, final in _fifo_chunks(draw, service):
         if n == 0:
             first = float(arrivals[0])
         n += final
         last = float(arrivals[final - 1])
-        wait_sum += float(waits[:final].sum())
-        # The gaps up to the next chunk's first arrival, over the settled waits.
+        # The settled waits: V less its running minimum (see fifo_waits).
+        low = np.fmin.accumulate(v[:final], out=spare[:final])
+        wait_sum += float(np.subtract(v[:final], low, out=low).sum())
+        # The gaps up to the next chunk's first arrival, over the waits.
         n_gaps = min(final + 1, arrivals.size) - 1
-        gaps = np.subtract(arrivals[1:n_gaps + 1], arrivals[:n_gaps], out=waits[:n_gaps])
+        gaps = np.subtract(arrivals[1:n_gaps + 1], arrivals[:n_gaps], out=spare[:n_gaps])
         gap_square_sum += float(np.einsum("i,i->", gaps, gaps))  # no BLAS threads
 
     ca2 = 0.0

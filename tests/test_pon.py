@@ -178,6 +178,31 @@ class TestFifoWaitsProperties:
             assert np.array_equal(part, whole[k:])
 
 
+def _last_idle_from_waits(waits):
+    """The last arrival after the first with a zero wait, or 0."""
+    idle = np.flatnonzero(waits[1:] == 0.0)
+    return int(idle[-1]) + 1 if idle.size else 0
+
+
+class TestLindleySum:
+    # The last of 2000 arrivals to find the server idle is the second, so the
+    # scan back for it crosses several doubling blocks; and one where every
+    # arrival finds the server idle, so V ties its minimum throughout.
+    @given(jobs=_queue_jobs, origin=st.one_of(st.just(0.0), st.floats(-1e6, 1e6)),
+           picks=st.lists(st.integers(0, 2**16), max_size=40))
+    @example(jobs=[(0.0, 0.01), (10.0, 1.0)] + [(0.0, 1.0)] * 1998, origin=0.0,
+             picks=[0, 1, 1, 1999, 1999])
+    @example(jobs=[(0.0, 1.0)] + [(1.0, 1.0)] * 3, origin=0.0, picks=[1, 2, 3])
+    def test_sparse_waits_and_last_idle_match_fifo_waits(self, jobs, origin, picks):
+        gaps, services = (np.array(column) for column in zip(*jobs))
+        arrivals = np.cumsum(gaps)
+        idx = np.sort(np.array(picks, dtype=np.intp) % arrivals.size)  # repeats kept
+        whole = fifo_waits(arrivals, services, origin)
+        v = pon._lindley_sum(arrivals, services, origin, np.empty(arrivals.size))
+        assert pon._waits_at(v, idx).tobytes() == whole[idx].tobytes()
+        assert pon._last_idle(v) == _last_idle_from_waits(whole)
+
+
 class TestGatedGrants:
     @given(arrived=st.lists(st.floats(0.0, 1e4), min_size=1, max_size=60),
            cap=st.floats(1.0, 5e3))
@@ -346,6 +371,31 @@ class TestStreamedBackground:
         assert np.array_equal(leg["queueing"], expected)
 
     @pytest.mark.parametrize("chunk", [1, 7, 1000, pon.CHUNK_EVENTS])
+    @pytest.mark.parametrize("rho", [0.3, 0.9])
+    def test_downstream_leg_matches_lindley_loop(self, monkeypatch, chunk, rho):
+        # Each probe's queueing rebuilt from the sequential recursion over
+        # every background arrival: the leg reads waits at probes only.
+        cfg, load, seed = PonConfig(), LoadPoint(rho), 8
+        rate = cfg.downstream_rate_bps
+        service = transmission_time(cfg.background_packet_bytes, rate)
+        lam = rho * rate / (cfg.background_packet_bytes * 8.0) * 1e-6
+        probes = np.sort(np.random.Generator(np.random.PCG64(seed)).uniform(0.0, 2e4, 500))
+        probes[0] = 0.0          # before every arrival
+        times = _whole_array_arrivals(pon._spawn_rngs(seed, 1)[0], lam, probes[-1] + 10.0 * service)
+        # Probes on some arrival instants too, which they queue behind.
+        probes = np.sort(np.concatenate((probes, times[::50])))
+        waits = _lindley_loop(times, np.full(times.size, service))
+        expected = []
+        for t in probes:
+            k = int(np.searchsorted(times, t, side="right")) - 1
+            expected.append(max(0.0, times[k] + waits[k] + service - t) if k >= 0 else 0.0)
+
+        monkeypatch.setattr(pon, "CHUNK_EVENTS", chunk)
+        leg = pon._downstream_leg(cfg, load, probes, pon._spawn_rngs(seed, 1)[0])
+        assert np.count_nonzero(leg["queueing"]) > probes.size * rho / 2
+        np.testing.assert_allclose(leg["queueing"], expected, rtol=0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 1000, pon.CHUNK_EVENTS])
     @pytest.mark.parametrize("rho", [0.0, 0.5, 0.9])
     def test_cross_check_matches_whole_array(self, monkeypatch, chunk, rho):
         cfg, load, seed, horizon = PonConfig(), LoadPoint(rho), 11, 2000.0
@@ -359,9 +409,9 @@ class TestStreamedBackground:
         chunks = pon._fifo_chunks
 
         def counted(draw, service_us):
-            for arrivals, chunk_waits, final in chunks(draw, service_us):
+            for arrivals, v, spare, final in chunks(draw, service_us):
                 settled.append(final)
-                yield arrivals, chunk_waits, final
+                yield arrivals, v, spare, final
 
         monkeypatch.setattr(pon, "CHUNK_EVENTS", chunk)
         monkeypatch.setattr(pon, "_fifo_chunks", counted)
@@ -430,11 +480,13 @@ class TestStreamedBackground:
             tracemalloc.stop()
         # A whole-array leg holds several arrays of ~0.9 events per us of horizon:
         # about 200 MiB at 5k loops and 800 MiB at 20k.  The streamed leg peaks
-        # at 7.8 MiB: one arrivals buffer and fifo_waits' two rows of work
-        # memory, each 1.25 chunks long.  With fresh chunk temporaries (the
-        # draw, the waits, the running minimum and the gaps) it took 12.7 MiB,
-        # and 18.5 MiB with the concatenated arrivals and filled services too.
-        assert peak < 10 * 2**20
+        # at 1.96 and 2.19 MiB: one arrivals buffer and two rows of work memory
+        # (the Lindley sum and a spare row), each 1.25 chunks of 1 << 16
+        # arrivals long, plus the per-probe columns.  The bound leaves 1.8 MiB
+        # for them.  With fresh chunk temporaries (the draw, the waits, the
+        # running minimum and the gaps) a leg took 12.7 MiB, and 18.5 MiB with
+        # the concatenated arrivals and filled services too.
+        assert peak < 4 * 2**20
 
     @pytest.mark.parametrize("n_loops", [5_000, 20_000])
     def test_statistics_free_leg_memory_is_flat_in_loops(self, n_loops):
@@ -450,7 +502,7 @@ class TestStreamedBackground:
         finally:
             tracemalloc.stop()
         assert set(leg) == {"queueing", "dba_wait", "transmission", "wireless", "propagation"}
-        assert peak < 10 * 2**20
+        assert peak < 4 * 2**20
 
     def test_cross_check_memory_is_flat(self):
         tracemalloc.start()
@@ -459,9 +511,10 @@ class TestStreamedBackground:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # About 18M events, streamed through the leg's buffers (8.18 MiB), with
-        # the gaps in the settled waits; a fresh np.diff per chunk took 12.18.
-        assert peak <= 8.19 * 2**20
+        # About 18M events, streamed through the leg's buffers (1.88 MiB), with
+        # the running minimum, the waits and then the gaps in the spare work
+        # row.  The bound leaves 2.1 MiB.
+        assert peak < 4 * 2**20
 
 
 class TestStreamedUpstream:
@@ -527,7 +580,7 @@ class TestStreamedUpstream:
         # Holding every ONU's draws and grants for all cycles took 37.6 MiB at
         # 30k loops and 125.8 MiB at 100k.  Streamed, the leg holds one cycle
         # chunk's temporaries plus three per-cycle columns (6.1 MiB each at
-        # 100k loops): 13.3 and 25.3 MiB.
+        # 100k loops): 7.9 and 25.3 MiB.
         assert peak < {30_000: 20, 100_000: 34}[n_loops] * 2**20
 
 
@@ -615,7 +668,9 @@ class TestSimulatePon:
         out = queueing_cross_check(PonConfig(), LoadPoint(0.5), seed=1)
         assert out["relative_gap"] <= 0.2
 
-    @pytest.mark.parametrize("horizon", [-1e9, -1.0, 0.0, np.nan, np.inf, -np.inf])
+    # 1e-9 and 1 us draw only the ten-service tail past the horizon, a handful
+    # of events, and read a relative gap of 0.385.
+    @pytest.mark.parametrize("horizon", [-1e9, -1.0, 0.0, 1e-9, 1.0, np.nan, np.inf, -np.inf])
     def test_cross_check_rejects_bad_horizon(self, horizon):
         with pytest.raises(ParameterError, match="horizon_us"):
             queueing_cross_check(PonConfig(), LoadPoint(0.5), seed=1, horizon_us=horizon)
