@@ -338,6 +338,12 @@ class _HalfGaps:
         return out
 
 
+# Chunk sizes for the whole-array comparisons: cuts on every event, at odd
+# and round strides, at the library's chunk, and at the former 1 << 18 chunk,
+# which holds a whole small leg in one chunk.
+_WHOLE_ARRAY_CHUNKS = [1, 7, 1000, pon.CHUNK_EVENTS, 1 << 18]
+
+
 def _drawn_chunks(rng, rate_per_us, horizon_us):
     """Copies of the chunks `_tagged_background` draws into its one buffer."""
     draw = pon._poisson_draw(rng, rate_per_us, horizon_us)
@@ -352,7 +358,7 @@ class TestStreamedBackground:
     # last probes follow every background arrival.
     SEEDS = {0.0: 11, 0.5: 11, 0.9: 11986}
 
-    @pytest.mark.parametrize("chunk", [1, 7, 1000, pon.CHUNK_EVENTS])
+    @pytest.mark.parametrize("chunk", _WHOLE_ARRAY_CHUNKS)
     @pytest.mark.parametrize("rho", [0.0, 0.5, 0.9])
     def test_downstream_leg_matches_whole_array(self, monkeypatch, chunk, rho):
         cfg, load, seed = PonConfig(), LoadPoint(rho), self.SEEDS[rho]
@@ -395,7 +401,7 @@ class TestStreamedBackground:
         assert np.count_nonzero(leg["queueing"]) > probes.size * rho / 2
         np.testing.assert_allclose(leg["queueing"], expected, rtol=0.0, atol=1e-9)
 
-    @pytest.mark.parametrize("chunk", [1, 7, 1000, pon.CHUNK_EVENTS])
+    @pytest.mark.parametrize("chunk", _WHOLE_ARRAY_CHUNKS)
     @pytest.mark.parametrize("rho", [0.0, 0.5, 0.9])
     def test_cross_check_matches_whole_array(self, monkeypatch, chunk, rho):
         cfg, load, seed, horizon = PonConfig(), LoadPoint(rho), 11, 2000.0
@@ -427,7 +433,7 @@ class TestStreamedBackground:
         else:
             assert out["simulated_mean_wait_us"] == out["ca2"] == out["utilization"] == 0.0
 
-    @pytest.mark.parametrize("chunk", [1, 7, 1000, pon.CHUNK_EVENTS])
+    @pytest.mark.parametrize("chunk", _WHOLE_ARRAY_CHUNKS)
     def test_chunked_draw_matches_whole_draw(self, monkeypatch, chunk):
         monkeypatch.setattr(pon, "CHUNK_EVENTS", chunk)
         chunks = _drawn_chunks(_HalfGaps(4), 0.9, 2000.0)
@@ -543,7 +549,7 @@ class TestStreamedUpstream:
         assert np.array_equal(leg["dba_wait"], dba_wait)
         return extended, times.size * float(cfg.background_packet_bytes) - granted
 
-    @pytest.mark.parametrize("chunk", [1, 7, 1000, pon.CHUNK_EVENTS])
+    @pytest.mark.parametrize("chunk", _WHOLE_ARRAY_CHUNKS)
     @pytest.mark.parametrize("rho", [0.0, 0.5, 0.9])
     def test_upstream_leg_matches_whole_array(self, monkeypatch, chunk, rho):
         extended, short = self._check_whole_array(
@@ -556,7 +562,7 @@ class TestStreamedUpstream:
     # ends a hair short of the bytes queued, so a drain that waited for it to
     # reach them never ended; at rho 0.8 the queue also outlasts the spare
     # cycles.
-    @pytest.mark.parametrize("chunk", [1, 7, 1000, pon.CHUNK_EVENTS])
+    @pytest.mark.parametrize("chunk", _WHOLE_ARRAY_CHUNKS)
     @pytest.mark.parametrize("cfg,rho,seed,extends", [
         (PonConfig(dba_cycle_us=130.0), 0.5, 114, False),
         (PonConfig(dba_cycle_us=130.0), 0.8, 100, True),
