@@ -6,8 +6,10 @@ provenance) that export to CSV with a JSON manifest; identical scenarios
 export byte-identical files, which is the reproducibility contract the test
 suite pins down.
 
-Grid points are independent; set GLADSIM_THREADS > 1 to evaluate the latency
-grid concurrently.  Assembly is deterministic regardless of completion order.
+Grid points are independent; set GLADSIM_THREADS to an integer N > 1 to
+evaluate the latency grid on N threads (unset means 1; a value below 1 or not
+an integer is a `ConfigError`).  Assembly is deterministic regardless of
+completion order.
 """
 
 from __future__ import annotations
@@ -135,9 +137,12 @@ def _provenance(config: ScenarioConfig) -> dict:
 def _thread_count() -> int:
     raw = os.environ.get("GLADSIM_THREADS", "1")
     try:
-        return max(1, int(raw))
+        threads = int(raw)
     except ValueError:
         raise ConfigError(f"GLADSIM_THREADS must be an integer, got {raw!r}")
+    if threads < 1:
+        raise ConfigError(f"GLADSIM_THREADS must be >= 1, got {raw!r}")
+    return threads
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,13 @@ sinusoid whose depth vanishes at the object center, clamped to [0, 1].
 The forecaster is the constant-step-size recency-weighted estimator
     estimate <- estimate + alpha * (observed - estimate)
 applied elementwise to the five-finger amplitude vector, over a whole trace
-at once.  Sessions and traces are columns, validated once, not one object
-per sample.
+at once.  It is the first-order recursion y <- (1 - alpha) * y + alpha * x,
+and `_first_order` is the one kernel that runs it, for the forecaster and
+for the AR(1) noise behind sessions and profiling traces.  The kernel steps
+in Python floats, one list comprehension per column, because they round
+each product and sum as numpy's elementwise operations do and so keep the
+report bytes; see its docstring.  Sessions and traces are columns,
+validated once, not one object per sample.
 """
 
 from __future__ import annotations
@@ -19,7 +24,6 @@ import enum
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -230,14 +234,22 @@ def _feedback(profile: ObjectProfile, dist: np.ndarray, t_us: np.ndarray) -> np.
 def _first_order(c: float, u: np.ndarray, y0) -> np.ndarray:
     """y[0] = y0, y[k+1] = c * y[k] + u[k], per column of `u`: the n + 1 values of y.
 
-    Python floats round the product and the sum separately, as the numpy
-    operations on each element do, so the result is the same to the bit.
+    `u` is (n,) or (n, k) and `y0` a scalar or a k-vector; the result has
+    the shape of `u` with one more row.  Each column runs as a list
+    comprehension over Python floats, written into one preallocated output.
+    Python floats round the product and the sum separately, with no fused
+    multiply-add, exactly as numpy's elementwise multiply and add do, so
+    every value has the same bits as a loop of numpy steps.  That loop would
+    pay a microsecond or so of ufunc dispatch per step; an FMA, or a closed
+    form over powers of c, would round differently and change report bytes.
     """
     c = float(c)
     cols = u if u.ndim == 2 else u[:, None]
-    starts = np.broadcast_to(np.asarray(y0, dtype=float), cols.shape[1:]).tolist()
-    y = np.array([list(accumulate(col, lambda e, s: c * e + s, initial=start))
-                  for col, start in zip(cols.T.tolist(), starts)]).T
+    n = cols.shape[0]
+    y = np.empty((n + 1, cols.shape[1]))
+    y[0] = y0
+    for j, (col, e) in enumerate(zip(cols.T.tolist(), y[0].tolist())):
+        y[1:, j] = np.fromiter([e := c * e + s for s in col], float, n)
     return y if u.ndim == 2 else y[:, 0]
 
 
@@ -258,8 +270,8 @@ def generate_session(profile: ObjectProfile, duration_us: float,
     `pin_at` freezes the hand at a fixed position instead (useful for
     boundary checks).  Deterministic in `seed`.
     """
-    if duration_us <= 0:
-        raise ParameterError(f"duration must be > 0, got {duration_us}")
+    if not (math.isfinite(duration_us) and duration_us > 0):
+        raise ParameterError(f"duration_us must be finite and > 0, got {duration_us}")
     stream = generate_stream(control_params, duration_us, seed)
     times = stream.timestamps
     n = times.size
@@ -315,8 +327,10 @@ def profiling_trace(profile: ObjectProfile, n_samples: int, seed: int, *,
     """
     if n_samples <= 0:
         raise ParameterError(f"n_samples must be > 0, got {n_samples}")
-    if noise_std < 0:
-        raise ParameterError(f"noise_std must be >= 0, got {noise_std}")
+    if not (math.isfinite(noise_std) and noise_std >= 0):
+        raise ParameterError(f"noise_std must be finite and >= 0, got {noise_std}")
+    if not -1.0 <= wobble_persistence <= 1.0:
+        raise ParameterError(f"wobble_persistence must lie in [-1, 1], got {wobble_persistence}")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0x9A9))))
     drift = _smooth_noise(rng, n_samples, persistence=wobble_persistence)
     rel = np.clip(hold_fraction + wobble * drift, 0.0, 0.95)
@@ -431,8 +445,13 @@ def train_classifier(controls: ControlTrace, labels, train_fraction: float,
 
 
 def _hits(forecasts: np.ndarray, actuals: np.ndarray, epsilon: float) -> np.ndarray:
-    """Per-row hit flags: the max-norm forecast error is at most `epsilon`."""
-    return np.max(np.abs(forecasts - actuals), axis=1) <= epsilon
+    """Per-row hit flags: the max-norm forecast error is at most `epsilon`.
+
+    Every finger's error is at most `epsilon` exactly when the largest one
+    is, so the flags need no max reduction along the five-finger rows.  A
+    NaN error fails the comparison, so its row is a miss either way.
+    """
+    return (np.abs(forecasts - actuals) <= epsilon).all(axis=1)
 
 
 def _forecast(x: np.ndarray, alpha: float, epsilon: float,

@@ -5,9 +5,11 @@ whose inter-arrival times follow a three-parameter generalized Pareto law
 (shape xi, scale sigma in microseconds, location mu in microseconds).
 
 Everything in this module is a pure function of its inputs; a stream is
-reproducible from (params, horizon, seed) on any platform.  The generator is
-a PCG64-backed numpy Generator, which has 128-bit state and a fixed,
-documented output sequence.
+reproducible from (params, horizon, seed) on one numpy build and CPU feature
+set.  The generator is a PCG64-backed numpy Generator, which has 128-bit
+state and a fixed, documented output sequence; the uniforms it draws are the
+same everywhere, but numpy picks its log1p and expm1 kernels by CPU feature,
+so the last bit of a sample may differ between hosts.
 """
 
 from __future__ import annotations
@@ -151,8 +153,8 @@ def generate_stream(params: GpdParams, horizon_us: float, seed: int) -> ArrivalS
     Arrivals strictly beyond the horizon are excluded; the stream may be empty
     when the first gap already exceeds the horizon.  Deterministic in `seed`.
     """
-    if horizon_us <= 0:
-        raise ParameterError(f"horizon must be > 0, got {horizon_us}")
+    if not (math.isfinite(horizon_us) and horizon_us > 0):
+        raise ParameterError(f"horizon_us must be finite and > 0, got {horizon_us}")
     rng = np.random.Generator(np.random.PCG64(seed))
     if params.shape < 1.0:
         typical_gap = gpd_mean(params)

@@ -194,6 +194,16 @@ class TestCli:
         assert code == 1
         assert "seeds" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_thread_count_below_one_exits_one(self, config_file, tmp_path, capsys,
+                                              monkeypatch, threads):
+        monkeypatch.setenv("GLADSIM_THREADS", threads)
+        code = main(["latency-sweep", "--config", str(config_file),
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "GLADSIM_THREADS" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("section,key,value", [
         ("glad", "accuracy_target", repr(float(np.nextafter(1.0, 0.0)))),
         ("glad", "total_machines", "2"),

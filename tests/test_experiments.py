@@ -87,6 +87,12 @@ class TestScenarioConfig:
 
 
 class TestLatencySweep:
+    @pytest.mark.parametrize("raw", ["0", "-2", "two"])
+    def test_thread_env_var_must_be_a_positive_integer(self, monkeypatch, raw):
+        monkeypatch.setenv("GLADSIM_THREADS", raw)
+        with pytest.raises(ConfigError, match="GLADSIM_THREADS"):
+            run_latency_sweep(_small_scenario())
+
     def test_complete_grid(self, latency_report):
         table = latency_report.tables["latency"]
         # one row per (span, load, mode)

@@ -1,10 +1,11 @@
 """Tests for session synthesis, touch classification and forecasting."""
 
 import math
+from itertools import accumulate
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -20,7 +21,9 @@ from gladsim.haptic import (
     ObjectKind,
     ObjectProfile,
     _feedback,
+    _first_order,
     _forecast,
+    _hits,
     _smooth_noise,
     estimate_tau,
     generate_session,
@@ -91,6 +94,11 @@ class TestSessionSynthesis:
     def test_duration_must_be_positive(self):
         with pytest.raises(ParameterError):
             generate_session(BALL, 0.0, CONTROL_TRAFFIC_DEFAULT, 1)
+
+    @pytest.mark.parametrize("duration_us", [math.nan, math.inf, -math.inf])
+    def test_duration_must_be_finite(self, duration_us):
+        with pytest.raises(ParameterError, match="duration_us"):
+            generate_session(BALL, duration_us, CONTROL_TRAFFIC_DEFAULT, 1)
 
     @pytest.mark.parametrize("pin_at", [None, BALL.center])
     def test_session_without_arrivals_is_empty(self, pin_at):
@@ -430,6 +438,92 @@ class TestVectorizedTrace:
         out = _smooth_noise(np.random.Generator(np.random.PCG64(seed)), n, persistence)
         expected = _smooth_noise_loop(np.random.Generator(np.random.PCG64(seed)), n, persistence)
         assert _same_bits(out, expected)
+
+
+class TestProfilingTraceArguments:
+    @pytest.mark.parametrize("kwargs", [
+        dict(noise_std=math.nan), dict(noise_std=math.inf), dict(noise_std=-0.1),
+        dict(wobble_persistence=1.5), dict(wobble_persistence=-1.5),
+        dict(wobble_persistence=math.nan), dict(wobble_persistence=math.inf),
+    ], ids=lambda kwargs: "-".join(f"{k}={v}" for k, v in kwargs.items()))
+    def test_rejects_bad_argument(self, kwargs):
+        # A nan noise_std ran as noise 0, and a persistence of 1.5 raised
+        # ValueError from math.sqrt.
+        (name,) = kwargs
+        with pytest.raises(ParameterError, match=name):
+            profiling_trace(BALL, 10, seed=1, **kwargs)
+
+    @pytest.mark.parametrize("persistence", [-1.0, 1.0])
+    def test_persistence_bounds_are_accepted(self, persistence):
+        trace = profiling_trace(BALL, 10, seed=1, wobble_persistence=persistence)
+        t_us, amplitude = _profiling_trace_loop(BALL, 10, 1, wobble_persistence=persistence)
+        assert _same_bits(trace.amplitude, amplitude)
+
+
+def _first_order_accumulate(c, u, y0):
+    """The recursion kernel as `itertools.accumulate` with a lambda, one call per step."""
+    c = float(c)
+    cols = u if u.ndim == 2 else u[:, None]
+    starts = np.broadcast_to(np.asarray(y0, dtype=float), cols.shape[1:]).tolist()
+    y = np.array([list(accumulate(col, lambda e, s: c * e + s, initial=start))
+                  for col, start in zip(cols.T.tolist(), starts)]).T
+    return y if u.ndim == 2 else y[:, 0]
+
+
+# Signed zeros, the smallest subnormal, the largest finite double, infinities
+# and NaN, mixed with ordinary and arbitrary doubles.
+_edge_floats = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1.7976931348623157e308,
+                     math.inf, -math.inf, math.nan]),
+    st.floats(-2.0, 2.0),
+    st.floats(),
+)
+
+
+@st.composite
+def _recursion_inputs(draw):
+    """(c, u, y0): u is (n,) or (n, k), y0 a scalar or a k-vector."""
+    n = draw(st.one_of(st.sampled_from([0, 1]), st.integers(0, 300)))
+    k = draw(st.integers(1, 6))
+    one_d = draw(st.booleans())
+    u = draw(arrays(np.float64, (n,) if one_d else (n, k), elements=_edge_floats))
+    width = 1 if one_d else k
+    y0 = draw(st.one_of(_edge_floats, arrays(np.float64, width, elements=_edge_floats)))
+    c = draw(st.one_of(st.sampled_from([0.0, 1.0, -1.0, -0.0]), st.floats(-1.0, 1.0)))
+    return c, u, y0
+
+
+class TestRecursionKernel:
+    @given(inputs=_recursion_inputs())
+    @example(inputs=(0.5, np.array([1.0, 2.0, 3.0]), 0.25))
+    @example(inputs=(1.0, np.empty((0, 3)), np.array([0.5, -0.0, math.nan])))
+    def test_same_bits_as_accumulate(self, inputs):
+        c, u, y0 = inputs
+        # Python floats never warn, but numpy steps overflow and go invalid on
+        # these inputs, and pytest turns their RuntimeWarning into an error:
+        # a kernel written with numpy steps should be judged by its bits.
+        with np.errstate(all="ignore"):
+            assert _same_bits(_first_order(c, u, y0), _first_order_accumulate(c, u, y0))
+
+    @given(f=arrays(np.float64, st.tuples(st.integers(0, 50), st.just(5)),
+                    elements=st.integers(-64, 64).map(lambda i: i / 64)),
+           a=arrays(np.float64, 5, elements=st.integers(-64, 64).map(lambda i: i / 64)),
+           epsilon=st.integers(1, 64).map(lambda i: i / 64),
+           nan_rows=st.lists(st.integers(0, 49)))
+    # Rows: one error equal to epsilon (a hit), one above it (a miss), a NaN
+    # (a miss) and every error equal to epsilon (a hit).
+    @example(f=np.array([[0.0, 0.0, 0.125, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0, 0.25],
+                         [math.nan, 0.0, 0.0, 0.0, 0.0], [-0.125] * 5]),
+             a=np.zeros(5), epsilon=0.125, nan_rows=[])
+    def test_hits_match_the_max_norm(self, f, a, epsilon, nan_rows):
+        # Multiples of 1/64 subtract exactly, so many errors equal epsilon.
+        actuals = np.tile(a, (f.shape[0], 1))
+        for row in nan_rows:
+            if row < f.shape[0]:
+                f[row, row % 5] = math.nan
+        expected = np.array([np.max(np.abs(fr - ar)) <= epsilon
+                             for fr, ar in zip(f, actuals)], dtype=bool)
+        assert np.array_equal(_hits(f, actuals, epsilon), expected)
 
 
 class TestHapticTrace:

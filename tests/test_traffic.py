@@ -158,6 +158,12 @@ class TestGenerateStream:
         with pytest.raises(ParameterError):
             generate_stream(GpdParams(0.1, 1.0, 0.0), 0.0, seed=1)
 
+    @pytest.mark.parametrize("horizon_us", [math.nan, math.inf, -math.inf, -1.0])
+    def test_horizon_must_be_finite_and_positive(self, horizon_us):
+        # A nan horizon raised ValueError and an infinite one OverflowError.
+        with pytest.raises(ParameterError, match="horizon_us"):
+            generate_stream(GpdParams(0.1, 1.0, 0.0), horizon_us, seed=1)
+
     def test_stream_rejects_decreasing_timestamps(self):
         with pytest.raises(ParameterError):
             ArrivalStream(timestamps=np.array([2.0, 1.0]),
