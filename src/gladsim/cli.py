@@ -87,9 +87,8 @@ def _run_report_command(args, runner) -> int:
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out_dir}: {exc.strerror}") from exc
     report = runner(config)
-    export_report(report, out_dir, formats=(args.format,))
-    for name in sorted(p.name for p in out_dir.iterdir() if not p.name.startswith(".")):
-        print(name)
+    for path in export_report(report, out_dir, formats=(args.format,)):
+        print(path.name)
     print(f"report '{report.scenario}' written to {out_dir}")
     return EXIT_OK
 

@@ -66,6 +66,8 @@ class ScenarioConfig:
             values = getattr(self, name)
             if not values:
                 raise ConfigError(f"{name} must be nonempty")
+            if name != "seeds" and not np.all(np.isfinite(values)):
+                raise ConfigError(f"{name} must be finite, got {values}")
             if min(values) < 0:
                 raise ConfigError(f"{name} must be >= 0, got {values}")
             if len(set(values)) != len(values):
@@ -76,18 +78,15 @@ class ScenarioConfig:
             raise ConfigError(f"control_traffic shape must be < 1, got {shape}")
         if self.n_loops < 10:
             raise ConfigError(f"n_loops must be >= 10, got {self.n_loops}")
-        if self.deadline_us <= 0:
-            raise ConfigError(f"deadline_us must be > 0, got {self.deadline_us}")
-        # The heaviest unsaturated load draws the most background, up to where
-        # the control stream is first drawn; upstream probes come a hop later.
+        if not (np.isfinite(self.deadline_us) and self.deadline_us > 0):
+            raise ConfigError(f"deadline_us must be finite and > 0, got {self.deadline_us}")
+        # The heaviest unsaturated load draws the most background.
         unsaturated = [rho for rho in self.load_grid if rho < 1.0]
         if unsaturated:
             load = pon.LoadPoint(max(unsaturated))
-            last_probe = pon._probe_horizon(self.control_traffic, self.n_loops)
             try:
-                pon._check_event_cap(self.pon, load, pon.DOWNSTREAM, last_probe)
-                pon._check_event_cap(self.pon, load, pon.UPSTREAM,
-                                     last_probe + self.pon.wireless_hop_us)
+                pon._check_event_budget(self.pon, load, self.control_traffic, self.n_loops,
+                                        self.seeds)
             except ResourceLimitError as exc:
                 raise ConfigError(f"n_loops = {self.n_loops} at rho = {load.rho}: {exc}") from exc
 

@@ -102,7 +102,8 @@ class HapticSample:
 class HapticTrace(Sequence):
     """Feedback samples as columns: times (n,) and per-finger amplitudes (n, 5).
 
-    Validated once on construction.  An integer index returns that row as a
+    Validated once on construction: shapes, finite values, non-decreasing
+    times and amplitudes in [0, 1].  An integer index returns that row as a
     `HapticSample`; a slice returns a `HapticTrace`.
     """
 
@@ -118,6 +119,8 @@ class HapticTrace(Sequence):
             raise ParameterError(f"t_us must be ({amp.shape[0]},), got shape {t.shape}")
         if not (np.all(np.isfinite(t)) and np.all(np.isfinite(amp))):
             raise ParameterError("trace must be finite")
+        if np.any(t[1:] < t[:-1]):
+            raise ParameterError("t_us must be non-decreasing")
         if np.any(amp < 0.0) or np.any(amp > 1.0):
             raise ParameterError("amplitudes must lie in [0, 1]")
         object.__setattr__(self, "t_us", t)
@@ -331,6 +334,12 @@ def profiling_trace(profile: ObjectProfile, n_samples: int, seed: int, *,
         raise ParameterError(f"noise_std must be finite and >= 0, got {noise_std}")
     if not -1.0 <= wobble_persistence <= 1.0:
         raise ParameterError(f"wobble_persistence must lie in [-1, 1], got {wobble_persistence}")
+    if not 0.0 <= hold_fraction <= 1.0:
+        raise ParameterError(f"hold_fraction must lie in [0, 1], got {hold_fraction}")
+    if not (math.isfinite(wobble) and wobble >= 0):
+        raise ParameterError(f"wobble must be finite and >= 0, got {wobble}")
+    if not (math.isfinite(sample_period_us) and sample_period_us > 0):
+        raise ParameterError(f"sample_period_us must be finite and > 0, got {sample_period_us}")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0x9A9))))
     drift = _smooth_noise(rng, n_samples, persistence=wobble_persistence)
     rel = np.clip(hold_fraction + wobble * drift, 0.0, 0.95)

@@ -173,8 +173,7 @@ def _lindley_sum(a: np.ndarray, s: np.ndarray, origin: float, out: np.ndarray) -
     return v
 
 
-def fifo_waits(arrival_times, service_times, origin: float = 0.0, *,
-               out: np.ndarray | None = None) -> np.ndarray:
+def fifo_waits(arrival_times, service_times, origin: float = 0.0) -> np.ndarray:
     """Waiting times in a work-conserving single-server FIFO queue.
 
     Solves the Lindley recursion W[i+1] = max(0, W[i] + S[i] - A[i]) in closed
@@ -187,30 +186,15 @@ def fifo_waits(arrival_times, service_times, origin: float = 0.0, *,
     solving the longer sequence whole.  The waits do not depend on it
     otherwise; the first wait is always 0.  Where W[k] == 0, V[k] == M[k]
     exactly, so V[k] is the origin that continues the sequence from k.
-
-    `out`, when given, is float work memory of shape (2, m) with m at least
-    the number of arrivals n, whatever it holds: the waits are written to
-    `out[0, :n]` and returned as that view, and M to `out[1, :n]`.  Without
-    it both are fresh arrays.  Either way the waits are bit-identical.
     """
     a = np.asarray(arrival_times, dtype=float)
     s = np.asarray(service_times, dtype=float)
     if a.shape != s.shape:
         raise ParameterError("arrival and service arrays must have equal length")
-    n = a.size
-    if n == 0:
-        return np.empty(0)
-    if out is None:
-        v, low = np.empty(n), np.empty(n)
-    elif out.dtype != float or out.ndim != 2 or out.shape[0] != 2 or out.shape[1] < n:
-        raise ParameterError(f"out must be a float (2, >= {n}) array, got {out.dtype} {out.shape}")
-    else:
-        v, low = out[0, :n], out[1, :n]
-    _lindley_sum(a, s, origin, v)
+    v = _lindley_sum(a, s, origin, np.empty(a.size))
     # fmin runs faster than minimum here and differs from it only where V is
     # NaN, and there the wait is NaN either way.
-    np.fmin.accumulate(v, out=low)
-    v -= low
+    v -= np.fmin.accumulate(v)
     return v
 
 
@@ -292,25 +276,31 @@ def _poisson_arrivals(draw: _PoissonDraw, out: np.ndarray) -> np.ndarray:
     return times[:np.searchsorted(times, draw.horizon_us, side="right")]
 
 
-def _check_event_cap(config: PonConfig, load: LoadPoint, direction: str,
-                     last_probe_us: float) -> None:
-    """Raise ResourceLimitError where a leg probed up to `last_probe_us` exceeds MAX_EVENTS.
+def _leg_plan(config: PonConfig, load: LoadPoint, direction: str,
+              last_probe_us: float) -> tuple[float, float | int]:
+    """The background rate and extent of one leg probed up to `last_probe_us`.
 
-    Downstream it draws Poisson events up to ten background services later;
-    upstream, one Poisson count per ONU and cycle up to eight cycles later,
-    each counted as at least one event.  Both grow with rho.
+    The rate is in packets per us at one queue: the OLT's, or an ONU's.  The
+    extent is downstream the Poisson draw's horizon, ten background services
+    past the last probe, and upstream the count of DBA cycles solved, eight
+    past the last probe's.  Raises ResourceLimitError before anything is
+    drawn where the leg exceeds MAX_EVENTS: downstream the rate times the
+    horizon, upstream one Poisson count per ONU and cycle, each at least one.
     """
     bg_bytes = config.background_packet_bytes
+    rate = config.downstream_rate_bps if direction == DOWNSTREAM else config.upstream_rate_bps
+    lam = load.rho * rate / (bg_bytes * 8.0) * 1e-6            # pkts/us, all ONUs
     if direction == DOWNSTREAM:
-        rate = config.downstream_rate_bps
-        horizon = last_probe_us + 10.0 * transmission_time(bg_bytes, rate)
-        events = load.rho * rate / (bg_bytes * 8.0) * 1e-6 * horizon
+        extent = last_probe_us + 10.0 * transmission_time(bg_bytes, rate)
+        events = lam * extent
     else:
         cycle, n_onus = config.dba_cycle_us, config.split_ratio
-        per_cycle = load.rho * config.upstream_rate_bps / (bg_bytes * 8.0) * 1e-6 / n_onus * cycle
-        events = (math.ceil(last_probe_us / cycle) + 8) * max(per_cycle, 1.0) * n_onus
+        lam /= n_onus
+        extent = math.ceil(last_probe_us / cycle) + 8
+        events = extent * max(lam * cycle, 1.0) * n_onus
     if events > MAX_EVENTS:
         raise ResourceLimitError(f"{direction} leg needs ~{events:.0f} events (cap {MAX_EVENTS})")
+    return lam, extent
 
 
 @dataclass
@@ -461,9 +451,7 @@ def _downstream_leg(config: PonConfig, load: LoadPoint, probe_times: np.ndarray,
     rate = config.downstream_rate_bps
     bg_service = transmission_time(config.background_packet_bytes, rate)
     last_probe = float(probe_times[-1]) if probe_times.size else 0.0
-    _check_event_cap(config, load, DOWNSTREAM, last_probe)
-    lam = load.rho * rate / (config.background_packet_bytes * 8.0) * 1e-6  # pkts/us
-    draw = _poisson_draw(rng, lam, last_probe + 10.0 * bg_service)
+    draw = _poisson_draw(rng, *_leg_plan(config, load, DOWNSTREAM, last_probe))
 
     queueing = np.zeros(probe_times.size)
     answered = -1                # probes before this index have their queueing
@@ -540,11 +528,7 @@ def _upstream_leg(config: PonConfig, load: LoadPoint, probe_times: np.ndarray,
     preceding = n_onus // 2
 
     horizon = float(probe_times[-1]) if probe_times.size else cycle
-    _check_event_cap(config, load, UPSTREAM, horizon)
-    n_cycles = int(math.ceil(horizon / cycle)) + 8
-
-    lam_total = load.rho * rate / (bg_bytes * 8.0) * 1e-6   # pkts/us, all ONUs
-    lam_onu = lam_total / n_onus
+    lam_onu, n_cycles = _leg_plan(config, load, UPSTREAM, horizon)
     per_onu_cycle_mean = lam_onu * cycle                    # pkts/cycle
 
     # ONUs granted before the tagged one only matter through their granted
@@ -642,15 +626,13 @@ def queueing_cross_check(config: PonConfig, load: LoadPoint, seed: int,
     `horizon_us` must span at least 1000 background services (about 1 ms at
     the defaults).
     """
-    rate = config.downstream_rate_bps
-    service = transmission_time(config.background_packet_bytes, rate)
+    service = transmission_time(config.background_packet_bytes, config.downstream_rate_bps)
     # Shorter horizons draw a handful of events, whose mean wait says nothing.
     if not (math.isfinite(horizon_us) and horizon_us >= 1000.0 * service):
         raise ParameterError(f"horizon_us must be finite and at least 1000 background "
                              f"services ({1000.0 * service:g} us), got {horizon_us}")
-    _check_event_cap(config, load, DOWNSTREAM, horizon_us * 0.99)
-    lam = load.rho * rate / (config.background_packet_bytes * 8.0) * 1e-6  # pkts/us
-    draw = _poisson_draw(_spawn_rngs(seed, 1)[0], lam, horizon_us * 0.99 + 10.0 * service)
+    lam, until = _leg_plan(config, load, DOWNSTREAM, horizon_us * 0.99)
+    draw = _poisson_draw(_spawn_rngs(seed, 1)[0], lam, until)
 
     n = 0
     first = last = wait_sum = gap_square_sum = 0.0
@@ -697,6 +679,22 @@ def _probe_stream(traffic: GpdParams, n_loops: int, seed: int) -> np.ndarray:
         horizon *= 1.5
         stream = generate_stream(traffic, horizon, seed)
     return stream.timestamps[:n_loops]
+
+
+def _check_event_budget(config: PonConfig, load: LoadPoint, traffic: GpdParams,
+                        n_loops: int, seeds) -> None:
+    """Raise ResourceLimitError where a leg of `round_trips` would exceed MAX_EVENTS.
+
+    The legs are planned as probed up to where `_probe_stream` first draws,
+    before any probe is drawn, then up to each seed's last probe, which lies
+    beyond that where the first draw falls short.  Upstream, probes reach the
+    ONU queue one wireless hop later.
+    """
+    horizon = _probe_horizon(traffic, n_loops)
+    for seed in (None, *seeds):
+        last_probe = horizon if seed is None else float(_probe_stream(traffic, n_loops, seed)[-1])
+        _leg_plan(config, load, DOWNSTREAM, last_probe)
+        _leg_plan(config, load, UPSTREAM, last_probe + config.wireless_hop_us)
 
 
 def _round_trip_base(config: PonConfig, load: LoadPoint, seed: int,

@@ -178,6 +178,16 @@ def generate_stream(params: GpdParams, horizon_us: float, seed: int) -> ArrivalS
     return ArrivalStream(timestamps=timestamps, params=params, seed=int(seed))
 
 
+def _inter_arrival_sample(inter_arrivals) -> np.ndarray:
+    """`inter_arrivals` as a flat float array, checked for a fit or a test."""
+    x = np.asarray(inter_arrivals, dtype=float).ravel()
+    if x.size < MIN_FIT_SAMPLES:
+        raise InsufficientDataError(f"need at least {MIN_FIT_SAMPLES} samples, got {x.size}")
+    if not np.all(np.isfinite(x)) or np.any(x < 0.0):
+        raise ParameterError("inter-arrivals must be finite and >= 0")
+    return x
+
+
 def fit_gpd(inter_arrivals) -> GpdParams:
     """Probability-weighted-moment estimate of the generating GPD.
 
@@ -185,13 +195,7 @@ def fit_gpd(inter_arrivals) -> GpdParams:
     the first two PWMs of the excesses (Hosking-Wallis estimators).  Closed
     form, no optimizer, robust for the small shape values seen in practice.
     """
-    x = np.asarray(inter_arrivals, dtype=float).ravel()
-    if x.size < MIN_FIT_SAMPLES:
-        raise InsufficientDataError(
-            f"need at least {MIN_FIT_SAMPLES} samples to fit, got {x.size}"
-        )
-    if not np.all(np.isfinite(x)) or np.any(x < 0.0):
-        raise ParameterError("inter-arrivals must be finite and >= 0")
+    x = _inter_arrival_sample(inter_arrivals)
     if np.ptp(x) == 0.0:
         raise DegenerateDataError("samples are constant; nothing to fit")
 
@@ -220,17 +224,14 @@ def ks_test(inter_arrivals, params: GpdParams, significance: float) -> tuple[flo
     Returns (statistic, passed) where passed means the statistic is below the
     asymptotic critical value sqrt(-ln(alpha/2) / 2) / sqrt(n).  When `params`
     were fitted from the same data the test is conservative; that bias is
-    accepted and documented.
+    accepted and documented.  The inter-arrivals are checked as `fit_gpd`
+    checks them.
     """
     if not (0.0 < significance <= MAX_SIGNIFICANCE):
         raise ParameterError(
             f"significance must lie in (0, {MAX_SIGNIFICANCE}], got {significance}")
-    x = np.sort(np.asarray(inter_arrivals, dtype=float).ravel())
+    x = np.sort(_inter_arrival_sample(inter_arrivals))
     n = x.size
-    if n < MIN_FIT_SAMPLES:
-        raise InsufficientDataError(
-            f"need at least {MIN_FIT_SAMPLES} samples, got {n}"
-        )
     cdf = gpd_cdf(params, x)
     i = np.arange(1, n + 1, dtype=float)
     d_plus = float(np.max(i / n - cdf))

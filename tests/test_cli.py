@@ -258,6 +258,15 @@ class TestCli:
         # no stray staging directories
         assert not [n for n in names if n.startswith(".")]
 
+    def test_lists_only_the_files_it_wrote(self, config_file, tmp_path, capsys):
+        out_dir = str(tmp_path / "report")
+        assert main(["latency-sweep", "--config", str(config_file), "--out", out_dir]) == 0
+        capsys.readouterr()
+        assert main(["onboarding", "--config", str(config_file), "--out", out_dir]) == 0
+        *names, summary = capsys.readouterr().out.splitlines()
+        assert names and all(name.startswith("onboarding__") for name in names)
+        assert summary.startswith("report 'onboarding' written to")
+
     def test_seed_override(self, config_file, tmp_path):
         out_dir = tmp_path / "report"
         code = main(["latency-sweep", "--config", str(config_file),

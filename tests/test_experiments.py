@@ -1,6 +1,7 @@
 """Tests for scenario runners and report export."""
 
 import json
+import math
 import pathlib
 
 import numpy as np
@@ -64,9 +65,18 @@ class TestScenarioConfig:
         dict(load_grid=(0.5, 0.5)),
         dict(span_grid_km=(10.0, 20.0, 10.0)),
         dict(control_traffic=GpdParams(1.0, 900.0, 0.0)),
+        dict(load_grid=(math.nan,)),
+        dict(load_grid=(0.5, math.inf)),
+        dict(span_grid_km=(math.inf,)),
+        dict(span_grid_km=(10.0, math.nan)),
+        dict(deadline_us=math.nan),
+        dict(deadline_us=math.inf),
     ])
     def test_invalid_rejected(self, kwargs):
-        with pytest.raises(ConfigError):
+        # Each error names its field.  A nan load used to fail mid-sweep, an
+        # inf span wrote nan cells and a nan deadline raised a bare ValueError.
+        (name,) = kwargs
+        with pytest.raises(ConfigError, match=name):
             ScenarioConfig(**kwargs)
 
     def test_event_budget_checked_at_load(self):

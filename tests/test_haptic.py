@@ -445,10 +445,15 @@ class TestProfilingTraceArguments:
         dict(noise_std=math.nan), dict(noise_std=math.inf), dict(noise_std=-0.1),
         dict(wobble_persistence=1.5), dict(wobble_persistence=-1.5),
         dict(wobble_persistence=math.nan), dict(wobble_persistence=math.inf),
+        dict(sample_period_us=-5.0), dict(sample_period_us=0.0),
+        dict(sample_period_us=math.nan), dict(sample_period_us=math.inf),
+        dict(wobble=-0.1), dict(wobble=math.nan), dict(wobble=math.inf),
+        dict(hold_fraction=-3.0), dict(hold_fraction=1.5), dict(hold_fraction=math.nan),
     ], ids=lambda kwargs: "-".join(f"{k}={v}" for k, v in kwargs.items()))
     def test_rejects_bad_argument(self, kwargs):
         # A nan noise_std ran as noise 0, and a persistence of 1.5 raised
-        # ValueError from math.sqrt.
+        # ValueError from math.sqrt.  A period of -5 us gave decreasing times,
+        # and a hold fraction of -3 a constant grasp at the center.
         (name,) = kwargs
         with pytest.raises(ParameterError, match=name):
             profiling_trace(BALL, 10, seed=1, **kwargs)
@@ -458,6 +463,11 @@ class TestProfilingTraceArguments:
         trace = profiling_trace(BALL, 10, seed=1, wobble_persistence=persistence)
         t_us, amplitude = _profiling_trace_loop(BALL, 10, 1, wobble_persistence=persistence)
         assert _same_bits(trace.amplitude, amplitude)
+
+    @pytest.mark.parametrize("hold", [0.0, 1.0])
+    def test_hold_fraction_bounds_are_accepted(self, hold):
+        trace = profiling_trace(BALL, 10, seed=1, hold_fraction=hold, wobble=0.0)
+        assert len(trace) == 10
 
 
 def _first_order_accumulate(c, u, y0):
@@ -568,10 +578,15 @@ class TestHapticTrace:
         (np.array([0.0, np.nan, 2.0, 3.0]), np.zeros((4, 5))),
         (np.zeros(4), np.full((4, 5), -0.1)),
         (np.zeros(4), np.full((4, 5), 1.1)),
+        (np.array([0.0, 2.0, 1.0, 3.0]), np.zeros((4, 5))),
     ])
     def test_rejects_bad_columns(self, t_us, amplitude):
         with pytest.raises(ParameterError):
             HapticTrace(t_us=t_us, amplitude=amplitude)
+
+    def test_equal_times_are_accepted(self):
+        trace = HapticTrace(t_us=np.array([0.0, 1.0, 1.0, 2.0]), amplitude=self.AMP)
+        assert len(trace) == 4
 
 
 class TestEstimateTau:

@@ -231,6 +231,17 @@ class TestKsTest:
         ).statistic
         assert stat == pytest.approx(ref, rel=1e-9)
 
+    # An inf gap passed at 0.045, a gap of -5 passed too, and a nan gap
+    # returned (nan, False).
+    @pytest.mark.parametrize("bad", [np.inf, -5.0, np.nan])
+    def test_rejects_bad_inter_arrivals(self, bad):
+        gaps = generate_stream(GpdParams(0.1, 900.0, 0.0), 5e6, seed=1).inter_arrivals.copy()
+        gaps[10] = bad
+        with pytest.raises(ParameterError, match="inter-arrivals"):
+            ks_test(gaps, GpdParams(0.1, 900.0, 0.0), 0.05)
+        with pytest.raises(ParameterError, match="inter-arrivals"):
+            fit_gpd(gaps)
+
     @pytest.mark.parametrize("alpha", [0.0, -0.1, 0.6])
     def test_invalid_significance(self, alpha):
         with pytest.raises(ParameterError):
