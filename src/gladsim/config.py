@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import fields, replace
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 from typing import get_type_hints
 
@@ -72,6 +72,11 @@ def _keys(cls, names=None) -> dict:
     return {_KEYS.get(f.name, f.name): (f.name, _PARSERS[hints[f.name]])
             for f in fields(cls) if names is None or f.name in names}
 
+
+# nested ScenarioConfig field -> its default, a frozen dataclass, taken from
+# the field so that no default scenario is built and checked.
+_NESTED_DEFAULTS = {f.name: f.default_factory() if f.default is MISSING else f.default
+                    for f in fields(ScenarioConfig) if f.name in _SECTIONS.values()}
 
 _GRID = [f.name for f in fields(ScenarioConfig) if f.name not in _SECTIONS.values()]
 
@@ -119,11 +124,10 @@ def load_scenario(path) -> ScenarioConfig:
 
     try:
         # Each nested section is built, and so checked, before the next is
-        # read, and [grid] last.
-        default = ScenarioConfig()
-        nested = {name: replace(getattr(default, name), **_collect(parser, section))
+        # read, and [grid] last; the scenario itself is built once.
+        nested = {name: replace(_NESTED_DEFAULTS[name], **_collect(parser, section))
                   for section, name in _SECTIONS.items() if name}
-        return replace(default, **nested, **_collect(parser, "grid"))
+        return ScenarioConfig(**nested, **_collect(parser, "grid"))
     except ConfigError:
         raise
     except Exception as exc:  # dataclass validation errors carry the detail

@@ -57,13 +57,16 @@ WITH_AI = "with_ai"
 # Hard cap on background packets per simulated leg.
 MAX_EVENTS = 50_000_000
 
-# Background arrivals drawn per chunk, and DBA cycles solved per chunk.  The
-# downstream FIFO holds one chunk plus the busy period still open at the end
-# of the chunk before, and the upstream grant solvers one chunk of cycles, so
-# their temporaries do not grow with the horizon.  At 1 << 16 a chunk's
-# arrivals and Lindley sum (1.25 x 512 KiB each) fit together in a 2 MiB
-# per-core L2 cache.
+# Background arrivals drawn per chunk.  The downstream FIFO holds one chunk
+# plus the busy period still open at the end of the chunk before, so its
+# temporaries do not grow with the horizon.  At 1 << 16 a chunk's arrivals
+# and Lindley sum (1.25 x 512 KiB each) fit together in a 2 MiB per-core L2
+# cache.
 CHUNK_EVENTS = 1 << 16
+
+# DBA cycles solved per chunk.  The upstream grant solvers hold a handful of
+# columns this long, 32 KiB each, whatever the horizon.
+CHUNK_CYCLES = 1 << 12
 
 # Fraction of loops `round_trips` discards as simulation warm-up.
 WARMUP_FRACTION = 0.1
@@ -189,6 +192,8 @@ def fifo_waits(arrival_times, service_times, origin: float = 0.0) -> np.ndarray:
     """
     a = np.asarray(arrival_times, dtype=float)
     s = np.asarray(service_times, dtype=float)
+    if a.ndim != 1 or s.ndim != 1:
+        raise ParameterError("arrival and service times must be 1-D arrays")
     if a.shape != s.shape:
         raise ParameterError("arrival and service arrays must have equal length")
     v = _lindley_sum(a, s, origin, np.empty(a.size))
@@ -310,7 +315,9 @@ class _GrantState:
     `u` is the running sum of (A[k-1] - cap) at the next cycle and `u_min` its
     minimum so far (see _gated_grants).  Like fifo_waits' origin, carrying the
     sequential sum and the exact minimum across a cut leaves every grant's
-    bits as solving the cycles whole would.
+    bits as solving the cycles whole would.  So the upstream leg solves each
+    ONU one cycle chunk at a time, and the backlog left at the last boundary,
+    u - u_min + last_arrived, sizes its drain.
     """
 
     last_arrived: float = 0.0    # bytes arrived in the last cycle solved
@@ -474,34 +481,77 @@ def _downstream_leg(config: PonConfig, load: LoadPoint, probe_times: np.ndarray,
     }
 
 
-def _tagged_background(draw: _PoissonDraw, probe_times: np.ndarray, cycle: float,
-                       n_cycles: int) -> tuple[np.ndarray, np.ndarray]:
-    """Bin the tagged ONU's background into per-cycle packet counts.
+def _cycle_start(times: np.ndarray, cycle: float, k: int, lo: int = 0) -> int:
+    """Index of the first of non-decreasing `times`, from `lo` on, in DBA cycle k or later.
 
-    Returns the packets arrived in each cycle and the packets arrived at or
-    before each probe.  The draw goes chunk by chunk into one buffer, which
-    is freed on return, before the grant schedule.
+    A time t falls in cycle int(t / cycle), as the upstream leg bins it.  The
+    search for k * cycle lands within a rounding of that index, and stepping
+    from it with the binning itself makes the index exact.
     """
-    arrived = np.zeros(n_cycles)
-    ahead = np.empty(probe_times.size)
-    n_background = answered = 0
+    i = lo + int(np.searchsorted(times[lo:], k * cycle, side="left"))
+    while i > lo and int(times[i - 1] / cycle) >= k:
+        i -= 1
+    while i < times.size and int(times[i] / cycle) < k:
+        i += 1
+    return i
+
+
+def _report_cycles(probe_times: np.ndarray, cycle: float) -> np.ndarray:
+    """The cycle at whose opening boundary each probe is first reported."""
+    return (probe_times / cycle).astype(int) + 1
+
+
+def _tagged_background(draw: _PoissonDraw, probe_times: np.ndarray, ahead_bytes: np.ndarray,
+                       cycle: float, n_cycles: int, bg_bytes: int):
+    """Yield the tagged ONU's arrived bytes per cycle, CHUNK_CYCLES cycles at a time.
+
+    The draw goes chunk by chunk into one buffer and is binned as it passes.
+    A cycle chunk is yielded once an arrival after it is drawn, or the draw
+    has ended, and the chunks run to `n_cycles`.  Before each is yielded, the
+    bytes arrived at or before every probe reported in it are in
+    `ahead_bytes`.  The yielded array is reused for the next chunk.
+    """
+    arrived = np.zeros(CHUNK_CYCLES)
     buffer = np.empty(draw.next_size())
-    while not draw.done:
-        chunk = _poisson_arrivals(draw, buffer)
-        if not chunk.size:
-            continue
-        # Probes before this chunk's last arrival precede every later chunk.
-        stop = int(np.searchsorted(probe_times, chunk[-1], side="left"))
-        ahead[answered:stop] = n_background + np.searchsorted(
-            chunk, probe_times[answered:stop], side="right")
-        answered = stop
-        cycles_of = np.minimum((chunk / cycle).astype(int), n_cycles - 1)
-        first = int(cycles_of[0])
-        counts = np.bincount(cycles_of - first)
-        arrived[first:first + counts.size] += counts
-        n_background += chunk.size
-    ahead[answered:] = n_background
-    return arrived, ahead
+    chunk, binned = buffer[:0], 0        # the drawn chunk, and how much of it is binned
+    n_background = answered = 0
+    for start in range(0, n_cycles, CHUNK_CYCLES):
+        while True:
+            upto = _cycle_start(chunk, cycle, start + CHUNK_CYCLES, binned)
+            if upto > binned:
+                counts = np.bincount((chunk[binned:upto] / cycle).astype(int) - start)
+                arrived[:counts.size] += counts
+            binned = upto
+            if binned < chunk.size or draw.done:
+                break
+            chunk, binned = _poisson_arrivals(draw, buffer), 0
+            if chunk.size:
+                # Probes before this chunk's last arrival precede every later chunk.
+                stop = int(np.searchsorted(probe_times, chunk[-1], side="left"))
+                ahead_bytes[answered:stop] = float(bg_bytes) * (n_background + np.searchsorted(
+                    chunk, probe_times[answered:stop], side="right"))
+                answered = stop
+                n_background += chunk.size
+        if draw.done:
+            ahead_bytes[answered:] = n_background * float(bg_bytes)
+            answered = probe_times.size
+        out = arrived[:min(CHUNK_CYCLES, n_cycles - start)]
+        out *= bg_bytes
+        yield out
+        arrived.fill(0.0)
+
+
+def _grant_delays(cycle: float, byte_rate_us: float, grant_cycle, cum_before, offset,
+                  ahead, report_cycle) -> np.ndarray:
+    """Queueing from the report to the start of transmission in `grant_cycle`.
+
+    The tagged window opens after the `offset` bytes of the ONUs granted
+    before it, and the probe follows the bytes ahead of it that the cycle
+    grants, those beyond the `cum_before` granted in earlier cycles.
+    """
+    window_start = cycle * grant_cycle + offset / byte_rate_us
+    position = np.maximum(0.0, ahead - cum_before)
+    return window_start + position / byte_rate_us - report_cycle * cycle
 
 
 def _upstream_leg(config: PonConfig, load: LoadPoint, probe_times: np.ndarray,
@@ -514,10 +564,14 @@ def _upstream_leg(config: PonConfig, load: LoadPoint, probe_times: np.ndarray,
     background bytes ahead of it in its ONU queue to be granted, then
     transmits inside its ONU's window.  Probe times are non-decreasing.
 
-    Every ONU's grants are solved in cycle chunks from a carried state, and
-    the tagged ONU's background is drawn chunk by chunk into one reused
-    buffer, so the leg holds a few per-cycle and per-probe columns plus one
-    chunk's temporaries.
+    The preceding ONUs are drawn in full before the tagged one, so their
+    granted bytes are the one column held over every cycle.  The tagged
+    ONU's arrivals, grants and running grant are made one cycle chunk at a
+    time, from its streamed draw and a carried `_GrantState`, and each probe
+    is answered in the chunk that holds its grant cycle: bytes ahead, report
+    cycles and so grant cycles never decrease in probe order.  Besides that
+    column and its two output columns, the leg holds one chunk's work
+    memory and one draw buffer.
     """
     cycle = config.dba_cycle_us
     n_onus = config.split_ratio
@@ -539,51 +593,105 @@ def _upstream_leg(config: PonConfig, load: LoadPoint, probe_times: np.ndarray,
     preceding_states = []
     for _ in range(preceding if per_onu_cycle_mean > 0.0 else 0):
         state = _GrantState()
-        for start in range(0, n_cycles, CHUNK_EVENTS):
-            size = min(CHUNK_EVENTS, n_cycles - start)
+        for start in range(0, n_cycles, CHUNK_CYCLES):
+            size = min(CHUNK_CYCLES, n_cycles - start)
             arrived = rng.poisson(per_onu_cycle_mean, size=size) * float(bg_bytes)
             offset_bytes[start:start + size] += _gated_grants(arrived, cap, state)
         preceding_states.append(state)
 
-    # Tagged ONU's own background needs exact arrival instants.
-    grants, ahead_bytes = _tagged_background(
-        _poisson_draw(rng, lam_onu, horizon), probe_times, cycle, n_cycles)
-    ahead_bytes *= float(bg_bytes)
-    grants *= bg_bytes                           # arrived bytes, then granted bytes
-
+    # Each probe's bytes ahead until it is answered, then its queueing.
+    queueing = np.empty(probe_times.size)
     tagged = _GrantState()
-    for start in range(0, n_cycles, CHUNK_EVENTS):
-        cut = slice(start, start + CHUNK_EVENTS)
-        grants[cut] = _gated_grants(grants[cut], cap, tagged)
-    # Extend with the empty cycles that grant the backlog reported at the last
-    # boundary, Q = u - u_min + A[-1].  No new arrivals are drawn; traffic
-    # simply stops at the horizon and the queues drain.
-    drain = np.zeros(math.ceil((tagged.u - tagged.u_min + tagged.last_arrived) / cap))
-    if drain.size:
-        grants = np.concatenate((grants, _gated_grants(drain, cap, tagged)))
-        offset_bytes = np.concatenate((offset_bytes, drain))
-        for state in preceding_states:
-            offset_bytes[n_cycles:] += _gated_grants(drain, cap, state)
-    cum_grants = np.cumsum(grants)
-    # A running sum of grants that are not whole bytes can end a hair short of
-    # the bytes queued; the probes behind every one of them wait for the last
-    # grant.  Every report cycle precedes the schedule's end, so no lookup
-    # runs off it.
-    np.minimum(ahead_bytes, cum_grants[-1], out=ahead_bytes)
+
+    def schedule():
+        """Each cycle chunk's tagged arrived bytes and preceding offset bytes."""
+        start = 0
+        for arrived in _tagged_background(_poisson_draw(rng, lam_onu, horizon), probe_times,
+                                          queueing, cycle, n_cycles, bg_bytes):
+            yield arrived, offset_bytes[start:start + arrived.size]
+            start += arrived.size
+        # Then the empty cycles that grant the backlog reported at the last
+        # boundary, Q = u - u_min + A[-1], from the state the chunks before
+        # left.  No new arrivals are drawn; traffic simply stops at the
+        # horizon and the queues drain.
+        n_drain = math.ceil((tagged.u - tagged.u_min + tagged.last_arrived) / cap)
+        for start in range(0, n_drain, CHUNK_CYCLES):
+            empty = np.zeros(min(CHUNK_CYCLES, n_drain - start))
+            offset = np.zeros(empty.size)
+            for state in preceding_states:
+                offset += _gated_grants(empty, cap, state)
+            yield empty, offset
 
     byte_rate_us = rate * 1e-6 / 8.0                      # bytes per us
-    report_cycle = (probe_times / cycle).astype(int) + 1
-    grant_cycle = np.searchsorted(cum_grants, ahead_bytes, side="left")
-    np.maximum(grant_cycle, report_cycle, out=grant_cycle)
-    # The window start and the bytes granted before it, at the grant cycles.
-    cum_before = cum_grants[grant_cycle] - grants[grant_cycle]
-    window_start = cycle * grant_cycle + offset_bytes[grant_cycle] / byte_rate_us
-    position = np.maximum(0.0, ahead_bytes - cum_before)
-    report_at = report_cycle * cycle
+    # Each probe's queueing should the schedule end short of its bytes, then
+    # its DBA wait.
+    fallback = np.empty(probe_times.size)
+    start = answered = reported = 0
+    granted = 0.0                # the tagged bytes granted before `start`
+    # The cycle where the running grant first reached `granted`, with the
+    # bytes granted before that cycle and its offset.
+    reached = None
+    for arrived, offset in schedule():
+        grants = _gated_grants(arrived, cap, tagged)
+        # The carry folded into the first grant gives every running grant the
+        # bits of one cumsum over all cycles.
+        cum_grants = grants.copy()
+        cum_grants[0] += granted
+        np.cumsum(cum_grants, out=cum_grants)
+        if reached is None or cum_grants[-1] > granted:
+            k = int(np.searchsorted(cum_grants, cum_grants[-1], side="left"))
+            reached = (start + k, cum_grants[k] - grants[k], offset[k])
+        granted = float(cum_grants[-1])
+        end = start + grants.size
 
+        # The probes reported before `end` whose bytes are granted by then.
+        first = reported
+        reported = _cycle_start(probe_times, cycle, end - 1, reported)
+        stop = answered + int(np.searchsorted(queueing[answered:reported], granted, side="right"))
+        if stop > answered:
+            ahead = queueing[answered:stop]
+            report_cycle = _report_cycles(probe_times[answered:stop], cycle)
+            grant_cycle = np.searchsorted(cum_grants, ahead, side="left") + start
+            np.maximum(grant_cycle, report_cycle, out=grant_cycle)
+            k = grant_cycle - start
+            queueing[answered:stop] = _grant_delays(
+                cycle, byte_rate_us, grant_cycle, cum_grants[k] - grants[k], offset[k],
+                ahead, report_cycle)
+            answered = stop
+        # Should no grant follow, the probes reported here that still wait
+        # are sent in their report cycle, behind every byte granted.  These
+        # fallbacks are used only where the running grant last rose before
+        # the report cycle, so `granted` is already final here.
+        first = max(first, answered)
+        if reported > first:
+            report_cycle = _report_cycles(probe_times[first:reported], cycle)
+            k = report_cycle - start
+            fallback[first:reported] = _grant_delays(
+                cycle, byte_rate_us, report_cycle, cum_grants[k] - grants[k], offset[k],
+                granted, report_cycle)
+        start = end
+
+    # A running sum of grants that are not whole bytes can end a hair short of
+    # the bytes queued; the probes behind every one of them wait for the last
+    # grant, in its cycle or their later report cycle.
+    if answered < probe_times.size:
+        last, before, last_offset = reached
+        report_cycle = _report_cycles(probe_times[answered:], cycle)
+        late = answered + int(np.searchsorted(report_cycle, last, side="right"))
+        queueing[answered:late] = _grant_delays(
+            cycle, byte_rate_us, last, before, last_offset, granted,
+            report_cycle[:late - answered])
+        queueing[late:] = fallback[late:]
+
+    # report_cycle * cycle - probe_times, in place of the fallbacks.
+    dba_wait = np.divide(probe_times, cycle, out=fallback)
+    np.trunc(dba_wait, out=dba_wait)
+    dba_wait += 1.0
+    dba_wait *= cycle
+    dba_wait -= probe_times
     return {
-        "queueing": window_start + position / byte_rate_us - report_at,
-        "dba_wait": report_at - probe_times,
+        "queueing": queueing,
+        "dba_wait": dba_wait,
         "transmission": transmission_time(config.packet_bytes, rate),
     }
 

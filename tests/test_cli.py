@@ -6,7 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from gladsim import cli
+from gladsim import cli, pon
 from gladsim import config as gconfig
 from gladsim.cli import main
 from gladsim.config import default_scenario_text, load_scenario
@@ -112,6 +112,21 @@ class TestConfigFile:
                      "min_updates_for_upload", "match_threshold", "quant_bands",
                      "texture_freq_max_hz", "add_every", "additions", "machines_grid"],
         }
+
+    def test_one_seed_scenario_draws_one_probe_stream(self, tmp_path, monkeypatch):
+        # The scenario is built once: its event-budget check draws the probe
+        # stream of its one seed, and no default scenario's ten.
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return generate_stream(*args)
+
+        monkeypatch.setattr(pon, "generate_stream", counted)
+        path = tmp_path / "one_seed.cfg"
+        path.write_text("[grid]\nseeds = 4\nloads = 0.9\n")
+        assert load_scenario(path).seeds == (4,)
+        assert len(calls) == 1 and calls[0][2] == 4
 
     def test_default_dump_parses_back(self, tmp_path):
         path = tmp_path / "default.cfg"

@@ -1,5 +1,6 @@
 """Tests for the XG-PON latency model: DES engines, Kingman, round trips."""
 
+import functools
 import math
 import tracemalloc
 
@@ -120,6 +121,14 @@ class TestFifoWaits:
     def test_rejects_nan_arrivals(self, arrivals):
         with pytest.raises(ParameterError):
             fifo_waits(np.array(arrivals), np.ones(len(arrivals)))
+
+    @pytest.mark.parametrize("arrivals,services", [
+        (np.array([[0.0, 1.0]]), np.array([[1.0, 1.0]])),
+        (np.array(0.0), np.array(1.0)),
+    ], ids=["2d", "0d"])
+    def test_rejects_arrays_that_are_not_1d(self, arrivals, services):
+        with pytest.raises(ParameterError, match="1-D"):
+            fifo_waits(arrivals, services)
 
     def test_single_arrival_waits_nothing(self):
         assert fifo_waits(np.array([5.0]), np.array([1.0]), origin=3.0).tolist() == [0.0]
@@ -248,8 +257,8 @@ def _whole_array_upstream(config, load, probe_times, rng):
     """Reference upstream leg: every ONU's arrivals and grants held for all cycles.
 
     Returns the queueing and DBA wait columns, the tagged ONU's background
-    instants, the number of empty cycles added to drain its queue and the
-    bytes granted to it in all.
+    instants, the number of empty cycles added to drain its queue, the bytes
+    granted to it in all and each probe's grant cycle.
     """
     cycle = config.dba_cycle_us
     rate = config.upstream_rate_bps
@@ -295,7 +304,7 @@ def _whole_array_upstream(config, load, probe_times, rng):
     position = np.maximum(0.0, ahead_bytes - cum_before[grant_cycle])
     tx_start = window_start[grant_cycle] + position / byte_rate_us
     return (tx_start - report_cycle * cycle, report_cycle * cycle - probe_times,
-            bg_times, extended, cum_grants[-1])
+            bg_times, extended, cum_grants[-1], grant_cycle)
 
 
 class _HalfGaps:
@@ -499,36 +508,69 @@ class TestStreamedBackground:
         assert peak < 4 * 2**20
 
 
+# Cycle chunk sizes for the upstream whole-array comparisons: cuts on every
+# cycle, at odd and round strides, and at the library's chunk.
+_CYCLE_CHUNKS = [1, 7, 1000, pon.CHUNK_CYCLES]
+
+
+@functools.cache
+def _upstream_peak(n_loops):
+    """The tracemalloc peak of one rho 0.9 upstream leg, its cycles and its probes."""
+    probes = generate_stream(CONTROL_TRAFFIC_DEFAULT, n_loops * 1000.0, 3).timestamps
+    tracemalloc.start()
+    try:
+        pon._upstream_leg(PonConfig(), LoadPoint(0.9), probes, pon._spawn_rngs(3, 1)[0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    _, n_cycles = pon._leg_plan(PonConfig(), LoadPoint(0.9), UPSTREAM, float(probes[-1]))
+    return peak, n_cycles, probes.size
+
+
 class TestStreamedUpstream:
     # Per rho, a seed; at rho 0.9 the tagged ONU's queue outlasts the eight
     # spare cycles, so the schedule is extended with empty cycles.
     SEEDS = {0.0: 11, 0.5: 11, 0.9: 203}
 
     @staticmethod
-    def _check_whole_array(monkeypatch, chunk, cfg, load, seed):
-        """Compare the leg with the reference.
+    def _check_whole_array(monkeypatch, chunk, cfg, load, seed, span=2000.0):
+        """Compare the leg with the reference at every cycle chunk size.
 
-        Returns the reference's drain cycles and how far its total grant falls
-        short of the bytes queued.
+        Returns the reference's drain cycles, how far its total grant falls
+        short of the bytes queued, and its grant cycles.
         """
-        probes = np.linspace(0.0, 2000.0, 201)
-        _, _, times, _, _ = _whole_array_upstream(cfg, load, probes, pon._spawn_rngs(seed, 1)[0])
+        probes = np.linspace(0.0, span, 201)
+        times = _whole_array_upstream(cfg, load, probes, pon._spawn_rngs(seed, 1)[0])[2]
         # Probes on every cycle boundary and every background arrival instant,
         # chunk cuts included; the last probe, and so the draw, stays.
-        probes = np.sort(np.concatenate((probes, np.arange(0.0, 2000.0, cfg.dba_cycle_us), times)))
-        queueing, dba_wait, times, extended, granted = _whole_array_upstream(
+        probes = np.sort(np.concatenate((probes, np.arange(0.0, span, cfg.dba_cycle_us), times)))
+        queueing, dba_wait, times, extended, granted, grant_cycle = _whole_array_upstream(
             cfg, load, probes, pon._spawn_rngs(seed, 1)[0])
 
+        drawn, arrivals = [], pon._poisson_arrivals
+
+        def recorded(draw, out):
+            chunk = arrivals(draw, out)
+            drawn.append(chunk.copy())
+            return chunk
+
         monkeypatch.setattr(pon, "CHUNK_EVENTS", chunk)
-        leg = pon._upstream_leg(cfg, load, probes, pon._spawn_rngs(seed, 1)[0])
-        assert np.array_equal(leg["queueing"], queueing)
-        assert np.array_equal(leg["dba_wait"], dba_wait)
-        return extended, times.size * float(cfg.background_packet_bytes) - granted
+        monkeypatch.setattr(pon, "_poisson_arrivals", recorded)
+        for cycles in _CYCLE_CHUNKS:
+            monkeypatch.setattr(pon, "CHUNK_CYCLES", cycles)
+            drawn.clear()
+            leg = pon._upstream_leg(cfg, load, probes, pon._spawn_rngs(seed, 1)[0])
+            assert np.array_equal(leg["queueing"], queueing)
+            assert np.array_equal(leg["dba_wait"], dba_wait)
+            # Each of the tagged ONU's arrivals is drawn once: the leg's share
+            # of the background events the benchmark counts.
+            assert np.array_equal(np.concatenate([np.empty(0), *drawn]), times)
+        return extended, times.size * float(cfg.background_packet_bytes) - granted, grant_cycle
 
     @pytest.mark.parametrize("chunk", _WHOLE_ARRAY_CHUNKS)
     @pytest.mark.parametrize("rho", [0.0, 0.5, 0.9])
     def test_upstream_leg_matches_whole_array(self, monkeypatch, chunk, rho):
-        extended, short = self._check_whole_array(
+        extended, short, _ = self._check_whole_array(
             monkeypatch, chunk, PonConfig(), LoadPoint(rho), self.SEEDS[rho])
         assert (extended > 0) == (rho == 0.9)
         assert short == 0.0
@@ -546,24 +588,46 @@ class TestStreamedUpstream:
     ], ids=["cycle130-0.5", "cycle130-0.8", "1Gbps-split12-0.5"])
     def test_non_integer_cap_matches_whole_array(self, monkeypatch, chunk, cfg, rho, seed,
                                                  extends):
-        extended, short = self._check_whole_array(monkeypatch, chunk, cfg, LoadPoint(rho), seed)
+        extended, short, _ = self._check_whole_array(
+            monkeypatch, chunk, cfg, LoadPoint(rho), seed)
         assert (extended > 0) == extends
         assert short > 0.0
 
+    @pytest.mark.parametrize("chunk", _WHOLE_ARRAY_CHUNKS)
+    def test_grants_in_the_drain_match_whole_array(self, monkeypatch, chunk):
+        # Over 20 ms at rho 0.9 on this seed the tagged queue outlasts the
+        # spare cycles by seven, so the probes that report in the last cycles
+        # are granted in the drain, which one-cycle chunks split into seven.
+        cfg, span = PonConfig(), 20_000.0
+        extended, short, grant_cycle = self._check_whole_array(
+            monkeypatch, chunk, cfg, LoadPoint(0.9), 50, span)
+        n_cycles = math.ceil(span / cfg.dba_cycle_us) + 8
+        assert extended == 7 and short == 0.0
+        assert np.count_nonzero(grant_cycle >= n_cycles) > 8
+        assert grant_cycle[-1] > n_cycles
+
     @pytest.mark.parametrize("n_loops", [30_000, 100_000])
     def test_upstream_memory_is_flat_in_loops(self, n_loops):
-        probes = generate_stream(CONTROL_TRAFFIC_DEFAULT, n_loops * 1000.0, 3).timestamps
-        tracemalloc.start()
-        try:
-            pon._upstream_leg(PonConfig(), LoadPoint(0.9), probes, pon._spawn_rngs(3, 1)[0])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = _upstream_peak(n_loops)[0]
         # Holding every ONU's draws and grants for all cycles took 37.6 MiB at
-        # 30k loops and 125.8 MiB at 100k.  Streamed, the leg holds one cycle
-        # chunk's temporaries plus three per-cycle columns (6.1 MiB each at
-        # 100k loops): 7.9 and 25.3 MiB.
-        assert peak < {30_000: 20, 100_000: 34}[n_loops] * 2**20
+        # 30k loops and 125.8 MiB at 100k; with three per-cycle columns
+        # (6.1 MiB each at 100k loops), 7.9 and 25.3 MiB.  Streamed, the leg
+        # holds the preceding ONUs' offsets (240k and 800k cycles), its two
+        # output columns and about 0.8 MiB of one draw buffer and one cycle
+        # chunk: 3.06 and 8.39 MiB.  The bounds leave 0.44 and 0.61 MiB.
+        assert peak < {30_000: 3.5, 100_000: 9.0}[n_loops] * 2**20
+
+    def test_upstream_memory_grows_by_one_column_per_cycle(self):
+        # From 30k to 100k loops the peak grows by at most 8 bytes per added
+        # cycle (the offsets) and 16 per added probe (the two output
+        # columns): nothing else the leg holds spans the horizon.  The chunk
+        # work memory at the peak moves by up to about 20 KiB with the chunk
+        # and with what earlier tests left cached, hence 64 KiB of margin;
+        # one more per-probe column would add 0.54 MiB.
+        (low, low_cycles, low_probes), (high, high_cycles, high_probes) = (
+            _upstream_peak(30_000), _upstream_peak(100_000))
+        columns = 8 * (high_cycles - low_cycles) + 16 * (high_probes - low_probes)
+        assert high - low <= columns + 64 * 2**10
 
 
 class TestSimulatePon:
