@@ -73,10 +73,10 @@ def _keys(cls, names=None) -> dict:
             for f in fields(cls) if names is None or f.name in names}
 
 
-# nested ScenarioConfig field -> its default, a frozen dataclass, taken from
-# the field so that no default scenario is built and checked.
-_NESTED_DEFAULTS = {f.name: f.default_factory() if f.default is MISSING else f.default
-                    for f in fields(ScenarioConfig) if f.name in _SECTIONS.values()}
+# ScenarioConfig field -> its default, taken from the field so that no
+# default scenario is built and checked.
+_DEFAULTS = {f.name: f.default_factory() if f.default is MISSING else f.default
+             for f in fields(ScenarioConfig)}
 
 _GRID = [f.name for f in fields(ScenarioConfig) if f.name not in _SECTIONS.values()]
 
@@ -125,7 +125,7 @@ def load_scenario(path) -> ScenarioConfig:
     try:
         # Each nested section is built, and so checked, before the next is
         # read, and [grid] last; the scenario itself is built once.
-        nested = {name: replace(_NESTED_DEFAULTS[name], **_collect(parser, section))
+        nested = {name: replace(_DEFAULTS[name], **_collect(parser, section))
                   for section, name in _SECTIONS.items() if name}
         return ScenarioConfig(**nested, **_collect(parser, "grid"))
     except ConfigError:
@@ -137,12 +137,10 @@ def load_scenario(path) -> ScenarioConfig:
 def default_scenario_text() -> str:
     """A commented scenario file showing every supported key at its default."""
     lines = ["# gladsim scenario file; every key is optional and overrides a default\n"]
-    default = ScenarioConfig()
     for section, name in _SECTIONS.items():
         lines.append(f"[{section}]")
-        source = getattr(default, name) if name else default
         for key, (attr, _) in _SCHEMA[section].items():
-            value = getattr(source, attr)
+            value = getattr(_DEFAULTS[name], attr) if name else _DEFAULTS[attr]
             if isinstance(value, tuple):
                 value = ", ".join(str(v) for v in value)
             lines.append(f"{key} = {value}")

@@ -5,11 +5,6 @@ the learning parameters.  Runners produce `Report` objects (named tables plus
 provenance) that export to CSV with a JSON manifest; identical scenarios
 export byte-identical files, which is the reproducibility contract the test
 suite pins down.
-
-Grid points are independent; set GLADSIM_THREADS to an integer N > 1 to
-evaluate the latency grid on N threads (unset means 1; a value below 1 or not
-an integer is a `ConfigError`).  Assembly is deterministic regardless of
-completion order.
 """
 
 from __future__ import annotations
@@ -19,10 +14,7 @@ import json
 import os
 import shutil
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -133,17 +125,6 @@ def _provenance(config: ScenarioConfig) -> dict:
     }
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("GLADSIM_THREADS", "1")
-    try:
-        threads = int(raw)
-    except ValueError:
-        raise ConfigError(f"GLADSIM_THREADS must be an integer, got {raw!r}")
-    if threads < 1:
-        raise ConfigError(f"GLADSIM_THREADS must be >= 1, got {raw!r}")
-    return threads
-
-
 # ---------------------------------------------------------------------------
 # Latency sweep
 # ---------------------------------------------------------------------------
@@ -168,50 +149,36 @@ def run_latency_sweep(config: ScenarioConfig) -> Report:
     dropped once the next load's points are in.  Saturated load points
     become flagged rows, not failures.
     """
-    jobs = [(rho, seed) for rho in config.load_grid for seed in config.seeds]
-    threads = _thread_count()
     per_km = config.pon.fiber_delay_us_per_km
-
-    def evaluate(job):
-        rho, seed = job
-        try:
-            return _base_components(config, rho, seed)
-        except SaturationError:
-            return None
-
     # Rows per span, so that the latency and dominance tables stay span-major.
     latency_rows = {span: [] for span in config.span_grid_km}
     dominance_rows = {span: [] for span in config.span_grid_km}
     crossing_rows = []
-    # With one thread the points run on the calling thread: a lone worker
-    # thread allocates from its own glibc malloc arena, which raised the
-    # default sweep's peak RSS by 2-3% on Linux.
-    with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as executor:
-        points = map(evaluate, jobs) if executor is None else executor.map(evaluate, jobs)
-        for rho in config.load_grid:
-            results = list(islice(points, len(config.seeds)))
-            if any(res is None for res in results):
-                crossing_rows.extend((rho, mode, "", True) for mode in _MODES)
-                for span, rows in latency_rows.items():
-                    rows.extend((span, rho, mode, "", "", "", True) for mode in _MODES)
-                continue
-            pools = {}
-            for mode in _MODES:
-                legs = results[0][mode][1]
-                spans = [pon._bisect_max_span(float(res[mode][0].mean()), legs, per_km,
-                                              config.deadline_us) for res in results]
-                crossing_rows.append((rho, mode, float(np.mean(spans)), False))
-                pools[mode] = (np.concatenate([res[mode][0] for res in results]), legs)
-            for span in config.span_grid_km:
-                means = {}
-                for mode, (base, legs) in pools.items():
-                    totals = base + legs * span * per_km
-                    means[mode] = float(totals.mean())
-                    p95, p99 = np.percentile(totals, (95, 99))
-                    latency_rows[span].append(
-                        (span, rho, mode, means[mode], float(p95), float(p99), False))
-                dominance_rows[span].append(
-                    (span, rho, means[WITH_AI], means[NO_AI], means[WITH_AI] < means[NO_AI]))
+    for rho in config.load_grid:
+        try:
+            results = [_base_components(config, rho, seed) for seed in config.seeds]
+        except SaturationError:
+            crossing_rows.extend((rho, mode, "", True) for mode in _MODES)
+            for span, rows in latency_rows.items():
+                rows.extend((span, rho, mode, "", "", "", True) for mode in _MODES)
+            continue
+        pools = {}
+        for mode in _MODES:
+            legs = results[0][mode][1]
+            spans = [pon._bisect_max_span(float(res[mode][0].mean()), legs, per_km,
+                                          config.deadline_us) for res in results]
+            crossing_rows.append((rho, mode, float(np.mean(spans)), False))
+            pools[mode] = (np.concatenate([res[mode][0] for res in results]), legs)
+        for span in config.span_grid_km:
+            means = {}
+            for mode, (base, legs) in pools.items():
+                totals = base + legs * span * per_km
+                means[mode] = float(totals.mean())
+                p95, p99 = np.percentile(totals, (95, 99))
+                latency_rows[span].append(
+                    (span, rho, mode, means[mode], float(p95), float(p99), False))
+            dominance_rows[span].append(
+                (span, rho, means[WITH_AI], means[NO_AI], means[WITH_AI] < means[NO_AI]))
 
     tables = {
         "latency": Table(

@@ -1,12 +1,14 @@
 """Tests for the command line and scenario-file parsing."""
 
+import ast
 import configparser
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gladsim import cli, pon
+from gladsim import cli, pon, validate
 from gladsim import config as gconfig
 from gladsim.cli import main
 from gladsim.config import default_scenario_text, load_scenario
@@ -43,6 +45,19 @@ def config_file(tmp_path):
     path = tmp_path / "scenario.cfg"
     path.write_text(SMALL_CONFIG)
     return path
+
+
+@pytest.fixture()
+def stream_calls(monkeypatch):
+    """The arguments of every probe-stream draw `pon` makes in the test."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return generate_stream(*args)
+
+    monkeypatch.setattr(pon, "generate_stream", counted)
+    return calls
 
 
 class TestConfigFile:
@@ -113,20 +128,31 @@ class TestConfigFile:
                      "texture_freq_max_hz", "add_every", "additions", "machines_grid"],
         }
 
-    def test_one_seed_scenario_draws_one_probe_stream(self, tmp_path, monkeypatch):
+    def test_one_seed_scenario_draws_one_probe_stream(self, tmp_path, stream_calls):
         # The scenario is built once: its event-budget check draws the probe
         # stream of its one seed, and no default scenario's ten.
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return generate_stream(*args)
-
-        monkeypatch.setattr(pon, "generate_stream", counted)
         path = tmp_path / "one_seed.cfg"
         path.write_text("[grid]\nseeds = 4\nloads = 0.9\n")
         assert load_scenario(path).seeds == (4,)
-        assert len(calls) == 1 and calls[0][2] == 4
+        assert len(stream_calls) == 1 and stream_calls[0][2] == 4
+
+    def test_default_dump_draws_no_probe_stream(self, stream_calls):
+        # The dump reads the field defaults; the text is what the default
+        # scenario's own attributes print.
+        text = default_scenario_text()
+        assert stream_calls == []
+        default = ScenarioConfig()
+        lines = ["# gladsim scenario file; every key is optional and overrides a default\n"]
+        for section, name in gconfig._SECTIONS.items():
+            source = getattr(default, name) if name else default
+            lines.append(f"[{section}]")
+            for key, (attr, _) in gconfig._SCHEMA[section].items():
+                value = getattr(source, attr)
+                if isinstance(value, tuple):
+                    value = ", ".join(str(v) for v in value)
+                lines.append(f"{key} = {value}")
+            lines.append("")
+        assert text == "\n".join(lines)
 
     def test_default_dump_parses_back(self, tmp_path):
         path = tmp_path / "default.cfg"
@@ -208,16 +234,6 @@ class TestCli:
         code = main(["latency-sweep", "--out", str(tmp_path / "out"), "--seed", "-3"])
         assert code == 1
         assert "seeds" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("threads", ["0", "-2"])
-    def test_thread_count_below_one_exits_one(self, config_file, tmp_path, capsys,
-                                              monkeypatch, threads):
-        monkeypatch.setenv("GLADSIM_THREADS", threads)
-        code = main(["latency-sweep", "--config", str(config_file),
-                     "--out", str(tmp_path / "out")])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "GLADSIM_THREADS" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("section,key,value", [
         ("glad", "accuracy_target", repr(float(np.nextafter(1.0, 0.0)))),
@@ -382,3 +398,17 @@ class TestCli:
         out = capsys.readouterr().out
         assert "FAIL" not in out
         assert out.splitlines()[-1] == "10/10 checks passed"
+
+    def test_validate_checks_under_optimize(self, run_python):
+        # `python -O` strips assert statements; a broken invariant must still fail.
+        proc = run_python("import sys\n"
+                          "from gladsim import cli, pon\n"
+                          "pon.kingman_wait = lambda *args: 1.0\n"
+                          "sys.exit(cli.main(['validate']))\n", "-O")
+        assert proc.returncode == 2, proc.stderr
+        assert "FAIL kingman-vs-des" in proc.stdout
+        assert proc.stdout.splitlines()[-1] == "9/10 checks passed"
+
+    def test_validate_has_no_assert_statement(self):
+        tree = ast.parse(Path(validate.__file__).read_text())
+        assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree))

@@ -1,5 +1,6 @@
 """Tests for the XG-PON latency model: DES engines, Kingman, round trips."""
 
+import dataclasses
 import functools
 import math
 import tracemalloc
@@ -801,6 +802,56 @@ class TestRoundTrips:
                          + no_ai_leg["transmission"] + no_ai_leg["wireless"])
         expected += cfg.ai_inference_us
         assert np.array_equal(loops[WITH_AI][0], expected[int(1000 * pon.WARMUP_FRACTION):])
+
+
+def _bytes_doubled(cfg):
+    return dataclasses.replace(
+        cfg, downstream_rate_bps=2 * cfg.downstream_rate_bps,
+        upstream_rate_bps=2 * cfg.upstream_rate_bps, packet_bytes=2 * cfg.packet_bytes,
+        background_packet_bytes=2 * cfg.background_packet_bytes)
+
+
+def _time_doubled(cfg):
+    return dataclasses.replace(
+        cfg, dba_cycle_us=2 * cfg.dba_cycle_us, wireless_hop_us=2 * cfg.wireless_hop_us,
+        ai_inference_us=2 * cfg.ai_inference_us,
+        downstream_rate_bps=cfg.downstream_rate_bps / 2,
+        upstream_rate_bps=cfg.upstream_rate_bps / 2)
+
+
+class TestMetamorphic:
+    """Whole-model relations that hold bit for bit, because every factor is 2.
+
+    M1 (bytes against rate): doubling both line rates and both packet sizes
+    leaves every per-loop total unchanged.  M2 (time): doubling the DBA
+    cycle, the wireless hop, the inference time and the control law's scale
+    and location, and halving both line rates, doubles every total.  A
+    constant written where a config field belongs breaks one of them.
+    """
+
+    @pytest.mark.parametrize("rho", [0.0, 0.5, 0.9])
+    @settings(max_examples=20)
+    @given(seed=st.integers(0, 2**32 - 1), n_loops=st.integers(10, 400))
+    def test_bytes_against_rate(self, rho, seed, n_loops):
+        cfg = PonConfig()
+        base = round_trips(cfg, LoadPoint(rho), seed, n_loops=n_loops)
+        scaled = round_trips(_bytes_doubled(cfg), LoadPoint(rho), seed, n_loops=n_loops)
+        for mode in (NO_AI, WITH_AI):
+            assert np.array_equal(scaled[mode][0], base[mode][0]), mode
+            assert scaled[mode][1] == base[mode][1]
+
+    @pytest.mark.parametrize("rho", [0.0, 0.5, 0.9])
+    @settings(max_examples=20)
+    @given(seed=st.integers(0, 2**32 - 1), n_loops=st.integers(10, 400))
+    def test_time_doubles_every_total(self, rho, seed, n_loops):
+        cfg, law = PonConfig(), CONTROL_TRAFFIC_DEFAULT
+        slow_law = dataclasses.replace(law, scale=2 * law.scale, location=2 * law.location)
+        base = round_trips(cfg, LoadPoint(rho), seed, n_loops=n_loops, traffic=law)
+        scaled = round_trips(_time_doubled(cfg), LoadPoint(rho), seed, n_loops=n_loops,
+                             traffic=slow_law)
+        for mode in (NO_AI, WITH_AI):
+            assert np.array_equal(scaled[mode][0], 2 * base[mode][0]), mode
+            assert scaled[mode][1] == base[mode][1]
 
 
 class TestEventBudget:

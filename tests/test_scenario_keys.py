@@ -63,7 +63,7 @@ PERTURBATIONS = {
 }
 
 # Keys that parse and hash into the provenance but change no table, each
-# waiting to be wired or deleted (ROADMAP item 7).
+# waiting to be wired or deleted (ROADMAP item 10).
 INERT = {
     ("pon", "span_km"),                 # the latency sweep takes its spans from the grid
     ("traffic.haptic", "shape"),        # nothing reads ScenarioConfig.haptic_traffic
