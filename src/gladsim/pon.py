@@ -58,10 +58,9 @@ WITH_AI = "with_ai"
 MAX_EVENTS = 50_000_000
 
 # Background arrivals drawn per chunk.  The downstream FIFO holds one chunk
-# plus the busy period still open at the end of the chunk before, so its
-# temporaries do not grow with the horizon.  At 1 << 16 a chunk's arrivals
-# and Lindley sum (1.25 x 512 KiB each) fit together in a 2 MiB per-core L2
-# cache.
+# plus the last arrival of the chunk before, so its temporaries do not grow
+# with the horizon.  At 1 << 16 a chunk's arrivals and Lindley sum (512 KiB
+# each) fit together in a 2 MiB per-core L2 cache.
 CHUNK_EVENTS = 1 << 16
 
 # DBA cycles solved per chunk.  The upstream grant solvers hold a handful of
@@ -158,9 +157,11 @@ def _lindley_sum(a: np.ndarray, s: np.ndarray, origin: float, out: np.ndarray) -
 
     V[0] = origin and V[i] = origin + sum(S[j] - A[j] for j < i), with
     A[j] = a[j+1] - a[j] the gaps.  By Lindley's reflection the waits are
-    W = V - M, with M[i] = min(V[0..i]) the running minimum, and W[k] == 0
-    exactly where V[k] == M[k].  Raises ParameterError for arrivals that
-    decrease or are NaN.
+    W = V - M, with M[i] = min(V[0..i]) the running minimum.  A sum cut
+    after any arrival continues from that arrival with its V as `origin`:
+    every V keeps the bits of one whole solve, and M carries the minimum of
+    V before the cut (see _fifo_chunks).  Raises ParameterError for arrivals
+    that decrease or are NaN.
     """
     n = a.size
     v = out[:n]
@@ -176,19 +177,12 @@ def _lindley_sum(a: np.ndarray, s: np.ndarray, origin: float, out: np.ndarray) -
     return v
 
 
-def fifo_waits(arrival_times, service_times, origin: float = 0.0) -> np.ndarray:
+def fifo_waits(arrival_times, service_times) -> np.ndarray:
     """Waiting times in a work-conserving single-server FIFO queue.
 
     Solves the Lindley recursion W[i+1] = max(0, W[i] + S[i] - A[i]) in closed
     form as W = V - M, from Lindley's running sum V and its running minimum M
     (see _lindley_sum), which vectorizes.
-
-    `origin` continues a longer arrival sequence whose arrival at index 0
-    finds the server idle: passing V of the longer sequence at that arrival
-    makes the sequential sum, and so every returned wait, bit-identical to
-    solving the longer sequence whole.  The waits do not depend on it
-    otherwise; the first wait is always 0.  Where W[k] == 0, V[k] == M[k]
-    exactly, so V[k] is the origin that continues the sequence from k.
     """
     a = np.asarray(arrival_times, dtype=float)
     s = np.asarray(service_times, dtype=float)
@@ -196,7 +190,7 @@ def fifo_waits(arrival_times, service_times, origin: float = 0.0) -> np.ndarray:
         raise ParameterError("arrival and service times must be 1-D arrays")
     if a.shape != s.shape:
         raise ParameterError("arrival and service arrays must have equal length")
-    v = _lindley_sum(a, s, origin, np.empty(a.size))
+    v = _lindley_sum(a, s, 0.0, np.empty(a.size))
     # fmin runs faster than minimum here and differs from it only where V is
     # NaN, and there the wait is NaN either way.
     v -= np.fmin.accumulate(v)
@@ -313,11 +307,12 @@ class _GrantState:
     """Where one ONU's grant recursion stands after the cycles solved so far.
 
     `u` is the running sum of (A[k-1] - cap) at the next cycle and `u_min` its
-    minimum so far (see _gated_grants).  Like fifo_waits' origin, carrying the
-    sequential sum and the exact minimum across a cut leaves every grant's
-    bits as solving the cycles whole would.  So the upstream leg solves each
-    ONU one cycle chunk at a time, and the backlog left at the last boundary,
-    u - u_min + last_arrived, sizes its drain.
+    minimum so far (see _gated_grants).  As in the downstream FIFO's chunks
+    (see _fifo_chunks), carrying the sequential sum and the exact minimum
+    across a cut leaves every grant's bits as solving the cycles whole
+    would.  So the upstream leg solves each ONU one cycle chunk at a time,
+    and the backlog left at the last boundary, u - u_min + last_arrived,
+    sizes its drain.
     """
 
     last_arrived: float = 0.0    # bytes arrived in the last cycle solved
@@ -357,38 +352,14 @@ def _gated_grants(arrived_bytes_per_cycle: np.ndarray, cap_bytes: float,
     return np.minimum(reported, cap_bytes, out=reported)
 
 
-def _last_idle(v: np.ndarray) -> int:
-    """Index of the last arrival after the first that finds the server idle, or 0.
-
-    `v` is a Lindley sum (see _lindley_sum).  Arrival k >= 1 finds the server
-    idle where V[k] is at most every V before it, so the last such arrival is
-    the last one where V reaches min(V[1:]), provided that minimum is at most
-    V[0].  One min reduction finds the minimum, and a scan back from the end
-    in blocks that double finds where V reaches it; V drifts downwards below
-    saturation, so the scan is usually short and allocates nothing of the
-    chunk's size.
-    """
-    if v.size < 2:
-        return 0
-    low = v[1:].min()
-    if not low <= v[0]:
-        return 0
-    stop, width = v.size, 256
-    while True:
-        start = max(1, stop - width)
-        idle = np.flatnonzero(v[start:stop] == low)
-        if idle.size:
-            return start + int(idle[-1])
-        stop, width = start, 2 * width
-
-
-def _waits_at(v: np.ndarray, idx: np.ndarray) -> np.ndarray:
+def _waits_at(v: np.ndarray, idx: np.ndarray, low: float) -> np.ndarray:
     """The waits V[idx] - M[idx] of a Lindley sum at non-decreasing indices `idx`.
 
-    M, V's running minimum, is needed at the distinct indices only: the
-    minima of V over the segments that end at each of them, then a running
-    minimum over those few.  So V is read once up to the last index and
-    never accumulated, and since min is exact, every wait is bit-identical to
+    M is V's running minimum, which starts from `low`, the minimum of V
+    before v[0].  It is needed at the distinct indices only: the minima of V
+    over the segments that end at each of them, then a running minimum over
+    those few.  So V is read once up to the last index and never
+    accumulated, and since min is exact, every wait is bit-identical to
     fifo_waits'.  Indices that repeat share one value of M.
     """
     if not idx.size:
@@ -397,51 +368,37 @@ def _waits_at(v: np.ndarray, idx: np.ndarray) -> np.ndarray:
     new[0] = True
     np.not_equal(idx[1:], idx[:-1], out=new[1:])
     ends = idx[new]
-    low = np.fmin.reduceat(v[:ends[-1] + 1], np.concatenate(([0], ends[:-1] + 1)))
-    np.fmin.accumulate(low, out=low)
-    return v[idx] - low[np.cumsum(new) - 1]
+    segment_low = np.fmin.reduceat(v[:ends[-1] + 1], np.concatenate(([0], ends[:-1] + 1)))
+    segment_low[0] = min(segment_low[0], low)
+    np.fmin.accumulate(segment_low, out=segment_low)
+    return v[idx] - segment_low[np.cumsum(new) - 1]
 
 
 def _fifo_chunks(draw: _PoissonDraw, service_us: float):
-    """Stream a Poisson background through a fixed-service FIFO in settled chunks.
+    """Stream a Poisson background through a fixed-service FIFO, one chunk at a time.
 
-    Yields `(arrivals, v, spare, final)`.  `v` is the chunk's Lindley sum
-    (see _lindley_sum) from an origin where its first arrival finds the
-    server idle, so the waits are V less its running minimum, which is left
-    to the consumer to take where it needs it.  `final` is the chunk's last
-    idle arrival: the arrivals before it are settled, and those from it on
-    begin the next chunk, whose origin is V[final]; at the draw's end they
-    are yielded whole.  So every wait is bit-identical to one whole solve.
-    `spare` is a row of work memory as long as the chunk, free for the
-    consumer.  All are views of buffers reused for every chunk, so memory
-    does not grow with the horizon, and a consumer may overwrite what lies
-    before `final` and all of `spare`.
+    Yields `(arrivals, v, spare, low)` for each drawn chunk.  `v` is the
+    whole draw's Lindley sum at the chunk's arrivals (see _lindley_sum) and
+    `low` the minimum of V before them, so the waits are V less
+    min(low, V's running minimum), which is left to the consumer to take
+    where it needs it.  Every chunk but the first begins with the last
+    arrival of the chunk before, whose V is the origin of its sum, so every
+    V and wait is bit-identical to one whole solve.  `spare` is a row of
+    work memory as long as the chunk, free for the consumer.  All are views
+    of three rows allocated once for the draw, so memory does not grow with
+    the horizon; the consumer may overwrite `spare` only.
     """
-    # `work` rows: the Lindley sum, then the consumer's spare row.
-    buffer, work = np.empty(0), np.empty((2, 0))
-    tail, tail_v, origin = 0, work[0], 0.0
-    while tail or not draw.done:
-        if draw.done:
-            # The background has ended, so the whole tail is final.
-            arrivals, v, final = buffer[:tail], tail_v, tail
-        else:
-            need = tail + draw.next_size()
-            if need > buffer.size:
-                grown = np.empty(need + need // 4)
-                grown[:tail] = buffer[:tail]
-                buffer, work = grown, np.empty((2, grown.size))
-            size = tail + _poisson_arrivals(draw, buffer[tail:]).size
-            arrivals = buffer[:size]
-            v = _lindley_sum(arrivals, np.broadcast_to(service_us, size), origin, work[0])
-            final = _last_idle(v)
-            if final == 0:
-                tail, tail_v = size, v
-                continue
-            origin = float(v[final])
-        yield arrivals, v, work[1, :arrivals.size], final
-        tail = arrivals.size - final
-        buffer[:tail] = arrivals[final:]
-        tail_v = v[final:]
+    rows = np.empty((3, draw.next_size() + 1))       # arrivals, V, spare
+    carried, origin, low = 0, 0.0, math.inf
+    while not draw.done:
+        n = carried + _poisson_arrivals(draw, rows[0, carried:]).size
+        if not n:                # the draw ended before its first arrival
+            return
+        arrivals = rows[0, :n]
+        v = _lindley_sum(arrivals, np.broadcast_to(service_us, n), origin, rows[1])
+        yield arrivals, v, rows[2, :n], low
+        low = min(low, float(v.min()))
+        rows[0, 0], origin, carried = arrivals[-1], float(v[-1]), 1
 
 
 def _downstream_leg(config: PonConfig, load: LoadPoint, probe_times: np.ndarray,
@@ -451,9 +408,10 @@ def _downstream_leg(config: PonConfig, load: LoadPoint, probe_times: np.ndarray,
     Background: Poisson arrivals of `background_packet_bytes` packets sized so
     the offered load equals rho of the downstream rate.  A probe arriving at t
     waits for the workload present at t, then serializes itself.  Probe times
-    are non-decreasing; each falls among the settled arrivals of one chunk,
-    and only the waits of the arrivals just before probes are taken from the
-    chunk's Lindley sum (see _waits_at).
+    are non-decreasing; each is answered in the first chunk whose last
+    arrival follows it, or in the draw's last chunk, and only the waits of
+    the arrivals just before probes are taken from the chunk's Lindley sum
+    (see _waits_at).
     """
     rate = config.downstream_rate_bps
     bg_service = transmission_time(config.background_packet_bytes, rate)
@@ -462,15 +420,16 @@ def _downstream_leg(config: PonConfig, load: LoadPoint, probe_times: np.ndarray,
 
     queueing = np.zeros(probe_times.size)
     answered = -1                # probes before this index have their queueing
-    for arrivals, v, _, final in _fifo_chunks(draw, bg_service):
+    for arrivals, v, _, low in _fifo_chunks(draw, bg_service):
         if answered < 0:         # those before the first arrival find no queue
             answered = int(np.searchsorted(probe_times, arrivals[0], side="left"))
-        # Probes up to the next chunk's first arrival wait behind one of these.
-        stop = (int(np.searchsorted(probe_times, arrivals[final], side="left"))
-                if final < arrivals.size else probe_times.size)
+        # Probes before the chunk's last arrival wait behind one of these; the
+        # rest wait for a later chunk, the next one starting with that arrival.
+        stop = (probe_times.size if draw.done
+                else int(np.searchsorted(probe_times, arrivals[-1], side="left")))
         probes = probe_times[answered:stop]
-        idx = np.searchsorted(arrivals[:final], probes, side="right") - 1
-        departures = arrivals[idx] + _waits_at(v, idx) + bg_service
+        idx = np.searchsorted(arrivals, probes, side="right") - 1
+        departures = arrivals[idx] + _waits_at(v, idx, low) + bg_service
         queueing[answered:stop] = np.maximum(0.0, departures - probes)
         answered = stop
 
@@ -744,17 +703,18 @@ def queueing_cross_check(config: PonConfig, load: LoadPoint, seed: int,
 
     n = 0
     first = last = wait_sum = gap_square_sum = 0.0
-    for arrivals, v, spare, final in _fifo_chunks(draw, service):
+    for arrivals, v, spare, low in _fifo_chunks(draw, service):
         if n == 0:
             first = float(arrivals[0])
-        n += final
-        last = float(arrivals[final - 1])
-        # The settled waits: V less its running minimum (see fifo_waits).
-        low = np.fmin.accumulate(v[:final], out=spare[:final])
-        wait_sum += float(np.subtract(v[:final], low, out=low).sum())
-        # The gaps up to the next chunk's first arrival, over the waits.
-        n_gaps = min(final + 1, arrivals.size) - 1
-        gaps = np.subtract(arrivals[1:n_gaps + 1], arrivals[:n_gaps], out=spare[:n_gaps])
+        skip = min(n, 1)         # later chunks begin with an arrival counted before
+        n += arrivals.size - skip
+        last = float(arrivals[-1])
+        # The waits: V less its running minimum from `low` (see fifo_waits).
+        m = np.fmin.accumulate(v, out=spare)
+        np.fmin(m, low, out=m)
+        wait_sum += float(np.subtract(v[skip:], m[skip:], out=m[skip:]).sum())
+        # The chunk's gaps, from the carried arrival on, over the waits.
+        gaps = np.subtract(arrivals[1:], arrivals[:-1], out=spare[:-1])
         gap_square_sum += float(np.einsum("i,i->", gaps, gaps))  # no BLAS threads
 
     ca2 = 0.0

@@ -132,7 +132,7 @@ class TestFifoWaits:
             fifo_waits(arrivals, services)
 
     def test_single_arrival_waits_nothing(self):
-        assert fifo_waits(np.array([5.0]), np.array([1.0]), origin=3.0).tolist() == [0.0]
+        assert fifo_waits(np.array([5.0]), np.array([1.0])).tolist() == [0.0]
 
 
 # Gaps include exact zeros so that arrivals tie.
@@ -143,50 +143,51 @@ _queue_jobs = st.lists(
 
 
 class TestFifoWaitsProperties:
-    @given(jobs=_queue_jobs, origin=st.one_of(st.just(0.0), st.floats(-1e6, 1e6)))
-    def test_matches_lindley_loop(self, jobs, origin):
+    @given(jobs=_queue_jobs)
+    def test_matches_lindley_loop(self, jobs):
         gaps, services = (np.array(column) for column in zip(*jobs))
         arrivals = np.cumsum(gaps)
-        waits = fifo_waits(arrivals, services, origin)
-        scale = abs(origin) + services.sum() + arrivals[-1] + 1.0
+        waits = fifo_waits(arrivals, services)
+        scale = services.sum() + arrivals[-1] + 1.0
         np.testing.assert_allclose(waits, _lindley_loop(arrivals, services),
                                    rtol=0.0, atol=1e-12 * scale)
         assert waits[0] == 0.0 and np.all(waits >= 0.0)
 
-    @given(jobs=_queue_jobs)
-    def test_continuing_at_an_idle_arrival_is_bit_identical(self, jobs):
-        gaps, services = (np.array(column) for column in zip(*jobs))
-        arrivals = np.cumsum(gaps)
-        whole = fifo_waits(arrivals, services)
-        v = np.concatenate(([0.0], np.cumsum(services[:-1] - np.diff(arrivals))))
-        for k in np.flatnonzero(whole == 0.0):
-            part = fifo_waits(arrivals[k:], services[k:], origin=v[k])
-            assert np.array_equal(part, whole[k:])
-
-
-def _last_idle_from_waits(waits):
-    """The last arrival after the first with a zero wait, or 0."""
-    idle = np.flatnonzero(waits[1:] == 0.0)
-    return int(idle[-1]) + 1 if idle.size else 0
-
 
 class TestLindleySum:
-    # The last of 2000 arrivals to find the server idle is the second, so the
-    # scan back for it crosses several doubling blocks; and one where every
-    # arrival finds the server idle, so V ties its minimum throughout.
+    # A busy period 1999 arrivals long, and one where every arrival finds
+    # the server idle, so V ties its minimum throughout.
     @given(jobs=_queue_jobs, origin=st.one_of(st.just(0.0), st.floats(-1e6, 1e6)),
+           low=st.one_of(st.just(math.inf), st.floats(-1e6, 1e6)),
            picks=st.lists(st.integers(0, 2**16), max_size=40))
-    @example(jobs=[(0.0, 0.01), (10.0, 1.0)] + [(0.0, 1.0)] * 1998, origin=0.0,
+    @example(jobs=[(0.0, 0.01), (10.0, 1.0)] + [(0.0, 1.0)] * 1998, origin=0.0, low=math.inf,
              picks=[0, 1, 1, 1999, 1999])
-    @example(jobs=[(0.0, 1.0)] + [(1.0, 1.0)] * 3, origin=0.0, picks=[1, 2, 3])
-    def test_sparse_waits_and_last_idle_match_fifo_waits(self, jobs, origin, picks):
+    @example(jobs=[(0.0, 1.0)] + [(1.0, 1.0)] * 3, origin=0.0, low=math.inf, picks=[1, 2, 3])
+    def test_sparse_waits_match_whole_reflection(self, jobs, origin, low, picks):
         gaps, services = (np.array(column) for column in zip(*jobs))
         arrivals = np.cumsum(gaps)
         idx = np.sort(np.array(picks, dtype=np.intp) % arrivals.size)  # repeats kept
-        whole = fifo_waits(arrivals, services, origin)
         v = pon._lindley_sum(arrivals, services, origin, np.empty(arrivals.size))
-        assert pon._waits_at(v, idx).tobytes() == whole[idx].tobytes()
-        assert pon._last_idle(v) == _last_idle_from_waits(whole)
+        # V less its running minimum, which starts from `low`.
+        whole = v - np.minimum.accumulate(np.minimum(v, low))
+        assert pon._waits_at(v, idx, low).tobytes() == whole[idx].tobytes()
+        if origin == 0.0 and low == math.inf:
+            assert whole.tobytes() == fifo_waits(arrivals, services).tobytes()
+
+    @given(jobs=_queue_jobs, cut=st.integers(0, 60))
+    def test_continuing_from_carried_state_is_bit_identical(self, jobs, cut):
+        # The sum is cut after arrival `cut` and continued from the carried
+        # state: that arrival, its V as origin and the minimum of V up to it.
+        gaps, services = (np.array(column) for column in zip(*jobs))
+        arrivals = np.cumsum(gaps)
+        whole = fifo_waits(arrivals, services)
+        cut = min(cut, arrivals.size - 1)
+        first = pon._lindley_sum(arrivals[:cut + 1], services[:cut + 1], 0.0, np.empty(cut + 1))
+        rest = pon._lindley_sum(arrivals[cut:], services[cut:], float(first[-1]),
+                                np.empty(arrivals.size - cut))
+        waits = np.concatenate((pon._waits_at(first, np.arange(first.size), math.inf),
+                                pon._waits_at(rest, np.arange(1, rest.size), float(first.min()))))
+        assert waits.tobytes() == whole.tobytes()
 
 
 class TestGatedGrants:
@@ -342,10 +343,10 @@ def _drawn_chunks(rng, rate_per_us, horizon_us):
 class TestStreamedBackground:
     # Per rho, a seed whose background ends before the last probe, so the
     # last probes follow every background arrival.
-    SEEDS = {0.0: 11, 0.5: 11, 0.9: 11986}
+    SEEDS = {0.0: 11, 0.5: 11, 0.9: 11986, 0.999: 20011}
 
     @pytest.mark.parametrize("chunk", _WHOLE_ARRAY_CHUNKS)
-    @pytest.mark.parametrize("rho", [0.0, 0.5, 0.9])
+    @pytest.mark.parametrize("rho", [0.0, 0.5, 0.9, 0.999])
     def test_downstream_leg_matches_whole_array(self, monkeypatch, chunk, rho):
         cfg, load, seed = PonConfig(), LoadPoint(rho), self.SEEDS[rho]
         probes = np.linspace(0.0, 2000.0, 201)
@@ -388,7 +389,7 @@ class TestStreamedBackground:
         np.testing.assert_allclose(leg["queueing"], expected, rtol=0.0, atol=1e-9)
 
     @pytest.mark.parametrize("chunk", _WHOLE_ARRAY_CHUNKS)
-    @pytest.mark.parametrize("rho", [0.0, 0.5, 0.9])
+    @pytest.mark.parametrize("rho", [0.0, 0.5, 0.9, 0.999])
     def test_cross_check_matches_whole_array(self, monkeypatch, chunk, rho):
         cfg, load, seed, horizon = PonConfig(), LoadPoint(rho), 11, 2000.0
         # The cross-check draws the background of a leg probed up to 0.99 of
@@ -397,18 +398,22 @@ class TestStreamedBackground:
             cfg, load, np.array([horizon * 0.99]), pon._spawn_rngs(seed, 1)[0])
         assert (times.size > 1000) == (rho > 0.0)
 
-        settled = []
+        yielded = []
         chunks = pon._fifo_chunks
 
         def counted(draw, service_us):
-            for arrivals, v, spare, final in chunks(draw, service_us):
-                settled.append(final)
-                yield arrivals, v, spare, final
+            for arrivals, v, spare, low in chunks(draw, service_us):
+                yielded.append(arrivals.copy())
+                yield arrivals, v, spare, low
 
         monkeypatch.setattr(pon, "CHUNK_EVENTS", chunk)
         monkeypatch.setattr(pon, "_fifo_chunks", counted)
         out = queueing_cross_check(cfg, load, seed, horizon_us=horizon)
-        assert sum(settled) == times.size
+        # Each chunk after the first begins with the last arrival of the one
+        # before, so without it every arrival comes once.
+        assert all(after[0] == before[-1] for before, after in zip(yielded, yielded[1:]))
+        settled = [c[1:] if i else c for i, c in enumerate(yielded)]
+        assert np.array_equal(np.concatenate([np.empty(0), *settled]), times)
         service = transmission_time(cfg.background_packet_bytes, cfg.downstream_rate_bps)
         assert out["mean_service_us"] == service and out["cs2"] == 0.0
         if times.size > 2:
@@ -418,6 +423,17 @@ class TestStreamedBackground:
             assert out["utilization"] == pytest.approx(rho, rel=1e-12)
         else:
             assert out["simulated_mean_wait_us"] == out["ca2"] == out["utilization"] == 0.0
+
+    def test_background_past_the_horizon_queues_nothing(self):
+        # A light background whose first arrival falls past the draw's
+        # horizon: the draw is made, and no chunk is yielded.
+        cfg, load, probes = PonConfig(), LoadPoint(1e-6), np.linspace(0.0, 2000.0, 201)
+        _, times, _ = _whole_array_downstream(cfg, load, probes, pon._spawn_rngs(5, 1)[0])
+        assert times.size == 0
+        leg = pon._downstream_leg(cfg, load, probes, pon._spawn_rngs(5, 1)[0])
+        assert not leg["queueing"].any()
+        out = queueing_cross_check(cfg, load, 5, horizon_us=2000.0)
+        assert out["simulated_mean_wait_us"] == out["utilization"] == 0.0
 
     @pytest.mark.parametrize("chunk", _WHOLE_ARRAY_CHUNKS)
     def test_chunked_draw_matches_whole_draw(self, monkeypatch, chunk):
@@ -472,12 +488,26 @@ class TestStreamedBackground:
             tracemalloc.stop()
         # A whole-array leg holds several arrays of ~0.9 events per us of horizon:
         # about 200 MiB at 5k loops and 800 MiB at 20k.  The streamed leg peaks
-        # at 1.96 and 2.19 MiB: one arrivals buffer and two rows of work memory
-        # (the Lindley sum and a spare row), each 1.25 chunks of 1 << 16
-        # arrivals long, plus the per-probe columns.  The bound leaves 1.8 MiB
-        # for them.  With fresh chunk temporaries (the draw, the waits, the
-        # running minimum and the gaps) a leg took 12.7 MiB, and 18.5 MiB with
-        # the concatenated arrivals and filled services too.
+        # at 1.59 and 1.81 MiB: three rows (the arrivals, the Lindley sum and
+        # a spare row), each one chunk of 1 << 16 arrivals and the carried one
+        # long, plus the per-probe columns.  The bound leaves 2.2 MiB for them.
+        # With fresh chunk temporaries (the draw, the waits, the running
+        # minimum and the gaps) a leg took 12.7 MiB, and 18.5 MiB with the
+        # concatenated arrivals and filled services too.
+        assert peak < 4 * 2**20
+
+    def test_downstream_memory_is_flat_near_saturation(self):
+        # At rho 0.999 busy periods run past a million arrivals.  Cutting each
+        # chunk at its last idle arrival held the open busy period in a
+        # buffer that grew with it, to 67 MiB over these 1.1e7 us; carrying
+        # one arrival across each cut holds 1.67 MiB.
+        probes = generate_stream(CONTROL_TRAFFIC_DEFAULT, 1.1e7, 3).timestamps
+        tracemalloc.start()
+        try:
+            pon._downstream_leg(PonConfig(), LoadPoint(0.999), probes, pon._spawn_rngs(3, 1)[0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert peak < 4 * 2**20
 
     @pytest.mark.parametrize("n_loops", [5_000, 20_000])
@@ -503,9 +533,21 @@ class TestStreamedBackground:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # About 18M events, streamed through the leg's buffers (1.88 MiB), with
-        # the running minimum, the waits and then the gaps in the spare work
-        # row.  The bound leaves 2.1 MiB.
+        # About 18M events, streamed through the leg's three rows (1.50 MiB),
+        # with the running minimum, the waits and then the gaps in the spare
+        # row.  The bound leaves 2.5 MiB.
+        assert peak < 4 * 2**20
+
+    def test_cross_check_memory_is_flat_near_saturation(self):
+        tracemalloc.start()
+        try:
+            queueing_cross_check(PonConfig(), LoadPoint(0.999), 1, horizon_us=1.1e7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # About 11M events in busy periods up to 4M arrivals long.
+        # Cut at idle arrivals, the open busy period's buffers peaked at
+        # 220 MiB; with one carried arrival they hold 1.50 MiB.
         assert peak < 4 * 2**20
 
 
@@ -826,7 +868,8 @@ class TestMetamorphic:
     leaves every per-loop total unchanged.  M2 (time): doubling the DBA
     cycle, the wireless hop, the inference time and the control law's scale
     and location, and halving both line rates, doubles every total.  A
-    constant written where a config field belongs breaks one of them.
+    constant written where a config field belongs breaks one of them.  The
+    downstream cross-check keeps both too, with its horizon doubled under M2.
     """
 
     @pytest.mark.parametrize("rho", [0.0, 0.5, 0.9])
@@ -852,6 +895,34 @@ class TestMetamorphic:
         for mode in (NO_AI, WITH_AI):
             assert np.array_equal(scaled[mode][0], 2 * base[mode][0]), mode
             assert scaled[mode][1] == base[mode][1]
+
+    @pytest.mark.parametrize("rho", [0.0, 0.5, 0.9, 0.999])
+    @settings(max_examples=5)
+    @given(seed=st.integers(0, 2**32 - 1))
+    @example(seed=1)
+    @example(seed=7)
+    def test_cross_check_bytes_against_rate(self, rho, seed):
+        base = queueing_cross_check(PonConfig(), LoadPoint(rho), seed, horizon_us=2e5)
+        scaled = queueing_cross_check(_bytes_doubled(PonConfig()), LoadPoint(rho), seed,
+                                      horizon_us=2e5)
+        assert scaled == base
+
+    @pytest.mark.parametrize("rho", [0.0, 0.5, 0.9, 0.999])
+    @settings(max_examples=5)
+    @given(seed=st.integers(0, 2**32 - 1))
+    @example(seed=1)
+    @example(seed=7)
+    def test_cross_check_time_doubles_waits(self, rho, seed):
+        base = queueing_cross_check(PonConfig(), LoadPoint(rho), seed, horizon_us=2e5)
+        scaled = queueing_cross_check(_time_doubled(PonConfig()), LoadPoint(rho), seed,
+                                      horizon_us=4e5)
+        times = {"simulated_mean_wait_us", "kingman_wait_us", "mean_service_us"}
+        ratios = {"utilization", "ca2", "cs2", "relative_gap"}
+        assert set(base) == set(scaled) == times | ratios
+        for key in times:
+            assert scaled[key] == 2 * base[key], key
+        for key in ratios:
+            assert scaled[key] == base[key], key
 
 
 class TestEventBudget:
