@@ -460,46 +460,6 @@ def _report_cycles(probe_times: np.ndarray, cycle: float) -> np.ndarray:
     return (probe_times / cycle).astype(int) + 1
 
 
-def _tagged_background(draw: _PoissonDraw, probe_times: np.ndarray, ahead_bytes: np.ndarray,
-                       cycle: float, n_cycles: int, bg_bytes: int):
-    """Yield the tagged ONU's arrived bytes per cycle, CHUNK_CYCLES cycles at a time.
-
-    The draw goes chunk by chunk into one buffer and is binned as it passes.
-    A cycle chunk is yielded once an arrival after it is drawn, or the draw
-    has ended, and the chunks run to `n_cycles`.  Before each is yielded, the
-    bytes arrived at or before every probe reported in it are in
-    `ahead_bytes`.  The yielded array is reused for the next chunk.
-    """
-    arrived = np.zeros(CHUNK_CYCLES)
-    buffer = np.empty(draw.next_size())
-    chunk, binned = buffer[:0], 0        # the drawn chunk, and how much of it is binned
-    n_background = answered = 0
-    for start in range(0, n_cycles, CHUNK_CYCLES):
-        while True:
-            upto = _cycle_start(chunk, cycle, start + CHUNK_CYCLES, binned)
-            if upto > binned:
-                counts = np.bincount((chunk[binned:upto] / cycle).astype(int) - start)
-                arrived[:counts.size] += counts
-            binned = upto
-            if binned < chunk.size or draw.done:
-                break
-            chunk, binned = _poisson_arrivals(draw, buffer), 0
-            if chunk.size:
-                # Probes before this chunk's last arrival precede every later chunk.
-                stop = int(np.searchsorted(probe_times, chunk[-1], side="left"))
-                ahead_bytes[answered:stop] = float(bg_bytes) * (n_background + np.searchsorted(
-                    chunk, probe_times[answered:stop], side="right"))
-                answered = stop
-                n_background += chunk.size
-        if draw.done:
-            ahead_bytes[answered:] = n_background * float(bg_bytes)
-            answered = probe_times.size
-        out = arrived[:min(CHUNK_CYCLES, n_cycles - start)]
-        out *= bg_bytes
-        yield out
-        arrived.fill(0.0)
-
-
 def _grant_delays(cycle: float, byte_rate_us: float, grant_cycle, cum_before, offset,
                   ahead, report_cycle) -> np.ndarray:
     """Queueing from the report to the start of transmission in `grant_cycle`.
@@ -524,20 +484,22 @@ def _upstream_leg(config: PonConfig, load: LoadPoint, probe_times: np.ndarray,
     transmits inside its ONU's window.  Probe times are non-decreasing.
 
     The preceding ONUs are drawn in full before the tagged one, so their
-    granted bytes are the one column held over every cycle.  The tagged
-    ONU's arrivals, grants and running grant are made one cycle chunk at a
-    time, from its streamed draw and a carried `_GrantState`, and each probe
-    is answered in the chunk that holds its grant cycle: bytes ahead, report
-    cycles and so grant cycles never decrease in probe order.  Besides that
-    column and its two output columns, the leg holds one chunk's work
-    memory and one draw buffer.
+    granted bytes are the one column held over every cycle.  Then one loop
+    solves the tagged ONU's grants one cycle chunk at a time from a carried
+    `_GrantState`.  A planned chunk bins the streamed draw, drawing on until
+    an arrival falls after the chunk, and each drawn chunk gives the bytes
+    ahead of the probes before its last arrival.  The last planned chunk
+    adds the empty cycles that drain the tagged backlog, where the
+    preceding ONUs' offsets come from their carried states.  Each probe is
+    answered in the chunk that holds its grant cycle, since grant cycles
+    never decrease in probe order.  Besides that column and the two output
+    columns, the leg holds one chunk's work memory and one draw buffer.
     """
     cycle = config.dba_cycle_us
     n_onus = config.split_ratio
     rate = config.upstream_rate_bps
     bg_bytes = config.background_packet_bytes
-    cycle_capacity = rate * cycle * 1e-6 / 8.0      # bytes per full cycle
-    cap = cycle_capacity / n_onus                    # fair-share grant cap
+    cap = rate * cycle * 1e-6 / 8.0 / n_onus         # fair-share grant cap, bytes
     preceding = n_onus // 2
 
     horizon = float(probe_times[-1]) if probe_times.size else cycle
@@ -558,40 +520,54 @@ def _upstream_leg(config: PonConfig, load: LoadPoint, probe_times: np.ndarray,
             offset_bytes[start:start + size] += _gated_grants(arrived, cap, state)
         preceding_states.append(state)
 
-    # Each probe's bytes ahead until it is answered, then its queueing.
-    queueing = np.empty(probe_times.size)
-    tagged = _GrantState()
-
-    def schedule():
-        """Each cycle chunk's tagged arrived bytes and preceding offset bytes."""
-        start = 0
-        for arrived in _tagged_background(_poisson_draw(rng, lam_onu, horizon), probe_times,
-                                          queueing, cycle, n_cycles, bg_bytes):
-            yield arrived, offset_bytes[start:start + arrived.size]
-            start += arrived.size
-        # Then the empty cycles that grant the backlog reported at the last
-        # boundary, Q = u - u_min + A[-1], from the state the chunks before
-        # left.  No new arrivals are drawn; traffic simply stops at the
-        # horizon and the queues drain.
-        n_drain = math.ceil((tagged.u - tagged.u_min + tagged.last_arrived) / cap)
-        for start in range(0, n_drain, CHUNK_CYCLES):
-            empty = np.zeros(min(CHUNK_CYCLES, n_drain - start))
-            offset = np.zeros(empty.size)
-            for state in preceding_states:
-                offset += _gated_grants(empty, cap, state)
-            yield empty, offset
-
     byte_rate_us = rate * 1e-6 / 8.0                      # bytes per us
-    # Each probe's queueing should the schedule end short of its bytes, then
-    # its DBA wait.
+    # Each probe's bytes ahead (none until drawn) until answered, then its queueing.
+    queueing = np.zeros(probe_times.size)
+    # Each probe's queueing should no grant reach its bytes, then its DBA wait.
     fallback = np.empty(probe_times.size)
+    draw = _poisson_draw(rng, lam_onu, horizon)
+    buffer = np.empty(draw.next_size())
+    drawn, binned = buffer[:0], 0        # the drawn chunk, and how much of it is binned
+    n_background = known = 0             # arrivals before `drawn`; probes with bytes ahead
+    arrived_buffer = np.empty(CHUNK_CYCLES)
+    tagged = _GrantState()
+    n_total = n_cycles           # the planned cycles, then the drain's
     start = answered = reported = 0
     granted = 0.0                # the tagged bytes granted before `start`
     # The cycle where the running grant first reached `granted`, with the
     # bytes granted before that cycle and its offset.
     reached = None
-    for arrived, offset in schedule():
+    while start < n_total:
+        end = min(start + CHUNK_CYCLES, n_total)
+        arrived = arrived_buffer[:end - start]
+        arrived.fill(0.0)
+        if start < n_cycles:
+            while True:
+                upto = _cycle_start(drawn, cycle, end, binned)
+                arrived += np.bincount((drawn[binned:upto] / cycle).astype(int) - start,
+                                       minlength=arrived.size)
+                binned = upto
+                if binned < drawn.size or draw.done:
+                    break
+                drawn, binned = _poisson_arrivals(draw, buffer), 0
+                # Probes before the draw's last arrival (all once it ends) precede later ones.
+                stop = (probe_times.size if draw.done
+                        else int(np.searchsorted(probe_times, drawn[-1], side="left")))
+                queueing[known:stop] = float(bg_bytes) * (n_background + np.searchsorted(
+                    drawn, probe_times[known:stop], side="right"))
+                known = stop
+                n_background += drawn.size
+            arrived *= bg_bytes
+            offset = offset_bytes[start:end]
+        else:
+            # Traffic stops at the horizon and the queues drain: no arrivals.
+            offset = np.zeros(arrived.size)
+            for state in preceding_states:
+                offset += _gated_grants(arrived, cap, state)
         grants = _gated_grants(arrived, cap, tagged)
+        if end == n_cycles:
+            # Then the empty cycles that grant the last backlog, u - u_min + A[-1].
+            n_total += math.ceil((tagged.u - tagged.u_min + tagged.last_arrived) / cap)
         # The carry folded into the first grant gives every running grant the
         # bits of one cumsum over all cycles.
         cum_grants = grants.copy()
@@ -601,7 +577,6 @@ def _upstream_leg(config: PonConfig, load: LoadPoint, probe_times: np.ndarray,
             k = int(np.searchsorted(cum_grants, cum_grants[-1], side="left"))
             reached = (start + k, cum_grants[k] - grants[k], offset[k])
         granted = float(cum_grants[-1])
-        end = start + grants.size
 
         # The probes reported before `end` whose bytes are granted by then.
         first = reported

@@ -333,7 +333,7 @@ _WHOLE_ARRAY_CHUNKS = [1, 7, 1000, pon.CHUNK_EVENTS, 1 << 18]
 
 
 def _drawn_chunks(rng, rate_per_us, horizon_us):
-    """Copies of the chunks `_tagged_background` draws into its one buffer."""
+    """Copies of the chunks the upstream leg draws into its one reused buffer."""
     draw = pon._poisson_draw(rng, rate_per_us, horizon_us)
     buffer, chunks = np.empty(draw.next_size()), []
     while not draw.done:
