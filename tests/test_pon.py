@@ -673,7 +673,6 @@ class TestStreamedUpstream:
         columns = 8 * (high_cycles - low_cycles) + 16 * (high_probes - low_probes)
         assert high - low <= columns + 64 * 2**10
 
-
     @pytest.mark.parametrize("cycle", [
         125.0,
         pytest.param(130.0, marks=pytest.mark.xfail(strict=True, reason=(
@@ -967,7 +966,6 @@ class TestMetamorphic:
         for key in ratios:
             assert scaled[key] == base[key], key
 
-
     @pytest.mark.parametrize("factor", [0.5, 2, 4])
     @pytest.mark.parametrize("cycle", [125.0, 130.0])
     def test_sweep_time_scales_latency_and_keeps_crossings(self, factor, cycle):
@@ -1004,10 +1002,11 @@ _LEG_CONFIGS = {
 class TestLegMetamorphic:
     """M1 and M2 (see TestMetamorphic) for each leg on its own, bit for bit.
 
-    Under M1, with the line rates and both packet sizes times 2 or 4, every
-    delay column is unchanged.  Under M2, with the DBA cycle and the probe
-    times times f and the line rates over f, for f = 1/2, 2 and 4, the
-    queueing, DBA wait and transmission columns are f times the originals.
+    Under M1, with the line rates and both packet sizes multiplied by 2 or
+    4, every delay column is unchanged.  Under M2, with the DBA cycle and
+    the probe times multiplied and the line rates divided by f, for f = 1/2,
+    2 and 4, the queueing, DBA wait and transmission columns are f times the
+    originals.
     """
 
     LEGS = {UPSTREAM: pon._upstream_leg, DOWNSTREAM: pon._downstream_leg}
@@ -1017,7 +1016,7 @@ class TestLegMetamorphic:
     SEEDS = (1, 6, 92)
 
     @classmethod
-    def _legs(cls, direction, cfg, rho, probes, seed):
+    def _run(cls, direction, cfg, rho, probes, seed):
         return cls.LEGS[direction](cfg, LoadPoint(rho), probes, pon._spawn_rngs(seed, 1)[0])
 
     @pytest.mark.parametrize("factor", [2, 4])
@@ -1027,8 +1026,8 @@ class TestLegMetamorphic:
     def test_bytes_against_rate(self, direction, cfg, rho, factor):
         for seed in self.SEEDS:
             probes = _stream(1e5, seed).timestamps
-            base = self._legs(direction, cfg, rho, probes, seed)
-            scaled = self._legs(direction, _bytes_scaled(cfg, factor), rho, probes, seed)
+            base = self._run(direction, cfg, rho, probes, seed)
+            scaled = self._run(direction, _bytes_scaled(cfg, factor), rho, probes, seed)
             assert set(scaled) == set(base) == {"queueing", "dba_wait", "transmission"}
             for key, column in base.items():
                 assert np.array_equal(scaled[key], column), (seed, key)
@@ -1040,8 +1039,8 @@ class TestLegMetamorphic:
     def test_time_scales_every_delay(self, direction, cfg, rho, factor):
         for seed in self.SEEDS:
             probes = _stream(1e5, seed).timestamps
-            base = self._legs(direction, cfg, rho, probes, seed)
-            scaled = self._legs(direction, _time_scaled(cfg, factor), rho, factor * probes, seed)
+            base = self._run(direction, cfg, rho, probes, seed)
+            scaled = self._run(direction, _time_scaled(cfg, factor), rho, factor * probes, seed)
             assert set(scaled) == set(base) == {"queueing", "dba_wait", "transmission"}
             for key, column in base.items():
                 assert np.array_equal(scaled[key], factor * column), (seed, key)
