@@ -478,8 +478,8 @@ def run_forecaster(trace: HapticTrace, alpha: float, epsilon: float,
     estimate) is at most `epsilon`.  The estimate starts at
     `initial_estimate` (zeros by default).
     """
-    if epsilon <= 0:
-        raise ParameterError(f"epsilon must be > 0, got {epsilon}")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ParameterError(f"epsilon must be finite and > 0, got {epsilon}")
     if not (0.0 < alpha <= 1.0):
         raise ParameterError(f"alpha must lie in (0, 1], got {alpha}")
     initial = (np.zeros(N_FINGERS) if initial_estimate is None

@@ -24,7 +24,7 @@ with each mode's fiber leg count, and a span adds legs x span x per-km delay.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -87,6 +87,9 @@ class PonConfig:
     background_packet_bytes: int = 1250
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ParameterError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         positive = (
             "downstream_rate_bps",
             "upstream_rate_bps",
@@ -121,32 +124,33 @@ class LoadPoint:
 
 def propagation_delay(distance_km: float, per_km_us: float) -> float:
     """Fiber propagation delay over `distance_km` at `per_km_us` per km."""
-    if distance_km < 0:
-        raise ParameterError(f"distance must be >= 0, got {distance_km}")
-    if per_km_us <= 0:
-        raise ParameterError(f"per-km delay must be > 0, got {per_km_us}")
+    if not (math.isfinite(distance_km) and distance_km >= 0):
+        raise ParameterError(f"distance must be finite and >= 0, got {distance_km}")
+    if not (math.isfinite(per_km_us) and per_km_us > 0):
+        raise ParameterError(f"per-km delay must be finite and > 0, got {per_km_us}")
     return distance_km * per_km_us
 
 
 def transmission_time(nbytes: int, rate_bps: float) -> float:
     """Serialization time of `nbytes` at `rate_bps`, in microseconds."""
-    if nbytes <= 0:
-        raise ParameterError(f"packet size must be > 0 bytes, got {nbytes}")
-    if rate_bps <= 0:
-        raise ParameterError(f"rate must be > 0, got {rate_bps}")
+    if not (math.isfinite(nbytes) and nbytes > 0):
+        raise ParameterError(f"packet size must be finite and > 0 bytes, got {nbytes}")
+    if not (math.isfinite(rate_bps) and rate_bps > 0):
+        raise ParameterError(f"rate must be finite and > 0, got {rate_bps}")
     return nbytes * 8.0 / rate_bps * 1e6
 
 
 def kingman_wait(rho: float, ca2: float, cs2: float, mean_service_us: float) -> float:
     """Kingman G/G/1 mean waiting time: rho/(1-rho) * (ca2+cs2)/2 * E[S]."""
-    if rho < 0:
-        raise ParameterError(f"rho must be >= 0, got {rho}")
+    if not (math.isfinite(rho) and rho >= 0):
+        raise ParameterError(f"rho must be finite and >= 0, got {rho}")
     if rho >= 1.0:
         raise SaturationError(f"no stationary wait at rho={rho}")
-    if ca2 < 0 or cs2 < 0:
-        raise ParameterError("squared coefficients of variation must be >= 0")
-    if mean_service_us <= 0:
-        raise ParameterError(f"mean service time must be > 0, got {mean_service_us}")
+    if not (math.isfinite(ca2) and ca2 >= 0 and math.isfinite(cs2) and cs2 >= 0):
+        raise ParameterError(f"squared coefficients of variation must be finite and >= 0, "
+                             f"got {ca2} and {cs2}")
+    if not (math.isfinite(mean_service_us) and mean_service_us > 0):
+        raise ParameterError(f"mean service time must be finite and > 0, got {mean_service_us}")
     if rho == 0.0:
         return 0.0
     return rho / (1.0 - rho) * (ca2 + cs2) / 2.0 * mean_service_us
@@ -440,39 +444,6 @@ def _downstream_leg(config: PonConfig, load: LoadPoint, probe_times: np.ndarray,
     }
 
 
-def _cycle_start(times: np.ndarray, cycle: float, k: int, lo: int = 0) -> int:
-    """Index of the first of non-decreasing `times`, from `lo` on, in DBA cycle k or later.
-
-    A time t falls in cycle int(t / cycle), as the upstream leg bins it.  The
-    search for k * cycle lands within a rounding of that index, and stepping
-    from it with the binning itself makes the index exact.
-    """
-    i = lo + int(np.searchsorted(times[lo:], k * cycle, side="left"))
-    while i > lo and int(times[i - 1] / cycle) >= k:
-        i -= 1
-    while i < times.size and int(times[i] / cycle) < k:
-        i += 1
-    return i
-
-
-def _report_cycles(probe_times: np.ndarray, cycle: float) -> np.ndarray:
-    """The cycle at whose opening boundary each probe is first reported."""
-    return (probe_times / cycle).astype(int) + 1
-
-
-def _grant_delays(cycle: float, byte_rate_us: float, grant_cycle, cum_before, offset,
-                  ahead, report_cycle) -> np.ndarray:
-    """Queueing from the report to the start of transmission in `grant_cycle`.
-
-    The tagged window opens after the `offset` bytes of the ONUs granted
-    before it, and the probe follows the bytes ahead of it that the cycle
-    grants, those beyond the `cum_before` granted in earlier cycles.
-    """
-    window_start = cycle * grant_cycle + offset / byte_rate_us
-    position = np.maximum(0.0, ahead - cum_before)
-    return window_start + position / byte_rate_us - report_cycle * cycle
-
-
 def _upstream_leg(config: PonConfig, load: LoadPoint, probe_times: np.ndarray,
                   rng: np.random.Generator) -> dict:
     """Probe delays through the gated round-robin upstream grant cycle.
@@ -490,10 +461,11 @@ def _upstream_leg(config: PonConfig, load: LoadPoint, probe_times: np.ndarray,
     an arrival falls after the chunk, and each drawn chunk gives the bytes
     ahead of the probes before its last arrival.  The last planned chunk
     adds the empty cycles that drain the tagged backlog, where the
-    preceding ONUs' offsets come from their carried states.  Each probe is
-    answered in the chunk that holds its grant cycle, since grant cycles
-    never decrease in probe order.  Besides that column and the two output
-    columns, the leg holds one chunk's work memory and one draw buffer.
+    preceding ONUs' offsets come from their carried states.  Probes and
+    arrivals are located by cycle number.  Each probe is answered in the
+    chunk that holds its grant cycle, since grant cycles never decrease in
+    probe order.  Besides that column and the two output columns, the leg
+    holds one chunk's work memory and one draw buffer.
     """
     cycle = config.dba_cycle_us
     n_onus = config.split_ratio
@@ -523,8 +495,10 @@ def _upstream_leg(config: PonConfig, load: LoadPoint, probe_times: np.ndarray,
     byte_rate_us = rate * 1e-6 / 8.0                      # bytes per us
     # Each probe's bytes ahead (none until drawn) until answered, then its queueing.
     queueing = np.zeros(probe_times.size)
-    # Each probe's queueing should no grant reach its bytes, then its DBA wait.
-    fallback = np.empty(probe_times.size)
+    # Each probe's report cycle, the first after the one it arrives in, then its DBA wait.
+    report = np.divide(probe_times, cycle)
+    np.trunc(report, out=report)
+    report += 1.0
     draw = _poisson_draw(rng, lam_onu, horizon)
     buffer = np.empty(draw.next_size())
     drawn, binned = buffer[:0], 0        # the drawn chunk, and how much of it is binned
@@ -532,10 +506,10 @@ def _upstream_leg(config: PonConfig, load: LoadPoint, probe_times: np.ndarray,
     arrived_buffer = np.empty(CHUNK_CYCLES)
     tagged = _GrantState()
     n_total = n_cycles           # the planned cycles, then the drain's
-    start = answered = reported = 0
+    start = answered = 0
     granted = 0.0                # the tagged bytes granted before `start`
-    # The cycle where the running grant first reached `granted`, with the
-    # bytes granted before that cycle and its offset.
+    # The cycle where the running grant first reached `granted`, and where
+    # transmission would start in it behind every byte granted.
     reached = None
     while start < n_total:
         end = min(start + CHUNK_CYCLES, n_total)
@@ -543,8 +517,8 @@ def _upstream_leg(config: PonConfig, load: LoadPoint, probe_times: np.ndarray,
         arrived.fill(0.0)
         if start < n_cycles:
             while True:
-                upto = _cycle_start(drawn, cycle, end, binned)
-                arrived += np.bincount((drawn[binned:upto] / cycle).astype(int) - start,
+                upto = binned + int(np.searchsorted(drawn[binned:], end, side="left"))
+                arrived += np.bincount(drawn[binned:upto].astype(int) - start,
                                        minlength=arrived.size)
                 binned = upto
                 if binned < drawn.size or draw.done:
@@ -557,6 +531,9 @@ def _upstream_leg(config: PonConfig, load: LoadPoint, probe_times: np.ndarray,
                     drawn, probe_times[known:stop], side="right"))
                 known = stop
                 n_background += drawn.size
+                # An arrival at t falls in cycle int(t / cycle), so in cycle
+                # `end` or later just where t / cycle >= end.
+                drawn /= cycle
             arrived *= bg_bytes
             offset = offset_bytes[start:end]
         else:
@@ -573,54 +550,44 @@ def _upstream_leg(config: PonConfig, load: LoadPoint, probe_times: np.ndarray,
         cum_grants = grants.copy()
         cum_grants[0] += granted
         np.cumsum(cum_grants, out=cum_grants)
-        if reached is None or cum_grants[-1] > granted:
-            k = int(np.searchsorted(cum_grants, cum_grants[-1], side="left"))
-            reached = (start + k, cum_grants[k] - grants[k], offset[k])
+        rose = reached is None or cum_grants[-1] > granted
         granted = float(cum_grants[-1])
+        before = np.subtract(cum_grants, grants, out=grants)   # granted in earlier cycles
+        # Each cycle's tagged window opens after the bytes of the ONUs granted before it.
+        window = np.divide(offset, byte_rate_us, out=offset)
+        window += cycle * np.arange(start, end)
 
-        # The probes reported before `end` whose bytes are granted by then.
-        first = reported
-        reported = _cycle_start(probe_times, cycle, end - 1, reported)
+        # The probes reported before `end` whose bytes are granted by then
+        # follow the bytes ahead of them that their grant cycle grants.
+        reported = int(np.searchsorted(report, end, side="left"))
         stop = answered + int(np.searchsorted(queueing[answered:reported], granted, side="right"))
-        if stop > answered:
-            ahead = queueing[answered:stop]
-            report_cycle = _report_cycles(probe_times[answered:stop], cycle)
-            grant_cycle = np.searchsorted(cum_grants, ahead, side="left") + start
-            np.maximum(grant_cycle, report_cycle, out=grant_cycle)
-            k = grant_cycle - start
-            queueing[answered:stop] = _grant_delays(
-                cycle, byte_rate_us, grant_cycle, cum_grants[k] - grants[k], offset[k],
-                ahead, report_cycle)
-            answered = stop
-        # Should no grant follow, the probes reported here that still wait
-        # are sent in their report cycle, behind every byte granted.  These
-        # fallbacks are used only where the running grant last rose before
-        # the report cycle, so `granted` is already final here.
-        first = max(first, answered)
-        if reported > first:
-            report_cycle = _report_cycles(probe_times[first:reported], cycle)
-            k = report_cycle - start
-            fallback[first:reported] = _grant_delays(
-                cycle, byte_rate_us, report_cycle, cum_grants[k] - grants[k], offset[k],
-                granted, report_cycle)
+        ahead = queueing[answered:stop]
+        report_cycle = report[answered:stop]
+        k = np.searchsorted(cum_grants, ahead, side="left")
+        np.maximum(k, report_cycle.astype(int) - start, out=k)
+        position = np.maximum(0.0, ahead - before[k])
+        queueing[answered:stop] = window[k] + position / byte_rate_us - report_cycle * cycle
+        answered = stop
+        # Should no grant follow, a probe still waiting is sent in its report
+        # cycle, behind every byte granted: each window's start then takes
+        # the place of the planned cycle's offset.  These starts are used
+        # only where the running grant last rose before the report cycle, so
+        # `granted` is already final here.
+        window += np.maximum(0.0, granted - before) / byte_rate_us
+        if rose:
+            k = int(np.searchsorted(cum_grants, granted, side="left"))
+            reached = (start + k, float(window[k]))
         start = end
 
     # A running sum of grants that are not whole bytes can end a hair short of
     # the bytes queued; the probes behind every one of them wait for the last
     # grant, in its cycle or their later report cycle.
-    if answered < probe_times.size:
-        last, before, last_offset = reached
-        report_cycle = _report_cycles(probe_times[answered:], cycle)
-        late = answered + int(np.searchsorted(report_cycle, last, side="right"))
-        queueing[answered:late] = _grant_delays(
-            cycle, byte_rate_us, last, before, last_offset, granted,
-            report_cycle[:late - answered])
-        queueing[late:] = fallback[late:]
+    last, last_start = reached
+    report_cycle = report[answered:]
+    starts = np.where(report_cycle <= last, last_start, offset_bytes[report_cycle.astype(int)])
+    queueing[answered:] = starts - report_cycle * cycle
 
-    # report_cycle * cycle - probe_times, in place of the fallbacks.
-    dba_wait = np.divide(probe_times, cycle, out=fallback)
-    np.trunc(dba_wait, out=dba_wait)
-    dba_wait += 1.0
+    dba_wait = report                    # report_cycle * cycle - probe_times
     dba_wait *= cycle
     dba_wait -= probe_times
     return {

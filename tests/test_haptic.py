@@ -302,6 +302,12 @@ class TestForecaster:
             with pytest.raises(ParameterError):
                 run_forecaster(_trace(np.zeros((3, 5))), alpha, 0.05)
 
+    @pytest.mark.parametrize("epsilon", [0.0, -0.05, np.nan, np.inf])
+    def test_epsilon_must_be_finite_and_positive(self, epsilon):
+        # A NaN tolerance scored every step a miss, an infinite one every step a hit.
+        with pytest.raises(ParameterError, match="epsilon"):
+            run_forecaster(_trace(np.zeros((3, 5))), 0.5, epsilon)
+
     @pytest.mark.parametrize("initial", [np.zeros(4), np.full(5, np.nan), np.zeros((5, 1))])
     def test_initial_estimate_must_be_a_finite_five_vector(self, initial):
         with pytest.raises(ParameterError):
@@ -644,3 +650,10 @@ class TestOptimizeAlpha:
         trace = profiling_trace(BALL, 200, seed=1)
         with pytest.raises(ParameterError):
             optimize_alpha(trace, [0.0, 0.5], 0.05)
+
+    @pytest.mark.parametrize("epsilon", [np.nan, np.inf])
+    def test_rejects_non_finite_epsilon(self, epsilon):
+        # With a NaN tolerance every alpha scored 0 and the smallest was returned.
+        trace = profiling_trace(BALL, 200, seed=1)
+        with pytest.raises(ParameterError, match="epsilon"):
+            optimize_alpha(trace, [0.1, 0.5], epsilon)

@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import math
 import tracemalloc
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -59,6 +60,18 @@ class TestElementaryDelays:
         with pytest.raises(ParameterError):
             transmission_time(0, 1e9)
 
+    @pytest.mark.parametrize("nbytes,rate", [(128, math.inf), (128, math.nan), (math.inf, 1e9),
+                                             (math.nan, 1e9)])
+    def test_transmission_rejects_non_finite(self, nbytes, rate):
+        with pytest.raises(ParameterError, match="finite"):
+            transmission_time(nbytes, rate)
+
+    @pytest.mark.parametrize("km,per_km", [(math.nan, 5.0), (math.inf, 5.0), (20.0, math.inf),
+                                           (20.0, math.nan)])
+    def test_propagation_rejects_non_finite(self, km, per_km):
+        with pytest.raises(ParameterError, match="finite"):
+            propagation_delay(km, per_km)
+
 
 class TestKingman:
     def test_empty_system(self):
@@ -75,6 +88,12 @@ class TestKingman:
     def test_negative_rho(self):
         with pytest.raises(ParameterError):
             kingman_wait(-0.1, 1.0, 1.0, 10.0)
+
+    @pytest.mark.parametrize("args", [(math.nan, 1.0, 1.0, 10.0), (0.5, math.inf, 1.0, 10.0),
+                                      (0.5, 1.0, math.nan, 10.0), (0.5, 1.0, 1.0, math.inf)])
+    def test_rejects_non_finite(self, args):
+        with pytest.raises(ParameterError, match="finite"):
+            kingman_wait(*args)
 
     def test_gpd_fed_deterministic_queue_cross_validation(self):
         """Kingman vs a simulated G/D/1 queue fed by GPD arrivals at rho=0.8.
@@ -557,6 +576,57 @@ class TestStreamedBackground:
 _CYCLE_CHUNKS = [1, 7, 1000, pon.CHUNK_CYCLES]
 
 
+def _md1_workload_cdf(x, rho):
+    """P(V <= x) for the M/D/1 workload V, in units of the service time.
+
+    Erlang's formula, (1 - rho) * sum over k <= x of (rho (k - x))^k / k!
+    * exp(-rho (k - x)), is the law of Benes: a Geometric(rho) count of
+    Uniform(0, 1) residuals.  Its terms cancel heavily, so it is summed in
+    80-digit decimals.
+    """
+    with localcontext() as context:
+        context.prec = 80
+        r, x = Decimal(rho), Decimal(x)
+        total = sum((r * (k - x)) ** k / math.factorial(k) * (r * (x - k)).exp()
+                    for k in range(int(x) + 1))
+        return float((1 - r) * total)
+
+
+def _md1_workload_quantile(q, rho):
+    lo, hi = 0.0, 1.0
+    while _md1_workload_cdf(hi, rho) < q:
+        lo, hi = hi, 2.0 * hi
+    for _ in range(50):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if _md1_workload_cdf(mid, rho) < q else (lo, mid)
+    return hi
+
+
+class TestDownstreamLaw:
+    @pytest.mark.parametrize("rho", [0.1, 0.5, 0.9, 0.95])
+    def test_probe_queueing_follows_the_md1_workload(self, rho):
+        # A probe's queueing is the FIFO's workload at its instant.  Per seed:
+        # P(V = 0), the mean and the 95th and 99th percentiles, in services,
+        # from 4,000 probes 1 ms apart after a 10 ms warm-up.  Probes that
+        # close are correlated near saturation, so the standard errors come
+        # from the spread over seeds.
+        cfg, seeds = PonConfig(), range(1, 9)
+        service = transmission_time(cfg.background_packet_bytes, cfg.downstream_rate_bps)
+        probes = 1000.0 * np.arange(10, 4010)
+        per_seed = []
+        for seed in seeds:
+            queueing = pon._downstream_leg(cfg, LoadPoint(rho), probes,
+                                           pon._spawn_rngs(seed, 1)[0])["queueing"] / service
+            per_seed.append([np.mean(queueing == 0.0), queueing.mean(),
+                             *np.quantile(queueing, [0.95, 0.99])])
+        per_seed = np.array(per_seed)
+        exact = [1.0 - rho, rho / (2.0 * (1.0 - rho)),
+                 _md1_workload_quantile(0.95, rho), _md1_workload_quantile(0.99, rho)]
+        stderr = per_seed.std(axis=0, ddof=1) / math.sqrt(len(seeds))
+        z = (per_seed.mean(axis=0) - exact) / stderr
+        assert np.all(np.abs(z) <= 5.0), z
+
+
 @functools.cache
 def _upstream_peak(n_loops):
     """The tracemalloc peak of one rho 0.9 upstream leg, its cycles and its probes."""
@@ -694,7 +764,7 @@ class TestStreamedUpstream:
         times = _whole_array_upstream(cfg, load, probes, pon._spawn_rngs(seed, 1)[0])[2]
         bg_bytes = cfg.background_packet_bytes
         cap = Fraction(cfg.upstream_rate_bps) * Fraction(cycle) / (8 * 10**6 * cfg.split_ratio)
-        report_cycle = pon._report_cycles(probes, cycle)
+        report_cycle = (probes / cycle).astype(int) + 1
         arrived = np.bincount((times / cycle).astype(int), minlength=int(report_cycle[-1]) + 1)
         backlog, granted, cum_grants = Fraction(0), Fraction(0), []
         for count in arrived.tolist():
@@ -1158,3 +1228,11 @@ class TestRecordInvariants:
             PonConfig(span_km=-1.0)
         with pytest.raises(ParameterError):
             PonConfig(downstream_rate_bps=0.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(PonConfig)])
+    def test_config_rejects_non_finite_fields_by_name(self, name, value):
+        # So no scenario is built on one: an infinite span or per-km delay
+        # passed, and an infinite wireless hop overflowed the event budget.
+        with pytest.raises(ParameterError, match=f"{name} must be finite"):
+            PonConfig(**{name: value})
