@@ -72,6 +72,17 @@ class ScenarioConfig:
             raise ConfigError(f"n_loops must be >= 10, got {self.n_loops}")
         if not (np.isfinite(self.deadline_us) and self.deadline_us > 0):
             raise ConfigError(f"deadline_us must be finite and > 0, got {self.deadline_us}")
+        # A PON leg crosses pon.span_km once; a sweep point sums up to four
+        # crossings of a grid span over every pooled loop.
+        crossings = 4 * self.n_loops * len(self.seeds)
+        spans = [("pon.span_km", self.pon.span_km, 1)]
+        spans += [("span_grid_km", span, crossings) for span in self.span_grid_km]
+        for name, span, count in spans:
+            try:
+                pon.propagation_delay(span * count, self.pon.fiber_delay_us_per_km)
+            except ParameterError as exc:
+                raise ConfigError(f"{name} value {span} overflows the propagation delay "
+                                  f"of {count} fiber crossings") from exc
         # The heaviest unsaturated load draws the most background.
         unsaturated = [rho for rho in self.load_grid if rho < 1.0]
         if unsaturated:
@@ -239,7 +250,7 @@ def _accuracy_decay_curve(config: ScenarioConfig, mode: str, seed: int) -> list[
         else:
             estimate, _ = coordination._warm_start(registry, profile, mode, glad_cfg)
         start = m * add_every
-        hits[start:, m], _ = haptic._forecast(
+        hits[start:, m] = haptic._forecast_hits(
             x[:total_iters - start], glad_cfg.onboarding_alpha, glad_cfg.epsilon, estimate
         )
         present[start:, m] = True

@@ -10,12 +10,26 @@ The forecaster is the constant-step-size recency-weighted estimator
     estimate <- estimate + alpha * (observed - estimate)
 applied elementwise to the five-finger amplitude vector, over a whole trace
 at once.  It is the first-order recursion y <- (1 - alpha) * y + alpha * x,
-and `_first_order` is the one kernel that runs it, for the forecaster and
-for the AR(1) noise behind sessions and profiling traces.  The kernel steps
-in Python floats, one list comprehension per column, because they round
-each product and sum as numpy's elementwise operations do and so keep the
-report bytes; see its docstring.  Sessions and traces are columns,
-validated once, not one object per sample.
+and two routes evaluate it:
+
+* States come only from `_first_order`, the exact kernel: the forecaster's
+  final estimates (`_forecast`) and the AR(1) noise behind sessions and
+  profiling traces.  It steps in Python floats, one list comprehension per
+  column, because they round each product and sum as numpy's elementwise
+  operations do and so keep the report bytes; see its docstring.
+* Hit decisions come from `_forecast_hits`: `run_forecaster`, and through
+  it `optimize_alpha` and `onboard_machine`, and the accuracy-decay curve.
+  It evaluates the recursion in blocks of B = ceil(sqrt(n)) steps, all
+  blocks at once.  Bounding the rounding error of that pass and of the
+  exact one (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3)
+  shows that a row's max-norm forecast error differs between them by less
+  than delta = 16 u M (n + 2B + 2), with u = 2^-53 and M = max(1,
+  |estimate|_inf).  A row whose blocked error lies farther than delta from
+  epsilon is therefore decided as the exact pass decides it; if any row
+  lies within delta, the call returns the exact pass's hits.  So the hits,
+  and every report byte, are the exact kernel's.
+
+Sessions and traces are columns, validated once, not one object per sample.
 """
 
 from __future__ import annotations
@@ -236,6 +250,10 @@ def _feedback(profile: ObjectProfile, dist: np.ndarray, t_us: np.ndarray) -> np.
 
 def _first_order(c: float, u: np.ndarray, y0) -> np.ndarray:
     """y[0] = y0, y[k+1] = c * y[k] + u[k], per column of `u`: the n + 1 values of y.
+
+    The one producer of recursion states: forecaster estimates and AR(1)
+    noise.  Hit decisions take the blocked pass of `_forecast_hits`, whose
+    values are close to these but not bit-equal.
 
     `u` is (n,) or (n, k) and `y0` a scalar or a k-vector; the result has
     the shape of `u` with one more row.  Each column runs as a list
@@ -470,6 +488,95 @@ def _forecast(x: np.ndarray, alpha: float, epsilon: float,
     return _hits(y[:-1], x, epsilon), y[-1]
 
 
+# Unit roundoff of a double: every rounded operation has relative error <= u.
+UNIT_ROUNDOFF = 2.0**-53
+
+
+def _blocks(a: np.ndarray) -> np.ndarray:
+    """(n, k) rows as zero-padded blocks of B = ceil(sqrt(n)) rows (1 if n is
+    0), laid out (B, k, blocks) so that [i, j, b] is row b * B + i, column j,
+    and step i of every block is one contiguous row."""
+    n, k = a.shape
+    block = math.isqrt(n - 1) + 1 if n else 1
+    blocks = -(-n // block)
+    padded = np.zeros((blocks * block, k))
+    padded[:n] = a
+    return np.ascontiguousarray(padded.reshape(blocks, block, k).transpose(1, 2, 0))
+
+
+def _blocked_first_order(c: float, u: np.ndarray, y0: np.ndarray) -> np.ndarray:
+    """`_first_order(c, u, y0)[:-1]` approximately, for u in `_blocks` layout
+    (B, k, blocks), and in that layout.
+
+    Every block's zero-start response z[i, b] (z[0] = 0, z[i + 1] =
+    c * z[i] + u[i]) is stepped for all blocks at once: B elementwise steps
+    in all.  The block starts s[b] = y[b * B] follow from s[b + 1] =
+    c^B * s[b] + z[B, b], one `_first_order` pass over the blocks, and
+    y[b * B + i] = z[i, b] + c^i * s[b], with the powers of c from a
+    `cumprod`.  Only elementwise numpy operations run, so the values depend
+    on no thread count or FMA; but they are not the kernel's bits.
+    """
+    block = u.shape[0]
+    z = np.empty((block + 1, *u.shape[1:]))
+    z[0] = 0.0
+    prev = z[0]
+    for row, step in zip(z[1:], u):
+        np.multiply(prev, c, out=row)
+        row += step
+        prev = row
+    powers = np.cumprod(np.concatenate(([1.0], np.full(block, c))))
+    starts = _first_order(powers[block], z[block].T, y0)[:-1]
+    return z[:block] + powers[:block, None, None] * starts.T
+
+
+def _hit_margin(n: int, block: int, scale: float) -> float:
+    """A bound on |m_blocked - m_exact| for the row max-norm errors m of
+    `_forecast_hits`, with `scale` = max(1, max |estimate|); see there."""
+    return 16.0 * UNIT_ROUNDOFF * scale * (n + 2 * block + 2)
+
+
+def _forecast_hits(x: np.ndarray, alpha: float, epsilon: float,
+                   estimate: np.ndarray) -> np.ndarray:
+    """Exactly `_forecast(x, alpha, epsilon, estimate)[0]`, from the blocked pass.
+
+    The blocked pass approximates the exact float recursion, so each row's
+    max-norm error m^ = max |y^ - x| is decided against `epsilon` only when
+    it lies farther than the margin delta from it; if any row does not, the
+    whole call returns the exact pass's hits.
+
+    The margin.  Let u = 2^-53, c = fl(1 - alpha) in [0, 1], v = fl(alpha x)
+    in [0, alpha] (x lies in [0, 1]), M = max(1, |estimate|_inf), B the
+    block length and N = ceil(n / B) <= B the block count.  Since
+    c + alpha <= 1 + u, the real recursion Y[k+1] = c Y[k] + v[k] from the
+    estimate stays within M (1 + u)^n, and for n < 2^40 every value either
+    pass computes stays within K = 2M (by induction on the bounds below).
+    A step fl(fl(c y) + v) is c y + v plus at most u K + u (1 + u)^2 K
+    <= 2.01 u K, and since c <= 1 such errors add without growth:
+      * the exact pass is within 2.01 u K n of Y;
+      * each zero-start z[b, i] is within 2.01 u K B of its real value;
+      * the cumprod power p_i <= 1 is within 1.01 B u of c^i (gamma_{i-1});
+      * a block start adds per block at most 1.01 B u K for p_B,
+        2.01 B u K for z[b, B] and 3 u K for its two roundings, so it is
+        within N u K (3.02 B + 3) of Y;
+      * a value z + fl(p_i s) adds 2.01 B u K, 1.01 B u K and 3 u K.
+    So the passes differ by at most u K (5.03 n + 6.04 B + 3 N + 3), using
+    N B < n + B.  Rounding |y - x| in each adds u |y - x| <= 2 u K, and a
+    row max moves no more than its largest entry, so the two m differ by at
+    most 2 u M (5.03 n + 6.04 B + 3 N + 7) < 16 u M (n + 2B + 2) = delta.
+    The slack absorbs underflow (at most 2^-1075 per operation) and the
+    rounding of delta and of the test itself.  Then m^ < epsilon - delta
+    makes the exact row a hit and m^ > epsilon + delta a miss.
+    """
+    n = x.shape[0]
+    xb = _blocks(x)
+    y = _blocked_first_order(1.0 - alpha, alpha * xb, estimate)
+    worst = np.abs(y - xb).max(axis=1).T.reshape(-1)[:n]
+    delta = _hit_margin(n, xb.shape[0], max(1.0, float(np.abs(estimate).max())))
+    if np.any(np.abs(worst - epsilon) <= delta):
+        return _forecast(x, alpha, epsilon, estimate)[0]
+    return worst < epsilon
+
+
 def run_forecaster(trace: HapticTrace, alpha: float, epsilon: float,
                    initial_estimate=None) -> np.ndarray:
     """Forecast-then-update over a haptic trace; returns the per-step hit flags.
@@ -484,8 +591,7 @@ def run_forecaster(trace: HapticTrace, alpha: float, epsilon: float,
         raise ParameterError(f"alpha must lie in (0, 1], got {alpha}")
     initial = (np.zeros(N_FINGERS) if initial_estimate is None
                else _vector(initial_estimate, N_FINGERS, "initial_estimate"))
-    hits, _ = _forecast(trace.amplitude, alpha, epsilon, initial)
-    return hits
+    return _forecast_hits(trace.amplitude, alpha, epsilon, initial)
 
 
 def estimate_tau(haptic_trace: HapticTrace) -> float:

@@ -24,6 +24,7 @@ with each mode's fiber leg count, and a span adds legs x span x per-km delay.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -90,6 +91,8 @@ class PonConfig:
         for f in fields(self):
             if not math.isfinite(getattr(self, f.name)):
                 raise ParameterError(f"{f.name} must be finite, got {getattr(self, f.name)}")
+        if isinstance(self.split_ratio, bool) or not isinstance(self.split_ratio, numbers.Integral):
+            raise ParameterError(f"split_ratio must be an integer, got {self.split_ratio!r}")
         positive = (
             "downstream_rate_bps",
             "upstream_rate_bps",
@@ -128,7 +131,10 @@ def propagation_delay(distance_km: float, per_km_us: float) -> float:
         raise ParameterError(f"distance must be finite and >= 0, got {distance_km}")
     if not (math.isfinite(per_km_us) and per_km_us > 0):
         raise ParameterError(f"per-km delay must be finite and > 0, got {per_km_us}")
-    return distance_km * per_km_us
+    delay = distance_km * per_km_us
+    if not math.isfinite(delay):
+        raise ParameterError(f"propagation over {distance_km} km at {per_km_us} us/km overflows")
+    return delay
 
 
 def transmission_time(nbytes: int, rate_bps: float) -> float:

@@ -230,6 +230,19 @@ class TestCli:
         assert key in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("section,key,field", [
+        ("grid", "spans_km", "span_grid_km"), ("pon", "span_km", "span_km"),
+    ])
+    def test_overflowing_span_exits_one(self, tmp_path, capsys, section, key, field):
+        # 1e308 km at 5 us/km is finite, but its propagation delay is not.
+        bad = tmp_path / "far.cfg"
+        bad.write_text(f"[{section}]\n{key} = 1e308\n")
+        code = main(["latency-sweep", "--config", str(bad), "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert field in err and "overflows" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_negative_seed_option_exits_one(self, tmp_path, capsys):
         code = main(["latency-sweep", "--out", str(tmp_path / "out"), "--seed", "-3"])
         assert code == 1

@@ -69,6 +69,11 @@ class TestScenarioConfig:
         dict(load_grid=(0.5, math.inf)),
         dict(span_grid_km=(math.inf,)),
         dict(span_grid_km=(10.0, math.nan)),
+        # Spans whose propagation, or its sum over a point's pooled loops,
+        # overflows: the sweep wrote inf means and nan percentiles.
+        dict(span_grid_km=(1e308,)),
+        dict(span_grid_km=(10.0, 1e303)),
+        dict(pon=pon.PonConfig(span_km=1e308)),
         dict(deadline_us=math.nan),
         dict(deadline_us=math.inf),
     ])

@@ -9,6 +9,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from gladsim import haptic
 from gladsim.errors import (
     DegenerateDataError,
     InsufficientDataError,
@@ -20,9 +21,13 @@ from gladsim.haptic import (
     HapticTrace,
     ObjectKind,
     ObjectProfile,
+    _blocked_first_order,
+    _blocks,
     _feedback,
     _first_order,
     _forecast,
+    _forecast_hits,
+    _hit_margin,
     _hits,
     _smooth_noise,
     estimate_tau,
@@ -474,6 +479,94 @@ class TestProfilingTraceArguments:
     def test_hold_fraction_bounds_are_accepted(self, hold):
         trace = profiling_trace(BALL, 10, seed=1, hold_fraction=hold, wobble=0.0)
         assert len(trace) == 10
+
+
+@st.composite
+def _hit_pass_inputs(draw):
+    """(x, alpha, epsilon, estimate) for the hit pass, x in [0, 1].
+
+    Rows are uniform, or multiples of 1/8, where at alpha 0.5 many forecast
+    errors equal epsilon exactly and the exact pass must decide them.
+    """
+    n = draw(st.one_of(st.sampled_from([0, 1, 2, 3, 4, 5]), st.integers(0, 5000)))
+    rng = np.random.Generator(np.random.PCG64(draw(st.integers(0, 2**32 - 1))))
+    x = rng.random((n, 5))
+    if draw(st.booleans()):
+        x = np.floor(x * 9.0) / 8.0
+    alpha = draw(st.one_of(st.sampled_from([1.0, 1e-6, 0.5, 0.0055]),
+                           st.floats(0.0, 1.0, exclude_min=True)))
+    epsilon = draw(st.one_of(st.sampled_from([0.01, 0.05, 0.125, 0.5]),
+                             st.floats(1e-3, 1.5)))
+    estimate = draw(st.one_of(
+        arrays(np.float64, 5, elements=_unit_floats),
+        arrays(np.float64, 5, elements=st.floats(-4.0, 4.0)),
+        arrays(np.float64, 5, elements=st.integers(-16, 16).map(lambda i: i / 8)),
+    ))
+    return x, alpha, epsilon, estimate
+
+
+def _unblocked(y, n):
+    """`_blocks` layout back to its first n rows."""
+    return y.transpose(2, 0, 1).reshape(-1, y.shape[1])[:n]
+
+
+class TestHitPass:
+    @given(inputs=_hit_pass_inputs())
+    @example(inputs=(np.full((3, 5), 0.45), 0.5, 0.5 - 0.45, np.full(5, 0.5)))
+    @example(inputs=(np.zeros((0, 5)), 1.0, 0.05, np.zeros(5)))
+    def test_same_hits_as_the_exact_pass(self, inputs):
+        x, alpha, epsilon, estimate = inputs
+        hits = _forecast_hits(x, alpha, epsilon, estimate)
+        assert hits.dtype == bool
+        assert np.array_equal(hits, _forecast(x, alpha, epsilon, estimate)[0])
+
+    def test_exact_tie_takes_the_exact_pass(self, monkeypatch):
+        # The first forecast error is 0.5 - 0.45, which is epsilon exactly:
+        # no margin can decide it, so the whole call runs the exact pass.
+        x = np.vstack([np.full((1, 5), 0.45),
+                       np.random.Generator(np.random.PCG64(3)).random((400, 5))])
+        estimate = np.full(5, 0.5)
+        epsilon = 0.5 - 0.45
+        expected = _forecast(x, 0.3, epsilon, estimate)[0]
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _forecast(*args)
+
+        monkeypatch.setattr(haptic, "_forecast", counted)
+        hits = _forecast_hits(x, 0.3, epsilon, estimate)
+        assert len(calls) == 1
+        assert hits[0] and np.array_equal(hits, expected)
+
+    def test_clear_rows_skip_the_exact_pass(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("the exact pass ran")
+
+        x = profiling_trace(BALL, 4000, seed=21).amplitude
+        expected = _forecast(x, 0.05, 0.05, np.zeros(5))[0]
+        monkeypatch.setattr(haptic, "_forecast", never)
+        assert np.array_equal(_forecast_hits(x, 0.05, 0.05, np.zeros(5)), expected)
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 17, 999, 4000, 5000])
+    @pytest.mark.parametrize("alpha", [1.0, 0.999, 0.3, 0.0055, 1e-6])
+    def test_blocked_values_lie_far_inside_the_margin(self, n, alpha):
+        rng = np.random.Generator(np.random.PCG64(n))
+        x = rng.random((n, 5))
+        for estimate in (np.zeros(5), rng.random(5), rng.uniform(-4.0, 4.0, 5)):
+            xb = _blocks(x)
+            blocked = _unblocked(_blocked_first_order(1.0 - alpha, alpha * xb, estimate), n)
+            exact = _first_order(1.0 - alpha, alpha * x, estimate)[:-1]
+            delta = _hit_margin(n, xb.shape[0], max(1.0, float(np.abs(estimate).max())))
+            assert np.max(np.abs(blocked - exact)) <= delta / 20
+
+    @pytest.mark.parametrize("n,block", [(0, 1), (1, 1), (2, 2), (4, 2), (5, 3), (4000, 64)])
+    def test_blocks_of_about_sqrt_n_rows(self, n, block):
+        x = np.arange(5.0 * n).reshape(n, 5)
+        xb = _blocks(x)
+        assert xb.shape[0] == block
+        np.testing.assert_array_equal(_unblocked(xb, n), x)
+        assert not xb.transpose(2, 0, 1).reshape(-1, 5)[n:].any()
 
 
 def _first_order_accumulate(c, u, y0):

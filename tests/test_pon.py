@@ -72,6 +72,12 @@ class TestElementaryDelays:
         with pytest.raises(ParameterError, match="finite"):
             propagation_delay(km, per_km)
 
+    def test_propagation_rejects_overflow(self):
+        # A finite span whose delay overflowed gave inf means in a sweep.
+        assert propagation_delay(1e307, 5.0) == 5e307
+        with pytest.raises(ParameterError, match="overflows"):
+            propagation_delay(1e308, 5.0)
+
 
 class TestKingman:
     def test_empty_system(self):
@@ -1228,6 +1234,15 @@ class TestRecordInvariants:
             PonConfig(span_km=-1.0)
         with pytest.raises(ParameterError):
             PonConfig(downstream_rate_bps=0.0)
+
+    @pytest.mark.parametrize("value", [2.5, 16.0, True, False])
+    def test_split_ratio_must_be_an_integer(self, value):
+        # A float split built and then failed inside range() in the upstream leg.
+        with pytest.raises(ParameterError, match="split_ratio must be an integer"):
+            PonConfig(split_ratio=value)
+
+    def test_numpy_integer_split_ratio_accepted(self):
+        assert PonConfig(split_ratio=np.int64(8)).split_ratio == 8
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(PonConfig)])
