@@ -3,17 +3,19 @@
 Local AIs (one per central office) serve several machines/robots, each with
 its own feedback forecaster.  After profiling an object, a Local AI uploads
 the forecaster's profile to a global registry keyed by a quantized object
-descriptor; the registry aggregates uploads per descriptor by sample-count
-weighted averaging.  Onboarding a new machine either starts the forecaster
-from zero (cold) or warm-starts it from the best matching aggregated profile
-(glad mode), falling back to cold when nothing matches.
+descriptor; each upload folds into the one profile the registry holds for its
+descriptor, a sample-count weighted mean.  Onboarding a new machine either
+starts the forecaster from zero (cold) or warm-starts it from the best
+matching profile (glad mode), falling back to cold when nothing matches.
 
-Every registry mutation bumps its version.  Onboarding only reads the
-registry: its result carries the trained estimate, which the caller uploads.
+Onboarding only reads the registry: its result carries the trained estimate,
+which the caller uploads.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +68,13 @@ _POOL_TEXTURE_HZ = (10.0, 85.0, 160.0, 235.0)  # bands 0, 3, 6, 9
 POOL_CAPACITY = len(_POOL_KINDS) * len(_POOL_STIFFNESS) * len(_POOL_TEXTURE_HZ)
 
 
+def _integer(name: str, value) -> int:
+    """`value` as a Python int; a bool or a non-integer raises ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class GladParams:
     """Learning-side knobs of the onboarding and forecasting studies.
@@ -92,6 +101,12 @@ class GladParams:
     machines_grid: tuple[int, ...] = (1, 2, 4, 8)
 
     def __post_init__(self):
+        for name in ("window", "total_machines", "local_ais", "add_every", "additions",
+                     "quant_bands", "profiling_samples", "min_updates_for_upload",
+                     "kind_pool_size"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        object.__setattr__(self, "machines_grid",
+                           tuple(_integer("machines_grid", m) for m in self.machines_grid))
         minimums = {"window": 1, "total_machines": 2, "local_ais": 1, "add_every": 1,
                     "additions": 0, "quant_bands": 2,
                     "profiling_samples": MIN_ONBOARDING_SAMPLES}
@@ -105,8 +120,8 @@ class GladParams:
             raise ConfigError(f"kind_pool_size must lie in [1, {POOL_CAPACITY}], "
                               f"got {self.kind_pool_size}")
         for name in ("epsilon", "texture_freq_max_hz"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
+            if not (math.isfinite(getattr(self, name)) and getattr(self, name) > 0):
+                raise ConfigError(f"{name} must be finite and > 0, got {getattr(self, name)}")
         if not 0.0 < self.onboarding_alpha <= 1.0:
             raise ConfigError(f"onboarding_alpha must lie in (0, 1], got {self.onboarding_alpha}")
         if not 0.0 < self.match_threshold <= 1.0:
@@ -117,6 +132,10 @@ class GladParams:
             raise ConfigError(f"alpha_grid must be nonempty in (0, 1], got {self.alpha_grid}")
         if not self.machines_grid or min(self.machines_grid) < 1:
             raise ConfigError(f"machines_grid must be nonempty and >= 1, got {self.machines_grid}")
+        for name in ("alpha_grid", "machines_grid"):
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise ConfigError(f"{name} must not repeat a value, got {values}")
 
 
 def descriptor_of(profile: ObjectProfile, glad: GladParams = GladParams()) -> Descriptor:
@@ -137,7 +156,7 @@ def similarity(a: Descriptor, b: Descriptor, glad: GladParams = GladParams()) ->
 
 @dataclass(frozen=True)
 class ProfileRecord:
-    """One uploaded (or aggregated) forecaster profile."""
+    """One uploaded (or merged) forecaster profile."""
 
     descriptor: Descriptor
     profile_estimate: np.ndarray
@@ -156,48 +175,28 @@ class ProfileRecord:
 
 
 class GlobalRegistry:
-    """Cloud-side profile store; every mutation bumps the version."""
+    """Cloud-side profile store: one count-weighted profile per descriptor."""
 
     def __init__(self):
-        self._records: dict[Descriptor, list[ProfileRecord]] = {}
-        self._version = 0
-
-    @property
-    def version(self) -> int:
-        return self._version
-
-    def __len__(self) -> int:
-        return sum(len(v) for v in self._records.values())
-
-    def records_for(self, descriptor: Descriptor) -> tuple[ProfileRecord, ...]:
-        return tuple(self._records.get(descriptor, ()))
+        self._records: dict[Descriptor, ProfileRecord] = {}
 
     def all_records(self) -> list[ProfileRecord]:
-        return [r for recs in self._records.values() for r in recs]
+        return list(self._records.values())
 
-    def add_record(self, record: ProfileRecord) -> int:
-        self._records.setdefault(record.descriptor, []).append(record)
-        self._version += 1
-        return self._version
-
-    def aggregate(self) -> int:
-        """Collapse each descriptor's records into one count-weighted mean."""
-        if not self._records:
-            raise ParameterError("registry is empty; nothing to aggregate")
-        for descriptor, records in self._records.items():
-            if len(records) <= 1:
-                continue
-            counts = np.array([r.sample_count for r in records], dtype=float)
-            estimates = np.array([r.profile_estimate for r in records])
-            merged = ProfileRecord(
-                descriptor=descriptor,
+    def add_record(self, record: ProfileRecord) -> ProfileRecord:
+        """Fold `record` into its descriptor's profile; returns the held profile."""
+        held = self._records.get(record.descriptor)
+        if held is not None:
+            counts = np.array([held.sample_count, record.sample_count], dtype=float)
+            estimates = np.array([held.profile_estimate, record.profile_estimate])
+            record = ProfileRecord(
+                descriptor=record.descriptor,
                 profile_estimate=counts @ estimates / counts.sum(),
                 sample_count=int(counts.sum()),
                 source_local_ai="global",
             )
-            self._records[descriptor] = [merged]
-        self._version += 1
-        return self._version
+        self._records[record.descriptor] = record
+        return record
 
 
 def match_profile(registry: GlobalRegistry, descriptor: Descriptor, *,
@@ -234,8 +233,8 @@ class OnboardResult:
 
 def upload_profile(registry: GlobalRegistry, profile: ObjectProfile,
                    result: OnboardResult, *, source: str,
-                   glad: GladParams = GladParams()) -> int:
-    """Publish one machine's trained profile; returns the new registry version.
+                   glad: GladParams = GladParams()) -> ProfileRecord:
+    """Fold one machine's trained profile into the registry; returns the held profile.
 
     `source` names the uploading Local AI.
     """
@@ -356,8 +355,8 @@ def run_savings_sweep(glad: GladParams, seed: int) -> list[tuple[int, float]]:
     a time, round-robin across the Local AIs.  Each onboarding runs both modes
     on the same trace, uploads the glad machine's profile (its
     `profiling_samples` updates meet `min_updates_for_upload`, which
-    `GladParams` checks) and re-aggregates the registry.  Returns the running
-    mean of saved_pct after each machine.
+    `GladParams` checks) into the registry.  Returns the running mean of
+    saved_pct after each machine.
     """
     pool = make_profile_pool(glad.kind_pool_size)
     registry = GlobalRegistry()
@@ -374,6 +373,5 @@ def run_savings_sweep(glad: GladParams, seed: int) -> list[tuple[int, float]]:
         saved.append(training_time_saved(cold.iterations, warm.iterations))
 
         upload_profile(registry, profile, warm, source=f"co-{m % glad.local_ais}", glad=glad)
-        registry.aggregate()
         curve.append((m + 1, float(np.mean(saved))))
     return curve

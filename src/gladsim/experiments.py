@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import coordination, haptic, pon
-from .coordination import GladParams
+from .coordination import GladParams, _integer
 from .errors import ConfigError, ParameterError, ResourceLimitError, SaturationError
 from .pon import NO_AI, WITH_AI
 from .traffic import CONTROL_TRAFFIC_DEFAULT, GpdParams
@@ -54,6 +54,8 @@ class ScenarioConfig:
     deadline_us: float = 1000.0
 
     def __post_init__(self):
+        object.__setattr__(self, "n_loops", _integer("n_loops", self.n_loops))
+        object.__setattr__(self, "seeds", tuple(_integer("seeds", s) for s in self.seeds))
         for name in ("load_grid", "span_grid_km", "seeds"):
             values = getattr(self, name)
             if not values:

@@ -101,7 +101,6 @@ def _check_onboarding_pair() -> None:
     trace0 = haptic.profiling_trace(profile, 2000, 77)
     donor = coordination.onboard_machine(profile, registry, "cold", trace0)
     coordination.upload_profile(registry, profile, donor, source="co-0")
-    registry.aggregate()
 
     trace = haptic.profiling_trace(profile, 2000, 78)
     cold = coordination.onboard_machine(profile, registry, "cold", trace)

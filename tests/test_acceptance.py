@@ -2,8 +2,9 @@
 
 Each test prints a single `ACCEPTANCE <n> PASS|FAIL` line (visible with
 `pytest -s tests/test_acceptance.py`) and pins the tolerance stated for the
-criterion.  Run order matters only for wall-clock: the latency criteria share
-one set of per-(load, seed) leg simulations through a module fixture.
+criterion.  Only criterion 3 uses the module fixture `span_zero_means`, the
+default grid's per-(load, seed) leg simulations; criteria 1 and 2 run their
+own sweeps.
 """
 
 import contextlib
@@ -160,7 +161,6 @@ def test_criterion_7_training_time_saved_calibration():
             donor = coordination.onboard_machine(profile, registry, coordination.COLD,
                                                  donor_trace)
             coordination.upload_profile(registry, profile, donor, source="donor")
-            registry.aggregate()
 
             trace = haptic.profiling_trace(profile, 4000, seed)
             cold = coordination.onboard_machine(

@@ -185,7 +185,8 @@ class TestCli:
         ("quant_bands", "1"), ("texture_freq_max_hz", "0"), ("match_threshold", "1.5"),
         ("additions", "-1"), ("epsilon", "0"), ("onboarding_alpha", "1.5"),
         ("accuracy_target", "0"), ("alpha_grid", "0.5, 1.2"), ("alpha_grid", ""),
-        ("machines_grid", ""), ("machines_grid", "0, 2"),
+        ("machines_grid", ""), ("machines_grid", "0, 2"), ("machines_grid", "1, 1"),
+        ("alpha_grid", "0.5, 0.5"),
         ("accuracy_target", "1.0"), ("total_machines", "1"), ("kind_pool_size", "0"),
         ("kind_pool_size", str(POOL_CAPACITY + 1)),
         ("profiling_samples", str(MIN_ONBOARDING_SAMPLES - 1)),

@@ -1,5 +1,7 @@
 """Tests for the global registry, profile matching and onboarding protocol."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -76,12 +78,11 @@ def _trained(updates=500):
 
 
 class TestRegistry:
-    def test_upload_appends_and_bumps_version(self):
+    def test_upload_returns_the_held_record(self):
         registry = GlobalRegistry()
-        version = upload_profile(registry, BALL, _trained(), source="co-1")
-        assert version == 1
-        assert registry.version == 1
-        (record,) = registry.records_for(descriptor_of(BALL))
+        record = upload_profile(registry, BALL, _trained(), source="co-1")
+        assert registry.all_records() == [record]
+        assert record.descriptor == descriptor_of(BALL)
         np.testing.assert_array_equal(record.profile_estimate, np.full(5, 0.4))
         assert record.sample_count == 500
         assert record.source_local_ai == "co-1"
@@ -90,88 +91,78 @@ class TestRegistry:
         registry = GlobalRegistry()
         with pytest.raises(NotReadyError):
             upload_profile(registry, BALL, _trained(updates=0), source="co-1")
-        upload_profile(registry, BALL, _trained(updates=99), source="co-1",
-                       glad=GladParams(min_updates_for_upload=99))
+        assert registry.all_records() == []
+        held = upload_profile(registry, BALL, _trained(updates=99), source="co-1",
+                              glad=GladParams(min_updates_for_upload=99))
         with pytest.raises(NotReadyError):
             upload_profile(registry, BALL, _trained(updates=99), source="co-1",
                            glad=GladParams(min_updates_for_upload=100))
-        assert registry.version == 1
-
-    def test_two_uploads_same_descriptor_both_retained(self):
-        registry = GlobalRegistry()
-        upload_profile(registry, BALL, _trained(), source="co-1")
-        upload_profile(registry, BALL, _trained(), source="co-1")
-        assert len(registry.records_for(descriptor_of(BALL))) == 2
-        assert registry.version == 2
+        assert registry.all_records() == [held]
+        assert held.sample_count == 99
 
     def test_upload_of_onboarded_machine(self):
         registry = GlobalRegistry()
         trace = profiling_trace(BALL, 800, seed=31)
         result = onboard_machine(BALL, registry, COLD, trace)
         upload_profile(registry, BALL, result, source="co-2")
-        (record,) = registry.records_for(descriptor_of(BALL))
+        (record,) = registry.all_records()
         np.testing.assert_array_equal(record.profile_estimate, result.profile_estimate)
         assert record.sample_count == 800
 
     def test_aggregate_single_record_identity(self):
         registry = GlobalRegistry()
-        registry.add_record(_record(0.4, 120))
-        registry.aggregate()
-        (rec,) = registry.records_for(descriptor_of(BALL))
-        np.testing.assert_array_equal(rec.profile_estimate, np.full(5, 0.4))
-        assert rec.sample_count == 120
+        record = _record(0.4, 120)
+        assert registry.add_record(record) is record
+        assert registry.all_records() == [record]
 
     def test_aggregate_weighted_mean(self):
         # (0.2 * 100 + 0.6 * 300) / 400 = 0.5
         registry = GlobalRegistry()
-        registry.add_record(_record(0.2, 100))
-        registry.add_record(_record(0.6, 300))
-        registry.aggregate()
-        (rec,) = registry.records_for(descriptor_of(BALL))
+        first, second = _record(0.2, 100), _record(0.6, 300, source="co-1")
+        registry.add_record(first)
+        rec = registry.add_record(second)
+        assert registry.all_records() == [rec]
+        counts = np.array([100.0, 300.0])
+        np.testing.assert_array_equal(
+            rec.profile_estimate,
+            counts @ np.array([first.profile_estimate, second.profile_estimate]) / counts.sum())
         np.testing.assert_allclose(rec.profile_estimate, 0.5)
         assert rec.sample_count == 400
+        assert rec.source_local_ai == "global"
 
     def test_aggregate_equal_weights_is_plain_mean(self):
         registry = GlobalRegistry()
         registry.add_record(_record(0.1, 50))
-        registry.add_record(_record(0.7, 50))
-        registry.aggregate()
-        (rec,) = registry.records_for(descriptor_of(BALL))
+        rec = registry.add_record(_record(0.7, 50))
         np.testing.assert_allclose(rec.profile_estimate, 0.4)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_aggregate_conservation_and_convex_hull(self, seed):
+        # A chain of uploads to one descriptor, folded one at a time.
         rng = np.random.Generator(np.random.PCG64(seed))
         registry = GlobalRegistry()
         estimates = rng.random((4, 5))
         counts = rng.integers(10, 500, size=4)
         for est, cnt in zip(estimates, counts):
-            registry.add_record(ProfileRecord(
+            rec = registry.add_record(ProfileRecord(
                 descriptor=descriptor_of(BALL),
                 profile_estimate=est,
                 sample_count=int(cnt),
                 source_local_ai="co-x",
             ))
-        registry.aggregate()
-        (rec,) = registry.records_for(descriptor_of(BALL))
+        assert registry.all_records() == [rec]
         assert rec.sample_count == int(counts.sum())
+        np.testing.assert_allclose(rec.profile_estimate, counts @ estimates / counts.sum())
         assert np.all(rec.profile_estimate >= estimates.min(axis=0) - 1e-12)
         assert np.all(rec.profile_estimate <= estimates.max(axis=0) + 1e-12)
 
-    def test_aggregate_empty_registry_rejected(self):
-        with pytest.raises(ParameterError):
-            GlobalRegistry().aggregate()
-
-    def test_version_strictly_increases(self):
+    def test_fold_leaves_other_descriptors_in_place(self):
         registry = GlobalRegistry()
-        versions = [registry.version]
-        registry.add_record(_record(0.3, 10))
-        versions.append(registry.version)
-        registry.add_record(_record(0.5, 20))
-        versions.append(registry.version)
-        registry.aggregate()
-        versions.append(registry.version)
-        assert versions == sorted(set(versions))
+        other = _record(0.3, 10, descriptor_of(_custom(0.05)))
+        registry.add_record(_record(0.2, 100))
+        registry.add_record(other)
+        rec = registry.add_record(_record(0.6, 300))
+        assert registry.all_records() == [rec, other]
 
     def test_match_empty_registry(self):
         record, sim = match_profile(GlobalRegistry(), descriptor_of(BALL))
@@ -195,7 +186,7 @@ class TestRegistry:
 
 class TestOnboarding:
     def _registry_with_signature(self, profile, trace_seed=901):
-        """Registry holding an aggregated record equal to the trace signature."""
+        """Registry holding one record equal to the trace signature."""
         trace = profiling_trace(profile, 1000, trace_seed)
         signature = np.array([s.amplitude for s in trace]).mean(axis=0)
         registry = GlobalRegistry()
@@ -245,7 +236,6 @@ class TestOnboarding:
         (before,) = registry.all_records()
         estimate = before.profile_estimate.copy()
         onboard_machine(BALL, registry, GLAD, profiling_trace(BALL, 1200, seed=23))
-        assert registry.version == 1
         (after,) = registry.all_records()
         assert after is before
         np.testing.assert_array_equal(after.profile_estimate, estimate)
@@ -302,6 +292,46 @@ def test_matching_field_rejected_by_name(field, value):
     with pytest.raises(ConfigError) as info:
         GladParams(**{field: value})
     assert str(info.value).startswith(f"{field} must")
+
+
+_INTEGER_FIELDS = ("window", "total_machines", "local_ais", "add_every", "additions",
+                   "quant_bands", "profiling_samples", "min_updates_for_upload",
+                   "kind_pool_size")
+
+
+class TestGladParamsTypes:
+    # A non-integer built and then failed in a runner: total_machines=2.5
+    # raised a raw TypeError from the savings sweep, local_ais=1.5 named an
+    # office "co-0.5", and epsilon=inf failed inside run_forecaster.
+    @pytest.mark.parametrize("value", [2.5, 1000.0, True, "8"])
+    @pytest.mark.parametrize("field", _INTEGER_FIELDS)
+    def test_integer_field_rejects_a_non_integer(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field} must be an integer"):
+            GladParams(**{field: value})
+
+    @pytest.mark.parametrize("grid", [(1, 2.5), (True, 2), (1.0,)])
+    def test_machines_grid_entries_are_integers(self, grid):
+        with pytest.raises(ConfigError, match="^machines_grid must be an integer"):
+            GladParams(machines_grid=grid)
+
+    def test_numpy_integers_become_python_ints(self):
+        glad = GladParams(total_machines=np.int64(3), machines_grid=(np.int32(1), 2))
+        assert type(glad.total_machines) is int and glad.total_machines == 3
+        assert [type(m) for m in glad.machines_grid] == [int, int]
+        assert glad == GladParams(total_machines=3, machines_grid=(1, 2))
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("field", ["epsilon", "texture_freq_max_hz"])
+    def test_non_finite_float_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field} must be finite"):
+            GladParams(**{field: value})
+
+    @pytest.mark.parametrize("field,grid", [
+        ("alpha_grid", (0.1, 0.5, 0.1)), ("machines_grid", (1, 1)), ("machines_grid", (4, 2, 4)),
+    ])
+    def test_grid_must_not_repeat(self, field, grid):
+        with pytest.raises(ConfigError, match=f"^{field} must not repeat"):
+            GladParams(**{field: grid})
 
 
 class TestIterationsToTarget:

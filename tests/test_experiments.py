@@ -1,5 +1,6 @@
 """Tests for scenario runners and report export."""
 
+import importlib.util
 import json
 import math
 import pathlib
@@ -7,10 +8,11 @@ import pathlib
 import numpy as np
 import pytest
 
-from gladsim import coordination, haptic, pon
+from gladsim import coordination, experiments, haptic, pon
 from gladsim.errors import ConfigError, ParameterError
 from gladsim.traffic import GpdParams
 from gladsim.experiments import (
+    ARTIFACT_VERSION,
     GladParams,
     Report,
     ScenarioConfig,
@@ -22,6 +24,8 @@ from gladsim.experiments import (
     scenario_hash,
 )
 from gladsim.pon import NO_AI, WITH_AI
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def _small_scenario(**overrides):
@@ -83,6 +87,31 @@ class TestScenarioConfig:
         (name,) = kwargs
         with pytest.raises(ConfigError, match=name):
             ScenarioConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(n_loops=100.5), dict(n_loops=1000.0), dict(n_loops=True), dict(n_loops="100"),
+        dict(seeds=(1.5,)), dict(seeds=(1, 2.0)), dict(seeds=(True,)), dict(seeds=("1",)),
+    ])
+    def test_non_integer_rejected(self, kwargs):
+        # A float raised a raw TypeError from the event budget, and a bool ran
+        # as seed 1 and wrote `"seeds": [true]` into the manifest.
+        (name,) = kwargs
+        with pytest.raises(ConfigError, match=f"^{name} must be an integer"):
+            ScenarioConfig(**kwargs)
+
+    def test_numpy_integers_become_python_ints(self, tmp_path):
+        # numpy seeds used to run the whole study and then fail the manifest's
+        # JSON export.
+        config = ScenarioConfig(seeds=(np.int64(1), np.uint8(2)), n_loops=np.int32(1000))
+        plain = ScenarioConfig(seeds=(1, 2), n_loops=1000)
+        assert [type(s) for s in config.seeds] == [int, int]
+        assert type(config.n_loops) is int
+        assert config == plain and scenario_hash(config) == scenario_hash(plain)
+        report = Report("s", {}, experiments._provenance(config))
+        (manifest,) = export_report(report, tmp_path)
+        assert json.loads(manifest.read_text())["provenance"]["seeds"] == [1, 2]
+        with pytest.raises(ConfigError, match="seeds must not repeat"):
+            ScenarioConfig(seeds=(np.int64(1), 1))
 
     def test_event_budget_checked_at_load(self):
         # At rho 0.9 the downstream leg draws ~0.896 events per us up to ten
@@ -395,3 +424,25 @@ class TestExport:
         with pytest.raises(ParameterError):
             export_report(latency_report, target, formats=("yaml",))
         assert not target.exists()
+
+
+@pytest.fixture(scope="module")
+def benchmark_checks():
+    """The benchmark's report checks, loaded by path from its directory."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_checks", ROOT / "perfbench" / "checks.py")
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    return checks
+
+
+@pytest.mark.parametrize("seed", [0, 1, 10])
+def test_onboarding_bytes_match_the_benchmark_reference(benchmark_checks, tmp_path, seed):
+    # The benchmark's onboarding workload is the default study at one seed;
+    # its reference holds the sha256 of every report file.
+    entry, status = benchmark_checks.reference_entry(
+        benchmark_checks.load_reference(), "onboarding", seed, ARTIFACT_VERSION)
+    if entry is None:
+        pytest.skip(status)
+    files = export_report(run_onboarding_study(ScenarioConfig(seeds=(seed,))), tmp_path)
+    assert benchmark_checks.file_hashes(files) == entry["sha256"]
