@@ -161,7 +161,6 @@ class ProfileRecord:
     descriptor: Descriptor
     profile_estimate: np.ndarray
     sample_count: int
-    source_local_ai: str
 
     def __post_init__(self):
         est = np.asarray(self.profile_estimate, dtype=float)
@@ -193,7 +192,6 @@ class GlobalRegistry:
                 descriptor=record.descriptor,
                 profile_estimate=counts @ estimates / counts.sum(),
                 sample_count=int(counts.sum()),
-                source_local_ai="global",
             )
         self._records[record.descriptor] = record
         return record
@@ -223,7 +221,6 @@ class OnboardResult:
     the profile it learned: the final estimate clipped to [0, 1] and the
     number of updates behind it."""
 
-    mode: str
     iterations: int
     converged: bool
     match_similarity: float
@@ -232,12 +229,9 @@ class OnboardResult:
 
 
 def upload_profile(registry: GlobalRegistry, profile: ObjectProfile,
-                   result: OnboardResult, *, source: str,
+                   result: OnboardResult, *,
                    glad: GladParams = GladParams()) -> ProfileRecord:
-    """Fold one machine's trained profile into the registry; returns the held profile.
-
-    `source` names the uploading Local AI.
-    """
+    """Fold one machine's trained profile into the registry; returns the held profile."""
     if result.updates < glad.min_updates_for_upload:
         raise NotReadyError(
             f"profile has {result.updates} updates, needs >= {glad.min_updates_for_upload}"
@@ -246,7 +240,6 @@ def upload_profile(registry: GlobalRegistry, profile: ObjectProfile,
         descriptor=descriptor_of(profile, glad),
         profile_estimate=result.profile_estimate,
         sample_count=result.updates,
-        source_local_ai=source,
     )
     return registry.add_record(record)
 
@@ -274,8 +267,8 @@ def iterations_to_target(hits: np.ndarray, target: float, window: int) -> tuple[
     """
     if not (0.0 < target < 1.0):
         raise ParameterError(f"accuracy target must lie in (0, 1), got {target}")
-    if window <= 0:
-        raise ParameterError(f"window must be > 0, got {window}")
+    if isinstance(window, bool) or not isinstance(window, numbers.Integral) or window <= 0:
+        raise ParameterError(f"window must be an integer > 0, got {window!r}")
     if hits.size >= window:
         cums = np.concatenate(([0], np.cumsum(hits)))
         windowed = (cums[window:] - cums[:-window]) / window
@@ -307,7 +300,6 @@ def onboard_machine(profile: ObjectProfile, registry: GlobalRegistry, mode: str,
     iterations, converged = iterations_to_target(hits, glad.accuracy_target, glad.window)
     _, estimate = _forecast(trace.amplitude, alpha, epsilon, initial)
     return OnboardResult(
-        mode=mode,
         iterations=iterations,
         converged=converged,
         match_similarity=match_sim,
@@ -338,7 +330,6 @@ def make_profile_pool(size: int) -> list[ObjectProfile]:
         s = stiffness[(i // len(kinds)) % len(stiffness)]
         t = texture[(i // (len(kinds) * len(stiffness))) % len(texture)]
         pool.append(ObjectProfile(
-            object_id=f"pool-{i}",
             kind=kind,
             center=np.zeros(3),
             extent_cm=4.0 + (i % 3),
@@ -352,11 +343,10 @@ def run_savings_sweep(glad: GladParams, seed: int) -> list[tuple[int, float]]:
     """Sequential onboarding study: mean training time saved vs machines present.
 
     Machines draw objects from a finite profile pool and are onboarded one at
-    a time, round-robin across the Local AIs.  Each onboarding runs both modes
-    on the same trace, uploads the glad machine's profile (its
-    `profiling_samples` updates meet `min_updates_for_upload`, which
-    `GladParams` checks) into the registry.  Returns the running mean of
-    saved_pct after each machine.
+    a time.  Each onboarding runs both modes on the same trace, uploads the
+    glad machine's profile (its `profiling_samples` updates meet
+    `min_updates_for_upload`, which `GladParams` checks) into the registry.
+    Returns the running mean of saved_pct after each machine.
     """
     pool = make_profile_pool(glad.kind_pool_size)
     registry = GlobalRegistry()
@@ -372,6 +362,6 @@ def run_savings_sweep(glad: GladParams, seed: int) -> list[tuple[int, float]]:
                       for mode in (COLD, GLAD)]
         saved.append(training_time_saved(cold.iterations, warm.iterations))
 
-        upload_profile(registry, profile, warm, source=f"co-{m % glad.local_ais}", glad=glad)
+        upload_profile(registry, profile, warm, glad=glad)
         curve.append((m + 1, float(np.mean(saved))))
     return curve

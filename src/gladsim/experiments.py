@@ -247,7 +247,6 @@ def _accuracy_decay_curve(config: ScenarioConfig, mode: str, seed: int) -> list[
                 descriptor=coordination.descriptor_of(profile, glad_cfg),
                 profile_estimate=estimate,
                 sample_count=glad_cfg.profiling_samples,
-                source_local_ai="co-0",
             ))
         else:
             estimate, _ = coordination._warm_start(registry, profile, mode, glad_cfg)

@@ -77,6 +77,11 @@ TEXTURE_DEPTH = 0.3
 # Hand approach/retreat period for free-motion sessions, in microseconds.
 TRAJECTORY_PERIOD_US = 1.0e6
 
+# Profiling grasps: hand distance from the center as a fraction of the
+# extent, and the sampling period in microseconds.
+GRASP_DISTANCE = 0.06
+PROFILING_PERIOD_US = 1000.0
+
 # Full-batch gradient descent of the touch classifier: epochs and step size.
 CLASSIFIER_EPOCHS = 500
 CLASSIFIER_STEP = 0.1
@@ -104,12 +109,6 @@ class HapticSample:
 
     t_us: float
     amplitude: np.ndarray
-
-    def __post_init__(self):
-        amp = _vector(self.amplitude, N_FINGERS, "amplitude")
-        if np.any(amp < 0.0) or np.any(amp > 1.0):
-            raise ParameterError("amplitudes must lie in [0, 1]")
-        object.__setattr__(self, "amplitude", amp)
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,7 +187,6 @@ class ControlTrace:
 class ObjectProfile:
     """Geometry and feedback signature of one virtual object."""
 
-    object_id: str
     kind: ObjectKind
     center: np.ndarray
     extent_cm: float
@@ -197,12 +195,13 @@ class ObjectProfile:
 
     def __post_init__(self):
         object.__setattr__(self, "center", _vector(self.center, 3, "center"))
-        if self.extent_cm <= 0:
-            raise ParameterError(f"extent must be > 0, got {self.extent_cm}")
+        if not (math.isfinite(self.extent_cm) and self.extent_cm > 0):
+            raise ParameterError(f"extent_cm must be finite and > 0, got {self.extent_cm}")
         if not (0.0 < self.stiffness <= 1.0):
             raise ParameterError(f"stiffness must lie in (0, 1], got {self.stiffness}")
-        if self.texture_freq_hz < 0:
-            raise ParameterError(f"texture_freq must be >= 0, got {self.texture_freq_hz}")
+        if not (math.isfinite(self.texture_freq_hz) and self.texture_freq_hz >= 0):
+            raise ParameterError(
+                f"texture_freq_hz must be finite and >= 0, got {self.texture_freq_hz}")
 
 
 _STANDARD_PROFILES = {
@@ -212,17 +211,11 @@ _STANDARD_PROFILES = {
 }
 
 
-def standard_profile(kind: ObjectKind, object_id: str | None = None) -> ObjectProfile:
+def standard_profile(kind: ObjectKind) -> ObjectProfile:
     """A ready-made profile for one of the named test objects."""
     if kind not in _STANDARD_PROFILES:
         raise ParameterError(f"no standard profile for kind {kind}")
-    spec = _STANDARD_PROFILES[kind]
-    return ObjectProfile(
-        object_id=object_id or kind.value,
-        kind=kind,
-        center=np.zeros(3),
-        **spec,
-    )
+    return ObjectProfile(kind=kind, center=np.zeros(3), **_STANDARD_PROFILES[kind])
 
 
 # ---------------------------------------------------------------------------
@@ -281,15 +274,13 @@ def _smooth_noise(rng: np.random.Generator, n: int, persistence: float = 0.98) -
 
 
 def generate_session(profile: ObjectProfile, duration_us: float,
-                     control_params: GpdParams, seed: int,
-                     pin_at=None) -> tuple[ControlTrace, HapticTrace]:
+                     control_params: GpdParams, seed: int) -> tuple[ControlTrace, HapticTrace]:
     """Synthesize one interaction session.
 
     The hand repeatedly approaches and retreats from the object along a
     smooth, seeded trajectory; a control sample is emitted at each traffic
     arrival and a haptic sample whenever the hand is within the extent.
-    `pin_at` freezes the hand at a fixed position instead (useful for
-    boundary checks).  Deterministic in `seed`.
+    Deterministic in `seed`.
     """
     if not (math.isfinite(duration_us) and duration_us > 0):
         raise ParameterError(f"duration_us must be finite and > 0, got {duration_us}")
@@ -298,25 +289,22 @@ def generate_session(profile: ObjectProfile, duration_us: float,
     n = times.size
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0xC0FFEE))))
 
-    if pin_at is not None:
-        positions = np.tile(_vector(pin_at, 3, "pin_at"), (n, 1))
-    else:
-        # Radial distance oscillates between deep touch and well clear of the
-        # object; direction drifts slowly on the unit sphere.
-        phase = 2.0 * math.pi * times / TRAJECTORY_PERIOD_US
-        radius = profile.extent_cm * (
-            1.05 + 1.15 * np.cos(phase) + 0.08 * _smooth_noise(rng, n)
-        )
-        radius = np.clip(radius, 0.0, None)
-        azimuth = 2.0 * math.pi * times / (3.0 * TRAJECTORY_PERIOD_US)
-        polar = math.pi / 3.0 + 0.2 * _smooth_noise(rng, n)
-        direction = np.stack(
-            [np.sin(polar) * np.cos(azimuth),
-             np.sin(polar) * np.sin(azimuth),
-             np.cos(polar)],
-            axis=1,
-        )
-        positions = profile.center + direction * radius[:, None]
+    # Radial distance oscillates between deep touch and well clear of the
+    # object; direction drifts slowly on the unit sphere.
+    phase = 2.0 * math.pi * times / TRAJECTORY_PERIOD_US
+    radius = profile.extent_cm * (
+        1.05 + 1.15 * np.cos(phase) + 0.08 * _smooth_noise(rng, n)
+    )
+    radius = np.clip(radius, 0.0, None)
+    azimuth = 2.0 * math.pi * times / (3.0 * TRAJECTORY_PERIOD_US)
+    polar = math.pi / 3.0 + 0.2 * _smooth_noise(rng, n)
+    direction = np.stack(
+        [np.sin(polar) * np.cos(azimuth),
+         np.sin(polar) * np.sin(azimuth),
+         np.cos(polar)],
+        axis=1,
+    )
+    positions = profile.center + direction * radius[:, None]
 
     orient_noise = np.stack([_smooth_noise(rng, n) for _ in range(3)], axis=1)
     orientations = 0.5 * orient_noise
@@ -334,17 +322,16 @@ def generate_session(profile: ObjectProfile, duration_us: float,
 
 
 def profiling_trace(profile: ObjectProfile, n_samples: int, seed: int, *,
-                    hold_fraction: float = 0.06, wobble: float = 0.012,
-                    wobble_persistence: float = 0.995,
-                    noise_std: float = 0.0,
-                    sample_period_us: float = 1000.0) -> HapticTrace:
+                    wobble: float = 0.012, wobble_persistence: float = 0.995,
+                    noise_std: float = 0.0) -> HapticTrace:
     """Feedback trace of a steady grasp, for forecaster profiling.
 
-    The hand holds near the object center (at `hold_fraction` of the extent)
-    with a slow seeded wobble, producing the near-stationary amplitude
-    sequence a forecaster profiles from.  `wobble_persistence` sets how
-    slowly the wobble drifts, which controls the trace's autocorrelation;
-    `noise_std` adds per-sample sensor noise on top of the geometric law.
+    The hand holds near the object center (at `GRASP_DISTANCE` of the
+    extent, one sample every `PROFILING_PERIOD_US`) with a slow seeded
+    wobble, producing the near-stationary amplitude sequence a forecaster
+    profiles from.  `wobble_persistence` sets how slowly the wobble drifts,
+    which controls the trace's autocorrelation; `noise_std` adds per-sample
+    sensor noise on top of the geometric law.
     """
     if n_samples <= 0:
         raise ParameterError(f"n_samples must be > 0, got {n_samples}")
@@ -352,16 +339,12 @@ def profiling_trace(profile: ObjectProfile, n_samples: int, seed: int, *,
         raise ParameterError(f"noise_std must be finite and >= 0, got {noise_std}")
     if not -1.0 <= wobble_persistence <= 1.0:
         raise ParameterError(f"wobble_persistence must lie in [-1, 1], got {wobble_persistence}")
-    if not 0.0 <= hold_fraction <= 1.0:
-        raise ParameterError(f"hold_fraction must lie in [0, 1], got {hold_fraction}")
     if not (math.isfinite(wobble) and wobble >= 0):
         raise ParameterError(f"wobble must be finite and >= 0, got {wobble}")
-    if not (math.isfinite(sample_period_us) and sample_period_us > 0):
-        raise ParameterError(f"sample_period_us must be finite and > 0, got {sample_period_us}")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0x9A9))))
     drift = _smooth_noise(rng, n_samples, persistence=wobble_persistence)
-    rel = np.clip(hold_fraction + wobble * drift, 0.0, 0.95)
-    t = np.arange(n_samples) * sample_period_us
+    rel = np.clip(GRASP_DISTANCE + wobble * drift, 0.0, 0.95)
+    t = np.arange(n_samples) * PROFILING_PERIOD_US
     # Positions lie on one axis through the center, where the row norm equals
     # the 1-D norm of each position exactly.
     pos = profile.center + np.array([1.0, 0.0, 0.0]) * (rel * profile.extent_cm)[:, None]
@@ -599,8 +582,9 @@ def estimate_tau(haptic_trace: HapticTrace) -> float:
     x = haptic_trace.amplitude.mean(axis=1)
     if x.size < 3:
         raise InsufficientDataError(f"need >= 3 samples, got {x.size}")
-    if np.ptp(x) == 0.0:
-        raise DegenerateDataError("trace is constant; autocorrelation undefined")
+    if np.ptp(x[:-1]) == 0.0 or np.ptp(x[1:]) == 0.0:
+        raise DegenerateDataError("a lagged half of the trace is constant; "
+                                  "autocorrelation undefined")
     r = float(np.corrcoef(x[:-1], x[1:])[0, 1])
     return float(np.clip(r, -1.0, 1.0))
 

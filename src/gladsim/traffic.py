@@ -28,7 +28,6 @@ __all__ = [
     "sample_gpd",
     "gpd_cdf",
     "gpd_mean",
-    "gpd_variance",
     "generate_stream",
     "fit_gpd",
     "ks_test",
@@ -116,21 +115,11 @@ def gpd_mean(params: GpdParams) -> float:
     return params.location + params.scale / (1.0 - params.shape)
 
 
-def gpd_variance(params: GpdParams) -> float:
-    """Closed-form variance; defined only for shape < 1/2."""
-    if params.shape >= 0.5:
-        raise ParameterError(f"variance undefined for shape >= 1/2 (got {params.shape})")
-    one_minus = 1.0 - params.shape
-    return params.scale**2 / (one_minus**2 * (1.0 - 2.0 * params.shape))
-
-
 @dataclass(frozen=True)
 class ArrivalStream:
-    """Arrival instants (us) of one message stream plus its generating law."""
+    """Arrival instants (us) of one message stream."""
 
     timestamps: np.ndarray
-    params: GpdParams
-    seed: int
 
     def __post_init__(self):
         ts = np.asarray(self.timestamps, dtype=float)
@@ -175,7 +164,7 @@ def generate_stream(params: GpdParams, horizon_us: float, seed: int) -> ArrivalS
         offset = float(ts[-1])
         batch = max(64, batch // 2)
     timestamps = np.concatenate(chunks) if chunks else np.empty(0)
-    return ArrivalStream(timestamps=timestamps, params=params, seed=int(seed))
+    return ArrivalStream(timestamps=timestamps)
 
 
 def _inter_arrival_sample(inter_arrivals) -> np.ndarray:

@@ -160,7 +160,7 @@ def test_criterion_7_training_time_saved_calibration():
             donor_trace = haptic.profiling_trace(profile, 4000, 10_000 + seed)
             donor = coordination.onboard_machine(profile, registry, coordination.COLD,
                                                  donor_trace)
-            coordination.upload_profile(registry, profile, donor, source="donor")
+            coordination.upload_profile(registry, profile, donor)
 
             trace = haptic.profiling_trace(profile, 4000, seed)
             cold = coordination.onboard_machine(

@@ -36,17 +36,15 @@ BALL = standard_profile(ObjectKind.RUBBER_BALL)
 
 
 def _custom(stiffness, texture=10.0):
-    return ObjectProfile("obj", ObjectKind.CUSTOM, np.zeros(3), 4.0,
-                         stiffness, texture)
+    return ObjectProfile(ObjectKind.CUSTOM, np.zeros(3), 4.0, stiffness, texture)
 
 
-def _record(estimate, count, descriptor=None, source="co-0"):
+def _record(estimate, count, descriptor=None):
     descriptor = descriptor or descriptor_of(BALL)
     return ProfileRecord(
         descriptor=descriptor,
         profile_estimate=np.full(5, estimate),
         sample_count=count,
-        source_local_ai=source,
     )
 
 
@@ -73,29 +71,28 @@ class TestDescriptorSimilarity:
 
 
 def _trained(updates=500):
-    return OnboardResult(mode=COLD, iterations=300, converged=True, match_similarity=0.0,
+    return OnboardResult(iterations=300, converged=True, match_similarity=0.0,
                          profile_estimate=np.full(5, 0.4), updates=updates)
 
 
 class TestRegistry:
     def test_upload_returns_the_held_record(self):
         registry = GlobalRegistry()
-        record = upload_profile(registry, BALL, _trained(), source="co-1")
+        record = upload_profile(registry, BALL, _trained())
         assert registry.all_records() == [record]
         assert record.descriptor == descriptor_of(BALL)
         np.testing.assert_array_equal(record.profile_estimate, np.full(5, 0.4))
         assert record.sample_count == 500
-        assert record.source_local_ai == "co-1"
 
     def test_upload_undertrained_rejected(self):
         registry = GlobalRegistry()
         with pytest.raises(NotReadyError):
-            upload_profile(registry, BALL, _trained(updates=0), source="co-1")
+            upload_profile(registry, BALL, _trained(updates=0))
         assert registry.all_records() == []
-        held = upload_profile(registry, BALL, _trained(updates=99), source="co-1",
+        held = upload_profile(registry, BALL, _trained(updates=99),
                               glad=GladParams(min_updates_for_upload=99))
         with pytest.raises(NotReadyError):
-            upload_profile(registry, BALL, _trained(updates=99), source="co-1",
+            upload_profile(registry, BALL, _trained(updates=99),
                            glad=GladParams(min_updates_for_upload=100))
         assert registry.all_records() == [held]
         assert held.sample_count == 99
@@ -104,7 +101,7 @@ class TestRegistry:
         registry = GlobalRegistry()
         trace = profiling_trace(BALL, 800, seed=31)
         result = onboard_machine(BALL, registry, COLD, trace)
-        upload_profile(registry, BALL, result, source="co-2")
+        upload_profile(registry, BALL, result)
         (record,) = registry.all_records()
         np.testing.assert_array_equal(record.profile_estimate, result.profile_estimate)
         assert record.sample_count == 800
@@ -118,7 +115,7 @@ class TestRegistry:
     def test_aggregate_weighted_mean(self):
         # (0.2 * 100 + 0.6 * 300) / 400 = 0.5
         registry = GlobalRegistry()
-        first, second = _record(0.2, 100), _record(0.6, 300, source="co-1")
+        first, second = _record(0.2, 100), _record(0.6, 300)
         registry.add_record(first)
         rec = registry.add_record(second)
         assert registry.all_records() == [rec]
@@ -128,7 +125,6 @@ class TestRegistry:
             counts @ np.array([first.profile_estimate, second.profile_estimate]) / counts.sum())
         np.testing.assert_allclose(rec.profile_estimate, 0.5)
         assert rec.sample_count == 400
-        assert rec.source_local_ai == "global"
 
     def test_aggregate_equal_weights_is_plain_mean(self):
         registry = GlobalRegistry()
@@ -148,7 +144,6 @@ class TestRegistry:
                 descriptor=descriptor_of(BALL),
                 profile_estimate=est,
                 sample_count=int(cnt),
-                source_local_ai="co-x",
             ))
         assert registry.all_records() == [rec]
         assert rec.sample_count == int(counts.sum())
@@ -194,7 +189,6 @@ class TestOnboarding:
             descriptor=descriptor_of(profile),
             profile_estimate=np.clip(signature, 0.0, 1.0),
             sample_count=1000,
-            source_local_ai="co-9",
         ))
         return registry
 
@@ -240,6 +234,22 @@ class TestOnboarding:
         assert after is before
         np.testing.assert_array_equal(after.profile_estimate, estimate)
 
+    @pytest.mark.parametrize("zero_first", [False, True])
+    def test_fold_weights_reach_the_warm_start(self, zero_first):
+        # A trained donor (4000 updates) folded with an untrained zero profile
+        # (200) still warm-starts at the window floor, in either order; with
+        # the two weights swapped the warm start is about as slow as a cold one.
+        donor = onboard_machine(BALL, GlobalRegistry(), COLD,
+                                profiling_trace(BALL, 4000, seed=10_001))
+        trained = ProfileRecord(descriptor=descriptor_of(BALL),
+                                profile_estimate=donor.profile_estimate, sample_count=4000)
+        records = [trained, _record(0.0, 200)]
+        registry = GlobalRegistry()
+        for record in records[::-1] if zero_first else records:
+            registry.add_record(record)
+        result = onboard_machine(BALL, registry, GLAD, profiling_trace(BALL, 4000, seed=1))
+        assert (result.iterations, result.converged) == (200, True)
+
     def test_unreachable_target_flagged(self):
         empty = GlobalRegistry()
         trace = profiling_trace(BALL, 600, seed=20)
@@ -270,7 +280,7 @@ class TestOnboarding:
         def outcome(glad):
             registry = GlobalRegistry()
             try:
-                upload_profile(registry, donor, _trained(), source="co-0", glad=glad)
+                upload_profile(registry, donor, _trained(), glad=glad)
             except NotReadyError:
                 return "upload gated"
             (record,) = registry.all_records()
@@ -301,8 +311,8 @@ _INTEGER_FIELDS = ("window", "total_machines", "local_ais", "add_every", "additi
 
 class TestGladParamsTypes:
     # A non-integer built and then failed in a runner: total_machines=2.5
-    # raised a raw TypeError from the savings sweep, local_ais=1.5 named an
-    # office "co-0.5", and epsilon=inf failed inside run_forecaster.
+    # raised a raw TypeError from the savings sweep, and epsilon=inf failed
+    # inside run_forecaster.
     @pytest.mark.parametrize("value", [2.5, 1000.0, True, "8"])
     @pytest.mark.parametrize("field", _INTEGER_FIELDS)
     def test_integer_field_rejects_a_non_integer(self, field, value):
@@ -351,6 +361,12 @@ class TestIterationsToTarget:
         iters, converged = iterations_to_target(hits, 0.95, 200)
         assert converged
         assert iters == 200
+
+    @pytest.mark.parametrize("window", [True, False, 2.5, 200.0])
+    def test_window_must_be_an_integer(self, window):
+        # 2.5 raised a raw TypeError and True ran as a window of 1.
+        with pytest.raises(ParameterError, match="^window must be an integer"):
+            iterations_to_target(np.ones(500, dtype=bool), 0.95, window)
 
 
 def _small(**overrides):

@@ -319,7 +319,6 @@ def _pooled_list_curve(config, mode, seed):
                 descriptor=coordination.descriptor_of(profile, glad_cfg),
                 profile_estimate=np.clip(signature, 0.0, 1.0),
                 sample_count=glad_cfg.profiling_samples,
-                source_local_ai="co-0",
             ))
         elif mode == coordination.GLAD:
             record, _ = coordination.match_profile(

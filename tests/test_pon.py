@@ -30,7 +30,7 @@ from gladsim.pon import (
     simulate_pon,
     transmission_time,
 )
-from gladsim.traffic import CONTROL_TRAFFIC_DEFAULT, GpdParams, generate_stream, gpd_mean, gpd_variance
+from gladsim.traffic import CONTROL_TRAFFIC_DEFAULT, GpdParams, generate_stream, gpd_mean
 
 
 def _stream(horizon=3e5, seed=5):
@@ -104,13 +104,14 @@ class TestKingman:
     def test_gpd_fed_deterministic_queue_cross_validation(self):
         """Kingman vs a simulated G/D/1 queue fed by GPD arrivals at rho=0.8.
 
-        The arrival law keeps the default shape (so ca2 = 1.25) scaled to a
-        5 us mean gap; service is fixed at 4 us, i.e. rho = 0.8.
+        The arrival law keeps the default shape xi = 0.1 scaled to a 5 us
+        mean gap; service is fixed at 4 us, i.e. rho = 0.8.  A GPD gap has
+        mean sigma / (1 - xi) and variance sigma^2 / ((1 - xi)^2 (1 - 2 xi)),
+        so ca2 = 1 / (1 - 2 xi) = 1.25.
         """
         params = GpdParams(0.1, 4.5, 0.0)
         assert gpd_mean(params) == pytest.approx(5.0)
-        ca2 = gpd_variance(params) / gpd_mean(params) ** 2
-        assert ca2 == pytest.approx(1.25)
+        ca2 = 1.25
 
         stream = generate_stream(params, 3e6, seed=21)
         waits = fifo_waits(stream.timestamps, np.full(len(stream), 4.0))

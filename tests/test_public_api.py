@@ -8,6 +8,7 @@ import ast
 import importlib
 import importlib.util
 import re
+import sys
 from pathlib import Path
 
 import gladsim
@@ -73,3 +74,22 @@ def test_benchmark_trace_targets_resolve():
                if not (module.startswith("gladsim.")
                        and callable(getattr(importlib.import_module(module), name, None)))]
     assert missing == []
+
+
+def _runtime_imports(tree):
+    """Top-level module names of every import in `tree`, nested ones included;
+    a relative import counts as gladsim."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield "gladsim" if node.level else node.module.split(".")[0]
+
+
+def test_runtime_imports_only_numpy_and_the_standard_library():
+    # scipy and hypothesis are test dependencies; the package needs numpy alone.
+    allowed = {"numpy", "gladsim"} | set(sys.stdlib_module_names)
+    stray = [f"{path.name}: {name}" for path in sorted(PACKAGE.glob("*.py"))
+             for name in _runtime_imports(ast.parse(path.read_text()))
+             if name not in allowed]
+    assert stray == []

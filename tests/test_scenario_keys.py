@@ -16,7 +16,7 @@ TINY = {
 }
 
 # Matching thresholds and bands show only when some pool entries can match:
-# pool-3 is three stiffness bands from pool-0, and pool-9 three texture bands.
+# pool entry 3 is three stiffness bands from entry 0, and entry 9 three texture bands.
 POOL4 = {"glad": {"kind_pool_size": "4", "total_machines": "4"}}
 POOL10 = {"glad": {"kind_pool_size": "10", "total_machines": "10"}}
 
@@ -69,7 +69,7 @@ INERT = {
     ("traffic.haptic", "shape"),        # nothing reads ScenarioConfig.haptic_traffic
     ("traffic.haptic", "scale_us"),
     ("traffic.haptic", "location_us"),
-    ("glad", "local_ais"),              # it only names the uploading office
+    ("glad", "local_ais"),              # only GladParams validates it
 }
 
 

@@ -20,7 +20,6 @@ from gladsim.traffic import (
     generate_stream,
     gpd_cdf,
     gpd_mean,
-    gpd_variance,
     ks_test,
     sample_gpd,
 )
@@ -41,14 +40,11 @@ class TestGpdParams:
         with pytest.raises(ParameterError):
             GpdParams(**kwargs)
 
-    def test_mean_and_variance_closed_forms(self):
+    def test_mean_closed_form(self):
         p = GpdParams(0.2, 1.0, 0.0)
         assert gpd_mean(p) == pytest.approx(1.0 / 0.8)
-        assert gpd_variance(p) == pytest.approx(1.0 / (0.8**2 * 0.6))
         with pytest.raises(ParameterError):
             gpd_mean(GpdParams(1.0, 1.0, 0.0))
-        with pytest.raises(ParameterError):
-            gpd_variance(GpdParams(0.5, 1.0, 0.0))
 
 
 class TestSampleGpd:
@@ -166,8 +162,7 @@ class TestGenerateStream:
 
     def test_stream_rejects_decreasing_timestamps(self):
         with pytest.raises(ParameterError):
-            ArrivalStream(timestamps=np.array([2.0, 1.0]),
-                          params=GpdParams(0.1, 1.0, 0.0), seed=0)
+            ArrivalStream(timestamps=np.array([2.0, 1.0]))
 
 
 class TestFitGpd:
