@@ -343,10 +343,12 @@ def run_savings_sweep(glad: GladParams, seed: int) -> list[tuple[int, float]]:
     """Sequential onboarding study: mean training time saved vs machines present.
 
     Machines draw objects from a finite profile pool and are onboarded one at
-    a time.  Each onboarding runs both modes on the same trace, uploads the
-    glad machine's profile (its `profiling_samples` updates meet
-    `min_updates_for_upload`, which `GladParams` checks) into the registry.
-    Returns the running mean of saved_pct after each machine.
+    a time.  Each onboarding runs both modes on the same trace.  The cold
+    start contributes only its convergence, so it runs the forecaster alone;
+    the glad machine is onboarded and its profile (its `profiling_samples`
+    updates meet `min_updates_for_upload`, which `GladParams` checks) is
+    uploaded into the registry.  Returns the running mean of saved_pct after
+    each machine.
     """
     pool = make_profile_pool(glad.kind_pool_size)
     registry = GlobalRegistry()
@@ -358,9 +360,10 @@ def run_savings_sweep(glad: GladParams, seed: int) -> list[tuple[int, float]]:
         profile = pool[m % glad.kind_pool_size]
         trace = profiling_trace(profile, glad.profiling_samples, int(seeds[m]))
 
-        cold, warm = [onboard_machine(profile, registry, mode, trace, glad)
-                      for mode in (COLD, GLAD)]
-        saved.append(training_time_saved(cold.iterations, warm.iterations))
+        cold_hits = run_forecaster(trace, glad.onboarding_alpha, glad.epsilon)
+        t_cold, _ = iterations_to_target(cold_hits, glad.accuracy_target, glad.window)
+        warm = onboard_machine(profile, registry, GLAD, trace, glad)
+        saved.append(training_time_saved(t_cold, warm.iterations))
 
         upload_profile(registry, profile, warm, glad=glad)
         curve.append((m + 1, float(np.mean(saved))))

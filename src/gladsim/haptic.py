@@ -19,11 +19,11 @@ and two routes evaluate it:
   operations do and so keep the report bytes; see its docstring.
 * Hit decisions come from `_forecast_hits`: `run_forecaster`, and through
   it `optimize_alpha` and `onboard_machine`, and the accuracy-decay curve.
-  It evaluates the recursion in blocks of B = ceil(sqrt(n)) steps, all
-  blocks at once.  Bounding the rounding error of that pass and of the
-  exact one (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3)
-  shows that a row's max-norm forecast error differs between them by less
-  than delta = 16 u M (n + 2B + 2), with u = 2^-53 and M = max(1,
+  It evaluates the recursion in blocks of B = max(2, ceil(sqrt(n) / 2))
+  steps, all blocks at once.  Bounding the rounding error of that pass and
+  of the exact one (Higham, Accuracy and Stability of Numerical Algorithms,
+  ch. 3) shows that a row's max-norm forecast error differs between them by
+  less than delta = 16 u M (n + 2B + 2), with u = 2^-53 and M = max(1,
   |estimate|_inf).  A row whose blocked error lies farther than delta from
   epsilon is therefore decided as the exact pass decides it; if any row
   lies within delta, the call returns the exact pass's hits.  So the hits,
@@ -475,41 +475,51 @@ def _forecast(x: np.ndarray, alpha: float, epsilon: float,
 UNIT_ROUNDOFF = 2.0**-53
 
 
-def _blocks(a: np.ndarray) -> np.ndarray:
-    """(n, k) rows as zero-padded blocks of B = ceil(sqrt(n)) rows (1 if n is
-    0), laid out (B, k, blocks) so that [i, j, b] is row b * B + i, column j,
-    and step i of every block is one contiguous row."""
+def _blocks(a: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """`scale` times the (n, k) rows `a` as zero-padded blocks of
+    B = max(2, ceil(sqrt(n) / 2)) rows, laid out (B, k, blocks) so that
+    [i, j, b] is row b * B + i, column j, and step i of every block is one
+    contiguous row.  The rows are copied once, straight into the layout.
+
+    Each of the B block steps is two numpy calls over all blocks, and each
+    of the n / B block starts is k Python float steps; blocks of about
+    sqrt(n) / 2 rows timed fastest for n from 500 to 4,000.
+    """
     n, k = a.shape
-    block = math.isqrt(n - 1) + 1 if n else 1
-    blocks = -(-n // block)
-    padded = np.zeros((blocks * block, k))
-    padded[:n] = a
-    return np.ascontiguousarray(padded.reshape(blocks, block, k).transpose(1, 2, 0))
+    block = max(2, (math.isqrt(n - 1) + 2) // 2) if n else 2
+    whole = n // block * block
+    out = np.empty((block, k, -(-n // block)))
+    out[:, :, :whole // block] = a[:whole].reshape(-1, block, k).transpose(1, 2, 0)
+    if whole < n:
+        out[:, :, -1] = 0.0
+        out[:n - whole, :, -1] = a[whole:]
+    out *= scale
+    return out
 
 
 def _blocked_first_order(c: float, u: np.ndarray, y0: np.ndarray) -> np.ndarray:
     """`_first_order(c, u, y0)[:-1]` approximately, for u in `_blocks` layout
-    (B, k, blocks), and in that layout.
+    (B, k, blocks), and in that layout.  `u` is overwritten.
 
     Every block's zero-start response z[i, b] (z[0] = 0, z[i + 1] =
-    c * z[i] + u[i]) is stepped for all blocks at once: B elementwise steps
-    in all.  The block starts s[b] = y[b * B] follow from s[b + 1] =
-    c^B * s[b] + z[B, b], one `_first_order` pass over the blocks, and
-    y[b * B + i] = z[i, b] + c^i * s[b], with the powers of c from a
-    `cumprod`.  Only elementwise numpy operations run, so the values depend
-    on no thread count or FMA; but they are not the kernel's bits.
+    c * z[i] + u[i]) is stepped for all blocks at once, in place: after B - 1
+    elementwise steps u[i] holds z[i + 1].  The block starts s[b] = y[b * B]
+    follow from s[b + 1] = c^B * s[b] + z[B, b], one `_first_order` pass over
+    the blocks, and y[b * B + i] = c^i * s[b] + z[i, b], with the powers of c
+    from a `cumprod`.  Only elementwise numpy operations run, so the values
+    depend on no thread count or FMA; but they are not the kernel's bits.
     """
     block = u.shape[0]
-    z = np.empty((block + 1, *u.shape[1:]))
-    z[0] = 0.0
-    prev = z[0]
-    for row, step in zip(z[1:], u):
-        np.multiply(prev, c, out=row)
-        row += step
-        prev = row
+    scratch = np.empty(u.shape[1:])
+    for prev, row in zip(u, u[1:]):
+        row += np.multiply(prev, c, out=scratch)
     powers = np.cumprod(np.concatenate(([1.0], np.full(block, c))))
-    starts = _first_order(powers[block], z[block].T, y0)[:-1]
-    return z[:block] + powers[:block, None, None] * starts.T
+    starts = _first_order(powers[block], u[-1].T, y0)[:-1]
+    # Transposed starts would give y their column-major strides, and every
+    # pass over y would then run strided.
+    y = np.multiply(powers[:block, None, None], np.ascontiguousarray(starts.T))
+    y[1:] += u[:-1]
+    return y
 
 
 def _hit_margin(n: int, block: int, scale: float) -> float:
@@ -528,8 +538,8 @@ def _forecast_hits(x: np.ndarray, alpha: float, epsilon: float,
     whole call returns the exact pass's hits.
 
     The margin.  Let u = 2^-53, c = fl(1 - alpha) in [0, 1], v = fl(alpha x)
-    in [0, alpha] (x lies in [0, 1]), M = max(1, |estimate|_inf), B the
-    block length and N = ceil(n / B) <= B the block count.  Since
+    in [0, alpha] (x lies in [0, 1]), M = max(1, |estimate|_inf), B >= 2 the
+    block length and N = ceil(n / B) < n / B + 1 the block count.  Since
     c + alpha <= 1 + u, the real recursion Y[k+1] = c Y[k] + v[k] from the
     estimate stays within M (1 + u)^n, and for n < 2^40 every value either
     pass computes stays within K = 2M (by induction on the bounds below).
@@ -545,16 +555,18 @@ def _forecast_hits(x: np.ndarray, alpha: float, epsilon: float,
     So the passes differ by at most u K (5.03 n + 6.04 B + 3 N + 3), using
     N B < n + B.  Rounding |y - x| in each adds u |y - x| <= 2 u K, and a
     row max moves no more than its largest entry, so the two m differ by at
-    most 2 u M (5.03 n + 6.04 B + 3 N + 7) < 16 u M (n + 2B + 2) = delta.
-    The slack absorbs underflow (at most 2^-1075 per operation) and the
-    rounding of delta and of the test itself.  Then m^ < epsilon - delta
-    makes the exact row a hit and m^ > epsilon + delta a miss.
+    most 2 u M (5.03 n + 6.04 B + 3 N + 7).  As B >= 2, 6 N < 6 n / B + 6
+    <= 3 n + 6, so that is below 2 u M (6.53 n + 6.04 B + 10) < 16 u M
+    (n + 2B + 2) = delta, however many blocks there are.  The slack absorbs
+    underflow (at most 2^-1075 per operation) and the rounding of delta and
+    of the test itself.  Then m^ < epsilon - delta makes the exact row a hit
+    and m^ > epsilon + delta a miss.
     """
     n = x.shape[0]
-    xb = _blocks(x)
-    y = _blocked_first_order(1.0 - alpha, alpha * xb, estimate)
-    worst = np.abs(y - xb).max(axis=1).T.reshape(-1)[:n]
-    delta = _hit_margin(n, xb.shape[0], max(1.0, float(np.abs(estimate).max())))
+    y = _blocked_first_order(1.0 - alpha, _blocks(x, alpha), estimate)
+    np.subtract(y, _blocks(x), out=y)
+    worst = np.abs(y, out=y).max(axis=1).T.reshape(-1)[:n]
+    delta = _hit_margin(n, y.shape[0], max(1.0, float(np.abs(estimate).max())))
     if np.any(np.abs(worst - epsilon) <= delta):
         return _forecast(x, alpha, epsilon, estimate)[0]
     return worst < epsilon

@@ -1,7 +1,9 @@
 """Shared test settings.
 
 Property tests run simulations whose duration varies with the drawn example,
-so no hypothesis example has a deadline.
+so no hypothesis example has a deadline.  The `thorough` profile draws ten
+times the default examples; `--hypothesis-profile=thorough` loads it over the
+`gladsim` profile loaded here.
 """
 
 import os
@@ -15,6 +17,8 @@ from hypothesis import settings
 import gladsim
 
 settings.register_profile("gladsim", deadline=None)
+settings.register_profile("thorough", parent=settings.get_profile("gladsim"),
+                          max_examples=1000)
 settings.load_profile("gladsim")
 
 

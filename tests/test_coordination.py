@@ -407,6 +407,28 @@ class TestSavings:
         with pytest.raises(ConfigError):
             _small(local_ais=local_ais)
 
+    @pytest.mark.parametrize("alpha", [GladParams().onboarding_alpha, 0.01])
+    @pytest.mark.parametrize("seed", [7, 42])
+    @pytest.mark.parametrize("pool_size", [1, 3])
+    def test_curve_of_onboarding_both_modes(self, pool_size, seed, alpha):
+        # The sweep's curve, rebuilt by onboarding every machine in both modes.
+        glad = GladParams(total_machines=5, kind_pool_size=pool_size, profiling_samples=1500,
+                          onboarding_alpha=alpha)
+        pool = make_profile_pool(pool_size)
+        seeds = np.random.SeedSequence(seed).generate_state(glad.total_machines)
+        registry = GlobalRegistry()
+        saved, curve = [], []
+        for m in range(glad.total_machines):
+            profile = pool[m % pool_size]
+            trace = profiling_trace(profile, glad.profiling_samples, int(seeds[m]))
+            cold = onboard_machine(profile, registry, COLD, trace, glad)
+            warm = onboard_machine(profile, registry, GLAD, trace, glad)
+            saved.append(training_time_saved(cold.iterations, warm.iterations))
+            upload_profile(registry, profile, warm, glad=glad)
+            curve.append((m + 1, float(np.mean(saved))))
+        assert saved[-1] > 0.0
+        assert run_savings_sweep(glad, seed) == curve
+
     def test_deterministic(self):
         glad = GladParams(total_machines=3, profiling_samples=1500)
         assert run_savings_sweep(glad, seed=7) == run_savings_sweep(glad, seed=7)

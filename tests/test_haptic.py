@@ -1,6 +1,7 @@
 """Tests for session synthesis, touch classification and forecasting."""
 
 import math
+import tracemalloc
 from itertools import accumulate
 
 import numpy as np
@@ -543,25 +544,40 @@ class TestHitPass:
         monkeypatch.setattr(haptic, "_forecast", never)
         assert np.array_equal(_forecast_hits(x, 0.05, 0.05, np.zeros(5)), expected)
 
-    @pytest.mark.parametrize("n", [2, 3, 10, 17, 999, 4000, 5000])
+    @pytest.mark.parametrize("n", [*range(2, 17), 999, 4000, 5000])
     @pytest.mark.parametrize("alpha", [1.0, 0.999, 0.3, 0.0055, 1e-6])
     def test_blocked_values_lie_far_inside_the_margin(self, n, alpha):
+        # n <= 16 has blocks of 2 rows, and from n = 5 on more blocks than rows.
         rng = np.random.Generator(np.random.PCG64(n))
         x = rng.random((n, 5))
         for estimate in (np.zeros(5), rng.random(5), rng.uniform(-4.0, 4.0, 5)):
-            xb = _blocks(x)
-            blocked = _unblocked(_blocked_first_order(1.0 - alpha, alpha * xb, estimate), n)
+            u = _blocks(x, alpha)
+            delta = _hit_margin(n, u.shape[0], max(1.0, float(np.abs(estimate).max())))
+            blocked = _unblocked(_blocked_first_order(1.0 - alpha, u, estimate), n)
             exact = _first_order(1.0 - alpha, alpha * x, estimate)[:-1]
-            delta = _hit_margin(n, xb.shape[0], max(1.0, float(np.abs(estimate).max())))
             assert np.max(np.abs(blocked - exact)) <= delta / 20
 
-    @pytest.mark.parametrize("n,block", [(0, 1), (1, 1), (2, 2), (4, 2), (5, 3), (4000, 64)])
-    def test_blocks_of_about_sqrt_n_rows(self, n, block):
+    @pytest.mark.parametrize("n,block", [(0, 2), (1, 2), (2, 2), (4, 2), (5, 2), (16, 2),
+                                         (17, 3), (36, 3), (37, 4), (4000, 32)])
+    def test_blocks_of_half_sqrt_n_rows(self, n, block):
         x = np.arange(5.0 * n).reshape(n, 5)
         xb = _blocks(x)
         assert xb.shape[0] == block
         np.testing.assert_array_equal(_unblocked(xb, n), x)
         assert not xb.transpose(2, 0, 1).reshape(-1, 5)[n:].any()
+        np.testing.assert_array_equal(_blocks(x, 0.3), 0.3 * xb)
+
+    def test_one_call_holds_under_four_layouts(self):
+        # A layout is the (B, 5, blocks) array of one trace, 8 B 5 N bytes.
+        x = profiling_trace(BALL, 4000, seed=21).amplitude
+        layout = _blocks(x).nbytes
+        tracemalloc.start()
+        try:
+            _forecast_hits(x, 0.05, 0.05, np.zeros(5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * layout
 
 
 def _first_order_accumulate(c, u, y0):
