@@ -87,7 +87,7 @@ def _run_report_command(args, runner) -> int:
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out_dir}: {exc.strerror}") from exc
     report = runner(config)
-    for path in export_report(report, out_dir, formats=(args.format,)):
+    for path in export_report(report, out_dir, args.format):
         print(path.name)
     print(f"report '{report.scenario}' written to {out_dir}")
     return EXIT_OK

@@ -97,10 +97,7 @@ class ScenarioConfig:
 
 
 def _flatten(prefix: str, value, out: dict) -> None:
-    if hasattr(value, "__dataclass_fields__"):
-        for key, sub in asdict(value).items():
-            _flatten(f"{prefix}.{key}" if prefix else key, sub, out)
-    elif isinstance(value, dict):
+    if isinstance(value, dict):
         for key, sub in value.items():
             _flatten(f"{prefix}.{key}" if prefix else str(key), sub, out)
     elif isinstance(value, (list, tuple)):
@@ -112,7 +109,7 @@ def _flatten(prefix: str, value, out: dict) -> None:
 def scenario_hash(config: ScenarioConfig) -> str:
     """SHA-256 over the canonical flattened key=value dump of the scenario."""
     flat: dict[str, str] = {}
-    _flatten("", config, flat)
+    _flatten("", asdict(config), flat)
     canonical = "\n".join(f"{k}={flat[k]}" for k in sorted(flat))
     return hashlib.sha256(canonical.encode()).hexdigest()
 
@@ -336,29 +333,29 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def export_report(report: Report, directory, formats=("csv",)) -> list[Path]:
+def export_report(report: Report, directory, fmt: str = "csv") -> list[Path]:
     """Write one file per table plus a JSON manifest; byte-stable per input.
 
-    Table files are named `<scenario>__<table>.<format>`.  Every file is
-    written into a private staging directory inside `directory` and renamed
-    into place only once all are written, so a failed export leaves no new
-    or truncated file and no staging directory behind.
+    Table files are named `<scenario>__<table>.<fmt>`, with `fmt` "csv" or
+    "json".  Every file is written into a private staging directory inside
+    `directory` and renamed into place only once all are written, so a
+    failed export leaves no new or truncated file and no staging directory
+    behind.
     """
-    for fmt in formats:
-        if fmt not in ("csv", "json"):
-            raise ParameterError(f"unsupported format {fmt!r}")
+    if fmt not in ("csv", "json"):
+        raise ParameterError(f"unsupported format {fmt!r}")
 
     files = {}  # file name -> text
     for name in sorted(report.tables):
         table = report.tables[name]
         rows = [[_format_cell(cell) for cell in row] for row in table.rows]
-        if "csv" in formats:
+        if fmt == "csv":
             lines = [",".join(table.columns)] + [",".join(row) for row in rows]
-            files[f"{report.scenario}__{name}.csv"] = "\n".join(lines) + "\n"
-        if "json" in formats:
-            payload = {"columns": list(table.columns), "rows": rows}
-            files[f"{report.scenario}__{name}.json"] = json.dumps(
-                payload, sort_keys=True, indent=2) + "\n"
+            text = "\n".join(lines) + "\n"
+        else:
+            text = json.dumps({"columns": list(table.columns), "rows": rows},
+                              sort_keys=True, indent=2) + "\n"
+        files[f"{report.scenario}__{name}.{fmt}"] = text
     manifest = {"scenario": report.scenario, "tables": sorted(report.tables),
                 "provenance": report.provenance}
     files[f"{report.scenario}__manifest.json"] = json.dumps(

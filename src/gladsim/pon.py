@@ -157,9 +157,9 @@ def kingman_wait(rho: float, ca2: float, cs2: float, mean_service_us: float) -> 
                              f"got {ca2} and {cs2}")
     if not (math.isfinite(mean_service_us) and mean_service_us > 0):
         raise ParameterError(f"mean service time must be finite and > 0, got {mean_service_us}")
-    if rho == 0.0:
-        return 0.0
-    return rho / (1.0 - rho) * (ca2 + cs2) / 2.0 * mean_service_us
+    # Halved before they are added, the coefficients cannot overflow to inf,
+    # so zero load waits 0.0 whatever they are.
+    return rho / (1.0 - rho) * (0.5 * ca2 + 0.5 * cs2) * mean_service_us
 
 
 def _lindley_sum(a: np.ndarray, s: np.ndarray, origin: float, out: np.ndarray) -> np.ndarray:
@@ -454,54 +454,43 @@ def _upstream_leg(config: PonConfig, load: LoadPoint, probe_times: np.ndarray,
                   rng: np.random.Generator) -> dict:
     """Probe delays through the gated round-robin upstream grant cycle.
 
-    The tagged ONU sits mid-order in the fixed grant sequence, so the windows
-    of split_ratio // 2 other ONUs precede its own window inside each cycle.
-    A probe reports at the first cycle boundary after arrival, waits for the
-    background bytes ahead of it in its ONU queue to be granted, then
-    transmits inside its ONU's window.  Probe times are non-decreasing.
+    The windows of the split_ratio // 2 ONUs granted before the tagged one
+    precede its own in each cycle.  A probe reports at the first cycle
+    boundary after arrival.  It transmits in the first cycle from then on
+    whose running grant covers the background bytes ahead of it, right
+    behind those bytes.  Grants that are not whole bytes can sum to a hair
+    short of the bytes queued: a probe the running grant never reaches
+    takes the final grant as its bytes ahead.  Probe times are non-decreasing.
 
-    The preceding ONUs are drawn in full before the tagged one, so their
-    granted bytes are the one column held over every cycle.  Then one loop
-    solves the tagged ONU's grants one cycle chunk at a time from a carried
-    `_GrantState`.  A planned chunk bins the streamed draw, drawing on until
-    an arrival falls after the chunk, and each drawn chunk gives the bytes
-    ahead of the probes before its last arrival.  The last planned chunk
-    adds the empty cycles that drain the tagged backlog, where the
-    preceding ONUs' offsets come from their carried states.  Probes and
-    arrivals are located by cycle number.  Each probe is answered in the
-    chunk that holds its grant cycle, since grant cycles never decrease in
-    probe order.  Besides that column and the two output columns, the leg
-    holds one chunk's work memory and one draw buffer.
+    The preceding ONUs' grants per cycle are the one column held over every
+    cycle.  The tagged ONU is solved in cycle chunks from carried
+    `_GrantState`s, binning its streamed draw, then in the empty cycles that
+    drain its backlog.  Grant cycles never decrease in probe order, so each
+    probe is answered in the chunk of its grant cycle.  Besides that column
+    and the two output columns, the leg holds one draw buffer and one
+    chunk's columns.
     """
     cycle = config.dba_cycle_us
-    n_onus = config.split_ratio
     rate = config.upstream_rate_bps
-    bg_bytes = config.background_packet_bytes
-    cap = rate * cycle * 1e-6 / 8.0 / n_onus         # fair-share grant cap, bytes
-    preceding = n_onus // 2
-
+    bg_bytes = float(config.background_packet_bytes)
+    cap = rate * cycle * 1e-6 / 8.0 / config.split_ratio     # fair-share grant cap, bytes
+    byte_rate_us = rate * 1e-6 / 8.0                      # bytes per us
     horizon = float(probe_times[-1]) if probe_times.size else cycle
     lam_onu, n_cycles = _leg_plan(config, load, UPSTREAM, horizon)
-    per_onu_cycle_mean = lam_onu * cycle                    # pkts/cycle
 
-    # ONUs granted before the tagged one only matter through their granted
-    # bytes per cycle, which set the tagged window's offset in each cycle.
-    # Each ONU's arrivals are drawn in cycle chunks, in the row-major order of
-    # one (preceding, n_cycles) draw, and its grants are added in ONU order.
+    # The preceding ONUs' arrivals are drawn in cycle chunks, in the row-major
+    # order of one (ONU, cycle) draw, and their grants added in ONU order.
+    preceding = [_GrantState() for _ in range(config.split_ratio // 2) if lam_onu * cycle > 0.0]
     offset_bytes = np.zeros(n_cycles)
-    preceding_states = []
-    for _ in range(preceding if per_onu_cycle_mean > 0.0 else 0):
-        state = _GrantState()
+    for state in preceding:
         for start in range(0, n_cycles, CHUNK_CYCLES):
-            size = min(CHUNK_CYCLES, n_cycles - start)
-            arrived = rng.poisson(per_onu_cycle_mean, size=size) * float(bg_bytes)
-            offset_bytes[start:start + size] += _gated_grants(arrived, cap, state)
-        preceding_states.append(state)
+            arrived = rng.poisson(lam_onu * cycle, size=min(CHUNK_CYCLES, n_cycles - start))
+            offset_bytes[start:start + arrived.size] += _gated_grants(
+                arrived * bg_bytes, cap, state)
 
-    byte_rate_us = rate * 1e-6 / 8.0                      # bytes per us
     # Each probe's bytes ahead (none until drawn) until answered, then its queueing.
     queueing = np.zeros(probe_times.size)
-    # Each probe's report cycle, the first after the one it arrives in, then its DBA wait.
+    # Each probe's report cycle, then its DBA wait.
     report = np.divide(probe_times, cycle)
     np.trunc(report, out=report)
     report += 1.0
@@ -509,18 +498,14 @@ def _upstream_leg(config: PonConfig, load: LoadPoint, probe_times: np.ndarray,
     buffer = np.empty(draw.next_size())
     drawn, binned = buffer[:0], 0        # the drawn chunk, and how much of it is binned
     n_background = known = 0             # arrivals before `drawn`; probes with bytes ahead
-    arrived_buffer = np.empty(CHUNK_CYCLES)
     tagged = _GrantState()
     n_total = n_cycles           # the planned cycles, then the drain's
     start = answered = 0
     granted = 0.0                # the tagged bytes granted before `start`
-    # The cycle where the running grant first reached `granted`, and where
-    # transmission would start in it behind every byte granted.
-    reached = None
+    reached = None               # (grant cycle, send time) of a probe with `granted` ahead
     while start < n_total:
         end = min(start + CHUNK_CYCLES, n_total)
-        arrived = arrived_buffer[:end - start]
-        arrived.fill(0.0)
+        arrived = np.zeros(end - start)
         if start < n_cycles:
             while True:
                 upto = binned + int(np.searchsorted(drawn[binned:], end, side="left"))
@@ -533,72 +518,56 @@ def _upstream_leg(config: PonConfig, load: LoadPoint, probe_times: np.ndarray,
                 # Probes before the draw's last arrival (all once it ends) precede later ones.
                 stop = (probe_times.size if draw.done
                         else int(np.searchsorted(probe_times, drawn[-1], side="left")))
-                queueing[known:stop] = float(bg_bytes) * (n_background + np.searchsorted(
+                queueing[known:stop] = bg_bytes * (n_background + np.searchsorted(
                     drawn, probe_times[known:stop], side="right"))
                 known = stop
                 n_background += drawn.size
-                # An arrival at t falls in cycle int(t / cycle), so in cycle
-                # `end` or later just where t / cycle >= end.
-                drawn /= cycle
+                drawn /= cycle           # an arrival at t falls in cycle int(t / cycle)
             arrived *= bg_bytes
             offset = offset_bytes[start:end]
         else:
             # Traffic stops at the horizon and the queues drain: no arrivals.
             offset = np.zeros(arrived.size)
-            for state in preceding_states:
+            for state in preceding:
                 offset += _gated_grants(arrived, cap, state)
         grants = _gated_grants(arrived, cap, tagged)
         if end == n_cycles:
             # Then the empty cycles that grant the last backlog, u - u_min + A[-1].
             n_total += math.ceil((tagged.u - tagged.u_min + tagged.last_arrived) / cap)
-        # The carry folded into the first grant gives every running grant the
-        # bits of one cumsum over all cycles.
-        cum_grants = grants.copy()
-        cum_grants[0] += granted
-        np.cumsum(cum_grants, out=cum_grants)
-        rose = reached is None or cum_grants[-1] > granted
-        granted = float(cum_grants[-1])
+        # Led by the carry, every running grant has the bits of one cumsum over all cycles.
+        cum_grants = np.cumsum(np.concatenate(([granted], grants)))[1:]
         before = np.subtract(cum_grants, grants, out=grants)   # granted in earlier cycles
         # Each cycle's tagged window opens after the bytes of the ONUs granted before it.
-        window = np.divide(offset, byte_rate_us, out=offset)
+        window = offset / byte_rate_us
         window += cycle * np.arange(start, end)
-
-        # The probes reported before `end` whose bytes are granted by then
-        # follow the bytes ahead of them that their grant cycle grants.
+        if reached is None or cum_grants[-1] > granted:        # the running grant rose
+            granted = float(cum_grants[-1])
+            k = int(np.searchsorted(cum_grants, granted, side="left"))
+            reached = (start + k, window[k] + max(0.0, granted - before[k]) / byte_rate_us)
+        # The probes reported before `end` whose bytes are granted by then.
         reported = int(np.searchsorted(report, end, side="left"))
         stop = answered + int(np.searchsorted(queueing[answered:reported], granted, side="right"))
         ahead = queueing[answered:stop]
         report_cycle = report[answered:stop]
-        k = np.searchsorted(cum_grants, ahead, side="left")
-        np.maximum(k, report_cycle.astype(int) - start, out=k)
+        k = np.maximum(np.searchsorted(cum_grants, ahead, side="left"),
+                       report_cycle.astype(int) - start)
         position = np.maximum(0.0, ahead - before[k])
         queueing[answered:stop] = window[k] + position / byte_rate_us - report_cycle * cycle
         answered = stop
-        # Should no grant follow, a probe still waiting is sent in its report
-        # cycle, behind every byte granted: each window's start then takes
-        # the place of the planned cycle's offset.  These starts are used
-        # only where the running grant last rose before the report cycle, so
-        # `granted` is already final here.
-        window += np.maximum(0.0, granted - before) / byte_rate_us
-        if rose:
-            k = int(np.searchsorted(cum_grants, granted, side="left"))
-            reached = (start + k, float(window[k]))
         start = end
 
-    # A running sum of grants that are not whole bytes can end a hair short of
-    # the bytes queued; the probes behind every one of them wait for the last
-    # grant, in its cycle or their later report cycle.
+    # The probes left wait behind the final grant, in its cycle or a later report cycle.
     last, last_start = reached
     report_cycle = report[answered:]
-    starts = np.where(report_cycle <= last, last_start, offset_bytes[report_cycle.astype(int)])
+    starts = np.where(report_cycle <= last, last_start,
+                      offset_bytes[report_cycle.astype(int)] / byte_rate_us + cycle * report_cycle)
     queueing[answered:] = starts - report_cycle * cycle
 
-    dba_wait = report                    # report_cycle * cycle - probe_times
-    dba_wait *= cycle
-    dba_wait -= probe_times
+    report *= cycle                      # the DBA wait, report_cycle * cycle - probe_times
+    report -= probe_times
     return {
         "queueing": queueing,
-        "dba_wait": dba_wait,
+        "dba_wait": report,
         "transmission": transmission_time(config.packet_bytes, rate),
     }
 

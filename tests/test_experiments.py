@@ -129,6 +129,12 @@ class TestScenarioConfig:
         c = ScenarioConfig(n_loops=999)
         assert scenario_hash(a) != scenario_hash(c)
 
+    def test_default_hash_is_pinned(self):
+        # The default scenario's hash, which every default report's manifest
+        # carries as its config_hash.
+        assert scenario_hash(ScenarioConfig()) == (
+            "dc7df250c611718d8a6b1c6173edc4b9a8f65c24df2b72e541c83688bd70c688")
+
 
 class TestLatencySweep:
     def test_serial_sweep_imports_no_thread_pool(self, run_python):
@@ -386,7 +392,7 @@ class TestExport:
         assert manifest["tables"] == []
 
     def test_json_format(self, latency_report, tmp_path):
-        files = export_report(latency_report, tmp_path, formats=("json",))
+        files = export_report(latency_report, tmp_path, "json")
         names = {f.name for f in files}
         assert "latency_sweep__latency.json" in names
         payload = json.loads((tmp_path / "latency_sweep__latency.json").read_text())
@@ -421,7 +427,7 @@ class TestExport:
     def test_unknown_format_rejected(self, latency_report, tmp_path):
         target = tmp_path / "report"
         with pytest.raises(ParameterError):
-            export_report(latency_report, target, formats=("yaml",))
+            export_report(latency_report, target, "yaml")
         assert not target.exists()
 
 

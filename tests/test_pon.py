@@ -83,6 +83,12 @@ class TestKingman:
     def test_empty_system(self):
         assert kingman_wait(0.0, 1.0, 1.0, 10.0) == 0.0
 
+    def test_empty_system_with_huge_variability(self):
+        # ca2 + cs2 overflows to inf here: 0 * inf would be NaN, and at
+        # rho 0.5 the wait, 1e308 us, would read inf.
+        assert kingman_wait(0.0, 1e308, 1e308, 10.0) == 0.0
+        assert kingman_wait(0.5, 1e308, 1e308, 1.0) == 1e308
+
     def test_mm1_like_symmetry(self):
         # ca2 = cs2 = 1 gives exactly rho/(1-rho) * E[S].
         assert kingman_wait(0.5, 1.0, 1.0, 10.0) == pytest.approx(10.0)
@@ -726,6 +732,37 @@ class TestStreamedUpstream:
         assert extended == 7 and short == 0.0
         assert np.count_nonzero(grant_cycle >= n_cycles) > 8
         assert grant_cycle[-1] > n_cycles
+
+    @given(split=st.integers(1, 64),
+           cycle=st.sampled_from([62.5, 97.3, 125.0, 130.0, 250.0]),
+           rate=st.sampled_from([1e9, 2.48832e9, 9.95328e9]),
+           rho=st.one_of(st.just(0.0), st.floats(0.0, 0.95)),
+           seed=st.integers(0, 2**32 - 1),
+           span=st.floats(100.0, 2000.0),
+           chunkings=st.lists(st.tuples(st.sampled_from([1, 7, 1000, pon.CHUNK_EVENTS]),
+                                        st.sampled_from([1, 3, 7, pon.CHUNK_CYCLES])),
+                              min_size=3, max_size=3))
+    def test_random_networks_match_whole_array(self, split, cycle, rate, rho, seed, span,
+                                               chunkings):
+        # Odd splits, 1 Gb/s and cycles such as 130 us give grant caps that
+        # are not binary fractions, where the running grant can end short of
+        # the bytes queued and the reference clamps the bytes ahead.
+        cfg = PonConfig(upstream_rate_bps=rate, split_ratio=split, dba_cycle_us=cycle)
+        load = LoadPoint(rho)
+        probes = np.sort(np.random.Generator(np.random.PCG64(seed)).uniform(0.0, span, 60))
+        times = _whole_array_upstream(cfg, load, probes, pon._spawn_rngs(seed, 1)[0])[2]
+        # Probes on cycle boundaries and background arrival instants too; the
+        # last probe, and so the draw, stays.
+        probes = np.sort(np.concatenate((probes, np.arange(0.0, probes[-1], cycle), times)))
+        queueing, dba_wait = _whole_array_upstream(
+            cfg, load, probes, pon._spawn_rngs(seed, 1)[0])[:2]
+        for events, cycles in chunkings:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(pon, "CHUNK_EVENTS", events)
+                patch.setattr(pon, "CHUNK_CYCLES", cycles)
+                leg = pon._upstream_leg(cfg, load, probes, pon._spawn_rngs(seed, 1)[0])
+            assert np.array_equal(leg["queueing"], queueing)
+            assert np.array_equal(leg["dba_wait"], dba_wait)
 
     @pytest.mark.parametrize("n_loops", [30_000, 100_000])
     def test_upstream_memory_is_flat_in_loops(self, n_loops):
