@@ -87,7 +87,12 @@ def _run_report_command(args, runner) -> int:
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out_dir}: {exc.strerror}") from exc
     report = runner(config)
-    for path in export_report(report, out_dir, args.format):
+    try:
+        paths = export_report(report, out_dir, args.format)
+    except OSError as exc:
+        raise GladsimError(f"cannot write the report to {out_dir}: "
+                           f"{exc.strerror or exc}") from exc
+    for path in paths:
         print(path.name)
     print(f"report '{report.scenario}' written to {out_dir}")
     return EXIT_OK

@@ -1,12 +1,14 @@
 """Scenario files: a strict INI schema over the runner defaults.
 
 Every key overrides one scenario field and is named after it, except
-`scale_us`, `location_us`, `loads` and `spans_km`; unknown sections or keys
-are hard errors so a typo cannot silently skew a calibrated run.  Example:
+`scale_us`, `location_us`, `loads` and `spans_km`.  Fields that no runner
+reads have no key.  Unknown sections or keys, and values in a `[DEFAULT]`
+section, are hard errors so a typo cannot silently skew a calibrated run;
+values are read literally, without `%` interpolation.  Example:
 
     [pon]
-    span_km = 20
     split_ratio = 16
+    dba_cycle_us = 125
 
     [grid]
     loads = 0.1, 0.5, 0.9
@@ -60,17 +62,22 @@ _PARSERS = {float: _float, int: int, tuple[float, ...]: _floats, tuple[int, ...]
 _KEYS = {"scale": "scale_us", "location": "location_us",
          "load_grid": "loads", "span_grid_km": "spans_km"}
 
+# Fields that change no report, so that a file setting them is refused: they
+# are wired or deleted at the next ARTIFACT_VERSION bump (ROADMAP items 10, 20).
+_UNREAD = {"haptic_traffic", "span_km", "local_ais", "min_updates_for_upload"}
+
 # section -> the ScenarioConfig field it overrides; [grid] overrides the
 # ScenarioConfig fields that no other section covers.
-_SECTIONS = {"pon": "pon", "traffic.control": "control_traffic",
-             "traffic.haptic": "haptic_traffic", "grid": None, "glad": "glad"}
+_SECTIONS = {"pon": "pon", "traffic.control": "control_traffic", "grid": None,
+             "glad": "glad"}
 
 
 def _keys(cls, names=None) -> dict:
-    """key -> (field, parser) for the fields of `cls` in `names` (all by default)."""
+    """key -> (field, parser) for the read fields of `cls` in `names` (all by default)."""
     hints = get_type_hints(cls)
     return {_KEYS.get(f.name, f.name): (f.name, _PARSERS[hints[f.name]])
-            for f in fields(cls) if names is None or f.name in names}
+            for f in fields(cls)
+            if f.name not in _UNREAD and (names is None or f.name in names)}
 
 
 # ScenarioConfig field -> its default, taken from the field so that no
@@ -107,7 +114,7 @@ def _collect(parser: configparser.ConfigParser, section: str) -> dict:
 def load_scenario(path) -> ScenarioConfig:
     """Parse a scenario file into a fully-validated ScenarioConfig."""
     path = Path(path)
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
@@ -118,6 +125,9 @@ def load_scenario(path) -> ScenarioConfig:
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
 
+    # configparser would copy [DEFAULT] values into every section.
+    if parser.defaults():
+        raise ConfigError(f"unknown section [{parser.default_section}] in {path}")
     for section in parser.sections():
         if section not in _SCHEMA:
             raise ConfigError(f"unknown section [{section}] in {path}")

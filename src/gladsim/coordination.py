@@ -15,7 +15,6 @@ which the caller uploads.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +24,7 @@ from .errors import (
     InsufficientDataError,
     NotReadyError,
     ParameterError,
+    integer,
 )
 from .haptic import (
     N_FINGERS,
@@ -68,13 +68,6 @@ _POOL_TEXTURE_HZ = (10.0, 85.0, 160.0, 235.0)  # bands 0, 3, 6, 9
 POOL_CAPACITY = len(_POOL_KINDS) * len(_POOL_STIFFNESS) * len(_POOL_TEXTURE_HZ)
 
 
-def _integer(name: str, value) -> int:
-    """`value` as a Python int; a bool or a non-integer raises ConfigError."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 @dataclass(frozen=True)
 class GladParams:
     """Learning-side knobs of the onboarding and forecasting studies.
@@ -104,9 +97,10 @@ class GladParams:
         for name in ("window", "total_machines", "local_ais", "add_every", "additions",
                      "quant_bands", "profiling_samples", "min_updates_for_upload",
                      "kind_pool_size"):
-            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+            object.__setattr__(self, name, integer(name, getattr(self, name), ConfigError))
         object.__setattr__(self, "machines_grid",
-                           tuple(_integer("machines_grid", m) for m in self.machines_grid))
+                           tuple(integer("machines_grid", m, ConfigError)
+                                 for m in self.machines_grid))
         minimums = {"window": 1, "total_machines": 2, "local_ais": 1, "add_every": 1,
                     "additions": 0, "quant_bands": 2,
                     "profiling_samples": MIN_ONBOARDING_SAMPLES}
@@ -267,7 +261,7 @@ def iterations_to_target(hits: np.ndarray, target: float, window: int) -> tuple[
     """
     if not (0.0 < target < 1.0):
         raise ParameterError(f"accuracy target must lie in (0, 1), got {target}")
-    if isinstance(window, bool) or not isinstance(window, numbers.Integral) or window <= 0:
+    if integer("window", window) <= 0:
         raise ParameterError(f"window must be an integer > 0, got {window!r}")
     if hits.size >= window:
         cums = np.concatenate(([0], np.cumsum(hits)))
@@ -321,7 +315,7 @@ def make_profile_pool(size: int) -> list[ObjectProfile]:
     Kinds and quantization bands are spread so any two pool entries fall
     below the default matching threshold.
     """
-    if not 1 <= size <= POOL_CAPACITY:
+    if not 1 <= integer("size", size) <= POOL_CAPACITY:
         raise ParameterError(f"pool size must lie in [1, {POOL_CAPACITY}], got {size}")
     kinds, stiffness, texture = _POOL_KINDS, _POOL_STIFFNESS, _POOL_TEXTURE_HZ
     pool = []

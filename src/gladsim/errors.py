@@ -1,4 +1,6 @@
-"""Exception types shared across the simulator."""
+"""Exception types shared across the simulator, and the integer check that raises them."""
+
+import numbers
 
 
 class GladsimError(Exception):
@@ -31,3 +33,10 @@ class NotReadyError(GladsimError, RuntimeError):
 
 class ConfigError(GladsimError, ValueError):
     """A scenario file is malformed or contains unknown keys."""
+
+
+def integer(name: str, value, error: type = ParameterError) -> int:
+    """`value` as a Python int; a bool or a non-integer raises `error` naming `name`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise error(f"{name} must be an integer, got {value!r}")
+    return int(value)

@@ -20,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from . import coordination, haptic, pon
-from .coordination import GladParams, _integer
-from .errors import ConfigError, ParameterError, ResourceLimitError, SaturationError
+from .coordination import GladParams
+from .errors import ConfigError, ParameterError, ResourceLimitError, SaturationError, integer
 from .pon import NO_AI, WITH_AI
 from .traffic import CONTROL_TRAFFIC_DEFAULT, GpdParams
 
@@ -54,8 +54,9 @@ class ScenarioConfig:
     deadline_us: float = 1000.0
 
     def __post_init__(self):
-        object.__setattr__(self, "n_loops", _integer("n_loops", self.n_loops))
-        object.__setattr__(self, "seeds", tuple(_integer("seeds", s) for s in self.seeds))
+        object.__setattr__(self, "n_loops", integer("n_loops", self.n_loops, ConfigError))
+        object.__setattr__(self, "seeds",
+                           tuple(integer("seeds", s, ConfigError) for s in self.seeds))
         for name in ("load_grid", "span_grid_km", "seeds"):
             values = getattr(self, name)
             if not values:
@@ -96,14 +97,19 @@ class ScenarioConfig:
                 raise ConfigError(f"n_loops = {self.n_loops} at rho = {load.rho}: {exc}") from exc
 
 
+def _repr(value) -> str:
+    """`repr` of `value`, a numpy scalar read as the equal Python number."""
+    return repr(value.item() if isinstance(value, np.generic) else value)
+
+
 def _flatten(prefix: str, value, out: dict) -> None:
     if isinstance(value, dict):
         for key, sub in value.items():
             _flatten(f"{prefix}.{key}" if prefix else str(key), sub, out)
     elif isinstance(value, (list, tuple)):
-        out[prefix] = ",".join(repr(v) for v in value)
+        out[prefix] = ",".join(_repr(v) for v in value)
     else:
-        out[prefix] = repr(value)
+        out[prefix] = _repr(value)
 
 
 def scenario_hash(config: ScenarioConfig) -> str:

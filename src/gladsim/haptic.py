@@ -45,6 +45,7 @@ from .errors import (
     DegenerateDataError,
     InsufficientDataError,
     ParameterError,
+    integer,
 )
 from .traffic import GpdParams, generate_stream
 
@@ -333,7 +334,7 @@ def profiling_trace(profile: ObjectProfile, n_samples: int, seed: int, *,
     which controls the trace's autocorrelation; `noise_std` adds per-sample
     sensor noise on top of the geometric law.
     """
-    if n_samples <= 0:
+    if integer("n_samples", n_samples) <= 0:
         raise ParameterError(f"n_samples must be > 0, got {n_samples}")
     if not (math.isfinite(noise_std) and noise_std >= 0):
         raise ParameterError(f"noise_std must be finite and >= 0, got {noise_std}")

@@ -24,12 +24,11 @@ with each mode's fiber leg count, and a span adds legs x span x per-km delay.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ParameterError, ResourceLimitError, SaturationError
+from .errors import ParameterError, ResourceLimitError, SaturationError, integer
 from .traffic import CONTROL_TRAFFIC_DEFAULT, ArrivalStream, GpdParams, generate_stream, gpd_mean
 
 __all__ = [
@@ -91,8 +90,7 @@ class PonConfig:
         for f in fields(self):
             if not math.isfinite(getattr(self, f.name)):
                 raise ParameterError(f"{f.name} must be finite, got {getattr(self, f.name)}")
-        if isinstance(self.split_ratio, bool) or not isinstance(self.split_ratio, numbers.Integral):
-            raise ParameterError(f"split_ratio must be an integer, got {self.split_ratio!r}")
+        integer("split_ratio", self.split_ratio)
         positive = (
             "downstream_rate_bps",
             "upstream_rate_bps",
@@ -727,7 +725,7 @@ def round_trips(config: PonConfig, load: LoadPoint, seed: int, *,
       to the central office, forecast inference, and the forecast feedback
       downstream to the operator: two wireless hops plus the inference time.
     """
-    if n_loops < 10:
+    if integer("n_loops", n_loops) < 10:
         raise ParameterError(f"need at least 10 loops, got {n_loops}")
     probes = _probe_stream(traffic or CONTROL_TRAFFIC_DEFAULT, n_loops, seed)
     out = {}

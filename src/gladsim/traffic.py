@@ -124,6 +124,8 @@ class ArrivalStream:
     def __post_init__(self):
         ts = np.asarray(self.timestamps, dtype=float)
         object.__setattr__(self, "timestamps", ts)
+        if not np.all(np.isfinite(ts)):
+            raise ParameterError("timestamps must be finite")
         if ts.size and np.any(np.diff(ts) < 0.0):
             raise ParameterError("timestamps must be non-decreasing")
 

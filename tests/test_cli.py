@@ -3,6 +3,8 @@
 import ast
 import configparser
 import dataclasses
+import errno
+import os
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +22,7 @@ from gladsim.traffic import GpdParams, generate_stream
 
 SMALL_CONFIG = """
 [pon]
-span_km = 20
+wireless_hop_us = 40
 
 [grid]
 loads = 0.3, 0.8
@@ -66,7 +68,7 @@ class TestConfigFile:
         assert config.load_grid == (0.3, 0.8)
         assert config.seeds == (1, 2)
         assert config.n_loops == 500
-        assert config.pon.span_km == 20.0
+        assert config.pon.wireless_hop_us == 40.0
         assert config.glad.total_machines == 3
 
     def test_unknown_key_is_hard_error(self, tmp_path):
@@ -87,6 +89,27 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="n_loops"):
             load_scenario(path)
 
+    @pytest.mark.parametrize("text", [
+        # Loaded as the default scenario, neither value checked.
+        "[DEFAULT]\nn_loops = 5\nbogus = 1\n",
+        # Leaked into [grid] and ran 20 loops.
+        "[DEFAULT]\nn_loops = 20\n[grid]\nloads = 0.5\n",
+        # Named [pon] as the section holding the unknown key.
+        "[DEFAULT]\nseeds = 3\n[pon]\nsplit_ratio = 16\n",
+    ])
+    def test_default_section_values_are_an_unknown_section(self, tmp_path, text):
+        path = tmp_path / "defaults.cfg"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=r"^unknown section \[DEFAULT\]"):
+            load_scenario(path)
+
+    def test_values_are_read_without_interpolation(self, tmp_path):
+        # `%(n_loops)s` used to load as seed 100, the [grid] n_loops value.
+        path = tmp_path / "interpolated.cfg"
+        path.write_text("[grid]\nn_loops = 100\nseeds = %(n_loops)s\n")
+        with pytest.raises(ConfigError, match="bad value for 'seeds'"):
+            load_scenario(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_scenario(tmp_path / "nope.cfg")
@@ -98,7 +121,6 @@ class TestConfigFile:
         sources = {
             "pon": PonConfig,
             "traffic.control": GpdParams,
-            "traffic.haptic": GpdParams,
             "grid": ScenarioConfig,
             "glad": GladParams,
         }
@@ -106,7 +128,7 @@ class TestConfigFile:
         dump = configparser.ConfigParser()
         dump.read_string(default_scenario_text())
         for section, cls in sources.items():
-            fields = {f.name for f in dataclasses.fields(cls)} - (
+            fields = {f.name for f in dataclasses.fields(cls)} - gconfig._UNREAD - (
                 nested if cls is ScenarioConfig else set())
             targets = [attr for attr, _ in gconfig._SCHEMA[section].values()]
             assert sorted(targets) == sorted(fields), section
@@ -116,16 +138,15 @@ class TestConfigFile:
         # Keys are derived from the dataclass fields, so renaming a field
         # renames its key; every scenario file written so far would break.
         assert {section: list(keys) for section, keys in gconfig._SCHEMA.items()} == {
-            "pon": ["downstream_rate_bps", "upstream_rate_bps", "split_ratio", "span_km",
+            "pon": ["downstream_rate_bps", "upstream_rate_bps", "split_ratio",
                     "fiber_delay_us_per_km", "dba_cycle_us", "wireless_hop_us",
                     "ai_inference_us", "packet_bytes", "background_packet_bytes"],
             "traffic.control": ["shape", "scale_us", "location_us"],
-            "traffic.haptic": ["shape", "scale_us", "location_us"],
             "grid": ["loads", "spans_km", "seeds", "n_loops", "deadline_us"],
             "glad": ["accuracy_target", "window", "epsilon", "onboarding_alpha", "alpha_grid",
-                     "kind_pool_size", "total_machines", "local_ais", "profiling_samples",
-                     "min_updates_for_upload", "match_threshold", "quant_bands",
-                     "texture_freq_max_hz", "add_every", "additions", "machines_grid"],
+                     "kind_pool_size", "total_machines", "profiling_samples",
+                     "match_threshold", "quant_bands", "texture_freq_max_hz", "add_every",
+                     "additions", "machines_grid"],
         }
 
     def test_one_seed_scenario_draws_one_probe_stream(self, tmp_path, stream_calls):
@@ -180,7 +201,7 @@ class TestCli:
         assert "span_mk" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key,value", [
-        ("window", "0"), ("total_machines", "0"), ("local_ais", "0"),
+        ("window", "0"), ("total_machines", "0"),
         ("profiling_samples", "0"), ("add_every", "0"), ("quant_bands", "0"),
         ("quant_bands", "1"), ("texture_freq_max_hz", "0"), ("match_threshold", "1.5"),
         ("additions", "-1"), ("epsilon", "0"), ("onboarding_alpha", "1.5"),
@@ -190,7 +211,6 @@ class TestCli:
         ("accuracy_target", "1.0"), ("total_machines", "1"), ("kind_pool_size", "0"),
         ("kind_pool_size", str(POOL_CAPACITY + 1)),
         ("profiling_samples", str(MIN_ONBOARDING_SAMPLES - 1)),
-        ("min_updates_for_upload", str(GladParams.profiling_samples + 1)),
     ])
     def test_invalid_glad_value_exits_one(self, tmp_path, capsys, key, value):
         bad = tmp_path / "bad.cfg"
@@ -219,7 +239,8 @@ class TestCli:
     @pytest.mark.parametrize("section,key,value", [
         ("glad", "texture_freq_max_hz", "nan"), ("grid", "loads", "nan"),
         ("grid", "loads", "0.5, inf"), ("grid", "deadline_us", "nan"),
-        ("pon", "span_km", "nan"), ("pon", "span_km", "inf"), ("pon", "span_km", "-inf"),
+        ("pon", "dba_cycle_us", "nan"), ("pon", "dba_cycle_us", "inf"),
+        ("pon", "dba_cycle_us", "-inf"),
     ])
     @pytest.mark.parametrize("command", ["latency-sweep", "onboarding"])
     def test_non_finite_value_exits_one(self, tmp_path, capsys, command, section, key, value):
@@ -231,17 +252,14 @@ class TestCli:
         assert key in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("section,key,field", [
-        ("grid", "spans_km", "span_grid_km"), ("pon", "span_km", "span_km"),
-    ])
-    def test_overflowing_span_exits_one(self, tmp_path, capsys, section, key, field):
+    def test_overflowing_span_exits_one(self, tmp_path, capsys):
         # 1e308 km at 5 us/km is finite, but its propagation delay is not.
         bad = tmp_path / "far.cfg"
-        bad.write_text(f"[{section}]\n{key} = 1e308\n")
+        bad.write_text("[grid]\nspans_km = 1e308\n")
         code = main(["latency-sweep", "--config", str(bad), "--out", str(tmp_path / "out")])
         assert code == 1
         err = capsys.readouterr().err
-        assert field in err and "overflows" in err and "Traceback" not in err
+        assert "span_grid_km" in err and "overflows" in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
     def test_negative_seed_option_exits_one(self, tmp_path, capsys):
@@ -376,6 +394,21 @@ class TestCli:
         captured = capsys.readouterr()
         assert str(bad) in captured.err and "not UTF-8" in captured.err
         assert "Traceback" not in captured.err and not captured.out
+
+    @pytest.mark.parametrize("command", ["latency-sweep", "onboarding"])
+    def test_failed_report_write_exits_two(self, config_file, tmp_path, capsys, monkeypatch,
+                                           command):
+        # The OSError of a full disk escaped as a traceback, with exit 1.
+        def disk_full(*args):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(os, "replace", disk_full)
+        out_dir = tmp_path / "out"
+        assert main([command, "--config", str(config_file), "--out", str(out_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: cannot write the report to {out_dir}: "
+                                "No space left on device\n")
+        assert not captured.out and list(out_dir.iterdir()) == []
 
     def test_out_naming_a_file_exits_one_before_the_run(self, tmp_path, capsys, monkeypatch):
         def never(config):

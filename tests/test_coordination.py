@@ -445,5 +445,9 @@ class TestSavings:
         for size in (0, POOL_CAPACITY + 1):
             with pytest.raises(ParameterError):
                 make_profile_pool(size)
+        # 2.5 raised a raw TypeError from range().
+        for size in (2.5, 2.0, True):
+            with pytest.raises(ParameterError, match="^size must be an integer"):
+                make_profile_pool(size)
         with pytest.raises(ConfigError):
             _small(total_machines=1)

@@ -113,6 +113,17 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError, match="seeds must not repeat"):
             ScenarioConfig(seeds=(np.int64(1), 1))
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(pon=pon.PonConfig(split_ratio=np.int64(16))),
+        dict(pon=pon.PonConfig(span_km=np.float64(20.0))),
+        dict(deadline_us=np.float64(1000.0)),
+        dict(load_grid=tuple(np.float64(rho) for rho in ScenarioConfig.load_grid)),
+    ])
+    def test_numpy_scalars_hash_as_python_numbers(self, kwargs):
+        # repr reads np.int64(16) under numpy 2, which moved the config_hash
+        # of the default scenario.
+        assert scenario_hash(ScenarioConfig(**kwargs)) == scenario_hash(ScenarioConfig())
+
     def test_event_budget_checked_at_load(self):
         # At rho 0.9 the downstream leg draws ~0.896 events per us up to ten
         # services past the first probe horizon, n_loops x 1000 us x 1.1 + 10.

@@ -458,6 +458,15 @@ class TestProfilingTraceArguments:
         with pytest.raises(ParameterError, match=name):
             profiling_trace(BALL, 10, seed=1, **kwargs)
 
+    @pytest.mark.parametrize("n_samples", [10.5, 10.0, True])
+    def test_sample_count_must_be_an_integer(self, n_samples):
+        # 10.5 raised a raw TypeError from numpy, and True ran as one sample.
+        with pytest.raises(ParameterError, match="^n_samples must be an integer"):
+            profiling_trace(BALL, n_samples, seed=1)
+
+    def test_numpy_sample_count_accepted(self):
+        assert len(profiling_trace(BALL, np.int64(10), seed=1)) == 10
+
     @pytest.mark.parametrize("persistence", [-1.0, 1.0])
     def test_persistence_bounds_are_accepted(self, persistence):
         trace = profiling_trace(BALL, 10, seed=1, wobble_persistence=persistence)

@@ -1282,6 +1282,18 @@ class TestRecordInvariants:
     def test_numpy_integer_split_ratio_accepted(self):
         assert PonConfig(split_ratio=np.int64(8)).split_ratio == 8
 
+    @pytest.mark.parametrize("n_loops", [100.5, 100.0, True])
+    def test_loop_count_must_be_an_integer(self, n_loops):
+        # 100.5 raised a raw TypeError from slicing the probe stream.
+        with pytest.raises(ParameterError, match="^n_loops must be an integer"):
+            round_trips(PonConfig(), LoadPoint(0.1), seed=1, n_loops=n_loops)
+
+    def test_numpy_loop_count_accepted(self):
+        out = round_trips(PonConfig(), LoadPoint(0.1), seed=1, n_loops=np.int64(100))
+        plain = round_trips(PonConfig(), LoadPoint(0.1), seed=1, n_loops=100)
+        for mode, (totals, legs) in plain.items():
+            assert out[mode][1] == legs and np.array_equal(out[mode][0], totals)
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(PonConfig)])
     def test_config_rejects_non_finite_fields_by_name(self, name, value):

@@ -2,11 +2,17 @@
 
 For each key of the scenario-file schema, one value is changed in a tiny
 scenario and both runners are run on it.  Only the tables are compared: the
-manifest's scenario hash changes with every key.
+manifest's scenario hash changes with every key.  The fields that no runner
+reads have no key, and a file that sets one is refused at load.
 """
 
+import re
+
+import pytest
+
 from gladsim import config
-from gladsim.errors import GladsimError
+from gladsim.cli import main
+from gladsim.errors import ConfigError, GladsimError
 from gladsim.experiments import run_latency_sweep, run_onboarding_study
 
 TINY = {
@@ -25,7 +31,6 @@ PERTURBATIONS = {
     ("pon", "downstream_rate_bps"): ("5e9", {}),
     ("pon", "upstream_rate_bps"): ("1.2e9", {}),
     ("pon", "split_ratio"): ("32", {}),
-    ("pon", "span_km"): ("10", {}),
     ("pon", "fiber_delay_us_per_km"): ("6", {}),
     ("pon", "dba_cycle_us"): ("250", {}),
     ("pon", "wireless_hop_us"): ("60", {}),
@@ -35,9 +40,6 @@ PERTURBATIONS = {
     ("traffic.control", "shape"): ("0.2", {}),
     ("traffic.control", "scale_us"): ("800", {}),
     ("traffic.control", "location_us"): ("10", {}),
-    ("traffic.haptic", "shape"): ("0.2", {}),
-    ("traffic.haptic", "scale_us"): ("800", {}),
-    ("traffic.haptic", "location_us"): ("10", {}),
     ("grid", "loads"): ("0.3", {}),
     ("grid", "spans_km"): ("25", {}),
     ("grid", "seeds"): ("2", {}),
@@ -50,10 +52,7 @@ PERTURBATIONS = {
     ("glad", "alpha_grid"): ("0.1, 0.5", {}),
     ("glad", "kind_pool_size"): ("2", {}),
     ("glad", "total_machines"): ("3", {}),
-    ("glad", "local_ais"): ("3", {}),
     ("glad", "profiling_samples"): ("600", {}),
-    # Above profiling_samples: GladParams rejects it at load.
-    ("glad", "min_updates_for_upload"): ("501", {}),
     ("glad", "match_threshold"): ("0.6", POOL4),
     ("glad", "quant_bands"): ("5", POOL4),
     ("glad", "texture_freq_max_hz"): ("1000", POOL10),
@@ -61,17 +60,6 @@ PERTURBATIONS = {
     ("glad", "additions"): ("2", {}),
     ("glad", "machines_grid"): ("1, 3", {}),
 }
-
-# Keys that parse and hash into the provenance but change no table, each
-# waiting to be wired or deleted (ROADMAP item 10).
-INERT = {
-    ("pon", "span_km"),                 # the latency sweep takes its spans from the grid
-    ("traffic.haptic", "shape"),        # nothing reads ScenarioConfig.haptic_traffic
-    ("traffic.haptic", "scale_us"),
-    ("traffic.haptic", "location_us"),
-    ("glad", "local_ais"),              # only GladParams validates it
-}
-
 
 def _scenario_text(*layers) -> str:
     sections: dict[str, dict[str, str]] = {}
@@ -100,13 +88,37 @@ def test_every_key_changes_a_table_or_is_rejected(tmp_path):
                 outcomes[text] = exc
         return outcomes[text]
 
-    inert = set()
+    inert = []
     for (section, key), (value, base) in PERTURBATIONS.items():
         before = tables(_scenario_text(TINY, base))
         assert not isinstance(before, GladsimError), before
         after = tables(_scenario_text(TINY, base, {section: {key: value}}))
         if after == before:
-            inert.add((section, key))
+            inert.append((section, key))
 
-    assert sorted(inert - INERT) == [], "keys that change nothing"
-    assert sorted(INERT - inert) == [], "listed as inert but now change a table"
+    assert inert == [], "keys that change nothing"
+
+
+# (section, key, value, what the error names) for the fields that no runner
+# reads, until they are wired or deleted (ROADMAP items 10 and 20).
+UNREAD = [
+    ("pon", "span_km", "10", "span_km"),    # the sweep takes its spans from the grid
+    ("traffic.haptic", "shape", "0.2", "[traffic.haptic]"),
+    ("traffic.haptic", "scale_us", "800", "[traffic.haptic]"),
+    ("traffic.haptic", "location_us", "10", "[traffic.haptic]"),
+    ("glad", "local_ais", "3", "local_ais"),
+    ("glad", "min_updates_for_upload", "300", "min_updates_for_upload"),
+]
+
+
+@pytest.mark.parametrize("section,key,value,named", UNREAD)
+def test_unread_key_is_refused(tmp_path, capsys, section, key, value, named):
+    path = tmp_path / "unread.cfg"
+    path.write_text(f"[{section}]\n{key} = {value}\n")
+    with pytest.raises(ConfigError, match=f"^unknown .*{re.escape(named)}"):
+        config.load_scenario(path)
+    for command in ("latency-sweep", "onboarding"):
+        out_dir = tmp_path / command
+        assert main([command, "--config", str(path), "--out", str(out_dir)]) == 1
+        assert named in capsys.readouterr().err
+        assert not out_dir.exists()

@@ -164,6 +164,14 @@ class TestGenerateStream:
         with pytest.raises(ParameterError):
             ArrivalStream(timestamps=np.array([2.0, 1.0]))
 
+    @pytest.mark.parametrize("timestamps", [[math.nan], [1.0, math.inf], [-math.inf, 0.0],
+                                            [0.0, math.nan, 1.0]])
+    def test_stream_rejects_non_finite_timestamps(self, timestamps):
+        # The non-decreasing check reads False for nan, and simulate_pon then
+        # raised a raw IndexError, ValueError or OverflowError from the legs.
+        with pytest.raises(ParameterError, match="timestamps must be finite"):
+            ArrivalStream(timestamps=np.array(timestamps))
+
 
 class TestFitGpd:
     def test_round_trip_recovers_generating_parameters(self):
