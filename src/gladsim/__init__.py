@@ -60,11 +60,9 @@ from .pon import (
     kingman_wait,
     propagation_delay,
     round_trips,
-    simulate_pon,
     transmission_time,
 )
 from .traffic import (
-    ArrivalStream,
     GpdParams,
     fit_gpd,
     generate_stream,

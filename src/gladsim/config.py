@@ -64,6 +64,7 @@ _KEYS = {"scale": "scale_us", "location": "location_us",
 
 # Fields that change no report, so that a file setting them is refused: they
 # are wired or deleted at the next ARTIFACT_VERSION bump (ROADMAP items 10, 20).
+# Nothing in the model reads span_km: the sweep takes its spans from the grid.
 _UNREAD = {"haptic_traffic", "span_km", "local_ais", "min_updates_for_upload"}
 
 # section -> the ScenarioConfig field it overrides; [grid] overrides the

@@ -26,6 +26,7 @@ from .errors import (
     ParameterError,
     integer,
 )
+from .errors import seed as check_seed
 from .haptic import (
     N_FINGERS,
     HapticTrace,
@@ -344,6 +345,7 @@ def run_savings_sweep(glad: GladParams, seed: int) -> list[tuple[int, float]]:
     uploaded into the registry.  Returns the running mean of saved_pct after
     each machine.
     """
+    seed = check_seed("seed", seed)
     pool = make_profile_pool(glad.kind_pool_size)
     registry = GlobalRegistry()
     seeds = np.random.SeedSequence(seed).generate_state(glad.total_machines)

@@ -1,4 +1,4 @@
-"""Exception types shared across the simulator, and the integer check that raises them."""
+"""Exception types shared across the simulator, and the integer and seed checks that raise them."""
 
 import numbers
 
@@ -39,4 +39,11 @@ def integer(name: str, value, error: type = ParameterError) -> int:
     """`value` as a Python int; a bool or a non-integer raises `error` naming `name`."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise error(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def seed(name: str, value) -> int:
+    """`value` as a Python int seed; a bool, a non-integer or a negative raises ParameterError."""
+    if integer(name, value) < 0:
+        raise ParameterError(f"{name} must be >= 0, got {value}")
     return int(value)

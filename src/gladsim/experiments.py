@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 import os
 import shutil
 import tempfile
@@ -57,6 +58,12 @@ class ScenarioConfig:
         object.__setattr__(self, "n_loops", integer("n_loops", self.n_loops, ConfigError))
         object.__setattr__(self, "seeds",
                            tuple(integer("seeds", s, ConfigError) for s in self.seeds))
+        # Stored as Python floats, so numpy arrays and scalars check and hash as tuples do.
+        for name in ("load_grid", "span_grid_km"):
+            values = getattr(self, name)
+            if any(isinstance(v, bool) or not isinstance(v, numbers.Real) for v in values):
+                raise ConfigError(f"{name} must hold numbers, got {values}")
+            object.__setattr__(self, name, tuple(float(v) for v in values))
         for name in ("load_grid", "span_grid_km", "seeds"):
             values = getattr(self, name)
             if not values:
@@ -75,17 +82,14 @@ class ScenarioConfig:
             raise ConfigError(f"n_loops must be >= 10, got {self.n_loops}")
         if not (np.isfinite(self.deadline_us) and self.deadline_us > 0):
             raise ConfigError(f"deadline_us must be finite and > 0, got {self.deadline_us}")
-        # A PON leg crosses pon.span_km once; a sweep point sums up to four
-        # crossings of a grid span over every pooled loop.
+        # A sweep point sums up to four crossings of a grid span over every pooled loop.
         crossings = 4 * self.n_loops * len(self.seeds)
-        spans = [("pon.span_km", self.pon.span_km, 1)]
-        spans += [("span_grid_km", span, crossings) for span in self.span_grid_km]
-        for name, span, count in spans:
+        for span in self.span_grid_km:
             try:
-                pon.propagation_delay(span * count, self.pon.fiber_delay_us_per_km)
+                pon.propagation_delay(span * crossings, self.pon.fiber_delay_us_per_km)
             except ParameterError as exc:
-                raise ConfigError(f"{name} value {span} overflows the propagation delay "
-                                  f"of {count} fiber crossings") from exc
+                raise ConfigError(f"span_grid_km value {span} overflows the propagation delay "
+                                  f"of {crossings} fiber crossings") from exc
         # The heaviest unsaturated load draws the most background.
         unsaturated = [rho for rho in self.load_grid if rho < 1.0]
         if unsaturated:

@@ -47,6 +47,7 @@ from .errors import (
     ParameterError,
     integer,
 )
+from .errors import seed as check_seed
 from .traffic import GpdParams, generate_stream
 
 __all__ = [
@@ -283,10 +284,10 @@ def generate_session(profile: ObjectProfile, duration_us: float,
     arrival and a haptic sample whenever the hand is within the extent.
     Deterministic in `seed`.
     """
+    seed = check_seed("seed", seed)
     if not (math.isfinite(duration_us) and duration_us > 0):
         raise ParameterError(f"duration_us must be finite and > 0, got {duration_us}")
-    stream = generate_stream(control_params, duration_us, seed)
-    times = stream.timestamps
+    times = generate_stream(control_params, duration_us, seed)
     n = times.size
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0xC0FFEE))))
 
@@ -336,6 +337,7 @@ def profiling_trace(profile: ObjectProfile, n_samples: int, seed: int, *,
     """
     if integer("n_samples", n_samples) <= 0:
         raise ParameterError(f"n_samples must be > 0, got {n_samples}")
+    seed = check_seed("seed", seed)
     if not (math.isfinite(noise_std) and noise_std >= 0):
         raise ParameterError(f"noise_std must be finite and >= 0, got {noise_std}")
     if not -1.0 <= wobble_persistence <= 1.0:
@@ -428,6 +430,7 @@ def train_classifier(controls: ControlTrace, labels, train_fraction: float,
     """
     if not (0.0 < train_fraction < 1.0):
         raise ParameterError(f"train_fraction must lie in (0, 1), got {train_fraction}")
+    seed = check_seed("seed", seed)
     n = len(controls)
     labels = np.asarray(labels, dtype=bool)
     if labels.shape != (n,):

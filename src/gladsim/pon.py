@@ -29,20 +29,18 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ParameterError, ResourceLimitError, SaturationError, integer
-from .traffic import CONTROL_TRAFFIC_DEFAULT, ArrivalStream, GpdParams, generate_stream, gpd_mean
+from .errors import seed as check_seed
+from .traffic import CONTROL_TRAFFIC_DEFAULT, GpdParams, generate_stream, gpd_mean
 
 __all__ = [
     "PonConfig",
     "LoadPoint",
-    "UPSTREAM",
-    "DOWNSTREAM",
     "NO_AI",
     "WITH_AI",
     "propagation_delay",
     "transmission_time",
     "kingman_wait",
     "fifo_waits",
-    "simulate_pon",
     "queueing_cross_check",
     "round_trips",
 ]
@@ -570,34 +568,6 @@ def _upstream_leg(config: PonConfig, load: LoadPoint, probe_times: np.ndarray,
     }
 
 
-def _leg(config: PonConfig, load: LoadPoint, direction: str,
-         probe_times: np.ndarray, rng: np.random.Generator) -> dict:
-    """One leg's delay columns, with its wireless hop and fiber propagation."""
-    if direction == UPSTREAM:
-        # Probes reach the ONU queue one wireless hop after generation.
-        out = _upstream_leg(config, load, probe_times + config.wireless_hop_us, rng)
-    elif direction == DOWNSTREAM:
-        out = _downstream_leg(config, load, probe_times, rng)
-    else:
-        raise ParameterError(f"direction must be '{UPSTREAM}' or '{DOWNSTREAM}'")
-    out["wireless"] = config.wireless_hop_us
-    out["propagation"] = propagation_delay(config.span_km, config.fiber_delay_us_per_km)
-    return out
-
-
-def simulate_pon(config: PonConfig, load: LoadPoint, direction: str,
-                 h2m_stream: ArrivalStream, seed: int) -> dict:
-    """Packet-level delay components of each tagged message in one direction.
-
-    Returns the leg's columns in us: `queueing` and `dba_wait` hold one entry
-    per message; `transmission`, `wireless` and `propagation` are constants.
-    """
-    if len(h2m_stream) == 0:
-        raise ParameterError("h2m_stream must contain at least one arrival")
-    rng = _spawn_rngs(seed, 1)[0]
-    return _leg(config, load, direction, h2m_stream.timestamps, rng)
-
-
 def queueing_cross_check(config: PonConfig, load: LoadPoint, seed: int,
                          horizon_us: float = 2e6) -> dict:
     """Compare the downstream FIFO's simulated mean wait with Kingman's formula.
@@ -614,7 +584,7 @@ def queueing_cross_check(config: PonConfig, load: LoadPoint, seed: int,
         raise ParameterError(f"horizon_us must be finite and at least 1000 background "
                              f"services ({1000.0 * service:g} us), got {horizon_us}")
     lam, until = _leg_plan(config, load, DOWNSTREAM, horizon_us * 0.99)
-    draw = _poisson_draw(_spawn_rngs(seed, 1)[0], lam, until)
+    draw = _poisson_draw(_spawn_rngs(check_seed("seed", seed), 1)[0], lam, until)
 
     n = 0
     first = last = wait_sum = gap_square_sum = 0.0
@@ -658,10 +628,10 @@ def _probe_horizon(traffic: GpdParams, n_loops: int) -> float:
 def _probe_stream(traffic: GpdParams, n_loops: int, seed: int) -> np.ndarray:
     horizon = _probe_horizon(traffic, n_loops)
     stream = generate_stream(traffic, horizon, seed)
-    while len(stream) < n_loops:
+    while stream.size < n_loops:
         horizon *= 1.5
         stream = generate_stream(traffic, horizon, seed)
-    return stream.timestamps[:n_loops]
+    return stream[:n_loops]
 
 
 def _check_event_budget(config: PonConfig, load: LoadPoint, traffic: GpdParams,
@@ -687,23 +657,24 @@ def _round_trip_base(config: PonConfig, load: LoadPoint, seed: int,
     `probes` is the control stream drawn from `seed`, and the four legs'
     background seeds derive from `seed` too, so both modes share identical
     leg realizations: the with-AI loop reuses the control upstream and
-    feedback downstream legs of the no-AI loop and simply skips the two
-    machine-side legs.
+    feedback downstream legs of the no-AI loop and skips the two machine-side
+    legs.  Each leg adds one wireless hop; upstream, probes cross it first.
     """
     rngs = _spawn_rngs(seed, 4)
-
-    leg_plan = [(UPSTREAM, 0), (DOWNSTREAM, 1), (UPSTREAM, 2), (DOWNSTREAM, 3)]
+    upstream = probes + config.wireless_hop_us
+    legs = [(_upstream_leg, upstream, 0), (_downstream_leg, probes, 1),
+            (_upstream_leg, upstream, 2), (_downstream_leg, probes, 3)]
     if with_ai:
-        leg_plan = [(UPSTREAM, 0), (DOWNSTREAM, 3)]
+        legs = [legs[0], legs[3]]
 
     totals = np.zeros(probes.size)
-    for direction, rng_idx in leg_plan:
-        leg = _leg(config, load, direction, probes, rngs[rng_idx])
-        totals += (leg["queueing"] + leg["dba_wait"]
-                   + leg["transmission"] + leg["wireless"])
+    for leg, times, rng_idx in legs:
+        out = leg(config, load, times, rngs[rng_idx])
+        totals += (out["queueing"] + out["dba_wait"]
+                   + out["transmission"] + config.wireless_hop_us)
     if with_ai:
         totals += config.ai_inference_us
-    return totals, len(leg_plan)
+    return totals, len(legs)
 
 
 def round_trips(config: PonConfig, load: LoadPoint, seed: int, *,
@@ -727,6 +698,7 @@ def round_trips(config: PonConfig, load: LoadPoint, seed: int, *,
     """
     if integer("n_loops", n_loops) < 10:
         raise ParameterError(f"need at least 10 loops, got {n_loops}")
+    seed = check_seed("seed", seed)
     probes = _probe_stream(traffic or CONTROL_TRAFFIC_DEFAULT, n_loops, seed)
     out = {}
     for mode, with_ai in ((NO_AI, False), (WITH_AI, True)):

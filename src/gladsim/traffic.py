@@ -20,10 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDataError, InsufficientDataError, ParameterError
+from .errors import seed as check_seed
 
 __all__ = [
     "GpdParams",
-    "ArrivalStream",
     "CONTROL_TRAFFIC_DEFAULT",
     "sample_gpd",
     "gpd_cdf",
@@ -115,35 +115,14 @@ def gpd_mean(params: GpdParams) -> float:
     return params.location + params.scale / (1.0 - params.shape)
 
 
-@dataclass(frozen=True)
-class ArrivalStream:
-    """Arrival instants (us) of one message stream."""
-
-    timestamps: np.ndarray
-
-    def __post_init__(self):
-        ts = np.asarray(self.timestamps, dtype=float)
-        object.__setattr__(self, "timestamps", ts)
-        if not np.all(np.isfinite(ts)):
-            raise ParameterError("timestamps must be finite")
-        if ts.size and np.any(np.diff(ts) < 0.0):
-            raise ParameterError("timestamps must be non-decreasing")
-
-    def __len__(self) -> int:
-        return int(self.timestamps.size)
-
-    @property
-    def inter_arrivals(self) -> np.ndarray:
-        """Gaps between consecutive arrivals; the first gap is measured from t=0."""
-        return np.diff(self.timestamps, prepend=0.0)
-
-
-def generate_stream(params: GpdParams, horizon_us: float, seed: int) -> ArrivalStream:
-    """Cumulative sums of i.i.d. GPD inter-arrivals up to `horizon_us`.
+def generate_stream(params: GpdParams, horizon_us: float, seed: int) -> np.ndarray:
+    """Arrival instants (us): cumulative sums of i.i.d. GPD inter-arrivals up to `horizon_us`.
 
     Arrivals strictly beyond the horizon are excluded; the stream may be empty
     when the first gap already exceeds the horizon.  Deterministic in `seed`.
+    The gaps are `np.diff(stream, prepend=0.0)`.
     """
+    seed = check_seed("seed", seed)
     if not (math.isfinite(horizon_us) and horizon_us > 0):
         raise ParameterError(f"horizon_us must be finite and > 0, got {horizon_us}")
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -165,8 +144,7 @@ def generate_stream(params: GpdParams, horizon_us: float, seed: int) -> ArrivalS
             break
         offset = float(ts[-1])
         batch = max(64, batch // 2)
-    timestamps = np.concatenate(chunks) if chunks else np.empty(0)
-    return ArrivalStream(timestamps=timestamps)
+    return np.concatenate(chunks)
 
 
 def _inter_arrival_sample(inter_arrivals) -> np.ndarray:

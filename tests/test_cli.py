@@ -350,7 +350,7 @@ class TestCli:
         stream = generate_stream(GpdParams(0.1, 900.0, 0.0), 2e6, seed=4)
         csv = tmp_path / "gaps.csv"
         csv.write_text("inter_arrival_us\n" +
-                       "\n".join(repr(float(g)) for g in stream.inter_arrivals) + "\n")
+                       "\n".join(repr(float(g)) for g in np.diff(stream, prepend=0.0)) + "\n")
         assert main(["traffic-fit", "--input", str(csv)]) == 0
         out = capsys.readouterr().out
         assert "shape:" in out and "ks_verdict:" in out

@@ -77,9 +77,10 @@ class TestScenarioConfig:
         # overflows: the sweep wrote inf means and nan percentiles.
         dict(span_grid_km=(1e308,)),
         dict(span_grid_km=(10.0, 1e303)),
-        dict(pon=pon.PonConfig(span_km=1e308)),
         dict(deadline_us=math.nan),
         dict(deadline_us=math.inf),
+        dict(load_grid=(0.5, True)),
+        dict(span_grid_km=("10",)),
     ])
     def test_invalid_rejected(self, kwargs):
         # Each error names its field.  A nan load used to fail mid-sweep, an
@@ -118,11 +119,18 @@ class TestScenarioConfig:
         dict(pon=pon.PonConfig(span_km=np.float64(20.0))),
         dict(deadline_us=np.float64(1000.0)),
         dict(load_grid=tuple(np.float64(rho) for rho in ScenarioConfig.load_grid)),
+        # Arrays raised "truth value ... is ambiguous" from the emptiness check.
+        dict(load_grid=np.array(ScenarioConfig.load_grid)),
+        dict(span_grid_km=np.array(ScenarioConfig.span_grid_km)),
+        dict(seeds=np.array(ScenarioConfig.seeds)),
     ])
     def test_numpy_scalars_hash_as_python_numbers(self, kwargs):
         # repr reads np.int64(16) under numpy 2, which moved the config_hash
         # of the default scenario.
-        assert scenario_hash(ScenarioConfig(**kwargs)) == scenario_hash(ScenarioConfig())
+        config = ScenarioConfig(**kwargs)
+        assert scenario_hash(config) == scenario_hash(ScenarioConfig())
+        assert config == ScenarioConfig()
+        assert all(type(v) is float for v in config.load_grid + config.span_grid_km)
 
     def test_event_budget_checked_at_load(self):
         # At rho 0.9 the downstream leg draws ~0.896 events per us up to ten
@@ -452,13 +460,24 @@ def benchmark_checks():
     return checks
 
 
-@pytest.mark.parametrize("seed", [0, 1, 10])
-def test_onboarding_bytes_match_the_benchmark_reference(benchmark_checks, tmp_path, seed):
-    # The benchmark's onboarding workload is the default study at one seed;
-    # its reference holds the sha256 of every report file.
+# Each benchmark workload's scenario, built directly at one seed: the default
+# onboarding study, and the deep rho 0.9 sweep point at 30k loops (about 2 s),
+# which pins the bytes of the PON legs and the probe stream.
+_BENCHMARK_REPORTS = {
+    "onboarding": lambda seed: run_onboarding_study(ScenarioConfig(seeds=(seed,))),
+    "sweep-deep": lambda seed: run_latency_sweep(
+        ScenarioConfig(load_grid=(0.9,), seeds=(seed,), n_loops=30_000)),
+}
+
+
+@pytest.mark.parametrize("workload, seed", [
+    ("onboarding", 0), ("onboarding", 1), ("onboarding", 10), ("sweep-deep", 1)])
+def test_report_bytes_match_the_benchmark_reference(benchmark_checks, tmp_path, workload, seed):
+    # The reference holds the sha256 of every report file of each workload
+    # at each seed it was made for.
     entry, status = benchmark_checks.reference_entry(
-        benchmark_checks.load_reference(), "onboarding", seed, ARTIFACT_VERSION)
+        benchmark_checks.load_reference(), workload, seed, ARTIFACT_VERSION)
     if entry is None:
         pytest.skip(status)
-    files = export_report(run_onboarding_study(ScenarioConfig(seeds=(seed,))), tmp_path)
+    files = export_report(_BENCHMARK_REPORTS[workload](seed), tmp_path)
     assert benchmark_checks.file_hashes(files) == entry["sha256"]

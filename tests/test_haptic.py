@@ -129,7 +129,7 @@ def _session_loop(profile, duration_us, control_params, seed):
 
     Returns the control columns, the touching mask and the haptic columns.
     """
-    times = generate_stream(control_params, duration_us, seed).timestamps
+    times = generate_stream(control_params, duration_us, seed)
     n = times.size
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0xC0FFEE))))
     phase = 2.0 * math.pi * times / 1.0e6

@@ -27,7 +27,6 @@ from gladsim.pon import (
     propagation_delay,
     queueing_cross_check,
     round_trips,
-    simulate_pon,
     transmission_time,
 )
 from gladsim.traffic import CONTROL_TRAFFIC_DEFAULT, GpdParams, generate_stream, gpd_mean
@@ -120,7 +119,7 @@ class TestKingman:
         ca2 = 1.25
 
         stream = generate_stream(params, 3e6, seed=21)
-        waits = fifo_waits(stream.timestamps, np.full(len(stream), 4.0))
+        waits = fifo_waits(stream, np.full(len(stream), 4.0))
         analytical = kingman_wait(0.8, ca2, 0.0, 4.0)
         assert analytical == pytest.approx(10.0)
         assert waits.mean() == pytest.approx(analytical, rel=0.2)
@@ -512,7 +511,7 @@ class TestStreamedBackground:
 
     @pytest.mark.parametrize("n_loops", [5_000, 20_000])
     def test_downstream_memory_is_flat_in_loops(self, n_loops):
-        probes = generate_stream(CONTROL_TRAFFIC_DEFAULT, n_loops * 1000.0, 3).timestamps
+        probes = generate_stream(CONTROL_TRAFFIC_DEFAULT, n_loops * 1000.0, 3)
         tracemalloc.start()
         try:
             pon._downstream_leg(PonConfig(), LoadPoint(0.9), probes, pon._spawn_rngs(3, 1)[0])
@@ -534,7 +533,7 @@ class TestStreamedBackground:
         # chunk at its last idle arrival held the open busy period in a
         # buffer that grew with it, to 67 MiB over these 1.1e7 us; carrying
         # one arrival across each cut holds 1.67 MiB.
-        probes = generate_stream(CONTROL_TRAFFIC_DEFAULT, 1.1e7, 3).timestamps
+        probes = generate_stream(CONTROL_TRAFFIC_DEFAULT, 1.1e7, 3)
         tracemalloc.start()
         try:
             pon._downstream_leg(PonConfig(), LoadPoint(0.999), probes, pon._spawn_rngs(3, 1)[0])
@@ -545,18 +544,18 @@ class TestStreamedBackground:
 
     @pytest.mark.parametrize("n_loops", [5_000, 20_000])
     def test_statistics_free_leg_memory_is_flat_in_loops(self, n_loops):
-        # The sweep's path: the downstream leg through _leg carries only its
-        # delay columns (the background statistics live in the cross-check)
-        # and holds no more than the bare leg.
-        probes = generate_stream(CONTROL_TRAFFIC_DEFAULT, n_loops * 1000.0, 3).timestamps
+        # The sweep's path: the downstream leg carries only its delay columns
+        # (the background statistics live in the cross-check) and holds no
+        # more than its chunked draw.
+        probes = generate_stream(CONTROL_TRAFFIC_DEFAULT, n_loops * 1000.0, 3)
         tracemalloc.start()
         try:
-            leg = pon._leg(PonConfig(), LoadPoint(0.9), DOWNSTREAM, probes,
-                           pon._spawn_rngs(3, 1)[0])
+            leg = pon._downstream_leg(PonConfig(), LoadPoint(0.9), probes,
+                                      pon._spawn_rngs(3, 1)[0])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert set(leg) == {"queueing", "dba_wait", "transmission", "wireless", "propagation"}
+        assert set(leg) == {"queueing", "dba_wait", "transmission"}
         assert peak < 4 * 2**20
 
     def test_cross_check_memory_is_flat(self):
@@ -643,7 +642,7 @@ class TestDownstreamLaw:
 @functools.cache
 def _upstream_peak(n_loops):
     """The tracemalloc peak of one rho 0.9 upstream leg, its cycles and its probes."""
-    probes = generate_stream(CONTROL_TRAFFIC_DEFAULT, n_loops * 1000.0, 3).timestamps
+    probes = generate_stream(CONTROL_TRAFFIC_DEFAULT, n_loops * 1000.0, 3)
     tracemalloc.start()
     try:
         pon._upstream_leg(PonConfig(), LoadPoint(0.9), probes, pon._spawn_rngs(3, 1)[0])
@@ -803,7 +802,7 @@ class TestStreamedUpstream:
         # float sums are exact.  At 130 us, on this seed, 164 of the 315
         # probes so cleared wait a cycle or more.
         cfg, load, seed = PonConfig(dba_cycle_us=cycle), LoadPoint(0.1), 2
-        probes = _stream(3e5, seed).timestamps
+        probes = _stream(3e5, seed)
         leg = pon._upstream_leg(cfg, load, probes, pon._spawn_rngs(seed, 1)[0])
         times = _whole_array_upstream(cfg, load, probes, pon._spawn_rngs(seed, 1)[0])[2]
         bg_bytes = cfg.background_packet_bytes
@@ -823,68 +822,58 @@ class TestStreamedUpstream:
         assert np.all(leg["queueing"][cleared] < cycle)
 
 
-class TestSimulatePon:
+def _leg_at(leg, cfg, rho, probes, seed):
+    """One leg's columns from its own generator, as `validate` draws it."""
+    return leg(cfg, LoadPoint(rho), probes, pon._spawn_rngs(seed, 1)[0])
+
+
+class TestLegs:
     def test_zero_load_upstream_component_bounds(self):
-        cfg = PonConfig(span_km=20.0)
+        cfg = PonConfig()
         stream = _stream()
-        leg = simulate_pon(cfg, LoadPoint(0.0), UPSTREAM, stream, seed=42)
-        assert leg["wireless"] == 50.0
+        leg = _leg_at(pon._upstream_leg, cfg, 0.0, stream + cfg.wireless_hop_us, 42)
         assert leg["transmission"] == pytest.approx(
             transmission_time(cfg.packet_bytes, cfg.upstream_rate_bps))
-        assert leg["propagation"] == 100.0
         assert leg["queueing"].shape == leg["dba_wait"].shape == (len(stream),)
         assert np.all(leg["queueing"] == 0.0)
         assert np.all((leg["dba_wait"] >= 0.0) & (leg["dba_wait"] <= cfg.dba_cycle_us))
 
     def test_zero_load_downstream(self):
-        cfg = PonConfig(span_km=20.0)
+        cfg = PonConfig()
         stream = _stream()
-        leg = simulate_pon(cfg, LoadPoint(0.0), DOWNSTREAM, stream, seed=42)
+        leg = _leg_at(pon._downstream_leg, cfg, 0.0, stream, 42)
         assert leg["queueing"].shape == leg["dba_wait"].shape == (len(stream),)
         assert np.all(leg["queueing"] == 0.0)
         assert np.all(leg["dba_wait"] == 0.0)
-        assert leg["wireless"] + leg["propagation"] + leg["transmission"] == pytest.approx(
-            50.0 + 100.0 + transmission_time(cfg.packet_bytes, cfg.downstream_rate_bps)
-        )
+        assert leg["transmission"] == pytest.approx(
+            transmission_time(cfg.packet_bytes, cfg.downstream_rate_bps))
 
-    def test_deterministic(self):
-        cfg = PonConfig()
-        a = simulate_pon(cfg, LoadPoint(0.6), UPSTREAM, _stream(), seed=7)
-        b = simulate_pon(cfg, LoadPoint(0.6), UPSTREAM, _stream(), seed=7)
+    @pytest.mark.parametrize("leg", [pon._upstream_leg, pon._downstream_leg],
+                             ids=[UPSTREAM, DOWNSTREAM])
+    def test_deterministic(self, leg):
+        a, b = (_leg_at(leg, PonConfig(), 0.6, _stream(), 7) for _ in range(2))
         assert a.keys() == b.keys()
         for key in ("queueing", "dba_wait"):
             assert np.array_equal(a[key], b[key])
-        for key in ("transmission", "wireless", "propagation"):
-            assert a[key] == b[key]
+        assert a["transmission"] == b["transmission"]
 
-    @pytest.mark.parametrize("direction", [UPSTREAM, DOWNSTREAM])
+    @pytest.mark.parametrize("leg", [pon._upstream_leg, pon._downstream_leg],
+                             ids=[UPSTREAM, DOWNSTREAM])
     @pytest.mark.parametrize("rho", [0.0, 0.4, 0.8])
-    def test_component_additivity(self, direction, rho):
-        cfg = PonConfig(span_km=12.5)
+    def test_components_non_negative(self, leg, rho):
         stream = _stream(1e5, 9)
-        leg = simulate_pon(cfg, LoadPoint(rho), direction, stream, seed=3)
+        out = _leg_at(leg, PonConfig(), rho, stream, 3)
         for key in ("queueing", "dba_wait"):
-            assert leg[key].shape == (len(stream),)
-            assert np.all(leg[key] >= 0.0)
-        for key in ("transmission", "wireless", "propagation"):
-            assert leg[key] >= 0.0
+            assert out[key].shape == (len(stream),)
+            assert np.all(out[key] >= 0.0)
+        assert out["transmission"] >= 0.0
 
     def test_dba_wait_bounded_at_any_load(self):
         cfg = PonConfig()
         for rho in (0.0, 0.5, 0.9):
-            dba = simulate_pon(cfg, LoadPoint(rho), UPSTREAM, _stream(1e5, 2), seed=4)["dba_wait"]
+            dba = _leg_at(pon._upstream_leg, cfg, rho, _stream(1e5, 2), 4)["dba_wait"]
             assert np.all((dba >= 0.0) & (dba <= cfg.dba_cycle_us))
 
-    def test_empty_stream_rejected(self):
-        empty = generate_stream(GpdParams(0.1, 10.0, 100.0), 50.0, seed=1)
-        with pytest.raises(ParameterError):
-            simulate_pon(PonConfig(), LoadPoint(0.0), UPSTREAM, empty, seed=1)
-
-    def test_bad_direction(self):
-        with pytest.raises(ParameterError):
-            simulate_pon(PonConfig(), LoadPoint(0.0), "sideways", _stream(), seed=1)
-
-    @settings(max_examples=40)
     @given(seed=st.integers(0, 2**32 - 1),
            horizon=st.floats(2e3, 2e5),
            cycle=st.floats(10.0, 1000.0))
@@ -894,8 +883,8 @@ class TestSimulatePon:
         cfg = PonConfig(dba_cycle_us=cycle)
         stream = _stream(horizon, seed)
         assume(len(stream) > 0)
-        leg = simulate_pon(cfg, LoadPoint(0.0), UPSTREAM, stream, seed=seed)
-        t = stream.timestamps + cfg.wireless_hop_us
+        t = stream + cfg.wireless_hop_us
+        leg = _leg_at(pon._upstream_leg, cfg, 0.0, t, seed)
         assert np.all(leg["queueing"] == 0.0)
         assert np.array_equal(leg["dba_wait"], cycle * (np.floor(t / cycle) + 1.0) - t)
 
@@ -980,18 +969,20 @@ class TestRoundTrips:
         # feedback downstream (leg 3) plus the inference, bit for bit, so the
         # four no-AI legs alone determine both modes.
         cfg, legs = PonConfig(), []
-        leg = pon._leg
 
-        def recorded(*args):
-            legs.append(leg(*args))
-            return legs[-1]
+        def recorded(leg):
+            def call(*args):
+                legs.append(leg(*args))
+                return legs[-1]
+            return call
 
-        monkeypatch.setattr(pon, "_leg", recorded)
+        monkeypatch.setattr(pon, "_upstream_leg", recorded(pon._upstream_leg))
+        monkeypatch.setattr(pon, "_downstream_leg", recorded(pon._downstream_leg))
         loops = round_trips(cfg, LoadPoint(rho), seed=5, n_loops=1000)
         expected = np.zeros(1000)
         for no_ai_leg in (legs[0], legs[3]):
             expected += (no_ai_leg["queueing"] + no_ai_leg["dba_wait"]
-                         + no_ai_leg["transmission"] + no_ai_leg["wireless"])
+                         + no_ai_leg["transmission"] + cfg.wireless_hop_us)
         expected += cfg.ai_inference_us
         assert np.array_equal(loops[WITH_AI][0], expected[int(1000 * pon.WARMUP_FRACTION):])
 
@@ -1139,7 +1130,7 @@ class TestLegMetamorphic:
     @pytest.mark.parametrize("direction", [UPSTREAM, DOWNSTREAM])
     def test_bytes_against_rate(self, direction, cfg, rho, factor):
         for seed in self.SEEDS:
-            probes = _stream(1e5, seed).timestamps
+            probes = _stream(1e5, seed)
             base = self._run(direction, cfg, rho, probes, seed)
             scaled = self._run(direction, _bytes_scaled(cfg, factor), rho, probes, seed)
             assert set(scaled) == set(base) == {"queueing", "dba_wait", "transmission"}
@@ -1152,7 +1143,7 @@ class TestLegMetamorphic:
     @pytest.mark.parametrize("direction", [UPSTREAM, DOWNSTREAM])
     def test_time_scales_every_delay(self, direction, cfg, rho, factor):
         for seed in self.SEEDS:
-            probes = _stream(1e5, seed).timestamps
+            probes = _stream(1e5, seed)
             base = self._run(direction, cfg, rho, probes, seed)
             scaled = self._run(direction, _time_scaled(cfg, factor), rho, factor * probes, seed)
             assert set(scaled) == set(base) == {"queueing", "dba_wait", "transmission"}

@@ -1,7 +1,7 @@
 """The public surface agrees with itself and with the README's library table.
 
 A deleted name must leave no `__all__` entry, no package re-export and no
-README row behind.
+README row behind.  Every public entry that takes a seed checks it.
 """
 
 import ast
@@ -11,7 +11,12 @@ import re
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import gladsim
+from gladsim import coordination, haptic, pon, traffic
+from gladsim.errors import ParameterError
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "gladsim"
@@ -93,3 +98,43 @@ def test_runtime_imports_only_numpy_and_the_standard_library():
              for name in _runtime_imports(ast.parse(path.read_text()))
              if name not in allowed]
     assert stray == []
+
+
+def _seeded_entries():
+    """name -> a call of each public entry that takes a seed, returning arrays or numbers."""
+    ball = haptic.standard_profile(haptic.ObjectKind.RUBBER_BALL)
+    controls, _ = haptic.generate_session(ball, 3e5, traffic.CONTROL_TRAFFIC_DEFAULT, 5)
+    labels = haptic.label_touch(controls, ball)
+    return {
+        "generate_stream": lambda seed: traffic.generate_stream(
+            traffic.CONTROL_TRAFFIC_DEFAULT, 1e4, seed),
+        "round_trips": lambda seed: pon.round_trips(
+            pon.PonConfig(), pon.LoadPoint(0.5), seed, n_loops=10)[pon.NO_AI][0],
+        "queueing_cross_check": lambda seed: list(pon.queueing_cross_check(
+            pon.PonConfig(), pon.LoadPoint(0.5), seed, horizon_us=2e3).values()),
+        "generate_session": lambda seed: haptic.generate_session(
+            ball, 1e4, traffic.CONTROL_TRAFFIC_DEFAULT, seed)[0].t_us,
+        "profiling_trace": lambda seed: haptic.profiling_trace(ball, 10, seed).amplitude,
+        "train_classifier": lambda seed: haptic.train_classifier(
+            controls, labels, 0.7, seed)[1],
+        "run_savings_sweep": lambda seed: coordination.run_savings_sweep(
+            coordination.GladParams(total_machines=2, profiling_samples=500), seed),
+    }
+
+
+SEEDED = sorted(_seeded_entries())
+
+
+@pytest.mark.parametrize("bad", [-1, 1.5, True], ids=["negative", "float", "bool"])
+@pytest.mark.parametrize("entry", SEEDED)
+def test_seeds_are_checked_at_every_public_entry(entry, bad):
+    # A negative seed raised numpy's raw ValueError and a float its raw
+    # TypeError; a bool ran as seed 1.
+    with pytest.raises(ParameterError, match="^seed must be"):
+        _seeded_entries()[entry](bad)
+
+
+@pytest.mark.parametrize("entry", SEEDED)
+def test_numpy_integer_seeds_are_accepted(entry):
+    call = _seeded_entries()[entry]
+    assert np.array_equal(call(np.int64(3)), call(3))
