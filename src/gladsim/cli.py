@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 configuration/usage error, 2 runtime error.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -21,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .config import default_scenario_text, load_scenario
-from .errors import ConfigError, DegenerateDataError, GladsimError, InsufficientDataError
+from .errors import ConfigError, DegenerateDataError, GladsimError, InsufficientDataError, real
 from .experiments import (
     ScenarioConfig,
     export_report,
@@ -36,10 +35,8 @@ EXIT_RUNTIME = 2
 
 
 def _significance(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value <= MAX_SIGNIFICANCE:
-        raise argparse.ArgumentTypeError(f"must lie in (0, {MAX_SIGNIFICANCE}], got {text}")
-    return value
+    return real("significance", float(text), above=0, at_most=MAX_SIGNIFICANCE,
+                error=argparse.ArgumentTypeError)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -117,10 +114,8 @@ def _read_inter_arrivals(path: Path) -> np.ndarray:
             if line_no == 1:
                 continue  # header row
             raise ConfigError(f"non-numeric value at line {line_no}: {cell!r}")
-        if not 0.0 <= value < math.inf:
-            raise ConfigError(
-                f"inter-arrival at line {line_no} must be finite and >= 0, got {cell!r}")
-        values.append(value)
+        values.append(real(f"inter-arrival {cell!r} at line {line_no}", value, at_least=0,
+                           error=ConfigError))
     return np.asarray(values)
 
 

@@ -14,7 +14,6 @@ which the caller uploads.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +24,8 @@ from .errors import (
     NotReadyError,
     ParameterError,
     integer,
+    real,
+    sequence,
 )
 from .errors import seed as check_seed
 from .haptic import (
@@ -33,6 +34,7 @@ from .haptic import (
     ObjectKind,
     ObjectProfile,
     _forecast,
+    _vector,
     profiling_trace,
     run_forecaster,
 )
@@ -99,34 +101,26 @@ class GladParams:
                      "quant_bands", "profiling_samples", "min_updates_for_upload",
                      "kind_pool_size"):
             object.__setattr__(self, name, integer(name, getattr(self, name), ConfigError))
-        object.__setattr__(self, "machines_grid",
-                           tuple(integer("machines_grid", m, ConfigError)
-                                 for m in self.machines_grid))
+        machines = sequence("machines_grid", self.machines_grid, ConfigError)
+        object.__setattr__(self, "machines_grid", tuple(
+            real("machines_grid", integer("machines_grid", m, ConfigError), at_least=1,
+                 error=ConfigError) for m in machines))
         minimums = {"window": 1, "total_machines": 2, "local_ais": 1, "add_every": 1,
                     "additions": 0, "quant_bands": 2,
                     "profiling_samples": MIN_ONBOARDING_SAMPLES}
         for name, low in minimums.items():
-            if getattr(self, name) < low:
-                raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
-        if self.min_updates_for_upload > self.profiling_samples:
-            raise ConfigError(f"min_updates_for_upload must be <= profiling_samples "
-                              f"({self.profiling_samples}), got {self.min_updates_for_upload}")
-        if not 1 <= self.kind_pool_size <= POOL_CAPACITY:
-            raise ConfigError(f"kind_pool_size must lie in [1, {POOL_CAPACITY}], "
-                              f"got {self.kind_pool_size}")
-        for name in ("epsilon", "texture_freq_max_hz"):
-            if not (math.isfinite(getattr(self, name)) and getattr(self, name) > 0):
-                raise ConfigError(f"{name} must be finite and > 0, got {getattr(self, name)}")
-        if not 0.0 < self.onboarding_alpha <= 1.0:
-            raise ConfigError(f"onboarding_alpha must lie in (0, 1], got {self.onboarding_alpha}")
-        if not 0.0 < self.match_threshold <= 1.0:
-            raise ConfigError(f"match_threshold must lie in (0, 1], got {self.match_threshold}")
-        if not 0.0 < self.accuracy_target < 1.0:
-            raise ConfigError(f"accuracy_target must lie in (0, 1), got {self.accuracy_target}")
-        if not self.alpha_grid or not all(0.0 < a <= 1.0 for a in self.alpha_grid):
-            raise ConfigError(f"alpha_grid must be nonempty in (0, 1], got {self.alpha_grid}")
-        if not self.machines_grid or min(self.machines_grid) < 1:
-            raise ConfigError(f"machines_grid must be nonempty and >= 1, got {self.machines_grid}")
+            real(name, getattr(self, name), at_least=low, error=ConfigError)
+        real("min_updates_for_upload", self.min_updates_for_upload,
+             at_most=self.profiling_samples, error=ConfigError)
+        real("kind_pool_size", self.kind_pool_size, at_least=1, at_most=POOL_CAPACITY,
+             error=ConfigError)
+        real("epsilon", self.epsilon, above=0, error=ConfigError)
+        real("texture_freq_max_hz", self.texture_freq_max_hz, above=0, error=ConfigError)
+        real("onboarding_alpha", self.onboarding_alpha, above=0, at_most=1, error=ConfigError)
+        real("match_threshold", self.match_threshold, above=0, at_most=1, error=ConfigError)
+        real("accuracy_target", self.accuracy_target, above=0, below=1, error=ConfigError)
+        for alpha in sequence("alpha_grid", self.alpha_grid, ConfigError):
+            real("alpha_grid", alpha, above=0, at_most=1, error=ConfigError)
         for name in ("alpha_grid", "machines_grid"):
             values = getattr(self, name)
             if len(set(values)) != len(values):
@@ -158,14 +152,9 @@ class ProfileRecord:
     sample_count: int
 
     def __post_init__(self):
-        est = np.asarray(self.profile_estimate, dtype=float)
-        if est.shape != (N_FINGERS,):
-            raise ParameterError(f"profile estimate must be a {N_FINGERS}-vector")
-        if np.any(est < 0.0) or np.any(est > 1.0):
-            raise ParameterError("profile estimate must lie in [0, 1]")
-        object.__setattr__(self, "profile_estimate", est)
-        if self.sample_count <= 0:
-            raise ParameterError(f"sample_count must be > 0, got {self.sample_count}")
+        object.__setattr__(self, "profile_estimate", _vector(
+            self.profile_estimate, N_FINGERS, "profile_estimate", at_least=0, at_most=1))
+        real("sample_count", integer("sample_count", self.sample_count), above=0)
 
 
 class GlobalRegistry:
@@ -260,10 +249,8 @@ def iterations_to_target(hits: np.ndarray, target: float, window: int) -> tuple[
     Returns (len(hits), False) when the target is never reached; iterations
     are 1-based counts of consumed samples, so the floor is `window`.
     """
-    if not (0.0 < target < 1.0):
-        raise ParameterError(f"accuracy target must lie in (0, 1), got {target}")
-    if integer("window", window) <= 0:
-        raise ParameterError(f"window must be an integer > 0, got {window!r}")
+    real("target", target, above=0, below=1)
+    real("window", integer("window", window), above=0)
     if hits.size >= window:
         cums = np.concatenate(([0], np.cumsum(hits)))
         windowed = (cums[window:] - cums[:-window]) / window
@@ -305,8 +292,8 @@ def onboard_machine(profile: ObjectProfile, registry: GlobalRegistry, mode: str,
 
 def training_time_saved(t_cold: int, t_warm: int) -> float:
     """Percentage of cold-start iterations avoided by the warm start."""
-    if t_cold <= 0:
-        raise ParameterError(f"t_cold must be > 0, got {t_cold}")
+    real("t_cold", t_cold, above=0)
+    real("t_warm", t_warm, at_least=0)
     return 100.0 * (1.0 - t_warm / t_cold)
 
 
@@ -316,8 +303,7 @@ def make_profile_pool(size: int) -> list[ObjectProfile]:
     Kinds and quantization bands are spread so any two pool entries fall
     below the default matching threshold.
     """
-    if not 1 <= integer("size", size) <= POOL_CAPACITY:
-        raise ParameterError(f"pool size must lie in [1, {POOL_CAPACITY}], got {size}")
+    real("size", integer("size", size), at_least=1, at_most=POOL_CAPACITY)
     kinds, stiffness, texture = _POOL_KINDS, _POOL_STIFFNESS, _POOL_TEXTURE_HZ
     pool = []
     for i in range(size):

@@ -1,6 +1,9 @@
-"""Exception types shared across the simulator, and the integer and seed checks that raise them."""
+"""Exception types shared across the simulator, and the input checks that raise them."""
 
+import math
 import numbers
+
+import numpy as np
 
 
 class GladsimError(Exception):
@@ -35,15 +38,55 @@ class ConfigError(GladsimError, ValueError):
     """A scenario file is malformed or contains unknown keys."""
 
 
+def real(name: str, value, *, above=None, at_least=None, below=None, at_most=None,
+         error: type = ParameterError):
+    """`value` itself, once it is a finite real, or an array of them, within the bounds.
+
+    `above` and `below` are open bounds, `at_least` and `at_most` closed ones.
+    A bool, a non-number, NaN, +-inf or a value out of bounds raises `error`
+    naming `name` and stating the rule.  A Python float or int is checked in
+    pure Python; an array by its two ends, a min and a max reduction, which
+    NaN propagates to.
+    """
+    if type(value) is float or type(value) is int:
+        ends = (value,)
+    elif isinstance(value, np.ndarray) and value.dtype.kind in "iuf":
+        ends = (value.min().item(), value.max().item()) if value.size else ()
+    elif isinstance(value, numbers.Real) and not isinstance(value, bool):
+        ends = (float(value),)
+    else:
+        shown = f"an array of {value.dtype}" if isinstance(value, np.ndarray) else repr(value)
+        raise error(f"{name} must be a real number, got {shown}")
+    for x in ends:
+        if not ((type(x) is int or math.isfinite(x))
+                and (above is None or x > above) and (at_least is None or x >= at_least)
+                and (below is None or x < below) and (at_most is None or x <= at_most)):
+            bounds = ((">", above), (">=", at_least), ("<", below), ("<=", at_most))
+            rule = " and ".join(["finite"] + [f"{op} {b}" for op, b in bounds if b is not None])
+            raise error(f"{name} must be {rule}, got {x}")
+    return value
+
+
+def sequence(name: str, values, error: type = ParameterError) -> tuple:
+    """`values` as a tuple; a scalar or an empty sequence raises `error` naming `name`."""
+    try:
+        items = tuple(values)
+    except TypeError:
+        raise error(f"{name} must be a sequence, got {values!r}") from None
+    if not items:
+        raise error(f"{name} must be nonempty")
+    return items
+
+
 def integer(name: str, value, error: type = ParameterError) -> int:
     """`value` as a Python int; a bool or a non-integer raises `error` naming `name`."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        if isinstance(value, float):
+            real(name, value, error=error)
         raise error(f"{name} must be an integer, got {value!r}")
     return int(value)
 
 
 def seed(name: str, value) -> int:
     """`value` as a Python int seed; a bool, a non-integer or a negative raises ParameterError."""
-    if integer(name, value) < 0:
-        raise ParameterError(f"{name} must be >= 0, got {value}")
-    return int(value)
+    return real(name, integer(name, value), at_least=0)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import numbers
 import os
 import shutil
 import tempfile
@@ -22,7 +21,8 @@ import numpy as np
 
 from . import coordination, haptic, pon
 from .coordination import GladParams
-from .errors import ConfigError, ParameterError, ResourceLimitError, SaturationError, integer
+from .errors import ConfigError, ParameterError, ResourceLimitError, SaturationError
+from .errors import integer, real, sequence
 from .pon import NO_AI, WITH_AI
 from .traffic import CONTROL_TRAFFIC_DEFAULT, GpdParams
 
@@ -56,32 +56,23 @@ class ScenarioConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "n_loops", integer("n_loops", self.n_loops, ConfigError))
-        object.__setattr__(self, "seeds",
-                           tuple(integer("seeds", s, ConfigError) for s in self.seeds))
+        seeds = sequence("seeds", self.seeds, ConfigError)
+        object.__setattr__(self, "seeds", tuple(
+            real("seeds", integer("seeds", s, ConfigError), at_least=0, error=ConfigError)
+            for s in seeds))
         # Stored as Python floats, so numpy arrays and scalars check and hash as tuples do.
         for name in ("load_grid", "span_grid_km"):
-            values = getattr(self, name)
-            if any(isinstance(v, bool) or not isinstance(v, numbers.Real) for v in values):
-                raise ConfigError(f"{name} must hold numbers, got {values}")
-            object.__setattr__(self, name, tuple(float(v) for v in values))
+            values = sequence(name, getattr(self, name), ConfigError)
+            object.__setattr__(self, name, tuple(
+                float(real(name, v, at_least=0, error=ConfigError)) for v in values))
         for name in ("load_grid", "span_grid_km", "seeds"):
             values = getattr(self, name)
-            if not values:
-                raise ConfigError(f"{name} must be nonempty")
-            if name != "seeds" and not np.all(np.isfinite(values)):
-                raise ConfigError(f"{name} must be finite, got {values}")
-            if min(values) < 0:
-                raise ConfigError(f"{name} must be >= 0, got {values}")
             if len(set(values)) != len(values):
                 raise ConfigError(f"{name} must not repeat a value, got {values}")
-        shape = self.control_traffic.shape
-        if shape >= 1.0:
-            # The mean inter-arrival, which sets the sweep's horizon, is undefined.
-            raise ConfigError(f"control_traffic shape must be < 1, got {shape}")
-        if self.n_loops < 10:
-            raise ConfigError(f"n_loops must be >= 10, got {self.n_loops}")
-        if not (np.isfinite(self.deadline_us) and self.deadline_us > 0):
-            raise ConfigError(f"deadline_us must be finite and > 0, got {self.deadline_us}")
+        # The mean inter-arrival, which sets the sweep's horizon, is undefined from shape 1.
+        real("control_traffic shape", self.control_traffic.shape, below=1, error=ConfigError)
+        real("n_loops", self.n_loops, at_least=10, error=ConfigError)
+        real("deadline_us", self.deadline_us, above=0, error=ConfigError)
         # A sweep point sums up to four crossings of a grid span over every pooled loop.
         crossings = 4 * self.n_loops * len(self.seeds)
         for span in self.span_grid_km:

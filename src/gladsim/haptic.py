@@ -46,6 +46,8 @@ from .errors import (
     InsufficientDataError,
     ParameterError,
     integer,
+    real,
+    sequence,
 )
 from .errors import seed as check_seed
 from .traffic import GpdParams, generate_stream
@@ -96,13 +98,11 @@ class ObjectKind(enum.Enum):
     CUSTOM = "custom"
 
 
-def _vector(value, size: int, name: str) -> np.ndarray:
+def _vector(value, size: int, name: str, **bounds) -> np.ndarray:
     arr = np.asarray(value, dtype=float)
     if arr.shape != (size,):
         raise ParameterError(f"{name} must be a {size}-vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ParameterError(f"{name} must be finite")
-    return arr
+    return real(name, arr, **bounds)
 
 
 @dataclass(frozen=True)
@@ -132,12 +132,10 @@ class HapticTrace(Sequence):
             raise ParameterError(f"amplitude must be (n, {N_FINGERS}), got shape {amp.shape}")
         if t.shape != (amp.shape[0],):
             raise ParameterError(f"t_us must be ({amp.shape[0]},), got shape {t.shape}")
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(amp))):
-            raise ParameterError("trace must be finite")
+        real("t_us", t)
+        real("amplitude", amp, at_least=0, at_most=1)
         if np.any(t[1:] < t[:-1]):
             raise ParameterError("t_us must be non-decreasing")
-        if np.any(amp < 0.0) or np.any(amp > 1.0):
-            raise ParameterError("amplitudes must lie in [0, 1]")
         object.__setattr__(self, "t_us", t)
         object.__setattr__(self, "amplitude", amp)
 
@@ -175,11 +173,9 @@ class ControlTrace:
                 raise ParameterError(f"{name} must be ({t.shape[0]}, {width}), "
                                      f"got shape {col.shape}")
             object.__setattr__(self, name, col)
-        if not all(np.all(np.isfinite(col)) for col in
-                   (self.t_us, self.hand_pos, self.hand_orient, self.finger_pressure)):
-            raise ParameterError("trace must be finite")
-        if np.any(self.finger_pressure < 0.0) or np.any(self.finger_pressure > 1.0):
-            raise ParameterError("finger pressures must lie in [0, 1]")
+        for name in ("t_us", "hand_pos", "hand_orient"):
+            real(name, getattr(self, name))
+        real("finger_pressure", self.finger_pressure, at_least=0, at_most=1)
 
     def __len__(self) -> int:
         return self.t_us.shape[0]
@@ -197,13 +193,9 @@ class ObjectProfile:
 
     def __post_init__(self):
         object.__setattr__(self, "center", _vector(self.center, 3, "center"))
-        if not (math.isfinite(self.extent_cm) and self.extent_cm > 0):
-            raise ParameterError(f"extent_cm must be finite and > 0, got {self.extent_cm}")
-        if not (0.0 < self.stiffness <= 1.0):
-            raise ParameterError(f"stiffness must lie in (0, 1], got {self.stiffness}")
-        if not (math.isfinite(self.texture_freq_hz) and self.texture_freq_hz >= 0):
-            raise ParameterError(
-                f"texture_freq_hz must be finite and >= 0, got {self.texture_freq_hz}")
+        real("extent_cm", self.extent_cm, above=0)
+        real("stiffness", self.stiffness, above=0, at_most=1)
+        real("texture_freq_hz", self.texture_freq_hz, at_least=0)
 
 
 _STANDARD_PROFILES = {
@@ -285,8 +277,7 @@ def generate_session(profile: ObjectProfile, duration_us: float,
     Deterministic in `seed`.
     """
     seed = check_seed("seed", seed)
-    if not (math.isfinite(duration_us) and duration_us > 0):
-        raise ParameterError(f"duration_us must be finite and > 0, got {duration_us}")
+    real("duration_us", duration_us, above=0)
     times = generate_stream(control_params, duration_us, seed)
     n = times.size
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0xC0FFEE))))
@@ -335,15 +326,11 @@ def profiling_trace(profile: ObjectProfile, n_samples: int, seed: int, *,
     which controls the trace's autocorrelation; `noise_std` adds per-sample
     sensor noise on top of the geometric law.
     """
-    if integer("n_samples", n_samples) <= 0:
-        raise ParameterError(f"n_samples must be > 0, got {n_samples}")
+    real("n_samples", integer("n_samples", n_samples), above=0)
     seed = check_seed("seed", seed)
-    if not (math.isfinite(noise_std) and noise_std >= 0):
-        raise ParameterError(f"noise_std must be finite and >= 0, got {noise_std}")
-    if not -1.0 <= wobble_persistence <= 1.0:
-        raise ParameterError(f"wobble_persistence must lie in [-1, 1], got {wobble_persistence}")
-    if not (math.isfinite(wobble) and wobble >= 0):
-        raise ParameterError(f"wobble must be finite and >= 0, got {wobble}")
+    real("noise_std", noise_std, at_least=0)
+    real("wobble_persistence", wobble_persistence, at_least=-1, at_most=1)
+    real("wobble", wobble, at_least=0)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0x9A9))))
     drift = _smooth_noise(rng, n_samples, persistence=wobble_persistence)
     rel = np.clip(GRASP_DISTANCE + wobble * drift, 0.0, 0.95)
@@ -428,8 +415,7 @@ def train_classifier(controls: ControlTrace, labels, train_fraction: float,
     `labels` holds one touch flag per row of `controls`.  The split is a
     seeded shuffle; the returned accuracy is measured on the held-out part.
     """
-    if not (0.0 < train_fraction < 1.0):
-        raise ParameterError(f"train_fraction must lie in (0, 1), got {train_fraction}")
+    real("train_fraction", train_fraction, above=0, below=1)
     seed = check_seed("seed", seed)
     n = len(controls)
     labels = np.asarray(labels, dtype=bool)
@@ -584,10 +570,8 @@ def run_forecaster(trace: HapticTrace, alpha: float, epsilon: float,
     estimate) is at most `epsilon`.  The estimate starts at
     `initial_estimate` (zeros by default).
     """
-    if not (math.isfinite(epsilon) and epsilon > 0):
-        raise ParameterError(f"epsilon must be finite and > 0, got {epsilon}")
-    if not (0.0 < alpha <= 1.0):
-        raise ParameterError(f"alpha must lie in (0, 1], got {alpha}")
+    real("epsilon", epsilon, above=0)
+    real("alpha", alpha, above=0, at_most=1)
     initial = (np.zeros(N_FINGERS) if initial_estimate is None
                else _vector(initial_estimate, N_FINGERS, "initial_estimate"))
     return _forecast_hits(trace.amplitude, alpha, epsilon, initial)
@@ -611,11 +595,8 @@ def optimize_alpha(trace: HapticTrace, alpha_grid, epsilon: float) -> float:
     Each candidate runs a fresh zero-initialized forecaster over the trace.
     Ties break toward the smaller alpha.
     """
-    grid = sorted(float(a) for a in alpha_grid)
-    if not grid:
-        raise ParameterError("alpha_grid must be nonempty")
-    if any(not (0.0 < a <= 1.0) for a in grid):
-        raise ParameterError("alpha_grid values must lie in (0, 1]")
+    grid = sorted(float(real("alpha_grid", a, above=0, at_most=1))
+                  for a in sequence("alpha_grid", alpha_grid))
     if len(trace) < 100:
         raise InsufficientDataError(f"need >= 100 touch samples, got {len(trace)}")
     best_alpha, best_acc = grid[0], -1.0

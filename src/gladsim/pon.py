@@ -24,11 +24,11 @@ with each mode's fiber leg count, and a span adds legs x span x per-km delay.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, ResourceLimitError, SaturationError, integer
+from .errors import ParameterError, ResourceLimitError, SaturationError, integer, real
 from .errors import seed as check_seed
 from .traffic import CONTROL_TRAFFIC_DEFAULT, GpdParams, generate_stream, gpd_mean
 
@@ -85,10 +85,8 @@ class PonConfig:
     background_packet_bytes: int = 1250
 
     def __post_init__(self):
-        for f in fields(self):
-            if not math.isfinite(getattr(self, f.name)):
-                raise ParameterError(f"{f.name} must be finite, got {getattr(self, f.name)}")
-        integer("split_ratio", self.split_ratio)
+        real("split_ratio", integer("split_ratio", self.split_ratio), at_least=1)
+        real("span_km", self.span_km, at_least=0)
         positive = (
             "downstream_rate_bps",
             "upstream_rate_bps",
@@ -100,12 +98,7 @@ class PonConfig:
             "background_packet_bytes",
         )
         for name in positive:
-            if not getattr(self, name) > 0:
-                raise ParameterError(f"{name} must be > 0, got {getattr(self, name)}")
-        if self.split_ratio < 1:
-            raise ParameterError(f"split_ratio must be >= 1, got {self.split_ratio}")
-        if self.span_km < 0:
-            raise ParameterError(f"span_km must be >= 0, got {self.span_km}")
+            real(name, getattr(self, name), above=0)
 
 
 @dataclass(frozen=True)
@@ -115,18 +108,14 @@ class LoadPoint:
     rho: float = 0.0
 
     def __post_init__(self):
-        if not math.isfinite(self.rho) or self.rho < 0.0:
-            raise ParameterError(f"rho must be finite and >= 0, got {self.rho}")
-        if self.rho >= 1.0:
+        if real("rho", self.rho, at_least=0) >= 1.0:
             raise SaturationError(f"offered load rho={self.rho} saturates the line")
 
 
 def propagation_delay(distance_km: float, per_km_us: float) -> float:
     """Fiber propagation delay over `distance_km` at `per_km_us` per km."""
-    if not (math.isfinite(distance_km) and distance_km >= 0):
-        raise ParameterError(f"distance must be finite and >= 0, got {distance_km}")
-    if not (math.isfinite(per_km_us) and per_km_us > 0):
-        raise ParameterError(f"per-km delay must be finite and > 0, got {per_km_us}")
+    real("distance_km", distance_km, at_least=0)
+    real("per_km_us", per_km_us, above=0)
     delay = distance_km * per_km_us
     if not math.isfinite(delay):
         raise ParameterError(f"propagation over {distance_km} km at {per_km_us} us/km overflows")
@@ -135,24 +124,18 @@ def propagation_delay(distance_km: float, per_km_us: float) -> float:
 
 def transmission_time(nbytes: int, rate_bps: float) -> float:
     """Serialization time of `nbytes` at `rate_bps`, in microseconds."""
-    if not (math.isfinite(nbytes) and nbytes > 0):
-        raise ParameterError(f"packet size must be finite and > 0 bytes, got {nbytes}")
-    if not (math.isfinite(rate_bps) and rate_bps > 0):
-        raise ParameterError(f"rate must be finite and > 0, got {rate_bps}")
+    real("nbytes", nbytes, above=0)
+    real("rate_bps", rate_bps, above=0)
     return nbytes * 8.0 / rate_bps * 1e6
 
 
 def kingman_wait(rho: float, ca2: float, cs2: float, mean_service_us: float) -> float:
     """Kingman G/G/1 mean waiting time: rho/(1-rho) * (ca2+cs2)/2 * E[S]."""
-    if not (math.isfinite(rho) and rho >= 0):
-        raise ParameterError(f"rho must be finite and >= 0, got {rho}")
-    if rho >= 1.0:
+    if real("rho", rho, at_least=0) >= 1.0:
         raise SaturationError(f"no stationary wait at rho={rho}")
-    if not (math.isfinite(ca2) and ca2 >= 0 and math.isfinite(cs2) and cs2 >= 0):
-        raise ParameterError(f"squared coefficients of variation must be finite and >= 0, "
-                             f"got {ca2} and {cs2}")
-    if not (math.isfinite(mean_service_us) and mean_service_us > 0):
-        raise ParameterError(f"mean service time must be finite and > 0, got {mean_service_us}")
+    real("ca2", ca2, at_least=0)
+    real("cs2", cs2, at_least=0)
+    real("mean_service_us", mean_service_us, above=0)
     # Halved before they are added, the coefficients cannot overflow to inf,
     # so zero load waits 0.0 whatever they are.
     return rho / (1.0 - rho) * (0.5 * ca2 + 0.5 * cs2) * mean_service_us
@@ -196,6 +179,8 @@ def fifo_waits(arrival_times, service_times) -> np.ndarray:
         raise ParameterError("arrival and service times must be 1-D arrays")
     if a.shape != s.shape:
         raise ParameterError("arrival and service arrays must have equal length")
+    real("arrival_times", a)
+    real("service_times", s, at_least=0)
     v = _lindley_sum(a, s, 0.0, np.empty(a.size))
     # fmin runs faster than minimum here and differs from it only where V is
     # NaN, and there the wait is NaN either way.
@@ -580,8 +565,8 @@ def queueing_cross_check(config: PonConfig, load: LoadPoint, seed: int,
     """
     service = transmission_time(config.background_packet_bytes, config.downstream_rate_bps)
     # Shorter horizons draw a handful of events, whose mean wait says nothing.
-    if not (math.isfinite(horizon_us) and horizon_us >= 1000.0 * service):
-        raise ParameterError(f"horizon_us must be finite and at least 1000 background "
+    if real("horizon_us", horizon_us) < 1000.0 * service:
+        raise ParameterError(f"horizon_us must be at least 1000 background "
                              f"services ({1000.0 * service:g} us), got {horizon_us}")
     lam, until = _leg_plan(config, load, DOWNSTREAM, horizon_us * 0.99)
     draw = _poisson_draw(_spawn_rngs(check_seed("seed", seed), 1)[0], lam, until)
@@ -696,8 +681,7 @@ def round_trips(config: PonConfig, load: LoadPoint, seed: int, *,
       to the central office, forecast inference, and the forecast feedback
       downstream to the operator: two wireless hops plus the inference time.
     """
-    if integer("n_loops", n_loops) < 10:
-        raise ParameterError(f"need at least 10 loops, got {n_loops}")
+    real("n_loops", integer("n_loops", n_loops), at_least=10)
     seed = check_seed("seed", seed)
     probes = _probe_stream(traffic or CONTROL_TRAFFIC_DEFAULT, n_loops, seed)
     out = {}

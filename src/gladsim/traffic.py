@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDataError, InsufficientDataError, ParameterError
+from .errors import DegenerateDataError, InsufficientDataError, real
 from .errors import seed as check_seed
 
 __all__ = [
@@ -52,13 +52,9 @@ class GpdParams:
     location: float = 0.0
 
     def __post_init__(self):
-        for name in ("shape", "scale", "location"):
-            if not math.isfinite(getattr(self, name)):
-                raise ParameterError(f"{name} must be finite")
-        if self.scale <= 0:
-            raise ParameterError(f"scale must be > 0, got {self.scale}")
-        if self.location < 0:
-            raise ParameterError(f"location must be >= 0, got {self.location}")
+        real("shape", self.shape)
+        real("scale", self.scale, above=0)
+        real("location", self.location, at_least=0)
 
 
 # Defaults approximate a ~1 kHz mean message rate (mean gap 1000 us).  The
@@ -76,9 +72,8 @@ def sample_gpd(params: GpdParams, uniform):
     Accepts a scalar or an array; vectorizes elementwise.  The shape = 0 case
     is the exponential limit of the family.
     """
+    real("uniform", np.asarray(uniform), at_least=0, below=1)
     u = np.asarray(uniform, dtype=float)
-    if np.any(u < 0.0) or np.any(u >= 1.0):
-        raise ParameterError("uniform must lie in [0, 1)")
     # log1p keeps the quantile accurate near u=0 and continuous as shape -> 0.
     log_sf = np.log1p(-u)
     if abs(params.shape) < _EXPONENTIAL_SHAPE:
@@ -110,8 +105,7 @@ def gpd_cdf(params: GpdParams, x):
 
 def gpd_mean(params: GpdParams) -> float:
     """Closed-form mean; defined only for shape < 1."""
-    if params.shape >= 1.0:
-        raise ParameterError(f"mean undefined for shape >= 1 (got {params.shape})")
+    real("shape", params.shape, below=1)
     return params.location + params.scale / (1.0 - params.shape)
 
 
@@ -123,8 +117,7 @@ def generate_stream(params: GpdParams, horizon_us: float, seed: int) -> np.ndarr
     The gaps are `np.diff(stream, prepend=0.0)`.
     """
     seed = check_seed("seed", seed)
-    if not (math.isfinite(horizon_us) and horizon_us > 0):
-        raise ParameterError(f"horizon_us must be finite and > 0, got {horizon_us}")
+    real("horizon_us", horizon_us, above=0)
     rng = np.random.Generator(np.random.PCG64(seed))
     if params.shape < 1.0:
         typical_gap = gpd_mean(params)
@@ -152,9 +145,7 @@ def _inter_arrival_sample(inter_arrivals) -> np.ndarray:
     x = np.asarray(inter_arrivals, dtype=float).ravel()
     if x.size < MIN_FIT_SAMPLES:
         raise InsufficientDataError(f"need at least {MIN_FIT_SAMPLES} samples, got {x.size}")
-    if not np.all(np.isfinite(x)) or np.any(x < 0.0):
-        raise ParameterError("inter-arrivals must be finite and >= 0")
-    return x
+    return real("inter_arrivals", x, at_least=0)
 
 
 def fit_gpd(inter_arrivals) -> GpdParams:
@@ -196,9 +187,7 @@ def ks_test(inter_arrivals, params: GpdParams, significance: float) -> tuple[flo
     accepted and documented.  The inter-arrivals are checked as `fit_gpd`
     checks them.
     """
-    if not (0.0 < significance <= MAX_SIGNIFICANCE):
-        raise ParameterError(
-            f"significance must lie in (0, {MAX_SIGNIFICANCE}], got {significance}")
+    real("significance", significance, above=0, at_most=MAX_SIGNIFICANCE)
     x = np.sort(_inter_arrival_sample(inter_arrivals))
     n = x.size
     cdf = gpd_cdf(params, x)

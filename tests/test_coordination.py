@@ -106,6 +106,19 @@ class TestRegistry:
         np.testing.assert_array_equal(record.profile_estimate, result.profile_estimate)
         assert record.sample_count == 800
 
+    @pytest.mark.parametrize("estimate", [math.nan, math.inf, -0.1, 1.5])
+    def test_record_estimate_must_lie_in_the_unit_interval(self, estimate):
+        # A nan estimate was stored, and add_record then folded it into the
+        # held profile that every later warm start reads.
+        with pytest.raises(ParameterError, match="^profile_estimate must be"):
+            _record(estimate, 100)
+
+    @pytest.mark.parametrize("count", [2.5, True, 0, -3])
+    def test_record_sample_count_must_be_a_positive_integer(self, count):
+        # 2.5 and True were stored as sample counts and weighted the fold.
+        with pytest.raises(ParameterError, match="^sample_count must be"):
+            _record(0.4, count)
+
     def test_aggregate_single_record_identity(self):
         registry = GlobalRegistry()
         record = _record(0.4, 120)

@@ -81,6 +81,10 @@ class TestScenarioConfig:
         dict(deadline_us=math.inf),
         dict(load_grid=(0.5, True)),
         dict(span_grid_km=("10",)),
+        # A scalar where a sequence belongs raised Python's raw TypeError.
+        dict(load_grid=0.5),
+        dict(span_grid_km=10.0),
+        dict(seeds=1),
     ])
     def test_invalid_rejected(self, kwargs):
         # Each error names its field.  A nan load used to fail mid-sweep, an

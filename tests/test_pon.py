@@ -155,6 +155,17 @@ class TestFifoWaits:
         with pytest.raises(ParameterError):
             fifo_waits(np.array(arrivals), np.ones(len(arrivals)))
 
+    @pytest.mark.parametrize("arrivals,services,name", [
+        ([0.0, 1.0, np.inf], [1.0, 1.0, 1.0], "arrival_times"),
+        ([0.0, 1.0, 2.0], [1.0, np.nan, 1.0], "service_times"),
+        ([0.0, 1.0, 2.0], [1.0, -5.0, 1.0], "service_times"),
+    ])
+    def test_rejects_bad_times_by_name(self, arrivals, services, name):
+        # An inf arrival gave a nan wait with a RuntimeWarning, a nan service
+        # nan waits and a negative service waits of 0.
+        with pytest.raises(ParameterError, match=f"^{name} must be"):
+            fifo_waits(np.array(arrivals), np.array(services))
+
     @pytest.mark.parametrize("arrivals,services", [
         (np.array([[0.0, 1.0]]), np.array([[1.0, 1.0]])),
         (np.array(0.0), np.array(1.0)),
@@ -260,12 +271,17 @@ def _whole_array_grants(arrived, cap):
 
 
 def _whole_array_arrivals(rng, rate_per_us, horizon_us):
-    """The background drawn whole: n_est gaps, then extensions of n_est // 10."""
+    """The background drawn whole: n_est gaps, then extensions of n_est // 10.
+
+    At a rate near the smallest normal double the gaps near 1e308 and their
+    sum overflows to inf, an instant past the horizon either way.
+    """
     n_est = int(rate_per_us * horizon_us * 1.05) + 64
-    times = np.cumsum(rng.exponential(1.0 / rate_per_us, size=n_est))
-    while times[-1] < horizon_us:
-        extra = np.cumsum(rng.exponential(1.0 / rate_per_us, size=max(64, n_est // 10)))
-        times = np.concatenate([times, times[-1] + extra])
+    with np.errstate(over="ignore"):
+        times = np.cumsum(rng.exponential(1.0 / rate_per_us, size=n_est))
+        while times[-1] < horizon_us:
+            extra = np.cumsum(rng.exponential(1.0 / rate_per_us, size=max(64, n_est // 10)))
+            times = np.concatenate([times, times[-1] + extra])
     return times[times <= horizon_us]
 
 

@@ -1,12 +1,16 @@
 """The public surface agrees with itself and with the README's library table.
 
 A deleted name must leave no `__all__` entry, no package re-export and no
-README row behind.  Every public entry that takes a seed checks it.
+README row behind.  Every public entry that takes a seed or a real number
+checks it.
 """
 
 import ast
+import dataclasses
+import functools
 import importlib
 import importlib.util
+import math
 import re
 import sys
 from pathlib import Path
@@ -15,8 +19,8 @@ import numpy as np
 import pytest
 
 import gladsim
-from gladsim import coordination, haptic, pon, traffic
-from gladsim.errors import ParameterError
+from gladsim import coordination, experiments, haptic, pon, traffic
+from gladsim.errors import GladsimError, ParameterError
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "gladsim"
@@ -138,3 +142,81 @@ def test_seeds_are_checked_at_every_public_entry(entry, bad):
 def test_numpy_integer_seeds_are_accepted(entry):
     call = _seeded_entries()[entry]
     assert np.array_equal(call(np.int64(3)), call(3))
+
+
+@functools.cache
+def _real_arguments():
+    """(entry, argument) -> a call of a public entry that passes its one argument there.
+
+    Grid fields take the value as their one element.
+    """
+    ball = haptic.standard_profile(haptic.ObjectKind.RUBBER_BALL)
+    trace = haptic.profiling_trace(ball, 100, 1)
+    controls, _ = haptic.generate_session(ball, 3e5, traffic.CONTROL_TRAFFIC_DEFAULT, 5)
+    labels = haptic.label_touch(controls, ball)
+    gpd = traffic.CONTROL_TRAFFIC_DEFAULT
+    gaps = np.diff(traffic.generate_stream(gpd, 1e5, 1), prepend=0.0)
+    calls = {
+        ("LoadPoint", "rho"): pon.LoadPoint,
+        ("propagation_delay", "distance_km"): lambda v: pon.propagation_delay(v, 5.0),
+        ("propagation_delay", "per_km_us"): lambda v: pon.propagation_delay(20.0, v),
+        ("transmission_time", "nbytes"): lambda v: pon.transmission_time(v, 1e9),
+        ("transmission_time", "rate_bps"): lambda v: pon.transmission_time(128, v),
+        ("kingman_wait", "rho"): lambda v: pon.kingman_wait(v, 1.0, 1.0, 10.0),
+        ("kingman_wait", "ca2"): lambda v: pon.kingman_wait(0.5, v, 1.0, 10.0),
+        ("kingman_wait", "cs2"): lambda v: pon.kingman_wait(0.5, 1.0, v, 10.0),
+        ("kingman_wait", "mean_service_us"): lambda v: pon.kingman_wait(0.5, 1.0, 1.0, v),
+        ("queueing_cross_check", "horizon_us"): lambda v: pon.queueing_cross_check(
+            pon.PonConfig(), pon.LoadPoint(0.5), 1, horizon_us=v),
+        ("sample_gpd", "uniform"): lambda v: traffic.sample_gpd(gpd, v),
+        ("generate_stream", "horizon_us"): lambda v: traffic.generate_stream(gpd, v, 1),
+        ("ks_test", "significance"): lambda v: traffic.ks_test(gaps, gpd, v),
+        ("generate_session", "duration_us"): lambda v: haptic.generate_session(ball, v, gpd, 1),
+        ("train_classifier", "train_fraction"): lambda v: haptic.train_classifier(
+            controls, labels, v),
+        ("run_forecaster", "alpha"): lambda v: haptic.run_forecaster(trace, v, 0.05),
+        ("run_forecaster", "epsilon"): lambda v: haptic.run_forecaster(trace, 0.5, v),
+        ("optimize_alpha", "alpha_grid"): lambda v: haptic.optimize_alpha(trace, (0.5, v), 0.05),
+        ("optimize_alpha", "epsilon"): lambda v: haptic.optimize_alpha(trace, (0.5,), v),
+        ("iterations_to_target", "target"): lambda v: coordination.iterations_to_target(
+            np.ones(300, dtype=bool), v, 200),
+        ("training_time_saved", "t_cold"): lambda v: coordination.training_time_saved(v, 100),
+        ("training_time_saved", "t_warm"): lambda v: coordination.training_time_saved(100, v),
+    }
+    for name in ("wobble", "wobble_persistence", "noise_std"):
+        calls["profiling_trace", name] = (
+            lambda v, name=name: haptic.profiling_trace(ball, 10, 1, **{name: v}))
+    profile = dict(kind=haptic.ObjectKind.CUSTOM, center=np.zeros(3), extent_cm=4.0,
+                   stiffness=0.5, texture_freq_hz=10.0)
+    fields = {
+        pon.PonConfig: [f.name for f in dataclasses.fields(pon.PonConfig)],
+        traffic.GpdParams: ["shape", "scale", "location"],
+        haptic.ObjectProfile: ["extent_cm", "stiffness", "texture_freq_hz"],
+        coordination.GladParams: ["accuracy_target", "epsilon", "onboarding_alpha",
+                                  "match_threshold", "texture_freq_max_hz", "alpha_grid"],
+        experiments.ScenarioConfig: ["deadline_us", "load_grid", "span_grid_km"],
+    }
+    defaults = {traffic.GpdParams: dict(shape=0.1, scale=900.0), haptic.ObjectProfile: profile}
+    for cls, names in fields.items():
+        for name in names:
+            calls[cls.__name__, name] = functools.partial(_construct, cls,
+                                                          defaults.get(cls, {}), name)
+    return calls
+
+
+def _construct(cls, base, name, value):
+    """`cls` from the keywords `base` and `name=value`; a grid takes `(value,)`."""
+    return cls(**{**base, name: (value,) if name.endswith(("_grid", "_grid_km")) else value})
+
+
+REAL_ARGUMENTS = sorted(_real_arguments())
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, "1", True], ids=["nan", "inf", "str", "bool"])
+@pytest.mark.parametrize("entry,argument", REAL_ARGUMENTS,
+                         ids=[f"{entry}.{argument}" for entry, argument in REAL_ARGUMENTS])
+def test_reals_are_checked_at_every_public_entry(entry, argument, bad):
+    # A string raised a raw TypeError, a bool ran as 1 and sample_gpd
+    # returned nan for a nan uniform.
+    with pytest.raises(GladsimError, match=f"^{argument} must be"):
+        _real_arguments()[entry, argument](bad)

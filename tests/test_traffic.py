@@ -229,9 +229,9 @@ class TestKsTest:
     def test_rejects_bad_inter_arrivals(self, bad):
         gaps = np.diff(generate_stream(GpdParams(0.1, 900.0, 0.0), 5e6, seed=1), prepend=0.0)
         gaps[10] = bad
-        with pytest.raises(ParameterError, match="inter-arrivals"):
+        with pytest.raises(ParameterError, match="^inter_arrivals must be"):
             ks_test(gaps, GpdParams(0.1, 900.0, 0.0), 0.05)
-        with pytest.raises(ParameterError, match="inter-arrivals"):
+        with pytest.raises(ParameterError, match="^inter_arrivals must be"):
             fit_gpd(gaps)
 
     @pytest.mark.parametrize("alpha", [0.0, -0.1, 0.6])
