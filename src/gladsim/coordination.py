@@ -23,18 +23,17 @@ from .errors import (
     InsufficientDataError,
     NotReadyError,
     ParameterError,
+    array,
     integer,
     real,
     sequence,
 )
-from .errors import seed as check_seed
 from .haptic import (
     N_FINGERS,
     HapticTrace,
     ObjectKind,
     ObjectProfile,
     _forecast,
-    _vector,
     profiling_trace,
     run_forecaster,
 )
@@ -97,34 +96,26 @@ class GladParams:
     machines_grid: tuple[int, ...] = (1, 2, 4, 8)
 
     def __post_init__(self):
-        for name in ("window", "total_machines", "local_ais", "add_every", "additions",
-                     "quant_bands", "profiling_samples", "min_updates_for_upload",
-                     "kind_pool_size"):
-            object.__setattr__(self, name, integer(name, getattr(self, name), ConfigError))
-        machines = sequence("machines_grid", self.machines_grid, ConfigError)
+        # Stored as Python ints.  profiling_samples bounds min_updates_for_upload
+        # and is checked first, so a bad one raises before it is used.
+        for name, low, high in (
+                ("window", 1, None), ("total_machines", 2, None), ("local_ais", 1, None),
+                ("add_every", 1, None), ("additions", 0, None), ("quant_bands", 2, None),
+                ("profiling_samples", MIN_ONBOARDING_SAMPLES, None),
+                ("min_updates_for_upload", 0, self.profiling_samples),
+                ("kind_pool_size", 1, POOL_CAPACITY)):
+            object.__setattr__(self, name, integer(name, getattr(self, name), ConfigError,
+                                                   at_least=low, at_most=high))
         object.__setattr__(self, "machines_grid", tuple(
-            real("machines_grid", integer("machines_grid", m, ConfigError), at_least=1,
-                 error=ConfigError) for m in machines))
-        minimums = {"window": 1, "total_machines": 2, "local_ais": 1, "add_every": 1,
-                    "additions": 0, "quant_bands": 2,
-                    "profiling_samples": MIN_ONBOARDING_SAMPLES}
-        for name, low in minimums.items():
-            real(name, getattr(self, name), at_least=low, error=ConfigError)
-        real("min_updates_for_upload", self.min_updates_for_upload,
-             at_most=self.profiling_samples, error=ConfigError)
-        real("kind_pool_size", self.kind_pool_size, at_least=1, at_most=POOL_CAPACITY,
-             error=ConfigError)
+            integer("machines_grid", m, ConfigError, at_least=1)
+            for m in sequence("machines_grid", self.machines_grid, ConfigError, distinct=True)))
         real("epsilon", self.epsilon, above=0, error=ConfigError)
         real("texture_freq_max_hz", self.texture_freq_max_hz, above=0, error=ConfigError)
         real("onboarding_alpha", self.onboarding_alpha, above=0, at_most=1, error=ConfigError)
         real("match_threshold", self.match_threshold, above=0, at_most=1, error=ConfigError)
         real("accuracy_target", self.accuracy_target, above=0, below=1, error=ConfigError)
-        for alpha in sequence("alpha_grid", self.alpha_grid, ConfigError):
+        for alpha in sequence("alpha_grid", self.alpha_grid, ConfigError, distinct=True):
             real("alpha_grid", alpha, above=0, at_most=1, error=ConfigError)
-        for name in ("alpha_grid", "machines_grid"):
-            values = getattr(self, name)
-            if len(set(values)) != len(values):
-                raise ConfigError(f"{name} must not repeat a value, got {values}")
 
 
 def descriptor_of(profile: ObjectProfile, glad: GladParams = GladParams()) -> Descriptor:
@@ -152,9 +143,9 @@ class ProfileRecord:
     sample_count: int
 
     def __post_init__(self):
-        object.__setattr__(self, "profile_estimate", _vector(
-            self.profile_estimate, N_FINGERS, "profile_estimate", at_least=0, at_most=1))
-        real("sample_count", integer("sample_count", self.sample_count), above=0)
+        object.__setattr__(self, "profile_estimate", array(
+            "profile_estimate", self.profile_estimate, (N_FINGERS,), at_least=0, at_most=1))
+        integer("sample_count", self.sample_count, above=0)
 
 
 class GlobalRegistry:
@@ -250,7 +241,7 @@ def iterations_to_target(hits: np.ndarray, target: float, window: int) -> tuple[
     are 1-based counts of consumed samples, so the floor is `window`.
     """
     real("target", target, above=0, below=1)
-    real("window", integer("window", window), above=0)
+    integer("window", window, above=0)
     if hits.size >= window:
         cums = np.concatenate(([0], np.cumsum(hits)))
         windowed = (cums[window:] - cums[:-window]) / window
@@ -303,7 +294,7 @@ def make_profile_pool(size: int) -> list[ObjectProfile]:
     Kinds and quantization bands are spread so any two pool entries fall
     below the default matching threshold.
     """
-    real("size", integer("size", size), at_least=1, at_most=POOL_CAPACITY)
+    integer("size", size, at_least=1, at_most=POOL_CAPACITY)
     kinds, stiffness, texture = _POOL_KINDS, _POOL_STIFFNESS, _POOL_TEXTURE_HZ
     pool = []
     for i in range(size):
@@ -331,7 +322,7 @@ def run_savings_sweep(glad: GladParams, seed: int) -> list[tuple[int, float]]:
     uploaded into the registry.  Returns the running mean of saved_pct after
     each machine.
     """
-    seed = check_seed("seed", seed)
+    seed = integer("seed", seed, at_least=0)
     pool = make_profile_pool(glad.kind_pool_size)
     registry = GlobalRegistry()
     seeds = np.random.SeedSequence(seed).generate_state(glad.total_machines)

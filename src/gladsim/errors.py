@@ -67,26 +67,37 @@ def real(name: str, value, *, above=None, at_least=None, below=None, at_most=Non
     return value
 
 
-def sequence(name: str, values, error: type = ParameterError) -> tuple:
-    """`values` as a tuple; a scalar or an empty sequence raises `error` naming `name`."""
+def sequence(name: str, values, error: type = ParameterError, *, distinct: bool = False) -> tuple:
+    """`values` as a tuple; a scalar, no values or, if `distinct`, a repeat raises `error`."""
     try:
         items = tuple(values)
+        repeats = distinct and len(set(items)) < len(items)
     except TypeError:
-        raise error(f"{name} must be a sequence, got {values!r}") from None
+        raise error(f"{name} must be a sequence of numbers, got {values!r}") from None
     if not items:
         raise error(f"{name} must be nonempty")
+    if repeats:
+        raise error(f"{name} must not repeat a value, got {items}")
     return items
 
 
-def integer(name: str, value, error: type = ParameterError) -> int:
-    """`value` as a Python int; a bool or a non-integer raises `error` naming `name`."""
+def integer(name: str, value, error: type = ParameterError, **bounds) -> int:
+    """`value` as a Python int; a bool, a non-integer or one outside `bounds` raises `error`."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         if isinstance(value, float):
             real(name, value, error=error)
         raise error(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    return real(name, int(value), error=error, **bounds)
 
 
-def seed(name: str, value) -> int:
-    """`value` as a Python int seed; a bool, a non-integer or a negative raises ParameterError."""
-    return real(name, integer(name, value), at_least=0)
+def array(name: str, value, shape: tuple, error: type = ParameterError, **bounds) -> np.ndarray:
+    """`value` as a float array of `shape`, where None matches any length, checked as `real`
+    checks arrays; another shape raises `error`, e.g. `x must be (n, 5), got shape (4,)`."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # a ragged nest of sequences
+        arr = np.asarray(value, dtype=object)
+    if arr.ndim != len(shape) or any(d not in (None, n) for d, n in zip(shape, arr.shape)):
+        want = str(tuple("n" if d is None else d for d in shape)).replace("'", "")
+        raise error(f"{name} must be {want}, got shape {arr.shape}")
+    return real(name, arr, error=error, **bounds).astype(float, copy=False)

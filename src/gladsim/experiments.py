@@ -55,23 +55,18 @@ class ScenarioConfig:
     deadline_us: float = 1000.0
 
     def __post_init__(self):
-        object.__setattr__(self, "n_loops", integer("n_loops", self.n_loops, ConfigError))
-        seeds = sequence("seeds", self.seeds, ConfigError)
+        object.__setattr__(self, "n_loops", integer("n_loops", self.n_loops, ConfigError,
+                                                    at_least=10))
         object.__setattr__(self, "seeds", tuple(
-            real("seeds", integer("seeds", s, ConfigError), at_least=0, error=ConfigError)
-            for s in seeds))
+            integer("seeds", s, ConfigError, at_least=0)
+            for s in sequence("seeds", self.seeds, ConfigError, distinct=True)))
         # Stored as Python floats, so numpy arrays and scalars check and hash as tuples do.
         for name in ("load_grid", "span_grid_km"):
-            values = sequence(name, getattr(self, name), ConfigError)
+            values = sequence(name, getattr(self, name), ConfigError, distinct=True)
             object.__setattr__(self, name, tuple(
                 float(real(name, v, at_least=0, error=ConfigError)) for v in values))
-        for name in ("load_grid", "span_grid_km", "seeds"):
-            values = getattr(self, name)
-            if len(set(values)) != len(values):
-                raise ConfigError(f"{name} must not repeat a value, got {values}")
         # The mean inter-arrival, which sets the sweep's horizon, is undefined from shape 1.
         real("control_traffic shape", self.control_traffic.shape, below=1, error=ConfigError)
-        real("n_loops", self.n_loops, at_least=10, error=ConfigError)
         real("deadline_us", self.deadline_us, above=0, error=ConfigError)
         # A sweep point sums up to four crossings of a grid span over every pooled loop.
         crossings = 4 * self.n_loops * len(self.seeds)

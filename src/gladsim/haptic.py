@@ -45,11 +45,11 @@ from .errors import (
     DegenerateDataError,
     InsufficientDataError,
     ParameterError,
+    array,
     integer,
     real,
     sequence,
 )
-from .errors import seed as check_seed
 from .traffic import GpdParams, generate_stream
 
 __all__ = [
@@ -98,13 +98,6 @@ class ObjectKind(enum.Enum):
     CUSTOM = "custom"
 
 
-def _vector(value, size: int, name: str, **bounds) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
-    if arr.shape != (size,):
-        raise ParameterError(f"{name} must be a {size}-vector, got shape {arr.shape}")
-    return real(name, arr, **bounds)
-
-
 @dataclass(frozen=True)
 class HapticSample:
     """One feedback snapshot: per-finger amplitude in [0, 1]."""
@@ -126,14 +119,8 @@ class HapticTrace(Sequence):
     amplitude: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.t_us, dtype=float)
-        amp = np.asarray(self.amplitude, dtype=float)
-        if amp.ndim != 2 or amp.shape[1] != N_FINGERS:
-            raise ParameterError(f"amplitude must be (n, {N_FINGERS}), got shape {amp.shape}")
-        if t.shape != (amp.shape[0],):
-            raise ParameterError(f"t_us must be ({amp.shape[0]},), got shape {t.shape}")
-        real("t_us", t)
-        real("amplitude", amp, at_least=0, at_most=1)
+        amp = array("amplitude", self.amplitude, (None, N_FINGERS), at_least=0, at_most=1)
+        t = array("t_us", self.t_us, (len(amp),))
         if np.any(t[1:] < t[:-1]):
             raise ParameterError("t_us must be non-decreasing")
         object.__setattr__(self, "t_us", t)
@@ -162,20 +149,12 @@ class ControlTrace:
     finger_pressure: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.t_us, dtype=float)
-        if t.ndim != 1:
-            raise ParameterError(f"t_us must be (n,), got shape {t.shape}")
+        t = array("t_us", self.t_us, (None,))
         object.__setattr__(self, "t_us", t)
-        for name, width in (("hand_pos", 3), ("hand_orient", 3),
-                            ("finger_pressure", N_FINGERS)):
-            col = np.asarray(getattr(self, name), dtype=float)
-            if col.shape != (t.shape[0], width):
-                raise ParameterError(f"{name} must be ({t.shape[0]}, {width}), "
-                                     f"got shape {col.shape}")
-            object.__setattr__(self, name, col)
-        for name in ("t_us", "hand_pos", "hand_orient"):
-            real(name, getattr(self, name))
-        real("finger_pressure", self.finger_pressure, at_least=0, at_most=1)
+        for name in ("hand_pos", "hand_orient"):
+            object.__setattr__(self, name, array(name, getattr(self, name), (t.size, 3)))
+        object.__setattr__(self, "finger_pressure", array(
+            "finger_pressure", self.finger_pressure, (t.size, N_FINGERS), at_least=0, at_most=1))
 
     def __len__(self) -> int:
         return self.t_us.shape[0]
@@ -192,7 +171,7 @@ class ObjectProfile:
     texture_freq_hz: float
 
     def __post_init__(self):
-        object.__setattr__(self, "center", _vector(self.center, 3, "center"))
+        object.__setattr__(self, "center", array("center", self.center, (3,)))
         real("extent_cm", self.extent_cm, above=0)
         real("stiffness", self.stiffness, above=0, at_most=1)
         real("texture_freq_hz", self.texture_freq_hz, at_least=0)
@@ -276,7 +255,7 @@ def generate_session(profile: ObjectProfile, duration_us: float,
     arrival and a haptic sample whenever the hand is within the extent.
     Deterministic in `seed`.
     """
-    seed = check_seed("seed", seed)
+    seed = integer("seed", seed, at_least=0)
     real("duration_us", duration_us, above=0)
     times = generate_stream(control_params, duration_us, seed)
     n = times.size
@@ -326,8 +305,8 @@ def profiling_trace(profile: ObjectProfile, n_samples: int, seed: int, *,
     which controls the trace's autocorrelation; `noise_std` adds per-sample
     sensor noise on top of the geometric law.
     """
-    real("n_samples", integer("n_samples", n_samples), above=0)
-    seed = check_seed("seed", seed)
+    integer("n_samples", n_samples, above=0)
+    seed = integer("seed", seed, at_least=0)
     real("noise_std", noise_std, at_least=0)
     real("wobble_persistence", wobble_persistence, at_least=-1, at_most=1)
     real("wobble", wobble, at_least=0)
@@ -416,7 +395,7 @@ def train_classifier(controls: ControlTrace, labels, train_fraction: float,
     seeded shuffle; the returned accuracy is measured on the held-out part.
     """
     real("train_fraction", train_fraction, above=0, below=1)
-    seed = check_seed("seed", seed)
+    seed = integer("seed", seed, at_least=0)
     n = len(controls)
     labels = np.asarray(labels, dtype=bool)
     if labels.shape != (n,):
@@ -573,7 +552,7 @@ def run_forecaster(trace: HapticTrace, alpha: float, epsilon: float,
     real("epsilon", epsilon, above=0)
     real("alpha", alpha, above=0, at_most=1)
     initial = (np.zeros(N_FINGERS) if initial_estimate is None
-               else _vector(initial_estimate, N_FINGERS, "initial_estimate"))
+               else array("initial_estimate", initial_estimate, (N_FINGERS,)))
     return _forecast_hits(trace.amplitude, alpha, epsilon, initial)
 
 

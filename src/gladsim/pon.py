@@ -28,8 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, ResourceLimitError, SaturationError, integer, real
-from .errors import seed as check_seed
+from .errors import ParameterError, ResourceLimitError, SaturationError, array, integer, real
 from .traffic import CONTROL_TRAFFIC_DEFAULT, GpdParams, generate_stream, gpd_mean
 
 __all__ = [
@@ -85,7 +84,9 @@ class PonConfig:
     background_packet_bytes: int = 1250
 
     def __post_init__(self):
-        real("split_ratio", integer("split_ratio", self.split_ratio), at_least=1)
+        # Stored as Python ints, so a numpy integer hashes into a scenario as an int does.
+        for name in ("split_ratio", "packet_bytes", "background_packet_bytes"):
+            object.__setattr__(self, name, integer(name, getattr(self, name), above=0))
         real("span_km", self.span_km, at_least=0)
         positive = (
             "downstream_rate_bps",
@@ -94,8 +95,6 @@ class PonConfig:
             "dba_cycle_us",
             "wireless_hop_us",
             "ai_inference_us",
-            "packet_bytes",
-            "background_packet_bytes",
         )
         for name in positive:
             real(name, getattr(self, name), above=0)
@@ -173,14 +172,8 @@ def fifo_waits(arrival_times, service_times) -> np.ndarray:
     form as W = V - M, from Lindley's running sum V and its running minimum M
     (see _lindley_sum), which vectorizes.
     """
-    a = np.asarray(arrival_times, dtype=float)
-    s = np.asarray(service_times, dtype=float)
-    if a.ndim != 1 or s.ndim != 1:
-        raise ParameterError("arrival and service times must be 1-D arrays")
-    if a.shape != s.shape:
-        raise ParameterError("arrival and service arrays must have equal length")
-    real("arrival_times", a)
-    real("service_times", s, at_least=0)
+    a = array("arrival_times", arrival_times, (None,))
+    s = array("service_times", service_times, a.shape, at_least=0)
     v = _lindley_sum(a, s, 0.0, np.empty(a.size))
     # fmin runs faster than minimum here and differs from it only where V is
     # NaN, and there the wait is NaN either way.
@@ -569,7 +562,7 @@ def queueing_cross_check(config: PonConfig, load: LoadPoint, seed: int,
         raise ParameterError(f"horizon_us must be at least 1000 background "
                              f"services ({1000.0 * service:g} us), got {horizon_us}")
     lam, until = _leg_plan(config, load, DOWNSTREAM, horizon_us * 0.99)
-    draw = _poisson_draw(_spawn_rngs(check_seed("seed", seed), 1)[0], lam, until)
+    draw = _poisson_draw(_spawn_rngs(integer("seed", seed, at_least=0), 1)[0], lam, until)
 
     n = 0
     first = last = wait_sum = gap_square_sum = 0.0
@@ -681,8 +674,8 @@ def round_trips(config: PonConfig, load: LoadPoint, seed: int, *,
       to the central office, forecast inference, and the forecast feedback
       downstream to the operator: two wireless hops plus the inference time.
     """
-    real("n_loops", integer("n_loops", n_loops), at_least=10)
-    seed = check_seed("seed", seed)
+    integer("n_loops", n_loops, at_least=10)
+    seed = integer("seed", seed, at_least=0)
     probes = _probe_stream(traffic or CONTROL_TRAFFIC_DEFAULT, n_loops, seed)
     out = {}
     for mode, with_ai in ((NO_AI, False), (WITH_AI, True)):

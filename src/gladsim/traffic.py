@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDataError, InsufficientDataError, real
-from .errors import seed as check_seed
+from .errors import DegenerateDataError, InsufficientDataError, integer, real
 
 __all__ = [
     "GpdParams",
@@ -86,7 +85,8 @@ def sample_gpd(params: GpdParams, uniform):
 
 
 def gpd_cdf(params: GpdParams, x):
-    """CDF of the generalized Pareto law at `x` (scalar or array)."""
+    """CDF of the generalized Pareto law at finite `x` (scalar or array)."""
+    real("x", np.asarray(x))
     z = (np.asarray(x, dtype=float) - params.location) / params.scale
     z = np.clip(z, 0.0, None)
     if abs(params.shape) < _EXPONENTIAL_SHAPE:
@@ -116,7 +116,7 @@ def generate_stream(params: GpdParams, horizon_us: float, seed: int) -> np.ndarr
     when the first gap already exceeds the horizon.  Deterministic in `seed`.
     The gaps are `np.diff(stream, prepend=0.0)`.
     """
-    seed = check_seed("seed", seed)
+    seed = integer("seed", seed, at_least=0)
     real("horizon_us", horizon_us, above=0)
     rng = np.random.Generator(np.random.PCG64(seed))
     if params.shape < 1.0:

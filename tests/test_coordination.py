@@ -317,6 +317,12 @@ def test_matching_field_rejected_by_name(field, value):
     assert str(info.value).startswith(f"{field} must")
 
 
+def test_upload_threshold_must_not_be_negative():
+    # -5 built, and every profile was then uploaded, as at 0.
+    with pytest.raises(ConfigError, match="^min_updates_for_upload must be finite and >= 0"):
+        GladParams(min_updates_for_upload=-5)
+
+
 _INTEGER_FIELDS = ("window", "total_machines", "local_ais", "add_every", "additions",
                    "quant_bands", "profiling_samples", "min_updates_for_upload",
                    "kind_pool_size")

@@ -1,10 +1,14 @@
-"""Properties of `errors.real`, the one check of every real-valued input.
+"""Properties of `errors.real`, `errors.integer` and `errors.array`, the
+checks of every real, integer and array input.
 
-The rule it states: a value is admitted when it is a real number, not a
+The rule `real` states: a value is admitted when it is a real number, not a
 bool, finite, and inside every bound given (`above` and `below` open,
 `at_least` and `at_most` closed); an array when each element is.  An
 admitted value comes back as the same object; any other raises the
-caller's error type, naming the argument.
+caller's error type, naming the argument.  `integer` admits a Python or
+numpy integer, not a bool, by the same bounds and returns it as a Python
+int.  `array` admits a value of the wanted shape, where None matches any
+length, whose elements `real` admits, and returns it as a float array.
 """
 
 import math
@@ -17,7 +21,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from gladsim.errors import ConfigError, ParameterError, real
+from gladsim.errors import ConfigError, ParameterError, array, integer, real
 
 _TESTS = {"above": operator.gt, "at_least": operator.ge,
           "below": operator.lt, "at_most": operator.le}
@@ -37,6 +41,19 @@ def _checked(value, bounds: dict) -> bool:
         return False
     assert out is value
     return True
+
+
+def _drawn_array(data, bounds: dict) -> np.ndarray:
+    """A float64, float32 or int64 array of up to two dimensions, whose
+    elements are often the bounds themselves."""
+    dtype = data.draw(st.sampled_from([np.float64, np.float32, np.int64]))
+    values = st.sampled_from(sorted(bounds.values())) if bounds else st.nothing()
+    if dtype is np.int64:
+        elements = st.one_of(st.integers(-5, 5), values.map(math.floor))
+    else:
+        elements = st.one_of(st.floats(width=32), values.map(np.float32).map(float))
+    return data.draw(hnp.arrays(dtype, hnp.array_shapes(min_dims=0, max_dims=2, min_side=0,
+                                                        max_side=4), elements=elements))
 
 
 _bound_values = st.one_of(st.integers(-3, 3), st.floats(-3.0, 3.0))
@@ -92,14 +109,7 @@ class TestReal:
 
     @given(st.data(), _bounds)
     def test_arrays_are_checked_elementwise(self, data, bounds):
-        dtype = data.draw(st.sampled_from([np.float64, np.float32, np.int64]))
-        values = st.sampled_from(sorted(bounds.values())) if bounds else st.nothing()
-        if dtype is np.int64:
-            elements = st.one_of(st.integers(-5, 5), values.map(math.floor))
-        else:
-            elements = st.one_of(st.floats(width=32), values.map(np.float32).map(float))
-        a = data.draw(hnp.arrays(dtype, hnp.array_shapes(min_dims=0, max_dims=2, min_side=0,
-                                                         max_side=4), elements=elements))
+        a = _drawn_array(data, bounds)
         assert _checked(a, bounds) == all(_admits(x.item(), bounds) for x in a.flat)
 
     def test_a_failure_states_the_rule_and_an_offending_element_not_the_array(self):
@@ -112,3 +122,86 @@ class TestReal:
     def test_raises_the_callers_error_type(self):
         with pytest.raises(ConfigError, match="^deadline_us must be finite and > 0, got 0.0$"):
             real("deadline_us", 0.0, above=0, error=ConfigError)
+
+
+def _integer_checked(value, bounds: dict) -> bool:
+    """True when `integer` returns `value` as an equal Python int, False when
+    it raises naming the argument."""
+    try:
+        out = integer("arg", value, **bounds)
+    except ParameterError as exc:
+        assert str(exc).startswith("arg must be ")
+        return False
+    assert type(out) is int and out == value
+    return True
+
+
+class TestInteger:
+    @given(_value_and_bounds(st.integers(-5, 5)),
+           st.sampled_from([int, np.int64, np.int32, np.int8]))
+    def test_integers_follow_the_rule_of_reals(self, case, kind):
+        value, bounds = case
+        n = math.floor(value)
+        assert _integer_checked(kind(n), bounds) == _admits(n, bounds)
+
+    @given(st.one_of(st.floats(), st.sampled_from(
+        [True, False, np.True_, np.float64(2.0), Fraction(2), "1", None])), _bounds)
+    def test_non_integers_are_refused_whatever_the_bounds(self, value, bounds):
+        # An integral float is refused too: 16.0 is not a split ratio.
+        assert not _integer_checked(value, bounds)
+
+    def test_a_failure_states_the_rule(self):
+        with pytest.raises(ParameterError, match=r"^seed must be finite and >= 0, got -1$"):
+            integer("seed", -1, at_least=0)
+        with pytest.raises(ParameterError, match=r"^seed must be an integer, got 1\.5$"):
+            integer("seed", 1.5, at_least=0)
+        with pytest.raises(ConfigError, match=r"^window must be finite, got nan$"):
+            integer("window", math.nan, ConfigError, at_least=1)
+
+
+_shapes = hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3)
+
+
+class TestArray:
+    @given(st.data())
+    def test_a_shape_matches_when_each_length_is_equal_or_none(self, data):
+        actual = data.draw(_shapes)
+        wanted = tuple(data.draw(st.sampled_from([d, d + 1, None])) for d in actual)
+        wanted = data.draw(st.sampled_from([wanted, wanted[:-1], wanted + (None,)]))
+        matches = len(wanted) == len(actual) and all(
+            w is None or w == d for w, d in zip(wanted, actual))
+        try:
+            out = array("arg", np.zeros(actual, dtype=np.int64), wanted)
+        except ParameterError as exc:
+            assert not matches
+            assert str(exc).startswith("arg must be (")
+            assert str(exc).endswith(f"), got shape {actual}")
+        else:
+            assert matches and out.shape == actual and out.dtype == np.float64
+
+    @given(st.data(), _bounds)
+    def test_elements_are_checked_as_real_checks_them(self, data, bounds):
+        a = _drawn_array(data, bounds)
+        try:
+            out = array("arg", a, a.shape, **bounds)
+        except ParameterError:
+            assert not _checked(a, bounds)
+        else:
+            assert _checked(a, bounds)
+            assert out.dtype == np.float64 and np.array_equal(out, a)
+
+    @pytest.mark.parametrize("value,shape,message", [
+        (np.zeros(4), (None, 5), r"^x must be \(n, 5\), got shape \(4,\)$"),
+        ([[0.0, 1.0]], (None,), r"^x must be \(n,\), got shape \(1, 2\)$"),
+        ([1.0, 2.0], (3,), r"^x must be \(3,\), got shape \(2,\)$"),
+        ([[1.0], [1.0, 2.0]], (None, 1), r"^x must be \(n, 1\), got shape \(2,\)$"),
+        ([True, False], (None,), r"^x must be a real number, got an array of bool$"),
+        (["1", "2"], (2,), r"^x must be a real number, got an array of <U1$"),
+    ])
+    def test_refusals_name_the_argument_and_the_rule(self, value, shape, message):
+        with pytest.raises(ParameterError, match=message):
+            array("x", value, shape)
+
+    def test_a_list_becomes_a_float_array(self):
+        out = array("x", [[1, 2, 3]], (None, 3), at_least=0)
+        assert out.dtype == np.float64 and out.tolist() == [[1.0, 2.0, 3.0]]

@@ -171,8 +171,13 @@ class TestFifoWaits:
         (np.array(0.0), np.array(1.0)),
     ], ids=["2d", "0d"])
     def test_rejects_arrays_that_are_not_1d(self, arrivals, services):
-        with pytest.raises(ParameterError, match="1-D"):
+        with pytest.raises(ParameterError, match=r"^arrival_times must be \(n,\)"):
             fifo_waits(arrivals, services)
+
+    def test_rejects_service_times_of_another_length(self):
+        with pytest.raises(ParameterError,
+                           match=r"^service_times must be \(3,\), got shape \(2,\)$"):
+            fifo_waits(np.array([0.0, 1.0, 2.0]), np.array([1.0, 1.0]))
 
     def test_single_arrival_waits_nothing(self):
         assert fifo_waits(np.array([5.0]), np.array([1.0])).tolist() == [0.0]
@@ -1281,13 +1286,19 @@ class TestRecordInvariants:
             PonConfig(downstream_rate_bps=0.0)
 
     @pytest.mark.parametrize("value", [2.5, 16.0, True, False])
-    def test_split_ratio_must_be_an_integer(self, value):
-        # A float split built and then failed inside range() in the upstream leg.
-        with pytest.raises(ParameterError, match="split_ratio must be an integer"):
-            PonConfig(split_ratio=value)
+    @pytest.mark.parametrize("name", ["split_ratio", "packet_bytes", "background_packet_bytes"])
+    def test_integer_fields_must_be_integers(self, name, value):
+        # A float split built and then failed inside range() in the upstream
+        # leg; fractional packet sizes built and ran.
+        with pytest.raises(ParameterError, match=f"^{name} must be an integer"):
+            PonConfig(**{name: value})
 
-    def test_numpy_integer_split_ratio_accepted(self):
-        assert PonConfig(split_ratio=np.int64(8)).split_ratio == 8
+    def test_numpy_integers_are_stored_as_python_ints(self):
+        names = ("split_ratio", "packet_bytes", "background_packet_bytes")
+        cfg = PonConfig(split_ratio=np.int64(16), packet_bytes=np.int32(128),
+                        background_packet_bytes=np.uint16(1250))
+        assert [type(getattr(cfg, name)) for name in names] == [int, int, int]
+        assert cfg == PonConfig()
 
     @pytest.mark.parametrize("n_loops", [100.5, 100.0, True])
     def test_loop_count_must_be_an_integer(self, n_loops):

@@ -169,6 +169,7 @@ def _real_arguments():
         ("queueing_cross_check", "horizon_us"): lambda v: pon.queueing_cross_check(
             pon.PonConfig(), pon.LoadPoint(0.5), 1, horizon_us=v),
         ("sample_gpd", "uniform"): lambda v: traffic.sample_gpd(gpd, v),
+        ("gpd_cdf", "x"): lambda v: traffic.gpd_cdf(gpd, v),
         ("generate_stream", "horizon_us"): lambda v: traffic.generate_stream(gpd, v, 1),
         ("ks_test", "significance"): lambda v: traffic.ks_test(gaps, gpd, v),
         ("generate_session", "duration_us"): lambda v: haptic.generate_session(ball, v, gpd, 1),
