@@ -33,7 +33,7 @@ from .haptic import (
     HapticTrace,
     ObjectKind,
     ObjectProfile,
-    _forecast,
+    _last_state,
     profiling_trace,
     run_forecaster,
 )
@@ -145,7 +145,8 @@ class ProfileRecord:
     def __post_init__(self):
         object.__setattr__(self, "profile_estimate", array(
             "profile_estimate", self.profile_estimate, (N_FINGERS,), at_least=0, at_most=1))
-        integer("sample_count", self.sample_count, above=0)
+        object.__setattr__(self, "sample_count",
+                           integer("sample_count", self.sample_count, above=0))
 
 
 class GlobalRegistry:
@@ -271,7 +272,7 @@ def onboard_machine(profile: ObjectProfile, registry: GlobalRegistry, mode: str,
     alpha, epsilon = glad.onboarding_alpha, glad.epsilon
     hits = run_forecaster(trace, alpha, epsilon, initial_estimate=initial)
     iterations, converged = iterations_to_target(hits, glad.accuracy_target, glad.window)
-    _, estimate = _forecast(trace.amplitude, alpha, epsilon, initial)
+    estimate = _last_state(trace.amplitude, alpha, initial)
     return OnboardResult(
         iterations=iterations,
         converged=converged,
@@ -283,8 +284,8 @@ def onboard_machine(profile: ObjectProfile, registry: GlobalRegistry, mode: str,
 
 def training_time_saved(t_cold: int, t_warm: int) -> float:
     """Percentage of cold-start iterations avoided by the warm start."""
-    real("t_cold", t_cold, above=0)
-    real("t_warm", t_warm, at_least=0)
+    integer("t_cold", t_cold, above=0)
+    integer("t_warm", t_warm, at_least=0)
     return 100.0 * (1.0 - t_warm / t_cold)
 
 

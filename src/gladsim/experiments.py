@@ -344,11 +344,12 @@ def export_report(report: Report, directory, fmt: str = "csv") -> list[Path]:
     files = {}  # file name -> text
     for name in sorted(report.tables):
         table = report.tables[name]
-        rows = [[_format_cell(cell) for cell in row] for row in table.rows]
         if fmt == "csv":
-            lines = [",".join(table.columns)] + [",".join(row) for row in rows]
-            text = "\n".join(lines) + "\n"
+            # Each row goes straight to its line; no table of cell strings is kept.
+            text = "".join(",".join(map(_format_cell, row)) + "\n"
+                           for row in (table.columns, *table.rows))
         else:
+            rows = [[_format_cell(cell) for cell in row] for row in table.rows]
             text = json.dumps({"columns": list(table.columns), "rows": rows},
                               sort_keys=True, indent=2) + "\n"
         files[f"{report.scenario}__{name}.{fmt}"] = text

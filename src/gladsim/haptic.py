@@ -13,10 +13,13 @@ at once.  It is the first-order recursion y <- (1 - alpha) * y + alpha * x,
 and two routes evaluate it:
 
 * States come only from `_first_order`, the exact kernel: the forecaster's
-  final estimates (`_forecast`) and the AR(1) noise behind sessions and
-  profiling traces.  It steps in Python floats, one list comprehension per
-  column, because they round each product and sum as numpy's elementwise
-  operations do and so keep the report bytes; see its docstring.
+  states (`_forecast`) and the AR(1) noise behind sessions and profiling
+  traces.  It steps in Python floats, one list comprehension per column,
+  because they round each product and sum as numpy's elementwise operations
+  do and so keep the report bytes; see its docstring.  The estimate that
+  `onboard_machine` uploads comes from `_last_state`, the last-state pass:
+  the same Python float steps with the same rounding, keeping only each
+  column's final value.
 * Hit decisions come from `_forecast_hits`: `run_forecaster`, and through
   it `optimize_alpha` and `onboard_machine`, and the accuracy-decay curve.
   It evaluates the recursion in blocks of B = max(2, ceil(sqrt(n) / 2))
@@ -204,12 +207,15 @@ def _feedback(profile: ObjectProfile, dist: np.ndarray, t_us: np.ndarray) -> np.
     and is zero beyond it.
     """
     rel = dist / profile.extent_cm
-    base = profile.stiffness * (1.0 - rel)
     phases = np.arange(N_FINGERS) * (math.pi / N_FINGERS)
-    ripple = TEXTURE_DEPTH * rel[:, None] * np.sin(
-        2.0 * math.pi * profile.texture_freq_hz * t_us[:, None] * 1e-6 + phases
-    )
-    amp = np.clip(base[:, None] * (1.0 + ripple), 0.0, 1.0)
+    # base * (1 + depth * rel * sin(w t + phase)), built in one (n, 5) buffer;
+    # each product has the bits of the other order, as IEEE products do.
+    amp = np.add((2.0 * math.pi * profile.texture_freq_hz * t_us * 1e-6)[:, None], phases)
+    np.sin(amp, out=amp)
+    amp *= (TEXTURE_DEPTH * rel)[:, None]
+    amp += 1.0
+    amp *= (profile.stiffness * (1.0 - rel))[:, None]
+    np.clip(amp, 0.0, 1.0, out=amp)
     amp[dist > profile.extent_cm] = 0.0
     return amp
 
@@ -218,8 +224,9 @@ def _first_order(c: float, u: np.ndarray, y0) -> np.ndarray:
     """y[0] = y0, y[k+1] = c * y[k] + u[k], per column of `u`: the n + 1 values of y.
 
     The one producer of recursion states: forecaster estimates and AR(1)
-    noise.  Hit decisions take the blocked pass of `_forecast_hits`, whose
-    values are close to these but not bit-equal.
+    noise.  `_last_state` takes the same steps for a final estimate alone.
+    Hit decisions take the blocked pass of `_forecast_hits`, whose values
+    are close to these but not bit-equal.
 
     `u` is (n,) or (n, k) and `y0` a scalar or a k-vector; the result has
     the shape of `u` with one more row.  Each column runs as a list
@@ -440,15 +447,32 @@ def _forecast(x: np.ndarray, alpha: float, epsilon: float,
     return _hits(y[:-1], x, epsilon), y[-1]
 
 
+def _last_state(x: np.ndarray, alpha: float, estimate: np.ndarray) -> np.ndarray:
+    """Exactly `_forecast(x, alpha, epsilon, estimate)[1]`: the final estimate alone.
+
+    One column of `alpha * x` at a time turns into Python floats and is
+    stepped as `_first_order` steps it, keeping only the last value; no
+    state matrix and no hit flags are built.
+    """
+    c = float(1.0 - alpha)
+    final = np.array(estimate, dtype=float)
+    for j, col in enumerate(x.T):
+        e = float(final[j])
+        for s in (alpha * col).tolist():
+            e = c * e + s
+        final[j] = e
+    return final
+
+
 # Unit roundoff of a double: every rounded operation has relative error <= u.
 UNIT_ROUNDOFF = 2.0**-53
 
 
-def _blocks(a: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    """`scale` times the (n, k) rows `a` as zero-padded blocks of
-    B = max(2, ceil(sqrt(n) / 2)) rows, laid out (B, k, blocks) so that
-    [i, j, b] is row b * B + i, column j, and step i of every block is one
-    contiguous row.  The rows are copied once, straight into the layout.
+def _blocks(a: np.ndarray) -> np.ndarray:
+    """The (n, k) rows `a` as zero-padded blocks of B = max(2, ceil(sqrt(n) / 2))
+    rows, laid out (B, k, blocks) so that [i, j, b] is row b * B + i, column
+    j, and step i of every block is one contiguous row.  The rows are copied
+    once, straight into the layout.
 
     Each of the B block steps is two numpy calls over all blocks, and each
     of the n / B block starts is k Python float steps; blocks of about
@@ -462,7 +486,6 @@ def _blocks(a: np.ndarray, scale: float = 1.0) -> np.ndarray:
     if whole < n:
         out[:, :, -1] = 0.0
         out[:n - whole, :, -1] = a[whole:]
-    out *= scale
     return out
 
 
@@ -532,8 +555,9 @@ def _forecast_hits(x: np.ndarray, alpha: float, epsilon: float,
     and m^ > epsilon + delta a miss.
     """
     n = x.shape[0]
-    y = _blocked_first_order(1.0 - alpha, _blocks(x, alpha), estimate)
-    np.subtract(y, _blocks(x), out=y)
+    layout = _blocks(x)
+    y = _blocked_first_order(1.0 - alpha, np.multiply(layout, alpha), estimate)
+    np.subtract(y, layout, out=y)
     worst = np.abs(y, out=y).max(axis=1).T.reshape(-1)[:n]
     delta = _hit_margin(n, y.shape[0], max(1.0, float(np.abs(estimate).max())))
     if np.any(np.abs(worst - epsilon) <= delta):

@@ -123,7 +123,7 @@ def propagation_delay(distance_km: float, per_km_us: float) -> float:
 
 def transmission_time(nbytes: int, rate_bps: float) -> float:
     """Serialization time of `nbytes` at `rate_bps`, in microseconds."""
-    real("nbytes", nbytes, above=0)
+    integer("nbytes", nbytes, above=0)
     real("rate_bps", rate_bps, above=0)
     return nbytes * 8.0 / rate_bps * 1e6
 
@@ -245,9 +245,12 @@ def _poisson_arrivals(draw: _PoissonDraw, out: np.ndarray) -> np.ndarray:
             raise ResourceLimitError("background process exceeded the event cap")
     times = out[:size]
     draw.rng.standard_exponential(out=times)
-    times *= draw.scale_us
-    times[0] += draw.partial_us
-    np.cumsum(times, out=times)
+    # At a vanishing rate the gaps overflow to inf; such instants lie past
+    # any horizon, so they are cut as any late arrival is.
+    with np.errstate(over="ignore"):
+        times *= draw.scale_us
+        times[0] += draw.partial_us
+        np.cumsum(times, out=times)
     draw.partial_us = float(times[-1])
     draw.left -= times.size
     if draw.base_us:

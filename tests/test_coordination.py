@@ -84,6 +84,11 @@ class TestRegistry:
         np.testing.assert_array_equal(record.profile_estimate, np.full(5, 0.4))
         assert record.sample_count == 500
 
+    def test_sample_count_is_stored_as_a_python_int(self):
+        # A numpy integer count was checked, then kept as given.
+        record = _record(0.5, np.int64(5))
+        assert type(record.sample_count) is int and record.sample_count == 5
+
     def test_upload_undertrained_rejected(self):
         registry = GlobalRegistry()
         with pytest.raises(NotReadyError):
@@ -399,6 +404,16 @@ class TestSavings:
         assert training_time_saved(345, 0) == 100.0
         with pytest.raises(ParameterError):
             training_time_saved(0, 0)
+
+    @pytest.mark.parametrize("t_cold,t_warm,argument", [
+        (2.5, 1, "t_cold"), (100, 1.5, "t_warm"), (2.5, 1.5, "t_cold"), (100.0, 28, "t_cold")])
+    def test_iteration_counts_must_be_integers(self, t_cold, t_warm, argument):
+        # training_time_saved(2.5, 1.5) returned 40.0.
+        with pytest.raises(ParameterError, match=f"^{argument} must be an integer"):
+            training_time_saved(t_cold, t_warm)
+
+    def test_numpy_integer_counts_are_accepted(self):
+        assert training_time_saved(np.int64(1000), np.int32(280)) == training_time_saved(1000, 280)
 
     def test_single_kind_pool_curve(self):
         curve = run_savings_sweep(GladParams(total_machines=5, profiling_samples=2500), seed=42)

@@ -18,6 +18,7 @@ from gladsim.experiments import (
     ScenarioConfig,
     Table,
     _accuracy_decay_curve,
+    _format_cell,
     export_report,
     run_latency_sweep,
     run_onboarding_study,
@@ -446,6 +447,18 @@ class TestExport:
             export_report(Report("s", tables, {}), target)
         assert [p.name for p in target.iterdir()] == ["s__manifest.json"]
         assert (target / "s__manifest.json").read_text() == "old\n"
+
+    def test_csv_rows_are_the_joined_cells(self, tmp_path):
+        # Python and numpy bools, ints and floats, and strings, in one table.
+        rows = ((True, np.bool_(False), 3, np.int64(-7), 0.1, np.float64(1e-300), "cold"),
+                (np.bool_(True), False, np.int32(0), 2**70, np.float32(0.5), -0.0, ""),
+                (1, 2.0, np.uint8(255), math.inf, np.float64(math.nan), "a b", np.str_("glad")))
+        columns = ("a", "b", "c", "d", "e", "f", "g")
+        export_report(Report("s", {"t": Table(columns, rows)}, {}), tmp_path)
+        lines = [",".join(columns)] + [",".join(_format_cell(cell) for cell in row)
+                                       for row in rows]
+        assert (tmp_path / "s__t.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
+        assert lines[1] == "true,false,3,-7,0.1,1e-300,cold"
 
     def test_unknown_format_rejected(self, latency_report, tmp_path):
         target = tmp_path / "report"

@@ -30,6 +30,7 @@ from gladsim.haptic import (
     _forecast_hits,
     _hit_margin,
     _hits,
+    _last_state,
     _smooth_noise,
     estimate_tau,
     generate_session,
@@ -364,6 +365,19 @@ def _touch_amplitude_loop(profile, pos, t_us):
     return np.clip(base * (1.0 + ripple), 0.0, 1.0)
 
 
+def _feedback_out_of_place(profile, dist, t_us):
+    """The feedback law over rows, as written before it ran in one buffer."""
+    rel = dist / profile.extent_cm
+    base = profile.stiffness * (1.0 - rel)
+    phases = np.arange(5) * (math.pi / 5)
+    ripple = 0.3 * rel[:, None] * np.sin(
+        2.0 * math.pi * profile.texture_freq_hz * t_us[:, None] * 1e-6 + phases
+    )
+    amp = np.clip(base[:, None] * (1.0 + ripple), 0.0, 1.0)
+    amp[dist > profile.extent_cm] = 0.0
+    return amp
+
+
 def _smooth_noise_loop(rng, n, persistence=0.98):
     shocks = rng.normal(0.0, math.sqrt(1.0 - persistence**2), size=n)
     out = np.empty(n)
@@ -436,6 +450,16 @@ class TestVectorizedTrace:
         dist = np.linalg.norm(pos - profile.center)
         assert _same_bits(_feedback(profile, np.array([dist]), np.array([t_us]))[0],
                           _touch_amplitude_loop(profile, pos, t_us))
+
+    @given(profile=_profiles(), seed=_seeds, n=st.integers(0, 300),
+           t_max=st.floats(0.0, 1e8), reach=st.floats(0.0, 2.0))
+    def test_feedback_matches_the_out_of_place_law(self, profile, seed, n, t_max, reach):
+        # Distances run past the extent, so clipped and zeroed rows occur.
+        rng = np.random.Generator(np.random.PCG64(seed))
+        dist = rng.uniform(0.0, reach * profile.extent_cm, n)
+        t_us = np.sort(rng.uniform(0.0, t_max, n))
+        assert _same_bits(_feedback(profile, dist, t_us),
+                          _feedback_out_of_place(profile, dist, t_us))
 
     @given(seed=_seeds, n=st.integers(1, 500), persistence=st.floats(0.0, 0.999))
     def test_smooth_noise_matches_loop(self, seed, n, persistence):
@@ -560,7 +584,7 @@ class TestHitPass:
         rng = np.random.Generator(np.random.PCG64(n))
         x = rng.random((n, 5))
         for estimate in (np.zeros(5), rng.random(5), rng.uniform(-4.0, 4.0, 5)):
-            u = _blocks(x, alpha)
+            u = alpha * _blocks(x)
             delta = _hit_margin(n, u.shape[0], max(1.0, float(np.abs(estimate).max())))
             blocked = _unblocked(_blocked_first_order(1.0 - alpha, u, estimate), n)
             exact = _first_order(1.0 - alpha, alpha * x, estimate)[:-1]
@@ -574,7 +598,6 @@ class TestHitPass:
         assert xb.shape[0] == block
         np.testing.assert_array_equal(_unblocked(xb, n), x)
         assert not xb.transpose(2, 0, 1).reshape(-1, 5)[n:].any()
-        np.testing.assert_array_equal(_blocks(x, 0.3), 0.3 * xb)
 
     def test_one_call_holds_under_four_layouts(self):
         # A layout is the (B, 5, blocks) array of one trace, 8 B 5 N bytes.
@@ -587,6 +610,24 @@ class TestHitPass:
         finally:
             tracemalloc.stop()
         assert peak < 4 * layout
+
+
+class TestLastState:
+    @given(inputs=_hit_pass_inputs())
+    @example(inputs=(np.zeros((0, 5)), 0.5, 0.05, np.full(5, 0.3)))
+    @example(inputs=(np.full((3, 5), 0.45), 1.0, 0.05, np.full(5, -4.0)))
+    def test_same_bits_as_the_exact_pass(self, inputs):
+        x, alpha, epsilon, estimate = inputs
+        expected = _forecast(x, alpha, epsilon, estimate)[1]
+        assert _same_bits(_last_state(x, alpha, estimate), expected)
+        # A row-strided trace, as a subsampled one is, steps the same values.
+        assert _same_bits(_last_state(np.repeat(x, 2, axis=0)[::2], alpha, estimate), expected)
+
+    def test_estimate_is_not_modified(self):
+        # A glad machine starts from the registry's own profile array.
+        estimate = np.full(5, 0.25)
+        _last_state(np.ones((4, 5)), 0.5, estimate)
+        assert np.array_equal(estimate, np.full(5, 0.25))
 
 
 def _first_order_accumulate(c, u, y0):

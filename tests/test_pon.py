@@ -65,6 +65,15 @@ class TestElementaryDelays:
         with pytest.raises(ParameterError, match="finite"):
             transmission_time(nbytes, rate)
 
+    @pytest.mark.parametrize("nbytes", [2.5, 1250.0, True, "128"])
+    def test_transmission_bytes_must_be_an_integer(self, nbytes):
+        # transmission_time(2.5, 1e9) returned 0.02.
+        with pytest.raises(ParameterError, match="^nbytes must be an integer"):
+            transmission_time(nbytes, 1e9)
+
+    def test_transmission_takes_numpy_integer_bytes(self):
+        assert transmission_time(np.int64(1250), 1e9) == transmission_time(1250, 1e9)
+
     @pytest.mark.parametrize("km,per_km", [(math.nan, 5.0), (math.inf, 5.0), (20.0, math.inf),
                                            (20.0, math.nan)])
     def test_propagation_rejects_non_finite(self, km, per_km):
@@ -888,6 +897,21 @@ class TestLegs:
             assert out[key].shape == (len(stream),)
             assert np.all(out[key] >= 0.0)
         assert out["transmission"] >= 0.0
+
+    @pytest.mark.parametrize("leg", [pon._upstream_leg, pon._downstream_leg],
+                             ids=[UPSTREAM, DOWNSTREAM])
+    def test_vanishing_load_draws_no_background(self, leg):
+        # At rho 2.55e-307 the mean background gap is about 1e306 us.  Scaling
+        # the upstream draws overflowed in multiply, and summing the
+        # downstream ones in accumulate; pytest turns either RuntimeWarning
+        # into an error.  Every instant lies past the horizon, so the leg
+        # reads as at zero load.
+        cfg = PonConfig(upstream_rate_bps=1e9, split_ratio=1, dba_cycle_us=62.5)
+        stream = _stream()
+        out = _leg_at(leg, cfg, 2.55e-307, stream, 0)
+        zero = _leg_at(leg, cfg, 0.0, stream, 0)
+        for key in ("queueing", "dba_wait"):
+            assert np.array_equal(out[key], zero[key])
 
     def test_dba_wait_bounded_at_any_load(self):
         cfg = PonConfig()

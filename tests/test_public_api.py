@@ -1,8 +1,8 @@
 """The public surface agrees with itself and with the README's library table.
 
 A deleted name must leave no `__all__` entry, no package re-export and no
-README row behind.  Every public entry that takes a seed or a real number
-checks it.
+README row behind.  Every public entry that takes a seed, a count or a real
+number checks it.
 """
 
 import ast
@@ -160,7 +160,6 @@ def _real_arguments():
         ("LoadPoint", "rho"): pon.LoadPoint,
         ("propagation_delay", "distance_km"): lambda v: pon.propagation_delay(v, 5.0),
         ("propagation_delay", "per_km_us"): lambda v: pon.propagation_delay(20.0, v),
-        ("transmission_time", "nbytes"): lambda v: pon.transmission_time(v, 1e9),
         ("transmission_time", "rate_bps"): lambda v: pon.transmission_time(128, v),
         ("kingman_wait", "rho"): lambda v: pon.kingman_wait(v, 1.0, 1.0, 10.0),
         ("kingman_wait", "ca2"): lambda v: pon.kingman_wait(0.5, v, 1.0, 10.0),
@@ -181,8 +180,6 @@ def _real_arguments():
         ("optimize_alpha", "epsilon"): lambda v: haptic.optimize_alpha(trace, (0.5,), v),
         ("iterations_to_target", "target"): lambda v: coordination.iterations_to_target(
             np.ones(300, dtype=bool), v, 200),
-        ("training_time_saved", "t_cold"): lambda v: coordination.training_time_saved(v, 100),
-        ("training_time_saved", "t_warm"): lambda v: coordination.training_time_saved(100, v),
     }
     for name in ("wobble", "wobble_persistence", "noise_std"):
         calls["profiling_trace", name] = (
@@ -221,3 +218,31 @@ def test_reals_are_checked_at_every_public_entry(entry, argument, bad):
     # returned nan for a nan uniform.
     with pytest.raises(GladsimError, match=f"^{argument} must be"):
         _real_arguments()[entry, argument](bad)
+
+
+@functools.cache
+def _integer_arguments():
+    """(entry, argument) -> a call of a public entry that passes its one count there."""
+    ball = haptic.standard_profile(haptic.ObjectKind.RUBBER_BALL)
+    return {
+        ("transmission_time", "nbytes"): lambda v: pon.transmission_time(v, 1e9),
+        ("training_time_saved", "t_cold"): lambda v: coordination.training_time_saved(v, 100),
+        ("training_time_saved", "t_warm"): lambda v: coordination.training_time_saved(100, v),
+        ("profiling_trace", "n_samples"): lambda v: haptic.profiling_trace(ball, v, 1),
+        ("make_profile_pool", "size"): coordination.make_profile_pool,
+        ("iterations_to_target", "window"): lambda v: coordination.iterations_to_target(
+            np.ones(300, dtype=bool), 0.9, v),
+    }
+
+
+INTEGER_ARGUMENTS = sorted(_integer_arguments())
+
+
+@pytest.mark.parametrize("bad", [2.5, math.nan, math.inf, "1", True],
+                         ids=["fraction", "nan", "inf", "str", "bool"])
+@pytest.mark.parametrize("entry,argument", INTEGER_ARGUMENTS,
+                         ids=[f"{entry}.{argument}" for entry, argument in INTEGER_ARGUMENTS])
+def test_integers_are_checked_at_every_public_entry(entry, argument, bad):
+    # transmission_time and training_time_saved took a fractional count.
+    with pytest.raises(GladsimError, match=f"^{argument} must be"):
+        _integer_arguments()[entry, argument](bad)
