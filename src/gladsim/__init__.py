@@ -21,7 +21,6 @@ from .coordination import (
     match_profile,
     onboard_machine,
     run_savings_sweep,
-    training_time_saved,
     upload_profile,
 )
 from .errors import (
@@ -57,17 +56,11 @@ from .haptic import (
 from .pon import (
     LoadPoint,
     PonConfig,
-    kingman_wait,
-    propagation_delay,
     round_trips,
-    transmission_time,
 )
 from .traffic import (
     GpdParams,
     fit_gpd,
     generate_stream,
-    gpd_cdf,
-    gpd_mean,
     ks_test,
-    sample_gpd,
 )

@@ -45,13 +45,10 @@ __all__ = [
     "GlobalRegistry",
     "OnboardResult",
     "descriptor_of",
-    "similarity",
     "upload_profile",
     "match_profile",
     "onboard_machine",
-    "training_time_saved",
     "run_savings_sweep",
-    "make_profile_pool",
 ]
 
 Descriptor = tuple[str, int, int]
@@ -126,7 +123,7 @@ def descriptor_of(profile: ObjectProfile, glad: GladParams = GladParams()) -> De
     return (profile.kind.value, s_band, t_band)
 
 
-def similarity(a: Descriptor, b: Descriptor, glad: GladParams = GladParams()) -> float:
+def _similarity(a: Descriptor, b: Descriptor, glad: GladParams = GladParams()) -> float:
     """1 minus the normalized band distance; 0 for different kinds."""
     if a[0] != b[0]:
         return 0.0
@@ -183,7 +180,7 @@ def match_profile(registry: GlobalRegistry, descriptor: Descriptor, *,
     best: ProfileRecord | None = None
     best_sim = 0.0
     for record in registry.all_records():
-        sim = similarity(descriptor, record.descriptor, glad)
+        sim = _similarity(descriptor, record.descriptor, glad)
         if sim > best_sim:
             best, best_sim = record, sim
     if best is not None and best_sim >= glad.match_threshold:
@@ -235,14 +232,12 @@ def _warm_start(registry: GlobalRegistry, profile: ObjectProfile, mode: str,
     return np.zeros(N_FINGERS), 0.0
 
 
-def iterations_to_target(hits: np.ndarray, target: float, window: int) -> tuple[int, bool]:
+def _iterations_to_target(hits: np.ndarray, target: float, window: int) -> tuple[int, bool]:
     """First iteration whose trailing `window` accuracy reaches `target`.
 
     Returns (len(hits), False) when the target is never reached; iterations
     are 1-based counts of consumed samples, so the floor is `window`.
     """
-    real("target", target, above=0, below=1)
-    integer("window", window, above=0)
     if hits.size >= window:
         cums = np.concatenate(([0], np.cumsum(hits)))
         windowed = (cums[window:] - cums[:-window]) / window
@@ -271,7 +266,7 @@ def onboard_machine(profile: ObjectProfile, registry: GlobalRegistry, mode: str,
     initial, match_sim = _warm_start(registry, profile, mode, glad)
     alpha, epsilon = glad.onboarding_alpha, glad.epsilon
     hits = run_forecaster(trace, alpha, epsilon, initial_estimate=initial)
-    iterations, converged = iterations_to_target(hits, glad.accuracy_target, glad.window)
+    iterations, converged = _iterations_to_target(hits, glad.accuracy_target, glad.window)
     estimate = _last_state(trace.amplitude, alpha, initial)
     return OnboardResult(
         iterations=iterations,
@@ -282,20 +277,12 @@ def onboard_machine(profile: ObjectProfile, registry: GlobalRegistry, mode: str,
     )
 
 
-def training_time_saved(t_cold: int, t_warm: int) -> float:
-    """Percentage of cold-start iterations avoided by the warm start."""
-    integer("t_cold", t_cold, above=0)
-    integer("t_warm", t_warm, at_least=0)
-    return 100.0 * (1.0 - t_warm / t_cold)
-
-
-def make_profile_pool(size: int) -> list[ObjectProfile]:
+def _make_profile_pool(size: int) -> list[ObjectProfile]:
     """`size` mutually non-matching object profiles (distinct descriptors).
 
     Kinds and quantization bands are spread so any two pool entries fall
     below the default matching threshold.
     """
-    integer("size", size, at_least=1, at_most=POOL_CAPACITY)
     kinds, stiffness, texture = _POOL_KINDS, _POOL_STIFFNESS, _POOL_TEXTURE_HZ
     pool = []
     for i in range(size):
@@ -324,7 +311,7 @@ def run_savings_sweep(glad: GladParams, seed: int) -> list[tuple[int, float]]:
     each machine.
     """
     seed = integer("seed", seed, at_least=0)
-    pool = make_profile_pool(glad.kind_pool_size)
+    pool = _make_profile_pool(glad.kind_pool_size)
     registry = GlobalRegistry()
     seeds = np.random.SeedSequence(seed).generate_state(glad.total_machines)
 
@@ -335,9 +322,10 @@ def run_savings_sweep(glad: GladParams, seed: int) -> list[tuple[int, float]]:
         trace = profiling_trace(profile, glad.profiling_samples, int(seeds[m]))
 
         cold_hits = run_forecaster(trace, glad.onboarding_alpha, glad.epsilon)
-        t_cold, _ = iterations_to_target(cold_hits, glad.accuracy_target, glad.window)
+        t_cold, _ = _iterations_to_target(cold_hits, glad.accuracy_target, glad.window)
         warm = onboard_machine(profile, registry, GLAD, trace, glad)
-        saved.append(training_time_saved(t_cold, warm.iterations))
+        # The percentage of cold-start iterations the warm start avoided.
+        saved.append(100.0 * (1.0 - warm.iterations / t_cold))
 
         upload_profile(registry, profile, warm, glad=glad)
         curve.append((m + 1, float(np.mean(saved))))

@@ -29,16 +29,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, ResourceLimitError, SaturationError, array, integer, real
-from .traffic import CONTROL_TRAFFIC_DEFAULT, GpdParams, generate_stream, gpd_mean
+from .traffic import CONTROL_TRAFFIC_DEFAULT, MAX_EVENTS, GpdParams, _gpd_mean, generate_stream
 
 __all__ = [
     "PonConfig",
     "LoadPoint",
     "NO_AI",
     "WITH_AI",
-    "propagation_delay",
-    "transmission_time",
-    "kingman_wait",
     "fifo_waits",
     "queueing_cross_check",
     "round_trips",
@@ -50,9 +47,6 @@ DOWNSTREAM = "downstream"
 # Loop modes: the machine in the loop, or the edge AI answering in its place.
 NO_AI = "no_ai"
 WITH_AI = "with_ai"
-
-# Hard cap on background packets per simulated leg.
-MAX_EVENTS = 50_000_000
 
 # Background arrivals drawn per chunk.  The downstream FIFO holds one chunk
 # plus the last arrival of the chunk before, so its temporaries do not grow
@@ -111,30 +105,16 @@ class LoadPoint:
             raise SaturationError(f"offered load rho={self.rho} saturates the line")
 
 
-def propagation_delay(distance_km: float, per_km_us: float) -> float:
-    """Fiber propagation delay over `distance_km` at `per_km_us` per km."""
-    real("distance_km", distance_km, at_least=0)
-    real("per_km_us", per_km_us, above=0)
-    delay = distance_km * per_km_us
-    if not math.isfinite(delay):
-        raise ParameterError(f"propagation over {distance_km} km at {per_km_us} us/km overflows")
-    return delay
-
-
-def transmission_time(nbytes: int, rate_bps: float) -> float:
+def _transmission_time(nbytes: int, rate_bps: float) -> float:
     """Serialization time of `nbytes` at `rate_bps`, in microseconds."""
-    integer("nbytes", nbytes, above=0)
-    real("rate_bps", rate_bps, above=0)
     return nbytes * 8.0 / rate_bps * 1e6
 
 
-def kingman_wait(rho: float, ca2: float, cs2: float, mean_service_us: float) -> float:
+def _kingman_wait(rho: float, ca2: float, cs2: float, mean_service_us: float) -> float:
     """Kingman G/G/1 mean waiting time: rho/(1-rho) * (ca2+cs2)/2 * E[S]."""
-    if real("rho", rho, at_least=0) >= 1.0:
+    # A utilization measured from a load just below 1 can round up to 1.
+    if rho >= 1.0:
         raise SaturationError(f"no stationary wait at rho={rho}")
-    real("ca2", ca2, at_least=0)
-    real("cs2", cs2, at_least=0)
-    real("mean_service_us", mean_service_us, above=0)
     # Halved before they are added, the coefficients cannot overflow to inf,
     # so zero load waits 0.0 whatever they are.
     return rho / (1.0 - rho) * (0.5 * ca2 + 0.5 * cs2) * mean_service_us
@@ -277,7 +257,7 @@ def _leg_plan(config: PonConfig, load: LoadPoint, direction: str,
     rate = config.downstream_rate_bps if direction == DOWNSTREAM else config.upstream_rate_bps
     lam = load.rho * rate / (bg_bytes * 8.0) * 1e-6            # pkts/us, all ONUs
     if direction == DOWNSTREAM:
-        extent = last_probe_us + 10.0 * transmission_time(bg_bytes, rate)
+        extent = last_probe_us + 10.0 * _transmission_time(bg_bytes, rate)
         events = lam * extent
     else:
         cycle, n_onus = config.dba_cycle_us, config.split_ratio
@@ -401,7 +381,7 @@ def _downstream_leg(config: PonConfig, load: LoadPoint, probe_times: np.ndarray,
     (see _waits_at).
     """
     rate = config.downstream_rate_bps
-    bg_service = transmission_time(config.background_packet_bytes, rate)
+    bg_service = _transmission_time(config.background_packet_bytes, rate)
     last_probe = float(probe_times[-1]) if probe_times.size else 0.0
     draw = _poisson_draw(rng, *_leg_plan(config, load, DOWNSTREAM, last_probe))
 
@@ -423,7 +403,7 @@ def _downstream_leg(config: PonConfig, load: LoadPoint, probe_times: np.ndarray,
     return {
         "queueing": queueing,
         "dba_wait": np.zeros(probe_times.size),
-        "transmission": transmission_time(config.packet_bytes, rate),
+        "transmission": _transmission_time(config.packet_bytes, rate),
     }
 
 
@@ -545,7 +525,7 @@ def _upstream_leg(config: PonConfig, load: LoadPoint, probe_times: np.ndarray,
     return {
         "queueing": queueing,
         "dba_wait": report,
-        "transmission": transmission_time(config.packet_bytes, rate),
+        "transmission": _transmission_time(config.packet_bytes, rate),
     }
 
 
@@ -559,7 +539,7 @@ def queueing_cross_check(config: PonConfig, load: LoadPoint, seed: int,
     `horizon_us` must span at least 1000 background services (about 1 ms at
     the defaults).
     """
-    service = transmission_time(config.background_packet_bytes, config.downstream_rate_bps)
+    service = _transmission_time(config.background_packet_bytes, config.downstream_rate_bps)
     # Shorter horizons draw a handful of events, whose mean wait says nothing.
     if real("horizon_us", horizon_us) < 1000.0 * service:
         raise ParameterError(f"horizon_us must be at least 1000 background "
@@ -587,9 +567,11 @@ def queueing_cross_check(config: PonConfig, load: LoadPoint, seed: int,
     if n > 2:
         mean_gap = (last - first) / (n - 1)
         ca2 = max(0.0, gap_square_sum / (n - 1) / mean_gap ** 2 - 1.0)
+    # Gaps of about 1e154 us overflow the sum of their squares.
+    real("ca2", ca2, at_least=0)
     utilization = lam * service if n else 0.0
     simulated = wait_sum / n if n else 0.0
-    analytical = kingman_wait(utilization, ca2, 0.0, service)  # deterministic service
+    analytical = _kingman_wait(utilization, ca2, 0.0, service)  # deterministic service
     gap = abs(simulated - analytical) / analytical if analytical > 0 else 0.0
     return {"simulated_mean_wait_us": simulated, "kingman_wait_us": analytical,
             "relative_gap": gap, "utilization": utilization, "ca2": ca2, "cs2": 0.0,
@@ -603,7 +585,7 @@ def queueing_cross_check(config: PonConfig, load: LoadPoint, seed: int,
 
 def _probe_horizon(traffic: GpdParams, n_loops: int) -> float:
     """Where `_probe_stream` first draws to: 10% past the mean span of n_loops gaps."""
-    return n_loops * gpd_mean(traffic) * 1.1 + 10.0
+    return n_loops * _gpd_mean(traffic) * 1.1 + 10.0
 
 
 def _probe_stream(traffic: GpdParams, n_loops: int, seed: int) -> np.ndarray:
@@ -679,7 +661,10 @@ def round_trips(config: PonConfig, load: LoadPoint, seed: int, *,
     """
     integer("n_loops", n_loops, at_least=10)
     seed = integer("seed", seed, at_least=0)
-    probes = _probe_stream(traffic or CONTROL_TRAFFIC_DEFAULT, n_loops, seed)
+    traffic = traffic or CONTROL_TRAFFIC_DEFAULT
+    # The mean inter-arrival, which sets the probe horizon, is undefined from shape 1.
+    real("shape", traffic.shape, below=1)
+    probes = _probe_stream(traffic, n_loops, seed)
     out = {}
     for mode, with_ai in ((NO_AI, False), (WITH_AI, True)):
         base, legs = _round_trip_base(config, load, seed, probes, with_ai)

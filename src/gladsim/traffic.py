@@ -19,20 +19,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDataError, InsufficientDataError, integer, real
+from .errors import DegenerateDataError, InsufficientDataError, ResourceLimitError, integer, real
 
 __all__ = [
     "GpdParams",
     "CONTROL_TRAFFIC_DEFAULT",
-    "sample_gpd",
-    "gpd_cdf",
-    "gpd_mean",
     "generate_stream",
     "fit_gpd",
     "ks_test",
 ]
 
 MIN_FIT_SAMPLES = 50
+
+# Hard cap on the events of one stream or one simulated PON leg.
+MAX_EVENTS = 50_000_000
 
 # Shapes below the smallest normal double take the exponential branch: the
 # general formulas divide by the shape and would lose every significant bit.
@@ -65,13 +65,12 @@ CONTROL_TRAFFIC_DEFAULT = GpdParams(shape=0.1, scale=900.0, location=0.0)
 MAX_SIGNIFICANCE = 0.5
 
 
-def sample_gpd(params: GpdParams, uniform):
+def _sample_gpd(params: GpdParams, uniform):
     """Inverse-CDF transform of `uniform` in [0, 1) under `params`.
 
     Accepts a scalar or an array; vectorizes elementwise.  The shape = 0 case
     is the exponential limit of the family.
     """
-    real("uniform", np.asarray(uniform), at_least=0, below=1)
     u = np.asarray(uniform, dtype=float)
     # log1p keeps the quantile accurate near u=0 and continuous as shape -> 0.
     log_sf = np.log1p(-u)
@@ -84,9 +83,8 @@ def sample_gpd(params: GpdParams, uniform):
     return q
 
 
-def gpd_cdf(params: GpdParams, x):
+def _gpd_cdf(params: GpdParams, x):
     """CDF of the generalized Pareto law at finite `x` (scalar or array)."""
-    real("x", np.asarray(x))
     z = (np.asarray(x, dtype=float) - params.location) / params.scale
     z = np.clip(z, 0.0, None)
     if abs(params.shape) < _EXPONENTIAL_SHAPE:
@@ -103,9 +101,8 @@ def gpd_cdf(params: GpdParams, x):
     return cdf
 
 
-def gpd_mean(params: GpdParams) -> float:
+def _gpd_mean(params: GpdParams) -> float:
     """Closed-form mean; defined only for shape < 1."""
-    real("shape", params.shape, below=1)
     return params.location + params.scale / (1.0 - params.shape)
 
 
@@ -114,22 +111,27 @@ def generate_stream(params: GpdParams, horizon_us: float, seed: int) -> np.ndarr
 
     Arrivals strictly beyond the horizon are excluded; the stream may be empty
     when the first gap already exceeds the horizon.  Deterministic in `seed`.
-    The gaps are `np.diff(stream, prepend=0.0)`.
+    The gaps are `np.diff(stream, prepend=0.0)`.  Raises ResourceLimitError
+    before anything is drawn where the horizon spans more than MAX_EVENTS
+    typical gaps.
     """
     seed = integer("seed", seed, at_least=0)
     real("horizon_us", horizon_us, above=0)
-    rng = np.random.Generator(np.random.PCG64(seed))
     if params.shape < 1.0:
-        typical_gap = gpd_mean(params)
+        typical_gap = _gpd_mean(params)
     else:
-        typical_gap = sample_gpd(params, 0.5)  # median when the mean diverges
+        typical_gap = _sample_gpd(params, 0.5)  # median when the mean diverges
     typical_gap = max(typical_gap, 1e-9)
+    if horizon_us / typical_gap > MAX_EVENTS:
+        raise ResourceLimitError(f"stream needs ~{horizon_us / typical_gap:.3g} events "
+                                 f"(cap {MAX_EVENTS})")
 
+    rng = np.random.Generator(np.random.PCG64(seed))
     batch = max(64, int(horizon_us / typical_gap * 1.2) + 16)
     chunks: list[np.ndarray] = []
     offset = 0.0
     while True:
-        gaps = sample_gpd(params, rng.random(batch))
+        gaps = _sample_gpd(params, rng.random(batch))
         ts = offset + np.cumsum(gaps)
         keep = int(np.searchsorted(ts, horizon_us, side="right"))
         chunks.append(ts[:keep])
@@ -190,7 +192,7 @@ def ks_test(inter_arrivals, params: GpdParams, significance: float) -> tuple[flo
     real("significance", significance, above=0, at_most=MAX_SIGNIFICANCE)
     x = np.sort(_inter_arrival_sample(inter_arrivals))
     n = x.size
-    cdf = gpd_cdf(params, x)
+    cdf = _gpd_cdf(params, x)
     i = np.arange(1, n + 1, dtype=float)
     d_plus = float(np.max(i / n - cdf))
     d_minus = float(np.max(cdf - (i - 1.0) / n))

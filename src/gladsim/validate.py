@@ -24,11 +24,11 @@ def _require(ok, message: str) -> None:
 def _check_gpd_sampler() -> None:
     params = traffic.GpdParams(0.2, 1.0, 0.0)
     grid = np.linspace(0.0, 0.999, 500)
-    q = traffic.sample_gpd(params, grid)
+    q = traffic._sample_gpd(params, grid)
     _require(np.all(np.diff(q) > 0), "quantile not strictly increasing")
     near_zero = traffic.GpdParams(1e-8, 1.0, 0.0)
     zero = traffic.GpdParams(0.0, 1.0, 0.0)
-    gap = np.max(np.abs(traffic.sample_gpd(near_zero, grid) - traffic.sample_gpd(zero, grid)))
+    gap = np.max(np.abs(traffic._sample_gpd(near_zero, grid) - traffic._sample_gpd(zero, grid)))
     _require(gap < 1e-4, f"shape->0 discontinuity {gap}")
 
 
@@ -62,7 +62,7 @@ def _check_kingman_vs_des() -> None:
     cfg = pon.PonConfig()
     out = pon.queueing_cross_check(cfg, pon.LoadPoint(0.5), seed=7, horizon_us=1e6)
     _require(out["relative_gap"] <= 0.2, f"DES/Kingman gap {out['relative_gap']:.3f}")
-    _require(pon.kingman_wait(0.0, 1.0, 1.0, 10.0) == 0.0, "Kingman wait at zero load is not 0")
+    _require(pon._kingman_wait(0.0, 1.0, 1.0, 10.0) == 0.0, "Kingman wait at zero load is not 0")
 
 
 def _check_zero_load_bounds() -> None:
@@ -78,7 +78,7 @@ def _check_zero_load_bounds() -> None:
 
 def _check_ai_dominance() -> None:
     cfg = pon.PonConfig()
-    prop = pon.propagation_delay(20.0, cfg.fiber_delay_us_per_km)
+    prop = 20.0 * cfg.fiber_delay_us_per_km
     for rho in (0.2, 0.8):
         loops = pon.round_trips(cfg, pon.LoadPoint(rho), 3, n_loops=2000)
         slow, fast = (float(base.mean()) + legs * prop

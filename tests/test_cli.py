@@ -450,7 +450,7 @@ class TestCli:
         # `python -O` strips assert statements; a broken invariant must still fail.
         proc = run_python("import sys\n"
                           "from gladsim import cli, pon\n"
-                          "pon.kingman_wait = lambda *args: 1.0\n"
+                          "pon._kingman_wait = lambda *args: 1.0\n"
                           "sys.exit(cli.main(['validate']))\n", "-O")
         assert proc.returncode == 2, proc.stderr
         assert "FAIL kingman-vs-des" in proc.stdout

@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 
 from gladsim import coordination, experiments, haptic, pon
+from gladsim.coordination import GladParams
 from gladsim.errors import ConfigError, ParameterError
 from gladsim.traffic import GpdParams
 from gladsim.experiments import (
     ARTIFACT_VERSION,
-    GladParams,
     Report,
     ScenarioConfig,
     Table,
@@ -93,6 +93,15 @@ class TestScenarioConfig:
         (name,) = kwargs
         with pytest.raises(ConfigError, match=name):
             ScenarioConfig(**kwargs)
+
+    def test_propagation_overflow_counts_the_per_km_delay(self):
+        # Summed over a point's 400000 pooled fiber crossings, a span whose
+        # distance stays finite can still overflow at a slow fiber.
+        slow = pon.PonConfig(fiber_delay_us_per_km=1e10)
+        assert ScenarioConfig(pon=slow, span_grid_km=(1e290,)).span_grid_km == (1e290,)
+        with pytest.raises(ConfigError, match=r"^span_grid_km value 1e\+300 overflows the "
+                                              r"propagation delay of 400000 fiber crossings$"):
+            ScenarioConfig(pon=slow, span_grid_km=(1e300,))
 
     @pytest.mark.parametrize("kwargs", [
         dict(n_loops=100.5), dict(n_loops=1000.0), dict(n_loops=True), dict(n_loops="100"),
@@ -331,7 +340,7 @@ def _pooled_list_curve(config, mode, seed):
     window = glad_cfg.window
 
     total_iters = glad_cfg.add_every * (glad_cfg.additions + 1)
-    pool = coordination.make_profile_pool(glad_cfg.kind_pool_size)
+    pool = coordination._make_profile_pool(glad_cfg.kind_pool_size)
     seeds = np.random.SeedSequence(seed).generate_state(glad_cfg.additions + 1)
 
     registry = coordination.GlobalRegistry()

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from gladsim import pon
+from gladsim import pon, traffic
 from gladsim.errors import ConfigError, ParameterError, ResourceLimitError, SaturationError
 from gladsim.experiments import ScenarioConfig, run_latency_sweep
 from gladsim.pon import (
@@ -22,14 +22,13 @@ from gladsim.pon import (
     WITH_AI,
     LoadPoint,
     PonConfig,
+    _kingman_wait,
+    _transmission_time,
     fifo_waits,
-    kingman_wait,
-    propagation_delay,
     queueing_cross_check,
     round_trips,
-    transmission_time,
 )
-from gladsim.traffic import CONTROL_TRAFFIC_DEFAULT, GpdParams, generate_stream, gpd_mean
+from gladsim.traffic import CONTROL_TRAFFIC_DEFAULT, GpdParams, _gpd_mean, generate_stream
 
 
 def _stream(horizon=3e5, seed=5):
@@ -37,83 +36,39 @@ def _stream(horizon=3e5, seed=5):
 
 
 class TestElementaryDelays:
-    @pytest.mark.parametrize("km,per_km,expected", [
-        (0.0, 5.0, 0.0),
-        (20.0, 5.0, 100.0),
-        (30.0, 5.0, 150.0),
-    ])
-    def test_propagation(self, km, per_km, expected):
-        assert propagation_delay(km, per_km) == pytest.approx(expected)
-
-    def test_propagation_negative_distance(self):
-        with pytest.raises(ParameterError):
-            propagation_delay(-1.0, 5.0)
-
     def test_transmission_examples(self):
-        assert transmission_time(1250, 1e9) == pytest.approx(10.0)
+        assert _transmission_time(1250, 1e9) == pytest.approx(10.0)
         # 128 bytes on the upstream line: 1024 bits / 2.48832e9 bps
-        assert transmission_time(128, 2.48832e9) == pytest.approx(128 * 8 / 2.48832e9 * 1e6)
-        assert transmission_time(128, 2.48832e9) == pytest.approx(0.4115, abs=1e-4)
-
-    def test_transmission_zero_bytes(self):
-        with pytest.raises(ParameterError):
-            transmission_time(0, 1e9)
-
-    @pytest.mark.parametrize("nbytes,rate", [(128, math.inf), (128, math.nan), (math.inf, 1e9),
-                                             (math.nan, 1e9)])
-    def test_transmission_rejects_non_finite(self, nbytes, rate):
-        with pytest.raises(ParameterError, match="finite"):
-            transmission_time(nbytes, rate)
-
-    @pytest.mark.parametrize("nbytes", [2.5, 1250.0, True, "128"])
-    def test_transmission_bytes_must_be_an_integer(self, nbytes):
-        # transmission_time(2.5, 1e9) returned 0.02.
-        with pytest.raises(ParameterError, match="^nbytes must be an integer"):
-            transmission_time(nbytes, 1e9)
-
-    def test_transmission_takes_numpy_integer_bytes(self):
-        assert transmission_time(np.int64(1250), 1e9) == transmission_time(1250, 1e9)
-
-    @pytest.mark.parametrize("km,per_km", [(math.nan, 5.0), (math.inf, 5.0), (20.0, math.inf),
-                                           (20.0, math.nan)])
-    def test_propagation_rejects_non_finite(self, km, per_km):
-        with pytest.raises(ParameterError, match="finite"):
-            propagation_delay(km, per_km)
-
-    def test_propagation_rejects_overflow(self):
-        # A finite span whose delay overflowed gave inf means in a sweep.
-        assert propagation_delay(1e307, 5.0) == 5e307
-        with pytest.raises(ParameterError, match="overflows"):
-            propagation_delay(1e308, 5.0)
+        assert _transmission_time(128, 2.48832e9) == pytest.approx(128 * 8 / 2.48832e9 * 1e6)
+        assert _transmission_time(128, 2.48832e9) == pytest.approx(0.4115, abs=1e-4)
 
 
 class TestKingman:
     def test_empty_system(self):
-        assert kingman_wait(0.0, 1.0, 1.0, 10.0) == 0.0
+        assert _kingman_wait(0.0, 1.0, 1.0, 10.0) == 0.0
 
     def test_empty_system_with_huge_variability(self):
         # ca2 + cs2 overflows to inf here: 0 * inf would be NaN, and at
         # rho 0.5 the wait, 1e308 us, would read inf.
-        assert kingman_wait(0.0, 1e308, 1e308, 10.0) == 0.0
-        assert kingman_wait(0.5, 1e308, 1e308, 1.0) == 1e308
+        assert _kingman_wait(0.0, 1e308, 1e308, 10.0) == 0.0
+        assert _kingman_wait(0.5, 1e308, 1e308, 1.0) == 1e308
 
     def test_mm1_like_symmetry(self):
         # ca2 = cs2 = 1 gives exactly rho/(1-rho) * E[S].
-        assert kingman_wait(0.5, 1.0, 1.0, 10.0) == pytest.approx(10.0)
+        assert _kingman_wait(0.5, 1.0, 1.0, 10.0) == pytest.approx(10.0)
 
-    def test_saturation(self):
-        with pytest.raises(SaturationError):
-            kingman_wait(1.0, 1.0, 1.0, 10.0)
+    def test_overflowing_arrival_variability_is_refused(self):
+        # About 100 gaps of some 1e154 us: the sum of their squares is inf.
+        with pytest.raises(ParameterError, match="^ca2 must be finite and >= 0, got inf"):
+            queueing_cross_check(PonConfig(), LoadPoint(1e-154), 1, horizon_us=1e156)
 
-    def test_negative_rho(self):
-        with pytest.raises(ParameterError):
-            kingman_wait(-0.1, 1.0, 1.0, 10.0)
-
-    @pytest.mark.parametrize("args", [(math.nan, 1.0, 1.0, 10.0), (0.5, math.inf, 1.0, 10.0),
-                                      (0.5, 1.0, math.nan, 10.0), (0.5, 1.0, 1.0, math.inf)])
-    def test_rejects_non_finite(self, args):
-        with pytest.raises(ParameterError, match="finite"):
-            kingman_wait(*args)
+    def test_utilization_rounded_up_to_one_saturates(self):
+        # At the largest load below 1, this line's measured utilization,
+        # rho * rate / bits * bits / rate, rounds up to exactly 1.
+        cfg = PonConfig(downstream_rate_bps=994621889135.2457, background_packet_bytes=64011)
+        load = LoadPoint(math.nextafter(1.0, 0.0))
+        with pytest.raises(SaturationError, match="^no stationary wait at rho=1.0"):
+            queueing_cross_check(cfg, load, 1, horizon_us=600.0)
 
     def test_gpd_fed_deterministic_queue_cross_validation(self):
         """Kingman vs a simulated G/D/1 queue fed by GPD arrivals at rho=0.8.
@@ -124,12 +79,12 @@ class TestKingman:
         so ca2 = 1 / (1 - 2 xi) = 1.25.
         """
         params = GpdParams(0.1, 4.5, 0.0)
-        assert gpd_mean(params) == pytest.approx(5.0)
+        assert _gpd_mean(params) == pytest.approx(5.0)
         ca2 = 1.25
 
         stream = generate_stream(params, 3e6, seed=21)
         waits = fifo_waits(stream, np.full(len(stream), 4.0))
-        analytical = kingman_wait(0.8, ca2, 0.0, 4.0)
+        analytical = _kingman_wait(0.8, ca2, 0.0, 4.0)
         assert analytical == pytest.approx(10.0)
         assert waits.mean() == pytest.approx(analytical, rel=0.2)
 
@@ -302,7 +257,7 @@ def _whole_array_arrivals(rng, rate_per_us, horizon_us):
 def _whole_array_downstream(config, load, probe_times, rng):
     """Reference downstream leg: one draw and one reflection over all arrivals."""
     rate = config.downstream_rate_bps
-    service = transmission_time(config.background_packet_bytes, rate)
+    service = _transmission_time(config.background_packet_bytes, rate)
     horizon = float(probe_times[-1]) + 10.0 * service
     lam = load.rho * rate / (config.background_packet_bytes * 8.0) * 1e-6
     times = _whole_array_arrivals(rng, lam, horizon) if lam > 0.0 else np.empty(0)
@@ -432,7 +387,7 @@ class TestStreamedBackground:
         # every background arrival: the leg reads waits at probes only.
         cfg, load, seed = PonConfig(), LoadPoint(rho), 8
         rate = cfg.downstream_rate_bps
-        service = transmission_time(cfg.background_packet_bytes, rate)
+        service = _transmission_time(cfg.background_packet_bytes, rate)
         lam = rho * rate / (cfg.background_packet_bytes * 8.0) * 1e-6
         probes = np.sort(np.random.Generator(np.random.PCG64(seed)).uniform(0.0, 2e4, 500))
         probes[0] = 0.0          # before every arrival
@@ -476,7 +431,7 @@ class TestStreamedBackground:
         assert all(after[0] == before[-1] for before, after in zip(yielded, yielded[1:]))
         settled = [c[1:] if i else c for i, c in enumerate(yielded)]
         assert np.array_equal(np.concatenate([np.empty(0), *settled]), times)
-        service = transmission_time(cfg.background_packet_bytes, cfg.downstream_rate_bps)
+        service = _transmission_time(cfg.background_packet_bytes, cfg.downstream_rate_bps)
         assert out["mean_service_us"] == service and out["cs2"] == 0.0
         if times.size > 2:
             gaps = np.diff(times)
@@ -653,7 +608,7 @@ class TestDownstreamLaw:
         # close are correlated near saturation, so the standard errors come
         # from the spread over seeds.
         cfg, seeds = PonConfig(), range(1, 9)
-        service = transmission_time(cfg.background_packet_bytes, cfg.downstream_rate_bps)
+        service = _transmission_time(cfg.background_packet_bytes, cfg.downstream_rate_bps)
         probes = 1000.0 * np.arange(10, 4010)
         per_seed = []
         for seed in seeds:
@@ -863,7 +818,7 @@ class TestLegs:
         stream = _stream()
         leg = _leg_at(pon._upstream_leg, cfg, 0.0, stream + cfg.wireless_hop_us, 42)
         assert leg["transmission"] == pytest.approx(
-            transmission_time(cfg.packet_bytes, cfg.upstream_rate_bps))
+            _transmission_time(cfg.packet_bytes, cfg.upstream_rate_bps))
         assert leg["queueing"].shape == leg["dba_wait"].shape == (len(stream),)
         assert np.all(leg["queueing"] == 0.0)
         assert np.all((leg["dba_wait"] >= 0.0) & (leg["dba_wait"] <= cfg.dba_cycle_us))
@@ -876,7 +831,7 @@ class TestLegs:
         assert np.all(leg["queueing"] == 0.0)
         assert np.all(leg["dba_wait"] == 0.0)
         assert leg["transmission"] == pytest.approx(
-            transmission_time(cfg.packet_bytes, cfg.downstream_rate_bps))
+            _transmission_time(cfg.packet_bytes, cfg.downstream_rate_bps))
 
     @pytest.mark.parametrize("leg", [pon._upstream_leg, pon._downstream_leg],
                              ids=[UPSTREAM, DOWNSTREAM])
@@ -951,7 +906,7 @@ class TestLegs:
 
 def _loop_totals(cfg, rho, seed, n_loops):
     """Each mode's per-loop totals at the span of `cfg`."""
-    prop = propagation_delay(cfg.span_km, cfg.fiber_delay_us_per_km)
+    prop = cfg.span_km * cfg.fiber_delay_us_per_km
     return {mode: base + legs * prop
             for mode, (base, legs) in round_trips(cfg, LoadPoint(rho), seed,
                                                   n_loops=n_loops).items()}
@@ -971,8 +926,8 @@ class TestRoundTrips:
         """At rho=0 the loop is 4 propagation + 4 wireless + 2 DBA waits + tx."""
         cfg = PonConfig(span_km=20.0)
         totals = _loop_totals(cfg, 0.0, seed=2, n_loops=2000)[NO_AI]
-        tx = 2 * transmission_time(cfg.packet_bytes, cfg.upstream_rate_bps) \
-            + 2 * transmission_time(cfg.packet_bytes, cfg.downstream_rate_bps)
+        tx = 2 * _transmission_time(cfg.packet_bytes, cfg.upstream_rate_bps) \
+            + 2 * _transmission_time(cfg.packet_bytes, cfg.downstream_rate_bps)
         floor = 4 * 100.0 + 4 * 50.0 + tx
         ceiling = floor + 2 * cfg.dba_cycle_us
         assert floor < totals.mean() < ceiling
@@ -983,8 +938,8 @@ class TestRoundTrips:
         """At rho=0 the AI loop is 2 propagation + 2 wireless + 1 DBA + inference."""
         cfg = PonConfig(span_km=30.0)
         totals = _loop_totals(cfg, 0.0, seed=2, n_loops=2000)[WITH_AI]
-        tx = transmission_time(cfg.packet_bytes, cfg.upstream_rate_bps) \
-            + transmission_time(cfg.packet_bytes, cfg.downstream_rate_bps)
+        tx = _transmission_time(cfg.packet_bytes, cfg.upstream_rate_bps) \
+            + _transmission_time(cfg.packet_bytes, cfg.downstream_rate_bps)
         floor = 2 * 150.0 + 2 * 50.0 + tx + cfg.ai_inference_us
         assert floor < totals.mean() < floor + cfg.dba_cycle_us
 
@@ -1197,6 +1152,14 @@ class TestLegMetamorphic:
 
 
 class TestEventBudget:
+    @pytest.mark.parametrize("rho", [0.0, 0.5])
+    def test_probe_stream_is_capped_before_drawing(self, monkeypatch, rho):
+        # The probe stream's first batch was sized from n_loops alone: at
+        # n_loops = 10**9 it asked for 9.83 GiB before any leg was planned.
+        monkeypatch.setattr(traffic, "MAX_EVENTS", 10_000)
+        with pytest.raises(ResourceLimitError, match="^stream needs ~1.1e\\+04 events"):
+            round_trips(PonConfig(), LoadPoint(rho), seed=1, n_loops=10_000)
+
     # At rho 0.9 the downstream leg draws about 0.9 events per us of probe
     # horizon and the upstream leg about 0.22 at the default 125 us cycle.
     # With 10 us cycles each ONU's count per cycle, 0.14 packets on average,
@@ -1329,6 +1292,13 @@ class TestRecordInvariants:
         # 100.5 raised a raw TypeError from slicing the probe stream.
         with pytest.raises(ParameterError, match="^n_loops must be an integer"):
             round_trips(PonConfig(), LoadPoint(0.1), seed=1, n_loops=n_loops)
+
+    @pytest.mark.parametrize("shape", [1.0, 2.5])
+    def test_traffic_mean_must_exist(self, shape):
+        # The mean gap sets the probe horizon; it is undefined from shape 1.
+        with pytest.raises(ParameterError, match="^shape must be finite and < 1"):
+            round_trips(PonConfig(), LoadPoint(0.1), seed=1, n_loops=100,
+                        traffic=GpdParams(shape, 900.0))
 
     def test_numpy_loop_count_accepted(self):
         out = round_trips(PonConfig(), LoadPoint(0.1), seed=1, n_loops=np.int64(100))

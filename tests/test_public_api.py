@@ -2,7 +2,7 @@
 
 A deleted name must leave no `__all__` entry, no package re-export and no
 README row behind.  Every public entry that takes a seed, a count or a real
-number checks it.
+number checks it, and the signatures say which arguments those are.
 """
 
 import ast
@@ -10,9 +10,12 @@ import dataclasses
 import functools
 import importlib
 import importlib.util
+import inspect
 import math
 import re
 import sys
+import types
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -69,6 +72,13 @@ def test_readme_library_table_names_exist():
     missing = [f"{module}.{name}" for module, names in rows for name in names
                if not hasattr(importlib.import_module(module), name)]
     assert missing == []
+
+
+def test_readme_library_table_lists_every_public_name():
+    declared = {module.__name__: sorted(module.__all__)
+                for module in _modules() if hasattr(module, "__all__")}
+    listed = {module: sorted(names) for module, names in _library_table() if module in declared}
+    assert listed == declared
 
 
 def test_benchmark_trace_targets_resolve():
@@ -148,7 +158,7 @@ def test_numpy_integer_seeds_are_accepted(entry):
 def _real_arguments():
     """(entry, argument) -> a call of a public entry that passes its one argument there.
 
-    Grid fields take the value as their one element.
+    Tuple fields take the value as their one element.
     """
     ball = haptic.standard_profile(haptic.ObjectKind.RUBBER_BALL)
     trace = haptic.profiling_trace(ball, 100, 1)
@@ -158,17 +168,8 @@ def _real_arguments():
     gaps = np.diff(traffic.generate_stream(gpd, 1e5, 1), prepend=0.0)
     calls = {
         ("LoadPoint", "rho"): pon.LoadPoint,
-        ("propagation_delay", "distance_km"): lambda v: pon.propagation_delay(v, 5.0),
-        ("propagation_delay", "per_km_us"): lambda v: pon.propagation_delay(20.0, v),
-        ("transmission_time", "rate_bps"): lambda v: pon.transmission_time(128, v),
-        ("kingman_wait", "rho"): lambda v: pon.kingman_wait(v, 1.0, 1.0, 10.0),
-        ("kingman_wait", "ca2"): lambda v: pon.kingman_wait(0.5, v, 1.0, 10.0),
-        ("kingman_wait", "cs2"): lambda v: pon.kingman_wait(0.5, 1.0, v, 10.0),
-        ("kingman_wait", "mean_service_us"): lambda v: pon.kingman_wait(0.5, 1.0, 1.0, v),
         ("queueing_cross_check", "horizon_us"): lambda v: pon.queueing_cross_check(
             pon.PonConfig(), pon.LoadPoint(0.5), 1, horizon_us=v),
-        ("sample_gpd", "uniform"): lambda v: traffic.sample_gpd(gpd, v),
-        ("gpd_cdf", "x"): lambda v: traffic.gpd_cdf(gpd, v),
         ("generate_stream", "horizon_us"): lambda v: traffic.generate_stream(gpd, v, 1),
         ("ks_test", "significance"): lambda v: traffic.ks_test(gaps, gpd, v),
         ("generate_session", "duration_us"): lambda v: haptic.generate_session(ball, v, gpd, 1),
@@ -178,33 +179,35 @@ def _real_arguments():
         ("run_forecaster", "epsilon"): lambda v: haptic.run_forecaster(trace, 0.5, v),
         ("optimize_alpha", "alpha_grid"): lambda v: haptic.optimize_alpha(trace, (0.5, v), 0.05),
         ("optimize_alpha", "epsilon"): lambda v: haptic.optimize_alpha(trace, (0.5,), v),
-        ("iterations_to_target", "target"): lambda v: coordination.iterations_to_target(
-            np.ones(300, dtype=bool), v, 200),
     }
     for name in ("wobble", "wobble_persistence", "noise_std"):
         calls["profiling_trace", name] = (
             lambda v, name=name: haptic.profiling_trace(ball, 10, 1, **{name: v}))
-    profile = dict(kind=haptic.ObjectKind.CUSTOM, center=np.zeros(3), extent_cm=4.0,
-                   stiffness=0.5, texture_freq_hz=10.0)
-    fields = {
+    return {**calls, **_field_calls({
         pon.PonConfig: [f.name for f in dataclasses.fields(pon.PonConfig)],
         traffic.GpdParams: ["shape", "scale", "location"],
         haptic.ObjectProfile: ["extent_cm", "stiffness", "texture_freq_hz"],
         coordination.GladParams: ["accuracy_target", "epsilon", "onboarding_alpha",
                                   "match_threshold", "texture_freq_max_hz", "alpha_grid"],
         experiments.ScenarioConfig: ["deadline_us", "load_grid", "span_grid_km"],
-    }
-    defaults = {traffic.GpdParams: dict(shape=0.1, scale=900.0), haptic.ObjectProfile: profile}
-    for cls, names in fields.items():
-        for name in names:
-            calls[cls.__name__, name] = functools.partial(_construct, cls,
-                                                          defaults.get(cls, {}), name)
-    return calls
+    })}
+
+
+def _field_calls(fields):
+    """(class, field) -> a construction of the class that passes its one argument there."""
+    profile = dict(kind=haptic.ObjectKind.CUSTOM, center=np.zeros(3), extent_cm=4.0,
+                   stiffness=0.5, texture_freq_hz=10.0)
+    defaults = {traffic.GpdParams: dict(shape=0.1, scale=900.0), haptic.ObjectProfile: profile,
+                coordination.ProfileRecord: dict(descriptor=("rubber_ball", 9, 0),
+                                                 profile_estimate=np.zeros(5))}
+    return {(cls.__name__, name): functools.partial(_construct, cls, defaults.get(cls, {}), name)
+            for cls, names in fields.items() for name in names}
 
 
 def _construct(cls, base, name, value):
-    """`cls` from the keywords `base` and `name=value`; a grid takes `(value,)`."""
-    return cls(**{**base, name: (value,) if name.endswith(("_grid", "_grid_km")) else value})
+    """`cls` from the keywords `base` and `name=value`; a tuple field takes `(value,)`."""
+    tuple_field = typing.get_origin(typing.get_type_hints(cls)[name]) is tuple
+    return cls(**{**base, name: (value,) if tuple_field else value})
 
 
 REAL_ARGUMENTS = sorted(_real_arguments())
@@ -224,15 +227,18 @@ def test_reals_are_checked_at_every_public_entry(entry, argument, bad):
 def _integer_arguments():
     """(entry, argument) -> a call of a public entry that passes its one count there."""
     ball = haptic.standard_profile(haptic.ObjectKind.RUBBER_BALL)
-    return {
-        ("transmission_time", "nbytes"): lambda v: pon.transmission_time(v, 1e9),
-        ("training_time_saved", "t_cold"): lambda v: coordination.training_time_saved(v, 100),
-        ("training_time_saved", "t_warm"): lambda v: coordination.training_time_saved(100, v),
+    calls = {
         ("profiling_trace", "n_samples"): lambda v: haptic.profiling_trace(ball, v, 1),
-        ("make_profile_pool", "size"): coordination.make_profile_pool,
-        ("iterations_to_target", "window"): lambda v: coordination.iterations_to_target(
-            np.ones(300, dtype=bool), 0.9, v),
+        ("round_trips", "n_loops"): lambda v: pon.round_trips(
+            pon.PonConfig(), pon.LoadPoint(0.5), 1, n_loops=v),
     }
+    return {**calls, **_field_calls({
+        coordination.GladParams: [
+            "window", "kind_pool_size", "total_machines", "local_ais", "profiling_samples",
+            "min_updates_for_upload", "quant_bands", "add_every", "additions", "machines_grid"],
+        coordination.ProfileRecord: ["sample_count"],
+        experiments.ScenarioConfig: ["n_loops", "seeds"],
+    })}
 
 
 INTEGER_ARGUMENTS = sorted(_integer_arguments())
@@ -243,6 +249,34 @@ INTEGER_ARGUMENTS = sorted(_integer_arguments())
 @pytest.mark.parametrize("entry,argument", INTEGER_ARGUMENTS,
                          ids=[f"{entry}.{argument}" for entry, argument in INTEGER_ARGUMENTS])
 def test_integers_are_checked_at_every_public_entry(entry, argument, bad):
-    # transmission_time and training_time_saved took a fractional count.
     with pytest.raises(GladsimError, match=f"^{argument} must be"):
         _integer_arguments()[entry, argument](bad)
+
+
+# Result records: the package builds them from values it has checked.
+RESULT_RECORDS = {"HapticSample", "OnboardResult"}
+CHECKED_ANNOTATIONS = {int, float, tuple[int, ...], tuple[float, ...]}
+
+
+def _numeric_parameters():
+    """(entry, argument) of every parameter or field of a public function or class that
+    is annotated as a number or a tuple of them, or is a seed."""
+    for module in _modules():
+        for name in sorted(set(getattr(module, "__all__", ())) - RESULT_RECORDS):
+            entry = getattr(module, name)
+            if isinstance(entry, types.GenericAlias):   # a type alias, a class on Python 3.10
+                continue
+            if isinstance(entry, type) and not dataclasses.is_dataclass(entry):
+                entry = vars(entry).get("__init__")     # a plain class takes its __init__'s
+            if inspect.isfunction(entry) or isinstance(entry, type):
+                # Resolves the strings that `from __future__ import annotations` leaves.
+                hints = typing.get_type_hints(entry)
+                yield from ((name, argument) for argument, hint in hints.items()
+                            if argument != "return"
+                            and (hint in CHECKED_ANNOTATIONS or argument == "seed"))
+
+
+def test_every_numeric_parameter_has_a_row():
+    rows = {*_real_arguments(), *_integer_arguments(), *((entry, "seed") for entry in SEEDED)}
+    assert [f"{entry}.{argument}" for entry, argument in _numeric_parameters()
+            if (entry, argument) not in rows] == []

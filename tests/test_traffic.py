@@ -8,19 +8,22 @@ import scipy.stats
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from gladsim import traffic
 from gladsim.errors import (
     DegenerateDataError,
     InsufficientDataError,
     ParameterError,
+    ResourceLimitError,
 )
 from gladsim.traffic import (
+    CONTROL_TRAFFIC_DEFAULT,
     GpdParams,
+    _gpd_cdf,
+    _gpd_mean,
+    _sample_gpd,
     fit_gpd,
     generate_stream,
-    gpd_cdf,
-    gpd_mean,
     ks_test,
-    sample_gpd,
 )
 
 
@@ -41,15 +44,13 @@ class TestGpdParams:
 
     def test_mean_closed_form(self):
         p = GpdParams(0.2, 1.0, 0.0)
-        assert gpd_mean(p) == pytest.approx(1.0 / 0.8)
-        with pytest.raises(ParameterError):
-            gpd_mean(GpdParams(1.0, 1.0, 0.0))
+        assert _gpd_mean(p) == pytest.approx(1.0 / 0.8)
 
 
 class TestSampleGpd:
     def test_exponential_limit_unit_quantile(self):
         # shape=0 reduces to an exponential: quantile at u = 1 - e^-1 is 1.
-        assert sample_gpd(GpdParams(0.0, 1.0, 0.0), 1.0 - math.exp(-1.0)) == pytest.approx(1.0)
+        assert _sample_gpd(GpdParams(0.0, 1.0, 0.0), 1.0 - math.exp(-1.0)) == pytest.approx(1.0)
 
     @pytest.mark.parametrize("params", [
         GpdParams(0.0, 1.0, 0.0),
@@ -57,22 +58,22 @@ class TestSampleGpd:
         GpdParams(-0.2, 1.5, 1.0),
     ])
     def test_zero_quantile_is_location(self, params):
-        assert sample_gpd(params, 0.0) == pytest.approx(params.location)
+        assert _sample_gpd(params, 0.0) == pytest.approx(params.location)
 
     def test_empirical_mean_matches_closed_form(self):
         # Oracle: mean = location + scale / (1 - shape) = 1.25.
         params = GpdParams(0.2, 1.0, 0.0)
         rng = np.random.Generator(np.random.PCG64(1))
-        samples = sample_gpd(params, rng.random(10**6))
+        samples = _sample_gpd(params, rng.random(10**6))
         assert samples.mean() == pytest.approx(1.25, abs=0.01)
-        assert samples.mean() == pytest.approx(gpd_mean(params), abs=0.01)
+        assert samples.mean() == pytest.approx(_gpd_mean(params), abs=0.01)
 
     @pytest.mark.parametrize("shape", [-0.3, 0.0, 0.1, 0.5])
     def test_matches_scipy_quantiles(self, shape):
         # Independent oracle: scipy's genpareto ppf with the same convention.
         params = GpdParams(shape, 2.0, 3.0)
         u = np.linspace(0.0, 0.999, 200)
-        mine = sample_gpd(params, u)
+        mine = _sample_gpd(params, u)
         ref = scipy.stats.genpareto.ppf(u, c=shape, loc=3.0, scale=2.0)
         np.testing.assert_allclose(mine, ref, rtol=1e-10)
 
@@ -81,7 +82,7 @@ class TestSampleGpd:
         params = GpdParams(shape, 2.0, 1.0)
         x = np.linspace(0.0, 20.0, 300)
         np.testing.assert_allclose(
-            gpd_cdf(params, x),
+            _gpd_cdf(params, x),
             scipy.stats.genpareto.cdf(x, c=shape, loc=1.0, scale=2.0),
             atol=1e-12,
         )
@@ -90,19 +91,14 @@ class TestSampleGpd:
     def test_strictly_increasing_in_uniform(self, shape):
         params = GpdParams(shape, 1.0, 0.0)
         u = np.linspace(0.0, 0.9999, 1000)
-        q = sample_gpd(params, u)
+        q = _sample_gpd(params, u)
         assert np.all(np.diff(q) > 0.0)
 
     def test_shape_to_zero_continuity(self):
         u = np.linspace(0.0, 0.999, 500)
-        near = sample_gpd(GpdParams(1e-8, 1.0, 0.0), u)
-        exact = sample_gpd(GpdParams(0.0, 1.0, 0.0), u)
+        near = _sample_gpd(GpdParams(1e-8, 1.0, 0.0), u)
+        exact = _sample_gpd(GpdParams(0.0, 1.0, 0.0), u)
         assert np.max(np.abs(near - exact)) < 1e-4
-
-    @pytest.mark.parametrize("u", [-0.01, 1.0, 1.5])
-    def test_uniform_out_of_range(self, u):
-        with pytest.raises(ParameterError):
-            sample_gpd(GpdParams(0.1, 1.0, 0.0), u)
 
 
 class TestGpdInverse:
@@ -114,7 +110,7 @@ class TestGpdInverse:
     @example(shape=-5e-324, scale=1.0, location=0.0, u=0.5)
     def test_cdf_inverts_sampler(self, shape, scale, location, u):
         params = GpdParams(shape, scale, location)
-        assert gpd_cdf(params, sample_gpd(params, u)) == pytest.approx(u, abs=1e-9)
+        assert _gpd_cdf(params, _sample_gpd(params, u)) == pytest.approx(u, abs=1e-9)
 
 
 class TestGenerateStream:
@@ -150,6 +146,22 @@ class TestGenerateStream:
         assert stream[-1] <= 1e5
         assert np.all(np.diff(stream, prepend=0.0) >= params.location)
 
+    def test_astronomical_horizon_is_refused_before_drawing(self):
+        # Sized from the horizon, the first batch raised numpy's raw ValueError.
+        with pytest.raises(ResourceLimitError, match=r"^stream needs ~1e\+297 events"):
+            generate_stream(CONTROL_TRAFFIC_DEFAULT, 1e300, seed=1)
+
+    @pytest.mark.parametrize("params,cap_horizon", [
+        (GpdParams(0.0, 1000.0, 0.0), 1e6),           # 1000 mean gaps
+        (GpdParams(1.5, 1.0, 0.0), 1000 * (2.0 ** 1.5 - 1.0) / 1.5),  # 1000 median gaps
+    ], ids=["mean", "median"])
+    def test_event_cap_is_checked_before_drawing(self, monkeypatch, params, cap_horizon):
+        below = generate_stream(params, cap_horizon * 0.999, seed=2)
+        monkeypatch.setattr(traffic, "MAX_EVENTS", 1000)
+        assert np.array_equal(generate_stream(params, cap_horizon * 0.999, seed=2), below)
+        with pytest.raises(ResourceLimitError, match=r"events \(cap 1000\)$"):
+            generate_stream(params, cap_horizon * 1.001, seed=2)
+
     def test_horizon_must_be_positive(self):
         with pytest.raises(ParameterError):
             generate_stream(GpdParams(0.1, 1.0, 0.0), 0.0, seed=1)
@@ -165,7 +177,7 @@ class TestGenerateStream:
 class TestFitGpd:
     def test_round_trip_recovers_generating_parameters(self):
         params = GpdParams(0.1, 500.0, 0.0)
-        horizon = gpd_mean(params) * 1.2e5
+        horizon = _gpd_mean(params) * 1.2e5
         stream = generate_stream(params, horizon, seed=11)
         gaps = np.diff(stream, prepend=0.0)[:100_000]
         assert gaps.size == 100_000
