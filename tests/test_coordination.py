@@ -9,6 +9,7 @@ from gladsim import coordination
 from gladsim.coordination import (
     COLD,
     GLAD,
+    MIN_ONBOARDING_SAMPLES,
     POOL_CAPACITY,
     GladParams,
     GlobalRegistry,
@@ -326,6 +327,21 @@ def test_upload_threshold_must_not_be_negative():
     # -5 built, and every profile was then uploaded, as at 0.
     with pytest.raises(ConfigError, match="^min_updates_for_upload must be finite and >= 0"):
         GladParams(min_updates_for_upload=-5)
+
+
+# Each integer field's bound, as (field, a value just outside it, the value at
+# it).  The window and the pool size reach helpers that take them as checked.
+@pytest.mark.parametrize("field,outside,bound", [
+    ("window", 0, 1), ("total_machines", 1, 2), ("local_ais", 0, 1), ("add_every", 0, 1),
+    ("additions", -1, 0), ("quant_bands", 1, 2),
+    ("profiling_samples", MIN_ONBOARDING_SAMPLES - 1, MIN_ONBOARDING_SAMPLES),
+    ("min_updates_for_upload", 4001, 4000),
+    ("kind_pool_size", 0, 1), ("kind_pool_size", POOL_CAPACITY + 1, POOL_CAPACITY),
+])
+def test_integer_field_bounds(field, outside, bound):
+    with pytest.raises(ConfigError, match=f"^{field} must be"):
+        GladParams(**{field: outside})
+    assert getattr(GladParams(**{field: bound}), field) == bound
 
 
 _INTEGER_FIELDS = ("window", "total_machines", "local_ais", "add_every", "additions",

@@ -36,6 +36,18 @@ def _stream(horizon=3e5, seed=5):
 
 
 class TestElementaryDelays:
+    @pytest.mark.parametrize("km,per_km,expected", [
+        (5.0, 5.0, 25.0), (20.0, 5.0, 100.0), (30.0, 2.0, 60.0)])
+    def test_propagation(self, km, per_km, expected):
+        # Each fiber crossing of a span adds km * per_km to the sweep's means:
+        # four crossings without AI, two with.
+        config = ScenarioConfig(pon=PonConfig(fiber_delay_us_per_km=per_km), load_grid=(0.3,),
+                                span_grid_km=(0.0, km), seeds=(1,), n_loops=200)
+        rows = run_latency_sweep(config).tables["latency"].rows
+        means = {(row[0], row[2]): row[3] for row in rows}
+        for mode, crossings in ((NO_AI, 4), (WITH_AI, 2)):
+            assert means[km, mode] - means[0.0, mode] == pytest.approx(crossings * expected)
+
     def test_transmission_examples(self):
         assert _transmission_time(1250, 1e9) == pytest.approx(10.0)
         # 128 bytes on the upstream line: 1024 bits / 2.48832e9 bps
@@ -1271,6 +1283,26 @@ class TestRecordInvariants:
             PonConfig(span_km=-1.0)
         with pytest.raises(ParameterError):
             PonConfig(downstream_rate_bps=0.0)
+
+    # Each field's bound, as (field, a value just outside it, the nearest value
+    # inside).  The delays are computed from these fields unchecked, so a zero
+    # packet or a negative span is refused here or not at all.
+    @pytest.mark.parametrize("field,outside,inside", [
+        ("split_ratio", 0, 1), ("packet_bytes", 0, 1), ("background_packet_bytes", 0, 1),
+        ("span_km", -5e-324, 0.0), *((name, 0.0, 5e-324) for name in (
+            "downstream_rate_bps", "upstream_rate_bps", "fiber_delay_us_per_km",
+            "dba_cycle_us", "wireless_hop_us", "ai_inference_us"))])
+    def test_field_bounds(self, field, outside, inside):
+        with pytest.raises(ParameterError, match=f"^{field} must be"):
+            PonConfig(**{field: outside})
+        assert getattr(PonConfig(**{field: inside}), field) == inside
+
+    def test_load_bounds(self):
+        # The Kingman wait takes the load unchecked below 1.
+        with pytest.raises(ParameterError, match="^rho must be finite and >= 0"):
+            LoadPoint(-5e-324)
+        assert LoadPoint(0.0).rho == 0.0
+        assert LoadPoint(math.nextafter(1.0, 0.0)).rho < 1.0
 
     @pytest.mark.parametrize("value", [2.5, 16.0, True, False])
     @pytest.mark.parametrize("name", ["split_ratio", "packet_bytes", "background_packet_bytes"])

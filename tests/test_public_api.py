@@ -184,7 +184,9 @@ def _real_arguments():
         calls["profiling_trace", name] = (
             lambda v, name=name: haptic.profiling_trace(ball, 10, 1, **{name: v}))
     return {**calls, **_field_calls({
-        pon.PonConfig: [f.name for f in dataclasses.fields(pon.PonConfig)],
+        pon.PonConfig: ["downstream_rate_bps", "upstream_rate_bps", "span_km",
+                        "fiber_delay_us_per_km", "dba_cycle_us", "wireless_hop_us",
+                        "ai_inference_us"],
         traffic.GpdParams: ["shape", "scale", "location"],
         haptic.ObjectProfile: ["extent_cm", "stiffness", "texture_freq_hz"],
         coordination.GladParams: ["accuracy_target", "epsilon", "onboarding_alpha",
@@ -233,6 +235,7 @@ def _integer_arguments():
             pon.PonConfig(), pon.LoadPoint(0.5), 1, n_loops=v),
     }
     return {**calls, **_field_calls({
+        pon.PonConfig: ["split_ratio", "packet_bytes", "background_packet_bytes"],
         coordination.GladParams: [
             "window", "kind_pool_size", "total_machines", "local_ais", "profiling_samples",
             "min_updates_for_upload", "quant_bands", "add_every", "additions", "machines_grid"],
@@ -255,12 +258,14 @@ def test_integers_are_checked_at_every_public_entry(entry, argument, bad):
 
 # Result records: the package builds them from values it has checked.
 RESULT_RECORDS = {"HapticSample", "OnboardResult"}
-CHECKED_ANNOTATIONS = {int, float, tuple[int, ...], tuple[float, ...]}
+# The table whose check an annotation needs: a count must refuse a fraction too.
+TABLE_OF_ANNOTATION = {int: "integer", tuple[int, ...]: "integer",
+                       float: "real", tuple[float, ...]: "real"}
 
 
 def _numeric_parameters():
-    """(entry, argument) of every parameter or field of a public function or class that
-    is annotated as a number or a tuple of them, or is a seed."""
+    """(entry, argument, table) of every parameter or field of a public function or class
+    that is annotated as a number or a tuple of them, or is a seed."""
     for module in _modules():
         for name in sorted(set(getattr(module, "__all__", ())) - RESULT_RECORDS):
             entry = getattr(module, name)
@@ -271,12 +276,15 @@ def _numeric_parameters():
             if inspect.isfunction(entry) or isinstance(entry, type):
                 # Resolves the strings that `from __future__ import annotations` leaves.
                 hints = typing.get_type_hints(entry)
-                yield from ((name, argument) for argument, hint in hints.items()
+                yield from ((name, argument,
+                             "seed" if argument == "seed" else TABLE_OF_ANNOTATION[hint])
+                            for argument, hint in hints.items()
                             if argument != "return"
-                            and (hint in CHECKED_ANNOTATIONS or argument == "seed"))
+                            and (hint in TABLE_OF_ANNOTATION or argument == "seed"))
 
 
 def test_every_numeric_parameter_has_a_row():
-    rows = {*_real_arguments(), *_integer_arguments(), *((entry, "seed") for entry in SEEDED)}
-    assert [f"{entry}.{argument}" for entry, argument in _numeric_parameters()
-            if (entry, argument) not in rows] == []
+    rows = {"real": set(_real_arguments()), "integer": set(_integer_arguments()),
+            "seed": {(entry, "seed") for entry in SEEDED}}
+    assert [f"{entry}.{argument} ({table})" for entry, argument, table in _numeric_parameters()
+            if (entry, argument) not in rows[table]] == []
