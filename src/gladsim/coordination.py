@@ -131,6 +131,15 @@ def _similarity(a: Descriptor, b: Descriptor, glad: GladParams = GladParams()) -
     return max(0.0, 1.0 - dist)
 
 
+def _descriptor(value) -> Descriptor:
+    """`value` if it is a (kind, stiffness band, texture band) triple of a str
+    and two integers >= 0, with the bands as Python ints; else ParameterError."""
+    if not (isinstance(value, tuple) and len(value) == 3 and isinstance(value[0], str)):
+        raise ParameterError(f"descriptor must be a (str, int, int) triple, got {value!r}")
+    return (value[0], integer("descriptor stiffness band", value[1], at_least=0),
+            integer("descriptor texture band", value[2], at_least=0))
+
+
 @dataclass(frozen=True)
 class ProfileRecord:
     """One uploaded (or merged) forecaster profile."""
@@ -140,6 +149,7 @@ class ProfileRecord:
     sample_count: int
 
     def __post_init__(self):
+        object.__setattr__(self, "descriptor", _descriptor(self.descriptor))
         object.__setattr__(self, "profile_estimate", array(
             "profile_estimate", self.profile_estimate, (N_FINGERS,), at_least=0, at_most=1))
         object.__setattr__(self, "sample_count",
@@ -177,6 +187,7 @@ def match_profile(registry: GlobalRegistry, descriptor: Descriptor, *,
     Returns (record, similarity) on a match and (None, best similarity found)
     otherwise; an empty registry yields (None, 0.0).
     """
+    descriptor = _descriptor(descriptor)
     best: ProfileRecord | None = None
     best_sim = 0.0
     for record in registry.all_records():

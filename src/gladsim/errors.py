@@ -2,6 +2,7 @@
 
 import math
 import numbers
+import sys
 
 import numpy as np
 
@@ -43,10 +44,10 @@ def real(name: str, value, *, above=None, at_least=None, below=None, at_most=Non
     """`value` itself, once it is a finite real, or an array of them, within the bounds.
 
     `above` and `below` are open bounds, `at_least` and `at_most` closed ones.
-    A bool, a non-number, NaN, +-inf or a value out of bounds raises `error`
-    naming `name` and stating the rule.  A Python float or int is checked in
-    pure Python; an array by its two ends, a min and a max reduction, which
-    NaN propagates to.
+    A bool, a non-number, NaN, +-inf, a Python int beyond the float range or
+    a value out of bounds raises `error` naming `name` and stating the rule.
+    A Python float or int is checked in pure Python; an array by its two
+    ends, a min and a max reduction, which NaN propagates to.
     """
     if type(value) is float or type(value) is int:
         ends = (value,)
@@ -58,12 +59,15 @@ def real(name: str, value, *, above=None, at_least=None, below=None, at_most=Non
         shown = f"an array of {value.dtype}" if isinstance(value, np.ndarray) else repr(value)
         raise error(f"{name} must be a real number, got {shown}")
     for x in ends:
-        if not ((type(x) is int or math.isfinite(x))
+        finite = abs(x) <= sys.float_info.max if type(x) is int else math.isfinite(x)
+        if not (finite
                 and (above is None or x > above) and (at_least is None or x >= at_least)
                 and (below is None or x < below) and (at_most is None or x <= at_most)):
             bounds = ((">", above), (">=", at_least), ("<", below), ("<=", at_most))
             rule = " and ".join(["finite"] + [f"{op} {b}" for op, b in bounds if b is not None])
-            raise error(f"{name} must be {rule}, got {x}")
+            # Python refuses to write out an int of more than 4300 digits.
+            shown = x if finite or type(x) is not int else "an integer beyond the float range"
+            raise error(f"{name} must be {rule}, got {shown}")
     return value
 
 

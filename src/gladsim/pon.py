@@ -566,7 +566,7 @@ def queueing_cross_check(config: PonConfig, load: LoadPoint, seed: int,
     ca2 = 0.0
     if n > 2:
         mean_gap = (last - first) / (n - 1)
-        ca2 = max(0.0, gap_square_sum / (n - 1) / mean_gap ** 2 - 1.0)
+        ca2 = max(0.0, gap_square_sum / (n - 1) / mean_gap / mean_gap - 1.0)
     # Gaps of about 1e154 us overflow the sum of their squares.
     real("ca2", ca2, at_least=0)
     utilization = lam * service if n else 0.0

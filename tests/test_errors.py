@@ -2,17 +2,19 @@
 checks of every real, integer and array input.
 
 The rule `real` states: a value is admitted when it is a real number, not a
-bool, finite, and inside every bound given (`above` and `below` open,
-`at_least` and `at_most` closed); an array when each element is.  An
-admitted value comes back as the same object; any other raises the
-caller's error type, naming the argument.  `integer` admits a Python or
-numpy integer, not a bool, by the same bounds and returns it as a Python
-int.  `array` admits a value of the wanted shape, where None matches any
-length, whose elements `real` admits, and returns it as a float array.
+bool, finite (a Python int no larger in magnitude than the largest float), and
+inside every bound given (`above` and `below` open, `at_least` and `at_most`
+closed); an array when each element is.  An admitted value comes back as the
+same object; any other raises the caller's error type, naming the argument.
+`integer` admits a Python or numpy integer, not a bool, by the same bounds and
+returns it as a Python int.  `array` admits a value of the wanted shape, where
+None matches any length, whose elements `real` admits, and returns it as a
+float array.
 """
 
 import math
 import operator
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -29,7 +31,8 @@ _TESTS = {"above": operator.gt, "at_least": operator.ge,
 
 def _admits(x, bounds: dict) -> bool:
     """The rule for one Python number."""
-    return math.isfinite(x) and all(_TESTS[key](x, b) for key, b in bounds.items())
+    finite = abs(x) <= sys.float_info.max if isinstance(x, int) else math.isfinite(x)
+    return finite and all(_TESTS[key](x, b) for key, b in bounds.items())
 
 
 def _checked(value, bounds: dict) -> bool:
@@ -57,11 +60,14 @@ def _drawn_array(data, bounds: dict) -> np.ndarray:
 
 
 _bound_values = st.one_of(st.integers(-3, 3), st.floats(-3.0, 3.0))
+# Python ints at and beyond the largest float, which math.isfinite cannot take.
+_FLOAT_MAX = int(sys.float_info.max)
+_far_ints = st.sampled_from([s * n for n in (_FLOAT_MAX, _FLOAT_MAX + 1, 10**400) for s in (1, -1)])
 _bounds = st.dictionaries(st.sampled_from(sorted(_TESTS)), _bound_values)
 
 
 @st.composite
-def _value_and_bounds(draw, values=st.one_of(st.floats(), st.integers(-5, 5))):
+def _value_and_bounds(draw, values=st.one_of(st.floats(), st.integers(-5, 5), _far_ints)):
     """Bounds, and a value that is often one of them, so both sides of each are tried."""
     bounds = draw(_bounds)
     candidates = [values] + ([st.sampled_from(sorted(bounds.values()))] if bounds else [])
@@ -144,6 +150,13 @@ class TestInteger:
         n = math.floor(value)
         assert _integer_checked(kind(n), bounds) == _admits(n, bounds)
 
+    @given(_value_and_bounds(_far_ints))
+    def test_python_ints_follow_the_rule_beyond_the_float_range(self, case):
+        # 10**400 passed as a split ratio and overflowed the float delays.
+        value, bounds = case
+        n = math.floor(value)
+        assert _integer_checked(n, bounds) == _admits(n, bounds)
+
     @given(st.one_of(st.floats(), st.sampled_from(
         [True, False, np.True_, np.float64(2.0), Fraction(2), "1", None])), _bounds)
     def test_non_integers_are_refused_whatever_the_bounds(self, value, bounds):
@@ -157,6 +170,10 @@ class TestInteger:
             integer("seed", 1.5, at_least=0)
         with pytest.raises(ConfigError, match=r"^window must be finite, got nan$"):
             integer("window", math.nan, ConfigError, at_least=1)
+        # Python writes out no int of more than 4300 digits.
+        with pytest.raises(ParameterError, match=r"^n must be finite and > 0, "
+                                                 r"got an integer beyond the float range$"):
+            integer("n", 10**5000, above=0)
 
 
 _shapes = hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3)

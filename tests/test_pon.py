@@ -69,10 +69,12 @@ class TestKingman:
         # ca2 = cs2 = 1 gives exactly rho/(1-rho) * E[S].
         assert _kingman_wait(0.5, 1.0, 1.0, 10.0) == pytest.approx(10.0)
 
-    def test_overflowing_arrival_variability_is_refused(self):
-        # About 100 gaps of some 1e154 us: the sum of their squares is inf.
+    # About 100 gaps of some 1e154 us: the sum of their squares is inf.  At
+    # 3e-155 the square of the mean gap overflowed with a raw OverflowError.
+    @pytest.mark.parametrize("rho,horizon", [(1e-154, 1e156), (3e-155, 3e156)])
+    def test_overflowing_arrival_variability_is_refused(self, rho, horizon):
         with pytest.raises(ParameterError, match="^ca2 must be finite and >= 0, got inf"):
-            queueing_cross_check(PonConfig(), LoadPoint(1e-154), 1, horizon_us=1e156)
+            queueing_cross_check(PonConfig(), LoadPoint(rho), 1, horizon_us=horizon)
 
     def test_utilization_rounded_up_to_one_saturates(self):
         # At the largest load below 1, this line's measured utilization,
@@ -908,13 +910,6 @@ class TestLegs:
         out = queueing_cross_check(PonConfig(), LoadPoint(0.5), seed=1)
         assert out["relative_gap"] <= 0.2
 
-    # 1e-9 and 1 us draw only the ten-service tail past the horizon, a handful
-    # of events, and read a relative gap of 0.385.
-    @pytest.mark.parametrize("horizon", [-1e9, -1.0, 0.0, 1e-9, 1.0, np.nan, np.inf, -np.inf])
-    def test_cross_check_rejects_bad_horizon(self, horizon):
-        with pytest.raises(ParameterError, match="horizon_us"):
-            queueing_cross_check(PonConfig(), LoadPoint(0.5), seed=1, horizon_us=horizon)
-
 
 def _loop_totals(cfg, rho, seed, n_loops):
     """Each mode's per-loop totals at the span of `cfg`."""
@@ -1276,54 +1271,12 @@ class TestMaxSpan:
 
 
 class TestRecordInvariants:
-    def test_config_validation(self):
-        with pytest.raises(ParameterError):
-            PonConfig(split_ratio=0)
-        with pytest.raises(ParameterError):
-            PonConfig(span_km=-1.0)
-        with pytest.raises(ParameterError):
-            PonConfig(downstream_rate_bps=0.0)
-
-    # Each field's bound, as (field, a value just outside it, the nearest value
-    # inside).  The delays are computed from these fields unchecked, so a zero
-    # packet or a negative span is refused here or not at all.
-    @pytest.mark.parametrize("field,outside,inside", [
-        ("split_ratio", 0, 1), ("packet_bytes", 0, 1), ("background_packet_bytes", 0, 1),
-        ("span_km", -5e-324, 0.0), *((name, 0.0, 5e-324) for name in (
-            "downstream_rate_bps", "upstream_rate_bps", "fiber_delay_us_per_km",
-            "dba_cycle_us", "wireless_hop_us", "ai_inference_us"))])
-    def test_field_bounds(self, field, outside, inside):
-        with pytest.raises(ParameterError, match=f"^{field} must be"):
-            PonConfig(**{field: outside})
-        assert getattr(PonConfig(**{field: inside}), field) == inside
-
-    def test_load_bounds(self):
-        # The Kingman wait takes the load unchecked below 1.
-        with pytest.raises(ParameterError, match="^rho must be finite and >= 0"):
-            LoadPoint(-5e-324)
-        assert LoadPoint(0.0).rho == 0.0
-        assert LoadPoint(math.nextafter(1.0, 0.0)).rho < 1.0
-
-    @pytest.mark.parametrize("value", [2.5, 16.0, True, False])
-    @pytest.mark.parametrize("name", ["split_ratio", "packet_bytes", "background_packet_bytes"])
-    def test_integer_fields_must_be_integers(self, name, value):
-        # A float split built and then failed inside range() in the upstream
-        # leg; fractional packet sizes built and ran.
-        with pytest.raises(ParameterError, match=f"^{name} must be an integer"):
-            PonConfig(**{name: value})
-
     def test_numpy_integers_are_stored_as_python_ints(self):
         names = ("split_ratio", "packet_bytes", "background_packet_bytes")
         cfg = PonConfig(split_ratio=np.int64(16), packet_bytes=np.int32(128),
                         background_packet_bytes=np.uint16(1250))
         assert [type(getattr(cfg, name)) for name in names] == [int, int, int]
         assert cfg == PonConfig()
-
-    @pytest.mark.parametrize("n_loops", [100.5, 100.0, True])
-    def test_loop_count_must_be_an_integer(self, n_loops):
-        # 100.5 raised a raw TypeError from slicing the probe stream.
-        with pytest.raises(ParameterError, match="^n_loops must be an integer"):
-            round_trips(PonConfig(), LoadPoint(0.1), seed=1, n_loops=n_loops)
 
     @pytest.mark.parametrize("shape", [1.0, 2.5])
     def test_traffic_mean_must_exist(self, shape):
@@ -1337,11 +1290,3 @@ class TestRecordInvariants:
         plain = round_trips(PonConfig(), LoadPoint(0.1), seed=1, n_loops=100)
         for mode, (totals, legs) in plain.items():
             assert out[mode][1] == legs and np.array_equal(out[mode][0], totals)
-
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(PonConfig)])
-    def test_config_rejects_non_finite_fields_by_name(self, name, value):
-        # So no scenario is built on one: an infinite span or per-km delay
-        # passed, and an infinite wireless hop overflowed the event budget.
-        with pytest.raises(ParameterError, match=f"{name} must be finite"):
-            PonConfig(**{name: value})

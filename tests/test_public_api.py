@@ -23,7 +23,7 @@ import pytest
 
 import gladsim
 from gladsim import coordination, experiments, haptic, pon, traffic
-from gladsim.errors import GladsimError, ParameterError
+from gladsim.errors import ConfigError, ParameterError
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "gladsim"
@@ -136,24 +136,6 @@ def _seeded_entries():
     }
 
 
-SEEDED = sorted(_seeded_entries())
-
-
-@pytest.mark.parametrize("bad", [-1, 1.5, True], ids=["negative", "float", "bool"])
-@pytest.mark.parametrize("entry", SEEDED)
-def test_seeds_are_checked_at_every_public_entry(entry, bad):
-    # A negative seed raised numpy's raw ValueError and a float its raw
-    # TypeError; a bool ran as seed 1.
-    with pytest.raises(ParameterError, match="^seed must be"):
-        _seeded_entries()[entry](bad)
-
-
-@pytest.mark.parametrize("entry", SEEDED)
-def test_numpy_integer_seeds_are_accepted(entry):
-    call = _seeded_entries()[entry]
-    assert np.array_equal(call(np.int64(3)), call(3))
-
-
 @functools.cache
 def _real_arguments():
     """(entry, argument) -> a call of a public entry that passes its one argument there.
@@ -212,27 +194,15 @@ def _construct(cls, base, name, value):
     return cls(**{**base, name: (value,) if tuple_field else value})
 
 
-REAL_ARGUMENTS = sorted(_real_arguments())
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf, "1", True], ids=["nan", "inf", "str", "bool"])
-@pytest.mark.parametrize("entry,argument", REAL_ARGUMENTS,
-                         ids=[f"{entry}.{argument}" for entry, argument in REAL_ARGUMENTS])
-def test_reals_are_checked_at_every_public_entry(entry, argument, bad):
-    # A string raised a raw TypeError, a bool ran as 1 and sample_gpd
-    # returned nan for a nan uniform.
-    with pytest.raises(GladsimError, match=f"^{argument} must be"):
-        _real_arguments()[entry, argument](bad)
-
-
 @functools.cache
 def _integer_arguments():
-    """(entry, argument) -> a call of a public entry that passes its one count there."""
+    """(entry, argument) -> a call of a public entry that passes its one count or seed there."""
     ball = haptic.standard_profile(haptic.ObjectKind.RUBBER_BALL)
     calls = {
         ("profiling_trace", "n_samples"): lambda v: haptic.profiling_trace(ball, v, 1),
         ("round_trips", "n_loops"): lambda v: pon.round_trips(
             pon.PonConfig(), pon.LoadPoint(0.5), 1, n_loops=v),
+        **{(entry, "seed"): call for entry, call in _seeded_entries().items()},
     }
     return {**calls, **_field_calls({
         pon.PonConfig: ["split_ratio", "packet_bytes", "background_packet_bytes"],
@@ -244,16 +214,164 @@ def _integer_arguments():
     })}
 
 
+# Each kind's bad values, by id: (value, the rule its refusal states).
+REAL_BAD = {"nan": (math.nan, "finite"), "inf": (math.inf, "finite"),
+            "-inf": (-math.inf, "finite"), "str": ("1", "a real number"),
+            "bool": (True, "a real number")}
+# 16.0 is not a split ratio, and 10**400 overflowed the float delays.
+INTEGER_BAD = {"fraction": (2.5, "an integer"), "integral-float": (16.0, "an integer"),
+               "nan": (math.nan, "finite"), "inf": (math.inf, "finite"),
+               "-inf": (-math.inf, "finite"), "beyond-float": (10**400, "finite"),
+               "str": ("1", "an integer"), "true": (True, "an integer"),
+               "false": (False, "an integer")}
+
+ABOVE_1 = math.nextafter(1.0, 2.0)
+_MIN_HORIZON = 1000.0 * pon._transmission_time(1250, pon.PonConfig().downstream_rate_bps)
+
+# (entry, argument) -> (values refused, bound values accepted).  The refused
+# values are those just outside each bound and those a past fault was seen
+# at; an accepted value is stored or returned unchanged.
+BOUNDS = {
+    # The Kingman wait takes the load unchecked below 1.
+    ("LoadPoint", "rho"): ((-5e-324,), (0.0, math.nextafter(1.0, 0.0))),
+    # 1e-9 and 1 us drew only the ten-service tail past the horizon, a
+    # handful of events, and read a relative gap of 0.385.
+    ("queueing_cross_check", "horizon_us"): (
+        (-1e9, -1.0, 0.0, 1e-9, 1.0, math.nextafter(_MIN_HORIZON, 0.0)), (_MIN_HORIZON,)),
+    # A nan horizon raised ValueError and an infinite one OverflowError.
+    ("generate_stream", "horizon_us"): ((0.0, -1.0), ()),
+    ("ks_test", "significance"): ((0.0, -0.1, 0.6, math.nextafter(0.5, 1.0)), (0.5,)),
+    ("generate_session", "duration_us"): ((0.0,), ()),
+    ("train_classifier", "train_fraction"): ((0.0, 1.0), ()),
+    ("run_forecaster", "alpha"): ((0.0, -0.1, 1.5, ABOVE_1), (1.0,)),
+    # A nan tolerance scored every step a miss, an infinite one every step a
+    # hit, and optimize_alpha then returned the smallest alpha.
+    ("run_forecaster", "epsilon"): ((0.0, -0.05), ()),
+    ("optimize_alpha", "alpha_grid"): ((0.0, ABOVE_1), (1.0,)),
+    ("optimize_alpha", "epsilon"): ((0.0,), ()),
+    # A nan noise_std ran as noise 0, and a persistence of 1.5 raised
+    # ValueError from math.sqrt.
+    ("profiling_trace", "noise_std"): ((-0.1, -5e-324), (0.0,)),
+    ("profiling_trace", "wobble_persistence"): (
+        (1.5, -1.5, ABOVE_1, math.nextafter(-1.0, -2.0)), (-1.0, 1.0)),
+    ("profiling_trace", "wobble"): ((-0.1, -5e-324), (0.0,)),
+    # 10.5 samples raised a raw TypeError from numpy, and True ran as one.
+    ("profiling_trace", "n_samples"): ((0,), (1,)),
+    # 100.5 loops raised a raw TypeError from slicing the probe stream.
+    ("round_trips", "n_loops"): ((9,), (10,)),
+    # A negative seed raised numpy's raw ValueError and a float its raw
+    # TypeError; a bool ran as seed 1.
+    **{(entry, "seed"): ((-1,), (0,)) for entry in _seeded_entries()},
+    # The delays are computed from these fields unchecked, so a zero packet or
+    # a negative span is refused here or not at all.  An infinite span or
+    # per-km delay built, and an infinite wireless hop overflowed the event
+    # budget; a float split failed inside range() in the upstream leg.
+    ("PonConfig", "span_km"): ((-1.0, -5e-324), (0.0,)),
+    **{("PonConfig", name): ((0,), (1,))
+       for name in ("split_ratio", "packet_bytes", "background_packet_bytes")},
+    **{("PonConfig", name): ((0.0,), (5e-324,))
+       for name in ("downstream_rate_bps", "upstream_rate_bps", "fiber_delay_us_per_km",
+                    "dba_cycle_us", "wireless_hop_us", "ai_inference_us")},
+    ("GpdParams", "scale"): ((0.0, -1.0), ()),
+    ("GpdParams", "location"): ((-0.5, -5e-324), (0.0,)),
+    # A nan texture frequency built, then failed in descriptor_of with a raw
+    # ValueError; a nan extent built and onboarded without complaint.
+    ("ObjectProfile", "extent_cm"): ((0.0,), ()),
+    ("ObjectProfile", "stiffness"): ((0.0, ABOVE_1), (1.0,)),
+    ("ObjectProfile", "texture_freq_hz"): ((-5e-324,), (0.0,)),
+    # 2.5 and True were stored as sample counts and weighted the fold.
+    ("ProfileRecord", "sample_count"): ((0, -3), (1,)),
+    # A bad field built and then failed in a runner: total_machines=2.5 raised
+    # a raw TypeError from the savings sweep, epsilon=inf failed inside
+    # run_forecaster, and min_updates_for_upload=-5 uploaded every profile,
+    # as 0 does.  The window and the pool size reach helpers unchecked.
+    ("GladParams", "accuracy_target"): ((0.0, 1.0), ()),
+    ("GladParams", "epsilon"): ((0.0,), ()),
+    ("GladParams", "texture_freq_max_hz"): ((0.0,), ()),
+    **{("GladParams", name): ((0.0, 1.5, ABOVE_1), (1.0,))
+       for name in ("onboarding_alpha", "match_threshold", "alpha_grid")},
+    **{("GladParams", name): ((low - 1,), (low,)) for name, low in (
+        ("window", 1), ("total_machines", 2), ("local_ais", 1), ("add_every", 1),
+        ("additions", 0), ("quant_bands", 2), ("machines_grid", 1),
+        ("profiling_samples", coordination.MIN_ONBOARDING_SAMPLES))},
+    ("GladParams", "min_updates_for_upload"): ((-5, -1, 4001), (0, 4000)),
+    ("GladParams", "kind_pool_size"): (
+        (0, coordination.POOL_CAPACITY + 1), (1, coordination.POOL_CAPACITY)),
+    # A nan load failed mid-sweep, an inf span wrote nan cells and a nan
+    # deadline raised a bare ValueError.  A float count raised a raw
+    # TypeError from the event budget, and a bool ran as seed 1 and wrote
+    # `"seeds": [true]` into the manifest.
+    ("ScenarioConfig", "deadline_us"): ((0.0,), ()),
+    ("ScenarioConfig", "load_grid"): ((-0.1, -5e-324), (0.0,)),
+    ("ScenarioConfig", "span_grid_km"): ((-5e-324,), (0.0,)),
+    ("ScenarioConfig", "n_loops"): ((5, 9), (10,)),
+    ("ScenarioConfig", "seeds"): ((-1,), (0,)),
+}
+# Where a bound's refusal states another rule than `finite and <bounds>`.
+OTHER_RULES = {("queueing_cross_check", "horizon_us"): "at least 1000 background services"}
+# The scenario records refuse with the scenario file's error class.
+CONFIG_RECORDS = {"GladParams", "ScenarioConfig"}
+
+
+def _error(entry):
+    return ConfigError if entry in CONFIG_RECORDS else ParameterError
+
+
+def _call(entry, argument):
+    return {**_real_arguments(), **_integer_arguments()}[entry, argument]
+
+
+def _ids(rows):
+    return [f"{entry}.{argument}" for entry, argument in rows]
+
+
+REAL_ARGUMENTS = sorted(_real_arguments())
 INTEGER_ARGUMENTS = sorted(_integer_arguments())
 
 
-@pytest.mark.parametrize("bad", [2.5, math.nan, math.inf, "1", True],
-                         ids=["fraction", "nan", "inf", "str", "bool"])
-@pytest.mark.parametrize("entry,argument", INTEGER_ARGUMENTS,
-                         ids=[f"{entry}.{argument}" for entry, argument in INTEGER_ARGUMENTS])
+@pytest.mark.parametrize("bad", REAL_BAD)
+@pytest.mark.parametrize("entry,argument", REAL_ARGUMENTS, ids=_ids(REAL_ARGUMENTS))
+def test_reals_are_checked_at_every_public_entry(entry, argument, bad):
+    # A string raised a raw TypeError, a bool ran as 1 and sample_gpd
+    # returned nan for a nan uniform.
+    value, rule = REAL_BAD[bad]
+    with pytest.raises(_error(entry), match=f"^{argument} must be {rule}"):
+        _real_arguments()[entry, argument](value)
+
+
+@pytest.mark.parametrize("bad", INTEGER_BAD)
+@pytest.mark.parametrize("entry,argument", INTEGER_ARGUMENTS, ids=_ids(INTEGER_ARGUMENTS))
 def test_integers_are_checked_at_every_public_entry(entry, argument, bad):
-    with pytest.raises(GladsimError, match=f"^{argument} must be"):
-        _integer_arguments()[entry, argument](bad)
+    value, rule = INTEGER_BAD[bad]
+    with pytest.raises(_error(entry), match=f"^{argument} must be {rule}"):
+        _integer_arguments()[entry, argument](value)
+
+
+def _bound_cases(which):
+    """pytest parameters of each row's refused (0) or accepted (1) values."""
+    return [pytest.param(entry, argument, value, id=f"{entry}.{argument}={value!r}")
+            for (entry, argument), values in sorted(BOUNDS.items()) for value in values[which]]
+
+
+@pytest.mark.parametrize("entry,argument,value", _bound_cases(0))
+def test_values_outside_a_bound_are_refused(entry, argument, value):
+    rule = OTHER_RULES.get((entry, argument), "finite and ")
+    with pytest.raises(_error(entry), match=f"^{argument} must be {rule}"):
+        _call(entry, argument)(value)
+
+
+@pytest.mark.parametrize("entry,argument,value", _bound_cases(1))
+def test_bound_values_are_accepted(entry, argument, value):
+    out = _call(entry, argument)(value)
+    if hasattr(out, argument):  # a record stores it
+        stored = getattr(out, argument)
+        assert stored == ((value,) if isinstance(stored, tuple) else value)
+
+
+@pytest.mark.parametrize("entry", sorted(_seeded_entries()))
+def test_numpy_integer_seeds_are_accepted(entry):
+    call = _integer_arguments()[entry, "seed"]
+    assert np.array_equal(call(np.int64(3)), call(3))
 
 
 # Result records: the package builds them from values it has checked.
@@ -265,7 +383,7 @@ TABLE_OF_ANNOTATION = {int: "integer", tuple[int, ...]: "integer",
 
 def _numeric_parameters():
     """(entry, argument, table) of every parameter or field of a public function or class
-    that is annotated as a number or a tuple of them, or is a seed."""
+    that is annotated as a number or a tuple of them."""
     for module in _modules():
         for name in sorted(set(getattr(module, "__all__", ())) - RESULT_RECORDS):
             entry = getattr(module, name)
@@ -276,15 +394,14 @@ def _numeric_parameters():
             if inspect.isfunction(entry) or isinstance(entry, type):
                 # Resolves the strings that `from __future__ import annotations` leaves.
                 hints = typing.get_type_hints(entry)
-                yield from ((name, argument,
-                             "seed" if argument == "seed" else TABLE_OF_ANNOTATION[hint])
+                yield from ((name, argument, TABLE_OF_ANNOTATION[hint])
                             for argument, hint in hints.items()
-                            if argument != "return"
-                            and (hint in TABLE_OF_ANNOTATION or argument == "seed"))
+                            if argument != "return" and hint in TABLE_OF_ANNOTATION)
 
 
 def test_every_numeric_parameter_has_a_row():
-    rows = {"real": set(_real_arguments()), "integer": set(_integer_arguments()),
-            "seed": {(entry, "seed") for entry in SEEDED}}
+    rows = {"real": set(_real_arguments()), "integer": set(_integer_arguments())}
     assert [f"{entry}.{argument} ({table})" for entry, argument, table in _numeric_parameters()
             if (entry, argument) not in rows[table]] == []
+    # Every row but the GPD shape's has a bound, and every bound a row.
+    assert (rows["real"] | rows["integer"]) ^ set(BOUNDS) == {("GpdParams", "shape")}

@@ -32,16 +32,6 @@ class TestGpdParams:
         p = GpdParams(shape=0.1, scale=900.0, location=0.0)
         assert p.shape == 0.1
 
-    @pytest.mark.parametrize("kwargs", [
-        dict(shape=0.1, scale=0.0, location=0.0),
-        dict(shape=0.1, scale=-1.0, location=0.0),
-        dict(shape=0.1, scale=1.0, location=-0.5),
-        dict(shape=float("nan"), scale=1.0, location=0.0),
-    ])
-    def test_invalid(self, kwargs):
-        with pytest.raises(ParameterError):
-            GpdParams(**kwargs)
-
     def test_mean_closed_form(self):
         p = GpdParams(0.2, 1.0, 0.0)
         assert _gpd_mean(p) == pytest.approx(1.0 / 0.8)
@@ -162,18 +152,6 @@ class TestGenerateStream:
         with pytest.raises(ResourceLimitError, match=r"events \(cap 1000\)$"):
             generate_stream(params, cap_horizon * 1.001, seed=2)
 
-    def test_horizon_must_be_positive(self):
-        with pytest.raises(ParameterError):
-            generate_stream(GpdParams(0.1, 1.0, 0.0), 0.0, seed=1)
-
-    @pytest.mark.parametrize("horizon_us", [math.nan, math.inf, -math.inf, -1.0])
-    def test_horizon_must_be_finite_and_positive(self, horizon_us):
-        # A nan horizon raised ValueError and an infinite one OverflowError.
-        with pytest.raises(ParameterError, match="horizon_us"):
-            generate_stream(GpdParams(0.1, 1.0, 0.0), horizon_us, seed=1)
-
-
-
 class TestFitGpd:
     def test_round_trip_recovers_generating_parameters(self):
         params = GpdParams(0.1, 500.0, 0.0)
@@ -245,11 +223,6 @@ class TestKsTest:
             ks_test(gaps, GpdParams(0.1, 900.0, 0.0), 0.05)
         with pytest.raises(ParameterError, match="^inter_arrivals must be"):
             fit_gpd(gaps)
-
-    @pytest.mark.parametrize("alpha", [0.0, -0.1, 0.6])
-    def test_invalid_significance(self, alpha):
-        with pytest.raises(ParameterError):
-            ks_test(np.linspace(0.1, 10.0, 100), GpdParams(0.1, 1.0, 0.0), alpha)
 
     def test_critical_value_formula(self):
         # pass iff statistic < sqrt(-ln(alpha/2)/2)/sqrt(n)
