@@ -140,7 +140,7 @@ def _descriptor(value) -> Descriptor:
             integer("descriptor texture band", value[2], at_least=0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProfileRecord:
     """One uploaded (or merged) forecaster profile."""
 

@@ -44,8 +44,8 @@ def real(name: str, value, *, above=None, at_least=None, below=None, at_most=Non
     """`value` itself, once it is a finite real, or an array of them, within the bounds.
 
     `above` and `below` are open bounds, `at_least` and `at_most` closed ones.
-    A bool, a non-number, NaN, +-inf, a Python int beyond the float range or
-    a value out of bounds raises `error` naming `name` and stating the rule.
+    A bool, a non-number, NaN, +-inf, a number beyond the float range or a
+    value out of bounds raises `error` naming `name` and stating the rule.
     A Python float or int is checked in pure Python; an array by its two
     ends, a min and a max reduction, which NaN propagates to.
     """
@@ -54,19 +54,22 @@ def real(name: str, value, *, above=None, at_least=None, below=None, at_most=Non
     elif isinstance(value, np.ndarray) and value.dtype.kind in "iuf":
         ends = (value.min().item(), value.max().item()) if value.size else ()
     elif isinstance(value, numbers.Real) and not isinstance(value, bool):
-        ends = (float(value),)
+        try:
+            ends = (float(value),)
+        except OverflowError:    # a Fraction, say, beyond the float range
+            ends = (value,)
     else:
         shown = f"an array of {value.dtype}" if isinstance(value, np.ndarray) else repr(value)
         raise error(f"{name} must be a real number, got {shown}")
     for x in ends:
-        finite = abs(x) <= sys.float_info.max if type(x) is int else math.isfinite(x)
+        finite = math.isfinite(x) if type(x) is float else abs(x) <= sys.float_info.max
         if not (finite
                 and (above is None or x > above) and (at_least is None or x >= at_least)
                 and (below is None or x < below) and (at_most is None or x <= at_most)):
             bounds = ((">", above), (">=", at_least), ("<", below), ("<=", at_most))
             rule = " and ".join(["finite"] + [f"{op} {b}" for op, b in bounds if b is not None])
             # Python refuses to write out an int of more than 4300 digits.
-            shown = x if finite or type(x) is not int else "an integer beyond the float range"
+            shown = x if finite or type(x) is float else "a number beyond the float range"
             raise error(f"{name} must be {rule}, got {shown}")
     return value
 

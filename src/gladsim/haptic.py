@@ -101,7 +101,7 @@ class ObjectKind(enum.Enum):
     CUSTOM = "custom"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HapticSample:
     """One feedback snapshot: per-finger amplitude in [0, 1]."""
 
@@ -163,7 +163,7 @@ class ControlTrace:
         return self.t_us.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObjectProfile:
     """Geometry and feedback signature of one virtual object."""
 
@@ -349,49 +349,23 @@ def _features(controls: ControlTrace) -> np.ndarray:
     ])
 
 
+@dataclass(frozen=True, eq=False)
 class TouchClassifier:
-    """Linear logistic discriminant over glove features.
+    """A linear logistic discriminant over glove features, as `train_classifier` fits it.
 
-    Trained by full-batch gradient descent on the logistic loss
-    (`CLASSIFIER_EPOCHS` steps of `CLASSIFIER_STEP`, features standardized),
-    so fits are deterministic.
+    Features are standardized by `mean` and `std`; a row is a touch where
+    its standardized features dotted with `weights`, plus `bias`, are positive.
     """
 
-    def __init__(self):
-        self.weights: np.ndarray | None = None
-        self.bias: float = 0.0
-        self._mu: np.ndarray | None = None
-        self._sigma: np.ndarray | None = None
+    mean: np.ndarray
+    std: np.ndarray
+    weights: np.ndarray
+    bias: float
 
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "TouchClassifier":
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=float)
-        self._mu = X.mean(axis=0)
-        sigma = X.std(axis=0)
-        sigma[sigma == 0.0] = 1.0
-        self._sigma = sigma
-        Z = (X - self._mu) / self._sigma
-        n = Z.shape[0]
-        w = np.zeros(Z.shape[1])
-        b = 0.0
-        for _ in range(CLASSIFIER_EPOCHS):
-            margin = Z @ w + b
-            prob = 1.0 / (1.0 + np.exp(-margin))
-            err = prob - y
-            w -= CLASSIFIER_STEP * (Z.T @ err) / n
-            b -= CLASSIFIER_STEP * float(err.mean())
-        self.weights = w
-        self.bias = b
-        return self
-
-    def decision_function(self, X: np.ndarray) -> np.ndarray:
-        if self.weights is None:
-            raise ParameterError("classifier is not fitted")
-        Z = (np.asarray(X, dtype=float) - self._mu) / self._sigma
-        return Z @ self.weights + self.bias
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return self.decision_function(X) > 0.0
+    def predict(self, controls: ControlTrace) -> np.ndarray:
+        """One touch flag per row of `controls`."""
+        z = (_features(controls) - self.mean) / self.std
+        return z @ self.weights + self.bias > 0.0
 
 
 def train_classifier(controls: ControlTrace, labels, train_fraction: float,
@@ -400,6 +374,9 @@ def train_classifier(controls: ControlTrace, labels, train_fraction: float,
 
     `labels` holds one touch flag per row of `controls`.  The split is a
     seeded shuffle; the returned accuracy is measured on the held-out part.
+    The fit is full-batch gradient descent on the logistic loss over
+    standardized features, `CLASSIFIER_EPOCHS` steps of `CLASSIFIER_STEP`, so
+    it is deterministic.
     """
     real("train_fraction", train_fraction, above=0, below=1)
     seed = integer("seed", seed, at_least=0)
@@ -412,17 +389,25 @@ def train_classifier(controls: ControlTrace, labels, train_fraction: float,
     if labels.all() or not labels.any():
         raise DegenerateDataError("dataset contains a single class")
 
-    X = _features(controls)
     order = np.random.Generator(np.random.PCG64(seed)).permutation(n)
     n_train = int(n * train_fraction)
     train_idx, valid_idx = order[:n_train], order[n_train:]
     if labels[train_idx].all() or not labels[train_idx].any():
         raise DegenerateDataError("training split contains a single class")
 
-    clf = TouchClassifier().fit(X[train_idx], labels[train_idx])
-    predictions = clf.predict(X[valid_idx])
-    accuracy = float(np.mean(predictions == labels[valid_idx]))
-    return clf, accuracy
+    X, y = _features(controls)[train_idx], labels[train_idx].astype(float)
+    mean, std = X.mean(axis=0), X.std(axis=0)
+    std[std == 0.0] = 1.0
+    Z = (X - mean) / std
+    w, b = np.zeros(Z.shape[1]), 0.0
+    for _ in range(CLASSIFIER_EPOCHS):
+        err = 1.0 / (1.0 + np.exp(-(Z @ w + b))) - y
+        w -= CLASSIFIER_STEP * (Z.T @ err) / n_train
+        b -= CLASSIFIER_STEP * float(err.mean())
+    clf = TouchClassifier(mean, std, w, b)
+    held_out = ControlTrace(controls.t_us[valid_idx], controls.hand_pos[valid_idx],
+                            controls.hand_orient[valid_idx], controls.finger_pressure[valid_idx])
+    return clf, float(np.mean(clf.predict(held_out) == labels[valid_idx]))
 
 
 # ---------------------------------------------------------------------------

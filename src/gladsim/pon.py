@@ -128,8 +128,8 @@ def _lindley_sum(a: np.ndarray, s: np.ndarray, origin: float, out: np.ndarray) -
     W = V - M, with M[i] = min(V[0..i]) the running minimum.  A sum cut
     after any arrival continues from that arrival with its V as `origin`:
     every V keeps the bits of one whole solve, and M carries the minimum of
-    V before the cut (see _fifo_chunks).  Raises ParameterError for arrivals
-    that decrease or are NaN.
+    V before the cut (see _fifo_chunks).  The arrivals must not decrease;
+    the callers see to that.
     """
     n = a.size
     v = out[:n]
@@ -137,9 +137,6 @@ def _lindley_sum(a: np.ndarray, s: np.ndarray, origin: float, out: np.ndarray) -
         v[0] = origin
         # S[j] - A[j] is exactly (a[j] - a[j+1]) + S[j].
         np.subtract(a[:-1], a[1:], out=v[1:])
-        # One reduction; a NaN arrival makes the maximum NaN and fails it too.
-        if n > 1 and not v[1:].max() <= 0.0:
-            raise ParameterError("arrival times must be non-decreasing and not NaN")
         v[1:] += s[:-1]
         np.cumsum(v, out=v)
     return v
@@ -154,6 +151,8 @@ def fifo_waits(arrival_times, service_times) -> np.ndarray:
     """
     a = array("arrival_times", arrival_times, (None,))
     s = array("service_times", service_times, a.shape, at_least=0)
+    if np.any(a[1:] < a[:-1]):
+        raise ParameterError("arrival times must be non-decreasing")
     v = _lindley_sum(a, s, 0.0, np.empty(a.size))
     # fmin runs faster than minimum here and differs from it only where V is
     # NaN, and there the wait is NaN either way.
@@ -344,18 +343,17 @@ def _waits_at(v: np.ndarray, idx: np.ndarray, low: float) -> np.ndarray:
 def _fifo_chunks(draw: _PoissonDraw, service_us: float):
     """Stream a Poisson background through a fixed-service FIFO, one chunk at a time.
 
-    Yields `(arrivals, v, spare, low)` for each drawn chunk.  `v` is the
+    Yields `(arrivals, v, low)` for each drawn chunk.  `v` is the
     whole draw's Lindley sum at the chunk's arrivals (see _lindley_sum) and
     `low` the minimum of V before them, so the waits are V less
     min(low, V's running minimum), which is left to the consumer to take
     where it needs it.  Every chunk but the first begins with the last
     arrival of the chunk before, whose V is the origin of its sum, so every
-    V and wait is bit-identical to one whole solve.  `spare` is a row of
-    work memory as long as the chunk, free for the consumer.  All are views
-    of three rows allocated once for the draw, so memory does not grow with
-    the horizon; the consumer may overwrite `spare` only.
+    V and wait is bit-identical to one whole solve.  Both are views of two
+    rows allocated once for the draw, so memory does not grow with the
+    horizon; the consumer reads them only.
     """
-    rows = np.empty((3, draw.next_size() + 1))       # arrivals, V, spare
+    rows = np.empty((2, draw.next_size() + 1))       # arrivals, V
     carried, origin, low = 0, 0.0, math.inf
     while not draw.done:
         n = carried + _poisson_arrivals(draw, rows[0, carried:]).size
@@ -363,7 +361,7 @@ def _fifo_chunks(draw: _PoissonDraw, service_us: float):
             return
         arrivals = rows[0, :n]
         v = _lindley_sum(arrivals, np.broadcast_to(service_us, n), origin, rows[1])
-        yield arrivals, v, rows[2, :n], low
+        yield arrivals, v, low
         low = min(low, float(v.min()))
         rows[0, 0], origin, carried = arrivals[-1], float(v[-1]), 1
 
@@ -387,7 +385,7 @@ def _downstream_leg(config: PonConfig, load: LoadPoint, probe_times: np.ndarray,
 
     queueing = np.zeros(probe_times.size)
     answered = -1                # probes before this index have their queueing
-    for arrivals, v, _, low in _fifo_chunks(draw, bg_service):
+    for arrivals, v, low in _fifo_chunks(draw, bg_service):
         if answered < 0:         # those before the first arrival find no queue
             answered = int(np.searchsorted(probe_times, arrivals[0], side="left"))
         # Probes before the chunk's last arrival wait behind one of these; the
@@ -549,18 +547,19 @@ def queueing_cross_check(config: PonConfig, load: LoadPoint, seed: int,
 
     n = 0
     first = last = wait_sum = gap_square_sum = 0.0
-    for arrivals, v, spare, low in _fifo_chunks(draw, service):
+    work = np.empty(draw.next_size() + 1)        # one chunk and its carried arrival
+    for arrivals, v, low in _fifo_chunks(draw, service):
         if n == 0:
             first = float(arrivals[0])
         skip = min(n, 1)         # later chunks begin with an arrival counted before
         n += arrivals.size - skip
         last = float(arrivals[-1])
         # The waits: V less its running minimum from `low` (see fifo_waits).
-        m = np.fmin.accumulate(v, out=spare)
+        m = np.fmin.accumulate(v, out=work[:v.size])
         np.fmin(m, low, out=m)
         wait_sum += float(np.subtract(v[skip:], m[skip:], out=m[skip:]).sum())
         # The chunk's gaps, from the carried arrival on, over the waits.
-        gaps = np.subtract(arrivals[1:], arrivals[:-1], out=spare[:-1])
+        gaps = np.subtract(arrivals[1:], arrivals[:-1], out=m[:-1])
         gap_square_sum += float(np.einsum("i,i->", gaps, gaps))  # no BLAS threads
 
     ca2 = 0.0

@@ -2,9 +2,10 @@
 checks of every real, integer and array input.
 
 The rule `real` states: a value is admitted when it is a real number, not a
-bool, finite (a Python int no larger in magnitude than the largest float), and
-inside every bound given (`above` and `below` open, `at_least` and `at_most`
-closed); an array when each element is.  An admitted value comes back as the
+bool, finite (a Python int no larger in magnitude than the largest float, a
+Fraction that does not round beyond it), and inside every bound given
+(`above` and `below` open, `at_least` and `at_most` closed); an array when
+each element is.  An admitted value comes back as the
 same object; any other raises the caller's error type, naming the argument.
 `integer` admits a Python or numpy integer, not a bool, by the same bounds and
 returns it as a Python int.  `array` admits a value of the wanted shape, where
@@ -31,7 +32,7 @@ _TESTS = {"above": operator.gt, "at_least": operator.ge,
 
 def _admits(x, bounds: dict) -> bool:
     """The rule for one Python number."""
-    finite = abs(x) <= sys.float_info.max if isinstance(x, int) else math.isfinite(x)
+    finite = math.isfinite(x) if isinstance(x, float) else abs(x) <= sys.float_info.max
     return finite and all(_TESTS[key](x, b) for key, b in bounds.items())
 
 
@@ -63,11 +64,14 @@ _bound_values = st.one_of(st.integers(-3, 3), st.floats(-3.0, 3.0))
 # Python ints at and beyond the largest float, which math.isfinite cannot take.
 _FLOAT_MAX = int(sys.float_info.max)
 _far_ints = st.sampled_from([s * n for n in (_FLOAT_MAX, _FLOAT_MAX + 1, 10**400) for s in (1, -1)])
+# Fractions far beyond it, which float() overflowed on with a raw OverflowError.
+_far_fractions = st.sampled_from([Fraction(10**400), -Fraction(10**400)])
 _bounds = st.dictionaries(st.sampled_from(sorted(_TESTS)), _bound_values)
 
 
 @st.composite
-def _value_and_bounds(draw, values=st.one_of(st.floats(), st.integers(-5, 5), _far_ints)):
+def _value_and_bounds(draw, values=st.one_of(st.floats(), st.integers(-5, 5), _far_ints,
+                                             _far_fractions)):
     """Bounds, and a value that is often one of them, so both sides of each are tried."""
     bounds = draw(_bounds)
     candidates = [values] + ([st.sampled_from(sorted(bounds.values()))] if bounds else [])
@@ -172,7 +176,7 @@ class TestInteger:
             integer("window", math.nan, ConfigError, at_least=1)
         # Python writes out no int of more than 4300 digits.
         with pytest.raises(ParameterError, match=r"^n must be finite and > 0, "
-                                                 r"got an integer beyond the float range$"):
+                                                 r"got a number beyond the float range$"):
             integer("n", 10**5000, above=0)
 
 

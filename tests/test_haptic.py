@@ -230,6 +230,18 @@ class TestClassifier:
         assert acc1 == acc2
         np.testing.assert_array_equal(clf1.weights, clf2.weights)
 
+    def test_predict_on_held_out_rows_reads_the_accuracy(self):
+        controls, labels = self._dataset(seed=8, duration=3e6)
+        clf, accuracy = train_classifier(controls, labels, 0.7, seed=2)
+        # The held-out rows, from the split's seeded permutation.
+        order = np.random.Generator(np.random.PCG64(2)).permutation(len(labels))
+        held = order[int(len(labels) * 0.7):]
+        rows = ControlTrace(controls.t_us[held], controls.hand_pos[held],
+                            controls.hand_orient[held], controls.finger_pressure[held])
+        flags = clf.predict(rows)
+        assert flags.dtype == bool and flags.shape == held.shape
+        assert np.mean(flags == labels[held]) == accuracy < 1.0
+
     def test_single_class_rejected(self):
         controls = _controls(np.zeros((200, 3)))
         with pytest.raises(DegenerateDataError):

@@ -125,12 +125,12 @@ class TestFifoWaits:
         assert np.all(fifo_waits(arrivals, services) == 0.0)
 
     def test_rejects_unsorted_arrivals(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="^arrival times must be non-decreasing$"):
             fifo_waits(np.array([1.0, 0.5]), np.array([1.0, 1.0]))
 
     @pytest.mark.parametrize("arrivals", [[np.nan, 1.0], [0.0, np.nan, 2.0], [0.0, 1.0, np.nan]])
     def test_rejects_nan_arrivals(self, arrivals):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="^arrival_times must be finite"):
             fifo_waits(np.array(arrivals), np.ones(len(arrivals)))
 
     @pytest.mark.parametrize("arrivals,services,name", [
@@ -433,9 +433,9 @@ class TestStreamedBackground:
         chunks = pon._fifo_chunks
 
         def counted(draw, service_us):
-            for arrivals, v, spare, low in chunks(draw, service_us):
+            for arrivals, v, low in chunks(draw, service_us):
                 yielded.append(arrivals.copy())
-                yield arrivals, v, spare, low
+                yield arrivals, v, low
 
         monkeypatch.setattr(pon, "CHUNK_EVENTS", chunk)
         monkeypatch.setattr(pon, "_fifo_chunks", counted)
@@ -510,42 +510,8 @@ class TestStreamedBackground:
 
     @pytest.mark.parametrize("n_loops", [5_000, 20_000])
     def test_downstream_memory_is_flat_in_loops(self, n_loops):
-        probes = generate_stream(CONTROL_TRAFFIC_DEFAULT, n_loops * 1000.0, 3)
-        tracemalloc.start()
-        try:
-            pon._downstream_leg(PonConfig(), LoadPoint(0.9), probes, pon._spawn_rngs(3, 1)[0])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # A whole-array leg holds several arrays of ~0.9 events per us of horizon:
-        # about 200 MiB at 5k loops and 800 MiB at 20k.  The streamed leg peaks
-        # at 1.59 and 1.81 MiB: three rows (the arrivals, the Lindley sum and
-        # a spare row), each one chunk of 1 << 16 arrivals and the carried one
-        # long, plus the per-probe columns.  The bound leaves 2.2 MiB for them.
-        # With fresh chunk temporaries (the draw, the waits, the running
-        # minimum and the gaps) a leg took 12.7 MiB, and 18.5 MiB with the
-        # concatenated arrivals and filled services too.
-        assert peak < 4 * 2**20
-
-    def test_downstream_memory_is_flat_near_saturation(self):
-        # At rho 0.999 busy periods run past a million arrivals.  Cutting each
-        # chunk at its last idle arrival held the open busy period in a
-        # buffer that grew with it, to 67 MiB over these 1.1e7 us; carrying
-        # one arrival across each cut holds 1.67 MiB.
-        probes = generate_stream(CONTROL_TRAFFIC_DEFAULT, 1.1e7, 3)
-        tracemalloc.start()
-        try:
-            pon._downstream_leg(PonConfig(), LoadPoint(0.999), probes, pon._spawn_rngs(3, 1)[0])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * 2**20
-
-    @pytest.mark.parametrize("n_loops", [5_000, 20_000])
-    def test_statistics_free_leg_memory_is_flat_in_loops(self, n_loops):
-        # The sweep's path: the downstream leg carries only its delay columns
-        # (the background statistics live in the cross-check) and holds no
-        # more than its chunked draw.
+        # The sweep's path: the leg carries only its delay columns (the
+        # background statistics live in the cross-check).
         probes = generate_stream(CONTROL_TRAFFIC_DEFAULT, n_loops * 1000.0, 3)
         tracemalloc.start()
         try:
@@ -555,6 +521,30 @@ class TestStreamedBackground:
         finally:
             tracemalloc.stop()
         assert set(leg) == {"queueing", "dba_wait", "transmission"}
+        # A whole-array leg holds several arrays of ~0.9 events per us of horizon:
+        # about 200 MiB at 5k loops and 800 MiB at 20k.  The streamed leg peaks
+        # at 1.09 and 1.31 MiB: two rows (the arrivals and the Lindley sum),
+        # each one chunk of 1 << 16 arrivals and the carried one long, plus
+        # the per-probe columns.  The bound leaves 2.7 MiB for them.  With
+        # fresh chunk temporaries (the draw, the waits, the running minimum
+        # and the gaps) a leg took 12.7 MiB, and 18.5 MiB with the
+        # concatenated arrivals and filled services too.
+        assert peak < 4 * 2**20
+        if n_loops == 5_000:     # a third row, once held for the cross-check: 1.59 MiB
+            assert peak < 1.4 * 2**20
+
+    def test_downstream_memory_is_flat_near_saturation(self):
+        # At rho 0.999 busy periods run past a million arrivals.  Cutting each
+        # chunk at its last idle arrival held the open busy period in a
+        # buffer that grew with it, to 67 MiB over these 1.1e7 us; carrying
+        # one arrival across each cut holds 1.17 MiB.
+        probes = generate_stream(CONTROL_TRAFFIC_DEFAULT, 1.1e7, 3)
+        tracemalloc.start()
+        try:
+            pon._downstream_leg(PonConfig(), LoadPoint(0.999), probes, pon._spawn_rngs(3, 1)[0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert peak < 4 * 2**20
 
     def test_cross_check_memory_is_flat(self):
@@ -564,9 +554,9 @@ class TestStreamedBackground:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # About 18M events, streamed through the leg's three rows (1.50 MiB),
-        # with the running minimum, the waits and then the gaps in the spare
-        # row.  The bound leaves 2.5 MiB.
+        # About 18M events, streamed through the leg's two rows, with the
+        # running minimum, the waits and then the gaps in a work row of the
+        # cross-check's own: 1.50 MiB for the three.  The bound leaves 2.5 MiB.
         assert peak < 4 * 2**20
 
     def test_cross_check_memory_is_flat_near_saturation(self):

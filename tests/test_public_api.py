@@ -16,6 +16,7 @@ import re
 import sys
 import types
 import typing
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -217,7 +218,9 @@ def _integer_arguments():
 # Each kind's bad values, by id: (value, the rule its refusal states).
 REAL_BAD = {"nan": (math.nan, "finite"), "inf": (math.inf, "finite"),
             "-inf": (-math.inf, "finite"), "str": ("1", "a real number"),
-            "bool": (True, "a real number")}
+            "bool": (True, "a real number"),
+            # float() overflowed on it with a raw OverflowError.
+            "beyond-float": (Fraction(10**400), "finite")}
 # 16.0 is not a split ratio, and 10**400 overflowed the float delays.
 INTEGER_BAD = {"fraction": (2.5, "an integer"), "integral-float": (16.0, "an integer"),
                "nan": (math.nan, "finite"), "inf": (math.inf, "finite"),
@@ -375,7 +378,7 @@ def test_numpy_integer_seeds_are_accepted(entry):
 
 
 # Result records: the package builds them from values it has checked.
-RESULT_RECORDS = {"HapticSample", "OnboardResult"}
+RESULT_RECORDS = {"HapticSample", "OnboardResult", "TouchClassifier"}
 # The table whose check an annotation needs: a count must refuse a fraction too.
 TABLE_OF_ANNOTATION = {int: "integer", tuple[int, ...]: "integer",
                        float: "real", tuple[float, ...]: "real"}
@@ -405,3 +408,17 @@ def test_every_numeric_parameter_has_a_row():
             if (entry, argument) not in rows[table]] == []
     # Every row but the GPD shape's has a bound, and every bound a row.
     assert (rows["real"] | rows["integer"]) ^ set(BOUNDS) == {("GpdParams", "shape")}
+
+
+def test_array_holding_records_compare_and_hash_by_identity():
+    # Compared over their numpy fields, two equal-valued records raised "the
+    # truth value of an array ... is ambiguous", and hash() a TypeError.
+    def pair(build):
+        return build(), build()
+
+    ball = functools.partial(haptic.standard_profile, haptic.ObjectKind.RUBBER_BALL)
+    descriptor = coordination.descriptor_of(ball())
+    for a, b in [pair(ball),
+                 pair(lambda: coordination.ProfileRecord(descriptor, np.full(5, 0.5), 1)),
+                 pair(lambda: haptic.profiling_trace(ball(), 2, seed=1)[0])]:
+        assert a == a and a != b and a not in [b] and len({a, b, a}) == 2
