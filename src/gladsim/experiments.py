@@ -317,7 +317,15 @@ def run_onboarding_study(config: ScenarioConfig) -> Report:
 # ---------------------------------------------------------------------------
 
 
+# Exact Python floats, ints and strings skip the chain below and get the text
+# it would give them; bools, numpy scalars and subclasses miss this table.
+_EXACT_CELL = {float: float.__repr__, int: int.__repr__, str: str.__str__}
+
+
 def _format_cell(value) -> str:
+    exact = _EXACT_CELL.get(type(value))
+    if exact is not None:
+        return exact(value)
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (float, np.floating)):

@@ -321,10 +321,12 @@ def profiling_trace(profile: ObjectProfile, n_samples: int, seed: int, *,
     drift = _smooth_noise(rng, n_samples, persistence=wobble_persistence)
     rel = np.clip(GRASP_DISTANCE + wobble * drift, 0.0, 0.95)
     t = np.arange(n_samples) * PROFILING_PERIOD_US
-    # Positions lie on one axis through the center, where the row norm equals
-    # the 1-D norm of each position exactly.
-    pos = profile.center + np.array([1.0, 0.0, 0.0]) * (rel * profile.extent_cm)[:, None]
-    amp = _feedback(profile, np.linalg.norm(pos - profile.center, axis=1), t)
+    # Positions lie on the x axis through the center, so the 3-D norm's y and
+    # z differences are exact zeros and its row sum is x * x exactly; the
+    # square root stays, since np.abs(x) differs where x * x underflows.
+    x = profile.center[0] + rel * profile.extent_cm
+    x -= profile.center[0]
+    amp = _feedback(profile, np.sqrt(x * x), t)
     if noise_std > 0.0:
         amp = np.clip(amp + rng.normal(0.0, noise_std, size=(n_samples, N_FINGERS)), 0.0, 1.0)
     return HapticTrace(t_us=t, amplitude=amp)
@@ -580,16 +582,16 @@ def estimate_tau(haptic_trace: HapticTrace) -> float:
 def optimize_alpha(trace: HapticTrace, alpha_grid, epsilon: float) -> float:
     """Grid value maximizing the final cumulative forecast accuracy.
 
-    Each candidate runs a fresh zero-initialized forecaster over the trace.
-    Ties break toward the smaller alpha.
+    Each candidate runs a fresh zero-initialized forecaster over the trace;
+    the one with the most hits wins, ties going to the smaller alpha.
     """
     grid = sorted(float(real("alpha_grid", a, above=0, at_most=1))
                   for a in sequence("alpha_grid", alpha_grid))
     if len(trace) < 100:
         raise InsufficientDataError(f"need >= 100 touch samples, got {len(trace)}")
-    best_alpha, best_acc = grid[0], -1.0
+    best_alpha, best_hits = grid[0], -1
     for alpha in grid:
-        acc = float(run_forecaster(trace, alpha, epsilon).mean())
-        if acc > best_acc:
-            best_alpha, best_acc = alpha, acc
+        hits = np.count_nonzero(run_forecaster(trace, alpha, epsilon))
+        if hits > best_hits:
+            best_alpha, best_hits = alpha, hits
     return best_alpha

@@ -18,7 +18,6 @@ from gladsim.experiments import (
     ScenarioConfig,
     Table,
     _accuracy_decay_curve,
-    _format_cell,
     export_report,
     run_latency_sweep,
     run_onboarding_study,
@@ -434,16 +433,32 @@ class TestExport:
         assert (target / "s__manifest.json").read_text() == "old\n"
 
     def test_csv_rows_are_the_joined_cells(self, tmp_path):
+        # Subclasses of float, int and str whose own repr and str differ from
+        # their values'.  A float or int cell is written from its value and a
+        # str cell by its own str, so a dispatch by isinstance (which writes
+        # the str subclass's value) or by repr(cell) reads differently.
+        class Float(float):
+            __repr__ = __str__ = lambda self: "F"
+
+        class Int(int):
+            __repr__ = __str__ = lambda self: "I"
+
+        class Str(str):
+            __repr__ = __str__ = lambda self: "S"
+
         # Python and numpy bools, ints and floats, and strings, in one table.
         rows = ((True, np.bool_(False), 3, np.int64(-7), 0.1, np.float64(1e-300), "cold"),
                 (np.bool_(True), False, np.int32(0), 2**70, np.float32(0.5), -0.0, ""),
-                (1, 2.0, np.uint8(255), math.inf, np.float64(math.nan), "a b", np.str_("glad")))
+                (1, 2.0, np.uint8(255), math.inf, np.float64(math.nan), "a b", np.str_("glad")),
+                (Float(0.25), Int(-4), Str("value"), Float(-0.0), Int(2**70), Str(""), "x"))
         columns = ("a", "b", "c", "d", "e", "f", "g")
         export_report(Report("s", {"t": Table(columns, rows)}, {}), tmp_path)
-        lines = [",".join(columns)] + [",".join(_format_cell(cell) for cell in row)
-                                       for row in rows]
-        assert (tmp_path / "s__t.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
-        assert lines[1] == "true,false,3,-7,0.1,1e-300,cold"
+        assert (tmp_path / "s__t.csv").read_bytes() == (
+            b"a,b,c,d,e,f,g\n"
+            b"true,false,3,-7,0.1,1e-300,cold\n"
+            b"true,false,0,1180591620717411303424,0.5,-0.0,\n"
+            b"1,2.0,255,inf,nan,a b,glad\n"
+            b"0.25,-4,S,-0.0,1180591620717411303424,S,x\n")
 
     def test_unknown_format_rejected(self, latency_report, tmp_path):
         target = tmp_path / "report"

@@ -430,6 +430,16 @@ class TestVectorizedTrace:
         assert _same_bits(trace.t_us, t_us)
         assert _same_bits(trace.amplitude, amplitude)
 
+    def test_distance_keeps_the_norm_where_its_square_underflows(self):
+        # At this extent every offset squares to zero, so the norm reads the
+        # grasp as at the center where |x| would not.  The center's x stays 0,
+        # as any larger one would round the offset away in both forms.
+        tiny = ObjectProfile(ObjectKind.CUSTOM, np.array([0.0, -2.0, 1.0]), 1e-200, 0.9, 120.0)
+        trace = profiling_trace(tiny, 50, seed=3)
+        t_us, amplitude = _profiling_trace_loop(tiny, 50, 3)
+        assert _same_bits(trace.t_us, t_us)
+        assert _same_bits(trace.amplitude, amplitude)
+
     @given(profile=_profiles(),
            offset=arrays(np.float64, 3, elements=st.floats(-25.0, 25.0)),
            t_us=st.floats(0.0, 1e8))
