@@ -123,8 +123,8 @@ def descriptor_of(profile: ObjectProfile, glad: GladParams = GladParams()) -> De
     return (profile.kind.value, s_band, t_band)
 
 
-def _similarity(a: Descriptor, b: Descriptor, glad: GladParams = GladParams()) -> float:
-    """1 minus the normalized band distance; 0 for different kinds."""
+def _similarity(a: Descriptor, b: Descriptor, glad: GladParams) -> float:
+    """1 minus the band distance over `glad`'s band count; 0 for different kinds."""
     if a[0] != b[0]:
         return 0.0
     dist = max(abs(a[1] - b[1]), abs(a[2] - b[2])) / glad.quant_bands

@@ -228,9 +228,9 @@ def _first_order(c: float, u: np.ndarray, y0) -> np.ndarray:
     Hit decisions take the blocked pass of `_forecast_hits`, whose values
     are close to these but not bit-equal.
 
-    `u` is (n,) or (n, k) and `y0` a scalar or a k-vector; the result has
-    the shape of `u` with one more row.  Each column runs as a list
-    comprehension over Python floats, written into one preallocated output.
+    `u` is (n, k) and `y0` a scalar or a k-vector; the result is (n + 1, k).
+    Each column runs as a list comprehension over Python floats, written
+    into one preallocated output.
     Python floats round the product and the sum separately, with no fused
     multiply-add, exactly as numpy's elementwise multiply and add do, so
     every value has the same bits as a loop of numpy steps.  That loop would
@@ -238,19 +238,18 @@ def _first_order(c: float, u: np.ndarray, y0) -> np.ndarray:
     form over powers of c, would round differently and change report bytes.
     """
     c = float(c)
-    cols = u if u.ndim == 2 else u[:, None]
-    n = cols.shape[0]
-    y = np.empty((n + 1, cols.shape[1]))
+    n = u.shape[0]
+    y = np.empty((n + 1, u.shape[1]))
     y[0] = y0
-    for j, (col, e) in enumerate(zip(cols.T.tolist(), y[0].tolist())):
+    for j, (col, e) in enumerate(zip(u.T.tolist(), y[0].tolist())):
         y[1:, j] = np.fromiter([e := c * e + s for s in col], float, n)
-    return y if u.ndim == 2 else y[:, 0]
+    return y
 
 
 def _smooth_noise(rng: np.random.Generator, n: int, persistence: float = 0.98) -> np.ndarray:
     """AR(1)-filtered white noise with unit-ish scale."""
     shocks = rng.normal(0.0, math.sqrt(1.0 - persistence**2), size=n)
-    return _first_order(persistence, shocks, 0.0)[1:]
+    return _first_order(persistence, shocks[:, None], 0.0)[1:, 0]
 
 
 def generate_session(profile: ObjectProfile, duration_us: float,

@@ -286,19 +286,17 @@ class _GrantState:
     u_min: float = 0.0
 
 
-def _gated_grants(arrived_bytes_per_cycle: np.ndarray, cap_bytes: float,
-                  state: _GrantState | None = None) -> np.ndarray:
+def _gated_grants(a: np.ndarray, cap_bytes: float, state: _GrantState) -> np.ndarray:
     """Per-cycle granted bytes of one ONU under gated, capped service.
 
     Bytes arriving during cycle k are first reported at boundary k+1.  The
     reported backlog follows Q[k+1] = max(Q[k] - cap, 0) + A[k], a
     Lindley-type recursion solved in closed form by reflection.
 
-    `state`, when given, continues the recursion from the cycles solved
-    before these and is advanced past them.
+    `a` is the float array of bytes arrived per cycle.  The recursion always
+    continues from `state`, the cycles solved before these (a fresh
+    `_GrantState` for the first), and advances it past them.
     """
-    a = np.asarray(arrived_bytes_per_cycle, dtype=float)
-    state = _GrantState() if state is None else state
     n = a.size
     if n == 0:
         return np.empty(0)

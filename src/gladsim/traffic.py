@@ -65,40 +65,31 @@ CONTROL_TRAFFIC_DEFAULT = GpdParams(shape=0.1, scale=900.0, location=0.0)
 MAX_SIGNIFICANCE = 0.5
 
 
-def _sample_gpd(params: GpdParams, uniform):
-    """Inverse-CDF transform of `uniform` in [0, 1) under `params`.
+def _sample_gpd(params: GpdParams, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF transform of the float array `u` in [0, 1) under `params`.
 
-    Accepts a scalar or an array; vectorizes elementwise.  The shape = 0 case
-    is the exponential limit of the family.
+    Elementwise; returns a float array of the shape of `u`.  The shape = 0
+    case is the exponential limit of the family.
     """
-    u = np.asarray(uniform, dtype=float)
     # log1p keeps the quantile accurate near u=0 and continuous as shape -> 0.
     log_sf = np.log1p(-u)
     if abs(params.shape) < _EXPONENTIAL_SHAPE:
-        q = params.location - params.scale * log_sf
-    else:
-        q = params.location + params.scale * np.expm1(-params.shape * log_sf) / params.shape
-    if np.ndim(uniform) == 0:
-        return float(q)
-    return q
+        return params.location - params.scale * log_sf
+    return params.location + params.scale * np.expm1(-params.shape * log_sf) / params.shape
 
 
-def _gpd_cdf(params: GpdParams, x):
-    """CDF of the generalized Pareto law at finite `x` (scalar or array)."""
-    z = (np.asarray(x, dtype=float) - params.location) / params.scale
+def _gpd_cdf(params: GpdParams, x: np.ndarray) -> np.ndarray:
+    """CDF of the generalized Pareto law at the finite float array `x`, elementwise."""
+    z = (x - params.location) / params.scale
     z = np.clip(z, 0.0, None)
     if abs(params.shape) < _EXPONENTIAL_SHAPE:
-        cdf = -np.expm1(-z)
-    else:
-        # 1 - (1 + shape*z)^(-1/shape) through log1p/expm1, which stay accurate
-        # as shape -> 0.  For shape < 0 the support ends at -scale/shape;
-        # clipping shape*z at -1 makes log1p -inf there, pinning the CDF to 1.
-        with np.errstate(divide="ignore"):
-            log_base = np.log1p(np.maximum(params.shape * z, -1.0))
-        cdf = -np.expm1(-log_base / params.shape)
-    if np.ndim(x) == 0:
-        return float(cdf)
-    return cdf
+        return -np.expm1(-z)
+    # 1 - (1 + shape*z)^(-1/shape) through log1p/expm1, which stay accurate
+    # as shape -> 0.  For shape < 0 the support ends at -scale/shape;
+    # clipping shape*z at -1 makes log1p -inf there, pinning the CDF to 1.
+    with np.errstate(divide="ignore"):
+        log_base = np.log1p(np.maximum(params.shape * z, -1.0))
+    return -np.expm1(-log_base / params.shape)
 
 
 def _gpd_mean(params: GpdParams) -> float:
@@ -120,7 +111,7 @@ def generate_stream(params: GpdParams, horizon_us: float, seed: int) -> np.ndarr
     if params.shape < 1.0:
         typical_gap = _gpd_mean(params)
     else:
-        typical_gap = _sample_gpd(params, 0.5)  # median when the mean diverges
+        typical_gap = float(_sample_gpd(params, np.array(0.5)))  # median when the mean diverges
     typical_gap = max(typical_gap, 1e-9)
     if horizon_us / typical_gap > MAX_EVENTS:
         raise ResourceLimitError(f"stream needs ~{horizon_us / typical_gap:.3g} events "

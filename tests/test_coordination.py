@@ -51,19 +51,19 @@ def _record(estimate, count, descriptor=None):
 class TestDescriptorSimilarity:
     def test_identical_descriptor_similarity_one(self):
         d = descriptor_of(BALL)
-        assert _similarity(d, d) == 1.0
+        assert _similarity(d, d, GladParams()) == 1.0
 
     def test_half_range_similarity(self):
         # Bands 0 and 5 of 10: normalized distance 0.5 -> similarity 0.5,
         # below the 0.8 default threshold.
         a = descriptor_of(_custom(0.05))
         b = descriptor_of(_custom(0.55))
-        assert _similarity(a, b) == 0.5
+        assert _similarity(a, b, GladParams()) == 0.5
 
     def test_kind_mismatch_is_zero(self):
         a = descriptor_of(BALL)
         b = descriptor_of(standard_profile(ObjectKind.WOODEN_CUBE))
-        assert _similarity(a, b) == 0.0
+        assert _similarity(a, b, GladParams()) == 0.0
 
     def test_quantization_band_edges(self):
         assert descriptor_of(_custom(1.0))[1] == 9
@@ -421,16 +421,39 @@ class TestSavings:
         assert saved[-1] > 0.0
         assert run_savings_sweep(glad, seed) == curve
 
+    @pytest.mark.parametrize("weights", [lambda held, new: (1, 1), lambda held, new: (new, held)],
+                             ids=["equal", "swapped"])
+    def test_curve_follows_the_count_weighted_fold(self, monkeypatch, weights):
+        # Here warm starts converge above the window floor, so the profile the
+        # registry folds from two uploads moves the curve; at the defaults
+        # every warm start after the first meets the floor and none can.
+        glad = GladParams(window=50, accuracy_target=0.99, epsilon=0.02,
+                          profiling_samples=1000, total_machines=6)
+        curve = run_savings_sweep(glad, seed=1)
+
+        def add_record(registry, record):
+            held = registry._records.get(record.descriptor)
+            if held is not None:
+                w = np.array(weights(held.sample_count, record.sample_count), dtype=float)
+                estimates = np.array([held.profile_estimate, record.profile_estimate])
+                record = ProfileRecord(record.descriptor, w @ estimates / w.sum(),
+                                       held.sample_count + record.sample_count)
+            registry._records[record.descriptor] = record
+            return record
+
+        monkeypatch.setattr(GlobalRegistry, "add_record", add_record)
+        assert run_savings_sweep(glad, seed=1) != curve
+
     def test_deterministic(self):
         glad = GladParams(total_machines=3, profiling_samples=1500)
         assert run_savings_sweep(glad, seed=7) == run_savings_sweep(glad, seed=7)
 
     def test_pool_profiles_mutually_unmatchable(self):
         pool = _make_profile_pool(12)
-        threshold = GladParams().match_threshold
+        glad = GladParams()
         for i, a in enumerate(pool):
             for b in pool[i + 1:]:
-                assert _similarity(descriptor_of(a), descriptor_of(b)) < threshold
+                assert _similarity(descriptor_of(a), descriptor_of(b), glad) < glad.match_threshold
 
     def test_full_pool_has_distinct_descriptors(self):
         assert len({descriptor_of(p) for p in _make_profile_pool(POOL_CAPACITY)}) == POOL_CAPACITY

@@ -600,11 +600,9 @@ class TestLastState:
 def _first_order_accumulate(c, u, y0):
     """The recursion kernel as `itertools.accumulate` with a lambda, one call per step."""
     c = float(c)
-    cols = u if u.ndim == 2 else u[:, None]
-    starts = np.broadcast_to(np.asarray(y0, dtype=float), cols.shape[1:]).tolist()
-    y = np.array([list(accumulate(col, lambda e, s: c * e + s, initial=start))
-                  for col, start in zip(cols.T.tolist(), starts)]).T
-    return y if u.ndim == 2 else y[:, 0]
+    starts = np.broadcast_to(np.asarray(y0, dtype=float), u.shape[1:]).tolist()
+    return np.array([list(accumulate(col, lambda e, s: c * e + s, initial=start))
+                     for col, start in zip(u.T.tolist(), starts)]).T
 
 
 # Signed zeros, the smallest subnormal, the largest finite double, infinities
@@ -619,20 +617,18 @@ _edge_floats = st.one_of(
 
 @st.composite
 def _recursion_inputs(draw):
-    """(c, u, y0): u is (n,) or (n, k), y0 a scalar or a k-vector."""
+    """(c, u, y0): u is (n, k), y0 a scalar or a k-vector."""
     n = draw(st.one_of(st.sampled_from([0, 1]), st.integers(0, 300)))
-    k = draw(st.integers(1, 6))
-    one_d = draw(st.booleans())
-    u = draw(arrays(np.float64, (n,) if one_d else (n, k), elements=_edge_floats))
-    width = 1 if one_d else k
-    y0 = draw(st.one_of(_edge_floats, arrays(np.float64, width, elements=_edge_floats)))
+    k = draw(st.one_of(st.just(1), st.integers(1, 6)))
+    u = draw(arrays(np.float64, (n, k), elements=_edge_floats))
+    y0 = draw(st.one_of(_edge_floats, arrays(np.float64, k, elements=_edge_floats)))
     c = draw(st.one_of(st.sampled_from([0.0, 1.0, -1.0, -0.0]), st.floats(-1.0, 1.0)))
     return c, u, y0
 
 
 class TestRecursionKernel:
     @given(inputs=_recursion_inputs())
-    @example(inputs=(0.5, np.array([1.0, 2.0, 3.0]), 0.25))
+    @example(inputs=(0.5, np.array([[1.0], [2.0], [3.0]]), 0.25))
     @example(inputs=(1.0, np.empty((0, 3)), np.array([0.5, -0.0, math.nan])))
     def test_same_bits_as_accumulate(self, inputs):
         c, u, y0 = inputs

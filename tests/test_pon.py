@@ -225,7 +225,7 @@ class TestGatedGrants:
         for a in arrived:
             expected.append(min(backlog, cap))
             backlog = max(backlog - cap, 0.0) + a
-        grants = pon._gated_grants(np.array(arrived), cap)
+        grants = pon._gated_grants(np.array(arrived), cap, pon._GrantState())
         scale = sum(arrived) + cap * len(arrived)
         np.testing.assert_allclose(grants, expected, rtol=0.0, atol=1e-12 * scale)
 
@@ -233,7 +233,7 @@ class TestGatedGrants:
            cap=st.floats(1.0, 5e3), cut=st.integers(0, 60))
     def test_continuing_from_carried_state_is_bit_identical(self, arrived, cap, cut):
         arrived = np.array(arrived)
-        whole = pon._gated_grants(arrived, cap)
+        whole = pon._gated_grants(arrived, cap, pon._GrantState())
         assert np.array_equal(whole, _whole_array_grants(arrived, cap))
         state = pon._GrantState()
         first = pon._gated_grants(arrived[:cut], cap, state)

@@ -40,7 +40,8 @@ class TestGpdParams:
 class TestSampleGpd:
     def test_exponential_limit_unit_quantile(self):
         # shape=0 reduces to an exponential: quantile at u = 1 - e^-1 is 1.
-        assert _sample_gpd(GpdParams(0.0, 1.0, 0.0), 1.0 - math.exp(-1.0)) == pytest.approx(1.0)
+        u = np.array(1.0 - math.exp(-1.0))
+        assert _sample_gpd(GpdParams(0.0, 1.0, 0.0), u) == pytest.approx(1.0)
 
     @pytest.mark.parametrize("params", [
         GpdParams(0.0, 1.0, 0.0),
@@ -48,7 +49,7 @@ class TestSampleGpd:
         GpdParams(-0.2, 1.5, 1.0),
     ])
     def test_zero_quantile_is_location(self, params):
-        assert _sample_gpd(params, 0.0) == pytest.approx(params.location)
+        assert _sample_gpd(params, np.array(0.0)) == pytest.approx(params.location)
 
     def test_empirical_mean_matches_closed_form(self):
         # Oracle: mean = location + scale / (1 - shape) = 1.25.
@@ -100,7 +101,7 @@ class TestGpdInverse:
     @example(shape=-5e-324, scale=1.0, location=0.0, u=0.5)
     def test_cdf_inverts_sampler(self, shape, scale, location, u):
         params = GpdParams(shape, scale, location)
-        assert _gpd_cdf(params, _sample_gpd(params, u)) == pytest.approx(u, abs=1e-9)
+        assert _gpd_cdf(params, _sample_gpd(params, np.array(u))) == pytest.approx(u, abs=1e-9)
 
 
 class TestGenerateStream:
