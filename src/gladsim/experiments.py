@@ -77,12 +77,12 @@ class ScenarioConfig:
         # The heaviest unsaturated load draws the most background.
         unsaturated = [rho for rho in self.load_grid if rho < 1.0]
         if unsaturated:
-            load = pon.LoadPoint(max(unsaturated))
+            rho = max(unsaturated)
             try:
-                pon._check_event_budget(self.pon, load, self.control_traffic, self.n_loops,
+                pon._check_event_budget(self.pon, rho, self.control_traffic, self.n_loops,
                                         self.seeds)
             except ResourceLimitError as exc:
-                raise ConfigError(f"n_loops = {self.n_loops} at rho = {load.rho}: {exc}") from exc
+                raise ConfigError(f"n_loops = {self.n_loops} at rho = {rho}: {exc}") from exc
 
 
 def _repr(value) -> str:

@@ -241,7 +241,7 @@ def _poisson_arrivals(draw: _PoissonDraw, out: np.ndarray) -> np.ndarray:
     return times[:np.searchsorted(times, draw.horizon_us, side="right")]
 
 
-def _leg_plan(config: PonConfig, load: LoadPoint, direction: str,
+def _leg_plan(config: PonConfig, rho: float, direction: str,
               last_probe_us: float) -> tuple[float, float | int]:
     """The background rate and extent of one leg probed up to `last_probe_us`.
 
@@ -254,7 +254,7 @@ def _leg_plan(config: PonConfig, load: LoadPoint, direction: str,
     """
     bg_bytes = config.background_packet_bytes
     rate = config.downstream_rate_bps if direction == DOWNSTREAM else config.upstream_rate_bps
-    lam = load.rho * rate / (bg_bytes * 8.0) * 1e-6            # pkts/us, all ONUs
+    lam = rho * rate / (bg_bytes * 8.0) * 1e-6            # pkts/us, all ONUs
     if direction == DOWNSTREAM:
         extent = last_probe_us + 10.0 * _transmission_time(bg_bytes, rate)
         events = lam * extent
@@ -364,7 +364,7 @@ def _fifo_chunks(draw: _PoissonDraw, service_us: float):
         rows[0, 0], origin, carried = arrivals[-1], float(v[-1]), 1
 
 
-def _downstream_leg(config: PonConfig, load: LoadPoint, probe_times: np.ndarray,
+def _downstream_leg(config: PonConfig, rho: float, probe_times: np.ndarray,
                     rng: np.random.Generator) -> dict:
     """Probe delays through the OLT downstream FIFO.
 
@@ -379,7 +379,7 @@ def _downstream_leg(config: PonConfig, load: LoadPoint, probe_times: np.ndarray,
     rate = config.downstream_rate_bps
     bg_service = _transmission_time(config.background_packet_bytes, rate)
     last_probe = float(probe_times[-1]) if probe_times.size else 0.0
-    draw = _poisson_draw(rng, *_leg_plan(config, load, DOWNSTREAM, last_probe))
+    draw = _poisson_draw(rng, *_leg_plan(config, rho, DOWNSTREAM, last_probe))
 
     queueing = np.zeros(probe_times.size)
     answered = -1                # probes before this index have their queueing
@@ -403,7 +403,7 @@ def _downstream_leg(config: PonConfig, load: LoadPoint, probe_times: np.ndarray,
     }
 
 
-def _upstream_leg(config: PonConfig, load: LoadPoint, probe_times: np.ndarray,
+def _upstream_leg(config: PonConfig, rho: float, probe_times: np.ndarray,
                   rng: np.random.Generator) -> dict:
     """Probe delays through the gated round-robin upstream grant cycle.
 
@@ -429,7 +429,7 @@ def _upstream_leg(config: PonConfig, load: LoadPoint, probe_times: np.ndarray,
     cap = rate * cycle * 1e-6 / 8.0 / config.split_ratio     # fair-share grant cap, bytes
     byte_rate_us = rate * 1e-6 / 8.0                      # bytes per us
     horizon = float(probe_times[-1]) if probe_times.size else cycle
-    lam_onu, n_cycles = _leg_plan(config, load, UPSTREAM, horizon)
+    lam_onu, n_cycles = _leg_plan(config, rho, UPSTREAM, horizon)
 
     # The preceding ONUs' arrivals are drawn in cycle chunks, in the row-major
     # order of one (ONU, cycle) draw, and their grants added in ONU order.
@@ -540,7 +540,7 @@ def queueing_cross_check(config: PonConfig, load: LoadPoint, seed: int,
     if real("horizon_us", horizon_us) < 1000.0 * service:
         raise ParameterError(f"horizon_us must be at least 1000 background "
                              f"services ({1000.0 * service:g} us), got {horizon_us}")
-    lam, until = _leg_plan(config, load, DOWNSTREAM, horizon_us * 0.99)
+    lam, until = _leg_plan(config, load.rho, DOWNSTREAM, horizon_us * 0.99)
     draw = _poisson_draw(_spawn_rngs(integer("seed", seed, at_least=0), 1)[0], lam, until)
 
     n = 0
@@ -594,7 +594,7 @@ def _probe_stream(traffic: GpdParams, n_loops: int, seed: int) -> np.ndarray:
     return stream[:n_loops]
 
 
-def _check_event_budget(config: PonConfig, load: LoadPoint, traffic: GpdParams,
+def _check_event_budget(config: PonConfig, rho: float, traffic: GpdParams,
                         n_loops: int, seeds) -> None:
     """Raise ResourceLimitError where a leg of `round_trips` would exceed MAX_EVENTS.
 
@@ -606,11 +606,11 @@ def _check_event_budget(config: PonConfig, load: LoadPoint, traffic: GpdParams,
     horizon = _probe_horizon(traffic, n_loops)
     for seed in (None, *seeds):
         last_probe = horizon if seed is None else float(_probe_stream(traffic, n_loops, seed)[-1])
-        _leg_plan(config, load, DOWNSTREAM, last_probe)
-        _leg_plan(config, load, UPSTREAM, last_probe + config.wireless_hop_us)
+        _leg_plan(config, rho, DOWNSTREAM, last_probe)
+        _leg_plan(config, rho, UPSTREAM, last_probe + config.wireless_hop_us)
 
 
-def _round_trip_base(config: PonConfig, load: LoadPoint, seed: int,
+def _round_trip_base(config: PonConfig, rho: float, seed: int,
                      probes: np.ndarray, with_ai: bool) -> tuple[np.ndarray, int]:
     """Per-loop totals excluding fiber propagation, plus the fiber leg count.
 
@@ -629,7 +629,7 @@ def _round_trip_base(config: PonConfig, load: LoadPoint, seed: int,
 
     totals = np.zeros(probes.size)
     for leg, times, rng_idx in legs:
-        out = leg(config, load, times, rngs[rng_idx])
+        out = leg(config, rho, times, rngs[rng_idx])
         totals += (out["queueing"] + out["dba_wait"]
                    + out["transmission"] + config.wireless_hop_us)
     if with_ai:
@@ -664,7 +664,7 @@ def round_trips(config: PonConfig, load: LoadPoint, seed: int, *,
     probes = _probe_stream(traffic, n_loops, seed)
     out = {}
     for mode, with_ai in ((NO_AI, False), (WITH_AI, True)):
-        base, legs = _round_trip_base(config, load, seed, probes, with_ai)
+        base, legs = _round_trip_base(config, load.rho, seed, probes, with_ai)
         out[mode] = (base[int(base.size * WARMUP_FRACTION):], legs)
     return out
 

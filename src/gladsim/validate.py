@@ -69,7 +69,7 @@ def _check_zero_load_bounds() -> None:
     cfg = pon.PonConfig()
     stream = traffic.generate_stream(traffic.CONTROL_TRAFFIC_DEFAULT, 3e5, 5)
     t = stream + cfg.wireless_hop_us
-    leg = pon._upstream_leg(cfg, pon.LoadPoint(0.0), t, pon._spawn_rngs(9, 1)[0])
+    leg = pon._upstream_leg(cfg, 0.0, t, pon._spawn_rngs(9, 1)[0])
     _require(np.all(leg["queueing"] == 0.0), "queueing at zero load")
     # With nothing queued, a message waits exactly for the next cycle boundary.
     boundary = cfg.dba_cycle_us * (np.floor(t / cfg.dba_cycle_us) + 1.0)

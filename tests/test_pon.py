@@ -268,12 +268,12 @@ def _whole_array_arrivals(rng, rate_per_us, horizon_us):
     return times[times <= horizon_us]
 
 
-def _whole_array_downstream(config, load, probe_times, rng):
+def _whole_array_downstream(config, rho, probe_times, rng):
     """Reference downstream leg: one draw and one reflection over all arrivals."""
     rate = config.downstream_rate_bps
     service = _transmission_time(config.background_packet_bytes, rate)
     horizon = float(probe_times[-1]) + 10.0 * service
-    lam = load.rho * rate / (config.background_packet_bytes * 8.0) * 1e-6
+    lam = rho * rate / (config.background_packet_bytes * 8.0) * 1e-6
     times = _whole_array_arrivals(rng, lam, horizon) if lam > 0.0 else np.empty(0)
     if not times.size:
         return np.zeros(probe_times.size), times, np.empty(0)
@@ -286,7 +286,7 @@ def _whole_array_downstream(config, load, probe_times, rng):
     return queueing, times, waits
 
 
-def _whole_array_upstream(config, load, probe_times, rng):
+def _whole_array_upstream(config, rho, probe_times, rng):
     """Reference upstream leg: every ONU's arrivals and grants held for all cycles.
 
     Returns the queueing and DBA wait columns, the tagged ONU's background
@@ -300,7 +300,7 @@ def _whole_array_upstream(config, load, probe_times, rng):
     preceding = config.split_ratio // 2
     horizon = float(probe_times[-1])
     n_cycles = int(math.ceil(horizon / cycle)) + 8
-    lam_onu = load.rho * rate / (bg_bytes * 8.0) * 1e-6 / config.split_ratio
+    lam_onu = rho * rate / (bg_bytes * 8.0) * 1e-6 / config.split_ratio
     per_onu_cycle_mean = lam_onu * cycle
 
     if preceding and per_onu_cycle_mean > 0.0:
@@ -379,19 +379,19 @@ class TestStreamedBackground:
     @pytest.mark.parametrize("chunk", _WHOLE_ARRAY_CHUNKS)
     @pytest.mark.parametrize("rho", [0.0, 0.5, 0.9, 0.999])
     def test_downstream_leg_matches_whole_array(self, monkeypatch, chunk, rho):
-        cfg, load, seed = PonConfig(), LoadPoint(rho), self.SEEDS[rho]
+        cfg, seed = PonConfig(), self.SEEDS[rho]
         probes = np.linspace(0.0, 2000.0, 201)
-        _, times, _ = _whole_array_downstream(cfg, load, probes, pon._spawn_rngs(seed, 1)[0])
+        _, times, _ = _whole_array_downstream(cfg, rho, probes, pon._spawn_rngs(seed, 1)[0])
         if times.size:
             assert probes[0] < times[0] and times[-1] < probes[-1]
             # A probe on every arrival instant, chunk cuts included; the last
             # probe, and so the draw, stays.
             probes = np.sort(np.concatenate((probes, times)))
         expected, times, waits = _whole_array_downstream(
-            cfg, load, probes, pon._spawn_rngs(seed, 1)[0])
+            cfg, rho, probes, pon._spawn_rngs(seed, 1)[0])
 
         monkeypatch.setattr(pon, "CHUNK_EVENTS", chunk)
-        leg = pon._downstream_leg(cfg, load, probes, pon._spawn_rngs(seed, 1)[0])
+        leg = pon._downstream_leg(cfg, rho, probes, pon._spawn_rngs(seed, 1)[0])
         assert np.array_equal(leg["queueing"], expected)
 
     @pytest.mark.parametrize("chunk", [1, 7, 1000, pon.CHUNK_EVENTS])
@@ -399,7 +399,7 @@ class TestStreamedBackground:
     def test_downstream_leg_matches_lindley_loop(self, monkeypatch, chunk, rho):
         # Each probe's queueing rebuilt from the sequential recursion over
         # every background arrival: the leg reads waits at probes only.
-        cfg, load, seed = PonConfig(), LoadPoint(rho), 8
+        cfg, seed = PonConfig(), 8
         rate = cfg.downstream_rate_bps
         service = _transmission_time(cfg.background_packet_bytes, rate)
         lam = rho * rate / (cfg.background_packet_bytes * 8.0) * 1e-6
@@ -415,18 +415,18 @@ class TestStreamedBackground:
             expected.append(max(0.0, times[k] + waits[k] + service - t) if k >= 0 else 0.0)
 
         monkeypatch.setattr(pon, "CHUNK_EVENTS", chunk)
-        leg = pon._downstream_leg(cfg, load, probes, pon._spawn_rngs(seed, 1)[0])
+        leg = pon._downstream_leg(cfg, rho, probes, pon._spawn_rngs(seed, 1)[0])
         assert np.count_nonzero(leg["queueing"]) > probes.size * rho / 2
         np.testing.assert_allclose(leg["queueing"], expected, rtol=0.0, atol=1e-9)
 
     @pytest.mark.parametrize("chunk", _WHOLE_ARRAY_CHUNKS)
     @pytest.mark.parametrize("rho", [0.0, 0.5, 0.9, 0.999])
     def test_cross_check_matches_whole_array(self, monkeypatch, chunk, rho):
-        cfg, load, seed, horizon = PonConfig(), LoadPoint(rho), 11, 2000.0
+        cfg, seed, horizon = PonConfig(), 11, 2000.0
         # The cross-check draws the background of a leg probed up to 0.99 of
         # its horizon.
         _, times, waits = _whole_array_downstream(
-            cfg, load, np.array([horizon * 0.99]), pon._spawn_rngs(seed, 1)[0])
+            cfg, rho, np.array([horizon * 0.99]), pon._spawn_rngs(seed, 1)[0])
         assert (times.size > 1000) == (rho > 0.0)
 
         yielded = []
@@ -439,7 +439,7 @@ class TestStreamedBackground:
 
         monkeypatch.setattr(pon, "CHUNK_EVENTS", chunk)
         monkeypatch.setattr(pon, "_fifo_chunks", counted)
-        out = queueing_cross_check(cfg, load, seed, horizon_us=horizon)
+        out = queueing_cross_check(cfg, LoadPoint(rho), seed, horizon_us=horizon)
         # Each chunk after the first begins with the last arrival of the one
         # before, so without it every arrival comes once.
         assert all(after[0] == before[-1] for before, after in zip(yielded, yielded[1:]))
@@ -458,12 +458,12 @@ class TestStreamedBackground:
     def test_background_past_the_horizon_queues_nothing(self):
         # A light background whose first arrival falls past the draw's
         # horizon: the draw is made, and no chunk is yielded.
-        cfg, load, probes = PonConfig(), LoadPoint(1e-6), np.linspace(0.0, 2000.0, 201)
-        _, times, _ = _whole_array_downstream(cfg, load, probes, pon._spawn_rngs(5, 1)[0])
+        cfg, rho, probes = PonConfig(), 1e-6, np.linspace(0.0, 2000.0, 201)
+        _, times, _ = _whole_array_downstream(cfg, rho, probes, pon._spawn_rngs(5, 1)[0])
         assert times.size == 0
-        leg = pon._downstream_leg(cfg, load, probes, pon._spawn_rngs(5, 1)[0])
+        leg = pon._downstream_leg(cfg, rho, probes, pon._spawn_rngs(5, 1)[0])
         assert not leg["queueing"].any()
-        out = queueing_cross_check(cfg, load, 5, horizon_us=2000.0)
+        out = queueing_cross_check(cfg, LoadPoint(rho), 5, horizon_us=2000.0)
         assert out["simulated_mean_wait_us"] == out["utilization"] == 0.0
 
     @pytest.mark.parametrize("chunk", _WHOLE_ARRAY_CHUNKS)
@@ -490,18 +490,18 @@ class TestStreamedBackground:
         assert np.array_equal(rng.exponential(2.0, 3), reference.exponential(2.0, 3))
 
     def test_event_cap(self, monkeypatch):
-        cfg, load = PonConfig(), LoadPoint(0.9)
+        cfg = PonConfig()
         # About 0.9 events per us: the cap is checked before anything is drawn.
         probes = np.array([0.0, 1.2 * pon.MAX_EVENTS])
         rng = pon._spawn_rngs(1, 1)[0]
         state = rng.bit_generator.state
         with pytest.raises(ResourceLimitError, match="downstream"):
-            pon._downstream_leg(cfg, load, probes, rng)
+            pon._downstream_leg(cfg, 0.9, probes, rng)
         with pytest.raises(ResourceLimitError, match="downstream"):
-            queueing_cross_check(cfg, load, 1, horizon_us=1.2 * pon.MAX_EVENTS)
+            queueing_cross_check(cfg, LoadPoint(0.9), 1, horizon_us=1.2 * pon.MAX_EVENTS)
         # 16 ONUs x 10M cycles of 0.01 us, each counted as at least one event.
         with pytest.raises(ResourceLimitError, match="upstream"):
-            pon._upstream_leg(PonConfig(dba_cycle_us=0.01), load, np.array([0.0, 1e5]), rng)
+            pon._upstream_leg(PonConfig(dba_cycle_us=0.01), 0.9, np.array([0.0, 1e5]), rng)
         assert rng.bit_generator.state == state
         # Extensions count towards the cap too.
         monkeypatch.setattr(pon, "MAX_EVENTS", 3000)
@@ -515,7 +515,7 @@ class TestStreamedBackground:
         probes = generate_stream(CONTROL_TRAFFIC_DEFAULT, n_loops * 1000.0, 3)
         tracemalloc.start()
         try:
-            leg = pon._downstream_leg(PonConfig(), LoadPoint(0.9), probes,
+            leg = pon._downstream_leg(PonConfig(), 0.9, probes,
                                       pon._spawn_rngs(3, 1)[0])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -541,7 +541,7 @@ class TestStreamedBackground:
         probes = generate_stream(CONTROL_TRAFFIC_DEFAULT, 1.1e7, 3)
         tracemalloc.start()
         try:
-            pon._downstream_leg(PonConfig(), LoadPoint(0.999), probes, pon._spawn_rngs(3, 1)[0])
+            pon._downstream_leg(PonConfig(), 0.999, probes, pon._spawn_rngs(3, 1)[0])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -616,7 +616,7 @@ class TestDownstreamLaw:
         probes = 1000.0 * np.arange(10, 4010)
         per_seed = []
         for seed in seeds:
-            queueing = pon._downstream_leg(cfg, LoadPoint(rho), probes,
+            queueing = pon._downstream_leg(cfg, rho, probes,
                                            pon._spawn_rngs(seed, 1)[0])["queueing"] / service
             per_seed.append([np.mean(queueing == 0.0), queueing.mean(),
                              *np.quantile(queueing, [0.95, 0.99])])
@@ -634,11 +634,11 @@ def _upstream_peak(n_loops):
     probes = generate_stream(CONTROL_TRAFFIC_DEFAULT, n_loops * 1000.0, 3)
     tracemalloc.start()
     try:
-        pon._upstream_leg(PonConfig(), LoadPoint(0.9), probes, pon._spawn_rngs(3, 1)[0])
+        pon._upstream_leg(PonConfig(), 0.9, probes, pon._spawn_rngs(3, 1)[0])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    _, n_cycles = pon._leg_plan(PonConfig(), LoadPoint(0.9), UPSTREAM, float(probes[-1]))
+    _, n_cycles = pon._leg_plan(PonConfig(), 0.9, UPSTREAM, float(probes[-1]))
     return peak, n_cycles, probes.size
 
 
@@ -648,19 +648,19 @@ class TestStreamedUpstream:
     SEEDS = {0.0: 11, 0.5: 11, 0.9: 203}
 
     @staticmethod
-    def _check_whole_array(monkeypatch, chunk, cfg, load, seed, span=2000.0):
+    def _check_whole_array(monkeypatch, chunk, cfg, rho, seed, span=2000.0):
         """Compare the leg with the reference at every cycle chunk size.
 
         Returns the reference's drain cycles, how far its total grant falls
         short of the bytes queued, and its grant cycles.
         """
         probes = np.linspace(0.0, span, 201)
-        times = _whole_array_upstream(cfg, load, probes, pon._spawn_rngs(seed, 1)[0])[2]
+        times = _whole_array_upstream(cfg, rho, probes, pon._spawn_rngs(seed, 1)[0])[2]
         # Probes on every cycle boundary and every background arrival instant,
         # chunk cuts included; the last probe, and so the draw, stays.
         probes = np.sort(np.concatenate((probes, np.arange(0.0, span, cfg.dba_cycle_us), times)))
         queueing, dba_wait, times, extended, granted, grant_cycle = _whole_array_upstream(
-            cfg, load, probes, pon._spawn_rngs(seed, 1)[0])
+            cfg, rho, probes, pon._spawn_rngs(seed, 1)[0])
 
         drawn, arrivals = [], pon._poisson_arrivals
 
@@ -674,7 +674,7 @@ class TestStreamedUpstream:
         for cycles in _CYCLE_CHUNKS:
             monkeypatch.setattr(pon, "CHUNK_CYCLES", cycles)
             drawn.clear()
-            leg = pon._upstream_leg(cfg, load, probes, pon._spawn_rngs(seed, 1)[0])
+            leg = pon._upstream_leg(cfg, rho, probes, pon._spawn_rngs(seed, 1)[0])
             assert np.array_equal(leg["queueing"], queueing)
             assert np.array_equal(leg["dba_wait"], dba_wait)
             # Each of the tagged ONU's arrivals is drawn once: the leg's share
@@ -686,7 +686,7 @@ class TestStreamedUpstream:
     @pytest.mark.parametrize("rho", [0.0, 0.5, 0.9])
     def test_upstream_leg_matches_whole_array(self, monkeypatch, chunk, rho):
         extended, short, _ = self._check_whole_array(
-            monkeypatch, chunk, PonConfig(), LoadPoint(rho), self.SEEDS[rho])
+            monkeypatch, chunk, PonConfig(), rho, self.SEEDS[rho])
         assert (extended > 0) == (rho == 0.9)
         assert short == 0.0
 
@@ -704,7 +704,7 @@ class TestStreamedUpstream:
     def test_non_integer_cap_matches_whole_array(self, monkeypatch, chunk, cfg, rho, seed,
                                                  extends):
         extended, short, _ = self._check_whole_array(
-            monkeypatch, chunk, cfg, LoadPoint(rho), seed)
+            monkeypatch, chunk, cfg, rho, seed)
         assert (extended > 0) == extends
         assert short > 0.0
 
@@ -715,7 +715,7 @@ class TestStreamedUpstream:
         # are granted in the drain, which one-cycle chunks split into seven.
         cfg, span = PonConfig(), 20_000.0
         extended, short, grant_cycle = self._check_whole_array(
-            monkeypatch, chunk, cfg, LoadPoint(0.9), 50, span)
+            monkeypatch, chunk, cfg, 0.9, 50, span)
         n_cycles = math.ceil(span / cfg.dba_cycle_us) + 8
         assert extended == 7 and short == 0.0
         assert np.count_nonzero(grant_cycle >= n_cycles) > 8
@@ -736,19 +736,18 @@ class TestStreamedUpstream:
         # are not binary fractions, where the running grant can end short of
         # the bytes queued and the reference clamps the bytes ahead.
         cfg = PonConfig(upstream_rate_bps=rate, split_ratio=split, dba_cycle_us=cycle)
-        load = LoadPoint(rho)
         probes = np.sort(np.random.Generator(np.random.PCG64(seed)).uniform(0.0, span, 60))
-        times = _whole_array_upstream(cfg, load, probes, pon._spawn_rngs(seed, 1)[0])[2]
+        times = _whole_array_upstream(cfg, rho, probes, pon._spawn_rngs(seed, 1)[0])[2]
         # Probes on cycle boundaries and background arrival instants too; the
         # last probe, and so the draw, stays.
         probes = np.sort(np.concatenate((probes, np.arange(0.0, probes[-1], cycle), times)))
         queueing, dba_wait = _whole_array_upstream(
-            cfg, load, probes, pon._spawn_rngs(seed, 1)[0])[:2]
+            cfg, rho, probes, pon._spawn_rngs(seed, 1)[0])[:2]
         for events, cycles in chunkings:
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(pon, "CHUNK_EVENTS", events)
                 patch.setattr(pon, "CHUNK_CYCLES", cycles)
-                leg = pon._upstream_leg(cfg, load, probes, pon._spawn_rngs(seed, 1)[0])
+                leg = pon._upstream_leg(cfg, rho, probes, pon._spawn_rngs(seed, 1)[0])
             assert np.array_equal(leg["queueing"], queueing)
             assert np.array_equal(leg["dba_wait"], dba_wait)
 
@@ -790,10 +789,10 @@ class TestStreamedUpstream:
         # a cycle or more.  At a 125 us cycle the cap is 2430 bytes and the
         # float sums are exact.  At 130 us, on this seed, 164 of the 315
         # probes so cleared wait a cycle or more.
-        cfg, load, seed = PonConfig(dba_cycle_us=cycle), LoadPoint(0.1), 2
+        cfg, rho, seed = PonConfig(dba_cycle_us=cycle), 0.1, 2
         probes = _stream(3e5, seed)
-        leg = pon._upstream_leg(cfg, load, probes, pon._spawn_rngs(seed, 1)[0])
-        times = _whole_array_upstream(cfg, load, probes, pon._spawn_rngs(seed, 1)[0])[2]
+        leg = pon._upstream_leg(cfg, rho, probes, pon._spawn_rngs(seed, 1)[0])
+        times = _whole_array_upstream(cfg, rho, probes, pon._spawn_rngs(seed, 1)[0])[2]
         bg_bytes = cfg.background_packet_bytes
         cap = Fraction(cfg.upstream_rate_bps) * Fraction(cycle) / (8 * 10**6 * cfg.split_ratio)
         report_cycle = (probes / cycle).astype(int) + 1
@@ -813,7 +812,7 @@ class TestStreamedUpstream:
 
 def _leg_at(leg, cfg, rho, probes, seed):
     """One leg's columns from its own generator, as `validate` draws it."""
-    return leg(cfg, LoadPoint(rho), probes, pon._spawn_rngs(seed, 1)[0])
+    return leg(cfg, rho, probes, pon._spawn_rngs(seed, 1)[0])
 
 
 class TestLegs:
@@ -1119,7 +1118,7 @@ class TestLegMetamorphic:
 
     @classmethod
     def _run(cls, direction, cfg, rho, probes, seed):
-        return cls.LEGS[direction](cfg, LoadPoint(rho), probes, pon._spawn_rngs(seed, 1)[0])
+        return cls.LEGS[direction](cfg, rho, probes, pon._spawn_rngs(seed, 1)[0])
 
     @pytest.mark.parametrize("factor", [2, 4])
     @pytest.mark.parametrize("rho", [0.0, 0.5, 0.9])
