@@ -106,13 +106,17 @@ class GladParams:
         object.__setattr__(self, "machines_grid", tuple(
             integer("machines_grid", m, ConfigError, at_least=1)
             for m in sequence("machines_grid", self.machines_grid, ConfigError, distinct=True)))
-        real("epsilon", self.epsilon, above=0, error=ConfigError)
-        real("texture_freq_max_hz", self.texture_freq_max_hz, above=0, error=ConfigError)
-        real("onboarding_alpha", self.onboarding_alpha, above=0, at_most=1, error=ConfigError)
-        real("match_threshold", self.match_threshold, above=0, at_most=1, error=ConfigError)
-        real("accuracy_target", self.accuracy_target, above=0, below=1, error=ConfigError)
-        for alpha in sequence("alpha_grid", self.alpha_grid, ConfigError, distinct=True):
+        # Reals are stored as Python numbers too.
+        for name, bounds in (
+                ("epsilon", {"above": 0}), ("texture_freq_max_hz", {"above": 0}),
+                ("onboarding_alpha", {"above": 0, "at_most": 1}),
+                ("match_threshold", {"above": 0, "at_most": 1}),
+                ("accuracy_target", {"above": 0, "below": 1})):
+            object.__setattr__(self, name, real(name, getattr(self, name), error=ConfigError,
+                                                **bounds))
+        object.__setattr__(self, "alpha_grid", tuple(
             real("alpha_grid", alpha, above=0, at_most=1, error=ConfigError)
+            for alpha in sequence("alpha_grid", self.alpha_grid, ConfigError, distinct=True)))
 
 
 def descriptor_of(profile: ObjectProfile, glad: GladParams = GladParams()) -> Descriptor:

@@ -41,8 +41,11 @@ class ConfigError(GladsimError, ValueError):
 
 def real(name: str, value, *, above=None, at_least=None, below=None, at_most=None,
          error: type = ParameterError):
-    """`value` itself, once it is a finite real, or an array of them, within the bounds.
+    """`value`, once it is a finite real, or an array of them, within the bounds.
 
+    A Python float or int and an array come back as themselves, any other
+    real as the Python float it equals: a numpy float32 would otherwise run
+    the model in float32, and hash into a scenario as the float it equals.
     `above` and `below` are open bounds, `at_least` and `at_most` closed ones.
     A bool, a non-number, NaN, +-inf, a number beyond the float range or a
     value out of bounds raises `error` naming `name` and stating the rule.
@@ -55,9 +58,10 @@ def real(name: str, value, *, above=None, at_least=None, below=None, at_most=Non
         ends = (value.min().item(), value.max().item()) if value.size else ()
     elif isinstance(value, numbers.Real) and not isinstance(value, bool):
         try:
-            ends = (float(value),)
+            value = float(value)
         except OverflowError:    # a Fraction, say, beyond the float range
-            ends = (value,)
+            pass
+        ends = (value,)
     else:
         shown = f"an array of {value.dtype}" if isinstance(value, np.ndarray) else repr(value)
         raise error(f"{name} must be a real number, got {shown}")

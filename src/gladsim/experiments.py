@@ -67,7 +67,8 @@ class ScenarioConfig:
                 float(real(name, v, at_least=0, error=ConfigError)) for v in values))
         # The mean inter-arrival, which sets the sweep's horizon, is undefined from shape 1.
         real("control_traffic shape", self.control_traffic.shape, below=1, error=ConfigError)
-        real("deadline_us", self.deadline_us, above=0, error=ConfigError)
+        object.__setattr__(self, "deadline_us", real("deadline_us", self.deadline_us, above=0,
+                                                     error=ConfigError))
         # A sweep point sums up to four crossings of a grid span over every pooled loop.
         crossings = 4 * self.n_loops * len(self.seeds)
         for span in self.span_grid_km:

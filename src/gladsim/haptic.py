@@ -175,9 +175,9 @@ class ObjectProfile:
 
     def __post_init__(self):
         object.__setattr__(self, "center", array("center", self.center, (3,)))
-        real("extent_cm", self.extent_cm, above=0)
-        real("stiffness", self.stiffness, above=0, at_most=1)
-        real("texture_freq_hz", self.texture_freq_hz, at_least=0)
+        for name, bounds in (("extent_cm", {"above": 0}), ("stiffness", {"above": 0, "at_most": 1}),
+                             ("texture_freq_hz", {"at_least": 0})):
+            object.__setattr__(self, name, real(name, getattr(self, name), **bounds))
 
 
 _STANDARD_PROFILES = {
@@ -262,7 +262,7 @@ def generate_session(profile: ObjectProfile, duration_us: float,
     Deterministic in `seed`.
     """
     seed = integer("seed", seed, at_least=0)
-    real("duration_us", duration_us, above=0)
+    duration_us = real("duration_us", duration_us, above=0)
     times = generate_stream(control_params, duration_us, seed)
     n = times.size
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0xC0FFEE))))
@@ -313,9 +313,9 @@ def profiling_trace(profile: ObjectProfile, n_samples: int, seed: int, *,
     """
     integer("n_samples", n_samples, above=0)
     seed = integer("seed", seed, at_least=0)
-    real("noise_std", noise_std, at_least=0)
-    real("wobble_persistence", wobble_persistence, at_least=-1, at_most=1)
-    real("wobble", wobble, at_least=0)
+    noise_std = real("noise_std", noise_std, at_least=0)
+    wobble_persistence = real("wobble_persistence", wobble_persistence, at_least=-1, at_most=1)
+    wobble = real("wobble", wobble, at_least=0)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0x9A9))))
     drift = _smooth_noise(rng, n_samples, persistence=wobble_persistence)
     rel = np.clip(GRASP_DISTANCE + wobble * drift, 0.0, 0.95)
@@ -379,7 +379,7 @@ def train_classifier(controls: ControlTrace, labels, train_fraction: float,
     standardized features, `CLASSIFIER_EPOCHS` steps of `CLASSIFIER_STEP`, so
     it is deterministic.
     """
-    real("train_fraction", train_fraction, above=0, below=1)
+    train_fraction = real("train_fraction", train_fraction, above=0, below=1)
     seed = integer("seed", seed, at_least=0)
     n = len(controls)
     labels = np.asarray(labels, dtype=bool)
@@ -559,8 +559,8 @@ def run_forecaster(trace: HapticTrace, alpha: float, epsilon: float,
     estimate) is at most `epsilon`.  The estimate starts at
     `initial_estimate` (zeros by default).
     """
-    real("epsilon", epsilon, above=0)
-    real("alpha", alpha, above=0, at_most=1)
+    epsilon = real("epsilon", epsilon, above=0)
+    alpha = real("alpha", alpha, above=0, at_most=1)
     initial = (np.zeros(N_FINGERS) if initial_estimate is None
                else array("initial_estimate", initial_estimate, (N_FINGERS,)))
     return _forecast_hits(trace.amplitude, alpha, epsilon, initial)

@@ -78,10 +78,11 @@ class PonConfig:
     background_packet_bytes: int = 1250
 
     def __post_init__(self):
-        # Stored as Python ints, so a numpy integer hashes into a scenario as an int does.
+        # Stored as Python numbers, so a numpy number hashes into a scenario
+        # and runs the model as the Python number it equals.
         for name in ("split_ratio", "packet_bytes", "background_packet_bytes"):
             object.__setattr__(self, name, integer(name, getattr(self, name), above=0))
-        real("span_km", self.span_km, at_least=0)
+        object.__setattr__(self, "span_km", real("span_km", self.span_km, at_least=0))
         positive = (
             "downstream_rate_bps",
             "upstream_rate_bps",
@@ -91,7 +92,7 @@ class PonConfig:
             "ai_inference_us",
         )
         for name in positive:
-            real(name, getattr(self, name), above=0)
+            object.__setattr__(self, name, real(name, getattr(self, name), above=0))
 
 
 @dataclass(frozen=True)
@@ -101,7 +102,8 @@ class LoadPoint:
     rho: float = 0.0
 
     def __post_init__(self):
-        if real("rho", self.rho, at_least=0) >= 1.0:
+        object.__setattr__(self, "rho", real("rho", self.rho, at_least=0))
+        if self.rho >= 1.0:
             raise SaturationError(f"offered load rho={self.rho} saturates the line")
 
 
@@ -537,7 +539,8 @@ def queueing_cross_check(config: PonConfig, load: LoadPoint, seed: int,
     """
     service = _transmission_time(config.background_packet_bytes, config.downstream_rate_bps)
     # Shorter horizons draw a handful of events, whose mean wait says nothing.
-    if real("horizon_us", horizon_us) < 1000.0 * service:
+    horizon_us = real("horizon_us", horizon_us)
+    if horizon_us < 1000.0 * service:
         raise ParameterError(f"horizon_us must be at least 1000 background "
                              f"services ({1000.0 * service:g} us), got {horizon_us}")
     lam, until = _leg_plan(config, load.rho, DOWNSTREAM, horizon_us * 0.99)

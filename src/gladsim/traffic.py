@@ -51,9 +51,8 @@ class GpdParams:
     location: float = 0.0
 
     def __post_init__(self):
-        real("shape", self.shape)
-        real("scale", self.scale, above=0)
-        real("location", self.location, at_least=0)
+        for name, bounds in (("shape", {}), ("scale", {"above": 0}), ("location", {"at_least": 0})):
+            object.__setattr__(self, name, real(name, getattr(self, name), **bounds))
 
 
 # Defaults approximate a ~1 kHz mean message rate (mean gap 1000 us).  The
@@ -107,7 +106,7 @@ def generate_stream(params: GpdParams, horizon_us: float, seed: int) -> np.ndarr
     typical gaps.
     """
     seed = integer("seed", seed, at_least=0)
-    real("horizon_us", horizon_us, above=0)
+    horizon_us = real("horizon_us", horizon_us, above=0)
     if params.shape < 1.0:
         typical_gap = _gpd_mean(params)
     else:
@@ -180,7 +179,7 @@ def ks_test(inter_arrivals, params: GpdParams, significance: float) -> tuple[flo
     accepted and documented.  The inter-arrivals are checked as `fit_gpd`
     checks them.
     """
-    real("significance", significance, above=0, at_most=MAX_SIGNIFICANCE)
+    significance = real("significance", significance, above=0, at_most=MAX_SIGNIFICANCE)
     x = np.sort(_inter_arrival_sample(inter_arrivals))
     n = x.size
     cdf = _gpd_cdf(params, x)

@@ -5,8 +5,9 @@ The rule `real` states: a value is admitted when it is a real number, not a
 bool, finite (a Python int no larger in magnitude than the largest float, a
 Fraction that does not round beyond it), and inside every bound given
 (`above` and `below` open, `at_least` and `at_most` closed); an array when
-each element is.  An admitted value comes back as the
-same object; any other raises the caller's error type, naming the argument.
+each element is.  An admitted Python float or int, or array, comes back as
+the same object, and any other admitted real as the Python float it equals;
+a value not admitted raises the caller's error type, naming the argument.
 `integer` admits a Python or numpy integer, not a bool, by the same bounds and
 returns it as a Python int.  `array` admits a value of the wanted shape, where
 None matches any length, whose elements `real` admits, and returns it as a
@@ -26,6 +27,9 @@ from hypothesis.extra import numpy as hnp
 
 from gladsim.errors import ConfigError, ParameterError, array, integer, real
 
+# Every test here runs in the thorough CI step.
+pytestmark = pytest.mark.thorough
+
 _TESTS = {"above": operator.gt, "at_least": operator.ge,
           "below": operator.lt, "at_most": operator.le}
 
@@ -37,13 +41,18 @@ def _admits(x, bounds: dict) -> bool:
 
 
 def _checked(value, bounds: dict) -> bool:
-    """True when `real` returns `value` itself, False when it raises naming the argument."""
+    """True when `real` returns `value` itself, or the Python float it equals where
+    it is neither a Python number nor an array; False when it raises naming the
+    argument."""
     try:
         out = real("arg", value, **bounds)
     except ParameterError as exc:
         assert str(exc).startswith("arg must be ")
         return False
-    assert out is value
+    if type(value) in (float, int) or isinstance(value, np.ndarray):
+        assert out is value
+    else:
+        assert type(out) is float and out == float(value)
     return True
 
 

@@ -377,6 +377,128 @@ def test_numpy_integer_seeds_are_accepted(entry):
     assert np.array_equal(call(np.int64(3)), call(3))
 
 
+# (entry, argument) of every real row -> float32-exact values it accepts.  Each
+# is passed as a numpy float32 and float64 and, where integral, an int64.
+TWIN_VALUES = {
+    ("LoadPoint", "rho"): (0.5, 0),
+    ("queueing_cross_check", "horizon_us"): (4000,),
+    ("generate_stream", "horizon_us"): (10_000,),
+    ("ks_test", "significance"): (0.25,),
+    ("generate_session", "duration_us"): (100_000,),
+    ("train_classifier", "train_fraction"): (0.75,),
+    ("run_forecaster", "alpha"): (0.5, 1),
+    ("run_forecaster", "epsilon"): (0.0625, 1),
+    ("optimize_alpha", "alpha_grid"): (0.25, 1),
+    ("optimize_alpha", "epsilon"): (0.0625, 1),
+    ("profiling_trace", "wobble"): (0.125, 0),
+    ("profiling_trace", "wobble_persistence"): (0.9921875, 0),
+    ("profiling_trace", "noise_std"): (0.03125, 0),
+    ("PonConfig", "downstream_rate_bps"): (9_953_280_000,),
+    ("PonConfig", "upstream_rate_bps"): (2_488_320_000,),
+    ("PonConfig", "span_km"): (20,),
+    ("PonConfig", "fiber_delay_us_per_km"): (5,),
+    ("PonConfig", "dba_cycle_us"): (125,),
+    ("PonConfig", "wireless_hop_us"): (50,),
+    ("PonConfig", "ai_inference_us"): (10,),
+    ("GpdParams", "shape"): (0.125, 0),
+    ("GpdParams", "scale"): (900,),
+    ("GpdParams", "location"): (0.5, 2),
+    ("ObjectProfile", "extent_cm"): (4,),
+    ("ObjectProfile", "stiffness"): (0.5, 1),
+    ("ObjectProfile", "texture_freq_hz"): (10,),
+    ("GladParams", "accuracy_target"): (0.9375,),
+    ("GladParams", "epsilon"): (0.0625, 1),
+    ("GladParams", "onboarding_alpha"): (0.0078125, 1),
+    ("GladParams", "match_threshold"): (0.75, 1),
+    ("GladParams", "texture_freq_max_hz"): (250,),
+    ("GladParams", "alpha_grid"): (0.25, 1),
+    ("ScenarioConfig", "deadline_us"): (1000,),
+    ("ScenarioConfig", "load_grid"): (0.5, 0),
+    ("ScenarioConfig", "span_grid_km"): (20,),
+}
+
+# The scenario field of each part record, and the small sweep and onboarding
+# study that a record runs in.
+_PARTS = {pon.PonConfig: "pon", traffic.GpdParams: "control_traffic",
+          coordination.GladParams: "glad"}
+_SMALL_GRID = dict(load_grid=(0.5,), span_grid_km=(20.0,), seeds=(1,), n_loops=300)
+_SMALL_GLAD = dict(profiling_samples=500, total_machines=2, add_every=100, additions=1,
+                   machines_grid=(1, 2), alpha_grid=(0.25, 0.5))
+
+
+def _small_scenario(record, argument):
+    """A small scenario around `record`, a scenario or a part of one, that keeps
+    the record's `argument` as it is."""
+    if isinstance(record, experiments.ScenarioConfig):
+        grid = {k: v for k, v in _SMALL_GRID.items() if k != argument}
+        return dataclasses.replace(
+            record, glad=dataclasses.replace(record.glad, **_SMALL_GLAD), **grid)
+    parts = {_PARTS[type(record)]: record}
+    glad = {k: v for k, v in _SMALL_GLAD.items() if k != argument}
+    parts["glad"] = dataclasses.replace(parts.get("glad", coordination.GladParams()), **glad)
+    return experiments.ScenarioConfig(**parts, **_SMALL_GRID)
+
+
+def _bits(out):
+    """A result as nested tuples: arrays by dtype, shape and bytes, records by
+    their fields, numbers by type and repr."""
+    if isinstance(out, np.ndarray):
+        return out.dtype.str, out.shape, out.tobytes()
+    if dataclasses.is_dataclass(out):
+        return tuple(_bits(getattr(out, f.name)) for f in dataclasses.fields(out))
+    if isinstance(out, (tuple, list)):
+        return tuple(map(_bits, out))
+    if isinstance(out, dict):
+        return tuple((key, _bits(value)) for key, value in out.items())
+    return type(out).__name__, repr(out)
+
+
+def _runs(out, argument, directory) -> dict:
+    """What a checked value runs to.  A scenario or a part of one: its hash and
+    the exported files of its small sweep and onboarding study; a load: its
+    round trips and cross-check; a profile: its profiling trace; anything else
+    is a result already."""
+    if isinstance(out, experiments.ScenarioConfig) or type(out) in _PARTS:
+        scenario = _small_scenario(out, argument)
+        for run in (experiments.run_latency_sweep, experiments.run_onboarding_study):
+            experiments.export_report(run(scenario), directory)
+        files = {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+        return {"scenario_hash": experiments.scenario_hash(scenario), **files}
+    if isinstance(out, pon.LoadPoint):
+        return {"round_trips": _bits(pon.round_trips(pon.PonConfig(), out, 1, n_loops=200)),
+                "queueing_cross_check": _bits(pon.queueing_cross_check(
+                    pon.PonConfig(), out, 1, horizon_us=2e3))}
+    if isinstance(out, haptic.ObjectProfile):
+        return {"profiling_trace": _bits(haptic.profiling_trace(out, 200, 1, noise_std=0.04))}
+    return {"result": _bits(out)}
+
+
+def _twin_cases():
+    return [pytest.param(entry, argument, value, dtype,
+                         id=f"{entry}.{argument}={value!r}-{dtype.__name__}")
+            for (entry, argument), values in sorted(TWIN_VALUES.items()) for value in values
+            for dtype in (np.float32, np.float64, np.int64)
+            if dtype is not np.int64 or isinstance(value, int)]
+
+
+@pytest.mark.parametrize("entry,argument,value,dtype", _twin_cases())
+def test_numpy_reals_run_as_the_python_floats_they_equal(entry, argument, value, dtype,
+                                                         tmp_path):
+    # A float32 upstream rate hashed as its Python twin but ran the upstream
+    # legs in float32: the no-AI mean at 20 km and rho 0.5 read
+    # 831.1492149100322 against 831.1492167066461.  A float32 load ran the
+    # legs in float32 too, and the cross-check read a utilization of 0.50000006.
+    assert float(np.float32(value)) == value
+    call = _real_arguments()[entry, argument]
+    out, twin = call(dtype(value)), call(float(value))
+    if hasattr(out, argument):  # a record stores it
+        stored = getattr(out, argument)
+        assert [type(x) for x in (stored if isinstance(stored, tuple) else (stored,))] == [float]
+    (tmp_path / "numpy").mkdir()
+    (tmp_path / "python").mkdir()
+    assert _runs(out, argument, tmp_path / "numpy") == _runs(twin, argument, tmp_path / "python")
+
+
 # Result records: the package builds them from values it has checked.
 RESULT_RECORDS = {"HapticSample", "OnboardResult", "TouchClassifier"}
 # The table whose check an annotation needs: a count must refuse a fraction too.
@@ -408,6 +530,7 @@ def test_every_numeric_parameter_has_a_row():
             if (entry, argument) not in rows[table]] == []
     # Every row but the GPD shape's has a bound, and every bound a row.
     assert (rows["real"] | rows["integer"]) ^ set(BOUNDS) == {("GpdParams", "shape")}
+    assert set(TWIN_VALUES) == rows["real"]
 
 
 def test_array_holding_records_compare_and_hash_by_identity():
