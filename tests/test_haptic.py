@@ -417,6 +417,7 @@ def _profiles(draw):
     )
 
 
+@pytest.mark.thorough
 class TestVectorizedTrace:
     @given(profile=_profiles(), seed=_seeds, n_samples=st.integers(1, 400),
            wobble=st.floats(0.0, 0.5), wobble_persistence=st.floats(0.0, 0.999),
@@ -506,6 +507,7 @@ def _unblocked(y, n):
     return y.transpose(2, 0, 1).reshape(-1, y.shape[1])[:n]
 
 
+@pytest.mark.thorough
 class TestHitPass:
     @given(inputs=_hit_pass_inputs())
     @example(inputs=(np.full((3, 5), 0.45), 0.5, 0.5 - 0.45, np.full(5, 0.5)))
@@ -579,6 +581,7 @@ class TestHitPass:
         assert peak < 4 * layout
 
 
+@pytest.mark.thorough
 class TestLastState:
     @given(inputs=_hit_pass_inputs())
     @example(inputs=(np.zeros((0, 5)), 0.5, 0.05, np.full(5, 0.3)))
@@ -626,6 +629,7 @@ def _recursion_inputs(draw):
     return c, u, y0
 
 
+@pytest.mark.thorough
 class TestRecursionKernel:
     @given(inputs=_recursion_inputs())
     @example(inputs=(0.5, np.array([[1.0], [2.0], [3.0]]), 0.25))

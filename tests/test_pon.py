@@ -168,6 +168,7 @@ _queue_jobs = st.lists(
 )
 
 
+@pytest.mark.thorough
 class TestFifoWaitsProperties:
     @given(jobs=_queue_jobs)
     def test_matches_lindley_loop(self, jobs):
@@ -180,6 +181,7 @@ class TestFifoWaitsProperties:
         assert waits[0] == 0.0 and np.all(waits >= 0.0)
 
 
+@pytest.mark.thorough
 class TestLindleySum:
     # A busy period 1999 arrivals long, and one where every arrival finds
     # the server idle, so V ties its minimum throughout.
@@ -216,6 +218,7 @@ class TestLindleySum:
         assert waits.tobytes() == whole.tobytes()
 
 
+@pytest.mark.thorough
 class TestGatedGrants:
     @given(arrived=st.lists(st.floats(0.0, 1e4), min_size=1, max_size=60),
            cap=st.floats(1.0, 5e3))
@@ -721,6 +724,7 @@ class TestStreamedUpstream:
         assert np.count_nonzero(grant_cycle >= n_cycles) > 8
         assert grant_cycle[-1] > n_cycles
 
+    @pytest.mark.thorough
     @given(split=st.integers(1, 64),
            cycle=st.sampled_from([62.5, 97.3, 125.0, 130.0, 250.0]),
            rate=st.sampled_from([1e9, 2.48832e9, 9.95328e9]),
@@ -877,6 +881,7 @@ class TestLegs:
             dba = _leg_at(pon._upstream_leg, cfg, rho, _stream(1e5, 2), 4)["dba_wait"]
             assert np.all((dba >= 0.0) & (dba <= cfg.dba_cycle_us))
 
+    @pytest.mark.thorough
     @given(seed=st.integers(0, 2**32 - 1),
            horizon=st.floats(2e3, 2e5),
            cycle=st.floats(10.0, 1000.0))
