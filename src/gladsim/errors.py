@@ -44,8 +44,8 @@ def real(name: str, value, *, above=None, at_least=None, below=None, at_most=Non
     """`value`, once it is a finite real, or an array of them, within the bounds.
 
     A Python float or int and an array come back as themselves, any other
-    real as the Python float it equals: a numpy float32 would otherwise run
-    the model in float32, and hash into a scenario as the float it equals.
+    real as the Python float it equals, so that a numpy float32 runs the
+    model as the Python float that a scenario hashes it as, not in float32.
     `above` and `below` are open bounds, `at_least` and `at_most` closed ones.
     A bool, a non-number, NaN, +-inf, a number beyond the float range or a
     value out of bounds raises `error` naming `name` and stating the rule.

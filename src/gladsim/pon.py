@@ -538,8 +538,8 @@ def queueing_cross_check(config: PonConfig, load: LoadPoint, seed: int,
     the defaults).
     """
     service = _transmission_time(config.background_packet_bytes, config.downstream_rate_bps)
-    # Shorter horizons draw a handful of events, whose mean wait says nothing.
     horizon_us = real("horizon_us", horizon_us)
+    # Shorter horizons draw a handful of events, whose mean wait says nothing.
     if horizon_us < 1000.0 * service:
         raise ParameterError(f"horizon_us must be at least 1000 background "
                              f"services ({1000.0 * service:g} us), got {horizon_us}")

@@ -27,7 +27,6 @@ from hypothesis.extra import numpy as hnp
 
 from gladsim.errors import ConfigError, ParameterError, array, integer, real
 
-# Every test here runs in the thorough CI step.
 pytestmark = pytest.mark.thorough
 
 _TESTS = {"above": operator.gt, "at_least": operator.ge,
